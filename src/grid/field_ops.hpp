@@ -1,22 +1,34 @@
 // Reductions and element-wise helpers over padded fields.  All interior-only
 // (ghost values are communication scratch and must not affect norms).
+// The max reductions propagate NaN: a blown-up field must never read as
+// finite, and a NaN difference must never read as a match.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/grid/padded_field.hpp"
 
 namespace subsonic {
 
-/// max |a - b| over the interior.  Fields must have identical extents.
+namespace detail {
+/// max(worst, v) that keeps a NaN from either side; std::max(worst, v)
+/// returns `worst` whenever v is NaN.
+template <typename T>
+T nan_max(T worst, T v) {
+  return std::isnan(worst) || v <= worst ? worst : v;
+}
+}  // namespace detail
+
+/// max |a - b| over the interior; NaN if any difference is NaN.  Fields
+/// must have identical extents.
 template <typename T>
 T max_abs_diff(const PaddedField2D<T>& a, const PaddedField2D<T>& b) {
   SUBSONIC_REQUIRE(a.interior() == b.interior());
   T worst{};
   for (int y = 0; y < a.ny(); ++y)
     for (int x = 0; x < a.nx(); ++x)
-      worst = std::max(worst, static_cast<T>(std::abs(a(x, y) - b(x, y))));
+      worst = detail::nan_max(worst,
+                              static_cast<T>(std::abs(a(x, y) - b(x, y))));
   return worst;
 }
 
@@ -27,18 +39,18 @@ T max_abs_diff(const PaddedField3D<T>& a, const PaddedField3D<T>& b) {
   for (int z = 0; z < a.nz(); ++z)
     for (int y = 0; y < a.ny(); ++y)
       for (int x = 0; x < a.nx(); ++x)
-        worst = std::max(worst,
-                         static_cast<T>(std::abs(a(x, y, z) - b(x, y, z))));
+        worst = detail::nan_max(
+            worst, static_cast<T>(std::abs(a(x, y, z) - b(x, y, z))));
   return worst;
 }
 
-/// max |a| over the interior.
+/// max |a| over the interior; NaN if any value is NaN.
 template <typename T>
 T max_abs(const PaddedField2D<T>& a) {
   T worst{};
   for (int y = 0; y < a.ny(); ++y)
     for (int x = 0; x < a.nx(); ++x)
-      worst = std::max(worst, static_cast<T>(std::abs(a(x, y))));
+      worst = detail::nan_max(worst, static_cast<T>(std::abs(a(x, y))));
   return worst;
 }
 
@@ -48,7 +60,7 @@ T max_abs(const PaddedField3D<T>& a) {
   for (int z = 0; z < a.nz(); ++z)
     for (int y = 0; y < a.ny(); ++y)
       for (int x = 0; x < a.nx(); ++x)
-        worst = std::max(worst, static_cast<T>(std::abs(a(x, y, z))));
+        worst = detail::nan_max(worst, static_cast<T>(std::abs(a(x, y, z))));
   return worst;
 }
 

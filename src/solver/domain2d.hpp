@@ -16,6 +16,7 @@
 #include "src/grid/padded_field.hpp"
 #include "src/solver/field_id.hpp"
 #include "src/solver/params.hpp"
+#include "src/util/fp_env.hpp"
 #include "src/util/worker_pool.hpp"
 
 namespace subsonic {
@@ -160,16 +161,21 @@ class Domain2D {
   /// are independent: every kernel here writes disjoint output rows and
   /// reads buffers no row of the same pass writes, which is why any static
   /// partition — hence any thread count — yields bitwise identical fields.
+  /// Every chunk runs under FlushSubnormals (src/util/fp_env.hpp), taken
+  /// on the thread that runs it, so each kernel flushes subnormals whatever
+  /// thread, process or launcher it runs in, and the caller's floating-point
+  /// mode is unchanged on return.
   template <typename Fn>
   void for_rows(int y0, int y1, Fn&& fn) const {
+    const auto rows = [&fn](int a, int b) {
+      const FlushSubnormals flush;
+      for (int y = a; y < b; ++y) fn(y);
+    };
     if (pool_ && y1 - y0 > 1) {
       pool_->for_weighted(
-          y0, y1, [this](int y) { return row_weight(y); },
-          [&fn](int a, int b) {
-            for (int y = a; y < b; ++y) fn(y);
-          });
+          y0, y1, [this](int y) { return row_weight(y); }, rows);
     } else {
-      for (int y = y0; y < y1; ++y) fn(y);
+      rows(y0, y1);
     }
   }
 

@@ -13,6 +13,7 @@
 #include "src/grid/padded_field.hpp"
 #include "src/solver/field_id.hpp"
 #include "src/solver/params.hpp"
+#include "src/util/fp_env.hpp"
 #include "src/util/worker_pool.hpp"
 
 namespace subsonic {
@@ -111,13 +112,14 @@ class Domain3D {
   /// sharded over the worker pool as contiguous blocks of the flattened
   /// z-major pencil index, with block boundaries placed by cumulative
   /// fluid-span length; see Domain2D::for_rows for the independence
-  /// requirement and the determinism argument.
+  /// requirement, the determinism argument and the floating-point mode.
   template <typename Fn>
   void for_rows(int y0, int y1, int z0, int z1, Fn&& fn) const {
     const int ny = y1 - y0;
     const long long n = static_cast<long long>(ny) * (z1 - z0);
     if (n <= 0) return;
     const auto run = [&](int a, int b) {
+      const FlushSubnormals flush;
       for (int r = a; r < b; ++r) fn(y0 + r % ny, z0 + r / ny);
     };
     if (pool_ && n > 1) {

@@ -185,7 +185,9 @@ void collide_stream(Domain2D& d, ComputePass pass) {
       // source or macroscopic row is ever overwritten before its last
       // read.  The arithmetic — hence every stored value — is identical
       // to the two-slab path, so thread-count invariance still holds;
-      // only the multi-thread row partition forces the ping-pong.
+      // only the multi-thread row partition forces the ping-pong.  The
+      // sweep bypasses for_rows, so it takes for_rows' FP mode itself.
+      const FlushSubnormals flush;
       const int shift = d.population_origin() == 0 ? +2 : -2;
       const PaddedField2D<double>* S[kQ];
       PaddedField2D<double>* D[kQ];

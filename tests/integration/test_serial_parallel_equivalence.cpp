@@ -19,12 +19,19 @@
 namespace subsonic {
 namespace {
 
+// gtest has no printer for this struct, so the name ctest registers for
+// each case ends in its raw bytes.  The name pointer, whose value moves
+// with address-space randomisation, is stored last so that those bytes
+// start with fields that are the same in every run.
 struct Case {
-  const char* name;
+  Case(const char* case_name, Method m, double eps, int px, int py, bool p)
+      : method(m), filter_eps(eps), jx(px), jy(py), periodic(p),
+        name(case_name) {}
   Method method;
   double filter_eps;
   int jx, jy;
   bool periodic;
+  const char* name;
 };
 
 class Equivalence : public ::testing::TestWithParam<Case> {};
@@ -79,21 +86,11 @@ TEST_P(Equivalence, ParallelMatchesSerialBitwise) {
   serial.run(steps);
   parallel.run(steps);
 
-  const auto grho = parallel.gather(FieldId::kRho);
-  const auto gvx = parallel.gather(FieldId::kVx);
-  const auto gvy = parallel.gather(FieldId::kVy);
-
-  double worst = 0;
-  for (int y = 0; y < ny; ++y)
-    for (int x = 0; x < nx; ++x) {
-      worst = std::max(worst,
-                       std::abs(grho(x, y) - serial.domain().rho()(x, y)));
-      worst =
-          std::max(worst, std::abs(gvx(x, y) - serial.domain().vx()(x, y)));
-      worst =
-          std::max(worst, std::abs(gvy(x, y) - serial.domain().vy()(x, y)));
-    }
-  EXPECT_EQ(worst, 0.0) << "parallel and serial runs diverged";
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+    EXPECT_EQ(max_abs_diff(parallel.gather(id), serial.domain().field(id)),
+              0.0)
+        << "parallel and serial runs diverged in field "
+        << static_cast<int>(id);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,15 +151,9 @@ TEST_P(SchedulingEquivalence, LegacyAndOverlapBitwiseIdentical) {
   legacy.run(steps);
   overlap.run(steps);
 
-  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy}) {
-    const auto gl = legacy.gather(id);
-    const auto go = overlap.gather(id);
-    double worst = 0;
-    for (int y = 0; y < ny; ++y)
-      for (int x = 0; x < nx; ++x)
-        worst = std::max(worst, std::abs(gl(x, y) - go(x, y)));
-    EXPECT_EQ(worst, 0.0) << "field " << static_cast<int>(id);
-  }
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+    EXPECT_EQ(max_abs_diff(legacy.gather(id), overlap.gather(id)), 0.0)
+        << "field " << static_cast<int>(id);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -200,15 +191,9 @@ TEST(SchedulingEquivalence2, FluePipeWithInactiveSubregions) {
   legacy.run(steps);
   overlap.run(steps);
 
-  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy}) {
-    const auto gl = legacy.gather(id);
-    const auto go = overlap.gather(id);
-    double worst = 0;
-    for (int y = 0; y < 120; ++y)
-      for (int x = 0; x < 180; ++x)
-        worst = std::max(worst, std::abs(gl(x, y) - go(x, y)));
-    EXPECT_EQ(worst, 0.0) << "field " << static_cast<int>(id);
-  }
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+    EXPECT_EQ(max_abs_diff(legacy.gather(id), overlap.gather(id)), 0.0)
+        << "field " << static_cast<int>(id);
   // The jet must actually be flowing, or the comparison proves nothing.
   EXPECT_GT(max_abs(legacy.gather(FieldId::kVx)), 0.01);
 }
@@ -232,17 +217,10 @@ TEST(EquivalenceFluePipe, JetGeometryWithInactiveSubregions) {
   serial.run(steps);
   parallel.run(steps);
 
-  const auto gvx = parallel.gather(FieldId::kVx);
-  const auto gvy = parallel.gather(FieldId::kVy);
-  double worst = 0;
-  for (int y = 0; y < 120; ++y)
-    for (int x = 0; x < 180; ++x) {
-      worst =
-          std::max(worst, std::abs(gvx(x, y) - serial.domain().vx()(x, y)));
-      worst =
-          std::max(worst, std::abs(gvy(x, y) - serial.domain().vy()(x, y)));
-    }
-  EXPECT_EQ(worst, 0.0);
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+    EXPECT_EQ(max_abs_diff(parallel.gather(id), serial.domain().field(id)),
+              0.0)
+        << "field " << static_cast<int>(id);
   // And the jet must actually be flowing.
   EXPECT_GT(max_abs(serial.domain().vx()), 0.01);
 }
@@ -275,13 +253,9 @@ TEST(EquivalenceTransport, TcpSocketsProduceTheSameFlow) {
   serial.run(12);
   parallel.run(12);
 
-  const auto grho = parallel.gather(FieldId::kRho);
-  double worst = 0;
-  for (int y = 0; y < ny; ++y)
-    for (int x = 0; x < nx; ++x)
-      worst = std::max(worst,
-                       std::abs(grho(x, y) - serial.domain().rho()(x, y)));
-  EXPECT_EQ(worst, 0.0);
+  EXPECT_EQ(
+      max_abs_diff(parallel.gather(FieldId::kRho), serial.domain().rho()),
+      0.0);
   EXPECT_GT(tcp->messages_delivered(), 0);
 }
 
@@ -318,13 +292,9 @@ TEST(EquivalenceTransport, UdpDatagramsProduceTheSameFlow) {
   serial.run(8);
   parallel.run(8);
 
-  const auto grho = parallel.gather(FieldId::kRho);
-  double worst = 0;
-  for (int y = 0; y < ny; ++y)
-    for (int x = 0; x < nx; ++x)
-      worst = std::max(worst,
-                       std::abs(grho(x, y) - serial.domain().rho()(x, y)));
-  EXPECT_EQ(worst, 0.0);
+  EXPECT_EQ(
+      max_abs_diff(parallel.gather(FieldId::kRho), serial.domain().rho()),
+      0.0);
   EXPECT_GT(udp->datagrams_dropped(), 0);
   EXPECT_GT(udp->retransmissions(), 0);
 }

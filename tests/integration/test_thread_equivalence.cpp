@@ -26,11 +26,8 @@ FluidParams pipe_params(Method method, const Geometry2D& g) {
 
 void expect_identical(const PaddedField2D<double>& a,
                       const PaddedField2D<double>& b, const char* what) {
-  double worst = 0;
-  for (int y = 0; y < a.ny(); ++y)
-    for (int x = 0; x < a.nx(); ++x)
-      worst = std::max(worst, std::abs(a(x, y) - b(x, y)));
-  EXPECT_EQ(worst, 0.0) << what << " diverged across thread counts";
+  EXPECT_EQ(max_abs_diff(a, b), 0.0)
+      << what << " diverged across thread counts";
 }
 
 class ThreadEquivalence : public ::testing::TestWithParam<Method> {};
@@ -71,15 +68,9 @@ TEST_P(ThreadEquivalence, NestedUnderSubregionParallelism) {
   one.run(25);
   many.run(25);
 
-  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy}) {
-    const auto a = one.gather(id);
-    const auto b = many.gather(id);
-    double worst = 0;
-    for (int y = 0; y < 80; ++y)
-      for (int x = 0; x < 120; ++x)
-        worst = std::max(worst, std::abs(a(x, y) - b(x, y)));
-    EXPECT_EQ(worst, 0.0) << "field " << static_cast<int>(id);
-  }
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+    EXPECT_EQ(max_abs_diff(one.gather(id), many.gather(id)), 0.0)
+        << "field " << static_cast<int>(id);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, ThreadEquivalence,
@@ -142,18 +133,10 @@ TEST(ThreadEquivalence3D, SerialRunBitwiseAcrossThreadCounts) {
   many.run(20);
   EXPECT_GT(max_abs(one.domain().vx()), 1e-6);
 
-  double worst = 0;
-  for (int z = 0; z < 12; ++z)
-    for (int y = 0; y < 14; ++y)
-      for (int x = 0; x < 20; ++x) {
-        worst = std::max(worst, std::abs(one.domain().rho()(x, y, z) -
-                                         many.domain().rho()(x, y, z)));
-        worst = std::max(worst, std::abs(one.domain().vx()(x, y, z) -
-                                         many.domain().vx()(x, y, z)));
-        worst = std::max(worst, std::abs(one.domain().vz()(x, y, z) -
-                                         many.domain().vz()(x, y, z)));
-      }
-  EXPECT_EQ(worst, 0.0);
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVz})
+    EXPECT_EQ(max_abs_diff(one.domain().field(id), many.domain().field(id)),
+              0.0)
+        << "field " << static_cast<int>(id);
 }
 
 }  // namespace

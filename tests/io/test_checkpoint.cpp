@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <fstream>
+#include <string>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/runtime/parallel2d.hpp"
@@ -86,12 +89,17 @@ TEST(Checkpoint, ParallelCheckpointRestartIsBitwise) {
   p.filter_eps = 0.1;
   p.inlet_vx = g.inlet_speed;
 
+  // A directory of its own: other suites, which ctest may run at the
+  // same time, checkpoint rank_<r>.dump files into TempDir() too.
+  const std::string dir =
+      tmp_dir() + "/ckpt_parallel_" + std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
   ParallelDriver2D a(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
   a.run(10);
-  a.save_checkpoint(tmp_dir());
+  a.save_checkpoint(dir);
 
   ParallelDriver2D b(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
-  b.restore_checkpoint(tmp_dir());
+  b.restore_checkpoint(dir);
   a.run(10);
   b.run(10);
 

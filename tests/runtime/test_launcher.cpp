@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "src/geometry/flue_pipe.hpp"
 #include "src/runtime/process2d.hpp"
+#include "src/util/fp_env.hpp"
 
 namespace subsonic {
 namespace {
@@ -164,6 +166,37 @@ TEST(ProcessLauncher, ExecRestartsKilledRankBitwise) {
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   expect_same_dumps(clean_dir, kill_dir);
+}
+
+TEST(ProcessLauncher, ExecMatchesForkOnFdFluePipePastSubnormalOnset) {
+  // The FD flue pipe at the paper's 400x250 passes the subnormal onset
+  // (about step 70) well before step 100.  The supervisor runs in flush
+  // mode here, which forked ranks inherit and exec'd subsonic_child ranks
+  // do not; the kernels take their flush mode themselves, so the dumps
+  // must still match byte for byte.
+  const Geometry2D g =
+      build_flue_pipe(Extents2{400, 250}, FluePipeVariant::kBasic, 3, 0.08);
+  FluidParams p;
+  p.dt = 0.3;
+  p.nu = 0.02;
+  p.filter_eps = 0.1;
+  p.inlet_vx = g.inlet_speed;
+  ProcessRunOptions options;
+  const FlushSubnormals supervisor_mode;
+
+  const std::string fork_dir = make_workdir("fdfork");
+  options.launcher = "fork";
+  const ProcessRunResult rf = run_multiprocess2d(
+      g.mask, p, Method::kFiniteDifference, 2, 1, 100, fork_dir, options);
+
+  const std::string exec_dir = make_workdir("fdexec");
+  options.launcher = "exec";
+  const ProcessRunResult re = run_multiprocess2d(
+      g.mask, p, Method::kFiniteDifference, 2, 1, 100, exec_dir, options);
+
+  EXPECT_EQ(rf.final_step, 100);
+  EXPECT_EQ(re.final_step, 100);
+  expect_same_dumps(fork_dir, exec_dir);
 }
 
 TEST(ProcessLauncher, SpawnFailureSurfacesRankAndHost) {

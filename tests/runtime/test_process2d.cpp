@@ -18,7 +18,9 @@
 
 #include "src/decomp/decomposition.hpp"
 #include "src/geometry/flue_pipe.hpp"
+#include "src/grid/field_ops.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/runtime/gather.hpp"
 #include "src/runtime/serial2d.hpp"
 #include "src/telemetry/summary.hpp"
 
@@ -63,20 +65,11 @@ TEST(ProcessRuntime, ForkedProcessesMatchSerialBitwise) {
   EXPECT_EQ(r.final_step, 15);
 
   // Gather by restoring the dump files, as the parent would.
-  const Decomposition2D d(mask.extents(), 2, 2);
-  double worst = 0;
-  for (int rank = 0; rank < 4; ++rank) {
-    Domain2D sub(mask, d.box(rank), p, Method::kLatticeBoltzmann, 1);
-    restore_domain(sub, workdir + "/rank_" + std::to_string(rank) +
-                            ".dump");
-    const Box2 b = d.box(rank);
-    for (int y = 0; y < b.height(); ++y)
-      for (int x = 0; x < b.width(); ++x)
-        worst = std::max(
-            worst, std::abs(sub.vx()(x, y) -
-                            serial.domain().vx()(b.x0 + x, b.y0 + y)));
-  }
-  EXPECT_EQ(worst, 0.0);
+  const GatheredFields2D g = gather_fields2d(
+      mask, p, Method::kLatticeBoltzmann, 2, 2, workdir);
+  EXPECT_EQ(max_abs_diff(g.rho, serial.domain().rho()), 0.0);
+  EXPECT_EQ(max_abs_diff(g.vx, serial.domain().vx()), 0.0);
+  EXPECT_EQ(max_abs_diff(g.vy, serial.domain().vy()), 0.0);
 }
 
 TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "src/geometry/flue_pipe.hpp"
@@ -188,9 +189,13 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   const int ran = before.run_until_sync(100000, request, sync);
   trigger.join();
 
-  before.save_checkpoint(::testing::TempDir());
+  // A directory of its own: other suites, which ctest may run at the
+  // same time, checkpoint rank_<r>.dump files into TempDir() too.
+  const std::string dir = tmp_sync("mig_ckpt");
+  ::mkdir(dir.c_str(), 0755);
+  before.save_checkpoint(dir);
   ParallelDriver2D after(mask, p, Method::kLatticeBoltzmann, 2, 2);
-  after.restore_checkpoint(::testing::TempDir());
+  after.restore_checkpoint(dir);
 
   const int total = ran + 40;
   straight.run(total);
