@@ -1,6 +1,8 @@
 // Telemetry end to end on the process runtime: a supervised lattice
 // Boltzmann run with tracing forced on, leaving in the working directory
 //
+//   block_<b>.dump           final state of each block (one per rank
+//                            unless blocks > 0)
 //   rank_<r>.metrics.jsonl   per-rank counters / gauges / phase timers
 //   rank_<r>.trace.json      per-rank Chrome trace
 //   trace.json               merged trace (load in a Chrome-trace viewer:
@@ -11,8 +13,8 @@
 // Usage: telemetry_demo [workdir] [steps] [dims] [blocks]   (workdir must
 // exist; default "." / 24 steps / dims 2 / blocks 0).  dims 2 runs a 2x2
 // decomposition, dims 3 a 2x2x1 one — both through the same supervised
-// Cohort pipeline.  blocks > 0 routes the run through the over-decomposed
-// blocked runtime with that block side.
+// Cohort pipeline.  blocks > 0 over-decomposes each rank's subregion
+// into blocks of about that side; 0 runs one block per rank.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

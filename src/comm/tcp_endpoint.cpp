@@ -203,7 +203,7 @@ TcpEndpoint::~TcpEndpoint() {
     std::unique_lock<std::mutex> lock(send_mutex_);
     // A send error empties the queue, so this also returns promptly on a
     // wedged channel instead of waiting for frames that can never leave.
-    drain_cv_.wait(lock, [&] { return send_queue_.empty(); });
+    drain_cv_.wait(lock, [&] { return drained(); });
     stop_ = true;
   }
   send_cv_.notify_all();
@@ -308,6 +308,7 @@ void TcpEndpoint::sender_loop() {
       if (send_queue_.empty()) return;  // stop requested, queue drained
       job = std::move(send_queue_.front());
       send_queue_.pop_front();
+      ++in_flight_;
     }
     try {
       auto it = out_fds_.find(job.dst);
@@ -339,12 +340,14 @@ void TcpEndpoint::sender_loop() {
       std::lock_guard<std::mutex> lock(send_mutex_);
       send_error_ = std::current_exception();
       send_queue_.clear();
+      in_flight_ = 0;
       drain_cv_.notify_all();
       return;
     }
     {
       std::lock_guard<std::mutex> lock(send_mutex_);
-      if (send_queue_.empty()) drain_cv_.notify_all();
+      --in_flight_;
+      if (drained()) drain_cv_.notify_all();
       if (options_.metrics)
         options_.metrics->gauge(rank_, "transport.send_queue_depth")
             .set(static_cast<double>(send_queue_.size()));
@@ -370,7 +373,7 @@ void TcpEndpoint::send(int dst, MessageTag tag,
 
 void TcpEndpoint::flush() {
   std::unique_lock<std::mutex> lock(send_mutex_);
-  drain_cv_.wait(lock, [&] { return send_queue_.empty(); });
+  drain_cv_.wait(lock, [&] { return drained(); });
   if (send_error_) std::rethrow_exception(send_error_);
 }
 

@@ -104,9 +104,11 @@ class TcpEndpoint {
   /// send() or flush().
   void send(int dst, MessageTag tag, std::vector<double> payload);
 
-  /// Blocks until every queued frame is on the wire.  Must be called
-  /// before a process _exit()s: a peer may still be waiting on the final
-  /// messages, and _exit would discard the queue.
+  /// Blocks until every queued frame is on the wire — including the one
+  /// the sender thread is still connecting or writing — and rethrows the
+  /// error of a send that failed.  Must be called before a process
+  /// _exit()s: a peer may still be waiting on the final messages, and
+  /// _exit would discard them.
   void flush();
 
   /// Blocks until the message (src -> this rank, tag) arrives; frames
@@ -132,6 +134,8 @@ class TcpEndpoint {
   int lookup_port(int rank, std::string* host) const;
   int connect_to(int rank);
   void sender_loop();
+  /// Nothing queued and nothing in flight (send_mutex_ held).
+  bool drained() const { return send_queue_.empty() && in_flight_ == 0; }
 
   int rank_;
   int ranks_;
@@ -153,6 +157,7 @@ class TcpEndpoint {
   std::condition_variable send_cv_;
   std::condition_variable drain_cv_;
   std::deque<SendJob> send_queue_;
+  int in_flight_ = 0;  // jobs popped by the sender but not yet on the wire
   bool stop_ = false;
   std::exception_ptr send_error_;
 };

@@ -20,6 +20,10 @@ int block_side_from_env(int fallback) {
   return static_cast<int>(v);
 }
 
+int resolve_block_side(int requested) {
+  return requested < 0 ? block_side_from_env(kDefaultBlockSide) : requested;
+}
+
 int block_count_for_axis(int n, int side, int min_side) {
   SUBSONIC_REQUIRE(n >= 1 && side >= 1 && min_side >= 1);
   // Round to the nearest block count, then clamp so even the smallest
@@ -31,6 +35,12 @@ int block_count_for_axis(int n, int side, int min_side) {
 }
 
 namespace {
+
+/// Blocks along an axis of `n` nodes cut into `ranks` subregions: one per
+/// subregion for side 0, else the side-targeted count.
+int blocks_along(int n, int ranks, int side, int min_side) {
+  return side == 0 ? ranks : block_count_for_axis(n, side, min_side);
+}
 
 template <typename BlockDecomp>
 void validate_owner_map(const BlockDecomp& d, const std::vector<int>& owner) {
@@ -72,8 +82,8 @@ std::vector<int> active_ranks_impl(const Owner& owner, int rank_count) {
 BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
                                            int side, int min_side)
     : blocks_(mask.extents(),
-              block_count_for_axis(mask.extents().nx, side, min_side),
-              block_count_for_axis(mask.extents().ny, side, min_side)),
+              blocks_along(mask.extents().nx, jx, side, min_side),
+              blocks_along(mask.extents().ny, jy, side, min_side)),
       ranks_(mask.extents(), jx, jy) {
   const auto active = subsonic::active_ranks(blocks_, mask);
   active_.assign(blocks_.rank_count(), false);
@@ -110,9 +120,9 @@ std::vector<int> BlockDecomposition2D::active_ranks() const {
 BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
                                            int jz, int side, int min_side)
     : blocks_(mask.extents(),
-              block_count_for_axis(mask.extents().nx, side, min_side),
-              block_count_for_axis(mask.extents().ny, side, min_side),
-              block_count_for_axis(mask.extents().nz, side, min_side)),
+              blocks_along(mask.extents().nx, jx, side, min_side),
+              blocks_along(mask.extents().ny, jy, side, min_side),
+              blocks_along(mask.extents().nz, jz, side, min_side)),
       ranks_(mask.extents(), jx, jy, jz) {
   const auto active = subsonic::active_ranks(blocks_, mask);
   active_.assign(blocks_.rank_count(), false);

@@ -29,6 +29,11 @@ constexpr int kDefaultBlockSide = 32;
 /// Throws std::invalid_argument on a malformed value.
 int block_side_from_env(int fallback);
 
+/// Resolves a requested block side, the one rule every runtime entry point
+/// shares: 0 stays 0 (one block per rank), a negative request becomes
+/// SUBSONIC_BLOCKS or kDefaultBlockSide, a positive one is kept.
+int resolve_block_side(int requested);
+
 /// Number of blocks along an axis of `n` nodes for target side `side`,
 /// clamped so no block is thinner than `min_side` (the ghost width — a
 /// thinner block would need ghost data from non-adjacent blocks).
@@ -39,11 +44,13 @@ int block_count_for_axis(int n, int side, int min_side);
 /// rank decomposition (each block starts on the rank whose subregion
 /// contains its center).  All-solid blocks get owner -1 and are never
 /// computed or exchanged with, exactly like inactive ranks in the
-/// monolithic decomposition.
+/// monolithic decomposition.  Side 0 makes the block grid the rank grid
+/// itself: block b is rank b's subregion, owned by rank b — the paper's
+/// one-process-per-subregion layout.
 class BlockDecomposition2D {
  public:
-  /// `side` is the target block side; `min_side` the smallest legal block
-  /// side (pass the ghost width).
+  /// `side` is the target block side (0: one block per rank); `min_side`
+  /// the smallest legal block side (pass the ghost width).
   BlockDecomposition2D(const Mask2D& mask, int jx, int jy, int side,
                        int min_side);
 

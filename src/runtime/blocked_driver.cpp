@@ -20,9 +20,7 @@ BlockedDriver<Dim>::BlockedDriver(const Mask& mask, const FluidParams& params,
     : BlockedDriver(
           mask, params, method,
           Traits::make_block_decomposition(
-              mask, grid,
-              block_side > 0 ? block_side
-                             : block_side_from_env(kDefaultBlockSide),
+              mask, grid, block_side,
               required_ghost(method, params.filter_eps > 0.0)),
           std::move(transport), sched, threads) {}
 

@@ -28,9 +28,10 @@ class BlockedDriver {
   using Field = typename Traits::Field;
 
   /// Over-decomposes `mask` into ~`block_side`-sided blocks seeded onto
-  /// the `grid` rank layout.  `block_side` <= 0 resolves via
-  /// SUBSONIC_BLOCKS with kDefaultBlockSide as the fallback.  The other
-  /// parameters mirror ParallelDriver.
+  /// the `grid` rank layout.  `block_side` resolves through
+  /// resolve_block_side: 0 is one block per rank, -1 SUBSONIC_BLOCKS with
+  /// kDefaultBlockSide as the fallback.  The other parameters mirror
+  /// ParallelDriver.
   BlockedDriver(const Mask& mask, const FluidParams& params, Method method,
                 const GridShape& grid, int block_side,
                 std::shared_ptr<Transport> transport = nullptr,

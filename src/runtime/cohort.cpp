@@ -36,10 +36,6 @@ std::string rank_trace_path(const std::string& workdir, int rank) {
   return workdir + "/rank_" + std::to_string(rank) + ".trace.json";
 }
 
-std::string legacy_dump_path(const std::string& workdir, int rank) {
-  return workdir + "/rank_" + std::to_string(rank) + ".dump";
-}
-
 std::string legacy_block_dump_path(const std::string& workdir, int block) {
   return workdir + "/block_" + std::to_string(block) + ".dump";
 }
@@ -62,19 +58,6 @@ void tag_child_stderr(int fd, int rank) {
   if (!pending.empty())
     std::fprintf(stderr, "[rank %d] %s\n", rank, pending.c_str());
   ::close(fd);
-}
-
-void flush_dump(const PendingDump& p, const ChildConfig& cfg,
-                const std::string& workdir, const FaultPlan& faults) {
-  const std::string path = epoch::dump_path(workdir, cfg.rank, p.epoch);
-  if (faults.torn_dump(cfg.rank, p.epoch, cfg.generation)) {
-    std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-    torn.write(p.bytes.data(),
-               static_cast<std::streamsize>(p.bytes.size() / 2));
-    torn.flush();
-    ::raise(SIGKILL);
-  }
-  atomic_write_file(path, p.bytes.data(), p.bytes.size());
 }
 
 void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
@@ -284,14 +267,11 @@ ChildConfig connect_socket_channels(const ChildConfig& in) {
 template <int Dim>
 [[noreturn]] void child_main(const typename DomainTraits<Dim>::Mask& mask,
                              const FluidParams& params, Method method,
-                             const typename DomainTraits<Dim>::Decomp& decomp,
-                             const std::vector<bool>& active,
+                             const typename DomainTraits<Dim>::BlockDecomp& bd,
                              const ChildConfig& cfg_in,
                              const std::string& workdir,
                              const std::string& registry,
                              const FaultPlan& faults) {
-  using Traits = DomainTraits<Dim>;
-  using LinkPlan = typename Traits::LinkPlan;
   const ChildConfig cfg = connect_socket_channels(cfg_in);
   try {
     telemetry::SessionConfig tel_cfg;
@@ -308,292 +288,10 @@ template <int Dim>
 
     liveness::Emitter hb(cfg.heartbeat_fd, cfg.rank, cfg.beacon_interval_ms);
 
-    const int ghost = required_ghost(method, params.filter_eps > 0.0);
-    const std::string legacy_dump = legacy_dump_path(workdir, cfg.rank);
-
-    // One recovery round: build the domain from scratch, restore, connect
+    // One recovery round: build the blocks from scratch, restore, connect
     // under the round's registry, run to target.  Returns false when a
-    // rollback order interrupted it.  A fresh Domain every round is what
-    // makes an in-process rollback bitwise identical to being re-forked.
-    auto run_round = [&](int round, long restore_epoch) -> bool {
-      ChildConfig rcfg = cfg;
-      rcfg.generation = round;
-      rcfg.restore_epoch = restore_epoch;
-
-      typename Traits::Domain domain(mask, decomp.box(rcfg.rank), params,
-                                     method, ghost, rcfg.threads);
-      {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.restore", "ckpt");
-        if (rcfg.restore_epoch >= 0) {
-          restore_domain(
-              domain, epoch::dump_path(workdir, rcfg.rank, rcfg.restore_epoch));
-        } else {
-          std::ifstream probe(legacy_dump, std::ios::binary);
-          if (probe.good()) restore_domain(domain, legacy_dump);
-        }
-      }
-
-      const int delay_ms = faults.delay_connect_ms(rcfg.rank, round);
-      if (delay_ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-
-      // Slow-host fault: every compute phase is stretched by a busy-spin
-      // proportional to its measured duration, inside the phase's telemetry
-      // span — indistinguishable from a genuinely slow CPU downstream.
-      const int slow_pm = faults.slow_permille(rcfg.rank, round);
-      auto run_compute_timed = [&](auto& dom, ComputeKind kind,
-                                   ComputePass pass) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Traits::run_compute(dom, kind, pass);
-        if (slow_pm > 0) spin_slow_penalty(seconds_since(t0), slow_pm);
-      };
-
-      TcpEndpointOptions ep_options;
-      ep_options.recv_deadline_ms = rcfg.recv_deadline_ms;
-      ep_options.metrics = session.metrics_ptr();
-      if (rcfg.heartbeat_fd >= 0 || rcfg.control_fd >= 0) {
-        ep_options.wait_beacon = [&hb] { hb.wait_tick(); };
-        ep_options.abort_requested = [] { return rollback_pending(); };
-        ep_options.wait_slice_ms = std::max(1, rcfg.beacon_interval_ms);
-      }
-      TcpEndpoint endpoint(rcfg.rank, decomp.rank_count(),
-                           liveness::registry_for(registry, round),
-                           ep_options);
-      const auto links =
-          Traits::make_links(decomp, rcfg.rank, ghost, params, active);
-      const auto schedule = Traits::make_schedule(method);
-
-      auto post_sends = [&](const std::vector<FieldId>& fields, long step,
-                            int phase) {
-        for (const LinkPlan& link : links)
-          endpoint.send(link.peer, make_tag(step, phase, link.dir),
-                        Traits::pack(domain, fields, link.send_box));
-      };
-      auto complete_recvs = [&](const std::vector<FieldId>& fields, long step,
-                                int phase) {
-        for (const LinkPlan& link : links)
-          Traits::unpack(domain, fields, link.recv_box,
-                         endpoint.recv(link.peer,
-                                       make_tag(step, phase, link.peer_dir)));
-      };
-      auto exchange = [&](const std::vector<FieldId>& fields, long step,
-                          int phase) {
-        post_sends(fields, step, phase);
-        complete_recvs(fields, step, phase);
-      };
-
-      // Initial full sync seeds the ghost regions (same as the threaded
-      // runtime's reinitialize step).  The tag carries the restore step, so
-      // a respawned cohort handshakes consistently regardless of epoch.
-      std::vector<FieldId> all_fields = Traits::macro_fields();
-      for (int i = 0; i < domain.q(); ++i) all_fields.push_back(population(i));
-      {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "comm.sync", "comm",
-                                   domain.step());
-        exchange(all_fields, domain.step(), 1023);
-      }
-
-      std::vector<PendingDump> pending;
-      while (domain.step() < rcfg.target_step) {
-        if (rollback_pending()) return false;
-        const long step = domain.step();
-        set_log_context(rcfg.rank, step);
-        const auto step_t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < schedule.size(); ++i) {
-          const Phase& phase = schedule[i];
-          if (phase.kind == Phase::Kind::kCompute) {
-            const bool split = rcfg.sched == Scheduling::kOverlap &&
-                               i + 1 < schedule.size() &&
-                               schedule[i + 1].kind == Phase::Kind::kExchange;
-            if (split) {
-              const Phase& ex = schedule[i + 1];
-              const int ex_index = static_cast<int>(i + 1);
-              {
-                telemetry::ScopedSpan span(
-                    tel, rcfg.rank,
-                    compute_phase_name(phase.compute, ComputePass::kBand),
-                    "compute", step);
-                run_compute_timed(domain, phase.compute, ComputePass::kBand);
-              }
-              {
-                telemetry::ScopedSpan span(tel, rcfg.rank, "comm.post_sends",
-                                           "comm", step);
-                post_sends(ex.fields, step, ex_index);
-              }
-              {
-                telemetry::ScopedSpan span(
-                    tel, rcfg.rank,
-                    compute_phase_name(phase.compute, ComputePass::kInterior),
-                    "compute", step);
-                run_compute_timed(domain, phase.compute,
-                                  ComputePass::kInterior);
-              }
-              {
-                // The receive-completion wait is the exposed comm latency of
-                // an overlapped exchange; feed it to the same histogram the
-                // legacy path records so percentiles exist either way.
-                telemetry::ScopedSpan span(tel, rcfg.rank,
-                                           "comm.complete_recvs", "comm",
-                                           step);
-                complete_recvs(ex.fields, step, ex_index);
-                tel->metrics()
-                    .histogram(rcfg.rank, "comm.exchange")
-                    .record(span.stop());
-              }
-              ++i;
-            } else {
-              telemetry::ScopedSpan span(tel, rcfg.rank,
-                                         compute_phase_name(phase.compute),
-                                         "compute", step);
-              run_compute_timed(domain, phase.compute, ComputePass::kFull);
-            }
-          } else {
-            telemetry::ScopedSpan span(tel, rcfg.rank, "comm.exchange",
-                                       "comm", step);
-            exchange(phase.fields, step, static_cast<int>(i));
-            tel->metrics()
-                .histogram(rcfg.rank, "comm.exchange")
-                .record(span.stop());
-          }
-        }
-        domain.set_step(step + 1);
-        tel->metrics().counter(rcfg.rank, "steps").add();
-        tel->metrics()
-            .histogram(rcfg.rank, "step.wall")
-            .record(seconds_since(step_t0));
-        const long done = domain.step();
-        hb.emit(liveness::Phase::kStep, done);
-
-        // Publish before the fault checks fire: a rank killed at this very
-        // step still leaves its flushed prefix for the harvest.
-        if (rcfg.metrics_flush_interval > 0 &&
-            (done - rcfg.start_step) % rcfg.metrics_flush_interval == 0)
-          publish_metrics(tel, hb, rcfg.rank,
-                          metrics_path(workdir, cfg.rank), done);
-
-        // A kill fault fires before this step's checkpoint work, so the
-        // crash always loses whatever the stagger had not yet flushed.
-        if (auto ks = faults.kill_step(rcfg.rank, round))
-          if (done - rcfg.start_step >= *ks) ::raise(SIGKILL);
-        if (auto hg = faults.hang_at(rcfg.rank, round))
-          if (done - rcfg.start_step >= hg->step) enter_hang(hg->hard);
-        if (auto ms = faults.mute_step(rcfg.rank, round))
-          if (done - rcfg.start_step >= *ms) hb.mute();
-
-        if (rcfg.checkpoint_interval > 0 &&
-            (done - rcfg.start_step) % rcfg.checkpoint_interval == 0 &&
-            done < rcfg.target_step) {
-          telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.capture", "ckpt",
-                                     done);
-          PendingDump p;
-          p.epoch = (done - rcfg.start_step) / rcfg.checkpoint_interval - 1;
-          p.flush_step = done + rcfg.stagger_index;
-          p.bytes = serialize_domain(domain);
-          pending.push_back(std::move(p));
-        }
-        for (size_t i = 0; i < pending.size();) {
-          if (done >= pending[i].flush_step) {
-            telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.flush", "ckpt",
-                                       done);
-            flush_dump(pending[i], rcfg, workdir, faults);
-            pending.erase(pending.begin() + static_cast<long>(i));
-          } else {
-            ++i;
-          }
-        }
-      }
-      set_log_context(rcfg.rank);
-      for (const PendingDump& p : pending) {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.flush", "ckpt",
-                                   domain.step());
-        flush_dump(p, rcfg, workdir, faults);
-      }
-
-      // Drain the async send queue before _exit: a peer may still be
-      // waiting on our final-step messages.
-      {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "comm.flush", "comm",
-                                   domain.step());
-        endpoint.flush();
-      }
-      {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.final_save", "ckpt",
-                                   domain.step());
-        save_domain(domain, legacy_dump);
-      }
-      return true;
-    };
-
-    int round = cfg.generation;
-    long restore_epoch = cfg.restore_epoch;
-    for (;;) {
-      hb.set_round(round);
-      hb.emit(liveness::Phase::kStart, cfg.start_step);
-      bool completed = false;
-      try {
-        completed = run_round(round, restore_epoch);
-      } catch (const endpoint_aborted&) {
-        completed = false;  // rollback order arrived mid-wait
-      } catch (const peer_lost_error& e) {
-        // A neighbour died under us.  Supervised, the watchdog is about
-        // to order a rollback, so park on the control pipe instead of
-        // exiting — this rank survives the recovery in-process.
-        if (cfg.control_fd < 0) throw;
-        std::fprintf(stderr,
-                     "subprocess rank %d lost a peer (awaiting rollback): "
-                     "%s\n",
-                     cfg.rank, e.what());
-        completed = false;
-      }
-      if (completed) break;
-      if (!await_rollback_order(cfg, hb, &round, &restore_epoch)) ::_exit(1);
-    }
-
-    // The telemetry streams are this rank's half of the supervisor's
-    // run_summary.json; written last so they cover the whole run, and only
-    // on a clean (or SIGTERM-rescued) exit — a SIGKILLed rank contributes
-    // nothing until the supervisor harvests a survivor's flush.
-    session.write_metrics_jsonl(metrics_path(workdir, cfg.rank));
-    if (session.tracing())
-      session.write_trace_json(rank_trace_path(workdir, cfg.rank));
-    ::_exit(0);
-  } catch (const peer_lost_error& e) {
-    // Expected when a neighbour dies: report and exit so the supervisor
-    // can restart the cohort.  Never hang.
-    std::fprintf(stderr, "subprocess rank %d lost a peer: %s\n", cfg.rank,
-                 e.what());
-    ::_exit(3);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "subprocess rank %d failed: %s\n", cfg.rank,
-                 e.what());
-    ::_exit(1);
-  } catch (...) {
-    ::_exit(2);
-  }
-}
-
-template <int Dim>
-[[noreturn]] void child_main_blocked(
-    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& params,
-    Method method, const typename DomainTraits<Dim>::BlockDecomp& bd,
-    const ChildConfig& cfg_in, const std::string& workdir,
-    const std::string& registry, const FaultPlan& faults) {
-  const ChildConfig cfg = connect_socket_channels(cfg_in);
-  try {
-    telemetry::SessionConfig tel_cfg;
-    tel_cfg.trace = cfg.trace;
-    tel_cfg.origin_ns = cfg.origin_ns;
-    telemetry::Session session(tel_cfg);
-    telemetry::Session* const tel = &session;
-    set_log_context(cfg.rank);
-
-    g_term_session = tel;
-    g_term_metrics_path = metrics_path(workdir, cfg.rank);
-    if (session.tracing()) g_term_trace_path = rank_trace_path(workdir, cfg.rank);
-    install_child_signal_handlers();
-
-    liveness::Emitter hb(cfg.heartbeat_fd, cfg.rank, cfg.beacon_interval_ms);
-
+    // rollback order interrupted it.  Fresh blocks every round are what
+    // make an in-process rollback bitwise identical to being re-forked.
     auto run_round = [&](int round, long restore_epoch) -> bool {
       ChildConfig rcfg = cfg;
       rcfg.generation = round;
@@ -661,11 +359,15 @@ template <int Dim>
         const long done = set.step();
         hb.emit(liveness::Phase::kStep, done);
 
+        // Publish before the fault checks fire: a rank killed at this very
+        // step still leaves its flushed prefix for the harvest.
         if (rcfg.metrics_flush_interval > 0 &&
             (done - rcfg.start_step) % rcfg.metrics_flush_interval == 0)
           publish_metrics(tel, hb, rcfg.rank,
                           metrics_path(workdir, cfg.rank), done);
 
+        // A kill fault fires before this step's checkpoint work, so the
+        // crash always loses whatever the stagger had not yet flushed.
         if (auto ks = faults.kill_step(rcfg.rank, round))
           if (done - rcfg.start_step >= *ks) ::raise(SIGKILL);
         if (auto hg = faults.hang_at(rcfg.rank, round))
@@ -711,6 +413,8 @@ template <int Dim>
         flush_block_dump(p, rcfg, workdir, faults);
       }
 
+      // Drain the async send queue before the final dumps: a peer may
+      // still be waiting on our final-step messages.
       {
         telemetry::ScopedSpan span(tel, rcfg.rank, "comm.flush", "comm",
                                    set.step());
@@ -735,9 +439,12 @@ template <int Dim>
       try {
         completed = run_round(round, restore_epoch);
       } catch (const endpoint_aborted&) {
-        completed = false;
+        completed = false;  // rollback order arrived mid-wait
       } catch (const peer_lost_error& e) {
-        if (cfg.control_fd < 0) throw;  // unsupervised: exit 3 as before
+        // A neighbour died under us.  Supervised, the watchdog is about
+        // to order a rollback, so park on the control pipe instead of
+        // exiting — this rank survives the recovery in-process.
+        if (cfg.control_fd < 0) throw;
         std::fprintf(stderr,
                      "subprocess rank %d lost a peer (awaiting rollback): "
                      "%s\n",
@@ -748,11 +455,17 @@ template <int Dim>
       if (!await_rollback_order(cfg, hb, &round, &restore_epoch)) ::_exit(1);
     }
 
+    // The telemetry streams are this rank's half of the supervisor's
+    // run_summary.json; written last so they cover the whole cohort, and
+    // only on a clean (or SIGTERM-rescued) exit — a SIGKILLed rank
+    // contributes only what its periodic flushes left for the harvest.
     session.write_metrics_jsonl(metrics_path(workdir, cfg.rank));
     if (session.tracing())
       session.write_trace_json(rank_trace_path(workdir, cfg.rank));
     ::_exit(0);
   } catch (const peer_lost_error& e) {
+    // Expected when a neighbour dies unsupervised: report and exit so the
+    // supervisor can restart the cohort.  Never hang.
     std::fprintf(stderr, "subprocess rank %d lost a peer: %s\n", cfg.rank,
                  e.what());
     ::_exit(3);
@@ -766,21 +479,13 @@ template <int Dim>
 }
 
 template void child_main<2>(const Mask2D&, const FluidParams&, Method,
-                            const Decomposition2D&, const std::vector<bool>&,
-                            const ChildConfig&, const std::string&,
-                            const std::string&, const FaultPlan&);
+                            const BlockDecomposition2D&, const ChildConfig&,
+                            const std::string&, const std::string&,
+                            const FaultPlan&);
 template void child_main<3>(const Mask3D&, const FluidParams&, Method,
-                            const Decomposition3D&, const std::vector<bool>&,
-                            const ChildConfig&, const std::string&,
-                            const std::string&, const FaultPlan&);
-template void child_main_blocked<2>(const Mask2D&, const FluidParams&, Method,
-                                    const BlockDecomposition2D&,
-                                    const ChildConfig&, const std::string&,
-                                    const std::string&, const FaultPlan&);
-template void child_main_blocked<3>(const Mask3D&, const FluidParams&, Method,
-                                    const BlockDecomposition3D&,
-                                    const ChildConfig&, const std::string&,
-                                    const std::string&, const FaultPlan&);
+                            const BlockDecomposition3D&, const ChildConfig&,
+                            const std::string&, const std::string&,
+                            const FaultPlan&);
 
 }  // namespace cohort
 }  // namespace subsonic

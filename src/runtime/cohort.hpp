@@ -1,16 +1,14 @@
 // The child half of the supervised process runtime, dimension-generic.
 // A "cohort" is one spawned generation of rank processes; this header
 // carries the per-child configuration, the staggered-checkpoint pending
-// queue, and child_main<Dim> — the body every forked rank runs: build the
-// local domain (restore its epoch or legacy dump), loop compute/exchange
-// until target_step, save staggered epoch checkpoints, dump, exit.  The
-// supervisor (supervisor.hpp) forks, reaps and respawns cohorts.
+// queue, and child_main<Dim> — the body every rank process runs: build
+// the blocks the owner map gives it (restoring each block's epoch or
+// final dump), loop compute/exchange until target_step, save staggered
+// epoch checkpoints, dump every block, exit.  The supervisor
+// (supervisor.hpp) spawns, reaps and respawns cohorts.
 #pragma once
 
-#include <sys/types.h>
-
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/runtime/domain_traits.hpp"
@@ -26,13 +24,10 @@ std::string metrics_path(const std::string& workdir, int rank);
 /// "rank_<r>.trace.json" in `workdir`: one child's Chrome-trace capture.
 std::string rank_trace_path(const std::string& workdir, int rank);
 
-/// "rank_<r>.dump" in `workdir`: the final-state dump a clean child
-/// leaves behind (and restores from on a continuation run).
-std::string legacy_dump_path(const std::string& workdir, int rank);
-
-/// "block_<b>.dump" in `workdir`: final-state dump of one block of the
-/// over-decomposed runtime.  Keyed by block id — never by rank — so a
-/// continuation run restores correctly under a rewritten owner map.
+/// "block_<b>.dump" in `workdir`: the final-state dump of one block, left
+/// by a clean child (and restored from on a continuation run).  Keyed by
+/// block id — never by rank — so a continuation run restores correctly
+/// under a rewritten owner map.
 std::string legacy_block_dump_path(const std::string& workdir, int block);
 
 /// Parent-side half of the child-stderr tagging pipe: reads the child's
@@ -50,8 +45,8 @@ struct ChildConfig {
   int generation = 0;     ///< supervisor respawn counter (0 = first cohort)
   long target_step = 0;   ///< run until domain.step() reaches this
   long start_step = 0;    ///< step the run as a whole began at
-  /// Step the whole *run* ends at (>= target_step; the blocked runtime
-  /// runs in segments, so one cohort's target may sit mid-run).  Epoch
+  /// Step the whole *run* ends at (>= target_step; a rebalancing run
+  /// proceeds in segments, so one cohort's target may sit mid-run).  Epoch
   /// checkpoints are captured up to the run's end but not at it — the
   /// final state is the legacy dump — which keeps the epoch numbering
   /// gap-free across segment boundaries.
@@ -83,108 +78,59 @@ struct ChildConfig {
   int metrics_flush_interval = 0;
 };
 
-/// A checkpoint captured in memory at its epoch step but flushed to disk
-/// a few steps later — the paper's orderly *staggered* state saving.
-/// Deferring only the write (never the capture) keeps every rank's dump
-/// for an epoch at the same logical step.
-struct PendingDump {
-  long epoch = 0;
-  long flush_step = 0;  ///< write once domain.step() reaches this
-  std::vector<char> bytes;
-};
-
-/// Writes one pending dump.  A matching torn_dump fault writes only the
-/// front half of the bytes straight to the final path (no tmp+rename) and
-/// kills the process — simulating a rank dying mid-write without the
-/// atomic protocol.  Restart must then treat the file as garbage.
-void flush_dump(const PendingDump& p, const ChildConfig& cfg,
-                const std::string& workdir, const FaultPlan& faults);
-
-/// Per-block pending checkpoint of the over-decomposed runtime: captured
-/// for every local block at the epoch step, flushed staggered.
+/// A checkpoint of one block captured in memory at its epoch step but
+/// flushed to disk a few steps later — the paper's orderly *staggered*
+/// state saving.  Deferring only the write (never the capture) keeps every
+/// block's dump for an epoch at the same logical step.
 struct PendingBlockDump {
   int block = -1;
   long epoch = 0;
-  long flush_step = 0;
+  long flush_step = 0;  ///< write once the blocks' step reaches this
   std::vector<char> bytes;
 };
 
-/// Writes one pending block dump; the torn_dump fault tears it exactly as
-/// flush_dump does (half-written, no atomic rename, SIGKILL).
+/// Writes one pending block dump.  A matching torn_dump fault writes only
+/// the front half of the bytes straight to the final path (no tmp+rename)
+/// and kills the process — simulating a rank dying mid-write without the
+/// atomic protocol.  Restart must then treat the file as garbage.
 void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
                       const std::string& workdir, const FaultPlan& faults);
 
-/// One spawned cohort: pid-per-active-rank plus reap bookkeeping, and the
-/// stderr-tagger thread per child (each drains one pipe until the child
-/// exits).
-struct Cohort {
-  std::vector<pid_t> pids;   // parallel to active_list
-  std::vector<bool> reaped;  // parallel to active_list
-  std::vector<int> status;   // valid where reaped
-  std::vector<std::thread> taggers;
-};
-
-/// The body of one parallel subprocess.  Never returns normally — the
-/// child must not unwind into the parent's runtime state.  Injected
-/// faults fire here: a kill fault SIGKILLs the process at its step
-/// *before* pending epoch dumps for that step are flushed, a
-/// delay_connect fault stalls the rank before it registers.
+/// The body of one rank process: steps every block the owner map assigns
+/// to it (a BlockSet) over a TcpEndpoint, with per-*block* epoch
+/// checkpoints and final dumps.  Never returns normally — the child must
+/// not unwind into the parent's runtime state.  Injected faults fire here:
+/// a kill fault SIGKILLs the process at its step *before* pending epoch
+/// dumps for that step are flushed, a delay_connect fault stalls the rank
+/// before it registers, and the slow fault busy-spins inside the
+/// per-block compute timers, making the rank look like a genuinely slow
+/// host to the rebalancer.
 ///
 /// `registry` is the *base* port-registry path: each recovery round uses
 /// liveness::registry_for(registry, round).  The child runs rounds in a
 /// loop — on a SIGUSR1 rollback order from the supervisor it abandons
 /// the current round (endpoint_aborted out of any blocking wait), reads
-/// the new round + restore epoch from control_fd, rebuilds its Domain
+/// the new round + restore epoch from control_fd, rebuilds its blocks
 /// from scratch and rejoins, which is bitwise identical to being
 /// re-forked.  SIGTERM flushes the telemetry stream and exits with
 /// liveness::kTermAckExit.
 template <int Dim>
 [[noreturn]] void child_main(const typename DomainTraits<Dim>::Mask& mask,
                              const FluidParams& params, Method method,
-                             const typename DomainTraits<Dim>::Decomp& decomp,
-                             const std::vector<bool>& active,
+                             const typename DomainTraits<Dim>::BlockDecomp& bd,
                              const ChildConfig& cfg,
                              const std::string& workdir,
                              const std::string& registry,
                              const FaultPlan& faults);
 
 extern template void child_main<2>(const Mask2D&, const FluidParams&, Method,
-                                   const Decomposition2D&,
-                                   const std::vector<bool>&,
+                                   const BlockDecomposition2D&,
                                    const ChildConfig&, const std::string&,
                                    const std::string&, const FaultPlan&);
 extern template void child_main<3>(const Mask3D&, const FluidParams&, Method,
-                                   const Decomposition3D&,
-                                   const std::vector<bool>&,
+                                   const BlockDecomposition3D&,
                                    const ChildConfig&, const std::string&,
                                    const std::string&, const FaultPlan&);
-
-/// The over-decomposed counterpart of child_main: one rank process
-/// stepping every block the owner map assigns to it (a BlockSet) over the
-/// shared TcpEndpoint, with per-*block* epoch checkpoints and final
-/// dumps.  Supports the same kill / delay_connect / torn_dump faults plus
-/// the slow fault (a busy-spin charged into the per-block compute
-/// timers, making the rank look like a genuinely slow host to the
-/// rebalancer).
-template <int Dim>
-[[noreturn]] void child_main_blocked(
-    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& params,
-    Method method, const typename DomainTraits<Dim>::BlockDecomp& bd,
-    const ChildConfig& cfg, const std::string& workdir,
-    const std::string& registry, const FaultPlan& faults);
-
-extern template void child_main_blocked<2>(const Mask2D&, const FluidParams&,
-                                           Method, const BlockDecomposition2D&,
-                                           const ChildConfig&,
-                                           const std::string&,
-                                           const std::string&,
-                                           const FaultPlan&);
-extern template void child_main_blocked<3>(const Mask3D&, const FluidParams&,
-                                           Method, const BlockDecomposition3D&,
-                                           const ChildConfig&,
-                                           const std::string&,
-                                           const std::string&,
-                                           const FaultPlan&);
 
 }  // namespace cohort
 }  // namespace subsonic

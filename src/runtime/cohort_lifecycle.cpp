@@ -1,5 +1,6 @@
 #include "src/runtime/cohort_lifecycle.hpp"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,12 +12,23 @@
 
 #include "src/runtime/status_board.hpp"
 #include "src/runtime/supervisor.hpp"
-#include "src/runtime/supervisor_util.hpp"
 #include "src/util/check.hpp"
 #include "src/util/fault_plan.hpp"
 
 namespace subsonic {
 namespace cohort {
+
+namespace {
+
+std::string describe_status(int status) {
+  if (WIFEXITED(status))
+    return "exited " + std::to_string(WEXITSTATUS(status));
+  if (WIFSIGNALED(status))
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  return "status " + std::to_string(status);
+}
+
+}  // namespace
 
 Lifecycle::Lifecycle(Setup setup) : setup_(std::move(setup)) {
   launcher_name_ = launcher::resolve_launcher_name(setup_.launcher);
@@ -55,7 +67,6 @@ pid_t Lifecycle::spawn(int rank, ChildConfig cfg,
   spec.spec_path = spec_path_;
   spec.faults = setup_.faults_spec;
   spec.dim = setup_.dim;
-  spec.blocked = setup_.blocked;
   spec.stderr_fd = err_pipe[1];
   spec.close_in_child = close_in_child;
   spec.close_in_child.push_back(err_pipe[0]);
@@ -144,8 +155,8 @@ void Lifecycle::fail(const std::vector<liveness::EngineFailure>& fails,
     f.rank = ef.rank;
     f.wait_status = ef.status;
     f.detail = ef.hung ? "hung (heartbeat silence); " +
-                             supervisor_detail::describe_status(ef.status)
-                       : supervisor_detail::describe_status(ef.status);
+                             describe_status(ef.status)
+                       : describe_status(ef.status);
     msg << " rank " << f.rank << ": " << f.detail << ';';
     failures.push_back(std::move(f));
   }

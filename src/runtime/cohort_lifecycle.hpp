@@ -1,11 +1,10 @@
-// The cohort-lifecycle module: everything the two supervisors used to
-// duplicate around "a rank process exists" lives here once — launcher
-// selection (fork | exec), the rendezvous service the cohort coordinates
-// through, stderr tagging, spawn-fault injection, per-round registry
-// retirement, harvest of dead ranks' telemetry, and the failure report.
-// The supervisors keep what is genuinely theirs (decomposition, epochs,
-// segments, rebalancing, aggregation) and drive this object through the
-// liveness engine's hooks.
+// The cohort-lifecycle module: everything around "a rank process exists"
+// — launcher selection (fork | exec), the rendezvous service the cohort
+// coordinates through, stderr tagging, spawn-fault injection, per-round
+// registry retirement, harvest of dead ranks' telemetry, and the failure
+// report.  The supervisor keeps what is genuinely its own (decomposition,
+// epochs, segments, rebalancing, aggregation) and drives this object
+// through the liveness engine's hooks.
 #pragma once
 
 #include <sys/types.h>
@@ -37,7 +36,6 @@ class Lifecycle {
     std::string workdir;
     bool trace_on = false;
     int dim = 2;
-    bool blocked = false;
     /// Launcher request: explicit name, else SUBSONIC_LAUNCHER, else fork.
     std::string launcher;
     /// The options.faults string, passed to exec children verbatim ("" =
@@ -101,7 +99,7 @@ class Lifecycle {
   void join_taggers();
 
   /// Telemetry harvested from ranks that died mid-run, by rank.  The
-  /// blocked supervisor also folds its per-segment totals in here.
+  /// supervisor also folds its per-segment totals in here.
   std::map<int, telemetry::RankMetrics>& harvested() { return harvested_; }
   const std::vector<std::string>& harvested_traces() const {
     return harvested_traces_;

@@ -12,7 +12,7 @@ namespace subsonic::cohort {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53425350u;  // "SBSP"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 void put_u32(std::vector<char>& out, std::uint32_t v) {
   const char* p = reinterpret_cast<const char*>(&v);
@@ -72,7 +72,6 @@ std::vector<char> serialize_cohort_spec(const CohortSpec& spec) {
   put_u32(out, kVersion);
   put_i32(out, spec.dim);
   put_i32(out, static_cast<std::int32_t>(spec.method));
-  put_i32(out, spec.blocked ? 1 : 0);
   put_i32(out, spec.block_side);
   put_i32(out, spec.grid.jx);
   put_i32(out, spec.grid.jy);
@@ -131,7 +130,6 @@ CohortSpec deserialize_cohort_spec(const char* data, std::size_t len) {
   if (spec.dim != 2 && spec.dim != 3)
     throw std::runtime_error("cohort spec: bad dimension");
   spec.method = static_cast<Method>(r.i32());
-  spec.blocked = r.i32() != 0;
   spec.block_side = r.i32();
   spec.grid.jx = r.i32();
   spec.grid.jy = r.i32();

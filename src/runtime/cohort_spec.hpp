@@ -23,14 +23,13 @@ namespace subsonic::cohort {
 struct CohortSpec {
   int dim = 2;
   Method method = Method::kLatticeBoltzmann;
-  bool blocked = false;
-  int block_side = 0;  ///< over-decomposition side (blocked runs only)
+  int block_side = 0;  ///< resolved block side (0: one block per rank)
   GridShape grid;
   FluidParams params;
   Mask2D mask2;  ///< the geometry when dim == 2
   Mask3D mask3;  ///< the geometry when dim == 3
-  /// Block -> rank owner map of the current segment (blocked runs only);
-  /// empty means the decomposition's default map.
+  /// Block -> rank owner map of the current segment; empty means the
+  /// decomposition's default map.
   std::vector<int> owner;
 
   void set_mask(const Mask2D& m) {

@@ -56,12 +56,14 @@ struct DomainTraits<2> {
   }
 
   /// Over-decomposition of the same grid into ~side^2 blocks seeded onto
-  /// the (jx x jy) rank grid; `ghost` bounds the smallest legal block.
+  /// the (jx x jy) rank grid; `side` resolves through resolve_block_side
+  /// (0: one block per rank) and `ghost` bounds the smallest legal block.
   static BlockDecomp make_block_decomposition(const Mask& mask,
                                               const GridShape& grid, int side,
                                               int ghost) {
     SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
-    return BlockDecomp(mask, grid.jx, grid.jy, side, ghost);
+    return BlockDecomp(mask, grid.jx, grid.jy, resolve_block_side(side),
+                       ghost);
   }
 
   /// Link plans of one *block* over the fine block grid — the generic
@@ -184,7 +186,8 @@ struct DomainTraits<3> {
   static BlockDecomp make_block_decomposition(const Mask& mask,
                                               const GridShape& grid, int side,
                                               int ghost) {
-    return BlockDecomp(mask, grid.jx, grid.jy, grid.jz, side, ghost);
+    return BlockDecomp(mask, grid.jx, grid.jy, grid.jz,
+                       resolve_block_side(side), ghost);
   }
 
   static std::vector<LinkPlan> make_block_links(const BlockDecomp& bd,

@@ -16,11 +16,6 @@ std::string manifest_path(const std::string& workdir) {
   return workdir + "/MANIFEST";
 }
 
-std::string dump_path(const std::string& workdir, int rank, long e) {
-  return workdir + "/rank_" + std::to_string(rank) + ".epoch_" +
-         std::to_string(e) + ".dump";
-}
-
 std::string block_dump_path(const std::string& workdir, int block, long e) {
   return workdir + "/block_" + std::to_string(block) + ".epoch_" +
          std::to_string(e) + ".dump";
@@ -47,16 +42,6 @@ std::optional<Manifest> read_manifest(const std::string& workdir) {
   while (in >> r) m.ranks.push_back(r);
   if (m.epoch < 0 || m.ranks.empty()) return std::nullopt;
   return m;
-}
-
-void gc_epochs(const std::string& workdir, const std::vector<int>& ranks,
-               long keep_from) {
-  for (long e = keep_from - 1; e >= 0; --e) {
-    bool any = false;
-    for (int r : ranks)
-      if (std::remove(dump_path(workdir, r, e).c_str()) == 0) any = true;
-    if (!any) break;  // older epochs were already collected
-  }
 }
 
 void gc_block_epochs(const std::string& workdir,

@@ -1,11 +1,12 @@
 // Checkpoint-epoch bookkeeping for the supervised process runtime (the
 // paper's "orderly staggered saving of state", section 4.1).  Every
-// `checkpoint_interval` steps each rank writes rank_<r>.epoch_<e>.dump
-// into the working directory (atomically — tmp + fsync + rename).  The
-// supervisor commits an epoch by atomically rewriting the MANIFEST file
-// once it has verified a durable, CRC-clean dump from *every* active
-// rank, so a restart always resumes from the newest epoch whose dumps are
-// known-complete — never from a half-saved one.
+// `checkpoint_interval` steps each rank writes block_<b>.epoch_<e>.dump
+// for every block it owns into the working directory (atomically — tmp +
+// fsync + rename).  The supervisor commits an epoch by atomically
+// rewriting the MANIFEST file once it has verified a durable, CRC-clean
+// dump of *every* active block, so a restart always resumes from the
+// newest epoch whose dumps are known-complete — never from a half-saved
+// one.
 #pragma once
 
 #include <optional>
@@ -19,19 +20,16 @@ namespace epoch {
 /// "MANIFEST" in `workdir`: the supervisor's commit record.
 std::string manifest_path(const std::string& workdir);
 
-/// "rank_<r>.epoch_<e>.dump" in `workdir`.
-std::string dump_path(const std::string& workdir, int rank, long e);
-
-/// "block_<b>.epoch_<e>.dump" in `workdir` — the over-decomposed runtime's
-/// epoch dumps.  Block dumps are keyed by block id, never by owning rank,
-/// which is what lets a restart resume under a rewritten owner map (each
-/// block restores its own state wherever it now lives).
+/// "block_<b>.epoch_<e>.dump" in `workdir`.  Block dumps are keyed by
+/// block id, never by owning rank, which is what lets a restart resume
+/// under a rewritten owner map (each block restores its own state wherever
+/// it now lives).
 std::string block_dump_path(const std::string& workdir, int block, long e);
 
 struct Manifest {
   long epoch = -1;         ///< newest complete epoch
   long step = 0;           ///< step counter all its dumps carry
-  std::vector<int> ranks;  ///< active ranks whose dumps were verified
+  std::vector<int> ranks;  ///< active blocks whose dumps were verified
 };
 
 /// Atomically (re)writes the MANIFEST.
@@ -41,12 +39,8 @@ void commit_manifest(const std::string& workdir, const Manifest& m);
 /// foreign file counts as "no committed epoch", never as an error).
 std::optional<Manifest> read_manifest(const std::string& workdir);
 
-/// Deletes epoch dumps older than `keep_from` for the given ranks — once
-/// epoch e is committed, epochs < e can never be restored again.
-void gc_epochs(const std::string& workdir, const std::vector<int>& ranks,
-               long keep_from);
-
-/// Same for block epoch dumps (`blocks` are block ids).
+/// Deletes epoch dumps older than `keep_from` for the given block ids —
+/// once epoch e is committed, epochs < e can never be restored again.
 void gc_block_epochs(const std::string& workdir,
                      const std::vector<int>& blocks, long keep_from);
 

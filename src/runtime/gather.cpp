@@ -12,75 +12,27 @@ namespace subsonic {
 
 namespace {
 
-/// Shared implementation: restore each active rank's dump into a scratch
-/// subdomain and copy its interior into global fields; inactive ranks
-/// contribute the quiescent state.  Returns the fields in
-/// Traits::macro_fields() order.
+/// Restores each active block's dump into a scratch subdomain and copies
+/// its interior into global fields; inactive blocks contribute the
+/// quiescent state.  Dumps are owner-agnostic, so no owner map is needed.
+/// Returns the fields in Traits::macro_fields() order.
 template <int Dim>
-std::pair<long, std::vector<typename DomainTraits<Dim>::Field>> gather_impl(
-    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& params,
-    Method method, const GridShape& grid, const std::string& workdir,
-    long epoch) {
+std::pair<long, std::vector<typename DomainTraits<Dim>::Field>>
+gather_impl(const typename DomainTraits<Dim>::Mask& mask,
+            const FluidParams& params, Method method, const GridShape& grid,
+            int block_side, const std::string& workdir, long epoch) {
   using Traits = DomainTraits<Dim>;
   params.validate();
-  const typename Traits::Decomp decomp =
-      Traits::make_decomposition(mask, grid);
-  const auto active_list = active_ranks(decomp, mask);
   const int ghost = required_ghost(method, params.filter_eps > 0.0);
+  const typename Traits::BlockDecomp bd =
+      Traits::make_block_decomposition(mask, grid, block_side, ghost);
 
   if (epoch >= 0) {
     // Only a MANIFEST-committed epoch is guaranteed to have a durable,
-    // CRC-clean dump from every active rank; anything else may be torn.
+    // CRC-clean dump of every active block; anything else may be torn.
     const auto m = epoch::read_manifest(workdir);
     SUBSONIC_REQUIRE_MSG(m && epoch <= m->epoch,
                          "gather_fields: epoch is not committed");
-  }
-
-  const std::vector<FieldId> ids = Traits::macro_fields();
-  std::vector<typename Traits::Field> fields;
-  fields.reserve(ids.size());
-  for (FieldId id : ids) {
-    fields.push_back(Traits::make_global_field(decomp));
-    fields.back().fill(Traits::quiescent(id, params));
-  }
-
-  long step = -1;
-  for (int rank : active_list) {
-    typename Traits::Domain sub(mask, decomp.box(rank), params, method,
-                                ghost);
-    const std::string path =
-        epoch >= 0 ? epoch::dump_path(workdir, rank, epoch)
-                   : cohort::legacy_dump_path(workdir, rank);
-    restore_domain(sub, path);
-    if (step < 0) step = sub.step();
-    SUBSONIC_REQUIRE_MSG(sub.step() == step,
-                         "gather_fields: dumps disagree on the step counter");
-    for (size_t i = 0; i < ids.size(); ++i)
-      Traits::copy_interior(fields[i], sub, ids[i], decomp.box(rank));
-  }
-  return {step < 0 ? 0 : step, std::move(fields)};
-}
-
-/// Blocked counterpart: one scratch subdomain per active *block*, the
-/// rest identical.  Dumps are owner-agnostic, so no owner map is needed.
-template <int Dim>
-std::pair<long, std::vector<typename DomainTraits<Dim>::Field>>
-gather_blocked_impl(const typename DomainTraits<Dim>::Mask& mask,
-                    const FluidParams& params, Method method,
-                    const GridShape& grid, int block_side,
-                    const std::string& workdir, long epoch) {
-  using Traits = DomainTraits<Dim>;
-  params.validate();
-  const int ghost = required_ghost(method, params.filter_eps > 0.0);
-  const int side =
-      block_side > 0 ? block_side : block_side_from_env(kDefaultBlockSide);
-  const typename Traits::BlockDecomp bd =
-      Traits::make_block_decomposition(mask, grid, side, ghost);
-
-  if (epoch >= 0) {
-    const auto m = epoch::read_manifest(workdir);
-    SUBSONIC_REQUIRE_MSG(m && epoch <= m->epoch,
-                         "gather_fields_blocked: epoch is not committed");
   }
 
   const std::vector<FieldId> ids = Traits::macro_fields();
@@ -102,7 +54,7 @@ gather_blocked_impl(const typename DomainTraits<Dim>::Mask& mask,
     if (step < 0) step = sub.step();
     SUBSONIC_REQUIRE_MSG(
         sub.step() == step,
-        "gather_fields_blocked: dumps disagree on the step counter");
+        "gather_fields: dumps disagree on the step counter");
     for (size_t i = 0; i < ids.size(); ++i)
       Traits::copy_interior(fields[i], sub, ids[i], bd.box(b));
   }
@@ -117,7 +69,7 @@ GatheredFields2D gather_fields2d_blocked(const Mask2D& mask,
                                          int block_side,
                                          const std::string& workdir,
                                          long epoch) {
-  auto [step, fields] = gather_blocked_impl<2>(
+  auto [step, fields] = gather_impl<2>(
       mask, params, method, GridShape{jx, jy, 1}, block_side, workdir, epoch);
   return GatheredFields2D{step, std::move(fields[0]), std::move(fields[1]),
                           std::move(fields[2])};
@@ -129,9 +81,9 @@ GatheredFields3D gather_fields3d_blocked(const Mask3D& mask,
                                          int block_side,
                                          const std::string& workdir,
                                          long epoch) {
-  auto [step, fields] =
-      gather_blocked_impl<3>(mask, params, method, GridShape{jx, jy, jz},
-                             block_side, workdir, epoch);
+  auto [step, fields] = gather_impl<3>(mask, params, method,
+                                       GridShape{jx, jy, jz}, block_side,
+                                       workdir, epoch);
   return GatheredFields3D{step, std::move(fields[0]), std::move(fields[1]),
                           std::move(fields[2]), std::move(fields[3])};
 }
@@ -140,20 +92,16 @@ GatheredFields2D gather_fields2d(const Mask2D& mask,
                                  const FluidParams& params, Method method,
                                  int jx, int jy, const std::string& workdir,
                                  long epoch) {
-  auto [step, fields] = gather_impl<2>(mask, params, method,
-                                       GridShape{jx, jy, 1}, workdir, epoch);
-  return GatheredFields2D{step, std::move(fields[0]), std::move(fields[1]),
-                          std::move(fields[2])};
+  return gather_fields2d_blocked(mask, params, method, jx, jy, 0, workdir,
+                                 epoch);
 }
 
 GatheredFields3D gather_fields3d(const Mask3D& mask,
                                  const FluidParams& params, Method method,
                                  int jx, int jy, int jz,
                                  const std::string& workdir, long epoch) {
-  auto [step, fields] = gather_impl<3>(
-      mask, params, method, GridShape{jx, jy, jz}, workdir, epoch);
-  return GatheredFields3D{step, std::move(fields[0]), std::move(fields[1]),
-                          std::move(fields[2]), std::move(fields[3])};
+  return gather_fields3d_blocked(mask, params, method, jx, jy, jz, 0, workdir,
+                                 epoch);
 }
 
 }  // namespace subsonic

@@ -1,10 +1,10 @@
 // The process runtime's gather surface: reconstruct the full macroscopic
-// fields from the per-rank dump files a supervised run leaves behind —
+// fields from the per-block dump files a supervised run leaves behind —
 // "these files contain all the information that is needed" (paper section
 // 4.1), so the dumps double as the result-gathering mechanism and no
 // driver or tool needs per-dimension I/O code.  Works on the final
-// rank_<r>.dump files (epoch == -1) or on any MANIFEST-committed epoch's
-// rank_<r>.epoch_<e>.dump files, in both dimensions.
+// block_<b>.dump files (epoch == -1) or on any MANIFEST-committed epoch's
+// block_<b>.epoch_<e>.dump files, in both dimensions.
 #pragma once
 
 #include <string>
@@ -34,13 +34,14 @@ struct GatheredFields3D {
   PaddedField3D<double> vz;
 };
 
-/// Reassembles rho/Vx/Vy from the dumps of a (jx x jy) supervised run in
-/// `workdir`.  `epoch` == -1 reads the final rank_<r>.dump files; an
-/// `epoch` >= 0 must be committed (<= the MANIFEST's newest epoch) and
-/// reads that epoch's dumps.  The mask, params, method and decomposition
-/// must match the run that wrote the dumps; throws checkpoint_error /
-/// contract_error on corrupt files or any mismatch, including dumps that
-/// disagree on the step counter.
+/// Reassembles rho/Vx/Vy from the dumps of a (jx x jy) supervised run
+/// with one block per rank (block_side 0) in `workdir`.  `epoch` == -1
+/// reads the final block_<b>.dump files; an `epoch` >= 0 must be
+/// committed (<= the MANIFEST's newest epoch) and reads that epoch's
+/// dumps.  The mask, params, method and decomposition must match the run
+/// that wrote the dumps; throws checkpoint_error / contract_error on
+/// corrupt files or any mismatch, including dumps that disagree on the
+/// step counter.
 GatheredFields2D gather_fields2d(const Mask2D& mask,
                                  const FluidParams& params, Method method,
                                  int jx, int jy, const std::string& workdir,
@@ -52,13 +53,11 @@ GatheredFields3D gather_fields3d(const Mask3D& mask,
                                  int jx, int jy, int jz,
                                  const std::string& workdir, long epoch = -1);
 
-/// Gather surface of the over-decomposed runtime: reassembles the fields
-/// from per-*block* dumps ("block_<b>.dump", or a committed epoch's
-/// "block_<b>.epoch_<e>.dump").  `block_side` must match the run that
-/// wrote the dumps (0 / -1 resolve exactly as ProcessRunOptions::
-/// block_side does for a blocked run: SUBSONIC_BLOCKS or the default).
-/// Owner-map agnostic — block dumps carry no rank identity, so a gather
-/// works across any sequence of rebalances.
+/// The same gather for any block side.  `block_side` must match the run
+/// that wrote the dumps and resolves exactly as ProcessRunOptions::
+/// block_side does (0: one block per rank, -1: SUBSONIC_BLOCKS or the
+/// default).  Owner-map agnostic — block dumps carry no rank identity, so
+/// a gather works across any sequence of rebalances.
 GatheredFields2D gather_fields2d_blocked(const Mask2D& mask,
                                          const FluidParams& params,
                                          Method method, int jx, int jy,

@@ -93,7 +93,6 @@ ChildHandle ExecLauncher::spawn(const ChildSpec& spec) {
   add("metrics_flush_interval", cfg.metrics_flush_interval);
   add_str("channel_endpoint", cfg.channel_endpoint);
   add("dim", spec.dim);
-  add("blocked", spec.blocked ? 1 : 0);
   add_str("workdir", spec.workdir);
   add_str("registry", spec.registry);
   add_str("spec", spec.spec_path);

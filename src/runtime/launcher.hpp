@@ -40,7 +40,6 @@ struct ChildSpec {
   std::string spec_path;  ///< cohort spec file (exec children rebuild from it)
   std::string faults;     ///< fault spec string ("" = child reads env)
   int dim = 2;
-  bool blocked = false;
   int stderr_fd = -1;  ///< dup2'd onto fd 2 in the child (tagging pipe)
   /// Fds that belong to the supervisor or to sibling children; the child
   /// must not hold them open (fork closes them, exec never passes them).

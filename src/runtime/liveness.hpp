@@ -344,9 +344,9 @@ struct EngineHooks {
   std::function<void(const std::vector<EngineFailure>& failures)> fail;
 };
 
-/// The supervision loop shared by the plain and blocked supervisors:
-/// spawn a cohort, pump heartbeats, reap, watchdog, escalate, and recover
-/// surgically until every rank finished the current round cleanly.
+/// The supervision loop, run once per segment: spawn a cohort, pump
+/// heartbeats, reap, watchdog, escalate, and recover surgically until
+/// every rank finished the current round cleanly.
 class CohortEngine {
  public:
   CohortEngine(std::vector<int> ranks, const LivenessOptions& options,

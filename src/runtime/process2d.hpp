@@ -13,8 +13,9 @@ namespace subsonic {
 
 /// Forks one child per active subregion of the (jx x jy) decomposition of
 /// `mask`, runs `steps` integration steps with boundary exchange over real
-/// TCP sockets, and writes "rank_<r>.dump" per subregion into `workdir`
-/// (which must exist).  See run_supervised for the full contract.
+/// TCP sockets, and writes "block_<r>.dump" per subregion into `workdir`
+/// (which must exist; one block per rank unless options.block_side says
+/// otherwise).  See run_supervised for the full contract.
 ProcessRunResult run_multiprocess2d(const Mask2D& mask,
                                     const FluidParams& params, Method method,
                                     int jx, int jy, int steps,

@@ -17,9 +17,10 @@ namespace subsonic {
 
 /// Forks one child per active subregion of the (jx x jy x jz)
 /// decomposition of `mask`, runs `steps` integration steps with boundary
-/// exchange over real TCP sockets, and writes "rank_<r>.dump" per
-/// subregion into `workdir` (which must exist).  See run_supervised for
-/// the full contract.
+/// exchange over real TCP sockets, and writes "block_<r>.dump" per
+/// subregion into `workdir` (which must exist; one block per rank unless
+/// options.block_side says otherwise).  See run_supervised for the full
+/// contract.
 ProcessRunResult run_multiprocess3d(const Mask3D& mask,
                                     const FluidParams& params, Method method,
                                     int jx, int jy, int jz, int steps,

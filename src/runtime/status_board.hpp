@@ -46,7 +46,7 @@ class StatusBoard {
     long start_step = 0;
     long target_step = 0;
     int dims = 2;
-    long blocks = 0;                 ///< 0: monolithic runtime
+    long blocks = 0;                 ///< block count of the run
     telemetry::Session* supervisor = nullptr;  ///< rank -1 self-metrics
   };
 

@@ -1,19 +1,17 @@
 // The ExecLauncher child binary.  Where a forked child inherits its world
 // by address, this program receives a ChildConfig as "key=value" argv
-// tokens and rebuilds the mask / params / decomposition from the cohort
-// spec file — proving the child body depends on no inherited supervisor
-// state, which is the precondition for launching it on another host.
-// The decomposition factories are deterministic, so the rebuilt world —
-// and therefore every dump and every exchanged byte — is bitwise
+// tokens and rebuilds the mask / params / block decomposition from the
+// cohort spec file — proving the child body depends on no inherited
+// supervisor state, which is the precondition for launching it on another
+// host.  The decomposition factories are deterministic, so the rebuilt
+// world — and therefore every dump and every exchanged byte — is bitwise
 // identical to the forked child's.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "src/decomp/decomposition.hpp"
 #include "src/runtime/cohort.hpp"
 #include "src/runtime/cohort_spec.hpp"
 #include "src/runtime/domain_traits.hpp"
@@ -50,8 +48,8 @@ class ArgMap {
 
 template <int Dim>
 [[noreturn]] void run(const subsonic::cohort::CohortSpec& spec,
-                      const ChildConfig& cfg, bool blocked,
-                      const std::string& workdir, const std::string& registry,
+                      const ChildConfig& cfg, const std::string& workdir,
+                      const std::string& registry,
                       const subsonic::FaultPlan& faults) {
   using Traits = subsonic::DomainTraits<Dim>;
   const auto& mask = [&spec]() -> const typename Traits::Mask& {
@@ -63,21 +61,11 @@ template <int Dim>
   spec.params.validate();
   const int ghost =
       subsonic::required_ghost(spec.method, spec.params.filter_eps > 0.0);
-  if (blocked) {
-    auto bd = Traits::make_block_decomposition(mask, spec.grid,
-                                               spec.block_side, ghost);
-    if (!spec.owner.empty()) bd.set_owner_map(spec.owner);
-    subsonic::cohort::child_main_blocked<Dim>(mask, spec.params, spec.method,
-                                              bd, cfg, workdir, registry,
-                                              faults);
-  } else {
-    const auto decomp = Traits::make_decomposition(mask, spec.grid);
-    const auto active_list = subsonic::active_ranks(decomp, mask);
-    std::vector<bool> active(decomp.rank_count(), false);
-    for (int r : active_list) active[r] = true;
-    subsonic::cohort::child_main<Dim>(mask, spec.params, spec.method, decomp,
-                                      active, cfg, workdir, registry, faults);
-  }
+  auto bd = Traits::make_block_decomposition(mask, spec.grid, spec.block_side,
+                                             ghost);
+  if (!spec.owner.empty()) bd.set_owner_map(spec.owner);
+  subsonic::cohort::child_main<Dim>(mask, spec.params, spec.method, bd, cfg,
+                                    workdir, registry, faults);
 }
 
 }  // namespace
@@ -106,7 +94,6 @@ int main(int argc, char** argv) {
         static_cast<int>(args.num("metrics_flush_interval"));
     cfg.channel_endpoint = args.str("channel_endpoint");
     const int dim = static_cast<int>(args.num("dim"));
-    const bool blocked = args.num("blocked") != 0;
     const std::string workdir = args.str("workdir");
     const std::string registry = args.str("registry");
     const std::string faults_spec = args.str("faults");
@@ -121,9 +108,9 @@ int main(int argc, char** argv) {
       throw std::runtime_error("cohort spec dimension mismatch");
 
     if (dim == 2)
-      run<2>(spec, cfg, blocked, workdir, registry, faults);
+      run<2>(spec, cfg, workdir, registry, faults);
     else if (dim == 3)
-      run<3>(spec, cfg, blocked, workdir, registry, faults);
+      run<3>(spec, cfg, workdir, registry, faults);
     std::fprintf(stderr, "subsonic_child: unsupported dimension %d\n", dim);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "subsonic_child: %s\n", e.what());

@@ -1,11 +1,14 @@
-// The fork()-based process runtime, dimension-generic: each active
+// The supervised process runtime, dimension-generic: each active
 // subregion runs in a real UNIX process, exactly as in the paper — "the
 // job-submit program ... begins a parallel subprocess on each workstation"
 // — with TCP/IP sockets between the processes and the shared port-registry
-// handshake.  On exit, every process leaves its state as a dump file in
-// the working directory, where it can be inspected or resumed (the dump
-// files double as the result-gathering mechanism for the parent; see
-// gather.hpp).
+// handshake.  A process steps the blocks an owner map gives it; by
+// default there is one block per rank, the paper's layout, and an
+// over-decomposed run cuts each subregion into several blocks that can
+// move between ranks.  On exit, every block leaves its state as a dump
+// file in the working directory, where it can be inspected or resumed
+// (the dump files double as the result-gathering mechanism for the
+// parent; see gather.hpp).
 //
 // The parent is a *supervisor*: it reaps children out of order with
 // waitpid(WNOHANG), commits staggered checkpoint epochs (an epoch MANIFEST
@@ -21,7 +24,10 @@
 //
 // run_supervised<Dim> is the single implementation; run_multiprocess2d /
 // run_multiprocess3d (process2d.hpp / process3d.hpp) are thin
-// instantiation wrappers.
+// instantiation wrappers.  When options.rebalance_interval > 0 the
+// supervisor runs the job in segments, folding per-block compute timers
+// at every boundary and restarting the cohort under a rewritten owner map
+// whenever the measured imbalance warrants it.
 #pragma once
 
 #include <stdexcept>
@@ -79,16 +85,18 @@ struct ProcessRunOptions {
   /// record per phase); tracing additionally records every span.
   int trace = -1;
 
-  /// Over-decomposition block side.  0 (the default) keeps the monolithic
-  /// one-subregion-per-rank runtime — and its exact on-disk layout and
-  /// bitwise output.  -1 resolves via the SUBSONIC_BLOCKS environment
-  /// variable with kDefaultBlockSide as the fallback; > 0 is an explicit
-  /// target side.  Any nonzero value routes the run through the blocked
-  /// runtime (per-block checkpoints, per-block compute telemetry).
+  /// Block side.  0 (the default) makes one block per rank: block b is
+  /// rank b's subregion of the (jx x jy [x jz]) grid.  -1 resolves via
+  /// the SUBSONIC_BLOCKS environment variable with kDefaultBlockSide as
+  /// the fallback; > 0 is an explicit target side that over-decomposes
+  /// each subregion into several blocks.  Results are bitwise identical
+  /// at any side; dumps are always per block (block_<b>.dump), and
+  /// compute time is charged per block (compute.block_<b>).
   int block_side = 0;
 
   /// Steps between dynamic load-balance decision points (0 = never
-  /// rebalance).  Requires block_side != 0.  At each boundary the
+  /// rebalance).  Requires block_side != 0 (one block per rank leaves
+  /// nothing to move).  At each boundary the
   /// supervisor folds the per-block compute timers, and — when the
   /// measured per-rank imbalance exceeds rebalance_threshold — restarts
   /// the cohort under a rewritten block->rank owner map (block state moves
@@ -164,10 +172,9 @@ struct ProcessRunResult {
 
   /// The full accumulated telemetry behind rank_stats (parallel to it):
   /// counters, timers and histograms folded across every segment, respawn
-  /// round and killed-rank harvest.  This is the only post-run access to
-  /// the per-rank step.wall / comm.exchange histograms — the supervisor
-  /// consumes and deletes the on-disk rank_<r>.metrics.jsonl streams as
-  /// it folds them.
+  /// round and killed-rank harvest.  The on-disk rank_<r>.metrics.jsonl
+  /// streams hold only the last cohort of each rank: the supervisor
+  /// deletes a folded stream at every segment boundary and harvest.
   std::vector<telemetry::RankMetrics> rank_metrics;
 
   /// Path of the run_summary.json the supervisor wrote (empty when the
@@ -175,14 +182,14 @@ struct ProcessRunResult {
   /// per rank next to the paper-model predicted efficiency f.
   std::string summary_path;
 
-  /// Over-decomposition block count (0 for a monolithic run).
+  /// Block count (jx * jy [* jz] at one block per rank).
   int blocks = 0;
 
   /// Every dynamic load-balance event the supervisor performed, in step
   /// order (also logged into run_summary.json).
   std::vector<telemetry::RebalanceRecord> rebalances;
 
-  /// Final block -> rank owner map (empty for a monolithic run).
+  /// Final block -> rank owner map (-1 for an all-solid block).
   std::vector<int> block_owner;
 
   /// The watchdog's audit trail: every hang/exit detection, escalation
@@ -196,16 +203,18 @@ struct ProcessRunResult {
   int forks = 0;
 };
 
-/// Forks one child per active subregion of the `grid` decomposition of
-/// `mask`, runs `steps` integration steps with boundary exchange over real
-/// TCP sockets, and writes "rank_<r>.dump" per subregion into `workdir`
-/// (which must exist).  If matching dump files are already present they
-/// are restored first, so repeated calls continue the run; stale files
-/// from a different geometry, decomposition or dimension are removed at
-/// start-of-run, so e.g. a 2D run's leftovers can never poison a 3D run
-/// sharing the directory.  Children are supervised per the options above;
-/// throws ProcessRunError when the restart budget is exhausted, with
-/// every child reaped and the port registry removed.
+/// Spawns one child per rank owning an active block of the `grid`
+/// decomposition of `mask`, runs `steps` integration steps with boundary
+/// exchange over real TCP sockets, and writes "block_<b>.dump" per active
+/// block into `workdir` (which must exist); a committed checkpoint epoch
+/// is "block_<b>.epoch_<e>.dump".  If matching dump files are already
+/// present they are restored first, so repeated calls continue the run;
+/// stale files from a different geometry, decomposition or dimension are
+/// removed at start-of-run, so e.g. a 2D run's leftovers can never poison
+/// a 3D run sharing the directory.  Children are supervised per the
+/// options above; throws ProcessRunError when the restart budget is
+/// exhausted, with every child reaped and the port registry removed, and
+/// checkpoint_error when a final dump is torn.
 template <int Dim>
 ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                 const FluidParams& params, Method method,
@@ -217,27 +226,6 @@ extern template ProcessRunResult run_supervised<2>(
     const Mask2D&, const FluidParams&, Method, const GridShape&, int,
     const std::string&, const ProcessRunOptions&);
 extern template ProcessRunResult run_supervised<3>(
-    const Mask3D&, const FluidParams&, Method, const GridShape&, int,
-    const std::string&, const ProcessRunOptions&);
-
-/// The over-decomposed process runtime (run_supervised dispatches here
-/// when options.block_side != 0; callable directly).  Each rank process
-/// steps the blocks the owner map assigns to it, checkpoints are
-/// per-block ("block_<b>.dump" / "block_<b>.epoch_<e>.dump"), and — when
-/// options.rebalance_interval > 0 — the supervisor runs the job in
-/// segments, folding per-block compute timers at every boundary and
-/// restarting the cohort under a rewritten owner map whenever the
-/// measured imbalance warrants it.
-template <int Dim>
-ProcessRunResult run_supervised_blocked(
-    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& params,
-    Method method, const GridShape& grid, int steps,
-    const std::string& workdir, const ProcessRunOptions& options);
-
-extern template ProcessRunResult run_supervised_blocked<2>(
-    const Mask2D&, const FluidParams&, Method, const GridShape&, int,
-    const std::string&, const ProcessRunOptions&);
-extern template ProcessRunResult run_supervised_blocked<3>(
     const Mask3D&, const FluidParams&, Method, const GridShape&, int,
     const std::string&, const ProcessRunOptions&);
 

@@ -150,7 +150,7 @@ struct RunSummary {
   std::vector<RankSummary> ranks;
   long long steps = 0;  ///< max over ranks (restarted ranks re-count)
   long long restarts = 0;
-  long long blocks = 0;  ///< over-decomposition block count (0: monolithic)
+  long long blocks = 0;  ///< block count of the run (0: not recorded)
   std::vector<RebalanceRecord> rebalances;
   std::vector<LivenessRecord> liveness;
   double t_calc_mean = 0;  ///< mean over non-idle ranks

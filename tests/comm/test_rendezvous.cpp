@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -135,6 +136,26 @@ TEST(Rendezvous, PeerFetchDeadlineExpiryNamesTheMissingRank) {
   try {
     ep.flush();
     FAIL() << "flush() succeeded with no peer registered";
+  } catch (const peer_lost_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Rendezvous, FlushWaitsForTheSendStillConnecting) {
+  // By the time flush() runs, the sender thread has already taken the job
+  // off the queue and is retrying the connect.  An empty queue is not a
+  // drained endpoint: flush must wait for that job and rethrow its
+  // failure instead of returning before the frame ever left.
+  Server server;
+  TcpEndpointOptions opt;
+  opt.connect_deadline_ms = 300;
+  TcpEndpoint ep(0, 2, server.endpoint(), opt);
+  ep.send(1, 0, {1.0, 2.0});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  try {
+    ep.flush();
+    FAIL() << "flush() returned while the send to rank 1 was in flight";
   } catch (const peer_lost_error& e) {
     EXPECT_NE(std::string(e.what()).find("rank 1"), std::string::npos)
         << e.what();

@@ -1,5 +1,5 @@
-// Over-decomposition: the fine block grid, the block->rank owner map, and
-// the env-resolved block side.
+// Over-decomposition: the fine block grid, the block->rank owner map, the
+// one-block-per-rank grid of side 0, and the env-resolved block side.
 #include "src/decomp/block_decomposition.hpp"
 
 #include <cstdlib>
@@ -32,6 +32,36 @@ TEST(BlockSideFromEnv, ReadsOverrideAndFallsBack) {
   ::setenv("SUBSONIC_BLOCKS", "bogus", 1);
   EXPECT_THROW(block_side_from_env(32), std::invalid_argument);
   ::unsetenv("SUBSONIC_BLOCKS");
+}
+
+TEST(ResolveBlockSide, ZeroIsOnePerRankNegativeReadsTheEnv) {
+  ::unsetenv("SUBSONIC_BLOCKS");
+  EXPECT_EQ(resolve_block_side(0), 0);
+  EXPECT_EQ(resolve_block_side(12), 12);
+  EXPECT_EQ(resolve_block_side(-1), kDefaultBlockSide);
+  ::setenv("SUBSONIC_BLOCKS", "16", 1);
+  EXPECT_EQ(resolve_block_side(-1), 16);
+  EXPECT_EQ(resolve_block_side(0), 0);  // the env never overrides side 0
+  ::unsetenv("SUBSONIC_BLOCKS");
+}
+
+TEST(BlockDecomposition2D, SideZeroIsTheRankGrid) {
+  // 3 x 2 ranks over 50 x 31 (uneven splits); rank 0's subregion is solid.
+  Mask2D mask(Extents2{50, 31}, 1);
+  const Decomposition2D ranks(mask.extents(), 3, 2);
+  mask.fill_box(ranks.box(0), NodeType::kWall);
+  const BlockDecomposition2D bd(mask, 3, 2, 0, 1);
+  ASSERT_EQ(bd.block_count(), ranks.rank_count());
+  EXPECT_EQ(bd.rank_count(), ranks.rank_count());
+  for (int b = 0; b < bd.block_count(); ++b) {
+    const Box2 got = bd.box(b), want = ranks.box(b);
+    EXPECT_EQ(got.x0, want.x0);
+    EXPECT_EQ(got.y0, want.y0);
+    EXPECT_EQ(got.x1, want.x1);
+    EXPECT_EQ(got.y1, want.y1);
+    EXPECT_EQ(bd.owner(b), b == 0 ? -1 : b) << "block " << b;
+  }
+  EXPECT_EQ(bd.active_ranks(), active_ranks(ranks, mask));
 }
 
 TEST(BlockDecomposition2D, TilesTheDomainAndSeedsOwnersFromTheRankGrid) {
@@ -129,6 +159,26 @@ TEST(BlockDecomposition3D, TilesAndSeedsInThreeDimensions) {
   EXPECT_EQ(cells, 32 * 32 * 16);
   EXPECT_EQ(bd.blocks_of(0).size(), 2u);
   EXPECT_EQ(bd.blocks_of(1).size(), 2u);
+}
+
+TEST(BlockDecomposition3D, SideZeroIsTheRankGrid) {
+  // 2 x 3 x 2 ranks over 17 x 20 x 9; rank 7's subregion is solid.
+  Mask3D mask(Extents3{17, 20, 9}, 1);
+  const Decomposition3D ranks(mask.extents(), 2, 3, 2);
+  mask.fill_box(ranks.box(7), NodeType::kWall);
+  const BlockDecomposition3D bd(mask, 2, 3, 2, 0, 1);
+  ASSERT_EQ(bd.block_count(), ranks.rank_count());
+  for (int b = 0; b < bd.block_count(); ++b) {
+    const Box3 got = bd.box(b), want = ranks.box(b);
+    EXPECT_EQ(got.x0, want.x0);
+    EXPECT_EQ(got.y0, want.y0);
+    EXPECT_EQ(got.z0, want.z0);
+    EXPECT_EQ(got.x1, want.x1);
+    EXPECT_EQ(got.y1, want.y1);
+    EXPECT_EQ(got.z1, want.z1);
+    EXPECT_EQ(bd.owner(b), b == 7 ? -1 : b) << "block " << b;
+  }
+  EXPECT_EQ(bd.active_ranks(), active_ranks(ranks, mask));
 }
 
 }  // namespace

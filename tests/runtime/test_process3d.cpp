@@ -46,7 +46,8 @@ Mask3D closed_box3d(int nx, int ny, int nz, int ghost) {
   return mask;
 }
 
-/// Bitwise comparison of every restored 3D rank dump against a serial run.
+/// Bitwise comparison of every restored 3D rank dump against a serial run
+/// (one block per rank, so block r's dump is rank r's subregion).
 void expect_matches_serial3d(const Mask3D& mask, const FluidParams& p,
                              Method method, int jx, int jy, int jz,
                              int steps, const std::string& workdir) {
@@ -56,7 +57,7 @@ void expect_matches_serial3d(const Mask3D& mask, const FluidParams& p,
   const int ghost = required_ghost(method, p.filter_eps > 0.0);
   for (int rank : active_ranks(d, mask)) {
     Domain3D sub(mask, d.box(rank), p, method, ghost);
-    restore_domain(sub, workdir + "/rank_" + std::to_string(rank) +
+    restore_domain(sub, workdir + "/block_" + std::to_string(rank) +
                             ".dump");
     EXPECT_EQ(sub.step(), steps);
     const Box3 b = d.box(rank);
@@ -218,7 +219,7 @@ TEST(Process3DSupervisor, HungRankIsSurgicallyRestartedBitwise) {
 
 TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   // A 2D run and a 3D run sharing a workdir collide on every artifact
-  // name (rank_0.dump is rank 0 in both).  Start-of-run hygiene must
+  // name (block_0.dump is block 0 in both).  Start-of-run hygiene must
   // remove the other dimension's dumps instead of trying to resume from
   // them, so the 3D run starts from step 0 and finishes bit-identical to
   // a 3D run in a fresh directory.
@@ -234,7 +235,7 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   run_multiprocess2d(mask2, p2, Method::kLatticeBoltzmann, 2, 1, 6,
                      workdir);
   {
-    const CheckpointInfo info = inspect_checkpoint(workdir + "/rank_0.dump");
+    const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");
     ASSERT_EQ(info.dim, 2);  // the poison is in place
   }
 
@@ -245,7 +246,7 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
       mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 8, workdir);
   // A resume from the 2D dumps would have reported final_step == 14.
   EXPECT_EQ(r.final_step, 8);
-  const CheckpointInfo info = inspect_checkpoint(workdir + "/rank_0.dump");
+  const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");
   EXPECT_EQ(info.dim, 3);
   expect_matches_serial3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 8,
                           workdir);

@@ -117,6 +117,29 @@ TEST(BlockedProcessRuntime, ThreeDimensionalBlockedRunMatchesSerialBitwise) {
       }
 }
 
+TEST(BlockedProcessRuntime, OverlapExchangeWaitsFeedTheCommHistogram) {
+  // Under the overlap schedule every exchange is split into posted sends
+  // and a receive-completion wait; that wait is the step's exposed comm
+  // latency and must land in the comm.exchange histogram once per step,
+  // or /status and run_summary.json show no comm percentiles.
+  ::unsetenv("SUBSONIC_FAULTS");
+  const Mask2D mask = closed_box(32, 24, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = make_workdir("commhist");
+  ProcessRunOptions options;
+  options.block_side = 8;
+  const int steps = 9;  // LB: one exchange per step
+  const ProcessRunResult r = run_multiprocess2d(
+      mask, p, Method::kLatticeBoltzmann, 2, 1, steps, workdir, options);
+  ASSERT_EQ(r.rank_metrics.size(), 2u);
+  for (const telemetry::RankMetrics& rm : r.rank_metrics) {
+    const auto it = rm.histograms.find("comm.exchange");
+    ASSERT_NE(it, rm.histograms.end()) << "rank " << rm.rank;
+    EXPECT_EQ(it->second.count, steps) << "rank " << rm.rank;
+  }
+}
+
 TEST(BlockedProcessRuntime, RebalancingRequiresTheBlockedRuntime) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
