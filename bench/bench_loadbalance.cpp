@@ -99,8 +99,9 @@ Result run_arm(const Arm& arm, const Mask2D& mask, long fluid_cells,
   // Pin the fault spec even when empty so an ambient SUBSONIC_FAULTS can
   // never leak into the baseline arms.
   options.faults = arm.faults[0] ? arm.faults : " ";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, steps, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, steps, workdir,
+      options);
 
   Result res;
   res.name = arm.name;

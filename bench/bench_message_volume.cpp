@@ -1,6 +1,6 @@
 // Section 6's communication accounting, verified against the *functional*
 // runtime (not the model): counts the actual messages and payload doubles
-// the threaded drivers push through the transport per integration step,
+// the threaded driver pushes through the transport per integration step,
 // for FD vs LB in 2D and 3D.  The per-neighbour message counts must match
 // the paper exactly (FD 2, LB 1); payloads are larger than the paper's
 // one-layer accounting because our filter needs depth-3 ghost strips
@@ -26,14 +26,14 @@ int main() {
     p.filter_eps = 0.2;
     for (Method m : {Method::kFiniteDifference, Method::kLatticeBoltzmann}) {
       p.dt = m == Method::kLatticeBoltzmann ? 1.0 : 0.3;
-      ParallelDriver2D drv(mask, p, m, 2, 2);
-      const long base_msgs = drv.transport().messages_delivered();
-      const long long base_dbl = drv.transport().doubles_delivered();
+      auto transport = std::make_shared<InMemoryTransport>(4);
+      BlockedDriver<2> drv(mask, p, m, GridShape{2, 2, 1}, 0, transport);
+      const long base_msgs = transport->messages_delivered();
+      const long long base_dbl = transport->doubles_delivered();
       drv.run(steps);
-      const long msgs =
-          (drv.transport().messages_delivered() - base_msgs) / steps;
+      const long msgs = (transport->messages_delivered() - base_msgs) / steps;
       const long long dbl =
-          (drv.transport().doubles_delivered() - base_dbl) / steps;
+          (transport->doubles_delivered() - base_dbl) / steps;
       // (2x2) with full stencil: 4 edge pairs + 2 diagonal pairs, both
       // directions -> 12 links.
       std::printf("%-8s %-8d %-10ld %-14.1f %-16lld %d\n", to_string(m), 2,
@@ -46,14 +46,14 @@ int main() {
     p.filter_eps = 0.2;
     for (Method m : {Method::kFiniteDifference, Method::kLatticeBoltzmann}) {
       p.dt = m == Method::kLatticeBoltzmann ? 1.0 : 0.3;
-      ParallelDriver3D drv(mask, p, m, 2, 2, 2);
-      const long base_msgs = drv.transport().messages_delivered();
-      const long long base_dbl = drv.transport().doubles_delivered();
+      auto transport = std::make_shared<InMemoryTransport>(8);
+      BlockedDriver<3> drv(mask, p, m, GridShape{2, 2, 2}, 0, transport);
+      const long base_msgs = transport->messages_delivered();
+      const long long base_dbl = transport->doubles_delivered();
       drv.run(steps);
-      const long msgs =
-          (drv.transport().messages_delivered() - base_msgs) / steps;
+      const long msgs = (transport->messages_delivered() - base_msgs) / steps;
       const long long dbl =
-          (drv.transport().doubles_delivered() - base_dbl) / steps;
+          (transport->doubles_delivered() - base_dbl) / steps;
       // (2x2x2) full stencil: 12 edge + 12 face... in subregion graph:
       // 12 face-pairs + 12 edge-pairs + 4 corner-pairs = 28 pairs, 56
       // directed links.

@@ -24,7 +24,7 @@ double poiseuille_error(Method method, int ny) {
   const ChannelWalls w = channel_walls(method, ny);
   const double peak = 0.04;
   p.force_x = poiseuille_force_for_peak(peak, w, p.nu);
-  SerialDriver2D drv(mask, p, method);
+  SerialDriver<2> drv(mask, p, method);
   drv.run(int(40.0 * ny * ny / p.dt));
   double worst = 0;
   for (int y = 1; y < ny - 1; ++y)
@@ -41,7 +41,7 @@ double shear_wave_error(Method method, int n) {
   p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.25;
   p.nu = 0.04;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, method);
+  SerialDriver<2> drv(mask, p, method);
   const double amp = 0.01;
   for (int y = 0; y < n; ++y)
     for (int x = 0; x < 4; ++x)

@@ -24,7 +24,8 @@ int main() {
     FluidParams p;
     p.dt = 1.0;
     p.periodic_x = p.periodic_y = true;
-    ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+    BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                         GridShape{2, 2, 1}, 0);
     drv.run(40);
     double compute = 0, comm = 0;
     for (int r = 0; r < 4; ++r) {

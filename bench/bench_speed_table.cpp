@@ -19,7 +19,7 @@ double rate2d(Method method, int side) {
   FluidParams p;
   p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.3;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, method);
+  SerialDriver<2> drv(mask, p, method);
   drv.run(3);  // warm up
   const int steps = std::max(3, 600000 / (side * side));
   Stopwatch sw;
@@ -33,7 +33,7 @@ double rate3d(Method method, int side) {
   FluidParams p;
   p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.3;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, method);
+  SerialDriver<3> drv(mask, p, method);
   drv.run(2);
   const int steps = std::max(2, 400000 / (side * side * side));
   Stopwatch sw;

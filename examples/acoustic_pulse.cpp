@@ -24,7 +24,7 @@ int main() {
   p.nu = 0.005;
   p.filter_eps = 0.05;
 
-  SerialDriver2D sim(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> sim(mask, p, Method::kLatticeBoltzmann);
   // Gaussian pulse in the middle.
   for (int y = 1; y < 40; ++y)
     for (int x = 1; x < n - 1; ++x) {

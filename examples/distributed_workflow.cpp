@@ -42,17 +42,18 @@ int main() {
 
   // --- 2. decomposition: write one dump file per subregion -------------
   {
-    ParallelDriver2D decomposer(geo.mask, params, Method::kLatticeBoltzmann,
-                                4, 3);
-    decomposer.save_checkpoint(workdir.string());
+    BlockedDriver<2> decomposer(geo.mask, params, Method::kLatticeBoltzmann,
+                                GridShape{4, 3, 1}, 0);
+    decomposer.save_blocks(workdir.string());
     std::printf("[decompose] (4x3) = %d subregions -> %d dump files in %s\n",
-                decomposer.decomposition().rank_count(),
+                decomposer.blocks().block_count(),
                 decomposer.active_count(), workdir.c_str());
   }
 
   // --- 3. job submit: fresh "workstations" load the dumps and run ------
-  ParallelDriver2D sim(geo.mask, params, Method::kLatticeBoltzmann, 4, 3);
-  sim.restore_checkpoint(workdir.string());
+  BlockedDriver<2> sim(geo.mask, params, Method::kLatticeBoltzmann,
+                       GridShape{4, 3, 1}, 0);
+  sim.restore_blocks(workdir.string());
   std::printf("[submit]    %d parallel subprocesses started\n",
               sim.active_count());
 
@@ -67,15 +68,15 @@ int main() {
     });
     const int ran = sim.run_until_sync(1000000, checkpoint_request, sync);
     monitor.join();
-    sim.save_checkpoint(workdir.string());
+    sim.save_blocks(workdir.string());
     std::printf("[monitor]   burst %d: synchronized after %d steps at step "
                 "%ld, state saved\n",
-                burst, ran, sim.subdomain(0).step());
+                burst, ran, sim.step());
   }
 
   const auto w = vorticity_of_gathered(sim);
   std::printf("[result]    step %ld, max |vorticity| = %.4g\n",
-              sim.subdomain(0).step(), max_abs(w));
+              sim.step(), max_abs(w));
   std::printf("dump files kept in %s\n", workdir.c_str());
   return 0;
 }

@@ -19,7 +19,8 @@ int main() {
   p.force_x = 1e-4;
 
   // Four subregions along the stream, one thread each.
-  ParallelDriver3D sim(mask, p, Method::kLatticeBoltzmann, 4, 1, 1);
+  BlockedDriver<3> sim(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{4, 1, 1}, 0);
   std::printf("duct %dx%dx%d, LB D3Q15, (4x1x1) decomposition\n", nx, ny,
               nz);
 

@@ -48,8 +48,10 @@ int main(int argc, char** argv) {
   params.filter_eps = 0.12;
   params.inlet_vx = geo.inlet_speed;
 
-  ParallelDriver2D sim(geo.mask, params, Method::kLatticeBoltzmann, jx, jy);
-  const Decomposition2D& d = sim.decomposition();
+  BlockedDriver<2> sim(geo.mask, params, Method::kLatticeBoltzmann,
+                       GridShape{jx, jy, 1}, 0);
+  // Block side 0: block b is rank b's subregion.
+  const Decomposition2D& d = sim.blocks().blocks();
   std::printf("decomposition (%d x %d) = %d subregions, %d active\n", jx,
               jy, d.rank_count(), sim.active_count());
   if (sim.active_count() < d.rank_count())
@@ -68,13 +70,9 @@ int main(int argc, char** argv) {
   for (int s = 0; s < snapshots; ++s) {
     for (int c = 0; c < steps / snapshots; c += chunk) {
       sim.run(chunk);
-      probe.record(sim.subdomain(sim.decomposition().owner_of(px, py))
-                       .vy()(px - sim.decomposition()
-                                      .box(sim.decomposition().owner_of(px, py))
-                                      .x0,
-                             py - sim.decomposition()
-                                      .box(sim.decomposition().owner_of(px, py))
-                                      .y0));
+      const int b = d.owner_of(px, py);
+      probe.record(
+          sim.block_domain(b).vy()(px - d.box(b).x0, py - d.box(b).y0));
     }
     const auto w = vorticity_of_gathered(sim);
     const std::string path =

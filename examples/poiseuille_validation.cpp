@@ -29,7 +29,7 @@ double poiseuille_error(Method method, int ny) {
   const double peak = 0.04;
   p.force_x = poiseuille_force_for_peak(peak, w, p.nu);
 
-  SerialDriver2D drv(mask, p, method);
+  SerialDriver<2> drv(mask, p, method);
   // March to steady state: the viscous time scale grows with ny^2.
   const int steps = int(40.0 * ny * ny / p.dt);
   drv.run(steps);

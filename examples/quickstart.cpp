@@ -25,7 +25,8 @@ int main() {
   params.inlet_vx = geo.inlet_speed;
 
   // 3. Run on a (2 x 2) decomposition, one thread per subregion.
-  ParallelDriver2D sim(geo.mask, params, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> sim(geo.mask, params, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   const int steps = 600;
   sim.run(steps);
 

@@ -46,13 +46,13 @@ int main(int argc, char** argv) {
   ProcessRunResult result;
   if (dims == 2) {
     Mask2D mask(Extents2{96, 96}, 1);
-    result = run_multiprocess2d(mask, params, Method::kLatticeBoltzmann, 2,
-                                2, steps, workdir, options);
+    result = run_supervised<2>(mask, params, Method::kLatticeBoltzmann,
+                               GridShape{2, 2, 1}, steps, workdir, options);
   } else {
     params.periodic_z = true;
     Mask3D mask(Extents3{32, 32, 16}, 1);
-    result = run_multiprocess3d(mask, params, Method::kLatticeBoltzmann, 2,
-                                2, 1, steps, workdir, options);
+    result = run_supervised<3>(mask, params, Method::kLatticeBoltzmann,
+                               GridShape{2, 2, 1}, steps, workdir, options);
   }
 
   std::printf("ran %d processes to step %ld (%d restart(s))\n",

@@ -1,7 +1,10 @@
 // The cohort rendezvous service: a tiny supervisor-hosted TCP registry
-// that replaces every piece of run-critical rank-to-rank coordination
-// that used to go through the shared filesystem (the SyncFile handshake
-// and the per-round ports.g<round> registry files).
+// that replaces the run-critical rank-to-rank coordination the supervised
+// runtime used to do through the shared filesystem (a SyncFile handshake
+// and the per-round ports.g<round> registry files).  In-process runs keep
+// the paper's file-based forms: TcpTransport's endpoints publish to a
+// registry file, and BlockedDriver::run_until_sync announces through the
+// appendix-B SyncFile.
 //
 // The supervisor runs one Server per job.  Each child, after binding its
 // ephemeral data port, registers (round, rank, host, port) and then polls

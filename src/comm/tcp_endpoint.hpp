@@ -1,10 +1,9 @@
-// One process's end of the paper's TCP/IP fabric (section 4.2).  Unlike
-// TcpTransport — which hosts every rank inside one process for the
-// threaded runtime — a TcpEndpoint owns exactly one rank: it binds its own
-// listening socket, appends "rank port" to the shared registry file under
-// a lock, resolves peers by polling the same file, and opens channels with
-// the hello handshake.  This is the transport the fork()-based process
-// runtime uses, where each subregion really is a separate UNIX process.
+// One rank's end of the paper's TCP/IP fabric (section 4.2).  A
+// TcpEndpoint owns exactly one rank: it binds its own listening socket,
+// appends "rank port" to the shared registry file under a lock, resolves
+// peers by polling the same file, and opens channels with the hello
+// handshake.  It is the only TCP implementation: each supervised process
+// owns one, and TcpTransport hosts one per rank for the threaded runtime.
 //
 // Failure semantics (the robustness layer): connects retry with backoff
 // while a slow peer is still coming up, sends are SIGPIPE-safe, and an
@@ -96,6 +95,13 @@ class TcpEndpoint {
   TcpEndpoint& operator=(const TcpEndpoint&) = delete;
 
   int rank() const { return rank_; }
+  /// The port this rank's listener is bound to.
+  int port() const { return port_; }
+
+  /// Replaces TcpEndpointOptions::metrics.  Attach before traffic starts.
+  void attach_metrics(std::shared_ptr<telemetry::MetricsRegistry> registry) {
+    options_.metrics = std::move(registry);
+  }
 
   /// Queues a frame for `dst` and returns immediately; a background
   /// sender thread owns the outgoing connections (connecting on first

@@ -1,383 +1,82 @@
 #include "src/comm/tcp_transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstring>
+#include <exception>
 #include <fstream>
-#include <memory>
-#include <sstream>
-#include <stdexcept>
-#include <thread>
 
-#include "src/telemetry/metrics.hpp"
 #include "src/util/check.hpp"
-#include "src/util/stopwatch.hpp"
+#include "src/util/log.hpp"
 
 namespace subsonic {
 
 namespace {
-
-[[noreturn]] void throw_errno(const char* what) {
-  throw std::runtime_error(std::string(what) + ": " +
-                           std::strerror(errno));
-}
-
-/// SIGPIPE-safe socket write: a dead peer yields peer_lost_error on the
-/// sender thread instead of a process-killing signal.
-void send_all(int fd, const void* data, size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET)
-        throw peer_lost_error("peer closed TCP channel mid-send");
-      throw_errno("send");
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-}
-
-void read_all(int fd, void* data, size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::read(fd, p, len);
-    if (n == 0) throw peer_lost_error("peer closed TCP channel");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET)
-        throw peer_lost_error("peer reset TCP channel");
-      throw_errno("read");
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-}
-
-struct WireHeader {
-  std::uint64_t tag;
-  std::uint64_t count;  // payload doubles
-  std::int32_t src;
-  std::int32_t dst;
-};
-
+/// Refused connections are retried with exponential backoff, because a
+/// listener's accept queue may briefly overflow when every rank opens its
+/// channels at once.  Every port is published before the first send, so
+/// a peer that still refuses after this many attempts is gone: the send
+/// surfaces a peer_lost_error naming both ranks.
+constexpr int kAttemptCap = 12;
 }  // namespace
 
-struct TcpTransport::RankState {
-  int listen_fd = -1;
-  int port = 0;
-  // Connections this rank reads from, by peer rank (only the owning
-  // worker thread touches these).
-  std::map<int, int> in_fds;
-  // Connections this rank writes to, by peer rank (sender thread only).
-  std::map<int, int> out_fds;
-  // Messages read ahead of the tag the receiver was waiting for.
-  std::map<int, std::deque<std::pair<MessageTag, std::vector<double>>>>
-      parked;
-
-  // Outgoing frames awaiting the sender thread, FIFO per source rank so
-  // per-channel ordering is preserved.
-  struct SendJob {
-    int dst = -1;
-    MessageTag tag = 0;
-    std::vector<double> payload;
-  };
-  std::thread sender;  // spawned lazily on first send
-  std::mutex send_mutex;
-  std::condition_variable send_cv;   // work available or stop requested
-  std::condition_variable drain_cv;  // queue went empty
-  std::deque<SendJob> send_queue;
-  bool stop = false;
-  std::exception_ptr send_error;
-};
-
 TcpTransport::TcpTransport(int ranks, std::string registry_path)
-    : ranks_(ranks), registry_path_(std::move(registry_path)) {
+    : registry_path_(std::move(registry_path)) {
   SUBSONIC_REQUIRE(ranks > 0);
   {
     std::ifstream probe(registry_path_);
     SUBSONIC_REQUIRE_MSG(!probe.good(),
                          "port registry file already exists (stale run?)");
   }
-  states_.reserve(ranks);
-  std::ostringstream registry;
-  for (int r = 0; r < ranks; ++r) {
-    auto st = std::make_unique<RankState>();
-    st->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (st->listen_fd < 0) throw_errno("socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;  // ephemeral
-    if (::bind(st->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof addr) < 0)
-      throw_errno("bind");
-    if (::listen(st->listen_fd, ranks) < 0) throw_errno("listen");
-    socklen_t len = sizeof addr;
-    if (::getsockname(st->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                      &len) < 0)
-      throw_errno("getsockname");
-    st->port = ntohs(addr.sin_port);
-    registry << r << ' ' << st->port << '\n';
-    states_.push_back(std::move(st));
+  TcpEndpointOptions options;
+  options.connect_attempt_cap = kAttemptCap;
+  endpoints_.reserve(ranks);
+  try {
+    for (int r = 0; r < ranks; ++r)
+      endpoints_.push_back(
+          std::make_unique<TcpEndpoint>(r, ranks, registry_path_, options));
+  } catch (...) {
+    ::unlink(registry_path_.c_str());  // a half-written registry is stale
+    throw;
   }
-  // Publish every port, as the paper's processes do before connecting.
-  std::ofstream out(registry_path_);
-  SUBSONIC_REQUIRE_MSG(out.good(), "cannot write port registry");
-  out << registry.str();
 }
 
 TcpTransport::~TcpTransport() {
-  // Drain every sender queue, then stop and join the sender threads, so
-  // all posted frames are on the wire before any fd closes.
-  for (auto& st : states_) {
-    if (!st) continue;
-    {
-      std::unique_lock<std::mutex> lock(st->send_mutex);
-      st->drain_cv.wait(lock, [&] { return st->send_queue.empty(); });
-      st->stop = true;
+  // A frame still queued on one endpoint needs its peer's listener, so
+  // drain them all before any closes.
+  for (auto& endpoint : endpoints_) {
+    try {
+      endpoint->flush();
+    } catch (const std::exception& e) {
+      SUBSONIC_LOG(kWarn) << "TcpTransport: rank " << endpoint->rank()
+                          << " lost queued frames at shutdown: " << e.what();
     }
-    st->send_cv.notify_all();
-    if (st->sender.joinable()) st->sender.join();
   }
-  for (auto& st : states_) {
-    if (!st) continue;
-    for (auto& [peer, fd] : st->in_fds) ::close(fd);
-    for (auto& [peer, fd] : st->out_fds) ::close(fd);
-    if (st->listen_fd >= 0) ::close(st->listen_fd);
-  }
+  endpoints_.clear();
   ::unlink(registry_path_.c_str());
 }
 
 int TcpTransport::listen_port(int rank) const {
-  SUBSONIC_REQUIRE(rank >= 0 && rank < ranks_);
-  return states_[rank]->port;
-}
-
-int TcpTransport::lookup_port(int rank) {
-  // The registry is written completely in the constructor, so a plain read
-  // suffices; retry briefly to be robust to slow filesystems.
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    std::ifstream in(registry_path_);
-    int r = 0, port = 0;
-    while (in >> r >> port)
-      if (r == rank) return port;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  throw std::runtime_error("rank not found in port registry");
+  SUBSONIC_REQUIRE(rank >= 0 && rank < static_cast<int>(endpoints_.size()));
+  return endpoints_[rank]->port();
 }
 
 void TcpTransport::attach_metrics(
     std::shared_ptr<telemetry::MetricsRegistry> registry) {
-  metrics_ = std::move(registry);
-}
-
-int TcpTransport::connect_to(int rank, int src) {
-  const int port = lookup_port(rank);
-  // Refused connections are retried with exponential backoff: the
-  // listener's accept queue may briefly overflow when every rank opens
-  // its channels at once.  The backoff carries deterministic per-(src,
-  // dst) jitter so every rank pair retries on a different cadence, and a
-  // capped retry count surfaces a peer_lost_error naming the peer instead
-  // of a bare errno.
-  constexpr int kAttemptCap = 12;
-  int backoff_ms = 1;
-  std::uint32_t lcg = 0x9E3779B9u ^ (static_cast<std::uint32_t>(src) << 16) ^
-                      static_cast<std::uint32_t>(rank);
-  for (int attempt = 1;; ++attempt) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw_errno("socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-        0) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      return fd;
-    }
-    const int err = errno;
-    ::close(fd);
-    if (err != ECONNREFUSED)
-      throw peer_lost_error("rank " + std::to_string(src) +
-                            " could not connect to rank " +
-                            std::to_string(rank) + " after " +
-                            std::to_string(attempt) + " attempts: " +
-                            std::strerror(err));
-    if (attempt >= kAttemptCap)
-      throw peer_lost_error("rank " + std::to_string(src) +
-                            " could not connect to rank " +
-                            std::to_string(rank) + " after " +
-                            std::to_string(attempt) +
-                            " attempts (retry cap reached)");
-    if (metrics_) metrics_->counter(src, "transport.connect_retries").add();
-    lcg = lcg * 1664525u + 1013904223u;
-    const int jitter_ms =
-        static_cast<int>(lcg >> 16) % (backoff_ms / 2 + 1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(backoff_ms + jitter_ms));
-    backoff_ms = std::min(backoff_ms * 2, 64);
-  }
-}
-
-void TcpTransport::sender_loop(int src) {
-  RankState& st = *states_[src];
-  for (;;) {
-    RankState::SendJob job;
-    {
-      std::unique_lock<std::mutex> lock(st.send_mutex);
-      st.send_cv.wait(lock,
-                      [&] { return st.stop || !st.send_queue.empty(); });
-      if (st.send_queue.empty()) return;  // stop requested, queue drained
-      job = std::move(st.send_queue.front());
-      st.send_queue.pop_front();
-    }
-    try {
-      auto it = st.out_fds.find(job.dst);
-      if (it == st.out_fds.end()) {
-        const int fd = connect_to(job.dst, src);
-        // Handshake: announce who is calling so the listener can demux.
-        const std::int32_t hello = src;
-        send_all(fd, &hello, sizeof hello);
-        it = st.out_fds.emplace(job.dst, fd).first;
-      }
-      WireHeader h{job.tag, job.payload.size(), src, job.dst};
-      send_all(it->second, &h, sizeof h);
-      if (!job.payload.empty())
-        send_all(it->second, job.payload.data(),
-                  job.payload.size() * sizeof(double));
-      if (metrics_) {
-        metrics_->counter(src, "transport.msgs_sent").add();
-        metrics_->counter(src, "transport.doubles_sent")
-            .add(static_cast<long long>(job.payload.size()));
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(st.send_mutex);
-      st.send_error = std::current_exception();
-      st.send_queue.clear();
-      st.drain_cv.notify_all();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(st.send_mutex);
-      if (st.send_queue.empty()) st.drain_cv.notify_all();
-    }
-  }
+  for (auto& endpoint : endpoints_) endpoint->attach_metrics(registry);
 }
 
 void TcpTransport::send(int src, int dst, MessageTag tag,
                         std::vector<double> payload) {
-  SUBSONIC_REQUIRE(src >= 0 && src < ranks_ && dst >= 0 && dst < ranks_);
-  RankState& st = *states_[src];
-  {
-    std::lock_guard<std::mutex> lock(st.send_mutex);
-    if (st.send_error) std::rethrow_exception(st.send_error);
-    if (!st.sender.joinable())
-      st.sender = std::thread(&TcpTransport::sender_loop, this, src);
-    st.send_queue.push_back(
-        RankState::SendJob{dst, tag, std::move(payload)});
-    if (metrics_)
-      metrics_->gauge(src, "transport.send_queue_depth")
-          .set(static_cast<double>(st.send_queue.size()));
-  }
-  st.send_cv.notify_one();
+  SUBSONIC_REQUIRE(src >= 0 && src < static_cast<int>(endpoints_.size()));
+  endpoints_[src]->send(dst, tag, std::move(payload));
 }
 
 std::vector<double> TcpTransport::recv(int dst, int src, MessageTag tag) {
-  SUBSONIC_REQUIRE(src >= 0 && src < ranks_ && dst >= 0 && dst < ranks_);
-  RankState& st = *states_[dst];
-  Stopwatch wait;
-  const auto charge_recv = [&](const std::vector<double>& payload) {
-    if (!metrics_) return;
-    metrics_->timer(dst, "transport.recv_wait").record(wait.seconds());
-    metrics_->counter(dst, "transport.msgs_recv").add();
-    metrics_->counter(dst, "transport.doubles_recv")
-        .add(static_cast<long long>(payload.size()));
-  };
-
-  auto take_parked = [&]() -> std::vector<double>* {
-    auto pit = st.parked.find(src);
-    if (pit == st.parked.end()) return nullptr;
-    for (auto& entry : pit->second)
-      if (entry.first == tag) return &entry.second;
-    return nullptr;
-  };
-
-  for (;;) {
-    // 1. Already read and parked?
-    if (std::vector<double>* hit = take_parked()) {
-      std::vector<double> payload = std::move(*hit);
-      auto& dq = st.parked[src];
-      for (auto it = dq.begin(); it != dq.end(); ++it)
-        if (it->first == tag) {
-          dq.erase(it);
-          break;
-        }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++delivered_;
-        doubles_delivered_ += static_cast<long long>(payload.size());
-      }
-      charge_recv(payload);
-      return payload;
-    }
-
-    // 2. Need the connection from src: accept until it shows up (other
-    // peers' connections are stored as they arrive).
-    auto cit = st.in_fds.find(src);
-    if (cit == st.in_fds.end()) {
-      const int fd = ::accept(st.listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("accept");
-      }
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      std::int32_t hello = -1;
-      read_all(fd, &hello, sizeof hello);
-      SUBSONIC_CHECK(hello >= 0 && hello < ranks_);
-      st.in_fds.emplace(hello, fd);
-      continue;
-    }
-
-    // 3. Read the next frame from src; park it if the tag differs.
-    WireHeader h{};
-    read_all(cit->second, &h, sizeof h);
-    SUBSONIC_CHECK(h.src == src && h.dst == dst);
-    std::vector<double> payload(h.count);
-    if (h.count > 0)
-      read_all(cit->second, payload.data(), h.count * sizeof(double));
-    if (h.tag == tag) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++delivered_;
-        doubles_delivered_ += static_cast<long long>(payload.size());
-      }
-      charge_recv(payload);
-      return payload;
-    }
-    st.parked[src].emplace_back(h.tag, std::move(payload));
-  }
-}
-
-long TcpTransport::messages_delivered() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return delivered_;
-}
-
-long long TcpTransport::doubles_delivered() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return doubles_delivered_;
+  SUBSONIC_REQUIRE(dst >= 0 && dst < static_cast<int>(endpoints_.size()));
+  std::vector<double> payload = endpoints_[dst]->recv(src, tag);
+  ++delivered_;
+  doubles_delivered_ += static_cast<long long>(payload.size());
+  return payload;
 }
 
 }  // namespace subsonic

@@ -1,28 +1,25 @@
-// Real TCP/IP transport over loopback sockets, following the paper's
-// design (section 4.2): every process owns a listening socket; port
-// numbers are published through a shared registry file; a channel is
-// opened on first use with a short handshake ("I am listening at this
-// port.  I want to talk to you...").  Channels are reliable FIFO byte
-// streams; a demultiplexing layer parks messages whose tag the receiver
-// is not yet waiting for.
+// Real TCP/IP transport over loopback sockets for the threaded runtime:
+// one TcpEndpoint per rank behind the multi-rank Transport interface.
+// Each endpoint follows the paper's design (section 4.2): it owns a
+// listening socket, publishes its port in a shared registry file, and
+// opens a channel on first use with the hello handshake ("I am listening
+// at this port.  I want to talk to you...").  The threaded and the
+// supervised process runtimes therefore share one implementation of the
+// handshake, framing, tag demultiplexing and connect retries.
 //
-// In this repository the "processes" are threads of one test process, but
-// every byte still crosses the kernel's TCP stack, so the handshake,
-// ordering, and framing logic is exercised for real.
-//
-// send() is fire-and-forget: frames are queued to a per-rank sender thread
-// that owns the outgoing connections, so a worker that has posted its
-// boundary can go straight back to computing even when the socket buffer
-// would have made write() block — the transport half of hiding T_com.
+// In this transport the "processes" are threads of one process, but every
+// byte still crosses the kernel's TCP stack.  send() is fire-and-forget:
+// each endpoint queues frames to its own sender thread, so a worker that
+// has posted its boundary can go straight back to computing — the
+// transport half of hiding T_com.
 #pragma once
 
-#include <deque>
+#include <atomic>
 #include <memory>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/comm/tcp_endpoint.hpp"
 #include "src/comm/transport.hpp"
 
 namespace subsonic {
@@ -33,6 +30,8 @@ class TcpTransport final : public Transport {
   /// each rank publishes "rank port" once its listener is bound.  The file
   /// must not already exist (stale registries would pair with dead ports).
   TcpTransport(int ranks, std::string registry_path);
+  /// Puts every queued frame on the wire before any endpoint closes, then
+  /// removes the registry file.
   ~TcpTransport() override;
 
   TcpTransport(const TcpTransport&) = delete;
@@ -42,12 +41,14 @@ class TcpTransport final : public Transport {
             std::vector<double> payload) override;
   std::vector<double> recv(int dst, int src, MessageTag tag) override;
 
-  long messages_delivered() const override;
-  long long doubles_delivered() const override;
+  long messages_delivered() const override { return delivered_.load(); }
+  long long doubles_delivered() const override {
+    return doubles_delivered_.load();
+  }
 
-  /// Charges per-rank "transport.*" counters, the send-queue-depth gauge,
-  /// connect retries and the recv-wait timer into `registry`.  Attach
-  /// before traffic starts.
+  /// Each endpoint charges its rank's "transport.*" counters, the
+  /// send-queue-depth gauge, connect retries and the recv-wait timer into
+  /// `registry`.  Attach before traffic starts.
   void attach_metrics(
       std::shared_ptr<telemetry::MetricsRegistry> registry) override;
 
@@ -55,19 +56,10 @@ class TcpTransport final : public Transport {
   int listen_port(int rank) const;
 
  private:
-  struct RankState;
-
-  int lookup_port(int rank);
-  int connect_to(int rank, int src);
-  void sender_loop(int src);
-
-  int ranks_;
   std::string registry_path_;
-  std::vector<std::unique_ptr<RankState>> states_;
-  mutable std::mutex stats_mutex_;
-  long delivered_ = 0;
-  long long doubles_delivered_ = 0;
-  std::shared_ptr<telemetry::MetricsRegistry> metrics_;
+  std::vector<std::unique_ptr<TcpEndpoint>> endpoints_;
+  std::atomic<long> delivered_{0};
+  std::atomic<long long> doubles_delivered_{0};
 };
 
 }  // namespace subsonic

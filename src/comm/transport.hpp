@@ -1,10 +1,13 @@
 // Message transport between parallel subprocesses (paper section 4.2).
 // The paper uses TCP/IP sockets: reliable, ordered, first-in-first-out
-// channels in each direction between each pair of processes.  We provide
-// two implementations with the same contract:
+// channels in each direction between each pair of processes.  The
+// implementations share one contract:
 //   * InMemoryTransport — lock-and-condition queues between threads;
-//   * TcpTransport      — real localhost sockets with the paper's
-//                         port-registry handshake (see tcp_transport.hpp).
+//   * TcpTransport      — one TcpEndpoint per rank: real localhost sockets
+//                         with the paper's port-registry handshake (see
+//                         tcp_endpoint.hpp);
+//   * UdpTransport      — appendix D's datagrams with user-space
+//                         acknowledgement and retransmission.
 // Each message carries a tag encoding (step, phase, direction) so that a
 // receiver can demultiplex the several messages a neighbour pair may have
 // in flight (the paper's processes can be several steps apart — appendix A).

@@ -37,7 +37,8 @@ struct UdpOptions {
 
 class UdpTransport final : public Transport {
  public:
-  /// Same port-registry handshake as TcpTransport.
+  /// Publishes every rank's port in the registry file at `registry_path`,
+  /// which must not exist yet, as TcpTransport does.
   UdpTransport(int ranks, std::string registry_path, UdpOptions options = {});
   ~UdpTransport() override;
 

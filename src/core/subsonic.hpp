@@ -10,7 +10,7 @@
 //              fourth-order filter, boundary handling, schedules
 //   comm/      message transports (in-memory channels, real TCP sockets)
 //   runtime/   serial and threaded-parallel drivers, ghost exchange,
-//              checkpoint dump files
+//              checkpoint dump files, the supervised process runtime
 //   cluster/   discrete-event model of the 25-workstation cluster:
 //              shared-bus Ethernet, load averages, monitoring, migration
 //   perfmodel/ the paper's analytic efficiency model (eqs. 12-21)
@@ -27,9 +27,10 @@
 //   params.nu = 0.02;
 //   params.filter_eps = 0.1;
 //   params.inlet_vx = geo.inlet_speed;
-//   subsonic::ParallelDriver2D sim(geo.mask, params,
+//   subsonic::BlockedDriver<2> sim(geo.mask, params,
 //                                  subsonic::Method::kLatticeBoltzmann,
-//                                  /*jx=*/5, /*jy=*/4);
+//                                  subsonic::GridShape{5, 4, 1},
+//                                  /*block_side=*/0);
 //   sim.run(1000);
 //   subsonic::write_pgm_symmetric(
 //       subsonic::vorticity_of_gathered(sim), "vorticity.pgm");
@@ -54,12 +55,8 @@
 #include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/gather.hpp"
 #include "src/runtime/rebalancer.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/parallel3d.hpp"
-#include "src/runtime/process2d.hpp"
-#include "src/runtime/process3d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
+#include "src/runtime/supervisor.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/solver/vorticity.hpp"
 #include "src/telemetry/summary.hpp"
@@ -74,7 +71,7 @@ inline constexpr const char* kVersion = "1.0.0";
 /// field (convenience for visualization; matches vorticity2d on the
 /// serial domain away from subregion seams and walls).
 inline PaddedField2D<double> vorticity_of_gathered(
-    const ParallelDriver2D& sim) {
+    const BlockedDriver<2>& sim) {
   const auto vx = sim.gather(FieldId::kVx);
   const auto vy = sim.gather(FieldId::kVy);
   const Extents2 e = vx.interior();

@@ -8,8 +8,8 @@
 namespace subsonic {
 
 namespace {
-/// Phase index of the full-state synchronization, shared with the
-/// monolithic drivers so the tag layout stays uniform.
+/// Phase index of the full-state synchronization: the largest the tag's
+/// phase field holds, above every schedule phase.
 constexpr int kSyncPhase = 1023;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {

@@ -10,13 +10,15 @@
 //   for every block: complete the receives
 //
 // — so a neighbouring block on the same rank is served by a memcpy-cheap
-// mailbox entry while a block on another rank flows through the existing
-// transport, multiplexed on the rank-pair channel by make_block_tag.
-// Kernels are untouched and see exactly the ghost data the monolithic
-// runtime would supply, which is what makes blocked runs bitwise equal to
-// monolithic ones (tested).  Compute time is charged per block
-// ("compute.block_<id>"), giving the rebalancer the per-block T_calc the
-// issue's telemetry loop feeds on.
+// mailbox entry while a block on another rank flows through the
+// transport, multiplexed on the rank-pair channel by make_block_tag.  At
+// block side 0 a rank's one block is its whole subregion, so only faces a
+// rank shares with itself across a periodic axis use the mailbox.
+// Kernels are untouched and see exactly the ghost data the serial driver
+// would supply, which is what makes every block layout bitwise equal to
+// the serial run (tested).  Compute time is charged per block
+// ("compute.block_<id>"), giving the rebalancer the per-block T_calc it
+// feeds on.
 #pragma once
 
 #include <cstdint>

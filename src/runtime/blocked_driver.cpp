@@ -1,5 +1,6 @@
 #include "src/runtime/blocked_driver.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -7,7 +8,9 @@
 
 #include "src/comm/in_memory_transport.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/telemetry/summary.hpp"
 #include "src/util/check.hpp"
+#include "src/util/log.hpp"
 
 namespace subsonic {
 
@@ -56,9 +59,21 @@ void BlockedDriver<Dim>::init(const Mask& mask, int threads) {
 template <int Dim>
 template <typename Fn>
 void BlockedDriver<Dim>::for_each_set(Fn&& fn) {
+  auto body = [this, &fn](BlockSet<Dim>& set) {
+    const int rank = set.rank();
+    const SendFn send = [this, rank](int dst, MessageTag tag,
+                                     std::vector<double> payload) {
+      transport_->send(rank, dst, tag, std::move(payload));
+    };
+    const RecvFn recv = [this, rank](int src, MessageTag tag) {
+      return transport_->recv(rank, src, tag);
+    };
+    fn(set, send, recv);
+    clear_log_context();
+  };
   if (sets_.empty()) return;
   if (sets_.size() == 1) {  // no threads needed
-    fn(*sets_[0]);
+    body(*sets_[0]);
     return;
   }
   std::vector<std::thread> threads;
@@ -66,9 +81,9 @@ void BlockedDriver<Dim>::for_each_set(Fn&& fn) {
   std::exception_ptr first_error;
   std::mutex error_mutex;
   for (auto& set : sets_) {
-    threads.emplace_back([&fn, &set, &first_error, &error_mutex] {
+    threads.emplace_back([&body, &set, &first_error, &error_mutex] {
       try {
-        fn(*set);
+        body(*set);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -81,17 +96,69 @@ void BlockedDriver<Dim>::for_each_set(Fn&& fn) {
 
 template <int Dim>
 void BlockedDriver<Dim>::run(int n) {
-  for_each_set([this, n](BlockSet<Dim>& set) {
-    const int rank = set.rank();
-    auto send = [this, rank](int dst, MessageTag tag,
-                             std::vector<double> payload) {
-      transport_->send(rank, dst, tag, std::move(payload));
-    };
-    auto recv = [this, rank](int src, MessageTag tag) {
-      return transport_->recv(rank, src, tag);
-    };
-    for (int s = 0; s < n; ++s) set.step_once(sched_, send, recv);
+  for_each_set([this, n](BlockSet<Dim>& set, const SendFn& send,
+                         const RecvFn& recv) {
+    for (int s = 0; s < n; ++s) {
+      set_log_context(set.rank(), set.step());
+      set.step_once(sched_, send, recv);
+    }
   });
+}
+
+template <int Dim>
+long BlockedDriver<Dim>::unsync_margin() const {
+  bool own_subregions = bd_.block_count() == bd_.rank_count();
+  for (int b = 0; own_subregions && b < bd_.block_count(); ++b)
+    own_subregions = bd_.box(b) == bd_.ranks().box(b) &&
+                     (bd_.owner(b) == b || !bd_.block_active(b));
+  return own_subregions ? bd_.ranks().max_unsync(StencilShape::kFull)
+                        : active_count() - 1;
+}
+
+template <int Dim>
+int BlockedDriver<Dim>::run_until_sync(int max_steps,
+                                       const std::atomic<bool>& request,
+                                       SyncFile& sync_file) {
+  SUBSONIC_REQUIRE(max_steps >= 1);
+  const long start = sets_.empty() ? 0 : step();
+  // A sync file left over from a crashed or aborted earlier round would
+  // make the first announcer compute a stale agreed step and wedge the
+  // group; clear it before anyone can announce.  Safe: ranks announce
+  // only after `request` flips, which is observed strictly after entry.
+  sync_file.clear();
+  const long margin = unsync_margin();
+  const int expected = active_count();
+
+  for_each_set([&](BlockSet<Dim>& set, const SendFn& send,
+                   const RecvFn& recv) {
+    bool announced = false;
+    long stop = start + max_steps;
+    while (set.step() < stop) {
+      if (request.load(std::memory_order_relaxed)) {
+        if (!announced) {
+          sync_file.announce(set.rank(), set.step());
+          announced = true;
+        }
+        const long agreed = sync_file.sync_step(expected);
+        if (agreed >= 0) stop = std::min(stop, agreed + margin);
+        if (set.step() >= stop) break;
+      }
+      set_log_context(set.rank(), set.step());
+      set.step_once(sched_, send, recv);
+    }
+  });
+
+  // Everyone agreed on the same stop step; step() asserts it.
+  return static_cast<int>((sets_.empty() ? start : step()) - start);
+}
+
+template <int Dim>
+WorkerStats BlockedDriver<Dim>::stats(int rank) const {
+  SUBSONIC_REQUIRE(rank >= 0 && rank < bd_.rank_count());
+  SUBSONIC_REQUIRE_MSG(!bd_.blocks_of(rank).empty(), "rank owns no blocks");
+  const telemetry::RankMetrics m =
+      telemetry::collect_rank(telemetry_->metrics(), rank);
+  return WorkerStats{m.t_calc(), m.t_com()};
 }
 
 template <int Dim>
@@ -127,28 +194,21 @@ typename BlockedDriver<Dim>::Field BlockedDriver<Dim>::gather(
 
 template <int Dim>
 void BlockedDriver<Dim>::sync_ghosts() {
-  // Block sync tags carry a nonzero block-id field, so this counter can
-  // never collide with the monolithic drivers' sync tags even on a shared
-  // transport; the 2D/3D bases stay disjoint as in ParallelDriver.
+  // Per-instantiation static: the 2D and 3D counters start at disjoint
+  // bases, so sync tags never collide on a transport shared across
+  // dimensions.
   static std::atomic<long> sync_epoch{Traits::kSyncEpochBase};
   const long epoch = sync_epoch.fetch_add(1);
 
-  for_each_set([this, epoch](BlockSet<Dim>& set) {
-    const int rank = set.rank();
-    auto send = [this, rank](int dst, MessageTag tag,
-                             std::vector<double> payload) {
-      transport_->send(rank, dst, tag, std::move(payload));
-    };
-    auto recv = [this, rank](int src, MessageTag tag) {
-      return transport_->recv(rank, src, tag);
-    };
+  for_each_set([epoch](BlockSet<Dim>& set, const SendFn& send,
+                       const RecvFn& recv) {
     set.sync_all_fields(epoch, send, recv);
   });
 }
 
 template <int Dim>
 void BlockedDriver<Dim>::reinitialize() {
-  for_each_set([this](BlockSet<Dim>& set) {
+  for_each_set([this](BlockSet<Dim>& set, const SendFn&, const RecvFn&) {
     if (method_ == Method::kLatticeBoltzmann)
       for (int i = 0; i < set.local_count(); ++i)
         Traits::set_equilibrium(set.domain(i));
@@ -158,8 +218,8 @@ void BlockedDriver<Dim>::reinitialize() {
 
 template <int Dim>
 void BlockedDriver<Dim>::save_blocks(const std::string& dir) const {
-  // One after the other in block order — the staggered, orderly saving
-  // discipline of the monolithic checkpoint path.
+  // One after the other in block order, as the paper's processes stagger
+  // their saves to avoid monopolizing the file server (section 5.2).
   for (const auto& set : sets_)
     for (int i = 0; i < set->local_count(); ++i)
       save_domain(set->domain(i),

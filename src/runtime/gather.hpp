@@ -17,7 +17,7 @@ namespace subsonic {
 
 /// Global macroscopic fields reassembled from a 2D run's dumps.  Inactive
 /// (all-solid) subregions hold the quiescent state, exactly as in
-/// ParallelDriver::gather.
+/// BlockedDriver::gather.
 struct GatheredFields2D {
   long step = 0;  ///< step counter every dump agreed on
   PaddedField2D<double> rho;

@@ -22,9 +22,8 @@
 // exit the supervisor can act on — a failed rank can slow a run down, but
 // it can neither hang it nor corrupt its results.
 //
-// run_supervised<Dim> is the single implementation; run_multiprocess2d /
-// run_multiprocess3d (process2d.hpp / process3d.hpp) are thin
-// instantiation wrappers.  When options.rebalance_interval > 0 the
+// run_supervised<Dim> is the single implementation, instantiated for 2D
+// and 3D.  When options.rebalance_interval > 0 the
 // supervisor runs the job in segments, folding per-block compute timers
 // at every boundary and restarting the cohort under a rewritten owner map
 // whenever the measured imbalance warrants it.
@@ -49,7 +48,7 @@ namespace subsonic {
 constexpr int kStatusPortEphemeral = -2;
 
 struct ProcessRunOptions {
-  /// Per-step ordering, exactly as in the threaded drivers; the overlap
+  /// Per-step ordering, exactly as in BlockedDriver; the overlap
   /// schedule posts each boundary band as soon as it is computed.
   Scheduling sched = Scheduling::kOverlap;
 

@@ -1,6 +1,6 @@
-// Per-worker timing, shared by the threaded drivers (which accumulate it
-// live) and the process runtime (which reconstructs it from the metrics
-// JSONL each rank writes).
+// Per-rank timing, read from a rank's telemetry timers: BlockedDriver
+// builds it from its live registry, the process runtime from the metrics
+// each rank reports.
 #pragma once
 
 namespace subsonic {

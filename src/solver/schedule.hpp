@@ -88,30 +88,4 @@ constexpr const char* compute_phase_name(ComputeKind kind) {
   return "compute.unknown";
 }
 
-/// Same, qualified by the overlap split: ".band" for the boundary band
-/// computed before the sends, ".interior" for the bulk computed while the
-/// messages fly.
-constexpr const char* compute_phase_name(ComputeKind kind, ComputePass pass) {
-  if (pass == ComputePass::kFull) return compute_phase_name(kind);
-  switch (kind) {
-    case ComputeKind::kFdVelocity:
-      return pass == ComputePass::kBand ? "compute.fd_velocity.band"
-                                        : "compute.fd_velocity.interior";
-    case ComputeKind::kFdDensity:
-      return pass == ComputePass::kBand ? "compute.fd_density.band"
-                                        : "compute.fd_density.interior";
-    case ComputeKind::kLbCollideStream:
-      return pass == ComputePass::kBand
-                 ? "compute.lb_collide_stream.band"
-                 : "compute.lb_collide_stream.interior";
-    case ComputeKind::kLbMoments:
-      return pass == ComputePass::kBand ? "compute.lb_moments.band"
-                                        : "compute.lb_moments.interior";
-    case ComputeKind::kFilterAndBc:
-      return pass == ComputePass::kBand ? "compute.filter_bc.band"
-                                        : "compute.filter_bc.interior";
-  }
-  return "compute.unknown";
-}
-
 }  // namespace subsonic

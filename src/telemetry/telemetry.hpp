@@ -6,10 +6,9 @@
 // fork()).
 //
 // Overhead discipline: phase timers are always charged — two clock reads
-// and a mutexed accumulate per *phase*, the same price the WorkerStats
-// stopwatch already paid — while trace-event recording (one heap
-// allocation per span) only happens when tracing is enabled, normally via
-// SUBSONIC_TRACE=1.  Telemetry never touches simulation state, so results
+// and a mutexed accumulate per *phase* — while trace-event recording (one
+// heap allocation per span) only happens when tracing is enabled, normally
+// via SUBSONIC_TRACE=1.  Telemetry never touches simulation state, so results
 // are bitwise identical with it on, off, or absent (tested).
 #pragma once
 
@@ -103,7 +102,7 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   /// Ends the span now (idempotent) and returns its measured seconds,
-  /// so callers can also charge legacy accumulators (WorkerStats).
+  /// so callers can also feed a histogram of their own.
   double stop();
 
  private:

@@ -16,7 +16,7 @@ namespace {
 
 struct JetRun {
   Geometry2D geo;
-  SerialDriver2D sim;
+  SerialDriver<2> sim;
   JetRun(Extents2 e, int steps)
       : geo(build_flue_pipe(e, FluePipeVariant::kBasic, 3, 0.10)),
         sim(geo.mask, params(geo), Method::kLatticeBoltzmann) {
@@ -107,7 +107,7 @@ TEST(FluePipePhysics, FilterPreventsTheHighReynoldsInstability) {
     p.nu = 0.002;
     p.filter_eps = eps;
     p.inlet_vx = g.inlet_speed;
-    SerialDriver2D sim(g.mask, p, Method::kLatticeBoltzmann);
+    SerialDriver<2> sim(g.mask, p, Method::kLatticeBoltzmann);
     double worst = 0;
     for (int s = 0; s < 2000; s += 100) {
       sim.run(100);
@@ -132,7 +132,7 @@ TEST(FluePipePhysics, FiniteDifferencesRunTheJetStably) {
   p.nu = 0.01;
   p.filter_eps = 0.1;
   p.inlet_vx = geo.inlet_speed;
-  SerialDriver2D sim(geo.mask, p, Method::kFiniteDifference);
+  SerialDriver<2> sim(geo.mask, p, Method::kFiniteDifference);
   sim.run(4000);
   EXPECT_LT(max_abs(sim.domain().vx()), 3.0 * geo.inlet_speed);
   // The jet exists.
@@ -143,8 +143,8 @@ TEST(FluePipePhysics, FiniteDifferencesRunTheJetStably) {
 TEST(FluePipePhysics, ProbeSeesGrowingActivityAtTheLabium) {
   const Geometry2D geo =
       build_flue_pipe(Extents2{160, 100}, FluePipeVariant::kBasic, 3, 0.10);
-  SerialDriver2D sim(geo.mask, JetRun::params(geo),
-                     Method::kLatticeBoltzmann);
+  SerialDriver<2> sim(geo.mask, JetRun::params(geo),
+                      Method::kLatticeBoltzmann);
   Probe probe;
   const int px = int(0.24 * 160);
   const int py = (geo.jet_y0 + geo.jet_y1) / 2;

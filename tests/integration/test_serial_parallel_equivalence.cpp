@@ -9,12 +9,12 @@
 #include <cmath>
 #include <unistd.h>
 
-#include "src/geometry/flue_pipe.hpp"
-#include "src/grid/field_ops.hpp"
 #include "src/comm/tcp_transport.hpp"
 #include "src/comm/udp_transport.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/geometry/flue_pipe.hpp"
+#include "src/grid/field_ops.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -72,14 +72,14 @@ TEST_P(Equivalence, ParallelMatchesSerialBitwise) {
     mask.fill_box({10, 10, 14, 14}, NodeType::kWall);
   }
 
-  SerialDriver2D serial(mask, p, c.method);
+  SerialDriver<2> serial(mask, p, c.method);
   perturb(serial.domain(), full_box(mask.extents()));
   serial.reinitialize();
 
-  ParallelDriver2D parallel(mask, p, c.method, c.jx, c.jy);
-  for (int r = 0; r < parallel.decomposition().rank_count(); ++r)
-    if (parallel.is_active(r))
-      perturb(parallel.subdomain(r), parallel.decomposition().box(r));
+  BlockedDriver<2> parallel(mask, p, c.method, GridShape{c.jx, c.jy, 1}, 0);
+  for (int r = 0; r < parallel.blocks().block_count(); ++r)
+    if (parallel.blocks().block_active(r))
+      perturb(parallel.block_domain(r), parallel.blocks().box(r));
   parallel.reinitialize();
 
   const int steps = 25;
@@ -136,14 +136,14 @@ TEST_P(SchedulingEquivalence, LegacyAndOverlapBitwiseIdentical) {
     mask.fill_box({18, 10, 24, 18}, NodeType::kWall);
   }
 
-  ParallelDriver2D legacy(mask, p, c.method, c.jx, c.jy, nullptr,
-                          Scheduling::kLegacy);
-  ParallelDriver2D overlap(mask, p, c.method, c.jx, c.jy, nullptr,
-                           Scheduling::kOverlap);
-  for (ParallelDriver2D* drv : {&legacy, &overlap}) {
-    for (int r = 0; r < drv->decomposition().rank_count(); ++r)
-      if (drv->is_active(r))
-        perturb(drv->subdomain(r), drv->decomposition().box(r));
+  BlockedDriver<2> legacy(mask, p, c.method, GridShape{c.jx, c.jy, 1}, 0,
+                          nullptr, Scheduling::kLegacy);
+  BlockedDriver<2> overlap(mask, p, c.method, GridShape{c.jx, c.jy, 1}, 0,
+                           nullptr, Scheduling::kOverlap);
+  for (BlockedDriver<2>* drv : {&legacy, &overlap}) {
+    for (int r = 0; r < drv->blocks().block_count(); ++r)
+      if (drv->blocks().block_active(r))
+        perturb(drv->block_domain(r), drv->blocks().box(r));
     drv->reinitialize();
   }
 
@@ -181,10 +181,11 @@ TEST(SchedulingEquivalence2, FluePipeWithInactiveSubregions) {
   p.filter_eps = 0.1;
   p.inlet_vx = g.inlet_speed;
 
-  ParallelDriver2D legacy(g.mask, p, Method::kLatticeBoltzmann, 6, 4,
-                          nullptr, Scheduling::kLegacy);
-  ParallelDriver2D overlap(g.mask, p, Method::kLatticeBoltzmann, 6, 4,
-                           nullptr, Scheduling::kOverlap);
+  BlockedDriver<2> legacy(g.mask, p, Method::kLatticeBoltzmann,
+                          GridShape{6, 4, 1}, 0, nullptr, Scheduling::kLegacy);
+  BlockedDriver<2> overlap(g.mask, p, Method::kLatticeBoltzmann,
+                           GridShape{6, 4, 1}, 0, nullptr,
+                           Scheduling::kOverlap);
   ASSERT_LT(overlap.active_count(), 24);
 
   const int steps = 30;
@@ -209,8 +210,9 @@ TEST(EquivalenceFluePipe, JetGeometryWithInactiveSubregions) {
   p.filter_eps = 0.1;
   p.inlet_vx = g.inlet_speed;
 
-  SerialDriver2D serial(g.mask, p, Method::kLatticeBoltzmann);
-  ParallelDriver2D parallel(g.mask, p, Method::kLatticeBoltzmann, 6, 4);
+  SerialDriver<2> serial(g.mask, p, Method::kLatticeBoltzmann);
+  BlockedDriver<2> parallel(g.mask, p, Method::kLatticeBoltzmann,
+                            GridShape{6, 4, 1}, 0);
   EXPECT_LT(parallel.active_count(), 24);
 
   const int steps = 30;
@@ -237,7 +239,7 @@ TEST(EquivalenceTransport, TcpSocketsProduceTheSameFlow) {
   mask.fill_box({0, 0, 1, ny}, NodeType::kWall);
   mask.fill_box({nx - 1, 0, nx, ny}, NodeType::kWall);
 
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   perturb(serial.domain(), full_box(mask.extents()));
   serial.reinitialize();
 
@@ -245,9 +247,10 @@ TEST(EquivalenceTransport, TcpSocketsProduceTheSameFlow) {
                                "/subsonic_ports_equiv_" +
                                std::to_string(::getpid());
   auto tcp = std::make_shared<TcpTransport>(3 * 2, registry);
-  ParallelDriver2D parallel(mask, p, Method::kLatticeBoltzmann, 3, 2, tcp);
-  for (int r = 0; r < parallel.decomposition().rank_count(); ++r)
-    perturb(parallel.subdomain(r), parallel.decomposition().box(r));
+  BlockedDriver<2> parallel(mask, p, Method::kLatticeBoltzmann,
+                            GridShape{3, 2, 1}, 0, tcp);
+  for (int r = 0; r < parallel.blocks().block_count(); ++r)
+    perturb(parallel.block_domain(r), parallel.blocks().box(r));
   parallel.reinitialize();
 
   serial.run(12);
@@ -273,7 +276,7 @@ TEST(EquivalenceTransport, UdpDatagramsProduceTheSameFlow) {
   mask.fill_box({0, 0, 1, ny}, NodeType::kWall);
   mask.fill_box({nx - 1, 0, nx, ny}, NodeType::kWall);
 
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   perturb(serial.domain(), full_box(mask.extents()));
   serial.reinitialize();
 
@@ -284,9 +287,10 @@ TEST(EquivalenceTransport, UdpDatagramsProduceTheSameFlow) {
                                "/subsonic_udp_equiv_" +
                                std::to_string(::getpid());
   auto udp = std::make_shared<UdpTransport>(4, registry, opt);
-  ParallelDriver2D parallel(mask, p, Method::kLatticeBoltzmann, 2, 2, udp);
+  BlockedDriver<2> parallel(mask, p, Method::kLatticeBoltzmann,
+                            GridShape{2, 2, 1}, 0, udp);
   for (int r = 0; r < 4; ++r)
-    perturb(parallel.subdomain(r), parallel.decomposition().box(r));
+    perturb(parallel.block_domain(r), parallel.blocks().box(r));
   parallel.reinitialize();
 
   serial.run(8);

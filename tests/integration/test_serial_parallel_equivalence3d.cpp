@@ -7,8 +7,8 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/parallel3d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -67,14 +67,14 @@ TEST_P(Equivalence3D, ParallelMatchesSerialBitwise) {
     mask.fill_box({8, 6, 4, 12, 10, 8}, NodeType::kWall);  // obstacle
   }
 
-  SerialDriver3D serial(mask, p, c.method);
+  SerialDriver<3> serial(mask, p, c.method);
   perturb(serial.domain(), full_box(mask.extents()));
   serial.reinitialize();
 
-  ParallelDriver3D parallel(mask, p, c.method, c.jx, c.jy, c.jz);
-  for (int r = 0; r < parallel.decomposition().rank_count(); ++r)
-    if (parallel.is_active(r))
-      perturb(parallel.subdomain(r), parallel.decomposition().box(r));
+  BlockedDriver<3> parallel(mask, p, c.method, GridShape{c.jx, c.jy, c.jz}, 0);
+  for (int r = 0; r < parallel.blocks().block_count(); ++r)
+    if (parallel.blocks().block_active(r))
+      perturb(parallel.block_domain(r), parallel.blocks().box(r));
   parallel.reinitialize();
 
   const int steps = 12;
@@ -113,14 +113,14 @@ TEST_P(SchedulingEquivalence3D, LegacyAndOverlapBitwiseIdentical) {
     mask.fill_box({8, 6, 4, 12, 10, 8}, NodeType::kWall);
   }
 
-  ParallelDriver3D legacy(mask, p, c.method, c.jx, c.jy, c.jz, nullptr,
-                          Scheduling::kLegacy);
-  ParallelDriver3D overlap(mask, p, c.method, c.jx, c.jy, c.jz, nullptr,
-                           Scheduling::kOverlap);
-  for (ParallelDriver3D* drv : {&legacy, &overlap}) {
-    for (int r = 0; r < drv->decomposition().rank_count(); ++r)
-      if (drv->is_active(r))
-        perturb(drv->subdomain(r), drv->decomposition().box(r));
+  BlockedDriver<3> legacy(mask, p, c.method, GridShape{c.jx, c.jy, c.jz}, 0,
+                          nullptr, Scheduling::kLegacy);
+  BlockedDriver<3> overlap(mask, p, c.method, GridShape{c.jx, c.jy, c.jz}, 0,
+                           nullptr, Scheduling::kOverlap);
+  for (BlockedDriver<3>* drv : {&legacy, &overlap}) {
+    for (int r = 0; r < drv->blocks().block_count(); ++r)
+      if (drv->blocks().block_active(r))
+        perturb(drv->block_domain(r), drv->blocks().box(r));
     drv->reinitialize();
   }
 

@@ -10,9 +10,8 @@
 #include <cmath>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/simd.hpp"
 
 namespace subsonic {
@@ -59,12 +58,12 @@ TEST(SimdEquivalence, SerialRun2DIsBitwise) {
     FluidParams p = lb_params(forced);
     p.inlet_vx = g.inlet_speed;
 
-    SerialDriver2D scalar(g.mask, p, Method::kLatticeBoltzmann);
+    SerialDriver<2> scalar(g.mask, p, Method::kLatticeBoltzmann);
     {
       ScopedSimd pin(SimdLevel::kScalar);
       scalar.run(25);
     }
-    SerialDriver2D vec(g.mask, p, Method::kLatticeBoltzmann);
+    SerialDriver<2> vec(g.mask, p, Method::kLatticeBoltzmann);
     {
       ScopedSimd pin(SimdLevel::kAvx2);
       vec.run(25);
@@ -88,12 +87,14 @@ TEST(SimdEquivalence, ParallelBandInteriorRun2DIsBitwise) {
   FluidParams p = lb_params(false);
   p.inlet_vx = g.inlet_speed;
 
-  ParallelDriver2D scalar(g.mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> scalar(g.mask, p, Method::kLatticeBoltzmann,
+                          GridShape{2, 2, 1}, 0);
   {
     ScopedSimd pin(SimdLevel::kScalar);
     scalar.run(20);
   }
-  ParallelDriver2D vec(g.mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> vec(g.mask, p, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   {
     ScopedSimd pin(SimdLevel::kAvx2);
     vec.run(20);
@@ -118,14 +119,14 @@ TEST(SimdEquivalence, SerialRun3DIsBitwise) {
     p.periodic_x = p.periodic_y = p.periodic_z = true;
     if (forced) p.force_z = 1e-5;
 
-    SerialDriver3D scalar(mask, p, Method::kLatticeBoltzmann);
+    SerialDriver<3> scalar(mask, p, Method::kLatticeBoltzmann);
     for (int z = 0; z < 12; ++z)
       for (int y = 0; y < 16; ++y)
         for (int x = 0; x < 24; ++x)
           scalar.domain().rho()(x, y, z) =
               1.0 + 0.02 * std::sin(0.4 * x - 0.3 * y + 0.5 * z);
     scalar.reinitialize();
-    SerialDriver3D vec(mask, p, Method::kLatticeBoltzmann);
+    SerialDriver<3> vec(mask, p, Method::kLatticeBoltzmann);
     for (int z = 0; z < 12; ++z)
       for (int y = 0; y < 16; ++y)
         for (int x = 0; x < 24; ++x)

@@ -12,7 +12,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/util/fp_env.hpp"
 
 #if defined(__x86_64__)
@@ -53,8 +53,8 @@ long long subnormal_cells(const Domain2D& d) {
 
 TEST(SubnormalFlush, FdFluePipeHoldsNoSubnormalCellPastTheOnset) {
   const Geometry2D g = fd_pipe();
-  SerialDriver2D sim(g.mask, fd_pipe_params(g), Method::kFiniteDifference,
-                     /*threads=*/1);
+  SerialDriver<2> sim(g.mask, fd_pipe_params(g), Method::kFiniteDifference,
+                      /*threads=*/1);
   sim.run(kSteps);
   EXPECT_EQ(subnormal_cells(sim.domain()), 0);
   EXPECT_TRUE(std::isfinite(max_abs(sim.domain().vx())));
@@ -67,8 +67,8 @@ TEST(SubnormalFlush, FdFluePipeBitwiseAcrossThreadCountsPastTheOnset) {
   // subnormals and diverge from the single-threaded run.
   const Geometry2D g = fd_pipe();
   const FluidParams p = fd_pipe_params(g);
-  SerialDriver2D one(g.mask, p, Method::kFiniteDifference, /*threads=*/1);
-  SerialDriver2D three(g.mask, p, Method::kFiniteDifference, /*threads=*/3);
+  SerialDriver<2> one(g.mask, p, Method::kFiniteDifference, /*threads=*/1);
+  SerialDriver<2> three(g.mask, p, Method::kFiniteDifference, /*threads=*/3);
   ASSERT_EQ(three.domain().threads(), 3);
   one.run(kSteps);
   three.run(kSteps);
@@ -85,7 +85,7 @@ TEST(SubnormalFlush, SerialRunLeavesTheCallersFpModeUnchanged) {
   // get their MXCSR back exactly.
   const Geometry2D g = fd_pipe();
   const FluidParams p = fd_pipe_params(g);
-  SerialDriver2D sim(g.mask, p, Method::kFiniteDifference, /*threads=*/2);
+  SerialDriver<2> sim(g.mask, p, Method::kFiniteDifference, /*threads=*/2);
   const unsigned before = _mm_getcsr();
   sim.run(kSteps / 2);
   EXPECT_EQ(_mm_getcsr(), before);

@@ -8,9 +8,8 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -38,12 +37,12 @@ TEST_P(ThreadEquivalence, SerialFluePipeBitwiseAcrossThreadCounts) {
       build_flue_pipe(Extents2{120, 80}, FluePipeVariant::kChannel, 3);
   const FluidParams p = pipe_params(method, g);
 
-  SerialDriver2D one(g.mask, p, method, /*threads=*/1);
+  SerialDriver<2> one(g.mask, p, method, /*threads=*/1);
   one.run(30);
   EXPECT_GT(max_abs(one.domain().vx()), 0.01);  // the jet must be flowing
 
   for (int threads : {2, 4}) {
-    SerialDriver2D many(g.mask, p, method, threads);
+    SerialDriver<2> many(g.mask, p, method, threads);
     ASSERT_EQ(many.domain().threads(), threads);
     many.run(30);
     expect_identical(one.domain().rho(), many.domain().rho(), "rho");
@@ -61,9 +60,9 @@ TEST_P(ThreadEquivalence, NestedUnderSubregionParallelism) {
       build_flue_pipe(Extents2{120, 80}, FluePipeVariant::kChannel, 3);
   const FluidParams p = pipe_params(method, g);
 
-  ParallelDriver2D one(g.mask, p, method, 3, 2, nullptr,
+  BlockedDriver<2> one(g.mask, p, method, GridShape{3, 2, 1}, 0, nullptr,
                        Scheduling::kOverlap, /*threads=*/1);
-  ParallelDriver2D many(g.mask, p, method, 3, 2, nullptr,
+  BlockedDriver<2> many(g.mask, p, method, GridShape{3, 2, 1}, 0, nullptr,
                         Scheduling::kOverlap, /*threads=*/4);
   one.run(25);
   many.run(25);
@@ -101,12 +100,12 @@ TEST(ThreadEquivalence, WallHeavyMaskBitwiseAcrossThreadCounts) {
   p.filter_eps = 0.1;
   p.force_x = 1e-4;  // drive a flow along the open channel on top
 
-  SerialDriver2D one(mask, p, Method::kLatticeBoltzmann, /*threads=*/1);
+  SerialDriver<2> one(mask, p, Method::kLatticeBoltzmann, /*threads=*/1);
   one.run(25);
   EXPECT_GT(max_abs(one.domain().vx()), 1e-6);
 
   for (int threads : {2, 3, 4}) {
-    SerialDriver2D many(mask, p, Method::kLatticeBoltzmann, threads);
+    SerialDriver<2> many(mask, p, Method::kLatticeBoltzmann, threads);
     many.run(25);
     expect_identical(one.domain().rho(), many.domain().rho(), "rho");
     expect_identical(one.domain().vx(), many.domain().vx(), "vx");
@@ -127,8 +126,8 @@ TEST(ThreadEquivalence3D, SerialRunBitwiseAcrossThreadCounts) {
   p.periodic_x = p.periodic_y = true;
   p.force_x = 1e-4;  // body force drives a flow through the channel
 
-  SerialDriver3D one(mask, p, Method::kLatticeBoltzmann, /*threads=*/1);
-  SerialDriver3D many(mask, p, Method::kLatticeBoltzmann, /*threads=*/4);
+  SerialDriver<3> one(mask, p, Method::kLatticeBoltzmann, /*threads=*/1);
+  SerialDriver<3> many(mask, p, Method::kLatticeBoltzmann, /*threads=*/4);
   one.run(20);
   many.run(20);
   EXPECT_GT(max_abs(one.domain().vx()), 1e-6);

@@ -9,9 +9,8 @@
 #include <unistd.h>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -22,7 +21,7 @@ TEST(Checkpoint, RoundTripIsExact2D) {
   Mask2D mask(Extents2{20, 16}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D a(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 20; ++x)
       a.domain().rho()(x, y) = 1.0 + 0.01 * std::sin(0.3 * x * y);
@@ -31,7 +30,7 @@ TEST(Checkpoint, RoundTripIsExact2D) {
   const std::string path = tmp_dir() + "/ckpt2d.dump";
   save_domain(a.domain(), path);
 
-  SerialDriver2D b(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
   restore_domain(b.domain(), path);
   EXPECT_EQ(b.domain().step(), 7);
   EXPECT_TRUE(b.domain().rho() == a.domain().rho());
@@ -53,13 +52,13 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
   mask.fill_box({0, 0, 1, 18}, NodeType::kWall);
   mask.fill_box({23, 0, 24, 18}, NodeType::kWall);
 
-  SerialDriver2D straight(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> straight(mask, p, Method::kLatticeBoltzmann);
   for (int y = 1; y < 17; ++y)
     for (int x = 1; x < 23; ++x)
       straight.domain().rho()(x, y) = 1.0 + 0.02 * std::cos(0.4 * x + y);
   straight.reinitialize();
 
-  SerialDriver2D interrupted(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> interrupted(mask, p, Method::kLatticeBoltzmann);
   for (int y = 1; y < 17; ++y)
     for (int x = 1; x < 23; ++x)
       interrupted.domain().rho()(x, y) = 1.0 + 0.02 * std::cos(0.4 * x + y);
@@ -70,7 +69,7 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
   interrupted.run(8);
   const std::string path = tmp_dir() + "/resume.dump";
   save_domain(interrupted.domain(), path);
-  SerialDriver2D resumed(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> resumed(mask, p, Method::kLatticeBoltzmann);
   restore_domain(resumed.domain(), path);
   resumed.run(12);
 
@@ -90,16 +89,18 @@ TEST(Checkpoint, ParallelCheckpointRestartIsBitwise) {
   p.inlet_vx = g.inlet_speed;
 
   // A directory of its own: other suites, which ctest may run at the
-  // same time, checkpoint rank_<r>.dump files into TempDir() too.
+  // same time, checkpoint block_<b>.dump files into TempDir() too.
   const std::string dir =
       tmp_dir() + "/ckpt_parallel_" + std::to_string(::getpid());
   ::mkdir(dir.c_str(), 0755);
-  ParallelDriver2D a(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
+  BlockedDriver<2> a(g.mask, p, Method::kLatticeBoltzmann,
+                     GridShape{3, 2, 1}, 0);
   a.run(10);
-  a.save_checkpoint(dir);
+  a.save_blocks(dir);
 
-  ParallelDriver2D b(g.mask, p, Method::kLatticeBoltzmann, 3, 2);
-  b.restore_checkpoint(dir);
+  BlockedDriver<2> b(g.mask, p, Method::kLatticeBoltzmann,
+                     GridShape{3, 2, 1}, 0);
+  b.restore_blocks(dir);
   a.run(10);
   b.run(10);
 
@@ -114,7 +115,7 @@ TEST(Checkpoint, RoundTripIsExact3D) {
   Mask3D mask(Extents3{10, 8, 6}, 1);
   FluidParams p;
   p.dt = 0.3;
-  SerialDriver3D a(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> a(mask, p, Method::kFiniteDifference);
   for (int z = 0; z < 6; ++z)
     for (int y = 0; y < 8; ++y)
       for (int x = 0; x < 10; ++x)
@@ -124,7 +125,7 @@ TEST(Checkpoint, RoundTripIsExact3D) {
   const std::string path = tmp_dir() + "/ckpt3d.dump";
   save_domain(a.domain(), path);
 
-  SerialDriver3D b(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> b(mask, p, Method::kFiniteDifference);
   restore_domain(b.domain(), path);
   EXPECT_EQ(b.domain().step(), 3);
   EXPECT_TRUE(b.domain().vz() == a.domain().vz());
@@ -184,7 +185,7 @@ TEST(Checkpoint, TruncatedFileIsCheckpointErrorNamingThePath) {
   Mask2D mask(Extents2{12, 10}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D a(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
   a.reinitialize();
   a.run(4);
   const std::string path = tmp_dir() + "/torn.dump";
@@ -196,7 +197,7 @@ TEST(Checkpoint, TruncatedFileIsCheckpointErrorNamingThePath) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
-  SerialDriver2D b(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
   try {
     restore_domain(b.domain(), path);
     FAIL() << "torn dump restored";
@@ -212,7 +213,7 @@ TEST(Checkpoint, BitFlipIsCheckpointError) {
   Mask2D mask(Extents2{12, 10}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D a(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
   a.reinitialize();
   a.run(2);
   const std::string path = tmp_dir() + "/bitflip.dump";
@@ -224,7 +225,7 @@ TEST(Checkpoint, BitFlipIsCheckpointError) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  SerialDriver2D b(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
   EXPECT_THROW(restore_domain(b.domain(), path), checkpoint_error);
   EXPECT_THROW(inspect_checkpoint(path), checkpoint_error);
 }
@@ -233,7 +234,7 @@ TEST(Checkpoint, InspectReportsHeaderFactsAfterFullVerify) {
   Mask2D mask(Extents2{20, 16}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D a(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
   a.reinitialize();
   a.run(9);
   const std::string path = tmp_dir() + "/inspect.dump";
@@ -259,7 +260,7 @@ TEST(Checkpoint, V2DumpReadsBackAndContinuesBitwise) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D a(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
   for (int y = 0; y < 18; ++y)
     for (int x = 0; x < 24; ++x)
       a.domain().rho()(x, y) = 1.0 + 0.01 * std::sin(0.3 * x - 0.7 * y);
@@ -282,7 +283,7 @@ TEST(Checkpoint, V2DumpReadsBackAndContinuesBitwise) {
   EXPECT_EQ(info.version, 2);
   EXPECT_EQ(info.layout, kLayoutUnspecified);
 
-  SerialDriver2D b(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
   restore_domain(b.domain(), path);
   EXPECT_EQ(b.domain().step(), 6);
   for (int i = 0; i < a.domain().q(); ++i)

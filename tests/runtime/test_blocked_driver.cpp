@@ -9,10 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/comm/in_memory_transport.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -38,7 +39,7 @@ Mask2D closed_box(int nx, int ny, int ghost) {
 /// uninterrupted serial run of the same problem.
 void expect_matches_serial2d(BlockedDriver<2>& driver, const Mask2D& mask,
                              const FluidParams& p, Method method, int steps) {
-  SerialDriver2D serial(mask, p, method);
+  SerialDriver<2> serial(mask, p, method);
   serial.run(steps);
   EXPECT_EQ(driver.step(), steps);
   const auto rho = driver.gather(FieldId::kRho);
@@ -115,7 +116,7 @@ TEST(BlockedDriver, ThreeDimensionalBlocksMatchSerialBitwise) {
   BlockedDriver<3> driver(mask, p, Method::kLatticeBoltzmann,
                           GridShape{2, 1, 1}, /*block_side=*/6);
   driver.run(6);
-  SerialDriver3D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(6);
   const auto rho = driver.gather(FieldId::kRho);
   const auto vz = driver.gather(FieldId::kVz);
@@ -172,6 +173,70 @@ TEST(BlockedDriver, OwnerMapRewriteMidRunIsBitwise) {
       ASSERT_EQ(a(x, y), b(x, y)) << x << "," << y;
       ASSERT_EQ(ar(x, y), br(x, y)) << x << "," << y;
     }
+}
+
+struct Traffic {
+  long msgs = 0;
+  long long doubles = 0;
+  friend bool operator==(const Traffic&, const Traffic&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Traffic& t) {
+  return os << t.msgs << " messages, " << t.doubles << " doubles";
+}
+
+/// Messages and payload doubles one step of a side-0 run pushes through
+/// its InMemoryTransport.
+template <int Dim>
+Traffic traffic_per_step(const typename DomainTraits<Dim>::Mask& mask,
+                         FluidParams p, Method method, GridShape grid) {
+  p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.3;
+  auto transport =
+      std::make_shared<InMemoryTransport>(grid.jx * grid.jy * grid.jz);
+  BlockedDriver<Dim> driver(mask, p, method, grid, 0, transport);
+  const long msgs0 = transport->messages_delivered();
+  const long long doubles0 = transport->doubles_delivered();
+  const int steps = 3;
+  driver.run(steps);
+  return {(transport->messages_delivered() - msgs0) / steps,
+          (transport->doubles_delivered() - doubles0) / steps};
+}
+
+TEST(BlockedDriver, SideZeroTrafficIsThePapersMessageAccounting) {
+  // Section 6: FD sends 2 messages per link and step, LB 1.  The full
+  // stencil gives (2x2) 12 directed links and (2x2x2) 56.  The payloads
+  // are depth-3 strips, because the filter needs a 3-deep ghost.
+  FluidParams p;
+  p.filter_eps = 0.2;
+  const Mask2D square(Extents2{96, 96}, 3);
+  EXPECT_EQ(traffic_per_step<2>(square, p, Method::kFiniteDifference,
+                                GridShape{2, 2, 1}),
+            (Traffic{24, 3564}));
+  EXPECT_EQ(traffic_per_step<2>(square, p, Method::kLatticeBoltzmann,
+                                GridShape{2, 2, 1}),
+            (Traffic{12, 10692}));
+  const Mask3D cube(Extents3{32, 32, 32}, 3);
+  EXPECT_EQ(traffic_per_step<3>(cube, p, Method::kFiniteDifference,
+                                GridShape{2, 2, 2}),
+            (Traffic{112, 88416}));
+  EXPECT_EQ(traffic_per_step<3>(cube, p, Method::kLatticeBoltzmann,
+                                GridShape{2, 2, 2}),
+            (Traffic{56, 331560}));
+
+  // A rank that is its own neighbour across a periodic axis: at (1x3)
+  // each rank has 8 links, 2 of them to itself, and those faces go
+  // through the mailbox instead of the transport.
+  FluidParams periodic;
+  periodic.periodic_x = periodic.periodic_y = true;
+  const Mask2D box(Extents2{36, 24}, 1);
+  EXPECT_EQ(traffic_per_step<2>(box, periodic, Method::kLatticeBoltzmann,
+                                GridShape{1, 3, 1})
+                .msgs,
+            18);
+  EXPECT_EQ(traffic_per_step<2>(box, periodic, Method::kFiniteDifference,
+                                GridShape{1, 3, 1})
+                .msgs,
+            36);
 }
 
 }  // namespace

@@ -12,10 +12,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/runtime/process2d.hpp"
-#include "src/runtime/process3d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
+#include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -61,12 +59,13 @@ TEST(GatherFields, RoundTrips2DRunToExactSerialFields) {
   mask.fill_box({nx - 1, 10, nx, 14}, NodeType::kOutlet);
 
   const std::string workdir = make_workdir("round2d");
-  run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 2, 10, workdir);
+  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 10,
+                    workdir, {});
   const GatheredFields2D g =
       gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 2, workdir);
   EXPECT_EQ(g.step, 10);
 
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(10);
   for (int y = 0; y < ny; ++y)
     for (int x = 0; x < nx; ++x) {
@@ -86,8 +85,9 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
   const std::string workdir = make_workdir("epoch2d");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   // Captures at steps 3, 6, 9 -> epochs 0..2 (step 12 is the final legacy
   // dump, not an epoch); the GC keeps only the newest epoch's dumps.
   ASSERT_EQ(r.committed_epoch, 2);
@@ -95,7 +95,7 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
   // The newest committed epoch is mid-run state: step 9, not 12.
   const GatheredFields2D g = gather_fields2d(
       mask, p, Method::kLatticeBoltzmann, 2, 1, workdir, r.committed_epoch);
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(static_cast<int>(g.step));
   for (int y = 0; y < 18; ++y)
     for (int x = 0; x < 24; ++x)
@@ -113,8 +113,8 @@ TEST(GatherFields, InactiveSubregionsGatherAsQuiescentState) {
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = make_workdir("solid2d");
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 3, 1, 5, workdir);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 5, workdir, {});
   EXPECT_EQ(r.processes, 2);  // rank 0 is entirely wall and never spawned
 
   // No dump exists for the inactive rank; gather must fill its subregion
@@ -135,13 +135,13 @@ TEST(GatherFields, RoundTrips3DRunToExactSerialFields) {
   const Mask3D mask = walled_box3d(nx, ny, nz, 1);
 
   const std::string workdir = make_workdir("round3d");
-  run_multiprocess3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 8,
-                     workdir);
+  run_supervised<3>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
+                    workdir, {});
   const GatheredFields3D g = gather_fields3d(
       mask, p, Method::kLatticeBoltzmann, 2, 1, 1, workdir);
   EXPECT_EQ(g.step, 8);
 
-  SerialDriver3D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(8);
   for (int z = 0; z < nz; ++z)
     for (int y = 0; y < ny; ++y)

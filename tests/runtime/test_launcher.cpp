@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/process2d.hpp"
+#include "src/runtime/supervisor.hpp"
 #include "src/util/fp_env.hpp"
 
 namespace subsonic {
@@ -104,13 +104,15 @@ TEST(ProcessLauncher, ExecMatchesForkBitwise) {
 
   const std::string fork_dir = make_workdir("fork");
   options.launcher = "fork";
-  const ProcessRunResult rf = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 10, fork_dir, options);
+  const ProcessRunResult rf = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, fork_dir,
+      options);
 
   const std::string exec_dir = make_workdir("exec");
   options.launcher = "exec";
-  const ProcessRunResult re = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 10, exec_dir, options);
+  const ProcessRunResult re = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, exec_dir,
+      options);
 
   EXPECT_EQ(rf.processes, re.processes);
   EXPECT_EQ(rf.final_step, re.final_step);
@@ -131,13 +133,15 @@ TEST(ProcessLauncher, ExecBlockedMatchesForkBitwise) {
 
   const std::string fork_dir = make_workdir("bfork");
   options.launcher = "fork";
-  const ProcessRunResult rf = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, fork_dir, options);
+  const ProcessRunResult rf = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, fork_dir,
+      options);
 
   const std::string exec_dir = make_workdir("bexec");
   options.launcher = "exec";
-  const ProcessRunResult re = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, exec_dir, options);
+  const ProcessRunResult re = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, exec_dir,
+      options);
 
   EXPECT_EQ(rf.final_step, re.final_step);
   EXPECT_EQ(rf.blocks, re.blocks);
@@ -155,14 +159,15 @@ TEST(ProcessLauncher, ExecRestartsKilledRankBitwise) {
 
   const std::string clean_dir = make_workdir("clean");
   options.launcher = "fork";
-  run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 12,
-                     clean_dir, options);
+  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12,
+                    clean_dir, options);
 
   const std::string kill_dir = make_workdir("kill");
   options.launcher = "exec";
   options.faults = "kill:rank=1,step=7";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, kill_dir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, kill_dir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   expect_same_dumps(clean_dir, kill_dir);
@@ -186,13 +191,15 @@ TEST(ProcessLauncher, ExecMatchesForkOnFdFluePipePastSubnormalOnset) {
 
   const std::string fork_dir = make_workdir("fdfork");
   options.launcher = "fork";
-  const ProcessRunResult rf = run_multiprocess2d(
-      g.mask, p, Method::kFiniteDifference, 2, 1, 100, fork_dir, options);
+  const ProcessRunResult rf = run_supervised<2>(
+      g.mask, p, Method::kFiniteDifference, GridShape{2, 1, 1}, 100, fork_dir,
+      options);
 
   const std::string exec_dir = make_workdir("fdexec");
   options.launcher = "exec";
-  const ProcessRunResult re = run_multiprocess2d(
-      g.mask, p, Method::kFiniteDifference, 2, 1, 100, exec_dir, options);
+  const ProcessRunResult re = run_supervised<2>(
+      g.mask, p, Method::kFiniteDifference, GridShape{2, 1, 1}, 100, exec_dir,
+      options);
 
   EXPECT_EQ(rf.final_step, 100);
   EXPECT_EQ(re.final_step, 100);
@@ -211,8 +218,8 @@ TEST(ProcessLauncher, SpawnFailureSurfacesRankAndHost) {
   options.faults = "spawn_fail:rank=1";
   const std::string workdir = make_workdir("spawnfail");
   try {
-    run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 8, workdir,
-                       options);
+    run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
+                      workdir, options);
     FAIL() << "run succeeded despite an injected spawn failure";
   } catch (const ProcessRunError& e) {
     const std::string what = e.what();
@@ -238,8 +245,9 @@ TEST(ProcessLauncher, StaleControlFilesRemovedAtStartOfRun) {
   { std::ofstream(workdir + "/cohort.spec") << "stale junk"; }
 
   ProcessRunOptions options;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 5, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 5, workdir,
+      options);
   EXPECT_EQ(r.final_step, 5);
   EXPECT_FALSE(file_exists(workdir + "/ports.g7"));
   EXPECT_FALSE(file_exists(workdir + "/status.port"));
@@ -257,13 +265,14 @@ TEST(ProcessLauncher, SocketChannelsMatchPipesBitwise) {
 
   const std::string pipe_dir = make_workdir("pipes");
   options.liveness.socket_channels = -1;
-  run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 8, pipe_dir,
-                     options);
+  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
+                    pipe_dir, options);
 
   const std::string sock_dir = make_workdir("socks");
   options.liveness.socket_channels = 1;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 8, sock_dir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8, sock_dir,
+      options);
   EXPECT_EQ(r.final_step, 8);
   expect_same_dumps(pipe_dir, sock_dir);
 }

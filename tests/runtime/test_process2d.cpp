@@ -1,6 +1,6 @@
 // The fork()-based process runtime: real UNIX processes, real sockets,
 // dump-file results — and still bit-identical to the serial run.
-#include "src/runtime/process2d.hpp"
+#include "src/runtime/supervisor.hpp"
 
 #include <cerrno>
 #include <dirent.h>
@@ -24,7 +24,7 @@
 #include "src/grid/field_ops.hpp"
 #include "src/io/checkpoint.hpp"
 #include "src/runtime/gather.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/telemetry/summary.hpp"
 
 namespace subsonic {
@@ -57,13 +57,13 @@ TEST(ProcessRuntime, ForkedProcessesMatchSerialBitwise) {
   mask.fill_box({0, 10, 1, 14}, NodeType::kInlet);
   mask.fill_box({nx - 1, 10, nx, 14}, NodeType::kOutlet);
 
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(15);
 
   const std::string workdir = make_workdir("equiv");
   const ProcessRunResult r =
-      run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 2, 15,
-                         workdir);
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1},
+                        15, workdir, {});
   EXPECT_EQ(r.processes, 4);
   EXPECT_EQ(r.final_step, 15);
 
@@ -82,15 +82,16 @@ TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {
   const Mask2D mask = closed_box(nx, ny, 1);
 
   const std::string workdir = make_workdir("resume");
-  run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 6, workdir);
+  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6,
+                    workdir, {});
   const ProcessRunResult r =
-      run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 6,
-                         workdir);
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                        6, workdir, {});
   EXPECT_EQ(r.final_step, 12);
 
   // ...and the two-burst run equals one uninterrupted serial run.  One
   // block per rank: block 1 is rank 1's subregion.
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(12);
   const Decomposition2D d(mask.extents(), 2, 1);
   Domain2D sub(mask, d.box(1), p, Method::kLatticeBoltzmann, 1);
@@ -112,8 +113,8 @@ TEST(ProcessRuntime, DropsAllSolidSubregions) {
     solid.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
     const std::string workdir = make_workdir("solid");
     const ProcessRunResult r =
-        run_multiprocess2d(solid, p, Method::kLatticeBoltzmann, 3, 1, 5,
-                           workdir);
+        run_supervised<2>(solid, p, Method::kLatticeBoltzmann,
+                          GridShape{3, 1, 1}, 5, workdir, {});
     EXPECT_EQ(r.processes, 2);  // rank 0 is entirely wall
   }
 }
@@ -132,8 +133,8 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = make_workdir("oneperrank");
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 3, 1, 7, workdir);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 7, workdir, {});
   EXPECT_EQ(r.processes, 2);
   EXPECT_EQ(r.blocks, 3);
   EXPECT_EQ(r.block_owner, (std::vector<int>{-1, 1, 2}));
@@ -150,7 +151,7 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   std::sort(dumps.begin(), dumps.end());
   EXPECT_EQ(dumps, (std::vector<std::string>{"block_1.dump", "block_2.dump"}));
 
-  SerialDriver2D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(7);
   const GatheredFields2D g =
       gather_fields2d(mask, p, Method::kLatticeBoltzmann, 3, 1, workdir);
@@ -168,7 +169,7 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
 void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
                            Method method, int jx, int jy, int steps,
                            const std::string& workdir) {
-  SerialDriver2D serial(mask, p, method);
+  SerialDriver<2> serial(mask, p, method);
   serial.run(steps);
   const Decomposition2D d(mask.extents(), jx, jy);
   const int ghost = required_ghost(method, p.filter_eps > 0.0);
@@ -201,8 +202,9 @@ TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   EXPECT_GE(r.committed_epoch, 0);  // epoch 0 (step 4) survived the crash
@@ -218,8 +220,9 @@ TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseFD) {
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "kill:rank=0,step=8";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kFiniteDifference, 1, 2, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kFiniteDifference, GridShape{1, 2, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   expect_matches_serial(mask, p, Method::kFiniteDifference, 1, 2, 12,
@@ -240,8 +243,8 @@ TEST(ProcessSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   options.faults = "kill:rank=1,step=2";
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 50,
-                       workdir, options);
+    run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                      50, workdir, options);
     FAIL() << "supervisor returned despite a dead rank and zero budget";
   } catch (const ProcessRunError& e) {
     bool saw_rank1 = false;
@@ -277,8 +280,9 @@ TEST(ProcessSupervisor, TornDumpIsNeverCommittedAndRecoveryIsBitwise) {
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "torn_dump:rank=0,epoch=1";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   expect_matches_serial(mask, p, Method::kLatticeBoltzmann, 2, 1, 12,
                         workdir);
@@ -294,8 +298,9 @@ TEST(ProcessSupervisor, SlowConnectingRankIsToleratedWithoutRestart) {
   const std::string workdir = make_workdir("slow");
   ProcessRunOptions options;
   options.faults = "delay_connect:rank=1,ms=300";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 8, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 8, workdir,
+      options);
   EXPECT_EQ(r.restarts, 0);
   expect_matches_serial(mask, p, Method::kLatticeBoltzmann, 2, 2, 8,
                         workdir);
@@ -335,8 +340,9 @@ TEST(ProcessLiveness, HungRankIsDetectedAndSurgicallyRestartedBitwise) {
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=1,step=7";
   options.liveness.heartbeat_floor_ms = 400;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1) << events_string(r);
   EXPECT_EQ(r.final_step, 12);
   EXPECT_GE(r.committed_epoch, 0);
@@ -387,8 +393,9 @@ TEST(ProcessLiveness, MutedRankIsFlaggedAndRecoveryIsBitwise) {
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=0,step=6;mute:rank=2,step=2";
   options.liveness.heartbeat_floor_ms = 400;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 3, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1) << events_string(r);  // one recovery for both
   EXPECT_EQ(r.final_step, 12);
   EXPECT_EQ(r.processes, 3);
@@ -417,8 +424,9 @@ TEST(ProcessLiveness, HardHangEscalatesToSigkillAndStillRecovers) {
   options.faults = "hang:rank=1,step=5,hard=1";
   options.liveness.heartbeat_floor_ms = 400;
   options.liveness.grace_ms = 300;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 10, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1) << events_string(r);
   EXPECT_EQ(r.forks, 3);
   EXPECT_EQ(count_events(r, "hang_detected", 1), 1);
@@ -444,8 +452,8 @@ TEST(ProcessLiveness, HangWithZeroBudgetFailsNamingTheHungRank) {
   options.liveness.heartbeat_floor_ms = 300;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 50,
-                       workdir, options);
+    run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                      50, workdir, options);
     FAIL() << "supervisor returned despite a hung rank and zero budget";
   } catch (const ProcessRunError& e) {
     bool saw_rank1 = false;
@@ -483,8 +491,9 @@ TEST(ProcessLiveness, PutDownRankKeepsItsPreHangTelemetry) {
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=1,step=7";
   options.liveness.heartbeat_floor_ms = 400;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1) << events_string(r);
   // rank 1 ran 7 steps, hung, was put down, then replayed steps 5..12
   // from epoch 0 (step 4).  Harvest + final stream = 7 + 8 = 15 counted
@@ -512,8 +521,9 @@ TEST(ProcessRuntime, TelemetrySummaryStatsAndTrace) {
   ProcessRunOptions options;
   options.trace = 1;  // force tracing, regardless of SUBSONIC_TRACE
   options.checkpoint_interval = 4;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, workdir,
+      options);
 
   // Satellite: per-rank WorkerStats reconstructed from the JSONL streams.
   ASSERT_EQ(r.rank_stats.size(), 4u);
@@ -576,8 +586,9 @@ TEST(ProcessSupervisor, CommitsEpochsAndCollectsOldOnes) {
   const std::string workdir = make_workdir("epochs");
   ProcessRunOptions options;
   options.checkpoint_interval = 2;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 10, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, workdir,
+      options);
   // Checkpoints at steps 2,4,6,8 -> epochs 0..3 (step 10 is the final
   // legacy dump, not an epoch).
   EXPECT_EQ(r.committed_epoch, 3);

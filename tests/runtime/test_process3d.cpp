@@ -1,9 +1,9 @@
 // The supervised process runtime in three dimensions: the same Cohort
-// pipeline as 2D (run_supervised<3> behind run_multiprocess3d), so the
+// pipeline as 2D (run_supervised<3>), so the
 // whole fault-tolerance contract — kill/respawn from the newest committed
 // epoch, torn dumps never committed, fail-fast on an exhausted budget —
 // must hold with 3D subdomains and D3Q15 state.  Mirrors test_process2d.
-#include "src/runtime/process3d.hpp"
+#include "src/runtime/supervisor.hpp"
 
 #include <cerrno>
 #include <sys/stat.h>
@@ -20,9 +20,7 @@
 
 #include "src/decomp/decomposition.hpp"
 #include "src/io/checkpoint.hpp"
-#include "src/runtime/process2d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -51,7 +49,7 @@ Mask3D closed_box3d(int nx, int ny, int nz, int ghost) {
 void expect_matches_serial3d(const Mask3D& mask, const FluidParams& p,
                              Method method, int jx, int jy, int jz,
                              int steps, const std::string& workdir) {
-  SerialDriver3D serial(mask, p, method);
+  SerialDriver<3> serial(mask, p, method);
   serial.run(steps);
   const Decomposition3D d(mask.extents(), jx, jy, jz);
   const int ghost = required_ghost(method, p.filter_eps > 0.0);
@@ -82,8 +80,8 @@ TEST(Process3DRuntime, ForkedProcessesMatchSerialBitwise) {
   const Mask3D mask = closed_box3d(nx, ny, nz, 1);
 
   const std::string workdir = make_workdir("equiv");
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 1, 10, workdir);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 10, workdir, {});
   EXPECT_EQ(r.processes, 4);
   EXPECT_EQ(r.final_step, 10);
   expect_matches_serial3d(mask, p, Method::kLatticeBoltzmann, 2, 2, 1, 10,
@@ -95,10 +93,10 @@ TEST(Process3DRuntime, RepeatedCallsResumeFromTheDumps) {
   p.dt = 1.0;
   const Mask3D mask = closed_box3d(14, 10, 8, 1);
   const std::string workdir = make_workdir("resume");
-  run_multiprocess3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 5,
-                     workdir);
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 5, workdir);
+  run_supervised<3>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 5,
+                    workdir, {});
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 5, workdir, {});
   EXPECT_EQ(r.final_step, 10);
   expect_matches_serial3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 10,
                           workdir);
@@ -112,8 +110,9 @@ TEST(Process3DSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   EXPECT_GE(r.committed_epoch, 0);  // epoch 0 (step 4) survived the crash
@@ -130,8 +129,9 @@ TEST(Process3DSupervisor, KilledRankRestartsFromNewestEpochBitwiseFD) {
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "kill:rank=0,step=8";
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kFiniteDifference, 1, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kFiniteDifference, GridShape{1, 2, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
   expect_matches_serial3d(mask, p, Method::kFiniteDifference, 1, 2, 1, 12,
@@ -146,8 +146,9 @@ TEST(Process3DSupervisor, TornDumpIsNeverCommittedAndRecoveryIsBitwise) {
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "torn_dump:rank=0,epoch=1";
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   expect_matches_serial3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 12,
                           workdir);
@@ -164,8 +165,8 @@ TEST(Process3DSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   options.faults = "kill:rank=1,step=2";
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    run_multiprocess3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 50,
-                       workdir, options);
+    run_supervised<3>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                      50, workdir, options);
     FAIL() << "supervisor returned despite a dead rank and zero budget";
   } catch (const ProcessRunError& e) {
     bool saw_rank1 = false;
@@ -201,8 +202,9 @@ TEST(Process3DSupervisor, HungRankIsSurgicallyRestartedBitwise) {
   options.checkpoint_interval = 3;
   options.faults = "hang:rank=1,step=5";
   options.liveness.heartbeat_floor_ms = 400;
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 10, workdir, options);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 10);
   EXPECT_EQ(r.forks, 3);  // 2 spawns + 1 surgical respawn
@@ -232,8 +234,8 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   mask2.fill_box({0, 17, 24, 18}, NodeType::kWall);
   mask2.fill_box({0, 0, 1, 18}, NodeType::kWall);
   mask2.fill_box({23, 0, 24, 18}, NodeType::kWall);
-  run_multiprocess2d(mask2, p2, Method::kLatticeBoltzmann, 2, 1, 6,
-                     workdir);
+  run_supervised<2>(mask2, p2, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6,
+                    workdir, {});
   {
     const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");
     ASSERT_EQ(info.dim, 2);  // the poison is in place
@@ -242,8 +244,8 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   FluidParams p;
   p.dt = 1.0;
   const Mask3D mask = closed_box3d(14, 10, 8, 1);
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 8, workdir);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8, workdir, {});
   // A resume from the 2D dumps would have reported final_step == 14.
   EXPECT_EQ(r.final_step, 8);
   const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");

@@ -13,10 +13,8 @@
 #include <string>
 
 #include "src/runtime/gather.hpp"
-#include "src/runtime/process2d.hpp"
-#include "src/runtime/process3d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
+#include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -44,7 +42,7 @@ Mask2D closed_box(int nx, int ny, int ghost) {
 void expect_blocked_matches_serial(const Mask2D& mask, const FluidParams& p,
                                    Method method, int block_side, int steps,
                                    const std::string& workdir) {
-  SerialDriver2D serial(mask, p, method);
+  SerialDriver<2> serial(mask, p, method);
   serial.run(steps);
   const GatheredFields2D g =
       gather_fields2d_blocked(mask, p, method, 2, 2, block_side, workdir);
@@ -65,8 +63,9 @@ TEST(BlockedProcessRuntime, ForkedBlockedRunMatchesSerialBitwise) {
   const std::string workdir = make_workdir("equiv");
   ProcessRunOptions options;
   options.block_side = 8;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.final_step, 12);
   EXPECT_GT(r.blocks, 4);  // genuinely over-decomposed
   EXPECT_EQ(r.block_owner.size(), static_cast<size_t>(r.blocks));
@@ -83,10 +82,11 @@ TEST(BlockedProcessRuntime, RepeatedCallsResumeFromTheBlockDumps) {
   const std::string workdir = make_workdir("resume");
   ProcessRunOptions options;
   options.block_side = 8;
-  run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 2, 6, workdir,
-                     options);
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 6, workdir, options);
+  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 6,
+                    workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 6, workdir,
+      options);
   EXPECT_EQ(r.final_step, 12);
   expect_blocked_matches_serial(mask, p, Method::kLatticeBoltzmann, 8, 12,
                                 workdir);
@@ -101,10 +101,11 @@ TEST(BlockedProcessRuntime, ThreeDimensionalBlockedRunMatchesSerialBitwise) {
   const std::string workdir = make_workdir("equiv3d");
   ProcessRunOptions options;
   options.block_side = 6;
-  const ProcessRunResult r = run_multiprocess3d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 6, workdir, options);
+  const ProcessRunResult r = run_supervised<3>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6, workdir,
+      options);
   EXPECT_EQ(r.final_step, 6);
-  SerialDriver3D serial(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(6);
   const GatheredFields3D g = gather_fields3d_blocked(
       mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 6, workdir);
@@ -130,8 +131,9 @@ TEST(BlockedProcessRuntime, OverlapExchangeWaitsFeedTheCommHistogram) {
   ProcessRunOptions options;
   options.block_side = 8;
   const int steps = 9;  // LB: one exchange per step
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, steps, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, steps, workdir,
+      options);
   ASSERT_EQ(r.rank_metrics.size(), 2u);
   for (const telemetry::RankMetrics& rm : r.rank_metrics) {
     const auto it = rm.histograms.find("comm.exchange");
@@ -147,8 +149,8 @@ TEST(BlockedProcessRuntime, RebalancingRequiresTheBlockedRuntime) {
   const std::string workdir = make_workdir("guard");
   ProcessRunOptions options;
   options.rebalance_interval = 4;  // but block_side = 0: monolithic
-  EXPECT_THROW(run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1, 4,
-                                  workdir, options),
+  EXPECT_THROW(run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
+                                 GridShape{2, 1, 1}, 4, workdir, options),
                contract_error);
 }
 
@@ -166,8 +168,9 @@ TEST(BlockedProcessRuntime, SlowRankTriggersRebalanceAndStaysBitwise) {
   options.rebalance_interval = 8;
   options.rebalance_threshold = 1.3;
   options.faults = "slow:rank=0,permille=3000";  // rank 0 at 1/4 speed
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 24, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 24, workdir,
+      options);
   EXPECT_EQ(r.final_step, 24);
   EXPECT_EQ(r.restarts, 0);  // segments are clean exits, not crashes
   ASSERT_GE(r.rebalances.size(), 1u);
@@ -206,8 +209,9 @@ TEST(BlockedProcessRuntime, HungRankRecoversSurgicallyAndStaysBitwise) {
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=1,step=7";
   options.liveness.heartbeat_floor_ms = 400;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.final_step, 12);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.forks, 5);  // 4 spawns + 1 surgical respawn
@@ -241,8 +245,9 @@ TEST(BlockedProcessRuntime, KillAfterRebalanceRestoresFromCommittedEpoch) {
   options.rebalance_threshold = 1.3;
   // Segment cohorts are generations 0,1,2,... — gen 2 is steps 12..18.
   options.faults = "slow:rank=0,permille=3000;kill:rank=1,step=16,gen=2";
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 2, 24, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 24, workdir,
+      options);
   EXPECT_EQ(r.final_step, 24);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_GE(r.rebalances.size(), 1u);

@@ -3,9 +3,8 @@
 #include <cmath>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/serial2d.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {
@@ -14,7 +13,7 @@ TEST(SerialDriver2D, StepCounterAdvances) {
   Mask2D mask(Extents2{8, 8}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   EXPECT_EQ(drv.domain().step(), 0);
   drv.run(5);
   EXPECT_EQ(drv.domain().step(), 5);
@@ -26,7 +25,7 @@ TEST(SerialDriver2D, PeriodicWrapFillsGhosts) {
   Mask2D mask(Extents2{8, 6}, 1);
   FluidParams p;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   Domain2D& d = drv.domain();
   for (int y = 0; y < 6; ++y)
     for (int x = 0; x < 8; ++x) d.rho()(x, y) = 10.0 * x + y;
@@ -45,7 +44,7 @@ TEST(SerialDriver2D, NonPeriodicGhostsKeepStatics) {
   Mask2D mask(Extents2{6, 6}, 1);
   FluidParams p;
   p.rho0 = 1.5;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   EXPECT_DOUBLE_EQ(drv.domain().rho()(-1, 3), 1.5);
   EXPECT_DOUBLE_EQ(drv.domain().vx()(6, 3), 0.0);
 }
@@ -54,7 +53,7 @@ TEST(SerialDriver2D, ReinitializeReseedsLbPopulations) {
   Mask2D mask(Extents2{6, 6}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   drv.domain().vx()(3, 3) = 0.05;
   drv.reinitialize();
   // Population 1 (toward +x) should now exceed population 3 (toward -x).
@@ -65,7 +64,7 @@ TEST(SerialDriver3D, PeriodicWrapFillsGhostCorners) {
   Mask3D mask(Extents3{4, 4, 4}, 1);
   FluidParams p;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   Domain3D& d = drv.domain();
   for (int z = 0; z < 4; ++z)
     for (int y = 0; y < 4; ++y)
@@ -82,7 +81,7 @@ TEST(SerialDriver3D, StepCounterAdvances) {
   Mask3D mask(Extents3{5, 5, 5}, 1);
   FluidParams p;
   p.dt = 1.0;
-  SerialDriver3D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(4);
   EXPECT_EQ(drv.domain().step(), 4);
 }
@@ -92,7 +91,8 @@ TEST(WorkerStats, AccumulateAcrossRuns) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   drv.run(10);
   const double after10 = drv.stats(0).compute_s;
   EXPECT_GT(after10, 0.0);
@@ -109,7 +109,8 @@ TEST(WorkerStats, InactiveRankHasNoStats) {
   mask.fill_box({0, 0, 10, 10}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 3, 1);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{3, 1, 1}, 0);
   EXPECT_THROW(drv.stats(0), contract_error);
   EXPECT_NO_THROW(drv.stats(1));
 }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "src/comm/http_status.hpp"
-#include "src/runtime/process2d.hpp"
+#include "src/runtime/supervisor.hpp"
 #include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
 
@@ -252,8 +252,8 @@ TEST(ProcessStatusEndpoint, ServesLiveDocumentsThroughAHardHang) {
   std::string run_error;
   std::thread runner([&] {
     try {
-      result = run_multiprocess2d(mask, p, Method::kLatticeBoltzmann, 2, 1,
-                                  10, workdir, options);
+      result = run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
+                                 GridShape{2, 1, 1}, 10, workdir, options);
     } catch (const std::exception& e) {
       run_error = e.what();
     }
@@ -338,8 +338,9 @@ TEST(ProcessStatusEndpoint, KilledRankContributesItsFlushedPrefixAsPartial) {
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
   options.metrics_flush_interval = 1;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 12, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.final_step, 12);
 
@@ -375,8 +376,9 @@ TEST(ProcessStatusEndpoint, DisabledByDefaultLeavesNoPortFile) {
   p.dt = 1.0;
   const std::string workdir = make_workdir("off");
   ProcessRunOptions options;
-  const ProcessRunResult r = run_multiprocess2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, 6, workdir, options);
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6, workdir,
+      options);
   EXPECT_EQ(r.final_step, 6);
   std::ifstream port_file(workdir + "/status.port");
   EXPECT_FALSE(port_file.good());

@@ -9,9 +9,8 @@
 #include <unistd.h>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/parallel2d.hpp"
-#include "src/runtime/parallel3d.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/runtime/sync_file.hpp"
 
 namespace subsonic {
@@ -81,7 +80,8 @@ TEST(RunUntilSync, StopsEveryWorkerAtTheSameStep) {
   mask.fill_box({0, 0, 1, 32}, NodeType::kWall);
   mask.fill_box({47, 0, 48, 32}, NodeType::kWall);
 
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 3, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{3, 2, 1}, 0);
   SyncFile sync(tmp_sync("drv"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -97,10 +97,10 @@ TEST(RunUntilSync, StopsEveryWorkerAtTheSameStep) {
   EXPECT_LT(ran, 100000);  // the request actually cut the run short
   // All subdomains paused at the same integration step.
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (!drv.is_active(r)) continue;
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (!drv.blocks().block_active(r)) continue;
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
 }
@@ -110,7 +110,8 @@ TEST(RunUntilSync, WithoutRequestRunsToCompletion) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   SyncFile sync(tmp_sync("none"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -127,7 +128,8 @@ TEST(RunUntilSync, StaleSyncFileRecordsDoNotWedgeAFreshRun) {
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
-  ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   SyncFile sync(tmp_sync("stale"));
   sync.clear();
   sync.announce(0, 3);  // a full stale quorum from a previous round
@@ -144,12 +146,21 @@ TEST(RunUntilSync, StaleSyncFileRecordsDoNotWedgeAFreshRun) {
   EXPECT_GT(ran, 0);
   EXPECT_LT(ran, 100000);
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (!drv.is_active(r)) continue;
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (!drv.blocks().block_active(r)) continue;
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
+}
+
+/// A smooth density perturbation in global coordinates, so every layout
+/// starts from the same state.
+void seed(Domain2D& d, Box2 box) {
+  for (int y = 0; y < d.ny(); ++y)
+    for (int x = 0; x < d.nx(); ++x)
+      d.rho()(x, y) =
+          1.0 + 0.02 * std::sin(0.3 * (box.x0 + x) + 0.2 * (box.y0 + y));
 }
 
 TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
@@ -162,21 +173,16 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = true;
 
-  auto seed = [](Domain2D& d, Box2 box) {
-    for (int y = 0; y < d.ny(); ++y)
-      for (int x = 0; x < d.nx(); ++x)
-        d.rho()(x, y) =
-            1.0 + 0.02 * std::sin(0.3 * (box.x0 + x) + 0.2 * (box.y0 + y));
-  };
-
-  ParallelDriver2D straight(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> straight(mask, p, Method::kLatticeBoltzmann,
+                            GridShape{2, 2, 1}, 0);
   for (int r = 0; r < 4; ++r)
-    seed(straight.subdomain(r), straight.decomposition().box(r));
+    seed(straight.block_domain(r), straight.blocks().box(r));
   straight.reinitialize();
 
-  ParallelDriver2D before(mask, p, Method::kLatticeBoltzmann, 2, 2);
+  BlockedDriver<2> before(mask, p, Method::kLatticeBoltzmann,
+                          GridShape{2, 2, 1}, 0);
   for (int r = 0; r < 4; ++r)
-    seed(before.subdomain(r), before.decomposition().box(r));
+    seed(before.block_domain(r), before.blocks().box(r));
   before.reinitialize();
 
   SyncFile sync(tmp_sync("mig"));
@@ -190,12 +196,13 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   trigger.join();
 
   // A directory of its own: other suites, which ctest may run at the
-  // same time, checkpoint rank_<r>.dump files into TempDir() too.
+  // same time, checkpoint block_<b>.dump files into TempDir() too.
   const std::string dir = tmp_sync("mig_ckpt");
   ::mkdir(dir.c_str(), 0755);
-  before.save_checkpoint(dir);
-  ParallelDriver2D after(mask, p, Method::kLatticeBoltzmann, 2, 2);
-  after.restore_checkpoint(dir);
+  before.save_blocks(dir);
+  BlockedDriver<2> after(mask, p, Method::kLatticeBoltzmann,
+                         GridShape{2, 2, 1}, 0);
+  after.restore_blocks(dir);
 
   const int total = ran + 40;
   straight.run(total);
@@ -208,12 +215,68 @@ TEST(RunUntilSync, MigrationSequenceMatchesUninterruptedRun) {
   sync.clear();
 }
 
+TEST(RunUntilSync, SeveralBlocksPerRankStopTogetherAndResumeBitwise) {
+  // Appendix B on an over-decomposed layout: the blocks of both ranks
+  // stop at one step, and the save + restore on a fresh driver continues
+  // bit-identically to an uninterrupted run.
+  Mask2D mask(Extents2{36, 24}, 1);
+  mask.fill_box({10, 8, 14, 12}, NodeType::kWall);
+  FluidParams p;
+  p.dt = 1.0;
+  p.periodic_x = p.periodic_y = true;
+  const GridShape grid{2, 1, 1};
+  const int side = 8;
+
+  BlockedDriver<2> straight(mask, p, Method::kLatticeBoltzmann, grid, side);
+  BlockedDriver<2> before(mask, p, Method::kLatticeBoltzmann, grid, side);
+  ASSERT_GE(before.blocks().blocks_of(0).size(), 4u);
+  ASSERT_GE(before.blocks().blocks_of(1).size(), 4u);
+  for (BlockedDriver<2>* drv : {&straight, &before}) {
+    for (int b = 0; b < drv->blocks().block_count(); ++b)
+      if (drv->blocks().block_active(b))
+        seed(drv->block_domain(b), drv->blocks().box(b));
+    drv->reinitialize();
+  }
+
+  SyncFile sync(tmp_sync("blocked"));
+  std::atomic<bool> request{false};
+  std::thread trigger([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    request.store(true);
+  });
+  const int ran = before.run_until_sync(100000, request, sync);
+  trigger.join();
+  EXPECT_GT(ran, 0);
+  EXPECT_LT(ran, 100000);
+  for (int b = 0; b < before.blocks().block_count(); ++b) {
+    if (!before.blocks().block_active(b)) continue;
+    EXPECT_EQ(before.block_domain(b).step(), ran) << "block " << b;
+  }
+
+  const std::string dir = tmp_sync("blocked_ckpt");
+  ::mkdir(dir.c_str(), 0755);
+  before.save_blocks(dir);
+  BlockedDriver<2> after(mask, p, Method::kLatticeBoltzmann, grid, side);
+  after.restore_blocks(dir);
+  straight.run(ran + 20);
+  after.run(20);
+
+  for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy}) {
+    const auto a = straight.gather(id);
+    const auto b = after.gather(id);
+    for (int y = 0; y < 24; ++y)
+      for (int x = 0; x < 36; ++x) ASSERT_EQ(a(x, y), b(x, y));
+  }
+  sync.clear();
+}
+
 TEST(RunUntilSync3D, StopsEveryWorkerAtTheSameStep) {
   Mask3D mask(Extents3{16, 12, 10}, 1);
   FluidParams p;
   p.dt = 1.0;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  ParallelDriver3D drv(mask, p, Method::kLatticeBoltzmann, 2, 2, 1);
+  BlockedDriver<3> drv(mask, p, Method::kLatticeBoltzmann,
+                       GridShape{2, 2, 1}, 0);
   SyncFile sync(tmp_sync("drv3d"));
   sync.clear();
   std::atomic<bool> request{false};
@@ -226,9 +289,9 @@ TEST(RunUntilSync3D, StopsEveryWorkerAtTheSameStep) {
   EXPECT_GT(ran, 0);
   EXPECT_LT(ran, 1000000);
   long step0 = -1;
-  for (int r = 0; r < drv.decomposition().rank_count(); ++r) {
-    if (step0 < 0) step0 = drv.subdomain(r).step();
-    EXPECT_EQ(drv.subdomain(r).step(), step0);
+  for (int r = 0; r < drv.blocks().block_count(); ++r) {
+    if (step0 < 0) step0 = drv.block_domain(r).step();
+    EXPECT_EQ(drv.block_domain(r).step(), step0);
   }
   sync.clear();
 }
@@ -238,7 +301,8 @@ TEST(RunUntilSync3D, WithoutRequestRunsToCompletion) {
   FluidParams p;
   p.dt = 0.3;
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  ParallelDriver3D drv(mask, p, Method::kFiniteDifference, 2, 1, 2);
+  BlockedDriver<3> drv(mask, p, Method::kFiniteDifference,
+                       GridShape{2, 1, 2}, 0);
   SyncFile sync(tmp_sync("none3d"));
   sync.clear();
   std::atomic<bool> request{false};

@@ -6,7 +6,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 
 namespace subsonic {
@@ -23,7 +23,7 @@ TEST(Fd2D, UniformStateIsAFixedPoint) {
   Mask2D mask(Extents2{16, 16}, 1);
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   drv.run(20);
   EXPECT_NEAR(max_abs(drv.domain().vx()), 0.0, 1e-15);
   EXPECT_NEAR(max_abs(drv.domain().vy()), 0.0, 1e-15);
@@ -38,7 +38,7 @@ TEST(Fd2D, PeriodicMassConservation) {
   Mask2D mask(Extents2{n, n}, 1);
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   Domain2D& d = drv.domain();
   for (int y = 0; y < n; ++y)
     for (int x = 0; x < n; ++x) {
@@ -57,7 +57,7 @@ TEST(Fd2D, ShearWaveDecaysAtViscousRate) {
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = true;
   p.nu = 0.05;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   Domain2D& d = drv.domain();
   const double amp = 0.01;
   for (int y = 0; y < n; ++y)
@@ -83,7 +83,7 @@ TEST(Fd2D, ForcedChannelReachesPoiseuilleProfile) {
   const ChannelWalls w = channel_walls(Method::kFiniteDifference, ny);
   const double peak = 0.05;
   p.force_x = poiseuille_force_for_peak(peak, w, p.nu);
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   drv.run(20000);
   const Domain2D& d = drv.domain();
   // Centered differences represent the parabola exactly, so the steady
@@ -107,7 +107,7 @@ TEST(Fd2D, AcousticPulsePropagatesAtTheSpeedOfSound) {
   p.periodic_x = p.periodic_y = true;
   p.nu = 0.002;
   p.dt = 0.25;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   Domain2D& d = drv.domain();
   for (int y = 0; y < 9; ++y)
     for (int x = 0; x < n; ++x) {
@@ -139,7 +139,7 @@ TEST(Fd2D, BodyForceAcceleratesUniformFluid) {
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = true;
   p.force_x = 1e-3;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   drv.run(100);
   const double expected = p.force_x * 100 * p.dt;
   for (int y = 0; y < 8; ++y)
@@ -152,7 +152,7 @@ TEST(Fd2D, WallsRemainAtRest) {
   FluidParams p = fd_params();
   p.periodic_x = true;
   p.force_x = 1e-4;
-  SerialDriver2D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<2> drv(mask, p, Method::kFiniteDifference);
   drv.run(500);
   const Domain2D& d = drv.domain();
   for (int x = 0; x < 12; ++x) {

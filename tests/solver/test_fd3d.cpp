@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 
 namespace subsonic {
@@ -22,7 +22,7 @@ TEST(Fd3D, UniformStateIsAFixedPoint) {
   Mask3D mask(Extents3{8, 8, 8}, 1);
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   drv.run(20);
   for (int z = 0; z < 8; ++z)
     for (int y = 0; y < 8; ++y)
@@ -37,7 +37,7 @@ TEST(Fd3D, PeriodicMassConservation) {
   Mask3D mask(Extents3{n, n, n}, 1);
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   Domain3D& d = drv.domain();
   for (int z = 0; z < n; ++z)
     for (int y = 0; y < n; ++y)
@@ -63,7 +63,7 @@ TEST(Fd3D, ShearWaveDecaysAtViscousRate) {
   Mask3D mask(Extents3{n, n, 4}, 1);
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   Domain3D& d = drv.domain();
   const double amp = 0.01;
   for (int z = 0; z < 4; ++z)
@@ -86,7 +86,7 @@ TEST(Fd3D, BodyForceAcceleratesUniformFluid) {
   FluidParams p = fd_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
   p.force_z = 2e-3;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   drv.run(50);
   const double expected = p.force_z * 50 * p.dt;
   for (int z = 0; z < 6; ++z)
@@ -102,7 +102,7 @@ TEST(Fd3D, ForcedDuctProfileIsSymmetricAndPinnedAtWalls) {
   p.periodic_x = true;
   p.nu = 0.1;
   p.force_x = 1e-4;
-  SerialDriver3D drv(mask, p, Method::kFiniteDifference);
+  SerialDriver<3> drv(mask, p, Method::kFiniteDifference);
   drv.run(3000);
   const Domain3D& d = drv.domain();
   EXPECT_GT(d.vx()(2, ny / 2, nz / 2), 0.0);

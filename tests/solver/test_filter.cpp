@@ -6,7 +6,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 
 namespace subsonic {
 namespace {

@@ -7,7 +7,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/lbm2d.hpp"
 
 namespace subsonic {
@@ -47,7 +47,7 @@ TEST_P(ConservationSweep, PeriodicMassIsConserved) {
   p.nu = c.nu;
   p.filter_eps = c.filter_eps;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, c.method);
+  SerialDriver<2> drv(mask, p, c.method);
   Domain2D& d = drv.domain();
   for (int y = 0; y < c.ny; ++y)
     for (int x = 0; x < c.nx; ++x) {
@@ -77,7 +77,7 @@ TEST_P(ConservationSweep, VelocitiesStayBoundedBySoundSpeed) {
   p.nu = c.nu;
   p.filter_eps = c.filter_eps;
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, c.method);
+  SerialDriver<2> drv(mask, p, c.method);
   Domain2D& d = drv.domain();
   for (int y = 0; y < c.ny; ++y)
     for (int x = 0; x < c.nx; ++x)
@@ -127,7 +127,7 @@ TEST_P(TauSweep, StableAndConservative) {
   p.nu = nu;
   p.periodic_x = p.periodic_y = true;
   EXPECT_NEAR(p.lb_tau(), GetParam(), 1e-12);
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   Domain2D& d = drv.domain();
   for (int y = 0; y < 20; ++y)
     for (int x = 0; x < 20; ++x)

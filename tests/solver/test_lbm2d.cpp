@@ -6,7 +6,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial2d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/util/rng.hpp"
 
@@ -102,7 +102,7 @@ TEST(Lbm2D, UniformStateIsAFixedPoint) {
   Mask2D mask(Extents2{16, 16}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(10);
   EXPECT_NEAR(max_abs(drv.domain().vx()), 0.0, 1e-15);
   EXPECT_NEAR(max_abs(drv.domain().vy()), 0.0, 1e-15);
@@ -115,7 +115,7 @@ TEST(Lbm2D, PeriodicMassConservation) {
   Mask2D mask(Extents2{32, 32}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   // Smooth random-ish perturbation.
   Domain2D& d = drv.domain();
   for (int y = 0; y < 32; ++y)
@@ -134,7 +134,7 @@ TEST(Lbm2D, PeriodicMomentumConservationWithoutForce) {
   Mask2D mask(Extents2{24, 24}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = true;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   Domain2D& d = drv.domain();
   for (int y = 0; y < 24; ++y)
     for (int x = 0; x < 24; ++x)
@@ -161,7 +161,7 @@ TEST(Lbm2D, ClosedBoxMassStaysBounded) {
   mask.fill_box({0, 0, 1, 20}, NodeType::kWall);
   mask.fill_box({19, 0, 20, 20}, NodeType::kWall);
   FluidParams p = lb_params();
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   Domain2D& d = drv.domain();
   for (int y = 1; y < 19; ++y)
     for (int x = 1; x < 19; ++x)
@@ -179,7 +179,7 @@ TEST(Lbm2D, ShearWaveDecaysAtViscousRate) {
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = true;
   p.nu = 0.05;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   Domain2D& d = drv.domain();
   const double amp = 0.01;
   for (int y = 0; y < n; ++y)
@@ -206,7 +206,7 @@ TEST(Lbm2D, ForcedChannelReachesPoiseuilleProfile) {
   const ChannelWalls w = channel_walls(Method::kLatticeBoltzmann, ny);
   const double peak = 0.05;
   p.force_x = poiseuille_force_for_peak(peak, w, p.nu);
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(4000);
   const Domain2D& d = drv.domain();
   double worst = 0;
@@ -223,7 +223,7 @@ TEST(Lbm2D, FlowIsTranslationInvariantAlongPeriodicAxis) {
   FluidParams p = lb_params();
   p.periodic_x = true;
   p.force_x = 1e-4;
-  SerialDriver2D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<2> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(100);
   const Domain2D& d = drv.domain();
   for (int y = 0; y < ny; ++y)

@@ -6,7 +6,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
-#include "src/runtime/serial3d.hpp"
+#include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/util/rng.hpp"
 
@@ -106,7 +106,7 @@ TEST(Lbm3D, UniformStateIsAFixedPoint) {
   Mask3D mask(Extents3{8, 8, 8}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(10);
   for (int z = 0; z < 8; ++z)
     for (int y = 0; y < 8; ++y)
@@ -121,7 +121,7 @@ TEST(Lbm3D, PeriodicMassConservation) {
   Mask3D mask(Extents3{n, n, n}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> drv(mask, p, Method::kLatticeBoltzmann);
   Domain3D& d = drv.domain();
   for (int z = 0; z < n; ++z)
     for (int y = 0; y < n; ++y)
@@ -148,7 +148,7 @@ TEST(Lbm3D, ShearWaveDecaysAtViscousRate) {
   Mask3D mask(Extents3{n, n, 4}, 1);
   FluidParams p = lb_params();
   p.periodic_x = p.periodic_y = p.periodic_z = true;
-  SerialDriver3D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> drv(mask, p, Method::kLatticeBoltzmann);
   Domain3D& d = drv.domain();
   const double amp = 0.01;
   for (int z = 0; z < 4; ++z)
@@ -176,7 +176,7 @@ TEST(Lbm3D, ForcedDuctDevelopsHagenPoiseuilleLikeProfile) {
   p.periodic_x = true;
   p.nu = 0.1;
   p.force_x = 1e-4;
-  SerialDriver3D drv(mask, p, Method::kLatticeBoltzmann);
+  SerialDriver<3> drv(mask, p, Method::kLatticeBoltzmann);
   drv.run(2000);
   const Domain3D& d = drv.domain();
   const double centre = d.vx()(2, ny / 2, nz / 2);

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/runtime/parallel2d.hpp"
+#include "src/runtime/blocked_driver.hpp"
 #include "src/telemetry/summary.hpp"
 
 namespace subsonic {
@@ -440,7 +440,8 @@ TEST(Session, TracingDoesNotPerturbSimulationResults) {
     p.dt = 1.0;
     p.nu = 0.02;
     p.periodic_x = p.periodic_y = true;
-    ParallelDriver2D drv(mask, p, Method::kLatticeBoltzmann, 2, 2);
+    BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
+                         GridShape{2, 2, 1}, 0);
     drv.run(12);
     return std::make_pair(drv.gather(FieldId::kRho),
                           drv.gather(FieldId::kVx));
