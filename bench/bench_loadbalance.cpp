@@ -107,10 +107,11 @@ Result run_arm(const Arm& arm, const Mask2D& mask, long fluid_cells,
   res.name = arm.name;
   double sum = 0;
   int loaded = 0;
-  for (const WorkerStats& ws : r.rank_stats) {
-    if (ws.compute_s <= 0) continue;
-    res.max_t_calc_s = std::max(res.max_t_calc_s, ws.compute_s);
-    sum += ws.compute_s;
+  for (const telemetry::RankMetrics& rm : r.rank_metrics) {
+    const double t_calc = rm.t_calc();
+    if (t_calc <= 0) continue;
+    res.max_t_calc_s = std::max(res.max_t_calc_s, t_calc);
+    sum += t_calc;
     ++loaded;
   }
   res.mean_t_calc_s = loaded > 0 ? sum / loaded : 0;

@@ -3,7 +3,8 @@
 //
 //   block_<b>.dump           final state of each block (one per rank
 //                            unless blocks > 0)
-//   rank_<r>.metrics.jsonl   per-rank counters / gauges / phase timers
+//   rank_<r>.metrics.jsonl   per-rank snapshot of counters / gauges /
+//                            phase timers / histograms
 //   rank_<r>.trace.json      per-rank Chrome trace
 //   trace.json               merged trace (load in a Chrome-trace viewer:
 //                            one track per rank, spans per phase)
@@ -57,10 +58,9 @@ int main(int argc, char** argv) {
 
   std::printf("ran %d processes to step %ld (%d restart(s))\n",
               result.processes, result.final_step, result.restarts);
-  for (size_t r = 0; r < result.rank_stats.size(); ++r)
-    std::printf("  rank %zu: T_calc %.4fs  T_com %.4fs  g %.3f\n", r,
-                result.rank_stats[r].compute_s, result.rank_stats[r].comm_s,
-                result.rank_stats[r].utilization());
+  for (const telemetry::RankMetrics& rm : result.rank_metrics)
+    std::printf("  rank %d: T_calc %.4fs  T_com %.4fs  g %.3f\n", rm.rank,
+                rm.t_calc(), rm.t_com(), rm.utilization());
   std::printf("summary: %s\ntrace:   %s/trace.json\n",
               result.summary_path.c_str(), workdir.c_str());
   return 0;

@@ -21,7 +21,6 @@
 #include "src/runtime/block_set.hpp"
 #include "src/runtime/epoch_store.hpp"
 #include "src/runtime/liveness.hpp"
-#include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/util/log.hpp"
 
@@ -108,8 +107,8 @@ void handle_sigusr1(int) {
   g_rollback_sig.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// SIGTERM rescue state: the handler flushes the telemetry stream so the
-/// supervisor can harvest the work this rank did before being put down.
+/// SIGTERM rescue state: the handler publishes the metrics snapshot so
+/// the supervisor can fold the work this rank did before being put down.
 /// Deliberately not async-signal-safe — the process is about to die
 /// either way (SIGKILL follows after the grace window), so the flush is
 /// best-effort, never a correctness path.
@@ -121,7 +120,7 @@ void handle_sigterm(int) {
   if (g_term_session) {
     try {
       if (!g_term_metrics_path.empty())
-        g_term_session->write_metrics_jsonl(g_term_metrics_path);
+        g_term_session->flush_metrics_delta(g_term_metrics_path);
       if (!g_term_trace_path.empty())
         g_term_session->write_trace_json(g_term_trace_path);
     } catch (...) {
@@ -185,39 +184,13 @@ bool await_rollback_order(const ChildConfig& cfg, liveness::Emitter& hb,
   return true;
 }
 
-/// Periodic in-flight publication: append the delta records accrued since
-/// the last flush to the rank's metrics stream, then push a cumulative
-/// digest frame up the heartbeat pipe so the supervisor's live view stays
-/// current without touching the filesystem.  Both halves are best-effort
-/// and observationally inert to the physics.
-void publish_metrics(telemetry::Session* tel, liveness::Emitter& hb, int rank,
-                     const std::string& path, long done) {
-  tel->flush_metrics_delta(path);
-  if (!hb.active()) return;
-  const telemetry::RankMetrics rm =
-      telemetry::collect_rank(tel->metrics(), rank);
-  liveness::MetricsFrame mf;
-  mf.step = done;
-  mf.t_calc_s = rm.t_calc();
-  mf.t_com_s = rm.t_com();
-  mf.steps_done = rm.counter_or("steps");
-  mf.msgs_sent = rm.counter_or("transport.msgs_sent");
-  mf.doubles_sent = rm.counter_or("transport.doubles_sent");
-  const auto ce = rm.histograms.find("comm.exchange");
-  if (ce != rm.histograms.end()) {
-    mf.comm_p50_s = ce->second.quantile_s(0.50);
-    mf.comm_p95_s = ce->second.quantile_s(0.95);
-    mf.comm_p99_s = ce->second.quantile_s(0.99);
-  }
-  const auto sw = rm.histograms.find("step.wall");
-  if (sw != rm.histograms.end()) {
-    mf.step_wall_sum_s = sw->second.sum_s;
-    mf.step_wall_count = sw->second.count;
-    for (std::size_t i = 0; i < telemetry::HistogramData::kBuckets; ++i)
-      mf.step_wall_buckets[i] = static_cast<std::uint32_t>(std::min<long long>(
-          sw->second.buckets[i], 0xffffffffLL));
-  }
-  hb.emit_metrics(mf);
+/// Publishes the rank's metrics snapshot (Session::flush_metrics_delta),
+/// stamped with the last completed step for the supervisor's live view.
+/// Best-effort and observationally inert to the physics.
+void publish_metrics(telemetry::Session& tel, int rank,
+                     const std::string& path, long step) {
+  tel.metrics().gauge(rank, "step").set(static_cast<double>(step));
+  tel.flush_metrics_delta(path);
 }
 
 /// An exec-launched child cannot inherit pipe fds across hosts; instead
@@ -360,11 +333,11 @@ template <int Dim>
         hb.emit(liveness::Phase::kStep, done);
 
         // Publish before the fault checks fire: a rank killed at this very
-        // step still leaves its flushed prefix for the harvest.
+        // step still leaves this step's snapshot for the fold.
         if (rcfg.metrics_flush_interval > 0 &&
             (done - rcfg.start_step) % rcfg.metrics_flush_interval == 0)
-          publish_metrics(tel, hb, rcfg.rank,
-                          metrics_path(workdir, cfg.rank), done);
+          publish_metrics(session, rcfg.rank, metrics_path(workdir, cfg.rank),
+                          done);
 
         // A kill fault fires before this step's checkpoint work, so the
         // crash always loses whatever the stagger had not yet flushed.
@@ -455,11 +428,12 @@ template <int Dim>
       if (!await_rollback_order(cfg, hb, &round, &restore_epoch)) ::_exit(1);
     }
 
-    // The telemetry streams are this rank's half of the supervisor's
-    // run_summary.json; written last so they cover the whole cohort, and
+    // The metrics snapshot is this rank's half of the supervisor's
+    // run_summary.json; published last so it covers the whole cohort, and
     // only on a clean (or SIGTERM-rescued) exit — a SIGKILLed rank
-    // contributes only what its periodic flushes left for the harvest.
-    session.write_metrics_jsonl(metrics_path(workdir, cfg.rank));
+    // contributes only its last periodic snapshot to the fold.
+    publish_metrics(session, cfg.rank, metrics_path(workdir, cfg.rank),
+                    cfg.target_step);
     if (session.tracing())
       session.write_trace_json(rank_trace_path(workdir, cfg.rank));
     ::_exit(0);

@@ -18,7 +18,7 @@
 namespace subsonic {
 namespace cohort {
 
-/// "rank_<r>.metrics.jsonl" in `workdir`: one child's metrics stream.
+/// "rank_<r>.metrics.jsonl" in `workdir`: one child's metrics snapshot.
 std::string metrics_path(const std::string& workdir, int rank);
 
 /// "rank_<r>.trace.json" in `workdir`: one child's Chrome-trace capture.
@@ -72,9 +72,8 @@ struct ChildConfig {
   /// whose children share no file descriptors with the supervisor.
   std::string channel_endpoint;
   int beacon_interval_ms = 50;  ///< min spacing of kWait beacons
-  /// Steps between periodic telemetry publications: a delta append to the
-  /// rank's metrics stream plus a metrics frame up the heartbeat pipe.
-  /// 0 = off (final dump only, the pre-introspection behaviour).
+  /// Steps between periodic publications of the rank's metrics
+  /// snapshot.  0 = off (published at exit only).
   int metrics_flush_interval = 0;
 };
 
@@ -112,7 +111,7 @@ void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
 /// the current round (endpoint_aborted out of any blocking wait), reads
 /// the new round + restore epoch from control_fd, rebuilds its blocks
 /// from scratch and rejoins, which is bitwise identical to being
-/// re-forked.  SIGTERM flushes the telemetry stream and exits with
+/// re-forked.  SIGTERM publishes the metrics snapshot and exits with
 /// liveness::kTermAckExit.
 template <int Dim>
 [[noreturn]] void child_main(const typename DomainTraits<Dim>::Mask& mask,

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/runtime/status_board.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
 #include "src/util/fault_plan.hpp"
@@ -109,39 +108,15 @@ std::pair<int, int> Lifecycle::adopt_channels(int rank) {
   return {hb, ctl};
 }
 
-void Lifecycle::harvest_rank(int rank, bool flushed) {
-  const std::string mp = metrics_path(setup_.workdir, rank);
-  bool got = false;
-  try {
-    for (telemetry::RankMetrics& rm : telemetry::read_metrics_jsonl(mp)) {
-      if (rm.rank != rank) continue;
-      harvested_[rank].rank = rank;
-      telemetry::merge_metrics(harvested_[rank], rm);
-      got = true;
-    }
-  } catch (const std::exception&) {
-    // No flush ever happened (SIGKILL before the first periodic flush):
-    // nothing to harvest, the respawn re-counts its replayed work.
-  }
-  // A signal death never ran the exit-path dump, so whatever the
-  // periodic flushes left is a truthful prefix, not the whole story.
-  if (got && !flushed) harvested_[rank].partial = true;
-  if (got && board_) board_->on_harvest(rank, harvested_[rank]);
-  // Whatever was (or wasn't) flushed must not be double-read when the
-  // respawned rank writes its own final stream.
-  std::remove(mp.c_str());
-  if (setup_.trace_on) {
-    const std::string tp = rank_trace_path(setup_.workdir, rank);
-    std::ifstream probe(tp);
-    if (probe.good()) {
-      const std::string moved = setup_.workdir + "/rank_" +
-                                std::to_string(rank) + ".g" +
-                                std::to_string(harvested_traces_.size()) +
-                                ".trace.json";
-      std::rename(tp.c_str(), moved.c_str());
-      harvested_traces_.push_back(moved);
-    }
-  }
+void Lifecycle::harvest_trace(int rank) {
+  if (!setup_.trace_on) return;
+  const std::string tp = rank_trace_path(setup_.workdir, rank);
+  if (!std::ifstream(tp).good()) return;
+  const std::string moved = setup_.workdir + "/rank_" + std::to_string(rank) +
+                            ".g" + std::to_string(harvested_traces_.size()) +
+                            ".trace.json";
+  std::rename(tp.c_str(), moved.c_str());
+  harvested_traces_.push_back(moved);
 }
 
 void Lifecycle::fail(const std::vector<liveness::EngineFailure>& fails,

@@ -1,7 +1,7 @@
 // The cohort-lifecycle module: everything around "a rank process exists"
 // — launcher selection (fork | exec), the rendezvous service the cohort
 // coordinates through, stderr tagging, spawn-fault injection, per-round
-// registry retirement, harvest of dead ranks' telemetry, and the failure
+// registry retirement, moving dead ranks' traces aside, and the failure
 // report.  The supervisor keeps what is genuinely its own (decomposition,
 // epochs, segments, rebalancing, aggregation) and drives this object
 // through the liveness engine's hooks.
@@ -10,7 +10,6 @@
 #include <sys/types.h>
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,10 +23,6 @@
 #include "src/runtime/liveness.hpp"
 
 namespace subsonic {
-namespace liveness {
-class StatusBoard;
-}
-
 namespace cohort {
 
 class Lifecycle {
@@ -65,7 +60,6 @@ class Lifecycle {
   bool wants_spec() const { return wants_spec_; }
   const std::string& spec_path() const { return spec_path_; }
   void write_spec(const CohortSpec& spec);
-  void set_board(liveness::StatusBoard* board) { board_ = board; }
 
   /// Starts one rank process: spawn-fault check, stderr tagging pipe,
   /// channel endpoint (socket mode), then the launcher.  `entry` is the
@@ -83,9 +77,9 @@ class Lifecycle {
   /// HB and CTL channels are dialed in, bounded by the heartbeat floor.
   std::pair<int, int> adopt_channels(int rank);
 
-  /// Harvests a dead rank's flushed telemetry (and trace) before a
-  /// respawn rewrites the files; merges into harvested().
-  void harvest_rank(int rank, bool flushed);
+  /// Moves a dead rank's trace aside (tracing on) before a respawn
+  /// rewrites it; harvested_traces() lists the moved files.
+  void harvest_trace(int rank);
 
   /// Restart budget exhausted: removes the run-control files and throws
   /// the per-rank ProcessRunError report.
@@ -98,9 +92,6 @@ class Lifecycle {
 
   void join_taggers();
 
-  /// Telemetry harvested from ranks that died mid-run, by rank.  The
-  /// supervisor also folds its per-segment totals in here.
-  std::map<int, telemetry::RankMetrics>& harvested() { return harvested_; }
   const std::vector<std::string>& harvested_traces() const {
     return harvested_traces_;
   }
@@ -120,9 +111,7 @@ class Lifecycle {
   std::string spec_path_;
   bool socket_channels_ = false;
   bool wants_spec_ = false;
-  liveness::StatusBoard* board_ = nullptr;
   std::vector<std::thread> taggers_;
-  std::map<int, telemetry::RankMetrics> harvested_;
   std::vector<std::string> harvested_traces_;
 };
 

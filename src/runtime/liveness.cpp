@@ -23,7 +23,6 @@ namespace {
 
 constexpr std::uint32_t kBeaconMagic = 0x53554248u;    // "SUBH"
 constexpr std::uint32_t kRollbackMagic = 0x53554252u;  // "SUBR"
-constexpr std::uint32_t kMetricsMagic = 0x5355424Du;   // "SUBM"
 
 template <typename T>
 void put(unsigned char*& p, T v) {
@@ -94,54 +93,6 @@ bool decode_beacon(const unsigned char in[kBeaconBytes], Beacon* out) {
   out->round = get<std::int32_t>(p);
   out->step = get<std::int64_t>(p);
   out->mono_ns = get<std::int64_t>(p);
-  return true;
-}
-
-void encode_metrics_frame(const MetricsFrame& m,
-                          unsigned char out[kMetricsFrameBytes]) {
-  unsigned char* p = out;
-  put(p, kMetricsMagic);
-  put(p, kMetricsFrameVersion);
-  put(p, static_cast<std::uint16_t>(kMetricsFrameBytes));
-  put(p, static_cast<std::int32_t>(m.rank));
-  put(p, m.round);
-  put(p, m.step);
-  put(p, m.mono_ns);
-  put(p, m.t_calc_s);
-  put(p, m.t_com_s);
-  put(p, m.steps_done);
-  put(p, m.msgs_sent);
-  put(p, m.doubles_sent);
-  put(p, m.comm_p50_s);
-  put(p, m.comm_p95_s);
-  put(p, m.comm_p99_s);
-  put(p, m.step_wall_sum_s);
-  put(p, m.step_wall_count);
-  for (std::uint32_t b : m.step_wall_buckets) put(p, b);
-}
-
-bool decode_metrics_frame(const unsigned char* in, std::size_t len,
-                          MetricsFrame* out) {
-  if (len < kMetricsFrameBytes) return false;
-  const unsigned char* p = in;
-  if (get<std::uint32_t>(p) != kMetricsMagic) return false;
-  if (get<std::uint16_t>(p) != kMetricsFrameVersion) return false;
-  if (get<std::uint16_t>(p) != kMetricsFrameBytes) return false;
-  out->rank = get<std::int32_t>(p);
-  out->round = get<std::int32_t>(p);
-  out->step = get<std::int64_t>(p);
-  out->mono_ns = get<std::int64_t>(p);
-  out->t_calc_s = get<double>(p);
-  out->t_com_s = get<double>(p);
-  out->steps_done = get<std::int64_t>(p);
-  out->msgs_sent = get<std::int64_t>(p);
-  out->doubles_sent = get<std::int64_t>(p);
-  out->comm_p50_s = get<double>(p);
-  out->comm_p95_s = get<double>(p);
-  out->comm_p99_s = get<double>(p);
-  out->step_wall_sum_s = get<double>(p);
-  out->step_wall_count = get<std::int64_t>(p);
-  for (std::uint32_t& b : out->step_wall_buckets) b = get<std::uint32_t>(p);
   return true;
 }
 
@@ -234,19 +185,6 @@ void Emitter::wait_tick() {
   write_beacon(Phase::kWait, last_step_.load(std::memory_order_relaxed));
 }
 
-void Emitter::emit_metrics(MetricsFrame frame) {
-  if (!active()) return;
-  frame.rank = rank_;
-  frame.round = round_.load(std::memory_order_relaxed);
-  frame.mono_ns = mono_now_ns();
-  unsigned char buf[kMetricsFrameBytes];
-  encode_metrics_frame(frame, buf);
-  // Same contract as beacons: 272 <= PIPE_BUF keeps the O_NONBLOCK write
-  // all-or-nothing, so a full pipe drops the digest whole.
-  const ssize_t n = ::write(fd_, buf, kMetricsFrameBytes);
-  (void)n;
-}
-
 void Emitter::write_beacon(Phase phase, long step) {
   Beacon b;
   b.rank = rank_;
@@ -313,39 +251,10 @@ void Monitor::poll(double now_s) {
       }
       break;  // 0 = writer gone (reap will follow); <0 = EAGAIN/EINTR
     }
-    // The pipe interleaves two frame types, both written atomically:
-    // 32-byte beacons ("SUBH") and length-prefixed metrics digests
-    // ("SUBM").  Dispatch on the magic; an unrecognized byte resyncs by
-    // one (cannot happen with atomic pipe writes).
-    while (st.buf.size() >= sizeof(std::uint32_t)) {
-      std::uint32_t magic;
-      std::memcpy(&magic, st.buf.data(), sizeof magic);
-      if (magic == kMetricsMagic) {
-        if (st.buf.size() < 8) break;  // size field not in yet
-        std::uint16_t size;
-        std::memcpy(&size, st.buf.data() + 6, sizeof size);
-        if (size < 8) {
-          st.buf.erase(0, 1);
-          continue;
-        }
-        if (st.buf.size() < size) break;  // partial frame: carry to next poll
-        MetricsFrame mf;
-        if (decode_metrics_frame(
-                reinterpret_cast<const unsigned char*>(st.buf.data()), size,
-                &mf)) {
-          st.has_frame = true;
-          st.frame = mf;
-          st.last_beacon_s = now_s;  // a digest is proof of life too
-          if (frame_sink_) frame_sink_(mf);
-        }
-        st.buf.erase(0, size);
-        continue;
-      }
-      if (magic != kBeaconMagic) {
-        st.buf.erase(0, 1);
-        continue;
-      }
-      if (st.buf.size() < kBeaconBytes) break;
+    // Beacons are written atomically, but a read can still split one:
+    // a partial beacon waits in the carry for the next poll, and a byte
+    // that starts no valid beacon resyncs by one.
+    while (st.buf.size() >= kBeaconBytes) {
       Beacon b;
       if (!decode_beacon(
               reinterpret_cast<const unsigned char*>(st.buf.data()), &b)) {
@@ -369,17 +278,6 @@ void Monitor::poll(double now_s) {
       }
     }
   }
-}
-
-bool Monitor::latest_frame(int rank, MetricsFrame* out) const {
-  const auto it = states_.find(rank);
-  if (it == states_.end() || !it->second.has_frame) return false;
-  *out = it->second.frame;
-  return true;
-}
-
-void Monitor::set_frame_sink(std::function<void(const MetricsFrame&)> sink) {
-  frame_sink_ = std::move(sink);
 }
 
 std::vector<int> Monitor::newly_hung(double now_s) {
@@ -456,7 +354,6 @@ CohortEngine::CohortEngine(std::vector<int> ranks,
   // Writing a rollback order to a child that just died must surface as
   // EPIPE, not kill the supervisor.
   old_sigpipe_ = ::signal(SIGPIPE, SIG_IGN);
-  if (hooks_.on_metrics_frame) monitor_.set_frame_sink(hooks_.on_metrics_frame);
 }
 
 CohortEngine::~CohortEngine() { ::signal(SIGPIPE, old_sigpipe_); }
@@ -586,7 +483,7 @@ void CohortEngine::emergency_stop() {
 
 void CohortEngine::fail_all(int generation) {
   // Budget exhausted.  Put every survivor down gracefully (their SIGTERM
-  // handlers flush telemetry), reap everything, then hand the casualty
+  // handlers publish telemetry), reap everything, then hand the casualty
   // list to the caller's fail hook — which must throw.
   for (Child& c : children_) {
     if (c.reaped) continue;
@@ -699,9 +596,9 @@ void CohortEngine::run(int* generation, long initial_restore_epoch) {
         c.casualty = true;
         record("exit_detected", c.rank, g, obs_step, 0, 0, -1);
       }
-      // A child that ran its exit path (any exit code) flushed its
-      // telemetry on the way out; one torn down by a signal left only
-      // its periodic flushes behind — the harvest must be tagged partial.
+      // A child that ran its exit path (any exit code) published its
+      // metrics on the way out; one torn down by a signal left only its
+      // last periodic snapshot behind — the fold must be tagged partial.
       if (hooks_.on_rank_down) hooks_.on_rank_down(c.rank, WIFEXITED(status));
     }
 

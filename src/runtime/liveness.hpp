@@ -8,7 +8,8 @@
 //   every blocking transport wait.  32 <= PIPE_BUF, so writes are atomic
 //   and the supervisor never sees a torn frame; the write end is
 //   O_NONBLOCK so a stalled supervisor can only ever cost dropped
-//   beacons, never a wedged child.
+//   beacons, never a wedged child.  Beacons are all it carries: a rank's
+//   metrics travel in its snapshot file (telemetry.hpp).
 //
 //   control pipe (supervisor writes, child reads) — carries 16-byte
 //   rollback orders.  The supervisor writes the order *first*, then sends
@@ -27,8 +28,8 @@
 // deadline inside the child can: livelocked compute, a SIGSTOP'd or
 // swapped-out process, and total silence.
 //
-// Escalation is a two-step ladder: SIGTERM (the child's handler flushes
-// its telemetry stream and exits with kTermAckExit), then SIGKILL after a
+// Escalation is a two-step ladder: SIGTERM (the child's handler publishes
+// its metrics snapshot and exits with kTermAckExit), then SIGKILL after a
 // grace window.  Recovery is *surgical*: only dead ranks are re-forked;
 // survivors receive a rollback order and restore from the newest committed
 // epoch in-process, which is bitwise identical to a fresh fork because the
@@ -141,40 +142,6 @@ bool decode_rollback(const unsigned char in[kRollbackBytes], RollbackMsg* out);
 /// error — the supervisor died.
 int read_rollback(int fd, RollbackMsg* out);
 
-/// A compact cumulative telemetry digest a child pushes up the heartbeat
-/// pipe at every periodic metrics flush: current totals (not deltas — a
-/// dropped frame then costs staleness, never skew), plus the step-wall
-/// histogram so the supervisor can quote live percentiles.  The wire
-/// form is versioned, length-prefixed, and well under PIPE_BUF, so like
-/// beacons it rides the O_NONBLOCK pipe atomically — never torn, worst
-/// case dropped.
-struct MetricsFrame {
-  int rank = -1;
-  std::int32_t round = 0;
-  std::int64_t step = 0;      ///< last completed step
-  std::int64_t mono_ns = 0;   ///< child's monotonic clock at emission
-  double t_calc_s = 0;        ///< cumulative "compute." seconds
-  double t_com_s = 0;         ///< cumulative "comm." seconds
-  std::int64_t steps_done = 0;
-  std::int64_t msgs_sent = 0;
-  std::int64_t doubles_sent = 0;
-  double comm_p50_s = 0;      ///< "comm.exchange" histogram percentiles
-  double comm_p95_s = 0;
-  double comm_p99_s = 0;
-  double step_wall_sum_s = 0;
-  std::int64_t step_wall_count = 0;
-  std::uint32_t step_wall_buckets[telemetry::HistogramData::kBuckets] = {};
-};
-
-constexpr std::uint16_t kMetricsFrameVersion = 1;
-constexpr std::size_t kMetricsFrameBytes = 272;  ///< v1 size, <= PIPE_BUF
-void encode_metrics_frame(const MetricsFrame& m,
-                          unsigned char out[kMetricsFrameBytes]);
-/// False on bad magic, unknown version, or a length prefix that does not
-/// match what the version promises.
-bool decode_metrics_frame(const unsigned char* in, std::size_t len,
-                          MetricsFrame* out);
-
 long long mono_now_ns();
 
 /// Child-side beacon writer.  Thread-safe: the main loop emits kStart /
@@ -198,11 +165,6 @@ class Emitter {
   /// Rate-limited kWait beacon carrying the last emitted step; called
   /// from inside every blocking transport wait.
   void wait_tick();
-
-  /// Pushes a metrics digest up the same pipe (rank and round are filled
-  /// in here).  Subject to the same mute fault and O_NONBLOCK drop
-  /// semantics as beacons.
-  void emit_metrics(MetricsFrame frame);
 
  private:
   void write_beacon(Phase phase, long step);
@@ -261,13 +223,6 @@ class Monitor {
   /// ranks count as fresh (they are not the watchdog's problem).
   bool beaconed_since(int rank, double t_s) const;
 
-  /// Latest metrics digest decoded off the rank's pipe; false when the
-  /// rank never pushed one (or is detached).
-  bool latest_frame(int rank, MetricsFrame* out) const;
-  /// Invoked on every decoded metrics frame (live-view fan-out).  The
-  /// sink runs on the supervision thread, inside poll().
-  void set_frame_sink(std::function<void(const MetricsFrame&)> sink);
-
  private:
   struct State {
     int fd = -1;
@@ -276,16 +231,13 @@ class Monitor {
     long long last_step_mono = -1;
     double last_beacon_s = 0;
     bool hung = false;
-    bool has_frame = false;
-    MetricsFrame frame;
     DeadlineModel model;
-    std::string buf;  ///< partial-frame carry between polls
+    std::string buf;  ///< partial-beacon carry between polls
   };
 
   double floor_s_;
   double multiplier_;
   std::map<int, State> states_;
-  std::function<void(const MetricsFrame&)> frame_sink_;
 };
 
 /// SIGTERM -> grace -> SIGKILL ladder for one child.
@@ -328,15 +280,13 @@ struct EngineHooks {
   /// Called before each round's spawns/rollbacks with the round number
   /// and restore epoch: registry hygiene, divergence cleanup.
   std::function<void(int generation, long restore_epoch)> begin_generation;
-  /// A child of this rank died mid-run (casualty or put-down): harvest
-  /// its SIGTERM-flushed telemetry before a respawn overwrites it.
-  /// `flushed` is true when the child acknowledged its put-down (exited
-  /// kTermAckExit or cleanly) so its final telemetry dump is trustworthy;
-  /// false for a SIGKILL / crash, where only the periodic flushes
-  /// survive and the harvest should be tagged partial.
+  /// A child of this rank died mid-run (casualty or put-down): fold its
+  /// last metrics snapshot before a respawn replaces it.  `flushed` is
+  /// true when the child ran its exit path (exited kTermAckExit or
+  /// cleanly), so its snapshot is complete; false for a SIGKILL / crash,
+  /// where only the last periodic snapshot survives and the fold is
+  /// tagged partial.
   std::function<void(int rank, bool flushed)> on_rank_down;
-  /// Every metrics digest decoded off a heartbeat pipe (live view).
-  std::function<void(const MetricsFrame&)> on_metrics_frame;
   /// Every liveness record as it is appended to the audit trail (live
   /// view; the record also lands in the records vector as before).
   std::function<void(const telemetry::LivenessRecord&)> on_liveness;

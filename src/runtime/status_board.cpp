@@ -40,21 +40,22 @@ void append_number(std::ostringstream& os, double v) {
   os << buf;
 }
 
+/// The rank's current snapshot (empty before its first publication).
+telemetry::RankMetrics read_snapshot(const std::string& workdir, int rank) {
+  telemetry::RankMetrics snap;
+  snap.rank = rank;
+  for (telemetry::RankMetrics& rm :
+       telemetry::read_metrics_jsonl(cohort::metrics_path(workdir, rank)))
+    if (rm.rank == rank) snap = std::move(rm);
+  return snap;
+}
+
 }  // namespace
 
 void StatusBoard::configure(Config cfg) {
   std::lock_guard<std::mutex> lock(mutex_);
   cfg_ = std::move(cfg);
   for (int r : cfg_.ranks) live_[r];  // seed every rank as "starting"
-}
-
-void StatusBoard::on_frame(const MetricsFrame& frame) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  RankLive& rl = live_[frame.rank];
-  rl.has_frame = true;
-  rl.frame = frame;
-  rl.generation = frame.round;
-  if (rl.state == "starting" || rl.state == "hung") rl.state = "running";
 }
 
 void StatusBoard::on_liveness(const telemetry::LivenessRecord& record) {
@@ -78,10 +79,32 @@ void StatusBoard::on_rebalance(const telemetry::RebalanceRecord& record) {
   if (rebalance_tail_.size() > kTailMax) rebalance_tail_.pop_front();
 }
 
-void StatusBoard::on_harvest(int rank,
-                             const telemetry::RankMetrics& harvested) {
+telemetry::RankMetrics StatusBoard::fold(int rank, bool partial) {
   std::lock_guard<std::mutex> lock(mutex_);
-  harvested_[rank] = harvested;
+  const std::string path = cohort::metrics_path(cfg_.workdir, rank);
+  telemetry::RankMetrics snap = read_snapshot(cfg_.workdir, rank);
+  // Any published snapshot carries the steps counter; no snapshot at all
+  // leaves nothing to tag.
+  if (partial && !snap.counters.empty()) snap.partial = true;
+  folded_[rank].rank = rank;
+  telemetry::merge_metrics(folded_[rank], snap);
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  return snap;
+}
+
+telemetry::RankMetrics StatusBoard::view(int rank) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return view_locked(rank);
+}
+
+telemetry::RankMetrics StatusBoard::view_locked(int rank) const {
+  telemetry::RankMetrics total;
+  total.rank = rank;
+  if (const auto it = folded_.find(rank); it != folded_.end())
+    total = it->second;
+  telemetry::merge_metrics(total, read_snapshot(cfg_.workdir, rank));
+  return total;
 }
 
 void StatusBoard::set_owner_map(std::vector<int> owner) {
@@ -134,46 +157,41 @@ std::string StatusBoard::status_json() const {
     const auto it = live_.find(rank);
     if (it == live_.end()) continue;
     const RankLive& rl = it->second;
+    const telemetry::RankMetrics rm = view_locked(rank);
+    const telemetry::RankSummary rs = telemetry::summarize_rank(rm);
     if (!first) os << ',';
     first = false;
-    os << "\n    {\"rank\": " << rank << ", \"state\": \"" << rl.state
+    os << "\n    {\"rank\": " << rank << ", \"state\": \""
+       << (rl.state == "starting" && rs.steps > 0 ? "running" : rl.state)
        << "\", \"host\": \""
        << json_escape(i < cfg_.hosts.size() ? cfg_.hosts[i] : "")
        << "\", \"generation\": " << rl.generation;
     os << ", \"fluid_cells\": ";
     append_number(os, i < cfg_.fluid_cells.size() ? cfg_.fluid_cells[i] : 0);
-    const MetricsFrame& f = rl.frame;
-    os << ", \"step\": " << (rl.has_frame ? f.step : -1);
-    os << ", \"steps_done\": " << (rl.has_frame ? f.steps_done : 0);
+    const auto step = rm.gauges.find("step");
+    os << ", \"step\": ";
+    append_number(os, step != rm.gauges.end() ? step->second.value : -1);
+    os << ", \"steps_done\": " << rs.steps;
     os << ", \"t_calc_s\": ";
-    append_number(os, rl.has_frame ? f.t_calc_s : 0);
+    append_number(os, rs.t_calc);
     os << ", \"t_com_s\": ";
-    append_number(os, rl.has_frame ? f.t_com_s : 0);
-    const double busy = rl.has_frame ? f.t_calc_s + f.t_com_s : 0;
+    append_number(os, rs.t_com);
     os << ", \"utilization\": ";
-    append_number(os, busy > 0 ? f.t_calc_s / busy : 0);
-    os << ", \"msgs_sent\": " << (rl.has_frame ? f.msgs_sent : 0);
-    os << ", \"doubles_sent\": " << (rl.has_frame ? f.doubles_sent : 0);
-    telemetry::HistogramData sw;
-    if (rl.has_frame) {
-      for (std::size_t b = 0; b < telemetry::HistogramData::kBuckets; ++b)
-        sw.buckets[b] = f.step_wall_buckets[b];
-      sw.count = f.step_wall_count;
-      sw.sum_s = f.step_wall_sum_s;
-    }
-    const telemetry::Percentiles p = telemetry::percentiles_of(sw);
+    append_number(os, rs.utilization);
+    os << ", \"msgs_sent\": " << rs.msgs_sent;
+    os << ", \"doubles_sent\": " << rs.doubles_sent;
     os << ", \"step_wall_p50_s\": ";
-    append_number(os, p.p50_s);
+    append_number(os, rs.step_wall.p50_s);
     os << ", \"step_wall_p95_s\": ";
-    append_number(os, p.p95_s);
+    append_number(os, rs.step_wall.p95_s);
     os << ", \"step_wall_p99_s\": ";
-    append_number(os, p.p99_s);
+    append_number(os, rs.step_wall.p99_s);
     os << ", \"comm_p50_s\": ";
-    append_number(os, rl.has_frame ? f.comm_p50_s : 0);
+    append_number(os, rs.comm_exchange.p50_s);
     os << ", \"comm_p95_s\": ";
-    append_number(os, rl.has_frame ? f.comm_p95_s : 0);
+    append_number(os, rs.comm_exchange.p95_s);
     os << ", \"comm_p99_s\": ";
-    append_number(os, rl.has_frame ? f.comm_p99_s : 0);
+    append_number(os, rs.comm_exchange.p99_s);
     os << ", \"last_event\": \"" << json_escape(rl.last_event) << "\"}";
   }
   os << "\n  ],\n";
@@ -212,39 +230,12 @@ std::string StatusBoard::status_json() const {
 }
 
 std::string StatusBoard::metrics_text() const {
-  // Snapshot under the lock, read the delta streams outside it: a scrape
-  // must never stall the supervision thread on file IO.
-  std::string workdir;
-  std::vector<int> ranks;
-  std::map<int, telemetry::RankMetrics> harvested;
-  telemetry::Session* supervisor = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    workdir = cfg_.workdir;
-    ranks = cfg_.ranks;
-    harvested = harvested_;
-    supervisor = cfg_.supervisor;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<telemetry::RankMetrics> rows;
-  rows.reserve(ranks.size() + 1);
-  for (int rank : ranks) {
-    telemetry::RankMetrics total;
-    total.rank = rank;
-    const auto hit = harvested.find(rank);
-    if (hit != harvested.end()) telemetry::merge_metrics(total, hit->second);
-    try {
-      for (telemetry::RankMetrics& rm : telemetry::read_metrics_jsonl(
-               cohort::metrics_path(workdir, rank))) {
-        if (rm.rank != rank) continue;
-        telemetry::merge_metrics(total, rm);
-      }
-    } catch (const std::exception&) {
-      // No flush yet (or a vanished stream): serve what was harvested.
-    }
-    rows.push_back(std::move(total));
-  }
-  if (supervisor)
-    rows.push_back(telemetry::collect_rank(supervisor->metrics(), -1));
+  rows.reserve(cfg_.ranks.size() + 1);
+  for (int rank : cfg_.ranks) rows.push_back(view_locked(rank));
+  if (cfg_.supervisor)
+    rows.push_back(telemetry::collect_rank(cfg_.supervisor->metrics(), -1));
   return telemetry::prometheus_text(rows);
 }
 

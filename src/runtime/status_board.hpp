@@ -1,21 +1,25 @@
-// The supervisor's live introspection state: a thread-safe board the
-// supervision loop feeds (metrics frames off the heartbeat pipes,
-// liveness events, rebalances, harvests) and the status endpoint reads.
-// The board renders three documents:
+// The supervisor's view of a run: a thread-safe board the supervision
+// loop feeds (liveness events, rebalances, and the fold of each rank's
+// metrics) and the status endpoint reads.  A rank's numbers reach it one
+// way: the snapshot its child replaces atomically in
+// rank_<r>.metrics.jsonl (telemetry.hpp).  When a child dies, and at a
+// segment boundary, the board folds that snapshot into the rank's running
+// totals and removes the file; its view of a rank is those totals plus
+// the current snapshot.  One view feeds run_summary.json,
+// ProcessRunResult::rank_metrics, /status and /metrics, and fold and view
+// both hold the board's mutex, so every reader counts each snapshot
+// exactly once.  The board renders three documents:
 //
 //   /healthz  ->  "ok\n" (the supervisor process is up and serving)
 //   /status   ->  JSON: run info, per-rank live view (step, T_calc,
 //                 T_com, utilization, step-wall and exchange
 //                 percentiles), the block->rank owner map, and bounded
 //                 tails of the liveness + rebalance audit trails
-//   /metrics  ->  Prometheus text exposition of the full per-rank
-//                 registries, rebuilt at scrape time from the harvested
-//                 prefixes plus each rank's delta stream on disk (the
-//                 children flush every metrics_flush_interval steps)
+//   /metrics  ->  Prometheus text exposition of every rank's view and
+//                 the supervisor's own registry
 //
-// Everything here is read-mostly bookkeeping behind one mutex; nothing
-// touches simulation state, so serving (or not serving) the endpoint
-// leaves the physics bitwise identical.
+// Nothing here touches simulation state, so serving (or not serving) the
+// endpoint leaves the physics bitwise identical.
 #pragma once
 
 #include <deque>
@@ -24,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "src/runtime/liveness.hpp"
 #include "src/telemetry/summary.hpp"
 
 namespace subsonic {
@@ -53,12 +56,20 @@ class StatusBoard {
   void configure(Config cfg);
 
   // Feeders, called from the supervision thread.
-  void on_frame(const MetricsFrame& frame);
   void on_liveness(const telemetry::LivenessRecord& record);
   void on_rebalance(const telemetry::RebalanceRecord& record);
-  void on_harvest(int rank, const telemetry::RankMetrics& harvested);
   void set_owner_map(std::vector<int> owner);
   void set_done(bool done);
+
+  /// Folds rank's current snapshot into its running totals and removes
+  /// the file, with any "<file>.tmp" a child killed mid-write left.  Call
+  /// it once the rank's child has exited: on a death (`partial` when the
+  /// child did not exit through its publication, which tags a snapshot
+  /// that holds only a prefix of its work) and at a segment boundary.
+  /// Returns the snapshot it folded (empty when there was none).
+  telemetry::RankMetrics fold(int rank, bool partial);
+  /// The rank's folded totals plus its current snapshot.
+  telemetry::RankMetrics view(int rank) const;
 
   /// HTTP dispatch: fills body/content_type for the routes above and
   /// returns true; false = unknown path (the server answers 404).
@@ -70,18 +81,18 @@ class StatusBoard {
 
  private:
   struct RankLive {
-    bool has_frame = false;
-    MetricsFrame frame;
     int generation = 0;
     std::string state = "starting";  ///< starting|running|hung|down|done
     std::string last_event;
   };
 
+  telemetry::RankMetrics view_locked(int rank) const;
+
   mutable std::mutex mutex_;
   Config cfg_;
   bool done_ = false;
   std::map<int, RankLive> live_;
-  std::map<int, telemetry::RankMetrics> harvested_;
+  std::map<int, telemetry::RankMetrics> folded_;
   std::vector<int> owner_;
   std::deque<telemetry::LivenessRecord> liveness_tail_;
   std::deque<telemetry::RebalanceRecord> rebalance_tail_;

@@ -85,9 +85,10 @@ int parse_id_file(const std::string& name, const std::string& prefix,
 }
 
 /// Start-of-run hygiene beyond epoch::clear_run_state: every rank
-/// telemetry stream goes (a previous run in this directory may have used
-/// more ranks, or the other dimension — the aggregation below must only
-/// ever see this run's streams), every rank_<r>.dump goes (nothing here
+/// metrics snapshot goes, with any ".tmp" a killed writer left (a
+/// previous run in this directory may have used more ranks, or the other
+/// dimension — the aggregation below must only ever see this run's
+/// snapshots), every rank_<r>.dump goes (nothing here
 /// restores one), and every block_<b>.dump that cannot belong to this
 /// run's block geometry goes (other dimension, box, method or ghost
 /// width, or a block out of range).  Children restore block dumps
@@ -111,6 +112,7 @@ void clean_stale_artifacts(const std::string& workdir,
     // ".trace.json" by substring: harvested partial traces of put-down
     // ranks carry a ".g<round>" infix (rank_0.g1.trace.json).
     if (parse_id_file(name, "rank_", ".metrics.jsonl") >= 0 ||
+        parse_id_file(name, "rank_", ".metrics.jsonl.tmp") >= 0 ||
         name.find(".trace.json") != std::string::npos ||
         parse_id_file(name, "rank_", ".dump") >= 0) {
       std::remove((workdir + "/" + name).c_str());
@@ -214,8 +216,8 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       resolve_metrics_flush_interval(options.metrics_flush_interval);
 
   // Cohort lifecycle: launcher selection, the rendezvous service the
-  // ranks coordinate through, stderr tagging, harvests, failure reports —
-  // shared across segments.
+  // ranks coordinate through, stderr tagging, failure reports — shared
+  // across segments.
   cohort::Lifecycle::Setup lcs;
   lcs.workdir = workdir;
   lcs.trace_on = trace_on;
@@ -226,15 +228,13 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   lcs.liveness = &options.liveness;
   cohort::Lifecycle lc(std::move(lcs));
 
-  // Live introspection plane: the board collects what the supervision
-  // loop learns (frames, liveness events, harvests) and the endpoint
-  // serves it.  Both are absent unless a status port was requested, and
-  // neither can touch simulation state either way.
-  std::unique_ptr<liveness::StatusBoard> board;
-  std::unique_ptr<HttpStatusServer> http;
-  const int want_port = resolve_status_port(options.status_port);
-  if (want_port >= 0) {
-    board = std::make_unique<liveness::StatusBoard>();
+  // The board is the run's one view of rank telemetry: it folds each
+  // rank's metrics snapshot when a child dies or a segment ends, and its
+  // view (folded totals plus the current snapshot) feeds the final
+  // aggregation below.  The endpoint serves the same board, and only when
+  // a status port was requested; neither can touch simulation state.
+  liveness::StatusBoard board;
+  {
     liveness::StatusBoard::Config bc;
     bc.workdir = workdir;
     bc.ranks = bd.active_ranks();
@@ -252,13 +252,16 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
     bc.supervisor = &supervisor;
     bc.hosts.assign(bc.ranks.size(), lc.host_tag());
     bc.launcher = lc.launcher_name();
-    board->configure(std::move(bc));
-    lc.set_board(board.get());
-    board->set_owner_map(bd.owner_map());
+    board.configure(std::move(bc));
+    board.set_owner_map(bd.owner_map());
+  }
+  std::unique_ptr<HttpStatusServer> http;
+  const int want_port = resolve_status_port(options.status_port);
+  if (want_port >= 0) {
     http = std::make_unique<HttpStatusServer>(
-        want_port, [b = board.get()](const std::string& path,
-                                     std::string* body, std::string* ct) {
-          return b->handle(path, body, ct);
+        want_port, [&board](const std::string& path, std::string* body,
+                            std::string* ct) {
+          return board.handle(path, body, ct);
         });
     std::ofstream pf(workdir + "/status.port", std::ios::trunc);
     pf << http->port() << "\n";
@@ -302,10 +305,6 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       }
     }
   };
-
-  // Whole-run telemetry lives in lc.harvested(): mid-segment rank deaths
-  // are harvested there by the lifecycle, and each segment's clean totals
-  // are folded in below (children rewrite their streams every cohort).
 
   // The ranks of the *last* segment, for the final aggregation below.
   std::vector<int> active_list = bd.active_ranks();
@@ -397,21 +396,15 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       }
     };
     hooks.on_rank_down = [&](int rank, bool flushed) {
-      lc.harvest_rank(rank, flushed);
+      board.fold(rank, !flushed);
+      lc.harvest_trace(rank);
     };
     hooks.host_of = [&](int) { return lc.host_tag(); };
     if (lc.socket_channels())
       hooks.adopt_channels = [&](int rank) { return lc.adopt_channels(rank); };
-    if (board) {
-      hooks.on_metrics_frame = [b = board.get()](
-                                   const liveness::MetricsFrame& mf) {
-        b->on_frame(mf);
-      };
-      hooks.on_liveness = [b = board.get()](
-                              const telemetry::LivenessRecord& lr) {
-        b->on_liveness(lr);
-      };
-    }
+    hooks.on_liveness = [&board](const telemetry::LivenessRecord& lr) {
+      board.on_liveness(lr);
+    };
     hooks.fail = [&](const std::vector<liveness::EngineFailure>& fails) {
       lc.fail(fails, result.restarts);
     };
@@ -434,35 +427,16 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
     poll_epochs();
     cur_step = seg_target;
 
-    // Fold this segment's telemetry: into the whole-run accumulation, and
-    // into the per-block costs the rebalance decision feeds on.
-    std::vector<telemetry::RankMetrics> segment_metrics;
-    for (int rank : active_list) {
-      telemetry::RankMetrics seg;
-      seg.rank = rank;
-      const std::string stream = cohort::metrics_path(workdir, rank);
-      try {
-        for (telemetry::RankMetrics& rm : telemetry::read_metrics_jsonl(stream))
-          if (rm.rank == rank) seg = std::move(rm);
-      } catch (const std::exception&) {
-        // A missing stream degrades this rank to zeros for the segment.
-      }
-      // A folded stream must not be readable twice: a rank killed early in
-      // the NEXT segment — before its first flush truncates the file —
-      // would otherwise harvest this segment's totals a second time.  The
-      // last segment's streams stay, as the run's per-rank record.
-      if (cur_step < target_step) std::remove(stream.c_str());
-      lc.harvested()[rank].rank = rank;
-      telemetry::merge_metrics(lc.harvested()[rank], seg);
-      segment_metrics.push_back(std::move(seg));
-    }
-
-    if (options.rebalance_interval > 0 && cur_step < target_step) {
+    // Between segments, fold each rank's snapshot into the board's totals
+    // (the next cohort's children publish fresh ones), and feed the
+    // segment's per-block compute timers to the rebalance decision.  The
+    // last segment's snapshots stay on disk as the run's per-rank record.
+    if (cur_step < target_step) {
       std::vector<BlockCost> costs;
       costs.reserve(active_blocks.size());
-      for (size_t i = 0; i < active_list.size(); ++i) {
-        const telemetry::RankMetrics& rm = segment_metrics[i];
-        for (int b : bd.blocks_of(active_list[i])) {
+      for (int rank : active_list) {
+        const telemetry::RankMetrics rm = board.fold(rank, false);
+        for (int b : bd.blocks_of(rank)) {
           BlockCost c;
           c.block = b;
           c.cells = bd.block_cells(b);
@@ -483,10 +457,8 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
         rec.imbalance_before = decision.imbalance_before;
         rec.imbalance_after = decision.imbalance_after;
         result.rebalances.push_back(rec);
-        if (board) {
-          board->on_rebalance(rec);
-          board->set_owner_map(bd.owner_map());
-        }
+        board.on_rebalance(rec);
+        board.set_owner_map(bd.owner_map());
         supervisor.metrics().counter(-1, "rebalance.count").add();
         supervisor.metrics()
             .counter(-1, "rebalance.moved_blocks")
@@ -501,7 +473,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   }
   lc.join_taggers();
   std::remove((workdir + "/cohort.spec").c_str());
-  if (board) board->set_done(true);
+  board.set_done(true);
   result.committed_epoch = committed_epoch;
   result.block_owner = bd.owner_map();
 
@@ -512,28 +484,11 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
           cohort::legacy_block_dump_path(workdir, active_blocks[0]))
           .step;
 
-  // Aggregate the telemetry every rank streamed: reconstruct the per-rank
-  // WorkerStats for the caller, and write run_summary.json with the
+  // Aggregate the board's view of every rank into run_summary.json: the
   // measured T_calc / T_com next to the paper model's predicted f.
   std::vector<telemetry::RankMetrics> rank_metrics;
   rank_metrics.reserve(active_list.size());
-  for (int rank : active_list) {
-    auto it = lc.harvested().find(rank);
-    if (it != lc.harvested().end()) {
-      rank_metrics.push_back(it->second);
-    } else {
-      telemetry::RankMetrics empty;
-      empty.rank = rank;
-      rank_metrics.push_back(std::move(empty));
-    }
-  }
-  result.rank_stats.reserve(rank_metrics.size());
-  for (const telemetry::RankMetrics& rm : rank_metrics) {
-    WorkerStats ws;
-    ws.compute_s = rm.t_calc();
-    ws.comm_s = rm.t_com();
-    result.rank_stats.push_back(ws);
-  }
+  for (int rank : active_list) rank_metrics.push_back(board.view(rank));
 
   telemetry::RunModelInputs model;
   model.dims = Dim;
@@ -567,7 +522,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   summary.liveness = result.liveness;
   result.summary_path = workdir + "/run_summary.json";
   telemetry::write_run_summary(summary, result.summary_path);
-  supervisor.write_metrics_jsonl(workdir + "/supervisor.metrics.jsonl");
+  supervisor.flush_metrics_delta(workdir + "/supervisor.metrics.jsonl");
   if (trace_on) {
     std::vector<std::string> traces = lc.harvested_traces();
     traces.reserve(traces.size() + active_list.size());

@@ -35,7 +35,6 @@
 
 #include "src/runtime/domain_traits.hpp"
 #include "src/runtime/liveness.hpp"
-#include "src/runtime/worker_stats.hpp"
 #include "src/solver/params.hpp"
 #include "src/solver/pass.hpp"
 #include "src/telemetry/summary.hpp"
@@ -80,7 +79,7 @@ struct ProcessRunOptions {
 
   /// Chrome-trace capture in the children and merged trace.json in the
   /// supervisor: 1 forces on, 0 forces off, -1 follows SUBSONIC_TRACE.
-  /// Metrics JSONL streams are always written (their cost is one timer
+  /// Metrics snapshots are always published (their cost is one timer
   /// record per phase); tracing additionally records every span.
   int trace = -1;
 
@@ -107,13 +106,13 @@ struct ProcessRunOptions {
   /// this (1.15 = 15% skew tolerated before blocks move).
   double rebalance_threshold = 1.15;
 
-  /// Steps between each child's periodic telemetry publications: a delta
-  /// append to rank_<r>.metrics.jsonl plus a compact metrics frame up the
-  /// heartbeat pipe (the supervisor's live view, and the prefix a
-  /// SIGKILLed rank still contributes to run_summary.json, both feed on
-  /// it).  0 = SUBSONIC_METRICS_FLUSH env, defaulting to 16; < 0 turns
-  /// periodic publication off (final dump only).  Observationally inert
-  /// to the physics: results stay bitwise identical at any setting.
+  /// Steps between each child's periodic metrics publications: the child
+  /// replaces its rank_<r>.metrics.jsonl snapshot atomically (the
+  /// supervisor's live view, and the prefix a SIGKILLed rank still
+  /// contributes to run_summary.json, both read it).  0 =
+  /// SUBSONIC_METRICS_FLUSH env, defaulting to 16; < 0 turns periodic
+  /// publication off (published at exit only).  Observationally inert to
+  /// the physics: results stay bitwise identical at any setting.
   int metrics_flush_interval = 0;
 
   /// Live status endpoint on 127.0.0.1 serving GET /healthz, /status
@@ -162,18 +161,14 @@ struct ProcessRunResult {
   int restarts = 0;         ///< cohort respawns the supervisor performed
   long committed_epoch = -1;  ///< newest MANIFEST-committed epoch (-1: none)
 
-  /// Per-active-rank timing reconstructed from each child's
-  /// rank_<r>.metrics.jsonl stream (parallel to the active rank list,
-  /// ascending rank order).  compute_s is the child's summed "compute.*"
-  /// phase time, comm_s its summed "comm.*" time — the measured
-  /// T_calc and T_com of the efficiency model.
-  std::vector<WorkerStats> rank_stats;
-
-  /// The full accumulated telemetry behind rank_stats (parallel to it):
-  /// counters, timers and histograms folded across every segment, respawn
-  /// round and killed-rank harvest.  The on-disk rank_<r>.metrics.jsonl
-  /// streams hold only the last cohort of each rank: the supervisor
-  /// deletes a folded stream at every segment boundary and harvest.
+  /// Per-active-rank telemetry of the last segment's ranks, ascending
+  /// rank order: counters, timers and histograms folded across every
+  /// segment, respawn round and killed rank, plus each rank's final
+  /// snapshot.  t_calc() and t_com() are the measured T_calc and T_com of
+  /// the efficiency model, utilization() their g.  The on-disk
+  /// rank_<r>.metrics.jsonl snapshots hold only the last cohort of each
+  /// rank: the supervisor folds and deletes a snapshot at every segment
+  /// boundary and rank death.
   std::vector<telemetry::RankMetrics> rank_metrics;
 
   /// Path of the run_summary.json the supervisor wrote (empty when the

@@ -1,6 +1,6 @@
-// Per-rank timing, read from a rank's telemetry timers: BlockedDriver
-// builds it from its live registry, the process runtime from the metrics
-// each rank reports.
+// Per-rank timing, read from a rank's telemetry timers: BlockedDriver::stats
+// builds it from its live registry.  The process runtime reports the same
+// numbers as telemetry::RankMetrics (t_calc, t_com, utilization).
 #pragma once
 
 namespace subsonic {

@@ -103,7 +103,7 @@ class Histogram {
 
   void record(double seconds);
   HistogramData data() const;
-  /// Merge a snapshot back in (delta-frame ingestion on the supervisor).
+  /// Merge a snapshot back in (rebuilds a registry from recorded rows).
   void add(const HistogramData& d);
 
  private:

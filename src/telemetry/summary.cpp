@@ -1,6 +1,7 @@
 #include "src/telemetry/summary.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,10 +22,25 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 // --- Minimal flat-JSON-object field extraction ----------------------------
-// The JSONL lines are written by Session::write_metrics_jsonl with a fixed
+// The JSONL lines are written by Session::flush_metrics_delta with a fixed
 // shape: one object per line, string values never contain escapes (metric
 // names are ASCII identifiers with dots).  That lets a torn or foreign
-// line simply fail extraction and be skipped.
+// line simply fail extraction and be skipped.  The bytes come from another
+// process, so every number must also be finite and fit its field: a line
+// that does not is skipped too, never converted out of range.
+
+constexpr double kTwo63 = 9223372036854775808.0;  // LLONG_MAX + 1
+
+/// strtod at `cursor`; false unless the number is finite and in [lo, hi).
+bool number_at(const char* cursor, double lo, double hi, double* out,
+               const char** end) {
+  char* stop = nullptr;
+  const double v = std::strtod(cursor, &stop);
+  if (stop == cursor || !std::isfinite(v) || v < lo || v >= hi) return false;
+  *out = v;
+  *end = stop;
+  return true;
+}
 
 bool extract_string(const std::string& line, const char* key,
                     std::string* out) {
@@ -38,22 +54,21 @@ bool extract_string(const std::string& line, const char* key,
   return true;
 }
 
-bool extract_number(const std::string& line, const char* key, double* out) {
+/// The value of `"key":` when finite and in [lo, hi).
+bool extract_number(const std::string& line, const char* key, double* out,
+                    double lo = -HUGE_VAL, double hi = HUGE_VAL) {
   const std::string needle = std::string("\"") + key + "\":";
   const std::size_t pos = line.find(needle);
   if (pos == std::string::npos) return false;
-  const char* cursor = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(cursor, &end);
-  if (end == cursor) return false;
-  *out = v;
-  return true;
+  const char* end = nullptr;
+  return number_at(line.c_str() + pos + needle.size(), lo, hi, out, &end);
 }
 
-bool extract_integer(const std::string& line, const char* key,
-                     long long* out) {
+/// A count: a whole number in [0, LLONG_MAX].
+bool extract_count(const std::string& line, const char* key,
+                   long long* out) {
   double v = 0;
-  if (!extract_number(line, key, &v)) return false;
+  if (!extract_number(line, key, &v, 0, kTwo63)) return false;
   *out = static_cast<long long>(v);
   return true;
 }
@@ -66,14 +81,70 @@ bool extract_buckets(const std::string& line, const char* key,
   if (pos == std::string::npos) return false;
   const char* cursor = line.c_str() + pos + needle.size();
   for (std::size_t i = 0; i < out->size(); ++i) {
-    char* end = nullptr;
-    const long long v = std::strtoll(cursor, &end, 10);
-    if (end == cursor) return false;
-    (*out)[i] = v;
-    cursor = end;
+    double v = 0;
+    if (!number_at(cursor, 0, kTwo63, &v, &cursor)) return false;
+    (*out)[i] = static_cast<long long>(v);
     if (*cursor == ',') ++cursor;
   }
   return true;
+}
+
+/// One snapshot line as a one-row RankMetrics; false when it does not
+/// parse or a number does not fit its field.
+bool parse_line(const std::string& line, RankMetrics* out) {
+  std::string kind, name;
+  double rank = 0;
+  if (!extract_string(line, "kind", &kind) ||
+      !extract_string(line, "name", &name) ||
+      !extract_number(line, "rank", &rank, -1, INT_MAX + 1.0))
+    return false;
+  out->rank = static_cast<int>(rank);
+  if (kind == "counter")
+    return extract_count(line, "value", &out->counters[name]);
+  if (kind == "gauge") {
+    RankMetrics::GaugeValue& g = out->gauges[name];
+    return extract_number(line, "value", &g.value) &&
+           extract_number(line, "max", &g.max);
+  }
+  if (kind == "timer") {
+    TimerStats& t = out->timers[name];
+    return extract_count(line, "count", &t.count) &&
+           extract_number(line, "total_s", &t.total_s) &&
+           extract_number(line, "min_s", &t.min_s) &&
+           extract_number(line, "max_s", &t.max_s);
+  }
+  if (kind == "hist") {
+    HistogramData& h = out->histograms[name];
+    return extract_count(line, "count", &h.count) &&
+           extract_number(line, "sum_s", &h.sum_s) &&
+           extract_buckets(line, "buckets", &h.buckets);
+  }
+  return false;
+}
+
+/// True when adding `b` to `a` leaves the range of long long.
+bool sum_overflows(long long a, long long b) {
+  long long sum;
+  return __builtin_add_overflow(a, b, &sum);
+}
+
+/// True when merge_metrics(dst, src) would overflow a count.
+bool merge_overflows(const RankMetrics& dst, const RankMetrics& src) {
+  for (const auto& [name, value] : src.counters)
+    if (sum_overflows(dst.counter_or(name), value)) return true;
+  for (const auto& [name, stats] : src.timers) {
+    const auto it = dst.timers.find(name);
+    if (it != dst.timers.end() && sum_overflows(it->second.count, stats.count))
+      return true;
+  }
+  for (const auto& [name, h] : src.histograms) {
+    const auto it = dst.histograms.find(name);
+    if (it == dst.histograms.end()) continue;
+    if (sum_overflows(it->second.count, h.count)) return true;
+    for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
+      if (sum_overflows(it->second.buckets[i], h.buckets[i])) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -118,58 +189,8 @@ std::vector<RankMetrics> read_metrics_jsonl(const std::string& path) {
   std::map<int, RankMetrics> by_rank;
   std::string line;
   while (std::getline(in, line)) {
-    std::string kind, name;
-    long long rank = 0;
-    if (!extract_string(line, "kind", &kind) ||
-        !extract_string(line, "name", &name) ||
-        !extract_integer(line, "rank", &rank))
-      continue;
-    RankMetrics& rm = by_rank[static_cast<int>(rank)];
-    rm.rank = static_cast<int>(rank);
-    // Delta semantics: repeated lines for the same metric accumulate, so
-    // a stream of periodic flushes sums to the same totals a single full
-    // dump would carry.
-    if (kind == "counter") {
-      long long value = 0;
-      if (extract_integer(line, "value", &value)) rm.counters[name] += value;
-    } else if (kind == "gauge") {
-      RankMetrics::GaugeValue g;
-      if (extract_number(line, "value", &g.value) &&
-          extract_number(line, "max", &g.max)) {
-        auto& d = rm.gauges[name];
-        d.value = g.value;  // newest wins
-        d.max = std::max(d.max, g.max);
-      }
-    } else if (kind == "timer") {
-      TimerStats stats;
-      if (extract_integer(line, "count", &stats.count) &&
-          extract_number(line, "total_s", &stats.total_s) &&
-          extract_number(line, "min_s", &stats.min_s) &&
-          extract_number(line, "max_s", &stats.max_s)) {
-        auto it = rm.timers.find(name);
-        if (it == rm.timers.end()) {
-          rm.timers[name] = stats;
-        } else {
-          // Delta lines carry interval count/total but whole-run min/max,
-          // so min-of-min / max-of-max stays exact.
-          it->second.count += stats.count;
-          it->second.total_s += stats.total_s;
-          it->second.min_s = std::min(it->second.min_s, stats.min_s);
-          it->second.max_s = std::max(it->second.max_s, stats.max_s);
-        }
-      }
-    } else if (kind == "hist") {
-      HistogramData h;
-      if (extract_integer(line, "count", &h.count) &&
-          extract_number(line, "sum_s", &h.sum_s) &&
-          extract_buckets(line, "buckets", &h.buckets)) {
-        auto& d = rm.histograms[name];
-        for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
-          d.buckets[i] += h.buckets[i];
-        d.count += h.count;
-        d.sum_s += h.sum_s;
-      }
-    }
+    RankMetrics row;
+    if (parse_line(line, &row)) merge_metrics(by_rank[row.rank], row);
   }
   std::vector<RankMetrics> out;
   out.reserve(by_rank.size());
@@ -177,7 +198,8 @@ std::vector<RankMetrics> read_metrics_jsonl(const std::string& path) {
   return out;
 }
 
-void merge_metrics(RankMetrics& dst, const RankMetrics& src) {
+bool merge_metrics(RankMetrics& dst, const RankMetrics& src) {
+  if (merge_overflows(dst, src)) return false;
   if (dst.rank < 0) dst.rank = src.rank;
   dst.partial = dst.partial || src.partial;
   for (const auto& [name, value] : src.counters) dst.counters[name] += value;
@@ -205,6 +227,7 @@ void merge_metrics(RankMetrics& dst, const RankMetrics& src) {
     d.count += h.count;
     d.sum_s += h.sum_s;
   }
+  return true;
 }
 
 Percentiles percentiles_of(const HistogramData& h) {
@@ -216,6 +239,25 @@ Percentiles percentiles_of(const HistogramData& h) {
     p.p99_s = h.quantile_s(0.99);
   }
   return p;
+}
+
+RankSummary summarize_rank(const RankMetrics& rm) {
+  RankSummary rs;
+  rs.rank = rm.rank;
+  rs.steps = rm.counter_or("steps");
+  rs.t_calc = rm.t_calc();
+  rs.t_com = rm.t_com();
+  rs.utilization = rm.utilization();
+  rs.msgs_sent = rm.counter_or("transport.msgs_sent");
+  rs.doubles_sent = rm.counter_or("transport.doubles_sent");
+  rs.partial = rm.partial;
+  if (const auto it = rm.histograms.find("step.wall");
+      it != rm.histograms.end())
+    rs.step_wall = percentiles_of(it->second);
+  if (const auto it = rm.histograms.find("comm.exchange");
+      it != rm.histograms.end())
+    rs.comm_exchange = percentiles_of(it->second);
+  return rs;
 }
 
 RunSummary summarize_run(const std::vector<RankMetrics>& ranks,
@@ -230,7 +272,6 @@ RunSummary summarize_run(const std::vector<RankMetrics>& ranks,
   double weight_sum = 0;
   double utilization_weighted = 0;
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const RankMetrics& rm = ranks[i];
     // Utilization is averaged weighted by each rank's share of the work
     // (fluid cells): a rank owning a sliver of the domain must not count
     // as much as a fully loaded one.
@@ -238,21 +279,7 @@ RunSummary summarize_run(const std::vector<RankMetrics>& ranks,
         i < model.rank_weights.size() && model.rank_weights[i] > 0
             ? model.rank_weights[i]
             : 1.0;
-    RankSummary rs;
-    rs.rank = rm.rank;
-    rs.steps = rm.counter_or("steps");
-    rs.t_calc = rm.t_calc();
-    rs.t_com = rm.t_com();
-    rs.utilization = rm.utilization();
-    rs.msgs_sent = rm.counter_or("transport.msgs_sent");
-    rs.doubles_sent = rm.counter_or("transport.doubles_sent");
-    rs.partial = rm.partial;
-    if (const auto it = rm.histograms.find("step.wall");
-        it != rm.histograms.end())
-      rs.step_wall = percentiles_of(it->second);
-    if (const auto it = rm.histograms.find("comm.exchange");
-        it != rm.histograms.end())
-      rs.comm_exchange = percentiles_of(it->second);
+    const RankSummary rs = summarize_rank(ranks[i]);
     summary.steps = std::max(summary.steps, rs.steps);
     if (rs.t_calc + rs.t_com > 0) {
       ++active;

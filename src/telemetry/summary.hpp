@@ -1,7 +1,7 @@
-// Aggregation: turn per-rank metrics (live registries or the JSONL files
-// ranks write in the process runtime) into measured T_calc / T_com /
-// utilization, and put the paper's predicted efficiency (eqs. 17-21) next
-// to the measured f (eq. 12).
+// Aggregation: turn per-rank metrics (live registries or the JSONL
+// snapshots ranks publish in the process runtime) into measured T_calc /
+// T_com / utilization, and put the paper's predicted efficiency (eqs.
+// 17-21) next to the measured f (eq. 12).
 //
 // The prediction deliberately does NOT derive U_calc / U_com from the
 // measured times — that would make predicted f identical to measured f by
@@ -23,7 +23,7 @@ namespace telemetry {
 
 /// Everything one rank reported, in aggregate form.  Built either from a
 /// live MetricsRegistry (threaded drivers) or parsed back from the
-/// rank_<r>.metrics.jsonl file the rank wrote (process runtime).
+/// rank_<r>.metrics.jsonl snapshot the rank published (process runtime).
 struct RankMetrics {
   struct GaugeValue {
     double value = 0;
@@ -35,9 +35,9 @@ struct RankMetrics {
   std::map<std::string, GaugeValue> gauges;
   std::map<std::string, TimerStats> timers;
   std::map<std::string, HistogramData> histograms;
-  /// True when this rank's telemetry was harvested from a killed child's
-  /// periodic flushes rather than a clean final dump: the numbers are a
-  /// truthful prefix of the rank's work, not the whole of it.
+  /// True when this rank's telemetry includes a killed child's last
+  /// periodic snapshot rather than the one it publishes on its way out:
+  /// the numbers are a truthful prefix of the rank's work, not the whole.
   bool partial = false;
 
   /// Sum of total_s over every timer whose name starts with `prefix`.
@@ -58,20 +58,18 @@ struct RankMetrics {
 /// Snapshot one rank out of a live registry.
 RankMetrics collect_rank(const MetricsRegistry& registry, int rank);
 
-/// Parse a metrics JSONL file written by Session::write_metrics_jsonl or
-/// appended to by Session::flush_metrics_delta.  Lines ACCUMULATE: a
-/// repeated counter/timer/hist line adds onto the earlier one (delta
-/// records), a repeated gauge keeps the newest value and the running max.
-/// A single full dump therefore parses exactly as before.  Lines that
-/// don't parse are skipped (a torn final line from a killed rank must not
-/// poison the aggregate).
+/// Parse a metrics snapshot written by Session::flush_metrics_delta: each
+/// line is one row, folded in with merge_metrics (so a repeated row adds
+/// on).  A line is skipped when it does not parse (a torn line must not
+/// poison the aggregate), when a number is not finite or does not fit its
+/// field (a count outside [0, LLONG_MAX], a rank outside [-1, INT_MAX]),
+/// or when folding it would overflow a count.
 std::vector<RankMetrics> read_metrics_jsonl(const std::string& path);
 
 /// Accumulates `src` into `dst` (counters add; timers merge count/total/
-/// min/max; gauges keep the newest value and the running max).  The
-/// segmented blocked supervisor uses this to fold each segment's
-/// re-written per-rank streams into whole-run totals.
-void merge_metrics(RankMetrics& dst, const RankMetrics& src);
+/// min/max; gauges keep the newest value and the running max).  Returns
+/// false, leaving `dst` unchanged, when a count would overflow.
+bool merge_metrics(RankMetrics& dst, const RankMetrics& src);
 
 /// Geometry fed to the paper's model alongside the measurements.
 struct RunModelInputs {
@@ -110,8 +108,8 @@ struct RankSummary {
   double utilization = 0;
   long long msgs_sent = 0;
   long long doubles_sent = 0;
-  /// Telemetry harvested from periodic flushes of a killed rank (the
-  /// totals cover only the flushed prefix of its work).
+  /// Telemetry folded from a killed rank's last periodic snapshot (the
+  /// totals cover only the published prefix of its work).
   bool partial = false;
   /// Per-step wall / per-exchange latency percentiles ("step.wall" and
   /// "comm.exchange" histograms); zero counts when the rank predates
@@ -165,6 +163,10 @@ struct RunSummary {
   double predicted_f_dedicated = 0;
   double predicted_f_shared_bus = 0;
 };
+
+/// One rank's row: run_summary.json and the supervisor's live /status
+/// view both compute per-rank numbers here.
+RankSummary summarize_rank(const RankMetrics& rm);
 
 RunSummary summarize_run(const std::vector<RankMetrics>& ranks,
                          const RunModelInputs& model, long long restarts = 0);

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <stdexcept>
 #include <thread>
 
 namespace subsonic {
@@ -24,17 +23,6 @@ std::uint64_t this_thread_tid() {
   // A short, stable per-thread id for the trace; collisions merely merge
   // two tracks visually.
   return std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xFFFFu;
-}
-
-void write_hist_line(std::FILE* f, int rank, const char* name,
-                     const HistogramData& d) {
-  std::fprintf(f,
-               "{\"kind\":\"hist\",\"rank\":%d,\"name\":\"%s\","
-               "\"count\":%lld,\"sum_s\":%.17g,\"buckets\":[",
-               rank, name, d.count, d.sum_s);
-  for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
-    std::fprintf(f, i ? ",%lld" : "%lld", d.buckets[i]);
-  std::fprintf(f, "]}\n");
 }
 
 }  // namespace
@@ -63,9 +51,10 @@ void Session::write_trace_json(const std::string& path) const {
   trace_.write_chrome_trace(path);
 }
 
-void Session::write_metrics_jsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot write metrics file " + path);
+void Session::flush_metrics_delta(const std::string& path) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (!f) return;
   for (const auto& row : metrics_->counters())
     std::fprintf(f,
                  "{\"kind\":\"counter\",\"rank\":%d,\"name\":\"%s\","
@@ -83,68 +72,22 @@ void Session::write_metrics_jsonl(const std::string& path) const {
                  "\"max_s\":%.17g}\n",
                  row.rank, row.name.c_str(), row.stats.count,
                  row.stats.total_s, row.stats.min_s, row.stats.max_s);
-  for (const auto& row : metrics_->histograms())
-    write_hist_line(f, row.rank, row.name.c_str(), row.data);
-  std::fclose(f);
-}
-
-void Session::flush_metrics_delta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), delta_started_ ? "a" : "w");
-  if (!f) return;
-  delta_started_ = true;
-  for (const auto& row : metrics_->counters()) {
-    const MetricKey key{row.rank, row.name};
-    long long& flushed = flushed_counters_[key];
-    const long long delta = row.value - flushed;
-    if (delta == 0) continue;
-    flushed = row.value;
-    std::fprintf(f,
-                 "{\"kind\":\"counter\",\"rank\":%d,\"name\":\"%s\","
-                 "\"value\":%lld}\n",
-                 row.rank, row.name.c_str(), delta);
-  }
-  for (const auto& row : metrics_->gauges()) {
-    const MetricKey key{row.rank, row.name};
-    const auto it = flushed_gauges_.find(key);
-    if (it != flushed_gauges_.end() && it->second.first == row.value &&
-        it->second.second == row.max)
-      continue;
-    flushed_gauges_[key] = {row.value, row.max};
-    std::fprintf(f,
-                 "{\"kind\":\"gauge\",\"rank\":%d,\"name\":\"%s\","
-                 "\"value\":%.17g,\"max\":%.17g}\n",
-                 row.rank, row.name.c_str(), row.value, row.max);
-  }
-  for (const auto& row : metrics_->timers()) {
-    const MetricKey key{row.rank, row.name};
-    TimerStats& flushed = flushed_timers_[key];
-    const long long dcount = row.stats.count - flushed.count;
-    const double dtotal = row.stats.total_s - flushed.total_s;
-    if (dcount == 0 && dtotal == 0) continue;
-    // Interval count/total, cumulative min/max: accumulate-on-read adds
-    // the deltas and min/max-merges the extrema, landing exactly on the
-    // full-dump numbers.
-    std::fprintf(f,
-                 "{\"kind\":\"timer\",\"rank\":%d,\"name\":\"%s\","
-                 "\"count\":%lld,\"total_s\":%.17g,\"min_s\":%.17g,"
-                 "\"max_s\":%.17g}\n",
-                 row.rank, row.name.c_str(), dcount, dtotal,
-                 row.stats.min_s, row.stats.max_s);
-    flushed = row.stats;
-  }
   for (const auto& row : metrics_->histograms()) {
-    const MetricKey key{row.rank, row.name};
-    HistogramData& flushed = flushed_hists_[key];
-    if (row.data.count == flushed.count) continue;
-    HistogramData delta = row.data;
+    const HistogramData& d = row.data;
+    std::fprintf(f,
+                 "{\"kind\":\"hist\",\"rank\":%d,\"name\":\"%s\","
+                 "\"count\":%lld,\"sum_s\":%.17g,\"buckets\":[",
+                 row.rank, row.name.c_str(), d.count, d.sum_s);
     for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
-      delta.buckets[i] -= flushed.buckets[i];
-    delta.count -= flushed.count;
-    delta.sum_s -= flushed.sum_s;
-    write_hist_line(f, row.rank, row.name.c_str(), delta);
-    flushed = row.data;
+      std::fprintf(f, i ? ",%lld" : "%lld", d.buckets[i]);
+    std::fprintf(f, "]}\n");
   }
-  std::fclose(f);
+  // A short write (full disk) must not replace the previous snapshot.
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) == 0 && written)
+    std::rename(tmp.c_str(), path.c_str());
+  else
+    std::remove(tmp.c_str());
 }
 
 ScopedSpan::ScopedSpan(Session* session, int rank, const char* name,

@@ -3,7 +3,8 @@
 // session; in the fork()-based process runtime each child owns one whose
 // origin is inherited from the supervisor, so spans from different ranks
 // align on one timeline (CLOCK_MONOTONIC is system-wide, shared across
-// fork()).
+// fork()).  A child's registry reaches the supervisor one way only: the
+// snapshot file flush_metrics_delta replaces atomically.
 //
 // Overhead discipline: phase timers are always charged — two clock reads
 // and a mutexed accumulate per *phase* — while trace-event recording (one
@@ -14,10 +15,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "src/telemetry/metrics.hpp"
 #include "src/telemetry/trace.hpp"
@@ -59,35 +58,22 @@ class Session {
   double now_us() const;
 
   void write_trace_json(const std::string& path) const;
-  /// One flat JSON object per line: every counter, gauge, timer and
-  /// histogram row.  The format round-trips through read_metrics_jsonl
-  /// (summary.hpp).
-  void write_metrics_jsonl(const std::string& path) const;
 
-  /// Incremental publication: append only what changed since the last
-  /// flush.  The first call truncates the file (so a restarted child
-  /// starts a fresh stream); later calls append delta records — counter
-  /// values and timer/histogram counts are interval deltas, timer
-  /// min_s/max_s stay cumulative (min-of-min / max-of-max merging is
-  /// exact), gauges rewrite their current value.  read_metrics_jsonl
-  /// accumulates the stream back into whole-run totals, so a killed rank
-  /// contributes everything up to its last flush instead of nothing.
-  /// Best-effort: an unwritable path is ignored (a dying child must not
-  /// throw out of its flush).
+  /// Publishes a snapshot of every counter, gauge, timer and histogram
+  /// row, one flat JSON object per line (read_metrics_jsonl parses it
+  /// back).  The rows go to "<path>.tmp", which is then renamed over
+  /// `path`: a reader, or a writer killed mid-flush, leaves the previous
+  /// complete snapshot or the new one, never a torn mix.  No fsync: the
+  /// guard is against a killed writer, not an OS crash.  Best-effort: an
+  /// unwritable path is ignored (a dying child must not throw out of its
+  /// flush).  The name predates snapshots: e2ebench/ calls it, and only a
+  /// benchmark change edits e2ebench/, so the rename waits for one.
   void flush_metrics_delta(const std::string& path);
 
  private:
   SessionConfig cfg_;
   std::shared_ptr<MetricsRegistry> metrics_;
   TraceBuffer trace_;
-
-  // Per-metric high-water marks of what the delta stream already carries.
-  using MetricKey = std::pair<int, std::string>;
-  bool delta_started_ = false;
-  std::map<MetricKey, long long> flushed_counters_;
-  std::map<MetricKey, std::pair<double, double>> flushed_gauges_;
-  std::map<MetricKey, TimerStats> flushed_timers_;
-  std::map<MetricKey, HistogramData> flushed_hists_;
 };
 
 /// RAII span: times a block, charges the (rank, name) phase timer, and —

@@ -262,141 +262,30 @@ TEST(LivenessEmitter, InactiveWithoutAFd) {
   none.wait_tick();
 }
 
-MetricsFrame sample_frame() {
-  MetricsFrame m;
-  m.rank = 2;
-  m.round = 1;
-  m.step = 1234567890123LL;
-  m.mono_ns = 9876543210987LL;
-  m.t_calc_s = 3.25;
-  m.t_com_s = 0.75;
-  m.steps_done = 420;
-  m.msgs_sent = 8400;
-  m.doubles_sent = 252000;
-  m.comm_p50_s = 0.001;
-  m.comm_p95_s = 0.004;
-  m.comm_p99_s = 0.016;
-  m.step_wall_sum_s = 4.2;
-  m.step_wall_count = 420;
-  for (std::size_t i = 0; i < telemetry::HistogramData::kBuckets; ++i)
-    m.step_wall_buckets[i] = static_cast<std::uint32_t>(i * 7);
-  return m;
-}
-
-TEST(LivenessCodec, MetricsFrameRoundTrips) {
-  const MetricsFrame in = sample_frame();
-  unsigned char frame[kMetricsFrameBytes];
-  encode_metrics_frame(in, frame);
-  MetricsFrame out;
-  ASSERT_TRUE(decode_metrics_frame(frame, kMetricsFrameBytes, &out));
-  EXPECT_EQ(out.rank, in.rank);
-  EXPECT_EQ(out.round, in.round);
-  EXPECT_EQ(out.step, in.step);
-  EXPECT_EQ(out.mono_ns, in.mono_ns);
-  EXPECT_DOUBLE_EQ(out.t_calc_s, in.t_calc_s);
-  EXPECT_DOUBLE_EQ(out.t_com_s, in.t_com_s);
-  EXPECT_EQ(out.steps_done, in.steps_done);
-  EXPECT_EQ(out.msgs_sent, in.msgs_sent);
-  EXPECT_EQ(out.doubles_sent, in.doubles_sent);
-  EXPECT_DOUBLE_EQ(out.comm_p50_s, in.comm_p50_s);
-  EXPECT_DOUBLE_EQ(out.comm_p95_s, in.comm_p95_s);
-  EXPECT_DOUBLE_EQ(out.comm_p99_s, in.comm_p99_s);
-  EXPECT_DOUBLE_EQ(out.step_wall_sum_s, in.step_wall_sum_s);
-  EXPECT_EQ(out.step_wall_count, in.step_wall_count);
-  for (std::size_t i = 0; i < telemetry::HistogramData::kBuckets; ++i)
-    EXPECT_EQ(out.step_wall_buckets[i], in.step_wall_buckets[i]) << i;
-}
-
-TEST(LivenessCodec, MetricsFrameRejectsGarbage) {
-  unsigned char frame[kMetricsFrameBytes];
-  MetricsFrame out;
-
-  std::memset(frame, 0xCD, sizeof frame);  // wrong magic
-  EXPECT_FALSE(decode_metrics_frame(frame, kMetricsFrameBytes, &out));
-
-  encode_metrics_frame(sample_frame(), frame);
-  EXPECT_TRUE(decode_metrics_frame(frame, kMetricsFrameBytes, &out));
-
-  // Short buffer: less than the length prefix promises.
-  EXPECT_FALSE(decode_metrics_frame(frame, kMetricsFrameBytes - 1, &out));
-
-  // Unknown version must be refused, not misparsed.
-  unsigned char bad_version[kMetricsFrameBytes];
-  std::memcpy(bad_version, frame, sizeof frame);
-  bad_version[4] = 0x7E;
-  EXPECT_FALSE(
-      decode_metrics_frame(bad_version, kMetricsFrameBytes, &out));
-
-  // A corrupted length prefix must be refused.
-  unsigned char bad_len[kMetricsFrameBytes];
-  std::memcpy(bad_len, frame, sizeof frame);
-  bad_len[6] = 0x01;
-  bad_len[7] = 0x00;
-  EXPECT_FALSE(decode_metrics_frame(bad_len, kMetricsFrameBytes, &out));
-}
-
-TEST(LivenessMonitor, MetricsFramesUpdateTheLiveViewAndFanOut) {
-  HeartbeatPipe hb;
-  Emitter emitter(hb.write_fd, 2, 50);
-  Monitor monitor(/*floor_s=*/1.0, /*multiplier=*/8.0);
-  monitor.attach(2, hb.read_fd, /*round=*/1, /*now_s=*/0.0);
-  emitter.set_round(1);
-
-  int sink_calls = 0;
-  MetricsFrame sunk;
-  monitor.set_frame_sink([&](const MetricsFrame& f) {
-    ++sink_calls;
-    sunk = f;
-  });
-
-  MetricsFrame before;
-  EXPECT_FALSE(monitor.latest_frame(2, &before));
-
-  // Beacons and frames interleave on the same pipe; both must decode.
-  emitter.emit(Phase::kStep, 10);
-  emitter.emit_metrics(sample_frame());
-  emitter.emit(Phase::kStep, 11);
-  monitor.poll(0.5);
-
-  EXPECT_EQ(monitor.last_step(2), 11);
-  MetricsFrame latest;
-  ASSERT_TRUE(monitor.latest_frame(2, &latest));
-  EXPECT_EQ(latest.rank, 2);       // the emitter stamps rank and round
-  EXPECT_EQ(latest.round, 1);
-  EXPECT_EQ(latest.steps_done, 420);
-  EXPECT_EQ(sink_calls, 1);
-  EXPECT_EQ(sunk.steps_done, 420);
-
-  // A frame is proof of life even with no beacon around it.
-  emitter.emit_metrics(sample_frame());
-  monitor.poll(0.9);
-  EXPECT_TRUE(monitor.beaconed_since(2, 0.85));
-  EXPECT_EQ(sink_calls, 2);
-}
-
-TEST(LivenessMonitor, TornMetricsFrameIsCarriedAcrossPolls) {
+TEST(LivenessMonitor, TornBeaconIsCarriedAcrossPolls) {
   HeartbeatPipe hb;
   Monitor monitor(/*floor_s=*/1.0, /*multiplier=*/8.0);
   monitor.attach(4, hb.read_fd, 0, 0.0);
+  const long before = monitor.last_step(4);
 
-  MetricsFrame in = sample_frame();
-  in.rank = 4;
-  unsigned char frame[kMetricsFrameBytes];
-  encode_metrics_frame(in, frame);
+  Beacon b;
+  b.rank = 4;
+  b.phase = Phase::kStep;
+  b.step = 9;
+  b.mono_ns = 1000;
+  unsigned char frame[kBeaconBytes];
+  encode_beacon(b, frame);
 
-  // First half now, second half later: a pipe read can split a frame even
-  // though the write was atomic.  The monitor must stitch the halves.
-  ASSERT_EQ(::write(hb.write_fd, frame, 100), 100);
+  // First 10 bytes now, the rest later: a pipe read can split a beacon
+  // even though the write was atomic.  The monitor must stitch the parts.
+  ASSERT_EQ(::write(hb.write_fd, frame, 10), 10);
   monitor.poll(0.1);
-  MetricsFrame out;
-  EXPECT_FALSE(monitor.latest_frame(4, &out));
+  EXPECT_EQ(monitor.last_step(4), before);
 
-  ASSERT_EQ(::write(hb.write_fd, frame + 100, kMetricsFrameBytes - 100),
-            static_cast<ssize_t>(kMetricsFrameBytes - 100));
+  ASSERT_EQ(::write(hb.write_fd, frame + 10, kBeaconBytes - 10),
+            static_cast<ssize_t>(kBeaconBytes - 10));
   monitor.poll(0.2);
-  ASSERT_TRUE(monitor.latest_frame(4, &out));
-  EXPECT_EQ(out.rank, 4);
-  EXPECT_EQ(out.steps_done, 420);
+  EXPECT_EQ(monitor.last_step(4), 9);
 }
 
 }  // namespace

@@ -477,10 +477,10 @@ TEST(ProcessLiveness, HangWithZeroBudgetFailsNamingTheHungRank) {
 }
 
 TEST(ProcessLiveness, PutDownRankKeepsItsPreHangTelemetry) {
-  // The SIGTERM handler flushes the victim's metrics stream, and the
-  // supervisor harvests it before the respawn truncates the file: the
-  // hung rank's final accounting must include the steps it took *before*
-  // the hang, not just the replay.
+  // The SIGTERM handler publishes the victim's metrics snapshot, and the
+  // supervisor folds it before the respawn replaces the file: the hung
+  // rank's final accounting must include the steps it took *before* the
+  // hang, not just the replay.
   ::unsetenv("SUBSONIC_FAULTS");
   ::unsetenv("SUBSONIC_HEARTBEAT_MS");
   const Mask2D mask = closed_box(24, 18, 1);
@@ -496,10 +496,10 @@ TEST(ProcessLiveness, PutDownRankKeepsItsPreHangTelemetry) {
       options);
   EXPECT_EQ(r.restarts, 1) << events_string(r);
   // rank 1 ran 7 steps, hung, was put down, then replayed steps 5..12
-  // from epoch 0 (step 4).  Harvest + final stream = 7 + 8 = 15 counted
-  // steps; losing the harvest would leave only the replay's 8.
-  ASSERT_EQ(r.rank_stats.size(), 2u);
-  EXPECT_GT(r.rank_stats[1].compute_s, 0.0);
+  // from epoch 0 (step 4).  Fold + final snapshot = 7 + 8 = 15 counted
+  // steps; losing the fold would leave only the replay's 8.
+  ASSERT_EQ(r.rank_metrics.size(), 2u);
+  EXPECT_GT(r.rank_metrics[1].t_calc(), 0.0);
   std::ifstream in(r.summary_path);
   ASSERT_TRUE(in.good());
   std::ostringstream text;
@@ -525,16 +525,16 @@ TEST(ProcessRuntime, TelemetrySummaryStatsAndTrace) {
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, workdir,
       options);
 
-  // Satellite: per-rank WorkerStats reconstructed from the JSONL streams.
-  ASSERT_EQ(r.rank_stats.size(), 4u);
-  for (const WorkerStats& ws : r.rank_stats) {
-    EXPECT_GT(ws.compute_s, 0.0);
-    EXPECT_GT(ws.comm_s, 0.0);
-    EXPECT_GT(ws.utilization(), 0.0);
-    EXPECT_LE(ws.utilization(), 1.0);
+  // Per-rank T_calc / T_com from the ranks' snapshots.
+  ASSERT_EQ(r.rank_metrics.size(), 4u);
+  for (const telemetry::RankMetrics& rm : r.rank_metrics) {
+    EXPECT_GT(rm.t_calc(), 0.0);
+    EXPECT_GT(rm.t_com(), 0.0);
+    EXPECT_GT(rm.utilization(), 0.0);
+    EXPECT_LE(rm.utilization(), 1.0);
   }
 
-  // Each rank streamed a parseable metrics file with full step counts and
+  // Each rank left a parseable metrics snapshot with full step counts and
   // wire counters from the endpoint.
   for (int rank = 0; rank < 4; ++rank) {
     const auto parsed = telemetry::read_metrics_jsonl(

@@ -1,8 +1,9 @@
 // The live introspection plane: the tiny HTTP status server, the
 // supervisor's StatusBoard documents, and the end-to-end story — a
 // supervised run with a status port serves /healthz, /status and
-// /metrics while ranks hang and die, and a SIGKILLed rank's flushed
-// prefix lands in run_summary.json tagged partial.
+// /metrics while ranks hang and die, a SIGKILLed rank's last snapshot
+// lands in run_summary.json tagged partial, and scraped counters never
+// go backwards across segment boundaries.
 #include "src/runtime/status_board.hpp"
 
 #include <arpa/inet.h>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -121,23 +123,54 @@ TEST(HttpStatusServer, ServesRoutesRejectsUnknownsAndReportsItsPort) {
   EXPECT_EQ(http_get(server.port(), "/ping"), "pong\n");
 }
 
-liveness::MetricsFrame frame_for(int rank, long step) {
-  liveness::MetricsFrame f;
-  f.rank = rank;
-  f.round = 0;
-  f.step = step;
-  f.steps_done = step;
-  f.t_calc_s = 3.0;
-  f.t_com_s = 1.0;
-  f.msgs_sent = 40;
-  f.doubles_sent = 1200;
-  f.step_wall_sum_s = 0.5;
-  f.step_wall_count = step;
-  f.step_wall_buckets[12] = static_cast<std::uint32_t>(step);
-  return f;
+/// Publishes rank's metrics snapshot into `workdir` the way a child does.
+void publish_snapshot(const std::string& workdir, int rank, long steps) {
+  telemetry::Session child;
+  telemetry::MetricsRegistry& reg = child.metrics();
+  reg.counter(rank, "steps").add(steps);
+  reg.counter(rank, "transport.msgs_sent").add(40);
+  reg.counter(rank, "transport.doubles_sent").add(1200);
+  reg.gauge(rank, "step").set(static_cast<double>(steps));
+  reg.timer(rank, "compute.block_0").record(3.0);
+  reg.timer(rank, "comm.exchange").record(1.0);
+  for (long i = 0; i < steps; ++i)
+    reg.histogram(rank, "step.wall").record(5e-3);
+  child.flush_metrics_delta(workdir + "/rank_" + std::to_string(rank) +
+                            ".metrics.jsonl");
 }
 
-TEST(StatusBoard, RendersTheLiveViewFromFramesAndEvents) {
+/// Reads `"key": <number>` from rank's object in a /status document;
+/// -1 when the rank or the key is absent.
+double status_field(const std::string& status, int rank, const char* key) {
+  const std::size_t at =
+      status.find("{\"rank\": " + std::to_string(rank) + ",");
+  if (at == std::string::npos) return -1;
+  const std::size_t end = status.find('}', at);
+  const std::string needle = std::string("\"") + key + "\": ";
+  const std::size_t field = status.find(needle, at);
+  if (field == std::string::npos || field > end) return -1;
+  return std::strtod(status.c_str() + field + needle.size(), nullptr);
+}
+
+/// Rank's `"state"` in a /status document ("" when absent).
+std::string status_state(const std::string& status, int rank) {
+  const std::size_t at =
+      status.find("{\"rank\": " + std::to_string(rank) + ",");
+  if (at == std::string::npos) return "";
+  const std::string needle = "\"state\": \"";
+  const std::size_t begin = status.find(needle, at) + needle.size();
+  return status.substr(begin, status.find('"', begin) - begin);
+}
+
+/// The value of one exposition series (`name{rank="r"} value`); -1 when
+/// the scrape does not carry it.
+double scraped(const std::string& metrics, const std::string& series) {
+  const std::size_t at = metrics.find(series + " ");
+  if (at == std::string::npos) return -1;
+  return std::strtod(metrics.c_str() + at + series.size() + 1, nullptr);
+}
+
+TEST(StatusBoard, RendersTheLiveViewFromSnapshotsAndEvents) {
   liveness::StatusBoard board;
   liveness::StatusBoard::Config cfg;
   cfg.workdir = make_workdir("board");
@@ -146,13 +179,13 @@ TEST(StatusBoard, RendersTheLiveViewFromFramesAndEvents) {
   cfg.target_step = 20;
   board.configure(cfg);
 
-  // Before any frame: both ranks report "starting".
+  // Before any snapshot: both ranks report "starting".
   std::string body, type;
   ASSERT_TRUE(board.handle("/status", &body, &type));
   EXPECT_EQ(type, "application/json");
   EXPECT_EQ(body.find("\"state\": \"running\""), std::string::npos);
 
-  board.on_frame(frame_for(0, 7));
+  publish_snapshot(cfg.workdir, 0, 7);
   telemetry::LivenessRecord hang;
   hang.event = "hang_detected";
   hang.rank = 1;
@@ -200,18 +233,20 @@ TEST(StatusBoard, MetricsTextFoldsHarvestsAndDeltaStreams) {
   cfg.ranks = {0, 1};
   board.configure(cfg);
 
-  // Rank 0 has flushed a delta stream to disk; rank 1 died and was
-  // harvested in memory.  Both must appear in one exposition document.
+  // Rank 0's snapshot is on disk; rank 1 died and its snapshot was folded
+  // into the board's totals.  Both must appear in one exposition document.
   {
     telemetry::Session child;
     child.metrics().counter(0, "steps").add(9);
     child.flush_metrics_delta(cfg.workdir + "/rank_0.metrics.jsonl");
   }
-  telemetry::RankMetrics dead;
-  dead.rank = 1;
-  dead.counters["steps"] = 5;
-  dead.partial = true;
-  board.on_harvest(1, dead);
+  {
+    telemetry::Session dead;
+    dead.metrics().counter(1, "steps").add(5);
+    dead.flush_metrics_delta(cfg.workdir + "/rank_1.metrics.jsonl");
+  }
+  EXPECT_TRUE(board.fold(1, /*partial=*/true).partial);
+  EXPECT_FALSE(std::ifstream(cfg.workdir + "/rank_1.metrics.jsonl").good());
 
   std::string body, type;
   ASSERT_TRUE(board.handle("/metrics", &body, &type));
@@ -276,6 +311,7 @@ TEST(ProcessStatusEndpoint, ServesLiveDocumentsThroughAHardHang) {
   // while the cohort recovers.
   int ok_status = 0, ok_metrics = 0, ok_healthz = 0;
   bool saw_hang_event = false, saw_metrics_series = false;
+  bool saw_running_rank = false;
   while (!done.load()) {
     const std::string health = http_get(port, "/healthz");
     if (health == "ok\n") ++ok_healthz;
@@ -285,6 +321,10 @@ TEST(ProcessStatusEndpoint, ServesLiveDocumentsThroughAHardHang) {
       ++ok_status;
     if (status.find("\"hang_detected\"") != std::string::npos)
       saw_hang_event = true;
+    for (int rank : {0, 1})
+      if (status_state(status, rank) == "running" &&
+          status_field(status, rank, "steps_done") > 0)
+        saw_running_rank = true;
     const std::string metrics = http_get(port, "/metrics");
     if (!metrics.empty()) ++ok_metrics;
     if (metrics.find("subsonic_steps_total") != std::string::npos)
@@ -302,11 +342,13 @@ TEST(ProcessStatusEndpoint, ServesLiveDocumentsThroughAHardHang) {
   EXPECT_TRUE(saw_metrics_series);
   // The hang entered the liveness tail and was served live.
   EXPECT_TRUE(saw_hang_event);
+  // Some mid-run /status showed a rank running with steps counted.
+  EXPECT_TRUE(saw_running_rank);
 
   EXPECT_EQ(result.final_step, 10);
   EXPECT_EQ(result.restarts, 1);
 
-  // The SIGKILLed rank's pre-kill flushes were harvested and tagged.
+  // The SIGKILLed rank's last periodic snapshot was folded and tagged.
   std::ifstream in(result.summary_path);
   ASSERT_TRUE(in.good());
   std::ostringstream text;
@@ -366,6 +408,92 @@ TEST(ProcessStatusEndpoint, KilledRankContributesItsFlushedPrefixAsPartial) {
   // No endpoint was requested: no port file may exist.
   std::ifstream port_file(workdir + "/status.port");
   EXPECT_FALSE(port_file.good());
+}
+
+TEST(ProcessStatusEndpoint, MetricsCountersNeverDecreaseAcrossSegments) {
+  // A segmented run ends a cohort every 5 steps; the supervisor folds
+  // each rank's snapshot at the boundary.  Scrapes racing the run must
+  // never see a rank's step count go backwards, across a boundary or
+  // while a child replaces its snapshot.
+  ::unsetenv("SUBSONIC_FAULTS");
+  ::unsetenv("SUBSONIC_STATUS_PORT");
+  ::unsetenv("SUBSONIC_METRICS_FLUSH");
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = make_workdir("segments");
+  ProcessRunOptions options;
+  options.block_side = 8;
+  options.rebalance_interval = 5;
+  options.metrics_flush_interval = 1;
+  options.status_port = kStatusPortEphemeral;
+
+  ProcessRunResult result;
+  std::atomic<bool> done{false};
+  std::string run_error;
+  std::thread runner([&] {
+    try {
+      result = run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
+                                 GridShape{2, 1, 1}, 30, workdir, options);
+    } catch (const std::exception& e) {
+      run_error = e.what();
+    }
+    done.store(true);
+  });
+
+  int port = 0;
+  for (int i = 0; i < 2000 && port <= 0 && !done.load(); ++i) {
+    std::ifstream in(workdir + "/status.port");
+    if (!(in >> port)) port = 0;
+    if (port <= 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GT(port, 0) << "status.port never appeared; run error: "
+                     << run_error;
+
+  double last_total[2] = {0, 0}, last_done[2] = {0, 0};
+  int drops = 0, scrapes = 0;
+  bool past_boundary = false;
+  std::string drop_report;
+  while (!done.load()) {
+    const std::string metrics = http_get(port, "/metrics");
+    const std::string status = http_get(port, "/status");
+    for (int rank : {0, 1}) {
+      const double total = scraped(
+          metrics, "subsonic_steps_total{rank=\"" + std::to_string(rank) +
+                       "\"}");
+      const double steps_done = status_field(status, rank, "steps_done");
+      if ((total >= 0 && total < last_total[rank]) ||
+          (steps_done >= 0 && steps_done < last_done[rank])) {
+        ++drops;
+        drop_report += "rank " + std::to_string(rank) + ": " +
+                       std::to_string(last_total[rank]) + "/" +
+                       std::to_string(last_done[rank]) + " -> " +
+                       std::to_string(total) + "/" +
+                       std::to_string(steps_done) + "\n";
+      }
+      last_total[rank] = std::max(last_total[rank], total);
+      last_done[rank] = std::max(last_done[rank], steps_done);
+      if (total > options.rebalance_interval) past_boundary = true;
+    }
+    ++scrapes;
+  }
+  runner.join();
+  ASSERT_TRUE(run_error.empty()) << run_error;
+  EXPECT_EQ(drops, 0) << "over " << scrapes << " scrapes:\n" << drop_report;
+  EXPECT_TRUE(past_boundary) << scrapes << " scrapes, none after step "
+                             << options.rebalance_interval;
+
+  EXPECT_EQ(result.final_step, 30);
+  ASSERT_EQ(result.rank_metrics.size(), 2u);
+  std::ifstream in(result.summary_path);
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("{\"rank\":0,\"steps\":30,"), std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find("{\"rank\":1,\"steps\":30,"), std::string::npos)
+      << text.str();
 }
 
 TEST(ProcessStatusEndpoint, DisabledByDefaultLeavesNoPortFile) {

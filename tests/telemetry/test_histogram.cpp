@@ -1,17 +1,17 @@
-// The log-bucketed latency histogram and the incremental metrics
-// publication path: bucket geometry, quantile interpolation, snapshot
-// merging, and the delta-stream round trip through read_metrics_jsonl —
-// the machinery the live introspection plane quotes its percentiles from.
+// The log-bucketed latency histogram and the metrics publication path:
+// bucket geometry, quantile interpolation, snapshot merging, and the
+// snapshot round trip through read_metrics_jsonl — the machinery the live
+// introspection plane quotes its percentiles from.
 #include "src/telemetry/metrics.hpp"
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,13 +26,6 @@ namespace {
 std::string tmp_path(const std::string& name) {
   return std::string(::testing::TempDir()) + "/histogram_" + name + "_" +
          std::to_string(::getpid());
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 TEST(Histogram, BucketBoundariesAreLogSpacedMicroseconds) {
@@ -152,9 +145,9 @@ TEST(MetricsRegistry, HistogramsSnapshotSortedByRankAndName) {
   EXPECT_EQ(rows[0].data.count, 1);
 }
 
-/// The delta stream must accumulate back to exactly the live registry's
-/// totals — that equivalence is what lets a killed rank contribute its
-/// flushed prefix as if it had dumped cleanly.
+/// The snapshot must read back as exactly the live registry's totals
+/// after any number of flushes — that equivalence is what lets a killed
+/// rank contribute its last snapshot as if it had exited cleanly.
 TEST(MetricsDelta, FlushedStreamAccumulatesBackToLiveTotals) {
   const std::string path = tmp_path("delta_roundtrip");
   Session session;
@@ -196,24 +189,10 @@ TEST(MetricsDelta, FlushedStreamAccumulatesBackToLiveTotals) {
   EXPECT_FALSE(rm.partial);
 }
 
-TEST(MetricsDelta, UnchangedMetricsWriteNoLines) {
-  const std::string path = tmp_path("delta_quiet");
-  Session session;
-  session.metrics().counter(0, "steps").add(4);
-  session.flush_metrics_delta(path);
-  const std::string first = slurp(path);
-  session.flush_metrics_delta(path);  // nothing changed since
-  EXPECT_EQ(slurp(path), first);
-
-  session.metrics().counter(0, "steps").add(1);
-  session.flush_metrics_delta(path);
-  EXPECT_GT(slurp(path).size(), first.size());
-}
-
 TEST(MetricsDelta, FirstFlushTruncatesAStaleStream) {
-  // A respawned child reuses the rank's path; its first flush must start
-  // a fresh stream, not append onto its predecessor's totals (the
-  // supervisor harvested those separately).
+  // A respawned child reuses the rank's path; its first flush must
+  // replace its predecessor's snapshot, not add onto it (the supervisor
+  // folded that one separately).
   const std::string path = tmp_path("delta_truncate");
   {
     Session first_life;
@@ -229,24 +208,51 @@ TEST(MetricsDelta, FirstFlushTruncatesAStaleStream) {
   EXPECT_EQ(ranks[0].counter_or("steps"), 7);
 }
 
-TEST(MetricsDelta, FullDumpAfterDeltasStillReadsExactly) {
-  // The SIGTERM / clean-exit path truncates with a full dump after any
-  // number of periodic delta flushes; the reader must land on the live
-  // totals either way.
-  const std::string path = tmp_path("delta_then_dump");
+TEST(MetricsDelta, ReaderNeverSeesATornSnapshot) {
+  // Publication replaces the snapshot atomically: a reader racing 2,000
+  // publications sees every row of one complete snapshot each time,
+  // never a half-written file.  The two counters move together, so a
+  // read that mixed two snapshots would also show them unequal.
+  const std::string path = tmp_path("snapshot_race");
   Session session;
-  session.metrics().counter(2, "steps").add(5);
-  session.metrics().histogram(2, "step.wall").record(1e-3);
+  MetricsRegistry& reg = session.metrics();
+  Counter& a = reg.counter(0, "a");
+  Counter& b = reg.counter(0, "b");
+  Histogram& h = reg.histogram(0, "step.wall");
+  a.add();
+  b.add();
+  h.record(1e-3);
   session.flush_metrics_delta(path);
-  session.metrics().counter(2, "steps").add(5);
-  session.metrics().histogram(2, "step.wall").record(2e-3);
-  session.write_metrics_jsonl(path);  // truncating full dump
 
-  const std::vector<RankMetrics> ranks = read_metrics_jsonl(path);
-  ASSERT_EQ(ranks.size(), 1u);
-  EXPECT_EQ(ranks[0].rank, 2);
-  EXPECT_EQ(ranks[0].counter_or("steps"), 10);
-  EXPECT_EQ(ranks[0].histograms.at("step.wall").count, 2);
+  std::atomic<bool> done{false};
+  int reads = 0, torn = 0;
+  std::thread reader([&] {
+    do {
+      const std::vector<RankMetrics> ranks = read_metrics_jsonl(path);
+      ++reads;
+      const bool whole = ranks.size() == 1 && ranks[0].counters.count("a") &&
+                         ranks[0].counters.count("b") &&
+                         ranks[0].histograms.count("step.wall") &&
+                         ranks[0].counters.at("a") == ranks[0].counters.at("b");
+      if (!whole) ++torn;
+    } while (!done.load());
+  });
+  for (int i = 0; i < 2000; ++i) {
+    a.add();
+    b.add();
+    h.record(1e-3 * (i % 7 + 1));
+    session.flush_metrics_delta(path);
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(torn, 0) << torn << " of " << reads << " reads were torn";
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  const std::vector<RankMetrics> last = read_metrics_jsonl(path);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].counter_or("a"), 2001);
+  EXPECT_EQ(last[0].histograms.at("step.wall").count, 2001);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "src/runtime/blocked_driver.hpp"
 #include "src/telemetry/summary.hpp"
+#include "src/util/rng.hpp"
 
 namespace subsonic {
 namespace telemetry {
@@ -211,7 +213,7 @@ TEST(Summary, MetricsJsonlRoundTripsThroughAggregator) {
   reg.timer(2, "compute.lb_collide_stream").record(0.25);
 
   const std::string path = tmp_path("metrics.jsonl");
-  session.write_metrics_jsonl(path);
+  session.flush_metrics_delta(path);
   const std::vector<RankMetrics> ranks = read_metrics_jsonl(path);
   std::remove(path.c_str());
 
@@ -254,6 +256,102 @@ TEST(Summary, TornAndGarbageLinesAreSkipped) {
   ASSERT_EQ(ranks.size(), 1u);
   EXPECT_EQ(ranks[0].counter_or("steps"), 4);
   EXPECT_DOUBLE_EQ(ranks[0].t_calc(), 1.5);
+}
+
+TEST(Summary, MutatedMetricsLinesAreSkippedNotUndefined) {
+  // read_metrics_jsonl parses bytes another process wrote.  Start from a
+  // real snapshot and mutate it: truncate it at every byte, overwrite
+  // seeded bytes, and splice out-of-range numbers into every numeric
+  // field.  Every call must return, and no count it returns may be
+  // negative: an out-of-range number or an overflowing sum skips its
+  // line instead of converting with undefined behaviour.
+  const std::string path = tmp_path("mutated.jsonl");
+  Session session;
+  MetricsRegistry& reg = session.metrics();
+  reg.counter(0, "steps").add(12);
+  reg.counter(0, "transport.msgs_sent").add(40);
+  reg.gauge(0, "step").set(12);
+  reg.timer(0, "compute.block_0").record(0.5);
+  reg.histogram(0, "step.wall").record(1e-3);
+  reg.histogram(0, "step.wall").record(2e-2);
+  session.flush_metrics_delta(path);
+  const std::string snapshot = slurp(path);
+  ASSERT_FALSE(snapshot.empty());
+
+  int mutants = 0, bad = 0;
+  std::string first_bad;
+  auto read_mutant = [&](const std::string& text) {
+    { std::ofstream(path, std::ios::trunc) << text; }
+    const std::vector<RankMetrics> ranks = read_metrics_jsonl(path);
+    ++mutants;
+    bool ok = true;
+    for (const RankMetrics& rm : ranks) {
+      for (const auto& [name, value] : rm.counters) ok = ok && value >= 0;
+      for (const auto& [name, t] : rm.timers) ok = ok && t.count >= 0;
+      for (const auto& [name, h] : rm.histograms) {
+        ok = ok && h.count >= 0;
+        for (long long b : h.buckets) ok = ok && b >= 0;
+      }
+    }
+    if (!ok && bad++ == 0) first_bad = text;
+    return ranks;
+  };
+
+  for (std::size_t n = 0; n <= snapshot.size(); ++n)
+    read_mutant(snapshot.substr(0, n));
+
+  Rng rng(17);
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = snapshot;
+    for (std::uint64_t k = 1 + rng.below(4); k > 0; --k)
+      text[rng.below(text.size())] = static_cast<char>(rng.below(256));
+    read_mutant(text);
+  }
+
+  // Every numeric token: after ':' or inside a bucket array.
+  std::vector<std::pair<std::size_t, std::size_t>> numbers;
+  for (std::size_t i = 1; i < snapshot.size(); ++i) {
+    const char c = snapshot[i], prev = snapshot[i - 1];
+    if ((std::isdigit(static_cast<unsigned char>(c)) || c == '-') &&
+        (prev == ':' || prev == '[' || prev == ',')) {
+      const std::size_t end = snapshot.find_first_of(",}]", i);
+      numbers.emplace_back(i, end - i);
+    }
+  }
+  ASSERT_GT(numbers.size(), HistogramData::kBuckets);
+  for (const auto& [at, len] : numbers) {
+    for (const char* value : {"1e300", "-1", "nan", "inf"}) {
+      std::string text = snapshot;
+      read_mutant(text.replace(at, len, value));
+    }
+    // Two copies of the token's line with 9e18 in that field: the second
+    // copy would overflow whatever the first one added.
+    const std::size_t line_begin = snapshot.rfind('\n', at) + 1;
+    std::string line =
+        snapshot.substr(line_begin, snapshot.find('\n', at) + 1 - line_begin);
+    line.replace(at - line_begin, len, "9e18");
+    read_mutant(snapshot + line + line);
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(bad, 0) << bad << " of " << mutants
+                    << " mutants read a negative count; the first:\n"
+                    << first_bad;
+
+  // The lines an out-of-range number spoils are skipped, the rest kept.
+  std::string spoiled = snapshot;
+  const std::size_t steps_value =
+      spoiled.find("\"value\":", spoiled.find("\"name\":\"steps\""));
+  spoiled.replace(steps_value + 8, 2, "1e300");
+  std::vector<RankMetrics> ranks = read_mutant(spoiled);
+  ASSERT_EQ(ranks.size(), 1u);
+  EXPECT_EQ(ranks[0].counter_or("steps", -7), -7);
+  EXPECT_EQ(ranks[0].counter_or("transport.msgs_sent"), 40);
+  const std::string big =
+      "{\"kind\":\"counter\",\"rank\":0,\"name\":\"steps\",\"value\":9e18}\n";
+  ranks = read_mutant(snapshot + big + big);
+  ASSERT_EQ(ranks.size(), 1u);
+  EXPECT_EQ(ranks[0].counter_or("steps"), 9000000000000000012LL);
+  std::remove(path.c_str());
 }
 
 TEST(Summary, IdleRankReportsZeroUtilization) {
