@@ -1,10 +1,13 @@
 // Kernel-throughput suite: MLUPS (million lattice-site updates per
 // second) for each hot kernel — FD velocity, FD density, LB
-// collide+stream, and the fourth-order filter — across grid sizes and
-// intra-subregion thread counts.  This measures the paper's U_calc
-// directly: the overlap schedule (PR 1, bench_overlap) hides T_com, so
-// raising per-subregion compute throughput is the remaining lever on
-// f = (1 + T_com/T_calc)^-1.
+// collide+stream, LB moments, the fourth-order filter, and the filter
+// plus boundary pass as the schedule's filter_bc phase runs them — across
+// grid sizes and intra-subregion thread counts.  This measures the
+// paper's U_calc directly: the overlap schedule (bench_overlap) hides
+// T_com, so raising per-subregion compute throughput is the remaining
+// lever on f = (1 + T_com/T_calc)^-1.  The rows named after a schedule
+// phase (its "compute.*" timer without the prefix) are the ones
+// KernelSpeedTable::node_rate composes into the cluster model's U_calc.
 //
 // The LB kernel is additionally measured with the SIMD dispatch pinned
 // (lb_collide_stream_scalar / lb_collide_stream_avx2, via set_simd) so
@@ -50,6 +53,7 @@
 #include "src/solver/fd2d.hpp"
 #include "src/solver/filter.hpp"
 #include "src/solver/lbm2d.hpp"
+#include "src/solver/schedule.hpp"
 #include "src/solver/simd.hpp"
 #include "src/telemetry/metrics.hpp"
 #include "src/telemetry/summary.hpp"
@@ -147,8 +151,11 @@ Result run_case(const KernelCase& k, int side, int threads) {
 int main(int argc, char** argv) {
   // FD velocity: reads rho, vx, vy; writes vx_next, vy_next (5 values).
   // FD density: reads rho, vx, vy; writes rho_next (4).  LB: reads the 9
-  // populations and 3 moments, writes 9 populations (21).  Filter, per
-  // field: reads the field, writes the filtered buffer (2).
+  // populations and 3 moments, writes 9 populations (21).  LB moments:
+  // reads the 9 populations, writes the 3 moments (12).  Filter, per
+  // field: reads the field, writes the filtered buffer (2); filter_bc
+  // counts one update per node, all three fields (6), the boundary pass
+  // touching only the few non-fluid nodes.
   std::vector<KernelCase> kernels;
   kernels.push_back({"fd_velocity", Method::kFiniteDifference, 1, 5 * 8, -1,
                      [](Domain2D& d) { fd2d::advance_velocity(d); }});
@@ -162,8 +169,14 @@ int main(int argc, char** argv) {
   if (simd_avx2_built() && simd_avx2_supported())
     kernels.push_back({"lb_collide_stream_avx2", Method::kLatticeBoltzmann,
                        1, 21 * 8, static_cast<int>(SimdLevel::kAvx2), lb});
+  kernels.push_back({"lb_moments", Method::kLatticeBoltzmann, 1, 12 * 8, -1,
+                     [](Domain2D& d) { lbm2d::moments(d); }});
   kernels.push_back({"filter", Method::kFiniteDifference, 3, 2 * 8, -1,
                      [](Domain2D& d) { filter2d(d); }});
+  kernels.push_back({"filter_bc", Method::kFiniteDifference, 1, 6 * 8, -1,
+                     [](Domain2D& d) {
+                       run_compute2d(d, ComputeKind::kFilterAndBc);
+                     }});
 
   std::vector<int> sides = {96, 192};
   const int thread_counts[] = {1, 2, 4};

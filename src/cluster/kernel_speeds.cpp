@@ -4,8 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <vector>
+#include <string_view>
 
+#include "src/solver/schedule.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -108,19 +109,19 @@ std::optional<double> KernelSpeedTable::mlups(
 
 std::optional<double> KernelSpeedTable::node_rate(
     Method method, const std::string& variant) const {
-  const std::vector<std::string> required =
-      method == Method::kLatticeBoltzmann
-          ? std::vector<std::string>{"lb_collide_stream"}
-          : std::vector<std::string>{"fd_velocity", "fd_density"};
   const std::string suffix = variant.empty() ? "" : "_" + variant;
+  const std::string_view timer_prefix = "compute.";
   double seconds_per_meganode = 0;  // sum of 1 / MLUPS over the passes
-  for (const std::string& kernel : required) {
+  for (const Phase& phase : make_schedule2d(method)) {
+    if (phase.kind != Phase::Kind::kCompute) continue;
+    // Bench rows are named like the phase timers, without the prefix.
+    const std::string kernel =
+        std::string(compute_phase_name(phase.compute))
+            .substr(timer_prefix.size());
     const auto m = mlups(kernel + suffix);
     if (!m) return std::nullopt;
     seconds_per_meganode += 1.0 / *m;
   }
-  if (const auto f = mlups("filter" + suffix))
-    seconds_per_meganode += 1.0 / *f;
   return 1e6 / seconds_per_meganode;
 }
 

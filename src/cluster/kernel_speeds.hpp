@@ -42,14 +42,14 @@ class KernelSpeedTable {
   std::optional<double> mlups(const std::string& kernel) const;
 
   /// Composed fluid-node updates per second for one step of `method`:
-  /// 1e6 / sum over the method's kernel passes of 1 / MLUPS.  FD composes
-  /// fd_velocity + fd_density, LB is lb_collide_stream; the filter pass
-  /// is added whenever it was benched (the paper's production runs keep
-  /// the fourth-order filter on).  A non-empty `variant` (e.g. "avx2",
-  /// "scalar") asks for that dispatch variant of each pass, resolved
-  /// through the mlups() fallback chain.  Returns nullopt when a
-  /// required kernel is missing, so callers can fall back to the scalar
-  /// rate.
+  /// 1e6 / sum over the compute phases of make_schedule2d of 1 / MLUPS,
+  /// each phase priced by the bench row of its timer name without the
+  /// "compute." prefix.  FD composes fd_velocity + fd_density +
+  /// filter_bc, LB lb_collide_stream + lb_moments + filter_bc.  A
+  /// non-empty `variant` (e.g. "avx2", "scalar") asks for that dispatch
+  /// variant of each pass, resolved through the mlups() fallback chain.
+  /// Returns nullopt when any phase's row is missing, so callers can fall
+  /// back to the scalar rate.
   std::optional<double> node_rate(Method method,
                                   const std::string& variant = "") const;
 

@@ -57,8 +57,24 @@ void check_params(const Header& h, const FluidParams& p) {
                        "checkpoint was taken with different parameters");
 }
 
-/// Appends the logical window (interior + ghost ring) of `f` row by row —
-/// pitch and alignment padding never reach the file.
+/// Doubles in the logical window (interior + ghost ring) of one field —
+/// what each field contributes to the payload.
+std::size_t window_doubles(const PaddedField2D<double>& f) {
+  const int g = f.ghost();
+  return static_cast<std::size_t>(f.nx() + 2 * g) *
+         static_cast<std::size_t>(f.ny() + 2 * g);
+}
+
+std::size_t window_doubles(const PaddedField3D<double>& f) {
+  const int g = f.ghost();
+  return static_cast<std::size_t>(f.nx() + 2 * g) *
+         static_cast<std::size_t>(f.ny() + 2 * g) *
+         static_cast<std::size_t>(f.nz() + 2 * g);
+}
+
+/// Appends the logical window of `f` row by row — pitch and alignment
+/// padding never reach the file.  serialize_domain reserves the whole
+/// dump up front, so no append reallocates.
 void append_field(std::vector<char>& buf, const PaddedField2D<double>& f) {
   const int g = f.ghost();
   const std::size_t row_bytes =
@@ -78,6 +94,17 @@ void append_field(std::vector<char>& buf, const PaddedField3D<double>& f) {
       const char* row = reinterpret_cast<const char*>(f.row_begin(y, z));
       buf.insert(buf.end(), row, row + row_bytes);
     }
+}
+
+/// An empty dump buffer with room for the header and `nfields` windows
+/// of `window` doubles, the header already in place.
+std::vector<char> start_dump(const Header& h, std::size_t window) {
+  std::vector<char> buf;
+  buf.reserve(sizeof(Header) +
+              static_cast<std::size_t>(h.nfields) * window * sizeof(double));
+  const char* raw = reinterpret_cast<const char*>(&h);
+  buf.insert(buf.end(), raw, raw + sizeof h);
+  return buf;
 }
 
 const char* scatter_field(const char* src, PaddedField2D<double>& f) {
@@ -133,16 +160,16 @@ const Header& validate_file(const std::string& path,
   if (!magic_2d(h.magic) && !magic_3d(h.magic))
     throw checkpoint_error("file " + path +
                            " is not a subsonic v2/v3 checkpoint");
-  const std::size_t expect =
-      sizeof(Header) + h.payload_doubles * sizeof(double);
-  if (bytes.size() != expect)
+  // Divide rather than multiply: payload_doubles * 8 wraps for header
+  // values of 2^61 and up, and could then match a short file.
+  const std::size_t payload_bytes = bytes.size() - sizeof(Header);
+  if (payload_bytes % sizeof(double) != 0 ||
+      payload_bytes / sizeof(double) != h.payload_doubles)
     throw checkpoint_error(
         "checkpoint file " + path + " is truncated or padded: " +
-        std::to_string(bytes.size()) + " bytes, header promises " +
-        std::to_string(expect));
-  const std::uint32_t crc =
-      crc32(bytes.data() + sizeof(Header), bytes.size() - sizeof(Header));
-  if (crc != h.payload_crc)
+        std::to_string(payload_bytes) + " payload bytes, header promises " +
+        std::to_string(h.payload_doubles) + " doubles");
+  if (crc32(bytes.data() + sizeof(Header), payload_bytes) != h.payload_crc)
     throw checkpoint_error("checkpoint file " + path +
                            " failed its CRC32 payload check (torn write "
                            "or corruption)");
@@ -160,10 +187,22 @@ std::vector<char> load_and_validate(const std::string& path, int want_dim) {
   return bytes;
 }
 
+/// The CRC covers only the payload, so a header whose box was edited (or
+/// taken from another run) still validates; its payload must hold exactly
+/// `nfields` windows of the restoring domain before anything is scattered.
+void check_payload(const std::string& path, const Header& h,
+                   std::size_t window) {
+  if (h.payload_doubles != static_cast<std::uint64_t>(h.nfields) * window)
+    throw checkpoint_error(
+        "checkpoint file " + path + " holds " +
+        std::to_string(h.payload_doubles) + " payload doubles, but " +
+        std::to_string(h.nfields) + " fields of its box need " +
+        std::to_string(static_cast<std::uint64_t>(h.nfields) * window));
+}
+
 }  // namespace
 
 std::vector<char> serialize_domain(const Domain2D& d) {
-  std::vector<char> buf(sizeof(Header));
   Header h;
   h.magic = kMagic2Dv3;
   h.layout = kLayoutSoaSlab;
@@ -177,7 +216,7 @@ std::vector<char> serialize_domain(const Domain2D& d) {
   h.q = d.q();
   h.nfields = 3 + d.q();
   fill_params(h, d.params());
-  std::memcpy(buf.data(), &h, sizeof h);
+  std::vector<char> buf = start_dump(h, window_doubles(d.rho()));
   append_field(buf, d.rho());
   append_field(buf, d.vx());
   append_field(buf, d.vy());
@@ -187,7 +226,6 @@ std::vector<char> serialize_domain(const Domain2D& d) {
 }
 
 std::vector<char> serialize_domain(const Domain3D& d) {
-  std::vector<char> buf(sizeof(Header));
   Header h;
   h.magic = kMagic3Dv3;
   h.layout = kLayoutSoaSlab;
@@ -203,7 +241,7 @@ std::vector<char> serialize_domain(const Domain3D& d) {
   h.q = d.q();
   h.nfields = 4 + d.q();
   fill_params(h, d.params());
-  std::memcpy(buf.data(), &h, sizeof h);
+  std::vector<char> buf = start_dump(h, window_doubles(d.rho()));
   append_field(buf, d.rho());
   append_field(buf, d.vx());
   append_field(buf, d.vy());
@@ -234,6 +272,7 @@ void restore_domain(Domain2D& d, const std::string& path) {
   SUBSONIC_REQUIRE(h.q == d.q());
   SUBSONIC_REQUIRE(h.nfields == 3 + d.q());
   check_params(h, d.params());
+  check_payload(path, h, window_doubles(d.rho()));
   const char* src = bytes.data() + sizeof(Header);
   src = scatter_field(src, d.rho());
   src = scatter_field(src, d.vx());
@@ -256,6 +295,7 @@ void restore_domain(Domain3D& d, const std::string& path) {
   SUBSONIC_REQUIRE(h.q == d.q());
   SUBSONIC_REQUIRE(h.nfields == 4 + d.q());
   check_params(h, d.params());
+  check_payload(path, h, window_doubles(d.rho()));
   const char* src = bytes.data() + sizeof(Header);
   src = scatter_field(src, d.rho());
   src = scatter_field(src, d.vx());

@@ -75,8 +75,9 @@ void save_domain(const Domain3D& d, const std::string& path);
 /// Restores state saved by save_domain into a domain constructed with the
 /// same geometry, method, ghost width and parameters.  Throws
 /// checkpoint_error when the file is corrupt (truncated / checksum
-/// mismatch / wrong format) and contract_error on any configuration
-/// mismatch (wrong subregion, wrong method, changed parameters).
+/// mismatch / wrong format / a payload that does not fill the header's
+/// box) and contract_error on any configuration mismatch (wrong
+/// subregion, wrong method, changed parameters).
 void restore_domain(Domain2D& d, const std::string& path);
 void restore_domain(Domain3D& d, const std::string& path);
 

@@ -116,6 +116,10 @@ Domain2D::Domain2D(const Mask2D& global_mask, Box2 box,
                                 [this](int x, int y) {
                                   return filter_mask_(x, y) != 0;
                                 });
+  nonfluid_spans_ = MaskSpans2D(-ghost, nx() + ghost, -ghost, ny() + ghost,
+                                [this](int x, int y) {
+                                  return node(x, y) != NodeType::kFluid;
+                                });
 
   if (method == Method::kLatticeBoltzmann) {
     // One row-interleaved SoA slab per buffer (see f() in the header):

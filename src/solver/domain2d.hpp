@@ -136,6 +136,9 @@ class Domain2D {
   const MaskSpans2D& notwall_spans() const { return notwall_spans_; }
   /// Runs of nodes with at least one usable filter direction.
   const MaskSpans2D& filter_spans() const { return filter_spans_; }
+  /// Non-fluid (wall | inlet | outlet) runs over the whole padded window
+  /// (the boundary pass).
+  const MaskSpans2D& nonfluid_spans() const { return nonfluid_spans_; }
 
   /// Integration step counter, advanced by the driver.
   long step() const { return step_; }
@@ -202,6 +205,7 @@ class Domain2D {
   MaskSpans2D inlet_spans_;
   MaskSpans2D notwall_spans_;
   MaskSpans2D filter_spans_;
+  MaskSpans2D nonfluid_spans_;
   long step_ = 0;
   int threads_ = 1;
   std::shared_ptr<WorkerPool> pool_;  // null when threads_ == 1

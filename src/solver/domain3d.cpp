@@ -124,6 +124,11 @@ Domain3D::Domain3D(const Mask3D& global_mask, Box3 box,
                                 [this](int x, int y, int z) {
                                   return filter_mask_(x, y, z) != 0;
                                 });
+  nonfluid_spans_ =
+      MaskSpans3D(-ghost, nx() + ghost, -ghost, ny() + ghost, -ghost,
+                  nz() + ghost, [this](int x, int y, int z) {
+                    return node(x, y, z) != NodeType::kFluid;
+                  });
 
   if (method == Method::kLatticeBoltzmann) {
     // Pencil-interleaved SoA slabs, the 3D analogue of Domain2D: pencil

@@ -94,6 +94,7 @@ class Domain3D {
   const MaskSpans3D& inlet_spans() const { return inlet_spans_; }
   const MaskSpans3D& notwall_spans() const { return notwall_spans_; }
   const MaskSpans3D& filter_spans() const { return filter_spans_; }
+  const MaskSpans3D& nonfluid_spans() const { return nonfluid_spans_; }
 
   long step() const { return step_; }
   void set_step(long s) { step_ = s; }
@@ -152,6 +153,7 @@ class Domain3D {
   MaskSpans3D inlet_spans_;
   MaskSpans3D notwall_spans_;
   MaskSpans3D filter_spans_;
+  MaskSpans3D nonfluid_spans_;
   long step_ = 0;
   int threads_ = 1;
   std::shared_ptr<WorkerPool> pool_;  // null when threads_ == 1

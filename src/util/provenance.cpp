@@ -7,6 +7,9 @@
 #ifndef SUBSONIC_CXX_FLAGS
 #define SUBSONIC_CXX_FLAGS "unknown"
 #endif
+#ifndef SUBSONIC_SOLVER_FLAGS
+#define SUBSONIC_SOLVER_FLAGS "unknown"
+#endif
 #ifndef SUBSONIC_BUILD_TYPE
 #define SUBSONIC_BUILD_TYPE "unknown"
 #endif
@@ -56,6 +59,7 @@ Provenance collect_provenance() {
       1, static_cast<int>(std::thread::hardware_concurrency()));
   p.compiler = compiler_id();
   p.flags = SUBSONIC_CXX_FLAGS;
+  p.solver_flags = SUBSONIC_SOLVER_FLAGS;
   p.build_type = SUBSONIC_BUILD_TYPE;
   return p;
 }
@@ -68,6 +72,8 @@ std::string provenance_json(const Provenance& p) {
   append_escaped(out, p.compiler);
   out += "\", \"flags\": \"";
   append_escaped(out, p.flags);
+  out += "\", \"solver_flags\": \"";
+  append_escaped(out, p.solver_flags);
   out += "\", \"build_type\": \"";
   append_escaped(out, p.build_type);
   out += "\"}";

@@ -13,6 +13,7 @@ struct Provenance {
   int hardware_threads = 0;  ///< std::thread::hardware_concurrency()
   std::string compiler;      ///< e.g. "gcc 13.2.0"
   std::string flags;         ///< effective CMAKE_CXX_FLAGS at build time
+  std::string solver_flags;  ///< the same plus subsonic_solver's own options
   std::string build_type;    ///< CMAKE_BUILD_TYPE
 };
 

@@ -35,7 +35,9 @@ constexpr const char* kBenchJson = R"({
     {"kernel": "fd_velocity", "side": 192, "threads": 4, "ms_per_call": 0.30, "mlups": 120.0},
     {"kernel": "fd_density", "side": 192, "threads": 1, "ms_per_call": 0.06, "mlups": 700.0},
     {"kernel": "lb_collide_stream", "side": 192, "threads": 1, "ms_per_call": 0.76, "mlups": 50.0},
-    {"kernel": "filter", "side": 192, "threads": 1, "ms_per_call": 0.33, "mlups": 400.0}
+    {"kernel": "lb_moments", "side": 192, "threads": 1, "ms_per_call": 0.20, "mlups": 180.0},
+    {"kernel": "filter", "side": 192, "threads": 1, "ms_per_call": 0.33, "mlups": 400.0},
+    {"kernel": "filter_bc", "side": 192, "threads": 1, "ms_per_call": 0.30, "mlups": 120.0}
   ]
 })";
 
@@ -48,7 +50,9 @@ TEST(KernelSpeedTable, LoadsSingleThreadCasesAtTheLargestSide) {
   EXPECT_DOUBLE_EQ(table.mlups("fd_velocity").value(), 140.0);
   EXPECT_DOUBLE_EQ(table.mlups("fd_density").value(), 700.0);
   EXPECT_DOUBLE_EQ(table.mlups("lb_collide_stream").value(), 50.0);
+  EXPECT_DOUBLE_EQ(table.mlups("lb_moments").value(), 180.0);
   EXPECT_DOUBLE_EQ(table.mlups("filter").value(), 400.0);
+  EXPECT_DOUBLE_EQ(table.mlups("filter_bc").value(), 120.0);
   EXPECT_FALSE(table.mlups("no_such_kernel").has_value());
 }
 
@@ -57,10 +61,13 @@ TEST(KernelSpeedTable, NodeRateComposesTheMethodsPasses) {
   t.set("fd_velocity", 100.0);
   t.set("fd_density", 400.0);
   t.set("lb_collide_stream", 50.0);
-  t.set("filter", 200.0);
-  // One step = every pass once; times add, so rates compose harmonically.
+  t.set("lb_moments", 150.0);
+  t.set("filter_bc", 200.0);
+  t.set("filter", 1000.0);  // the bare filter is not a schedule phase
+  // One step = every compute phase of make_schedule2d once; times add,
+  // so rates compose harmonically.
   const double fd = 1e6 / (1.0 / 100.0 + 1.0 / 400.0 + 1.0 / 200.0);
-  const double lb = 1e6 / (1.0 / 50.0 + 1.0 / 200.0);
+  const double lb = 1e6 / (1.0 / 50.0 + 1.0 / 150.0 + 1.0 / 200.0);
   EXPECT_DOUBLE_EQ(t.node_rate(Method::kFiniteDifference).value(), fd);
   EXPECT_DOUBLE_EQ(t.node_rate(Method::kLatticeBoltzmann).value(), lb);
 }
@@ -70,9 +77,16 @@ TEST(KernelSpeedTable, NodeRateRequiresTheCoreKernels) {
   t.set("fd_velocity", 100.0);  // fd_density missing
   EXPECT_FALSE(t.node_rate(Method::kFiniteDifference).has_value());
   EXPECT_FALSE(t.node_rate(Method::kLatticeBoltzmann).has_value());
-  // The filter pass is optional: without it the core kernel alone counts.
+  // Collide-stream alone does not price an LB step: moments and the
+  // filter + boundary pass run every step too.
   t.set("lb_collide_stream", 50.0);
-  EXPECT_DOUBLE_EQ(t.node_rate(Method::kLatticeBoltzmann).value(), 50e6);
+  t.set("filter", 200.0);
+  EXPECT_FALSE(t.node_rate(Method::kLatticeBoltzmann).has_value());
+  t.set("lb_moments", 150.0);
+  EXPECT_FALSE(t.node_rate(Method::kLatticeBoltzmann).has_value());
+  t.set("filter_bc", 200.0);
+  EXPECT_DOUBLE_EQ(t.node_rate(Method::kLatticeBoltzmann).value(),
+                   1e6 / (1.0 / 50.0 + 1.0 / 150.0 + 1.0 / 200.0));
 }
 
 TEST(KernelSpeedTable, RejectsMissingAndUselessFiles) {
@@ -120,14 +134,16 @@ TEST(KernelSpeedTable, NodeRateResolvesVariantsPerPass) {
   KernelSpeedTable t;
   t.set("lb_collide_stream", 150.0);
   t.set("lb_collide_stream_avx2", 300.0);
-  t.set("filter", 200.0);
-  // Variant-qualified rate: the LB pass uses the avx2 row; the filter
-  // pass has no avx2 row and falls back to its base entry.
+  t.set("lb_moments", 400.0);
+  t.set("filter_bc", 200.0);
+  // Variant-qualified rate: the collide-stream pass uses the avx2 row;
+  // moments and filter_bc have no avx2 row and fall back to their base
+  // entries.
   const double avx2 = *t.node_rate(Method::kLatticeBoltzmann, "avx2");
-  EXPECT_DOUBLE_EQ(avx2, 1e6 / (1.0 / 300.0 + 1.0 / 200.0));
+  EXPECT_DOUBLE_EQ(avx2, 1e6 / (1.0 / 300.0 + 1.0 / 400.0 + 1.0 / 200.0));
   // Unqualified rate keeps the auto-dispatched production rows.
   const double base = *t.node_rate(Method::kLatticeBoltzmann);
-  EXPECT_DOUBLE_EQ(base, 1e6 / (1.0 / 150.0 + 1.0 / 200.0));
+  EXPECT_DOUBLE_EQ(base, 1e6 / (1.0 / 150.0 + 1.0 / 400.0 + 1.0 / 200.0));
   // The scalar variant falls back to the base rows here (no _scalar
   // entries), pricing the same as unqualified.
   EXPECT_DOUBLE_EQ(*t.node_rate(Method::kLatticeBoltzmann, "scalar"), base);
@@ -149,10 +165,13 @@ TEST(ClusterParams, NodeRateUsesMeasuredKernelsWithScalarFallback) {
                    scalar_lb2);
 
   p.kernel_speeds.set("lb_collide_stream", 50.0);
-  // Measured 2D rate, still scaled by the relative host factor.
+  p.kernel_speeds.set("lb_moments", 150.0);
+  p.kernel_speeds.set("filter_bc", 150.0);
+  // Measured 2D rate (the three LB phases compose to 30 MLUPS), still
+  // scaled by the relative host factor.
   EXPECT_DOUBLE_EQ(
       p.node_rate(HostModel::k710, Method::kLatticeBoltzmann, 2),
-      50e6 *
+      1e6 / (1.0 / 50.0 + 1.0 / 150.0 + 1.0 / 150.0) *
           host_speed_factor(HostModel::k710, Method::kLatticeBoltzmann, 2));
   // The bench suite measures 2D kernels; 3D keeps the scalar path.
   EXPECT_DOUBLE_EQ(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <sys/stat.h>
@@ -228,6 +230,77 @@ TEST(Checkpoint, BitFlipIsCheckpointError) {
   SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
   EXPECT_THROW(restore_domain(b.domain(), path), checkpoint_error);
   EXPECT_THROW(inspect_checkpoint(path), checkpoint_error);
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Overwrites the header's box corner x1 (y1, z1) — int32s at byte 28 on.
+void set_header_box_end(std::vector<char>& bytes, std::int32_t x1,
+                        std::int32_t y1, std::int32_t z1) {
+  std::memcpy(bytes.data() + 28, &x1, sizeof x1);
+  std::memcpy(bytes.data() + 32, &y1, sizeof y1);
+  std::memcpy(bytes.data() + 36, &z1, sizeof z1);
+}
+
+// The CRC covers only the payload, so a header edited to claim a larger
+// box (or copied from another run) still validates.  Restoring it into a
+// domain of that box must fail as a corrupt file before anything is
+// scattered, not read past the end of the payload.
+TEST(Checkpoint, PayloadShorterThanItsBoxIsCheckpointError) {
+  FluidParams p;
+  p.dt = 1.0;
+  const Mask2D small_mask(Extents2{12, 10}, 1);
+  const Mask2D big_mask(Extents2{20, 16}, 1);
+  SerialDriver<2> small(small_mask, p, Method::kLatticeBoltzmann);
+  small.reinitialize();
+  small.run(2);
+  std::vector<char> bytes = serialize_domain(small.domain());
+  set_header_box_end(bytes, 20, 16, 0);
+  const std::string path = tmp_dir() + "/short_payload.dump";
+  write_bytes(path, bytes);
+
+  SerialDriver<2> big(big_mask, p, Method::kLatticeBoltzmann);
+  try {
+    restore_domain(big.domain(), path);
+    FAIL() << "a payload shorter than its box restored";
+  } catch (const checkpoint_error& e) {
+    EXPECT_NE(std::string(e.what()).find("short_payload.dump"),
+              std::string::npos)
+        << e.what();
+  }
+
+  p.dt = 0.3;
+  const Mask3D small_mask3(Extents3{6, 5, 4}, 1);
+  const Mask3D big_mask3(Extents3{8, 7, 6}, 1);
+  SerialDriver<3> small3(small_mask3, p, Method::kFiniteDifference);
+  std::vector<char> bytes3 = serialize_domain(small3.domain());
+  set_header_box_end(bytes3, 8, 7, 6);
+  const std::string path3 = tmp_dir() + "/short_payload3d.dump";
+  write_bytes(path3, bytes3);
+  SerialDriver<3> big3(big_mask3, p, Method::kFiniteDifference);
+  EXPECT_THROW(restore_domain(big3.domain(), path3), checkpoint_error);
+}
+
+// payload_doubles * 8 wraps for counts of 2^61 and up; a header whose
+// count wraps onto the real payload size must still fail the size check.
+TEST(Checkpoint, WrappingPayloadCountIsCheckpointError) {
+  Mask2D mask(Extents2{12, 10}, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  SerialDriver<2> a(mask, p, Method::kLatticeBoltzmann);
+  std::vector<char> bytes = serialize_domain(a.domain());
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + 56, sizeof count);
+  count += std::uint64_t{1} << 61;  // count * 8 is unchanged mod 2^64
+  std::memcpy(bytes.data() + 56, &count, sizeof count);
+  const std::string path = tmp_dir() + "/wrapped_count.dump";
+  write_bytes(path, bytes);
+  EXPECT_THROW(inspect_checkpoint(path), checkpoint_error);
+  SerialDriver<2> b(mask, p, Method::kLatticeBoltzmann);
+  EXPECT_THROW(restore_domain(b.domain(), path), checkpoint_error);
 }
 
 TEST(Checkpoint, InspectReportsHeaderFactsAfterFullVerify) {

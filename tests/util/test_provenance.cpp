@@ -11,6 +11,8 @@ TEST(Provenance, CollectFillsEveryField) {
   EXPECT_GE(p.hardware_threads, 1);
   EXPECT_FALSE(p.compiler.empty());
   EXPECT_FALSE(p.build_type.empty());
+  // The solver's line is the build's flags plus its own options.
+  EXPECT_EQ(p.solver_flags.rfind(p.flags, 0), 0u) << p.solver_flags;
 }
 
 TEST(Provenance, JsonIsAnObjectWithTheExpectedKeys) {
@@ -18,7 +20,8 @@ TEST(Provenance, JsonIsAnObjectWithTheExpectedKeys) {
   p.cpu_model = "Test CPU";
   p.hardware_threads = 4;
   p.compiler = "gcc 13";
-  p.flags = "-O3";
+  p.flags = "-O2 -g";
+  p.solver_flags = "-O2 -g -O3";
   p.build_type = "Release";
   const std::string j = provenance_json(p);
   EXPECT_EQ(j.front(), '{');
@@ -26,7 +29,8 @@ TEST(Provenance, JsonIsAnObjectWithTheExpectedKeys) {
   EXPECT_NE(j.find("\"cpu_model\": \"Test CPU\""), std::string::npos);
   EXPECT_NE(j.find("\"hardware_threads\": 4"), std::string::npos);
   EXPECT_NE(j.find("\"compiler\": \"gcc 13\""), std::string::npos);
-  EXPECT_NE(j.find("\"flags\": \"-O3\""), std::string::npos);
+  EXPECT_NE(j.find("\"flags\": \"-O2 -g\""), std::string::npos);
+  EXPECT_NE(j.find("\"solver_flags\": \"-O2 -g -O3\""), std::string::npos);
   EXPECT_NE(j.find("\"build_type\": \"Release\""), std::string::npos);
 }
 
