@@ -58,13 +58,12 @@ constexpr MessageTag make_tag(long step, int phase, int dir) {
          static_cast<MessageTag>(dir & 0x3F);
 }
 
-/// Tag for the over-decomposed (block) runtime, where several block pairs
-/// multiplex one rank-pair channel: the sending block's id is placed above
-/// the (step, phase, dir) bits, so the receiver can wait for precisely the
-/// message of one neighbouring block.  `src_block + 1` keeps block tags
-/// disjoint from plain make_tag() tags on a shared transport; the step
-/// field below stays collision-free while step < 2^24, far beyond any run
-/// this runtime performs.
+/// make_tag() with a block id above the (step, phase, dir) bits, stored as
+/// `src_block + 1`, so block -1 leaves the make_tag() bits alone.  The
+/// block runtime sends one frame per rank pair and exchange phase, tagged
+/// make_block_tag(step, phase, 0, -1): (step, phase) alone names a frame
+/// on its rank-pair channel.  The step field stays collision-free while
+/// step < 2^24, far beyond any run this runtime performs.
 constexpr MessageTag make_block_tag(long step, int phase, int dir,
                                     int src_block) {
   return (static_cast<MessageTag>(src_block + 1) << 40) |

@@ -1,6 +1,10 @@
 #include "src/runtime/block_set.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "src/util/check.hpp"
 #include "src/util/fault_plan.hpp"
@@ -11,6 +15,11 @@ namespace {
 /// Phase index of the full-state synchronization: the largest the tag's
 /// phase field holds, above every schedule phase.
 constexpr int kSyncPhase = 1023;
+
+/// Tag of the one frame a rank sends each peer rank in a phase.
+constexpr MessageTag frame_tag(long step, int phase) {
+  return make_block_tag(step, phase, 0, -1);
+}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -46,6 +55,61 @@ BlockSet<Dim>::BlockSet(const Mask& mask, const FluidParams& params,
     lb.compute_timer = "compute.block_" + std::to_string(b);
     locals_.push_back(std::move(lb));
   }
+  resolve_exchange();
+}
+
+template <int Dim>
+void BlockSet<Dim>::resolve_exchange() {
+  auto local_of = [this](int block) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), block);
+    SUBSONIC_CHECK(it != ids_.end() && *it == block);
+    return static_cast<int>(it - ids_.begin());
+  };
+  std::map<int, PeerFrames> by_rank;
+  for (int i = 0; i < local_count(); ++i) {
+    const std::vector<LinkPlan>& links = locals_[i].links;
+    for (int l = 0; l < static_cast<int>(links.size()); ++l) {
+      const LinkPlan& link = links[l];
+      const int owner = bd_.owner(link.peer);
+      if (owner == rank_) {
+        // The neighbour's side of this face: its link back along peer_dir.
+        const int src = local_of(link.peer);
+        const std::vector<LinkPlan>& back = locals_[src].links;
+        const auto it = std::find_if(
+            back.begin(), back.end(),
+            [&](const LinkPlan& k) { return k.dir == link.peer_dir; });
+        SUBSONIC_CHECK(it != back.end() && it->peer == locals_[i].id);
+        copies_.push_back({src, it->send_box, i, link.recv_box});
+        continue;
+      }
+      PeerFrames& p = by_rank[owner];
+      p.rank = owner;
+      p.sends.push_back({i, l});
+      p.recvs.push_back({i, l});
+      p.cells += link.recv_box.count();
+    }
+  }
+  // Both ends order a frame by (sending block id, sending direction): the
+  // sender reads it off its own links, the receiver off each link's peer.
+  auto sent_as = [this](const Face& f) {
+    return std::make_pair(locals_[f.local].id,
+                          locals_[f.local].links[f.link].dir);
+  };
+  auto received_as = [this](const Face& f) {
+    const LinkPlan& link = locals_[f.local].links[f.link];
+    return std::make_pair(link.peer, link.peer_dir);
+  };
+  for (auto& [r, p] : by_rank) {
+    std::sort(p.sends.begin(), p.sends.end(),
+              [&](const Face& a, const Face& b) {
+                return sent_as(a) < sent_as(b);
+              });
+    std::sort(p.recvs.begin(), p.recvs.end(),
+              [&](const Face& a, const Face& b) {
+                return received_as(a) < received_as(b);
+              });
+    peers_.push_back(std::move(p));
+  }
 }
 
 template <int Dim>
@@ -66,38 +130,41 @@ long BlockSet<Dim>::step() const {
 }
 
 template <int Dim>
-void BlockSet<Dim>::post_sends(LocalBlock& b,
-                               const std::vector<FieldId>& fields, long step,
+void BlockSet<Dim>::post_sends(const std::vector<FieldId>& fields, long step,
                                int phase, const SendFn& send) {
-  for (const LinkPlan& link : b.links) {
-    const MessageTag tag = make_block_tag(step, phase, link.dir, b.id);
-    auto payload = Traits::pack(*b.domain, fields, link.send_box);
-    if (bd_.owner(link.peer) == rank_)
-      mailbox_[tag] = std::move(payload);
-    else
-      send(bd_.owner(link.peer), tag, std::move(payload));
+  for (const PeerFrames& p : peers_) {
+    std::vector<double> frame(static_cast<size_t>(p.cells) * fields.size());
+    double* out = frame.data();
+    for (const Face& f : p.sends) {
+      const LocalBlock& b = locals_[f.local];
+      out = Traits::pack_into(*b.domain, fields, b.links[f.link].send_box, out);
+    }
+    send(p.rank, frame_tag(step, phase), std::move(frame));
   }
 }
 
 template <int Dim>
-void BlockSet<Dim>::complete_recvs(LocalBlock& b,
-                                   const std::vector<FieldId>& fields,
+void BlockSet<Dim>::complete_recvs(const std::vector<FieldId>& fields,
                                    long step, int phase, const RecvFn& recv) {
-  for (const LinkPlan& link : b.links) {
-    // The tag exactly as the sending block composed it: its id, and this
-    // link's direction as seen from its side.
-    const MessageTag tag =
-        make_block_tag(step, phase, link.peer_dir, link.peer);
-    if (bd_.owner(link.peer) == rank_) {
-      const auto it = mailbox_.find(tag);
-      SUBSONIC_REQUIRE_MSG(it != mailbox_.end(),
-                           "intra-rank block message missing: sends of a "
-                           "phase must precede its receives");
-      Traits::unpack(*b.domain, fields, link.recv_box, it->second);
-      mailbox_.erase(it);
-    } else {
-      Traits::unpack(*b.domain, fields, link.recv_box,
-                     recv(bd_.owner(link.peer), tag));
+  // Faces between this rank's own blocks first: they wait for nothing.
+  for (const LocalCopy& c : copies_)
+    Traits::copy(*locals_[c.src].domain, c.src_box, *locals_[c.dst].domain,
+                 c.dst_box, fields);
+  for (const PeerFrames& p : peers_) {
+    const std::vector<double> frame = recv(p.rank, frame_tag(step, phase));
+    // The frame came from another rank, possibly another process: check
+    // its length before any segment is read.
+    const size_t expected = static_cast<size_t>(p.cells) * fields.size();
+    SUBSONIC_REQUIRE_MSG(
+        frame.size() == expected,
+        "frame from rank " + std::to_string(p.rank) + " at step " +
+            std::to_string(step) + ", phase " + std::to_string(phase) +
+            ": expected " + std::to_string(expected) + " doubles, received " +
+            std::to_string(frame.size()));
+    const double* in = frame.data();
+    for (const Face& f : p.recvs) {
+      LocalBlock& b = locals_[f.local];
+      in = Traits::unpack_from(*b.domain, fields, b.links[f.link].recv_box, in);
     }
   }
 }
@@ -136,8 +203,7 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
         {
           telemetry::ScopedSpan span(tel_, rank_, "comm.post_sends", "comm",
                                      step);
-          for (LocalBlock& b : locals_)
-            post_sends(b, ex.fields, step, ex_index, send);
+          post_sends(ex.fields, step, ex_index, send);
         }
         for (LocalBlock& b : locals_)
           compute_block(b, phase.compute, ComputePass::kInterior);
@@ -147,8 +213,7 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
           // exchange so percentiles exist under either schedule.
           telemetry::ScopedSpan span(tel_, rank_, "comm.complete_recvs",
                                      "comm", step);
-          for (LocalBlock& b : locals_)
-            complete_recvs(b, ex.fields, step, ex_index, recv);
+          complete_recvs(ex.fields, step, ex_index, recv);
           tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
         }
         ++i;  // the exchange phase was folded into the split
@@ -158,10 +223,8 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
       }
     } else {
       telemetry::ScopedSpan span(tel_, rank_, "comm.exchange", "comm", step);
-      for (LocalBlock& b : locals_)
-        post_sends(b, phase.fields, step, static_cast<int>(i), send);
-      for (LocalBlock& b : locals_)
-        complete_recvs(b, phase.fields, step, static_cast<int>(i), recv);
+      post_sends(phase.fields, step, static_cast<int>(i), send);
+      complete_recvs(phase.fields, step, static_cast<int>(i), recv);
       tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
     }
   }
@@ -177,10 +240,8 @@ void BlockSet<Dim>::sync_all_fields(long sync_step, const SendFn& send,
     const int q = locals_.front().domain->q();
     for (int i = 0; i < q; ++i) all_fields.push_back(population(i));
   }
-  for (LocalBlock& b : locals_)
-    post_sends(b, all_fields, sync_step, kSyncPhase, send);
-  for (LocalBlock& b : locals_)
-    complete_recvs(b, all_fields, sync_step, kSyncPhase, recv);
+  post_sends(all_fields, sync_step, kSyncPhase, send);
+  complete_recvs(all_fields, sync_step, kSyncPhase, recv);
 }
 
 template class BlockSet<2>;

@@ -1,29 +1,37 @@
 // One rank's share of an over-decomposed run: the list of blocks the
 // owner map assigns to this rank, each a full Domain over its block box,
-// stepped phase-synchronously.  The per-step structure is the familiar
-// overlap pattern lifted from one subregion to a block list —
+// stepped phase-synchronously.  The block is the unit of work and the
+// rank the unit of messages.  Each step is the overlap pattern lifted
+// from one subregion to a block list —
 //
-//   for every block: compute the boundary band
-//   for every block: post the band messages (intra-rank: a local mailbox
-//                    handoff; inter-rank: the caller's send hook)
-//   for every block: compute the interior
-//   for every block: complete the receives
+//   for every block:     compute the boundary band
+//   for every peer rank: pack every face bound for it into one frame, send
+//   for every block:     compute the interior
+//   for every face between two blocks of this rank:
+//                        copy the neighbour's send box into the recv box
+//   for every peer rank: receive its frame, check its length, unpack
 //
-// — so a neighbouring block on the same rank is served by a memcpy-cheap
-// mailbox entry while a block on another rank flows through the
-// transport, multiplexed on the rank-pair channel by make_block_tag.  At
-// block side 0 a rank's one block is its whole subregion, so only faces a
-// rank shares with itself across a periodic axis use the mailbox.
-// Kernels are untouched and see exactly the ghost data the serial driver
-// would supply, which is what makes every block layout bitwise equal to
-// the serial run (tested).  Compute time is charged per block
-// ("compute.block_<id>"), giving the rebalancer the per-block T_calc it
-// feeds on.
+// A frame is the concatenation of the per-link pack payloads, one segment
+// per cross-rank link, in ascending (sending block id, sending direction)
+// order, tagged make_block_tag(step, phase, 0, -1).  The receiver resolves
+// the same order and every segment's length (recv_box.count() x fields)
+// from its own link plans at construction, so no index travels and the
+// doubles on the wire are exactly the per-link payloads; a frame of any
+// other length is rejected before a segment is read.  A face between two
+// blocks of this rank never leaves it.  Copying it at receive time rather
+// than at the post is safe because every band is complete before any
+// post, and the interior pass writes neither a band cell nor padding.  At
+// block side 0 a rank's one block is its whole subregion, so a frame
+// holds the faces two subregions share, and only faces a rank shares
+// with itself across a periodic axis are copied.  Kernels are untouched
+// and see exactly the ghost data the serial driver would supply, which is
+// what makes every block layout bitwise equal to the serial run (tested).
+// Compute time is charged per block ("compute.block_<id>"), giving the
+// rebalancer the per-block T_calc it feeds on.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,18 +49,21 @@ class BlockSet {
   using Mask = typename Traits::Mask;
   using Domain = typename Traits::Domain;
   using BlockDecomp = typename Traits::BlockDecomp;
+  using Box = typename Traits::Box;
   using LinkPlan = typename Traits::LinkPlan;
 
-  /// Inter-rank hooks: send(dst_rank, tag, payload) and
-  /// recv(src_rank, tag) -> payload, typically bound to a Transport or a
-  /// TcpEndpoint.  Never invoked for intra-rank block pairs.
+  /// Inter-rank hooks: send(dst_rank, tag, frame) and
+  /// recv(src_rank, tag) -> frame, typically bound to a Transport or a
+  /// TcpEndpoint.  Invoked once per peer rank and exchange phase, never
+  /// for this rank itself.
   using SendFn =
       std::function<void(int, MessageTag, std::vector<double>)>;
   using RecvFn = std::function<std::vector<double>(int, MessageTag)>;
 
   /// Builds one Domain per block `bd` assigns to `rank` (ascending block
-  /// id).  `tel` must outlive the set; per-block compute spans and the
-  /// rank's step counter are charged into it.
+  /// id) and resolves its exchange: the faces of each peer rank's frames
+  /// and the intra-rank copies.  `tel` must outlive the set; per-block
+  /// compute spans and the rank's step counter are charged into it.
   BlockSet(const Mask& mask, const FluidParams& params, Method method,
            const BlockDecomp& bd, int rank, int threads,
            telemetry::Session* tel);
@@ -95,11 +106,34 @@ class BlockSet {
     std::vector<LinkPlan> links;  ///< peer = neighbouring *block* id
     std::string compute_timer;    ///< "compute.block_<id>"
   };
+  /// One segment of a frame: link `link` of local block `local`.
+  struct Face {
+    int local = -1;
+    int link = -1;
+  };
+  /// The traffic with one peer rank: the faces this rank packs and the
+  /// faces it unpacks, each in frame order, and their cell count — the
+  /// same both ways, as every link's send and recv boxes are.
+  struct PeerFrames {
+    int rank = -1;
+    std::vector<Face> sends;
+    std::vector<Face> recvs;
+    std::int64_t cells = 0;
+  };
+  /// A face between two blocks of this rank: local block `dst`'s recv box
+  /// is filled from local block `src`'s send box.
+  struct LocalCopy {
+    int src = -1;
+    Box src_box;
+    int dst = -1;
+    Box dst_box;
+  };
 
-  void post_sends(LocalBlock& b, const std::vector<FieldId>& fields,
-                  long step, int phase, const SendFn& send);
-  void complete_recvs(LocalBlock& b, const std::vector<FieldId>& fields,
-                      long step, int phase, const RecvFn& recv);
+  void resolve_exchange();
+  void post_sends(const std::vector<FieldId>& fields, long step, int phase,
+                  const SendFn& send);
+  void complete_recvs(const std::vector<FieldId>& fields, long step,
+                      int phase, const RecvFn& recv);
 
   BlockDecomp bd_;
   FluidParams params_;
@@ -109,9 +143,8 @@ class BlockSet {
   std::vector<Phase> schedule_;
   std::vector<int> ids_;
   std::vector<LocalBlock> locals_;
-  /// Intra-rank mailbox, keyed by the sender's full block tag.  Sends of a
-  /// phase always precede its receives, so a lookup never misses.
-  std::map<MessageTag, std::vector<double>> mailbox_;
+  std::vector<PeerFrames> peers_;  ///< ascending peer rank
+  std::vector<LocalCopy> copies_;
   telemetry::Session* tel_ = nullptr;
 };
 

@@ -98,6 +98,25 @@ struct DomainTraits<2> {
     unpack2d(dom, fields, box, payload);
   }
 
+  /// pack/unpack over caller storage (one segment of a rank frame), and
+  /// the direct block-to-block copy of an intra-rank face.
+  static double* pack_into(const Domain& dom,
+                           const std::vector<FieldId>& fields, Box box,
+                           double* out) {
+    return pack2d_into(dom, fields, box, out);
+  }
+
+  static const double* unpack_from(Domain& dom,
+                                   const std::vector<FieldId>& fields,
+                                   Box box, const double* in) {
+    return unpack2d_from(dom, fields, box, in);
+  }
+
+  static void copy(const Domain& src, Box src_box, Domain& dst, Box dst_box,
+                   const std::vector<FieldId>& fields) {
+    copy2d(src, src_box, dst, dst_box, fields);
+  }
+
   static void run_compute(Domain& d, ComputeKind kind,
                           ComputePass pass = ComputePass::kFull) {
     run_compute2d(d, kind, pass);
@@ -217,6 +236,23 @@ struct DomainTraits<3> {
   static void unpack(Domain& dom, const std::vector<FieldId>& fields,
                      Box box, const std::vector<double>& payload) {
     unpack3d(dom, fields, box, payload);
+  }
+
+  static double* pack_into(const Domain& dom,
+                           const std::vector<FieldId>& fields, Box box,
+                           double* out) {
+    return pack3d_into(dom, fields, box, out);
+  }
+
+  static const double* unpack_from(Domain& dom,
+                                   const std::vector<FieldId>& fields,
+                                   Box box, const double* in) {
+    return unpack3d_from(dom, fields, box, in);
+  }
+
+  static void copy(const Domain& src, Box src_box, Domain& dst, Box dst_box,
+                   const std::vector<FieldId>& fields) {
+    copy3d(src, src_box, dst, dst_box, fields);
   }
 
   static void run_compute(Domain& d, ComputeKind kind,

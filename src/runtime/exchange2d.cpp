@@ -1,5 +1,7 @@
 #include "src/runtime/exchange2d.hpp"
 
+#include <algorithm>
+
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -71,13 +73,9 @@ std::vector<LinkPlan2D> make_link_plans2d(const Decomposition2D& d, int rank,
 
 std::vector<double> pack2d(const Domain2D& dom,
                            const std::vector<FieldId>& fields, Box2 box) {
-  std::vector<double> payload;
-  payload.reserve(static_cast<size_t>(box.count()) * fields.size());
-  for (FieldId id : fields) {
-    const PaddedField2D<double>& u = dom.field(id);
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x) payload.push_back(u(x, y));
-  }
+  std::vector<double> payload(static_cast<size_t>(box.count()) *
+                              fields.size());
+  pack2d_into(dom, fields, box, payload.data());
   return payload;
 }
 
@@ -85,11 +83,45 @@ void unpack2d(Domain2D& dom, const std::vector<FieldId>& fields, Box2 box,
               const std::vector<double>& payload) {
   SUBSONIC_REQUIRE(payload.size() ==
                    static_cast<size_t>(box.count()) * fields.size());
-  size_t k = 0;
+  unpack2d_from(dom, fields, box, payload.data());
+}
+
+double* pack2d_into(const Domain2D& dom, const std::vector<FieldId>& fields,
+                    Box2 box, double* out) {
+  if (box.empty()) return out;
+  const int w = box.width();
+  for (FieldId id : fields) {
+    const PaddedField2D<double>& u = dom.field(id);
+    for (int y = box.y0; y < box.y1; ++y)
+      out = std::copy_n(&u(box.x0, y), w, out);
+  }
+  return out;
+}
+
+const double* unpack2d_from(Domain2D& dom, const std::vector<FieldId>& fields,
+                            Box2 box, const double* in) {
+  if (box.empty()) return in;
+  const int w = box.width();
   for (FieldId id : fields) {
     PaddedField2D<double>& u = dom.field(id);
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x) u(x, y) = payload[k++];
+    for (int y = box.y0; y < box.y1; ++y, in += w)
+      std::copy_n(in, w, &u(box.x0, y));
+  }
+  return in;
+}
+
+void copy2d(const Domain2D& src, Box2 src_box, Domain2D& dst, Box2 dst_box,
+            const std::vector<FieldId>& fields) {
+  SUBSONIC_REQUIRE(src_box.width() == dst_box.width() &&
+                   src_box.height() == dst_box.height());
+  if (src_box.empty()) return;
+  const int w = src_box.width();
+  for (FieldId id : fields) {
+    const PaddedField2D<double>& s = src.field(id);
+    PaddedField2D<double>& d = dst.field(id);
+    for (int y = 0; y < src_box.height(); ++y)
+      std::copy_n(&s(src_box.x0, src_box.y0 + y), w,
+                  &d(dst_box.x0, dst_box.y0 + y));
   }
 }
 

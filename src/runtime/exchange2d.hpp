@@ -39,4 +39,20 @@ std::vector<double> pack2d(const Domain2D& dom,
 void unpack2d(Domain2D& dom, const std::vector<FieldId>& fields, Box2 box,
               const std::vector<double>& payload);
 
+/// pack2d into caller storage: writes box.count() * fields.size() doubles
+/// at `out` and returns the end of what it wrote.
+double* pack2d_into(const Domain2D& dom, const std::vector<FieldId>& fields,
+                    Box2 box, double* out);
+
+/// unpack2d from caller storage: reads box.count() * fields.size() doubles
+/// at `in` and returns the end of what it read.
+const double* unpack2d_from(Domain2D& dom, const std::vector<FieldId>& fields,
+                            Box2 box, const double* in);
+
+/// Copies `fields` over `src_box` of `src` into the equally shaped
+/// `dst_box` of `dst` — pack2d then unpack2d without the payload.  `src`
+/// and `dst` may be one domain if the boxes are disjoint.
+void copy2d(const Domain2D& src, Box2 src_box, Domain2D& dst, Box2 dst_box,
+            const std::vector<FieldId>& fields);
+
 }  // namespace subsonic

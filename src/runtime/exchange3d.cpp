@@ -1,5 +1,7 @@
 #include "src/runtime/exchange3d.hpp"
 
+#include <algorithm>
+
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -83,14 +85,9 @@ std::vector<LinkPlan3D> make_link_plans3d(const Decomposition3D& d, int rank,
 
 std::vector<double> pack3d(const Domain3D& dom,
                            const std::vector<FieldId>& fields, Box3 box) {
-  std::vector<double> payload;
-  payload.reserve(static_cast<size_t>(box.count()) * fields.size());
-  for (FieldId id : fields) {
-    const PaddedField3D<double>& u = dom.field(id);
-    for (int z = box.z0; z < box.z1; ++z)
-      for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x) payload.push_back(u(x, y, z));
-  }
+  std::vector<double> payload(static_cast<size_t>(box.count()) *
+                              fields.size());
+  pack3d_into(dom, fields, box, payload.data());
   return payload;
 }
 
@@ -98,12 +95,49 @@ void unpack3d(Domain3D& dom, const std::vector<FieldId>& fields, Box3 box,
               const std::vector<double>& payload) {
   SUBSONIC_REQUIRE(payload.size() ==
                    static_cast<size_t>(box.count()) * fields.size());
-  size_t k = 0;
+  unpack3d_from(dom, fields, box, payload.data());
+}
+
+double* pack3d_into(const Domain3D& dom, const std::vector<FieldId>& fields,
+                    Box3 box, double* out) {
+  if (box.empty()) return out;
+  const int w = box.width();
+  for (FieldId id : fields) {
+    const PaddedField3D<double>& u = dom.field(id);
+    for (int z = box.z0; z < box.z1; ++z)
+      for (int y = box.y0; y < box.y1; ++y)
+        out = std::copy_n(&u(box.x0, y, z), w, out);
+  }
+  return out;
+}
+
+const double* unpack3d_from(Domain3D& dom, const std::vector<FieldId>& fields,
+                            Box3 box, const double* in) {
+  if (box.empty()) return in;
+  const int w = box.width();
   for (FieldId id : fields) {
     PaddedField3D<double>& u = dom.field(id);
     for (int z = box.z0; z < box.z1; ++z)
-      for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x) u(x, y, z) = payload[k++];
+      for (int y = box.y0; y < box.y1; ++y, in += w)
+        std::copy_n(in, w, &u(box.x0, y, z));
+  }
+  return in;
+}
+
+void copy3d(const Domain3D& src, Box3 src_box, Domain3D& dst, Box3 dst_box,
+            const std::vector<FieldId>& fields) {
+  SUBSONIC_REQUIRE(src_box.width() == dst_box.width() &&
+                   src_box.height() == dst_box.height() &&
+                   src_box.depth() == dst_box.depth());
+  if (src_box.empty()) return;
+  const int w = src_box.width();
+  for (FieldId id : fields) {
+    const PaddedField3D<double>& s = src.field(id);
+    PaddedField3D<double>& d = dst.field(id);
+    for (int z = 0; z < src_box.depth(); ++z)
+      for (int y = 0; y < src_box.height(); ++y)
+        std::copy_n(&s(src_box.x0, src_box.y0 + y, src_box.z0 + z), w,
+                    &d(dst_box.x0, dst_box.y0 + y, dst_box.z0 + z));
   }
 }
 

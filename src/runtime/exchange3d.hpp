@@ -28,4 +28,14 @@ std::vector<double> pack3d(const Domain3D& dom,
 void unpack3d(Domain3D& dom, const std::vector<FieldId>& fields, Box3 box,
               const std::vector<double>& payload);
 
+/// The caller-storage and direct-copy forms; see pack2d_into,
+/// unpack2d_from and copy2d.  Payload order is pack3d's: field-major,
+/// then z, y, x.
+double* pack3d_into(const Domain3D& dom, const std::vector<FieldId>& fields,
+                    Box3 box, double* out);
+const double* unpack3d_from(Domain3D& dom, const std::vector<FieldId>& fields,
+                            Box3 box, const double* in);
+void copy3d(const Domain3D& src, Box3 src_box, Domain3D& dst, Box3 dst_box,
+            const std::vector<FieldId>& fields);
+
 }  // namespace subsonic

@@ -1,5 +1,5 @@
-// The over-decomposed in-process driver: many small blocks per rank, ghost
-// exchange at block granularity — and still bit-identical to the
+// The over-decomposed in-process driver: many small blocks per rank, one
+// ghost-exchange frame per peer rank — and still bit-identical to the
 // monolithic runs, under any owner map.
 #include "src/runtime/blocked_driver.hpp"
 
@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/comm/in_memory_transport.hpp"
+#include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
+#include "src/util/check.hpp"
 
 namespace subsonic {
 namespace {
@@ -224,19 +229,206 @@ TEST(BlockedDriver, SideZeroTrafficIsThePapersMessageAccounting) {
             (Traffic{56, 331560}));
 
   // A rank that is its own neighbour across a periodic axis: at (1x3)
-  // each rank has 8 links, 2 of them to itself, and those faces go
-  // through the mailbox instead of the transport.
+  // each rank has 8 links, 2 of them to itself and 3 to each other rank.
+  // The 2 self faces are copied in place, and the 3 faces bound for one
+  // peer rank travel as one frame.  So each rank sends 2 frames per
+  // exchange phase: 6 messages a step for LB, 12 for FD.
   FluidParams periodic;
   periodic.periodic_x = periodic.periodic_y = true;
   const Mask2D box(Extents2{36, 24}, 1);
   EXPECT_EQ(traffic_per_step<2>(box, periodic, Method::kLatticeBoltzmann,
                                 GridShape{1, 3, 1})
                 .msgs,
-            18);
+            6);
   EXPECT_EQ(traffic_per_step<2>(box, periodic, Method::kFiniteDifference,
                                 GridShape{1, 3, 1})
                 .msgs,
-            36);
+            12);
+}
+
+/// Per-rank traffic of one step, worked out from the owner map and the
+/// link plans alone: rank r sends one frame to every rank that owns a
+/// neighbour of one of its blocks, per exchange phase, and the frames
+/// carry every cross-rank face that rank r's blocks feed.
+struct RankTraffic {
+  std::vector<long> msgs;
+  std::vector<long long> doubles;
+  long cross_links = 0;  ///< directed cross-rank block links
+};
+
+template <int Dim>
+RankTraffic expected_traffic(const typename DomainTraits<Dim>::BlockDecomp& bd,
+                             const FluidParams& p, Method method) {
+  using Traits = DomainTraits<Dim>;
+  const int ghost = required_ghost(method, p.filter_eps > 0.0);
+  long phases = 0;
+  long long fields = 0;  // doubles per face cell over a step's exchanges
+  for (const Phase& ph : Traits::make_schedule(method))
+    if (ph.kind == Phase::Kind::kExchange) {
+      ++phases;
+      fields += static_cast<long long>(ph.fields.size());
+    }
+  const int ranks = bd.rank_count();
+  std::vector<std::set<int>> peers(ranks);
+  RankTraffic t;
+  t.msgs.assign(ranks, 0);
+  t.doubles.assign(ranks, 0);
+  for (int b = 0; b < bd.block_count(); ++b) {
+    if (!bd.block_active(b)) continue;
+    for (const auto& link : Traits::make_block_links(bd, b, ghost, p)) {
+      const int sender = bd.owner(link.peer);
+      if (sender == bd.owner(b)) continue;
+      peers[sender].insert(bd.owner(b));
+      t.doubles[sender] += link.recv_box.count() * fields;
+      ++t.cross_links;
+    }
+  }
+  for (int r = 0; r < ranks; ++r)
+    t.msgs[r] = static_cast<long>(peers[r].size()) * phases;
+  return t;
+}
+
+/// Runs a blocked driver at block side 8 over an InMemoryTransport and
+/// checks its per-rank transport counters against expected_traffic, then
+/// its fields against the serial driver's.
+template <int Dim>
+void expect_one_frame_per_peer_rank(
+    const typename DomainTraits<Dim>::Mask& mask, const FluidParams& p,
+    Method method, GridShape grid) {
+  SCOPED_TRACE(method == Method::kLatticeBoltzmann ? "LB" : "FD");
+  const int ranks = grid.jx * grid.jy * grid.jz;
+  auto transport = std::make_shared<InMemoryTransport>(ranks);
+  BlockedDriver<Dim> driver(mask, p, method, grid, /*block_side=*/8,
+                            transport);
+  const auto& bd = driver.blocks();
+  const RankTraffic want = expected_traffic<Dim>(bd, p, method);
+  long frames = 0;
+  for (int r = 0; r < ranks; ++r) {
+    EXPECT_GT(bd.blocks_of(r).size(), 1u) << "rank " << r;
+    frames += want.msgs[r];
+  }
+  // Several faces share a frame, or the case shows nothing.
+  ASSERT_LT(frames, want.cross_links * messages_per_step(method));
+
+  auto& metrics = driver.telemetry().metrics();
+  auto counters = [&](const char* name) {
+    std::vector<long long> v(ranks);
+    for (int r = 0; r < ranks; ++r) v[r] = metrics.counter(r, name).value();
+    return v;
+  };
+  const auto msgs0 = counters("transport.msgs_sent");
+  const auto doubles0 = counters("transport.doubles_sent");
+  const int steps = 20;
+  driver.run(steps);
+  const auto msgs1 = counters("transport.msgs_sent");
+  const auto doubles1 = counters("transport.doubles_sent");
+  for (int r = 0; r < ranks; ++r) {
+    EXPECT_EQ(msgs1[r] - msgs0[r], steps * want.msgs[r]) << "rank " << r;
+    EXPECT_EQ(doubles1[r] - doubles0[r], steps * want.doubles[r])
+        << "rank " << r;
+  }
+
+  SerialDriver<Dim> serial(mask, p, method);
+  serial.run(steps);
+  ASSERT_EQ(driver.step(), steps);
+  for (FieldId id : DomainTraits<Dim>::macro_fields())
+    EXPECT_EQ(max_abs_diff(driver.gather(id), serial.domain().field(id)), 0.0)
+        << "field " << static_cast<int>(id);
+}
+
+TEST(BlockedDriver, EachRankSendsOneFramePerPeerRankPerPhase) {
+  // 40x32 at side 8 is a 5x4 block grid.  The solid square covers block
+  // (2, 2), which is inactive, so links into it are dropped on both sides;
+  // its one-cell wall ring lies in the active blocks around it.
+  Mask2D mask = closed_box(40, 32, 3);
+  mask.fill_box({15, 15, 25, 25}, NodeType::kWall);
+  ASSERT_FALSE(BlockDecomposition2D(mask, 2, 1, 8, 3).block_active(2 + 2 * 5));
+  FluidParams lb;
+  lb.dt = 1.0;
+  FluidParams fd;
+  fd.dt = 0.3;
+  fd.filter_eps = 0.2;  // depth-3 faces
+  for (GridShape grid : {GridShape{2, 1, 1}, GridShape{2, 2, 1}}) {
+    SCOPED_TRACE(std::to_string(grid.jx) + "x" + std::to_string(grid.jy));
+    expect_one_frame_per_peer_rank<2>(mask, fd, Method::kFiniteDifference,
+                                      grid);
+    expect_one_frame_per_peer_rank<2>(mask, lb, Method::kLatticeBoltzmann,
+                                      grid);
+  }
+
+  Mask3D cube(Extents3{32, 24, 16}, 1);
+  cube.fill_box({10, 8, 4, 20, 16, 12}, NodeType::kWall);
+  SCOPED_TRACE("3D 2x2x1");
+  expect_one_frame_per_peer_rank<3>(cube, lb, Method::kLatticeBoltzmann,
+                                    GridShape{2, 2, 1});
+}
+
+/// An InMemoryTransport whose frames from rank 1 lose their last double
+/// (delta -1) or gain one (delta +1) once armed.
+class ResizingTransport final : public Transport {
+ public:
+  explicit ResizingTransport(int ranks) : inner_(ranks) {}
+  void arm(int delta) { delta_ = delta; }
+
+  void send(int src, int dst, MessageTag tag,
+            std::vector<double> payload) override {
+    if (src == 1 && delta_ != 0)
+      payload.resize(payload.size() + static_cast<size_t>(delta_.load()),
+                     0.0);
+    inner_.send(src, dst, tag, std::move(payload));
+  }
+  std::vector<double> recv(int dst, int src, MessageTag tag) override {
+    return inner_.recv(dst, src, tag);
+  }
+  long messages_delivered() const override {
+    return inner_.messages_delivered();
+  }
+  long long doubles_delivered() const override {
+    return inner_.doubles_delivered();
+  }
+
+ private:
+  InMemoryTransport inner_;
+  std::atomic<int> delta_{0};
+};
+
+TEST(BlockedDriver, MalformedFrameIsRejectedNeverReadPast) {
+  const Mask2D mask = closed_box(32, 24, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const Method method = Method::kLatticeBoltzmann;
+  const auto schedule = make_schedule2d(method);
+  int phase = 0;
+  while (schedule[phase].kind != Phase::Kind::kExchange) ++phase;
+  for (int delta : {-1, +1}) {
+    SCOPED_TRACE(delta);
+    auto transport = std::make_shared<ResizingTransport>(2);
+    BlockedDriver<2> driver(mask, p, method, GridShape{2, 1, 1}, 8,
+                            transport);
+    const auto& bd = driver.blocks();
+    long long expected = 0;  // rank 0's frame from rank 1
+    for (int b : bd.blocks_of(0))
+      for (const auto& link : DomainTraits<2>::make_block_links(bd, b, 1, p))
+        if (bd.owner(link.peer) == 1)
+          expected += link.recv_box.count() *
+                      static_cast<long long>(schedule[phase].fields.size());
+    ASSERT_GT(expected, 0);
+
+    transport->arm(delta);
+    try {
+      driver.run(1);
+      ADD_FAILURE() << "a frame of the wrong length was unpacked";
+    } catch (const contract_error& e) {
+      const std::string what = e.what();
+      for (const std::string& part :
+           {std::string("from rank 1"), std::string("at step 0"),
+            "phase " + std::to_string(phase),
+            "expected " + std::to_string(expected),
+            "received " + std::to_string(expected + delta)})
+        EXPECT_NE(what.find(part), std::string::npos)
+            << "\"" << part << "\" not in: " << what;
+    }
+  }
 }
 
 }  // namespace
