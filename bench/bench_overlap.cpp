@@ -1,7 +1,9 @@
 // Measures what the overlap schedule buys: the same run executed with
 // Scheduling::kLegacy (compute everything, then exchange) and
-// Scheduling::kOverlap (compute the boundary band, post the sends,
-// compute the interior while the messages are in flight, then receive).
+// Scheduling::kOverlap (post the sends as soon as the neighbours' values
+// are computed, compute the interior pass of the phase that hides the
+// exchange while the messages are in flight, then receive: FD's band
+// and interior updates, LB's whole sweep and interior moments).
 // The InMemoryTransport link model supplies a nonzero T_com = latency +
 // boundary / bandwidth per message, so the benchmark shows the paper's
 // effect directly: under kLegacy the link delay is serialized into every
@@ -14,7 +16,7 @@
 //
 // Timings come from the driver's telemetry registry, which also supplies
 // the per-timer breakdown written into the JSON: "compute.block_<r>"
-// (rank r's compute, band and interior together), "comm.post_sends",
+// (rank r's compute, every pass together), "comm.post_sends",
 // "comm.complete_recvs" (the exposed wait under kOverlap) and
 // "comm.exchange" (the whole exchange under kLegacy).
 //

@@ -51,23 +51,14 @@ class endpoint_aborted : public std::runtime_error {
 using MessageTag = std::uint64_t;
 
 /// Composes a tag from the integration step, the schedule phase index and
-/// the direction index of the link the message travels along.
+/// the direction index of the link the message travels along.  The block
+/// runtime sends one frame per rank pair and exchange phase, tagged
+/// make_tag(step, phase, 0): (step, phase) alone names a frame on its
+/// rank-pair channel.
 constexpr MessageTag make_tag(long step, int phase, int dir) {
   return (static_cast<MessageTag>(step) << 16) |
          (static_cast<MessageTag>(phase & 0x3FF) << 6) |
          static_cast<MessageTag>(dir & 0x3F);
-}
-
-/// make_tag() with a block id above the (step, phase, dir) bits, stored as
-/// `src_block + 1`, so block -1 leaves the make_tag() bits alone.  The
-/// block runtime sends one frame per rank pair and exchange phase, tagged
-/// make_block_tag(step, phase, 0, -1): (step, phase) alone names a frame
-/// on its rank-pair channel.  The step field stays collision-free while
-/// step < 2^24, far beyond any run this runtime performs.
-constexpr MessageTag make_block_tag(long step, int phase, int dir,
-                                    int src_block) {
-  return (static_cast<MessageTag>(src_block + 1) << 40) |
-         make_tag(step, phase, dir);
 }
 
 class Transport {

@@ -18,7 +18,7 @@ constexpr int kSyncPhase = 1023;
 
 /// Tag of the one frame a rank sends each peer rank in a phase.
 constexpr MessageTag frame_tag(long step, int phase) {
-  return make_block_tag(step, phase, 0, -1);
+  return make_tag(step, phase, 0);
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -189,38 +189,51 @@ void BlockSet<Dim>::step_once(Scheduling sched, const SendFn& send,
     tel_->metrics().histogram(rank_, "compute.block").record(span.stop());
   };
 
+  auto compute_all = [&](ComputeKind kind, ComputePass pass) {
+    for (LocalBlock& b : locals_) compute_block(b, kind, pass);
+  };
+
   for (size_t i = 0; i < schedule_.size(); ++i) {
     const Phase& phase = schedule_[i];
-    if (phase.kind == Phase::Kind::kCompute) {
-      const bool split = sched == Scheduling::kOverlap &&
+    const bool overlap = sched == Scheduling::kOverlap &&
+                         phase.kind == Phase::Kind::kCompute &&
                          i + 1 < schedule_.size() &&
                          schedule_[i + 1].kind == Phase::Kind::kExchange;
-      if (split) {
-        const Phase& ex = schedule_[i + 1];
-        const int ex_index = static_cast<int>(i + 1);
-        for (LocalBlock& b : locals_)
-          compute_block(b, phase.compute, ComputePass::kBand);
-        {
-          telemetry::ScopedSpan span(tel_, rank_, "comm.post_sends", "comm",
-                                     step);
-          post_sends(ex.fields, step, ex_index, send);
-        }
-        for (LocalBlock& b : locals_)
-          compute_block(b, phase.compute, ComputePass::kInterior);
-        {
-          // The receive-completion wait is the exposed comm latency of an
-          // overlapped exchange; it feeds the same histogram as an unsplit
-          // exchange so percentiles exist under either schedule.
-          telemetry::ScopedSpan span(tel_, rank_, "comm.complete_recvs",
-                                     "comm", step);
-          complete_recvs(ex.fields, step, ex_index, recv);
-          tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
-        }
-        ++i;  // the exchange phase was folded into the split
-      } else {
-        for (LocalBlock& b : locals_)
-          compute_block(b, phase.compute, ComputePass::kFull);
+    if (overlap) {
+      // The exchange is posted once this phase has produced what the
+      // neighbours need, and completed once the phase that hides it has
+      // run its interior pass.  Hidden by its producer (FD): band, post,
+      // interior, complete.  Hidden by its consumer (LB): the whole
+      // producer, post, consumer interior, complete, consumer band.
+      const Phase& ex = schedule_[i + 1];
+      const int ex_index = static_cast<int>(i + 1);
+      const bool by_producer = ex.hidden_by == Phase::HiddenBy::kProducer;
+      SUBSONIC_CHECK(by_producer ||
+                     (i + 2 < schedule_.size() &&
+                      schedule_[i + 2].kind == Phase::Kind::kCompute));
+      const ComputeKind hider =
+          by_producer ? phase.compute : schedule_[i + 2].compute;
+      compute_all(phase.compute,
+                  by_producer ? ComputePass::kBand : ComputePass::kFull);
+      {
+        telemetry::ScopedSpan span(tel_, rank_, "comm.post_sends", "comm",
+                                   step);
+        post_sends(ex.fields, step, ex_index, send);
       }
+      compute_all(hider, ComputePass::kInterior);
+      {
+        // The receive-completion wait is the exposed comm latency of an
+        // overlapped exchange; it feeds the same histogram as an unsplit
+        // exchange so percentiles exist under either schedule.
+        telemetry::ScopedSpan span(tel_, rank_, "comm.complete_recvs", "comm",
+                                   step);
+        complete_recvs(ex.fields, step, ex_index, recv);
+        tel_->metrics().histogram(rank_, "comm.exchange").record(span.stop());
+      }
+      if (!by_producer) compute_all(hider, ComputePass::kBand);
+      i += by_producer ? 1 : 2;  // the phases folded into the overlap
+    } else if (phase.kind == Phase::Kind::kCompute) {
+      compute_all(phase.compute, ComputePass::kFull);
     } else {
       telemetry::ScopedSpan span(tel_, rank_, "comm.exchange", "comm", step);
       post_sends(phase.fields, step, static_cast<int>(i), send);

@@ -1,26 +1,33 @@
 // One rank's share of an over-decomposed run: the list of blocks the
 // owner map assigns to this rank, each a full Domain over its block box,
 // stepped phase-synchronously.  The block is the unit of work and the
-// rank the unit of messages.  Each step is the overlap pattern lifted
-// from one subregion to a block list —
+// rank the unit of messages.  Under the overlap schedule each exchange is
+// the boundary-first pattern lifted from one subregion to a block list —
 //
-//   for every block:     compute the boundary band
+//   for every block:     compute what the neighbours need (the producer's
+//                        band; the whole producer when the consumer hides
+//                        the exchange, as LB's moments do)
 //   for every peer rank: pack every face bound for it into one frame, send
-//   for every block:     compute the interior
+//   for every block:     compute the interior of the phase that hides the
+//                        exchange (Phase::hidden_by)
 //   for every face between two blocks of this rank:
 //                        copy the neighbour's send box into the recv box
 //   for every peer rank: receive its frame, check its length, unpack
+//   for every block:     compute the consumer's ghost-ring band, when the
+//                        consumer hides the exchange
 //
 // A frame is the concatenation of the per-link pack payloads, one segment
 // per cross-rank link, in ascending (sending block id, sending direction)
-// order, tagged make_block_tag(step, phase, 0, -1).  The receiver resolves
-// the same order and every segment's length (recv_box.count() x fields)
-// from its own link plans at construction, so no index travels and the
-// doubles on the wire are exactly the per-link payloads; a frame of any
-// other length is rejected before a segment is read.  A face between two
-// blocks of this rank never leaves it.  Copying it at receive time rather
-// than at the post is safe because every band is complete before any
-// post, and the interior pass writes neither a band cell nor padding.  At
+// order, tagged make_tag(step, phase, 0).  The receiver resolves the same
+// order and every segment's length (recv_box.count() x fields) from its
+// own link plans at construction, so no index travels and the doubles on
+// the wire are exactly the per-link payloads; a frame of any other length
+// is rejected before a segment is read.  A face between two blocks of
+// this rank never leaves it.  Copying it at receive time rather than at
+// the post is safe because every sent value is complete before any post,
+// and the in-flight interior pass writes no exchanged cell: neither a
+// band cell nor padding of the producer, and no population at all in
+// LB's moments.  At
 // block side 0 a rank's one block is its whole subregion, so a frame
 // holds the faces two subregions share, and only faces a rank shares
 // with itself across a periodic axis are copied.  Kernels are untouched

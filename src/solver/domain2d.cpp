@@ -127,33 +127,31 @@ Domain2D::Domain2D(const Mask2D& global_mask, Box2 box,
     // each f_[i] is a strided view of its direction.  The slabs are
     // allocated uninitialized and first-touched by the worker pool so
     // their pages get homed next to the threads that will sweep them.
+    // Only a multi-thread domain gets the second slab (f_next).
     const int fpitch = round_pitch<double>(box.width() + 2 * ghost) +
                        round_pitch<double>(extra_pitch);
-    // Two spare row blocks beyond the padded height: the serial in-place
-    // sweep writes destinations two row blocks past their sources and
-    // re-homes the views afterwards (population_origin), so the window
+    // Two spare row blocks beyond the padded height: the one-thread
+    // in-place sweep writes destinations two row blocks past their sources
+    // and re-homes the views afterwards (population_origin), so the window
     // excursions up to +2 blocks.
     const int frows = box.height() + 2 * ghost + 2;
     const std::size_t slab =
         static_cast<std::size_t>(lbm2d::kQ) * fpitch * frows;
-    fstore_.resize(slab);
-    fstore_next_.resize(slab);
-    first_touch_zero(pool_.get(), fstore_.data(), slab);
-    first_touch_zero(pool_.get(), fstore_next_.data(), slab);
-    f_.reserve(lbm2d::kQ);
-    f_next_.reserve(lbm2d::kQ);
-    for (int i = 0; i < lbm2d::kQ; ++i) {
-      f_.emplace_back(fstore_.data() + static_cast<std::size_t>(i) * fpitch,
-                      Extents2{box.width(), box.height()}, ghost, fpitch,
-                      lbm2d::kQ * fpitch);
-      f_next_.emplace_back(
-          fstore_next_.data() + static_cast<std::size_t>(i) * fpitch,
-          Extents2{box.width(), box.height()}, ghost, fpitch,
-          lbm2d::kQ * fpitch);
-    }
-    // Both buffers start at the equilibrium of the initial macro state so
-    // that never-written padding (outside the global domain) always holds
-    // a quiescent reservoir in whichever buffer is current.
+    const auto add_slab = [&](auto& store, auto& planes) {
+      store.resize(slab);
+      first_touch_zero(pool_.get(), store.data(), slab);
+      planes.reserve(lbm2d::kQ);
+      for (int i = 0; i < lbm2d::kQ; ++i)
+        planes.emplace_back(
+            store.data() + static_cast<std::size_t>(i) * fpitch,
+            Extents2{box.width(), box.height()}, ghost, fpitch,
+            lbm2d::kQ * fpitch);
+    };
+    add_slab(fstore_, f_);
+    if (threads_ > 1) add_slab(fstore_next_, f_next_);
+    // Every population buffer starts at the equilibrium of the initial
+    // macro state so that never-written padding (outside the global
+    // domain) always holds a quiescent reservoir in whichever is current.
     lbm2d::set_equilibrium_both(*this);
   }
 }

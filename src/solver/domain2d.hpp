@@ -16,6 +16,7 @@
 #include "src/grid/padded_field.hpp"
 #include "src/solver/field_id.hpp"
 #include "src/solver/params.hpp"
+#include "src/util/check.hpp"
 #include "src/util/fp_env.hpp"
 #include "src/util/worker_pool.hpp"
 
@@ -80,23 +81,39 @@ class Domain2D {
   PaddedField2D<double>& f(int i) { return f_[i]; }
   const PaddedField2D<double>& f(int i) const { return f_[i]; }
 
-  /// Streaming target buffer (LB); swapped with f after each stream.
-  PaddedField2D<double>& f_next(int i) { return f_next_[i]; }
+  /// Whether the domain holds a second population slab (LB with more than
+  /// one thread).  Without it the collide-stream sweep runs in place on
+  /// one slab (population_origin); with it, as a two-slab ping-pong.
+  bool has_f_next() const { return !f_next_.empty(); }
+
+  /// Streaming target buffer (LB); swapped with f after each two-slab
+  /// sweep.  Asking a domain without it (!has_f_next()) is a
+  /// contract_error.
+  PaddedField2D<double>& f_next(int i) {
+    SUBSONIC_REQUIRE_MSG(has_f_next(),
+                         "no second population slab: the domain sweeps in "
+                         "place at one thread");
+    return f_next_[i];
+  }
   /// Swaps the view vectors; the two slabs themselves never move.
   void swap_populations() {
+    SUBSONIC_REQUIRE_MSG(has_f_next(),
+                         "no second population slab to swap with: the "
+                         "domain sweeps in place at one thread");
     f_.swap(f_next_);
     std::swap(f_origin_, f_next_origin_);
   }
 
   /// Row-block offset of the current population views inside their slab
-  /// (0 or 2).  The serial in-place collide-stream sweep writes each
-  /// destination two row blocks past its source — the freshly-read blocks
-  /// absorb the stores, removing the second slab's read-for-ownership
-  /// traffic — and then re-homes the views with shift_population_origin,
-  /// so the origin oscillates 0 -> 2 -> 0 across steps.  The slabs carry
-  /// two spare row blocks for exactly this excursion.  Multi-threaded and
-  /// band/interior passes keep the two-slab ping-pong (in-place needs a
-  /// strict row order); either path stores bit-identical values.
+  /// (0 or 2).  A one-thread domain's in-place collide-stream sweep writes
+  /// each destination two row blocks past its source — the freshly-read
+  /// blocks absorb the stores, so no second slab is read for ownership,
+  /// or allocated — and then re-homes the views with
+  /// shift_population_origin, so the origin oscillates 0 -> 2 -> 0 across
+  /// steps.  The slabs carry two spare row blocks for exactly this
+  /// excursion.  A multi-thread domain keeps the two-slab ping-pong
+  /// (in-place needs a strict row order); either path stores bit-identical
+  /// values.
   int population_origin() const { return f_origin_; }
 
   /// Moves the current population views by `blocks` whole row blocks
@@ -191,9 +208,10 @@ class Domain2D {
   PaddedField2D<std::uint8_t> filter_mask_;
   PaddedField2D<double> rho_, vx_, vy_;
   PaddedField2D<double> rho_next_, vx_next_, vy_next_;
-  // Interleaved SoA storage behind the f_ / f_next_ views (LB only).
-  // After an odd number of swap_populations calls, f_ views point into
-  // fstore_next_ and vice versa — the slabs are anonymous storage.
+  // Interleaved SoA storage behind the f_ / f_next_ views (LB only; the
+  // second slab and f_next_ only when threads_ > 1).  After an odd number
+  // of swap_populations calls, f_ views point into fstore_next_ and vice
+  // versa — the slabs are anonymous storage.
   std::vector<double, UninitCacheAlignedAllocator<double>> fstore_;
   std::vector<double, UninitCacheAlignedAllocator<double>> fstore_next_;
   std::vector<PaddedField2D<double>> f_;

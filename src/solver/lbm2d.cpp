@@ -33,8 +33,10 @@ void set_equilibrium_both(Domain2D& d) {
   // Both population buffers start from the same macroscopic fields, so
   // compute the equilibria once and row-copy them into the second buffer
   // (the buffers share extents, ghost width and pitch; row copies because
-  // the planes are strided views into the interleaved slab).
+  // the planes are strided views into the interleaved slab).  A domain
+  // without a second buffer sweeps in place.
   set_equilibrium(d);
+  if (!d.has_f_next()) return;
   const int g = d.ghost();
   for (int i = 0; i < kQ; ++i) {
     const std::size_t row_bytes =
@@ -45,6 +47,8 @@ void set_equilibrium_both(Domain2D& d) {
 }
 
 void collide_stream(Domain2D& d, ComputePass pass) {
+  // The sweep does not split (see the header): kBand runs it whole.
+  if (pass == ComputePass::kInterior) return;
   const FluidParams& p = d.params();
   const double omega = 1.0 / p.lb_tau();
   const double gx = p.force_x * p.dt;
@@ -52,14 +56,13 @@ void collide_stream(Domain2D& d, ComputePass pass) {
   const bool forced = (gx != 0.0 || gy != 0.0);
   const int g = d.ghost();
 
-  const Box2 stream_region{0, 0, d.nx(), d.ny()};
+  const Box2 r{0, 0, d.nx(), d.ny()};  // destination box: the interior
 
   // Fused collide + stream over destination box `r`, as a push sweep: for
   // every source row (the box's rows plus one on each side) the kernel
   // computes the post-collision populations once per cell and writes each
-  // direction straight into its shifted destination row of the back
-  // buffer.  The source buffer is never written, so band + interior passes
-  // read the same pristine pre-step state and any row partition — hence
+  // direction straight into its shifted destination row.  In the two-slab
+  // form the source buffer is never written, so any row partition — hence
   // any thread count — produces identical results: destination row t of
   // plane i is written only from source row t - cy_i, so threads owning
   // disjoint source rows write disjoint rows of every plane.
@@ -92,7 +95,7 @@ void collide_stream(Domain2D& d, ComputePass pass) {
   // private row per direction preserves the kernel's no-alias contract.
   // Scratch rows stay cache-hot, so the dead stores cost almost nothing.
   const int stride = d.nx() + 6;  // span window plus the cx pre-shift
-  const auto sweep_row = [&](const Box2& r, const PaddedField2D<double>* const* S,
+  const auto sweep_row = [&](const PaddedField2D<double>* const* S,
                              PaddedField2D<double>* const* D, int shift,
                              int ys) {
     thread_local std::vector<double> scratch;
@@ -152,135 +155,123 @@ void collide_stream(Domain2D& d, ComputePass pass) {
       });
   };
 
-  const auto fused_box = [&](bool from_next, const Box2& r) {
-    if (r.empty()) return;
+  if (d.has_f_next()) {
+    // Two-slab ping-pong: the threads sweep their row blocks in no fixed
+    // order, and the in-place sweep below needs a strict one.
     const PaddedField2D<double>* S[kQ];
     PaddedField2D<double>* D[kQ];
     for (int i = 0; i < kQ; ++i) {
-      S[i] = from_next ? &d.f_next(i) : &d.f(i);
-      D[i] = from_next ? &d.f(i) : &d.f_next(i);
+      S[i] = &d.f(i);
+      D[i] = &d.f_next(i);
     }
-    d.for_rows(r.y0 - 1, r.y1 + 1,
-               [&](int ys) { sweep_row(r, S, D, 0, ys); });
-  };
-
-  if (pass == ComputePass::kFull) {
-    // One sweep over the whole region: every destination cell gets the
-    // same value whether it is written before or after the swap, and the
-    // single box keeps nearly all rows on the fast all-directions path
-    // (the band frame would push every band-edge row through the guarded
-    // cells).
-    if (d.threads() == 1) {
-      // Serial in-place sweep (compressed grid): sources and destinations
-      // share one slab, with every destination row written two row blocks
-      // past its source and the views re-homed afterwards.  The freshly
-      // read source blocks absorb the stores while still cache-resident,
-      // so the sweep's memory traffic drops from read + RFO + writeback
-      // on two slabs to read + writeback on one — the difference between
-      // ~120 and ~190 MLUPS at side 192 on the reference container, where
-      // non-temporal stores (the usual RFO remedy) measure slower than
-      // regular stores.  Correctness needs a strict row order: shifting
-      // +2 while walking rows downward (or -2 walking upward), every
-      // store lands in blocks the sweep has already consumed, and no
-      // source or macroscopic row is ever overwritten before its last
-      // read.  The arithmetic — hence every stored value — is identical
-      // to the two-slab path, so thread-count invariance still holds;
-      // only the multi-thread row partition forces the ping-pong.  The
-      // sweep bypasses for_rows, so it takes for_rows' FP mode itself.
-      const FlushSubnormals flush;
-      const int shift = d.population_origin() == 0 ? +2 : -2;
-      const PaddedField2D<double>* S[kQ];
-      PaddedField2D<double>* D[kQ];
-      for (int i = 0; i < kQ; ++i) S[i] = D[i] = &d.f(i);
-      const Box2& r = stream_region;
-      const int ny = d.ny();
-      const int nx = d.nx();
-      const int pitch = d.f(0).pitch();
-      // The sweep writes only interior destination cells (ghost-row dests
-      // go to scratch, ghost-column dests are clamped out), so in the
-      // two-slab scheme the ghost ring of each population plane keeps
-      // whatever the boundary fills / initial equilibria put there, and
-      // later passes read that ring (bounce-back off padded walls, and
-      // moments feeds the macroscopic ghosts from it).  The shifted views
-      // would instead expose old interior rows as the ring, so each row's
-      // ring must move with the views: ghost rows whole, interior rows
-      // just their ghost-column chunks (their middles are fresh sweep
-      // output).  Interleaving the carry with the sweep in the same row
-      // order makes it ordering-safe *and* cheap: every ring source is
-      // read before the sweep (or a later carry) reuses its block — the
-      // leading ghost rows' blocks, for instance, are consumed here
-      // before the first sweep rows overwrite them — every ring write
-      // touches bytes the sweep never writes, and all of it lands on
-      // lines inside the sweep's cache-resident window instead of a cold
-      // separate pass over the slab.
-      const auto carry_ring_row = [&](int y) {
-        for (int i = 0; i < kQ; ++i) {
-          PaddedField2D<double>& v = d.f(i);
-          double* before = v.row_begin(y);  // views not yet re-homed
-          double* now =
-              before + static_cast<std::ptrdiff_t>(shift) * v.row_stride();
-          if (y < 0 || y >= ny) {
-            std::memcpy(now, before, sizeof(double) * pitch);
-          } else {
-            std::memcpy(now, before, sizeof(double) * g);
-            std::memcpy(now + g + nx, before + g + nx,
-                        sizeof(double) * (pitch - g - nx));
-          }
-        }
-      };
-      if (shift > 0) {
-        for (int t = ny + g - 1; t >= -g; --t) {
-          carry_ring_row(t);
-          if (t >= r.y0 - 1 && t <= r.y1) sweep_row(r, S, D, shift, t);
-        }
-      } else {
-        for (int t = -g; t < ny + g; ++t) {
-          carry_ring_row(t);
-          if (t >= r.y0 - 1 && t <= r.y1) sweep_row(r, S, D, shift, t);
-        }
-      }
-      d.shift_population_origin(shift);
-      return;
-    }
-    fused_box(false, stream_region);
+    d.for_rows(r.y0 - 1, r.y1 + 1, [&](int ys) { sweep_row(S, D, 0, ys); });
     d.swap_populations();
     return;
   }
-  if (pass == ComputePass::kBand) {
-    for (const Box2& b : band_boxes2(stream_region, g)) fused_box(false, b);
-    // The freshly streamed boundary band becomes current so the driver can
-    // pack its sends while the interior is still computing.
-    d.swap_populations();
+
+  // In-place sweep (compressed grid, one thread): sources and
+  // destinations share one slab, with every destination row written two
+  // row blocks past its source and the views re-homed afterwards.  The
+  // freshly read source blocks absorb the stores while still
+  // cache-resident, so the sweep's memory traffic drops from read + RFO +
+  // writeback on two slabs to read + writeback on one — the difference
+  // between ~120 and ~190 MLUPS at side 192 on the reference container,
+  // where non-temporal stores (the usual RFO remedy) measure slower than
+  // regular stores.  Correctness needs a strict row order: shifting +2
+  // while walking rows downward (or -2 walking upward), every store lands
+  // in blocks the sweep has already consumed, and no source or
+  // macroscopic row is ever overwritten before its last read.  The
+  // arithmetic — hence every stored value — is identical to the two-slab
+  // path, so thread-count invariance still holds.  The sweep bypasses
+  // for_rows, so it takes for_rows' FP mode itself.
+  const FlushSubnormals flush;
+  const int shift = d.population_origin() == 0 ? +2 : -2;
+  const PaddedField2D<double>* S[kQ];
+  PaddedField2D<double>* D[kQ];
+  for (int i = 0; i < kQ; ++i) S[i] = D[i] = &d.f(i);
+  const int ny = d.ny();
+  const int nx = d.nx();
+  const int pitch = d.f(0).pitch();
+  // The sweep writes only interior destination cells (ghost-row dests go
+  // to scratch, ghost-column dests are clamped out), so in the two-slab
+  // scheme the ghost ring of each population plane keeps whatever the
+  // boundary fills / initial equilibria put there, and later passes read
+  // that ring (bounce-back off padded walls, and moments feeds the
+  // macroscopic ghosts from it).  The shifted views would instead expose
+  // old interior rows as the ring, so each row's ring must move with the
+  // views: ghost rows whole, interior rows just their ghost-column chunks
+  // (their middles are fresh sweep output).  Interleaving the carry with
+  // the sweep in the same row order makes it ordering-safe *and* cheap:
+  // every ring source is read before the sweep (or a later carry) reuses
+  // its block — the leading ghost rows' blocks, for instance, are
+  // consumed here before the first sweep rows overwrite them — every ring
+  // write touches bytes the sweep never writes, and all of it lands on
+  // lines inside the sweep's cache-resident window instead of a cold
+  // separate pass over the slab.
+  const auto carry_ring_row = [&](int y) {
+    for (int i = 0; i < kQ; ++i) {
+      PaddedField2D<double>& v = d.f(i);
+      double* before = v.row_begin(y);  // views not yet re-homed
+      double* now =
+          before + static_cast<std::ptrdiff_t>(shift) * v.row_stride();
+      if (y < 0 || y >= ny) {
+        std::memcpy(now, before, sizeof(double) * pitch);
+      } else {
+        std::memcpy(now, before, sizeof(double) * g);
+        std::memcpy(now + g + nx, before + g + nx,
+                    sizeof(double) * (pitch - g - nx));
+      }
+    }
+  };
+  if (shift > 0) {
+    for (int t = ny + g - 1; t >= -g; --t) {
+      carry_ring_row(t);
+      if (t >= r.y0 - 1 && t <= r.y1) sweep_row(S, D, shift, t);
+    }
   } else {
-    fused_box(true, interior_box2(stream_region, g));
+    for (int t = -g; t < ny + g; ++t) {
+      carry_ring_row(t);
+      if (t >= r.y0 - 1 && t <= r.y1) sweep_row(S, D, shift, t);
+    }
   }
+  d.shift_population_origin(shift);
 }
 
-void moments(Domain2D& d) {
+void moments(Domain2D& d, ComputePass pass) {
   const int g = d.ghost();
   const PaddedField2D<double>* f[kQ];
   for (int i = 0; i < kQ; ++i) f[i] = &d.f(i);
-  d.for_rows(-g, d.ny() + g, [&](int y) {
-    const double* fr[kQ];
-    for (int i = 0; i < kQ; ++i) fr[i] = f[i]->row_ptr(y);
-    double* __restrict rr = d.rho().row_ptr(y);
-    double* __restrict uxr = d.vx().row_ptr(y);
-    double* __restrict uyr = d.vy().row_ptr(y);
-    d.notwall_spans().for_row(y, -g, d.nx() + g, [&](int a, int b) {
-      for (int x = a; x < b; ++x) {
-        double rho = 0.0, mx = 0.0, my = 0.0;
-        for (int i = 0; i < kQ; ++i) {
-          const double fi = fr[i][x];
-          rho += fi;
-          mx += kCx[i] * fi;
-          my += kCy[i] * fi;
+  const auto over = [&](const Box2& r) {
+    d.for_rows(r.y0, r.y1, [&](int y) {
+      const double* fr[kQ];
+      for (int i = 0; i < kQ; ++i) fr[i] = f[i]->row_ptr(y);
+      double* __restrict rr = d.rho().row_ptr(y);
+      double* __restrict uxr = d.vx().row_ptr(y);
+      double* __restrict uyr = d.vy().row_ptr(y);
+      d.notwall_spans().for_row(y, r.x0, r.x1, [&](int a, int b) {
+        for (int x = a; x < b; ++x) {
+          double rho = 0.0, mx = 0.0, my = 0.0;
+          for (int i = 0; i < kQ; ++i) {
+            const double fi = fr[i][x];
+            rho += fi;
+            mx += kCx[i] * fi;
+            my += kCy[i] * fi;
+          }
+          rr[x] = rho;
+          uxr[x] = mx / rho;
+          uyr[x] = my / rho;
         }
-        rr[x] = rho;
-        uxr[x] = mx / rho;
-        uyr[x] = my / rho;
-      }
+      });
     });
-  });
+  };
+  const Box2 padded{-g, -g, d.nx() + g, d.ny() + g};
+  if (pass == ComputePass::kFull) {
+    over(padded);
+  } else if (pass == ComputePass::kInterior) {
+    over(interior_box2(padded, g));
+  } else {
+    for (const Box2& b : band_boxes2(padded, g)) over(b);
+  }
 }
 
 }  // namespace subsonic::lbm2d

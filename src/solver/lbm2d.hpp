@@ -34,9 +34,10 @@ inline double equilibrium(int i, double rho, double ux, double uy) {
 /// current macroscopic fields, on all padded nodes.
 void set_equilibrium(Domain2D& d);
 
-/// Same, but on both population buffers — required after (re)initializing
-/// the macroscopic fields so the never-written exterior padding of either
-/// buffer holds the reservoir state.
+/// Same, but on both population buffers when the domain has two (more
+/// than one thread) — required after (re)initializing the macroscopic
+/// fields so the never-written exterior padding of either buffer holds
+/// the reservoir state.
 void set_equilibrium_both(Domain2D& d);
 
 /// Fused collide + stream, one push sweep (DESIGN.md 5g): each source
@@ -44,16 +45,20 @@ void set_equilibrium_both(Domain2D& d);
 /// walls, reservoir equilibrium at inlets) are computed once and
 /// scattered along all q directions into the destination buffer; sources
 /// include a one-node ghost ring so streams cross subregion boundaries.
-/// The band pass sweeps only the boundary band (and swaps, so the driver
-/// can pack sends from the current buffer); the interior pass finishes
-/// the rest.  A serial kFull pass instead runs in place on a single slab,
-/// shifting the view origin and carrying the ghost ring with it.  All
-/// variants — band + interior vs full, scalar vs AVX2, in-place vs
-/// two-slab — are bitwise identical.
+/// A one-thread domain runs the sweep in place on its single slab,
+/// shifting the view origin and carrying the ghost ring with it; more
+/// threads sweep into the second slab and swap.  The sweep does not
+/// split: kFull and kBand run it whole and kInterior is empty, which
+/// still partitions kFull.  Scalar vs AVX2 and in-place vs two-slab are
+/// bitwise identical.
 void collide_stream(Domain2D& d, ComputePass pass = ComputePass::kFull);
 
-/// Recomputes rho, vx, vy from the populations on all padded nodes
-/// (ghost populations were just communicated); walls keep their statics.
-void moments(Domain2D& d);
+/// Recomputes rho, vx, vy from the populations (ghost populations were
+/// just communicated); walls keep their statics.  kInterior covers the
+/// interior nodes, kBand the ghost ring (the width-g frame of the padded
+/// window, the nodes whose populations the exchange fills), kFull both.
+/// A node's moments read only that node, so any split is bitwise equal
+/// to kFull.
+void moments(Domain2D& d, ComputePass pass = ComputePass::kFull);
 
 }  // namespace subsonic::lbm2d

@@ -49,15 +49,15 @@ void set_equilibrium_both(Domain3D& d) {
 }
 
 void collide_stream(Domain3D& d, ComputePass pass) {
+  // The sweep does not split (see lbm2d.hpp): kBand runs it whole.
+  if (pass == ComputePass::kInterior) return;
   const FluidParams& p = d.params();
   const double omega = 1.0 / p.lb_tau();
   const double gx = p.force_x * p.dt;
   const double gy = p.force_y * p.dt;
   const double gz = p.force_z * p.dt;
   const bool forced = (gx != 0.0 || gy != 0.0 || gz != 0.0);
-  const int g = d.ghost();
-
-  const Box3 stream_region{0, 0, 0, d.nx(), d.ny(), d.nz()};
+  const Box3 r{0, 0, 0, d.nx(), d.ny(), d.nz()};  // the interior
 
   // Fused collide + stream as a push sweep over source pencils — the 3D
   // analogue of lbm2d.cpp: for each source pencil (y, z) the span kernel
@@ -79,117 +79,111 @@ void collide_stream(Domain3D& d, ComputePass pass) {
   const lbm_kernels::Collide3D cp{omega, gx, gy, gz, forced};
   const lbm_kernels::Fn3D span_fn = lbm_kernels::select3d(active_simd());
 
-  const auto fused_box = [&](bool from_next, const Box3& r) {
-    if (r.empty()) return;
-    const PaddedField3D<double>* S[kQ];
-    PaddedField3D<double>* D[kQ];
+  // One two-slab sweep into the interior box `r`, then a swap (3D has no
+  // in-place sweep).
+  const PaddedField3D<double>* S[kQ];
+  PaddedField3D<double>* D[kQ];
+  for (int i = 0; i < kQ; ++i) {
+    S[i] = &d.f(i);
+    D[i] = &d.f_next(i);
+  }
+  // Out-of-box destination pencils redirect to per-thread scratch rows
+  // (discarded stores), keeping every source pencil on the branch-free
+  // span kernel; see lbm2d.cpp.
+  const int stride = d.nx() + 6;
+  d.for_rows(r.y0 - 1, r.y1 + 1, r.z0 - 1, r.z1 + 1, [&](int ys, int zs) {
+    thread_local std::vector<double> scratch;
+    if (static_cast<int>(scratch.size()) < kQ * stride)
+      scratch.resize(static_cast<size_t>(kQ) * stride);
+    lbm_kernels::Row3D row;
+    row.rho = rho_f.row_ptr(ys, zs);
+    row.ux = vx_f.row_ptr(ys, zs);
+    row.uy = vy_f.row_ptr(ys, zs);
+    row.uz = vz_f.row_ptr(ys, zs);
+    bool real[kQ];  // direction's dest pencil is inside r (not scratch)
     for (int i = 0; i < kQ; ++i) {
-      S[i] = from_next ? &d.f_next(i) : &d.f(i);
-      D[i] = from_next ? &d.f(i) : &d.f_next(i);
+      row.s[i] = S[i]->row_ptr(ys, zs);
+      const int yd = ys + kCy[i];
+      const int zd = zs + kCz[i];
+      real[i] = yd >= r.y0 && yd < r.y1 && zd >= r.z0 && zd < r.z1;
+      row.d[i] = real[i] ? D[i]->row_ptr(yd, zd) + kCx[i]
+                         : scratch.data() + i * stride + 2;
     }
-    // Out-of-box destination pencils redirect to per-thread scratch rows
-    // (discarded stores), keeping every source pencil on the branch-free
-    // span kernel; see lbm2d.cpp.
-    const int stride = d.nx() + 6;
-    d.for_rows(r.y0 - 1, r.y1 + 1, r.z0 - 1, r.z1 + 1, [&](int ys,
-                                                           int zs) {
-      thread_local std::vector<double> scratch;
-      if (static_cast<int>(scratch.size()) < kQ * stride)
-        scratch.resize(static_cast<size_t>(kQ) * stride);
-      lbm_kernels::Row3D row;
-      row.rho = rho_f.row_ptr(ys, zs);
-      row.ux = vx_f.row_ptr(ys, zs);
-      row.uy = vy_f.row_ptr(ys, zs);
-      row.uz = vz_f.row_ptr(ys, zs);
-      bool real[kQ];  // direction's dest pencil is inside r (not scratch)
-      for (int i = 0; i < kQ; ++i) {
-        row.s[i] = S[i]->row_ptr(ys, zs);
-        const int yd = ys + kCy[i];
-        const int zd = zs + kCz[i];
-        real[i] = yd >= r.y0 && yd < r.y1 && zd >= r.z0 && zd < r.z1;
-        row.d[i] = real[i] ? D[i]->row_ptr(yd, zd) + kCx[i]
-                           : scratch.data() + i * stride + 2;
+    const int fa = r.x0 + 1;
+    const int fb = r.x1 - 1;
+    d.computed_spans().for_row(ys, zs, r.x0 - 1, r.x1 + 1, [&](int a, int b) {
+      int x = a;
+      for (; x < b && x < fa; ++x)
+        lbm_kernels::collide_scatter3d_cell(row, x, r.x0, r.x1, cp);
+      const int stop = std::min(b, fb);
+      if (x < stop) {
+        span_fn(row, x, stop, cp);
+        x = stop;
       }
-      const int fa = r.x0 + 1;
-      const int fb = r.x1 - 1;
-      d.computed_spans().for_row(
-          ys, zs, r.x0 - 1, r.x1 + 1, [&](int a, int b) {
-            int x = a;
-            for (; x < b && x < fa; ++x)
-              lbm_kernels::collide_scatter3d_cell(row, x, r.x0, r.x1, cp);
-            const int stop = std::min(b, fb);
-            if (x < stop) {
-              span_fn(row, x, stop, cp);
-              x = stop;
-            }
-            for (; x < b; ++x)
-              lbm_kernels::collide_scatter3d_cell(row, x, r.x0, r.x1, cp);
-          });
-      d.wall_spans().for_row(ys, zs, r.x0 - 1, r.x1 + 1, [&](int a,
-                                                             int b) {
-        for (int i = 0; i < kQ; ++i) {
-          if (!real[i]) continue;
-          double* __restrict dst = row.d[i];
-          const double* __restrict src = row.s[kOpposite[i]];
-          const int lo = std::max(a, r.x0 - kCx[i]);
-          const int hi = std::min(b, r.x1 - kCx[i]);
-          for (int x = lo; x < hi; ++x) dst[x] = src[x];
-        }
-      });
-      d.inlet_spans().for_row(ys, zs, r.x0 - 1, r.x1 + 1, [&](int a,
-                                                              int b) {
-        for (int i = 0; i < kQ; ++i) {
-          if (!real[i]) continue;
-          double* __restrict dst = row.d[i];
-          const int lo = std::max(a, r.x0 - kCx[i]);
-          const int hi = std::min(b, r.x1 - kCx[i]);
-          for (int x = lo; x < hi; ++x) dst[x] = eq_in[i];
+      for (; x < b; ++x)
+        lbm_kernels::collide_scatter3d_cell(row, x, r.x0, r.x1, cp);
+    });
+    d.wall_spans().for_row(ys, zs, r.x0 - 1, r.x1 + 1, [&](int a, int b) {
+      for (int i = 0; i < kQ; ++i) {
+        if (!real[i]) continue;
+        double* __restrict dst = row.d[i];
+        const double* __restrict src = row.s[kOpposite[i]];
+        const int lo = std::max(a, r.x0 - kCx[i]);
+        const int hi = std::min(b, r.x1 - kCx[i]);
+        for (int x = lo; x < hi; ++x) dst[x] = src[x];
+      }
+    });
+    d.inlet_spans().for_row(ys, zs, r.x0 - 1, r.x1 + 1, [&](int a, int b) {
+      for (int i = 0; i < kQ; ++i) {
+        if (!real[i]) continue;
+        double* __restrict dst = row.d[i];
+        const int lo = std::max(a, r.x0 - kCx[i]);
+        const int hi = std::min(b, r.x1 - kCx[i]);
+        for (int x = lo; x < hi; ++x) dst[x] = eq_in[i];
+      }
+    });
+  });
+  d.swap_populations();
+}
+
+void moments(Domain3D& d, ComputePass pass) {
+  const int g = d.ghost();
+  const PaddedField3D<double>* f[kQ];
+  for (int i = 0; i < kQ; ++i) f[i] = &d.f(i);
+  const auto over = [&](const Box3& r) {
+    d.for_rows(r.y0, r.y1, r.z0, r.z1, [&](int y, int z) {
+      const double* fr[kQ];
+      for (int i = 0; i < kQ; ++i) fr[i] = f[i]->row_ptr(y, z);
+      double* __restrict rr = d.rho().row_ptr(y, z);
+      double* __restrict uxr = d.vx().row_ptr(y, z);
+      double* __restrict uyr = d.vy().row_ptr(y, z);
+      double* __restrict uzr = d.vz().row_ptr(y, z);
+      d.notwall_spans().for_row(y, z, r.x0, r.x1, [&](int a, int b) {
+        for (int x = a; x < b; ++x) {
+          double rho = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
+          for (int i = 0; i < kQ; ++i) {
+            const double fi = fr[i][x];
+            rho += fi;
+            mx += kCx[i] * fi;
+            my += kCy[i] * fi;
+            mz += kCz[i] * fi;
+          }
+          rr[x] = rho;
+          uxr[x] = mx / rho;
+          uyr[x] = my / rho;
+          uzr[x] = mz / rho;
         }
       });
     });
   };
-
+  const Box3 padded{-g, -g, -g, d.nx() + g, d.ny() + g, d.nz() + g};
   if (pass == ComputePass::kFull) {
-    fused_box(false, stream_region);
-    d.swap_populations();
-    return;
-  }
-  if (pass == ComputePass::kBand) {
-    for (const Box3& b : band_boxes3(stream_region, g)) fused_box(false, b);
-    d.swap_populations();
+    over(padded);
+  } else if (pass == ComputePass::kInterior) {
+    over(interior_box3(padded, g));
   } else {
-    fused_box(true, interior_box3(stream_region, g));
+    for (const Box3& b : band_boxes3(padded, g)) over(b);
   }
-}
-
-void moments(Domain3D& d) {
-  const int g = d.ghost();
-  const PaddedField3D<double>* f[kQ];
-  for (int i = 0; i < kQ; ++i) f[i] = &d.f(i);
-  d.for_rows(-g, d.ny() + g, -g, d.nz() + g, [&](int y, int z) {
-    const double* fr[kQ];
-    for (int i = 0; i < kQ; ++i) fr[i] = f[i]->row_ptr(y, z);
-    double* __restrict rr = d.rho().row_ptr(y, z);
-    double* __restrict uxr = d.vx().row_ptr(y, z);
-    double* __restrict uyr = d.vy().row_ptr(y, z);
-    double* __restrict uzr = d.vz().row_ptr(y, z);
-    d.notwall_spans().for_row(y, z, -g, d.nx() + g, [&](int a, int b) {
-      for (int x = a; x < b; ++x) {
-        double rho = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
-        for (int i = 0; i < kQ; ++i) {
-          const double fi = fr[i][x];
-          rho += fi;
-          mx += kCx[i] * fi;
-          my += kCy[i] * fi;
-          mz += kCz[i] * fi;
-        }
-        rr[x] = rho;
-        uxr[x] = mx / rho;
-        uyr[x] = my / rho;
-        uzr[x] = mz / rho;
-      }
-    });
-  });
 }
 
 }  // namespace subsonic::lbm3d

@@ -31,9 +31,12 @@ inline double equilibrium(int i, double rho, double ux, double uy,
   return kW[i] * rho * (1.0 + cu + 0.5 * cu * cu - u2);
 }
 
+// The 3D forms of the lbm2d.hpp kernels, with the same pass contracts.
+// 3D has no in-place sweep: collide_stream always sweeps into the second
+// population slab and swaps, so every domain keeps both slabs.
 void set_equilibrium(Domain3D& d);
 void set_equilibrium_both(Domain3D& d);
 void collide_stream(Domain3D& d, ComputePass pass = ComputePass::kFull);
-void moments(Domain3D& d);
+void moments(Domain3D& d, ComputePass pass = ComputePass::kFull);
 
 }  // namespace subsonic::lbm3d

@@ -5,14 +5,18 @@
 // receives afterwards.  Every compute kernel therefore runs as one of
 // three passes:
 //
-//   kFull     — band then interior back to back (serial runs, phases with
-//               no following exchange, legacy ordering)
-//   kBand     — only the outer band whose values the neighbours need
-//   kInterior — the remaining inner block, overlapped with message flight
+//   kFull     — band and interior back to back (serial runs, phases next
+//               to no exchange, legacy ordering)
+//   kBand     — only the part of the region that touches the exchange: the
+//               outer band whose values the neighbours need (a phase that
+//               produces an exchange) or the ghost ring the exchange fills
+//               (a phase that consumes one)
+//   kInterior — the rest, overlapped with message flight
 //
 // Band and interior partition the kernel's region exactly, and each node
 // is computed by the same arithmetic in either pass, so kBand + kInterior
-// is bitwise identical to kFull.
+// is bitwise identical to kFull.  A kernel that cannot split (LB
+// collide+stream) runs whole in kBand, and its kInterior is empty.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +28,10 @@ namespace subsonic {
 /// Per-step phase ordering of the parallel drivers.
 enum class Scheduling {
   kLegacy,   ///< compute whole subregion, then send, then block on recv
-  kOverlap,  ///< band, post sends, interior, then complete recvs
+  /// The producer's band (the whole producer when the consumer hides the
+  /// exchange), post sends, the hiding phase's interior, complete recvs,
+  /// then the consumer's band when the consumer hides it (Phase::hidden_by).
+  kOverlap,
 };
 
 enum class ComputePass { kFull, kBand, kInterior };

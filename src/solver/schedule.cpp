@@ -15,13 +15,16 @@ std::vector<Phase> make_schedule2d(Method method) {
   std::vector<Phase> s;
   if (method == Method::kFiniteDifference) {
     s.push_back(Phase::make_compute(ComputeKind::kFdVelocity));
-    s.push_back(Phase::make_exchange({FieldId::kVx, FieldId::kVy}));
+    s.push_back(Phase::make_exchange({FieldId::kVx, FieldId::kVy},
+                                     Phase::HiddenBy::kProducer));
     s.push_back(Phase::make_compute(ComputeKind::kFdDensity));
-    s.push_back(Phase::make_exchange({FieldId::kRho}));
+    s.push_back(
+        Phase::make_exchange({FieldId::kRho}, Phase::HiddenBy::kProducer));
     s.push_back(Phase::make_compute(ComputeKind::kFilterAndBc));
   } else {
     s.push_back(Phase::make_compute(ComputeKind::kLbCollideStream));
-    s.push_back(Phase::make_exchange(population_fields(lbm2d::kQ)));
+    s.push_back(Phase::make_exchange(population_fields(lbm2d::kQ),
+                                     Phase::HiddenBy::kConsumer));
     s.push_back(Phase::make_compute(ComputeKind::kLbMoments));
     s.push_back(Phase::make_compute(ComputeKind::kFilterAndBc));
   }
@@ -32,14 +35,20 @@ std::vector<Phase> make_schedule3d(Method method) {
   std::vector<Phase> s;
   if (method == Method::kFiniteDifference) {
     s.push_back(Phase::make_compute(ComputeKind::kFdVelocity));
-    s.push_back(Phase::make_exchange(
-        {FieldId::kVx, FieldId::kVy, FieldId::kVz}));
+    s.push_back(
+        Phase::make_exchange({FieldId::kVx, FieldId::kVy, FieldId::kVz},
+                             Phase::HiddenBy::kProducer));
     s.push_back(Phase::make_compute(ComputeKind::kFdDensity));
-    s.push_back(Phase::make_exchange({FieldId::kRho}));
+    s.push_back(
+        Phase::make_exchange({FieldId::kRho}, Phase::HiddenBy::kProducer));
     s.push_back(Phase::make_compute(ComputeKind::kFilterAndBc));
   } else {
+    // 3D keeps two population slabs, so its sweep could split, but a band
+    // pass over thin pencils costs about as much as the whole sweep: the
+    // moments hide the exchange at no extra sweep (DESIGN.md 5b).
     s.push_back(Phase::make_compute(ComputeKind::kLbCollideStream));
-    s.push_back(Phase::make_exchange(population_fields(lbm3d::kQ)));
+    s.push_back(Phase::make_exchange(population_fields(lbm3d::kQ),
+                                     Phase::HiddenBy::kConsumer));
     s.push_back(Phase::make_compute(ComputeKind::kLbMoments));
     s.push_back(Phase::make_compute(ComputeKind::kFilterAndBc));
   }
@@ -58,7 +67,7 @@ void run_compute2d(Domain2D& d, ComputeKind kind, ComputePass pass) {
       lbm2d::collide_stream(d, pass);
       return;
     case ComputeKind::kLbMoments:
-      lbm2d::moments(d);
+      lbm2d::moments(d, pass);
       return;
     case ComputeKind::kFilterAndBc:
       filter2d(d);
@@ -80,7 +89,7 @@ void run_compute3d(Domain3D& d, ComputeKind kind, ComputePass pass) {
       lbm3d::collide_stream(d, pass);
       return;
     case ComputeKind::kLbMoments:
-      lbm3d::moments(d);
+      lbm3d::moments(d, pass);
       return;
     case ComputeKind::kFilterAndBc:
       filter3d(d);

@@ -8,6 +8,9 @@
 //
 // FD therefore sends two messages per neighbour per step, LB one — the
 // difference the paper's efficiency measurements pick up (section 7).
+// Each exchange also names the compute phase that hides it under the
+// overlap schedule: FD's velocity and density updates hide their own
+// exchanges, LB's population exchange hides behind the moments.
 #pragma once
 
 #include <vector>
@@ -29,15 +32,22 @@ enum class ComputeKind {
 
 struct Phase {
   enum class Kind { kCompute, kExchange };
+  /// The compute phase next to an exchange that runs its kInterior pass
+  /// while the exchange is in flight under Scheduling::kOverlap: the
+  /// producer (the phase before the exchange) computes its band first so
+  /// the frames can leave; the consumer (the phase after it) computes its
+  /// ghost-ring band last, once the frames have arrived.
+  enum class HiddenBy { kProducer, kConsumer };
   Kind kind;
   ComputeKind compute{};        // when kind == kCompute
   std::vector<FieldId> fields;  // when kind == kExchange
+  HiddenBy hidden_by = HiddenBy::kProducer;  // when kind == kExchange
 
   static Phase make_compute(ComputeKind c) {
     return Phase{Kind::kCompute, c, {}};
   }
-  static Phase make_exchange(std::vector<FieldId> f) {
-    return Phase{Kind::kExchange, {}, std::move(f)};
+  static Phase make_exchange(std::vector<FieldId> f, HiddenBy h) {
+    return Phase{Kind::kExchange, {}, std::move(f), h};
   }
 };
 
@@ -49,11 +59,13 @@ std::vector<Phase> make_schedule2d(Method method);
 /// D3Q15 populations).
 std::vector<Phase> make_schedule3d(Method method);
 
-/// Executes one compute phase on a subregion.  The band/interior passes
-/// are honoured by the splittable kernels (FD updates, LB collide+stream);
-/// the drivers only ever split a compute phase that is followed by an
-/// exchange, and the remaining phases (moments, filter+BC) always run
-/// kFull.
+/// Executes one compute phase on a subregion.  The FD updates split into
+/// the band the neighbours need and the rest; LB moments split into the
+/// interior and the ghost ring the population exchange fills; LB
+/// collide+stream cannot split and runs whole in kBand (kInterior is
+/// empty); filter+BC ignores the pass and always runs whole.  The block
+/// runtime splits only the phase that hides an exchange
+/// (Phase::hidden_by).
 void run_compute2d(Domain2D& d, ComputeKind kind,
                    ComputePass pass = ComputePass::kFull);
 void run_compute3d(Domain3D& d, ComputeKind kind,

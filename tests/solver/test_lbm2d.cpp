@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
+#include "src/solver/schedule.hpp"
+#include "src/util/check.hpp"
 #include "src/util/rng.hpp"
 
 namespace subsonic {
@@ -229,6 +234,136 @@ TEST(Lbm2D, FlowIsTranslationInvariantAlongPeriodicAxis) {
   for (int y = 0; y < ny; ++y)
     for (int x = 1; x < nx; ++x)
       EXPECT_NEAR(d.vx()(x, y), d.vx()(0, y), 1e-13);
+}
+
+/// A 24x20 mask whose walls cross the ghost ring of the domain box below,
+/// sit inside its interior and fill one corner of its ring, so the ring
+/// holds both walls and fluid.
+Mask2D ring_mask() {
+  Mask2D mask(Extents2{24, 20}, 3);
+  mask.fill_box({2, 0, 8, 6}, NodeType::kWall);
+  mask.fill_box({12, 8, 15, 10}, NodeType::kWall);
+  mask.fill_box({19, 14, 24, 20}, NodeType::kWall);
+  return mask;
+}
+
+/// The {4, 3, 20, 15} box of ring_mask() at ghost 3, with the same random
+/// populations on every padded node and NaN in rho, vx and vy, so a node
+/// that no pass writes still reads NaN.
+std::unique_ptr<Domain2D> poisoned_domain(const Mask2D& mask, int threads) {
+  auto d = std::make_unique<Domain2D>(mask, Box2{4, 3, 20, 15}, lb_params(),
+                                      Method::kLatticeBoltzmann, 3, threads);
+  Rng rng(7);
+  const int g = d->ghost();
+  for (int i = 0; i < kQ; ++i)
+    for (int y = -g; y < d->ny() + g; ++y)
+      for (int x = -g; x < d->nx() + g; ++x)
+        d->f(i)(x, y) = rng.uniform(0.05, 0.2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  d->rho().fill(nan);
+  d->vx().fill(nan);
+  d->vy().fill(nan);
+  return d;
+}
+
+/// Every padded-window value of `a` and `b` has the same bits, NaN
+/// included (max_abs_diff reads only the interior).
+void expect_same_bits(const PaddedField2D<double>& a,
+                      const PaddedField2D<double>& b, const char* what) {
+  const int g = a.ghost();
+  ASSERT_EQ(g, b.ghost());
+  for (int y = -g; y < a.ny() + g; ++y)
+    EXPECT_EQ(std::memcmp(a.row_begin(y), b.row_begin(y),
+                          sizeof(double) * (a.nx() + 2 * g)),
+              0)
+        << what << ", row " << y;
+}
+
+/// rho, vx and vy are written (not NaN) exactly where `expect(x, y)`
+/// holds, over the whole padded window.
+template <typename Pred>
+void expect_written_where(const Domain2D& d, Pred expect, const char* when) {
+  const int g = d.ghost();
+  for (int y = -g; y < d.ny() + g; ++y)
+    for (int x = -g; x < d.nx() + g; ++x) {
+      const bool want = expect(x, y);
+      for (const PaddedField2D<double>* u : {&d.rho(), &d.vx(), &d.vy()})
+        EXPECT_EQ(!std::isnan((*u)(x, y)), want)
+            << when << " at (" << x << ", " << y << ")";
+    }
+}
+
+TEST(Lbm2D, MomentsPassesSplitInteriorFromGhostRing) {
+  // The overlap schedule computes the interior moments while the
+  // population frames are in flight and the ghost ring's once they have
+  // arrived: kInterior must write every non-wall interior node and
+  // nothing of the ring, kBand exactly the ring, and the two together
+  // must be kFull bit for bit, at one thread and with the worker pool.
+  const Mask2D mask = ring_mask();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto split = poisoned_domain(mask, threads);
+    auto whole = poisoned_domain(mask, threads);
+    const Domain2D& d = *split;
+    const auto wall = [&](int x, int y) {
+      return d.node(x, y) == NodeType::kWall;
+    };
+    const auto interior = [&](int x, int y) {
+      return x >= 0 && x < d.nx() && y >= 0 && y < d.ny();
+    };
+
+    run_compute2d(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
+    expect_written_where(
+        d, [&](int x, int y) { return interior(x, y) && !wall(x, y); },
+        "after kInterior");
+    run_compute2d(*split, ComputeKind::kLbMoments, ComputePass::kBand);
+    expect_written_where(d, [&](int x, int y) { return !wall(x, y); },
+                         "after kBand");
+
+    run_compute2d(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
+    expect_same_bits(split->rho(), whole->rho(), "rho");
+    expect_same_bits(split->vx(), whole->vx(), "vx");
+    expect_same_bits(split->vy(), whole->vy(), "vy");
+  }
+}
+
+TEST(Lbm2D, CollideStreamBandThenInteriorIsTheWholeSweep) {
+  // The sweep does not split: kBand runs it whole and kInterior is empty,
+  // so band then interior is kFull bit for bit — in place on one slab at
+  // one thread (two steps, so the view origin moves both ways) and as the
+  // two-slab ping-pong at three.
+  const Mask2D mask = ring_mask();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto split = poisoned_domain(mask, threads);
+    auto whole = poisoned_domain(mask, threads);
+    for (int step = 0; step < 2; ++step) {
+      lbm2d::moments(*split);
+      lbm2d::moments(*whole);
+      run_compute2d(*split, ComputeKind::kLbCollideStream,
+                    ComputePass::kBand);
+      run_compute2d(*split, ComputeKind::kLbCollideStream,
+                    ComputePass::kInterior);
+      run_compute2d(*whole, ComputeKind::kLbCollideStream,
+                    ComputePass::kFull);
+      for (int i = 0; i < kQ; ++i)
+        expect_same_bits(split->f(i), whole->f(i), "population");
+    }
+  }
+}
+
+TEST(Lbm2D, OneThreadDomainHoldsOnePopulationSlab) {
+  // Only the two-slab sweep of a multi-thread domain streams into f_next;
+  // a one-thread domain sweeps in place and allocates no second slab.
+  const Mask2D mask(Extents2{16, 12}, 1);
+  const Box2 box{0, 0, 16, 12};
+  Domain2D one(mask, box, lb_params(), Method::kLatticeBoltzmann, 1, 1);
+  EXPECT_FALSE(one.has_f_next());
+  EXPECT_THROW(one.f_next(0), contract_error);
+  EXPECT_THROW(one.swap_populations(), contract_error);
+  Domain2D three(mask, box, lb_params(), Method::kLatticeBoltzmann, 1, 3);
+  EXPECT_TRUE(three.has_f_next());
+  EXPECT_NO_THROW(three.f_next(0));
 }
 
 }  // namespace

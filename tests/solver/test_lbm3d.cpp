@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
+#include "src/solver/schedule.hpp"
 #include "src/util/rng.hpp"
 
 namespace subsonic {
@@ -190,6 +194,127 @@ TEST(Lbm3D, ForcedDuctDevelopsHagenPoiseuilleLikeProfile) {
   // Symmetry about the duct centre.
   for (int y = 1; y < ny - 1; ++y)
     EXPECT_NEAR(d.vx()(2, y, nz / 2), d.vx()(2, ny - 1 - y, nz / 2), 1e-12);
+}
+
+/// A 14x12x10 mask whose walls cross the ghost ring of the domain box
+/// below, sit inside its interior and fill one corner of its ring.
+Mask3D ring_mask() {
+  Mask3D mask(Extents3{14, 12, 10}, 3);
+  mask.fill_box({1, 1, 1, 5, 5, 5}, NodeType::kWall);
+  mask.fill_box({7, 5, 4, 9, 7, 6}, NodeType::kWall);
+  mask.fill_box({11, 9, 7, 14, 12, 10}, NodeType::kWall);
+  return mask;
+}
+
+/// The {3, 3, 3, 11, 9, 7} box of ring_mask() at ghost 3 (its padded
+/// window is the whole grid), with the same random populations on every
+/// padded node and NaN in rho, vx, vy and vz.
+std::unique_ptr<Domain3D> poisoned_domain(const Mask3D& mask, int threads) {
+  auto d = std::make_unique<Domain3D>(mask, Box3{3, 3, 3, 11, 9, 7},
+                                      lb_params(), Method::kLatticeBoltzmann,
+                                      3, threads);
+  Rng rng(7);
+  const int g = d->ghost();
+  for (int i = 0; i < kQ; ++i)
+    for (int z = -g; z < d->nz() + g; ++z)
+      for (int y = -g; y < d->ny() + g; ++y)
+        for (int x = -g; x < d->nx() + g; ++x)
+          d->f(i)(x, y, z) = rng.uniform(0.02, 0.1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (PaddedField3D<double>* u : {&d->rho(), &d->vx(), &d->vy(), &d->vz()})
+    u->fill(nan);
+  return d;
+}
+
+/// Every padded-window value of `a` and `b` has the same bits, NaN
+/// included (max_abs_diff reads only the interior).
+void expect_same_bits(const PaddedField3D<double>& a,
+                      const PaddedField3D<double>& b, const char* what) {
+  const int g = a.ghost();
+  ASSERT_EQ(g, b.ghost());
+  for (int z = -g; z < a.nz() + g; ++z)
+    for (int y = -g; y < a.ny() + g; ++y)
+      EXPECT_EQ(std::memcmp(a.row_begin(y, z), b.row_begin(y, z),
+                            sizeof(double) * (a.nx() + 2 * g)),
+                0)
+          << what << ", pencil (" << y << ", " << z << ")";
+}
+
+/// rho, vx, vy and vz are written (not NaN) exactly where
+/// `expect(x, y, z)` holds, over the whole padded window.
+template <typename Pred>
+void expect_written_where(const Domain3D& d, Pred expect, const char* when) {
+  const int g = d.ghost();
+  for (int z = -g; z < d.nz() + g; ++z)
+    for (int y = -g; y < d.ny() + g; ++y)
+      for (int x = -g; x < d.nx() + g; ++x) {
+        const bool want = expect(x, y, z);
+        for (const PaddedField3D<double>* u :
+             {&d.rho(), &d.vx(), &d.vy(), &d.vz()})
+          EXPECT_EQ(!std::isnan((*u)(x, y, z)), want)
+              << when << " at (" << x << ", " << y << ", " << z << ")";
+      }
+}
+
+TEST(Lbm3D, MomentsPassesSplitInteriorFromGhostRing) {
+  // As in 2D: kInterior writes every non-wall interior node and nothing
+  // of the ring, kBand exactly the ring, and together they are kFull bit
+  // for bit, at one thread and with the worker pool.
+  const Mask3D mask = ring_mask();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto split = poisoned_domain(mask, threads);
+    auto whole = poisoned_domain(mask, threads);
+    const Domain3D& d = *split;
+    const auto wall = [&](int x, int y, int z) {
+      return d.node(x, y, z) == NodeType::kWall;
+    };
+    const auto interior = [&](int x, int y, int z) {
+      return x >= 0 && x < d.nx() && y >= 0 && y < d.ny() && z >= 0 &&
+             z < d.nz();
+    };
+
+    run_compute3d(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
+    expect_written_where(
+        d,
+        [&](int x, int y, int z) {
+          return interior(x, y, z) && !wall(x, y, z);
+        },
+        "after kInterior");
+    run_compute3d(*split, ComputeKind::kLbMoments, ComputePass::kBand);
+    expect_written_where(
+        d, [&](int x, int y, int z) { return !wall(x, y, z); },
+        "after kBand");
+
+    run_compute3d(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
+    expect_same_bits(split->rho(), whole->rho(), "rho");
+    expect_same_bits(split->vx(), whole->vx(), "vx");
+    expect_same_bits(split->vy(), whole->vy(), "vy");
+    expect_same_bits(split->vz(), whole->vz(), "vz");
+  }
+}
+
+TEST(Lbm3D, CollideStreamBandThenInteriorIsTheWholeSweep) {
+  // The sweep does not split: kBand runs it whole and kInterior is empty,
+  // so band then interior is kFull bit for bit, at one and three threads.
+  const Mask3D mask = ring_mask();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto split = poisoned_domain(mask, threads);
+    auto whole = poisoned_domain(mask, threads);
+    for (int step = 0; step < 2; ++step) {
+      lbm3d::moments(*split);
+      lbm3d::moments(*whole);
+      run_compute3d(*split, ComputeKind::kLbCollideStream,
+                    ComputePass::kBand);
+      run_compute3d(*split, ComputeKind::kLbCollideStream,
+                    ComputePass::kInterior);
+      run_compute3d(*whole, ComputeKind::kLbCollideStream,
+                    ComputePass::kFull);
+      for (int i = 0; i < kQ; ++i)
+        expect_same_bits(split->f(i), whole->f(i), "population");
+    }
+  }
 }
 
 }  // namespace
