@@ -53,9 +53,10 @@ WorkloadSpec make_workload2d(const Decomposition2D& d, Method method);
 /// Uniform 3D decomposition, every subregion active.
 WorkloadSpec make_workload3d(const Decomposition3D& d, Method method);
 
-/// 2D decomposition of a masked geometry: all-solid subregions are dropped
-/// (they get no process) and compute counts include only non-wall nodes
-/// (the paper's Figure 2: 15 of 24 subregions, 0.48 of 0.7 Mnodes).
+/// 2D decomposition of a masked geometry: subregions active_ranks drops
+/// (all solid, bordering no fluid) get no process, and compute counts
+/// include only non-wall nodes (the paper's Figure 2: 15 of 24
+/// subregions, 0.48 of 0.7 Mnodes).
 WorkloadSpec make_workload2d(const Decomposition2D& d, const Mask2D& mask,
                              Method method);
 

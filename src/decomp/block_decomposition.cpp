@@ -1,8 +1,10 @@
 #include "src/decomp/block_decomposition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/util/check.hpp"
 
@@ -36,125 +38,86 @@ int block_count_for_axis(int n, int side, int min_side) {
 
 namespace {
 
-/// Blocks along an axis of `n` nodes cut into `ranks` subregions: one per
-/// subregion for side 0, else the side-targeted count.
-int blocks_along(int n, int ranks, int side, int min_side) {
-  return side == 0 ? ranks : block_count_for_axis(n, side, min_side);
+/// The block grid over extents `e`: the rank grid itself at side 0, else
+/// the side-targeted count along each axis.
+template <typename Extents>
+GridShape block_grid(const Extents& e, const GridShape& ranks, int side,
+                     int min_side) {
+  if (side == 0) return ranks;
+  const auto n = e.sizes();
+  std::array<int, 3> j{1, 1, 1};
+  for (size_t a = 0; a < n.size(); ++a)
+    j[a] = block_count_for_axis(n[a], side, min_side);
+  return GridShape{j[0], j[1], j[2]};
 }
 
-template <typename BlockDecomp>
-void validate_owner_map(const BlockDecomp& d, const std::vector<int>& owner) {
-  SUBSONIC_REQUIRE_MSG(
-      owner.size() == static_cast<size_t>(d.block_count()),
-      "owner map size does not match the block count");
-  for (int b = 0; b < d.block_count(); ++b) {
-    if (d.block_active(b)) {
-      SUBSONIC_REQUIRE_MSG(owner[b] >= 0 && owner[b] < d.rank_count(),
+}  // namespace
+
+template <int Dim>
+BlockDecomposition<Dim>::BlockDecomposition(const Mask& mask,
+                                            const GridShape& grid, int side,
+                                            int min_side,
+                                            const Periodicity& periodic)
+    : blocks_(mask.extents(), block_grid(mask.extents(), grid, side, min_side)),
+      ranks_(mask.extents(), grid) {
+  active_.assign(block_count(), false);
+  owner_.assign(block_count(), -1);
+  for (int b : subsonic::active_ranks(blocks_, mask, periodic)) {
+    active_[b] = true;
+    const Box box = blocks_.box(b);
+    const auto lo = box.lo(), hi = box.hi();
+    std::array<int, Dim> center;
+    for (int a = 0; a < Dim; ++a) center[a] = (lo[a] + hi[a] - 1) / 2;
+    owner_[b] = std::apply(
+        [this](auto... c) { return ranks_.owner_of(c...); }, center);
+  }
+}
+
+template <int Dim>
+void BlockDecomposition<Dim>::set_owner(int block, int rank) {
+  SUBSONIC_REQUIRE(block >= 0 && block < block_count());
+  SUBSONIC_REQUIRE_MSG(block_active(block),
+                       "cannot assign an inactive (all-solid) block");
+  SUBSONIC_REQUIRE(rank >= 0 && rank < rank_count());
+  owner_[block] = rank;
+}
+
+template <int Dim>
+void BlockDecomposition<Dim>::set_owner_map(std::vector<int> owner) {
+  SUBSONIC_REQUIRE_MSG(owner.size() == static_cast<size_t>(block_count()),
+                       "owner map size does not match the block count");
+  for (int b = 0; b < block_count(); ++b) {
+    if (block_active(b)) {
+      SUBSONIC_REQUIRE_MSG(owner[b] >= 0 && owner[b] < rank_count(),
                            "active block assigned to an out-of-range rank");
     } else {
       SUBSONIC_REQUIRE_MSG(owner[b] == -1,
                            "inactive (all-solid) block must keep owner -1");
     }
   }
+  owner_ = std::move(owner);
 }
 
-template <typename Owner>
-std::vector<int> blocks_of_impl(const Owner& owner, int rank) {
+template <int Dim>
+std::vector<int> BlockDecomposition<Dim>::blocks_of(int rank) const {
   std::vector<int> out;
-  for (int b = 0; b < static_cast<int>(owner.size()); ++b)
-    if (owner[b] == rank) out.push_back(b);
+  for (int b = 0; b < block_count(); ++b)
+    if (owner_[b] == rank) out.push_back(b);
   return out;
 }
 
-template <typename Owner>
-std::vector<int> active_ranks_impl(const Owner& owner, int rank_count) {
-  std::vector<bool> seen(rank_count, false);
-  for (int r : owner)
+template <int Dim>
+std::vector<int> BlockDecomposition<Dim>::active_ranks() const {
+  std::vector<bool> seen(rank_count(), false);
+  for (int r : owner_)
     if (r >= 0) seen[r] = true;
   std::vector<int> out;
-  for (int r = 0; r < rank_count; ++r)
+  for (int r = 0; r < rank_count(); ++r)
     if (seen[r]) out.push_back(r);
   return out;
 }
 
-}  // namespace
-
-BlockDecomposition2D::BlockDecomposition2D(const Mask2D& mask, int jx, int jy,
-                                           int side, int min_side)
-    : blocks_(mask.extents(),
-              blocks_along(mask.extents().nx, jx, side, min_side),
-              blocks_along(mask.extents().ny, jy, side, min_side)),
-      ranks_(mask.extents(), jx, jy) {
-  const auto active = subsonic::active_ranks(blocks_, mask);
-  active_.assign(blocks_.rank_count(), false);
-  for (int b : active) active_[b] = true;
-  owner_.assign(blocks_.rank_count(), -1);
-  for (int b : active) {
-    const Box2 box = blocks_.box(b);
-    owner_[b] = ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
-                                (box.y0 + box.y1 - 1) / 2);
-  }
-}
-
-void BlockDecomposition2D::set_owner(int block, int rank) {
-  SUBSONIC_REQUIRE(block >= 0 && block < block_count());
-  SUBSONIC_REQUIRE_MSG(block_active(block),
-                       "cannot assign an inactive (all-solid) block");
-  SUBSONIC_REQUIRE(rank >= 0 && rank < rank_count());
-  owner_[block] = rank;
-}
-
-void BlockDecomposition2D::set_owner_map(std::vector<int> owner) {
-  validate_owner_map(*this, owner);
-  owner_ = std::move(owner);
-}
-
-std::vector<int> BlockDecomposition2D::blocks_of(int rank) const {
-  return blocks_of_impl(owner_, rank);
-}
-
-std::vector<int> BlockDecomposition2D::active_ranks() const {
-  return active_ranks_impl(owner_, rank_count());
-}
-
-BlockDecomposition3D::BlockDecomposition3D(const Mask3D& mask, int jx, int jy,
-                                           int jz, int side, int min_side)
-    : blocks_(mask.extents(),
-              blocks_along(mask.extents().nx, jx, side, min_side),
-              blocks_along(mask.extents().ny, jy, side, min_side),
-              blocks_along(mask.extents().nz, jz, side, min_side)),
-      ranks_(mask.extents(), jx, jy, jz) {
-  const auto active = subsonic::active_ranks(blocks_, mask);
-  active_.assign(blocks_.rank_count(), false);
-  for (int b : active) active_[b] = true;
-  owner_.assign(blocks_.rank_count(), -1);
-  for (int b : active) {
-    const Box3 box = blocks_.box(b);
-    owner_[b] = ranks_.owner_of((box.x0 + box.x1 - 1) / 2,
-                                (box.y0 + box.y1 - 1) / 2,
-                                (box.z0 + box.z1 - 1) / 2);
-  }
-}
-
-void BlockDecomposition3D::set_owner(int block, int rank) {
-  SUBSONIC_REQUIRE(block >= 0 && block < block_count());
-  SUBSONIC_REQUIRE_MSG(block_active(block),
-                       "cannot assign an inactive (all-solid) block");
-  SUBSONIC_REQUIRE(rank >= 0 && rank < rank_count());
-  owner_[block] = rank;
-}
-
-void BlockDecomposition3D::set_owner_map(std::vector<int> owner) {
-  validate_owner_map(*this, owner);
-  owner_ = std::move(owner);
-}
-
-std::vector<int> BlockDecomposition3D::blocks_of(int rank) const {
-  return blocks_of_impl(owner_, rank);
-}
-
-std::vector<int> BlockDecomposition3D::active_ranks() const {
-  return active_ranks_impl(owner_, rank_count());
-}
+template class BlockDecomposition<2>;
+template class BlockDecomposition<3>;
 
 }  // namespace subsonic

@@ -39,29 +39,36 @@ int resolve_block_side(int requested);
 /// thinner block would need ghost data from non-adjacent blocks).
 int block_count_for_axis(int n, int side, int min_side);
 
-/// 2D block decomposition: a fine (bx x by) block grid over the global
-/// extents plus a block→rank owner map seeded from the coarse (jx x jy)
-/// rank decomposition (each block starts on the rank whose subregion
-/// contains its center).  All-solid blocks get owner -1 and are never
-/// computed or exchanged with, exactly like inactive ranks in the
-/// monolithic decomposition.  Side 0 makes the block grid the rank grid
-/// itself: block b is rank b's subregion, owned by rank b — the paper's
+/// Block decomposition: a fine block grid over the global extents plus a
+/// block->rank owner map seeded from the coarse `grid` rank decomposition
+/// (each block starts on the rank whose subregion contains its center).
+/// Blocks that need no process under active_ranks' rule (all solid, and
+/// bordering no non-wall node) get owner -1 and are never computed or
+/// exchanged with, exactly like inactive ranks in the monolithic
+/// decomposition.  Side 0 makes the block grid the rank grid itself:
+/// block b is rank b's subregion, owned by rank b — the paper's
 /// one-process-per-subregion layout.
-class BlockDecomposition2D {
+template <int Dim>
+class BlockDecomposition {
  public:
-  /// `side` is the target block side (0: one block per rank); `min_side`
-  /// the smallest legal block side (pass the ghost width).
-  BlockDecomposition2D(const Mask2D& mask, int jx, int jy, int side,
-                       int min_side);
+  using Decomp = typename GridTypes<Dim>::Decomp;
+  using Mask = typename GridTypes<Dim>::Mask;
+  using Box = typename GridTypes<Dim>::Box;
 
-  const Decomposition2D& blocks() const { return blocks_; }
-  const Decomposition2D& ranks() const { return ranks_; }
+  /// `side` is the target block side (0: one block per rank); `min_side`
+  /// the smallest legal block side (pass the ghost width); `periodic` the
+  /// axes the activity rule wraps.
+  BlockDecomposition(const Mask& mask, const GridShape& grid, int side,
+                     int min_side, const Periodicity& periodic = {});
+
+  const Decomp& blocks() const { return blocks_; }
+  const Decomp& ranks() const { return ranks_; }
 
   int block_count() const { return blocks_.rank_count(); }
   int rank_count() const { return ranks_.rank_count(); }
-  Box2 box(int block) const { return blocks_.box(block); }
+  Box box(int block) const { return blocks_.box(block); }
 
-  /// Owning rank of `block`; -1 for an inactive (all-solid) block.
+  /// Owning rank of `block`; -1 for an inactive block.
   int owner(int block) const { return owner_[block]; }
   void set_owner(int block, int rank);
   const std::vector<int>& owner_map() const { return owner_; }
@@ -85,45 +92,16 @@ class BlockDecomposition2D {
   }
 
  private:
-  Decomposition2D blocks_;
-  Decomposition2D ranks_;
+  Decomp blocks_;
+  Decomp ranks_;
   std::vector<int> owner_;
   std::vector<bool> active_;
 };
 
-/// 3D counterpart over a (jx x jy x jz) rank grid.
-class BlockDecomposition3D {
- public:
-  BlockDecomposition3D(const Mask3D& mask, int jx, int jy, int jz, int side,
-                       int min_side);
+extern template class BlockDecomposition<2>;
+extern template class BlockDecomposition<3>;
 
-  const Decomposition3D& blocks() const { return blocks_; }
-  const Decomposition3D& ranks() const { return ranks_; }
-
-  int block_count() const { return blocks_.rank_count(); }
-  int rank_count() const { return ranks_.rank_count(); }
-  Box3 box(int block) const { return blocks_.box(block); }
-
-  int owner(int block) const { return owner_[block]; }
-  void set_owner(int block, int rank);
-  const std::vector<int>& owner_map() const { return owner_; }
-  void set_owner_map(std::vector<int> owner);
-
-  bool block_active(int block) const { return owner_[block] >= 0; }
-  const std::vector<bool>& active() const { return active_; }
-
-  std::vector<int> blocks_of(int rank) const;
-  std::vector<int> active_ranks() const;
-
-  std::int64_t block_cells(int block) const {
-    return block_active(block) ? blocks_.box(block).count() : 0;
-  }
-
- private:
-  Decomposition3D blocks_;
-  Decomposition3D ranks_;
-  std::vector<int> owner_;
-  std::vector<bool> active_;
-};
+using BlockDecomposition2D = BlockDecomposition<2>;
+using BlockDecomposition3D = BlockDecomposition<3>;
 
 }  // namespace subsonic

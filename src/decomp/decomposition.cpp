@@ -24,6 +24,11 @@ Decomposition2D::Decomposition2D(Extents2 global, int jx, int jy)
                        "more subregions than grid nodes along an axis");
 }
 
+Decomposition2D::Decomposition2D(Extents2 global, const GridShape& grid)
+    : Decomposition2D(global, grid.jx, grid.jy) {
+  SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
+}
+
 Box2 Decomposition2D::box(int i, int j) const {
   SUBSONIC_REQUIRE(i >= 0 && i < jx_ && j >= 0 && j < jy_);
   return Box2{even_split_start(global_.nx, jx_, i),
@@ -188,20 +193,51 @@ int Decomposition3D::max_unsync(StencilShape shape) const {
 
 // ------------------------------------------------------------- active ----
 
-std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask) {
+namespace {
+
+/// The index ranges that [lo, hi) grown by one node covers on an axis of
+/// n nodes: clipped to the grid, plus the node across the wrap when the
+/// axis is periodic.
+std::vector<std::array<int, 2>> grown_ranges(int lo, int hi, int n,
+                                             bool periodic) {
+  std::vector<std::array<int, 2>> r{{std::max(lo - 1, 0), std::min(hi + 1, n)}};
+  if (periodic && lo == 0) r.push_back({n - 1, n});
+  if (periodic && hi == n) r.push_back({0, 1});
+  return r;
+}
+
+bool borders_non_wall(const Mask2D& m, const Box2& b, const Periodicity& p) {
+  const Extents2 e = m.extents();
+  for (const auto& [x0, x1] : grown_ranges(b.x0, b.x1, e.nx, p[0]))
+    for (const auto& [y0, y1] : grown_ranges(b.y0, b.y1, e.ny, p[1]))
+      if (!m.all_solid(Box2{x0, y0, x1, y1})) return true;
+  return false;
+}
+
+bool borders_non_wall(const Mask3D& m, const Box3& b, const Periodicity& p) {
+  const Extents3 e = m.extents();
+  for (const auto& [x0, x1] : grown_ranges(b.x0, b.x1, e.nx, p[0]))
+    for (const auto& [y0, y1] : grown_ranges(b.y0, b.y1, e.ny, p[1]))
+      for (const auto& [z0, z1] : grown_ranges(b.z0, b.z1, e.nz, p[2]))
+        if (!m.all_solid(Box3{x0, y0, z0, x1, y1, z1})) return true;
+  return false;
+}
+
+}  // namespace
+
+template <typename Decomp, typename Mask>
+std::vector<int> active_ranks(const Decomp& d, const Mask& mask,
+                              const Periodicity& periodic) {
   SUBSONIC_REQUIRE(mask.extents() == d.global());
   std::vector<int> out;
   for (int r = 0; r < d.rank_count(); ++r)
-    if (!mask.all_solid(d.box(r))) out.push_back(r);
+    if (borders_non_wall(mask, d.box(r), periodic)) out.push_back(r);
   return out;
 }
 
-std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask) {
-  SUBSONIC_REQUIRE(mask.extents() == d.global());
-  std::vector<int> out;
-  for (int r = 0; r < d.rank_count(); ++r)
-    if (!mask.all_solid(d.box(r))) out.push_back(r);
-  return out;
-}
+template std::vector<int> active_ranks(const Decomposition2D&, const Mask2D&,
+                                       const Periodicity&);
+template std::vector<int> active_ranks(const Decomposition3D&, const Mask3D&,
+                                       const Periodicity&);
 
 }  // namespace subsonic

@@ -4,7 +4,8 @@
 // in global coordinates and its neighbours under a given stencil shape.
 #pragma once
 
-#include <optional>
+#include <array>
+#include <type_traits>
 #include <vector>
 
 #include "src/decomp/stencil.hpp"
@@ -12,6 +13,17 @@
 #include "src/grid/extents.hpp"
 
 namespace subsonic {
+
+/// Subregion grid of a decomposition, dimension-agnostic: the 2D runtimes
+/// require jz == 1 (the paper's (J x K) decompositions; (J x K x L) in 3D).
+struct GridShape {
+  int jx = 1;
+  int jy = 1;
+  int jz = 1;
+};
+
+/// Which axes (x, y, z) wrap around; 2D reads the first two.
+using Periodicity = std::array<bool, 3>;
 
 /// A neighbour link: the neighbouring rank plus the offset direction
 /// (dx, dy, dz in {-1,0,1}) from this subregion toward the neighbour.
@@ -31,11 +43,21 @@ struct NeighborLink {
 class Decomposition2D {
  public:
   Decomposition2D(Extents2 global, int jx, int jy);
+  /// The same over `grid`, which must have jz == 1.
+  Decomposition2D(Extents2 global, const GridShape& grid);
 
   Extents2 global() const { return global_; }
   int jx() const { return jx_; }
   int jy() const { return jy_; }
   int rank_count() const { return jx_ * jy_; }
+
+  /// Subregions per axis, a rank's grid coordinates and the rank at given
+  /// coordinates, by axis: for code written once over both dimensions.
+  std::array<int, 2> counts() const { return {jx_, jy_}; }
+  std::array<int, 2> coords(int rank) const {
+    return {coord_x(rank), coord_y(rank)};
+  }
+  int rank_at(const std::array<int, 2>& c) const { return rank_of(c[0], c[1]); }
 
   /// Grid-cell box of subregion (i, j), in global coordinates.
   Box2 box(int i, int j) const;
@@ -80,12 +102,22 @@ class Decomposition2D {
 class Decomposition3D {
  public:
   Decomposition3D(Extents3 global, int jx, int jy, int jz);
+  Decomposition3D(Extents3 global, const GridShape& grid)
+      : Decomposition3D(global, grid.jx, grid.jy, grid.jz) {}
 
   Extents3 global() const { return global_; }
   int jx() const { return jx_; }
   int jy() const { return jy_; }
   int jz() const { return jz_; }
   int rank_count() const { return jx_ * jy_ * jz_; }
+
+  std::array<int, 3> counts() const { return {jx_, jy_, jz_}; }
+  std::array<int, 3> coords(int rank) const {
+    return {coord_x(rank), coord_y(rank), coord_z(rank)};
+  }
+  int rank_at(const std::array<int, 3>& c) const {
+    return rank_of(c[0], c[1], c[2]);
+  }
 
   Box3 box(int i, int j, int k) const;
   Box3 box(int rank) const {
@@ -119,9 +151,25 @@ class Decomposition3D {
 /// gets [start(i), start(i+1)).  Larger parts come first.
 int even_split_start(int n, int parts, int i);
 
-/// Ranks whose subregions contain at least one non-wall node.  Entirely
-/// solid subregions need no process (paper Figure 2: 15 of 24 active).
-std::vector<int> active_ranks(const Decomposition2D& d, const Mask2D& mask);
-std::vector<int> active_ranks(const Decomposition3D& d, const Mask3D& mask);
+/// The grid types of one dimension, for code written once over both: the
+/// block layer, the link planner and DomainTraits.
+template <int Dim>
+struct GridTypes {
+  static_assert(Dim == 2 || Dim == 3);
+  using Box = std::conditional_t<Dim == 2, Box2, Box3>;
+  using Mask = std::conditional_t<Dim == 2, Mask2D, Mask3D>;
+  using Decomp = std::conditional_t<Dim == 2, Decomposition2D, Decomposition3D>;
+};
+
+/// Ranks whose subregion needs a process, ascending: those whose box grown
+/// by one node holds a non-wall node.  The grown box is clipped to the
+/// grid, or wrapped on a `periodic` axis.  An entirely solid subregion
+/// that borders no fluid needs no process (paper Figure 2: 15 of 24
+/// active).  One that does border fluid stays active: its wall nodes sit
+/// in the neighbour's ghost ring, and only their owner updates the
+/// populations that LB bounce-back reflects into the fluid.
+template <typename Decomp, typename Mask>
+std::vector<int> active_ranks(const Decomp& d, const Mask& mask,
+                              const Periodicity& periodic = {});
 
 }  // namespace subsonic

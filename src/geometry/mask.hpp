@@ -41,7 +41,8 @@ class Mask2D {
   }
 
   /// True when every node of `box` (which must lie inside the interior or
-  /// its padding) is solid wall — used to drop inactive subregions (Fig. 2).
+  /// its padding) is solid wall — the test active_ranks runs on a box
+  /// grown by one node to drop inactive subregions (Fig. 2).
   bool all_solid(Box2 box) const {
     for (int y = box.y0; y < box.y1; ++y)
       for (int x = box.x0; x < box.x1; ++x)

@@ -23,6 +23,8 @@ struct Extents2 {
   constexpr bool contains(int x, int y) const {
     return x >= 0 && x < nx && y >= 0 && y < ny;
   }
+  /// Node counts by axis, for code written once over both dimensions.
+  constexpr std::array<int, 2> sizes() const { return {nx, ny}; }
   friend constexpr bool operator==(Extents2, Extents2) = default;
 };
 
@@ -38,6 +40,7 @@ struct Extents3 {
   constexpr bool contains(int x, int y, int z) const {
     return x >= 0 && x < nx && y >= 0 && y < ny && z >= 0 && z < nz;
   }
+  constexpr std::array<int, 3> sizes() const { return {nx, ny, nz}; }
   friend constexpr bool operator==(Extents3, Extents3) = default;
 };
 
@@ -66,6 +69,15 @@ struct Box2 {
   /// Box grown by g nodes on every side (the padded footprint).
   constexpr Box2 grown(int g) const {
     return Box2{x0 - g, y0 - g, x1 + g, y1 + g};
+  }
+
+  /// Corners by axis, for code written once over both dimensions.
+  constexpr std::array<int, 2> lo() const { return {x0, y0}; }
+  constexpr std::array<int, 2> hi() const { return {x1, y1}; }
+
+  /// The box moved by d[a] nodes along each axis a.
+  constexpr Box2 shifted(const std::array<int, 2>& d) const {
+    return Box2{x0 + d[0], y0 + d[1], x1 + d[0], y1 + d[1]};
   }
 
   friend constexpr bool operator==(const Box2&, const Box2&) = default;
@@ -100,6 +112,14 @@ struct Box3 {
 
   constexpr Box3 grown(int g) const {
     return Box3{x0 - g, y0 - g, z0 - g, x1 + g, y1 + g, z1 + g};
+  }
+
+  constexpr std::array<int, 3> lo() const { return {x0, y0, z0}; }
+  constexpr std::array<int, 3> hi() const { return {x1, y1, z1}; }
+
+  constexpr Box3 shifted(const std::array<int, 3>& d) const {
+    return Box3{x0 + d[0], y0 + d[1], z0 + d[2],
+                x1 + d[0], y1 + d[1], z1 + d[2]};
   }
 
   friend constexpr bool operator==(const Box3&, const Box3&) = default;

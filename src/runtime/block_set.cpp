@@ -137,7 +137,7 @@ void BlockSet<Dim>::post_sends(const std::vector<FieldId>& fields, long step,
     double* out = frame.data();
     for (const Face& f : p.sends) {
       const LocalBlock& b = locals_[f.local];
-      out = Traits::pack_into(*b.domain, fields, b.links[f.link].send_box, out);
+      out = pack_into(*b.domain, fields, b.links[f.link].send_box, out);
     }
     send(p.rank, frame_tag(step, phase), std::move(frame));
   }
@@ -148,8 +148,8 @@ void BlockSet<Dim>::complete_recvs(const std::vector<FieldId>& fields,
                                    long step, int phase, const RecvFn& recv) {
   // Faces between this rank's own blocks first: they wait for nothing.
   for (const LocalCopy& c : copies_)
-    Traits::copy(*locals_[c.src].domain, c.src_box, *locals_[c.dst].domain,
-                 c.dst_box, fields);
+    copy_box(*locals_[c.src].domain, c.src_box, *locals_[c.dst].domain,
+             c.dst_box, fields);
   for (const PeerFrames& p : peers_) {
     const std::vector<double> frame = recv(p.rank, frame_tag(step, phase));
     // The frame came from another rank, possibly another process: check
@@ -164,7 +164,7 @@ void BlockSet<Dim>::complete_recvs(const std::vector<FieldId>& fields,
     const double* in = frame.data();
     for (const Face& f : p.recvs) {
       LocalBlock& b = locals_[f.local];
-      in = Traits::unpack_from(*b.domain, fields, b.links[f.link].recv_box, in);
+      in = unpack_from(*b.domain, fields, b.links[f.link].recv_box, in);
     }
   }
 }

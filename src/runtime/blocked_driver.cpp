@@ -24,7 +24,7 @@ BlockedDriver<Dim>::BlockedDriver(const Mask& mask, const FluidParams& params,
           mask, params, method,
           Traits::make_block_decomposition(
               mask, grid, block_side,
-              required_ghost(method, params.filter_eps > 0.0)),
+              required_ghost(method, params.filter_eps > 0.0), params),
           std::move(transport), sched, threads) {}
 
 template <int Dim>

@@ -2,10 +2,14 @@
 // paper's runtime design — subregion processes, ghost exchange, near-
 // synchronization, staggered saving (sections 3-4) — is dimension-
 // independent; only the concrete grid types are not.  DomainTraits<Dim>
-// collects exactly those concrete pieces (domain/mask/decomposition/link
-// types, pack/unpack, schedule, periodic wraps, quiescent defaults), so
-// the serial, threaded-parallel and supervised-process drivers can each be
-// written once as a template and instantiated for 2D and 3D.
+// collects exactly those concrete pieces, so the serial, threaded-parallel
+// and supervised-process drivers can each be written once as a template
+// and instantiated for 2D and 3D.  Its base, DomainTraitsBase<Dim>, holds
+// the types and the block and link factories once, over the generic block
+// layer (BlockDecomposition, make_link_plans, pack_into/unpack_from); each
+// specialisation adds only what differs: schedule, compute dispatch, macro
+// fields, equilibrium, quiescent values, periodic wraps, interior copy and
+// the checkpoint-box match.
 #pragma once
 
 #include <vector>
@@ -13,8 +17,7 @@
 #include "src/decomp/block_decomposition.hpp"
 #include "src/decomp/decomposition.hpp"
 #include "src/geometry/mask.hpp"
-#include "src/runtime/exchange2d.hpp"
-#include "src/runtime/exchange3d.hpp"
+#include "src/runtime/exchange.hpp"
 #include "src/solver/domain2d.hpp"
 #include "src/solver/domain3d.hpp"
 #include "src/solver/lbm2d.hpp"
@@ -24,97 +27,91 @@
 
 namespace subsonic {
 
-/// Subregion grid of a decomposition, dimension-agnostic: the 2D runtimes
-/// require jz == 1 (the paper's (J x K) decompositions; (J x K x L) in 3D).
-struct GridShape {
-  int jx = 1;
-  int jy = 1;
-  int jz = 1;
+/// What DomainTraits<2> and <3> share: the grid types, the decomposition,
+/// block and link factories, and the per-link pack/unpack, each written
+/// once over the dimension-generic block layer.
+template <int Dim>
+struct DomainTraitsBase : GridTypes<Dim> {
+  static constexpr int kDims = Dim;
+
+  using typename GridTypes<Dim>::Mask;
+  using typename GridTypes<Dim>::Decomp;
+  using typename GridTypes<Dim>::Box;
+  using Domain = std::conditional_t<Dim == 2, Domain2D, Domain3D>;
+  using BlockDecomp = BlockDecomposition<Dim>;
+  using LinkPlan = subsonic::LinkPlan<Dim>;
+
+  static Decomp make_decomposition(const Mask& mask, const GridShape& grid) {
+    return Decomp(mask.extents(), grid);
+  }
+
+  /// Over-decomposition of the same grid into ~side^Dim blocks seeded onto
+  /// the `grid` rank layout; `side` resolves through resolve_block_side
+  /// (0: one block per rank), `ghost` bounds the smallest legal block, and
+  /// `p` names the periodic axes the activity rule wraps (the default
+  /// closes every axis).
+  static BlockDecomp make_block_decomposition(const Mask& mask,
+                                              const GridShape& grid, int side,
+                                              int ghost,
+                                              const FluidParams& p = {}) {
+    return BlockDecomp(mask, grid, resolve_block_side(side), ghost,
+                       periodic_axes(p));
+  }
+
+  /// Link plans of one *block* over the fine block grid — make_link_plans
+  /// with "rank" read as "block id"; inactive neighbour blocks are dropped
+  /// exactly like inactive ranks.
+  static std::vector<LinkPlan> make_block_links(const BlockDecomp& bd,
+                                                int block, int ghost,
+                                                const FluidParams& p) {
+    return make_link_plans<Dim>(bd.blocks(), block, ghost, p, bd.active());
+  }
+
+  static std::vector<LinkPlan> make_links(const Decomp& d, int rank,
+                                          int ghost, const FluidParams& p,
+                                          const std::vector<bool>& active) {
+    return make_link_plans<Dim>(d, rank, ghost, p, active);
+  }
+
+  /// One link's payload as its own vector, and its unpack.  The runtime
+  /// packs straight into rank frames (BlockSet); these per-link forms
+  /// serve the benchmark's exchange timings.
+  static std::vector<double> pack(const Domain& dom,
+                                  const std::vector<FieldId>& fields,
+                                  Box box) {
+    std::vector<double> payload(static_cast<size_t>(box.count()) *
+                                fields.size());
+    pack_into(dom, fields, box, payload.data());
+    return payload;
+  }
+
+  static void unpack(Domain& dom, const std::vector<FieldId>& fields,
+                     Box box, const std::vector<double>& payload) {
+    SUBSONIC_REQUIRE(payload.size() ==
+                     static_cast<size_t>(box.count()) * fields.size());
+    unpack_from(dom, fields, box, payload.data());
+  }
+
+  static bool thinner_than_ghost(const Box& b, int ghost) {
+    for (int a = 0; a < Dim; ++a)
+      if (b.hi()[a] - b.lo()[a] < ghost) return true;
+    return false;
+  }
 };
 
 template <int Dim>
 struct DomainTraits;
 
 template <>
-struct DomainTraits<2> {
-  static constexpr int kDims = 2;
+struct DomainTraits<2> : DomainTraitsBase<2> {
   /// Base of the reinitialize sync-epoch counter; the 2D and 3D bases are
   /// disjoint so sync tags can never collide on a shared transport.
   static constexpr long kSyncEpochBase = 0;
 
-  using Mask = Mask2D;
-  using Domain = Domain2D;
-  using Decomp = Decomposition2D;
-  using BlockDecomp = BlockDecomposition2D;
-  using Box = Box2;
-  using LinkPlan = LinkPlan2D;
   using Field = PaddedField2D<double>;
-
-  static Decomp make_decomposition(const Mask& mask, const GridShape& grid) {
-    SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
-    return Decomp(mask.extents(), grid.jx, grid.jy);
-  }
-
-  /// Over-decomposition of the same grid into ~side^2 blocks seeded onto
-  /// the (jx x jy) rank grid; `side` resolves through resolve_block_side
-  /// (0: one block per rank) and `ghost` bounds the smallest legal block.
-  static BlockDecomp make_block_decomposition(const Mask& mask,
-                                              const GridShape& grid, int side,
-                                              int ghost) {
-    SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
-    return BlockDecomp(mask, grid.jx, grid.jy, resolve_block_side(side),
-                       ghost);
-  }
-
-  /// Link plans of one *block* over the fine block grid — the generic
-  /// make_link_plans with "rank" read as "block id"; neighbours that are
-  /// all-solid blocks are dropped exactly like inactive ranks.
-  static std::vector<LinkPlan> make_block_links(const BlockDecomp& bd,
-                                                int block, int ghost,
-                                                const FluidParams& p) {
-    return make_link_plans2d(bd.blocks(), block, ghost, p.periodic_x,
-                             p.periodic_y, bd.active());
-  }
 
   static std::vector<Phase> make_schedule(Method method) {
     return make_schedule2d(method);
-  }
-
-  static std::vector<LinkPlan> make_links(const Decomp& d, int rank,
-                                          int ghost, const FluidParams& p,
-                                          const std::vector<bool>& active) {
-    return make_link_plans2d(d, rank, ghost, p.periodic_x, p.periodic_y,
-                             active);
-  }
-
-  static std::vector<double> pack(const Domain& dom,
-                                  const std::vector<FieldId>& fields,
-                                  Box box) {
-    return pack2d(dom, fields, box);
-  }
-
-  static void unpack(Domain& dom, const std::vector<FieldId>& fields,
-                     Box box, const std::vector<double>& payload) {
-    unpack2d(dom, fields, box, payload);
-  }
-
-  /// pack/unpack over caller storage (one segment of a rank frame), and
-  /// the direct block-to-block copy of an intra-rank face.
-  static double* pack_into(const Domain& dom,
-                           const std::vector<FieldId>& fields, Box box,
-                           double* out) {
-    return pack2d_into(dom, fields, box, out);
-  }
-
-  static const double* unpack_from(Domain& dom,
-                                   const std::vector<FieldId>& fields,
-                                   Box box, const double* in) {
-    return unpack2d_from(dom, fields, box, in);
-  }
-
-  static void copy(const Domain& src, Box src_box, Domain& dst, Box dst_box,
-                   const std::vector<FieldId>& fields) {
-    copy2d(src, src_box, dst, dst_box, fields);
   }
 
   static void run_compute(Domain& d, ComputeKind kind,
@@ -135,10 +132,6 @@ struct DomainTraits<2> {
     if (is_population(id))
       return lbm2d::equilibrium(population_index(id), p.rho0, 0.0, 0.0);
     return 0.0;
-  }
-
-  static bool thinner_than_ghost(const Box& b, int ghost) {
-    return b.width() < ghost || b.height() < ghost;
   }
 
   /// Periodic wrap of one field's ghost layers (serial runs; no-op without
@@ -186,73 +179,13 @@ struct DomainTraits<2> {
 };
 
 template <>
-struct DomainTraits<3> {
-  static constexpr int kDims = 3;
+struct DomainTraits<3> : DomainTraitsBase<3> {
   static constexpr long kSyncEpochBase = 1L << 20;  // disjoint from 2D
 
-  using Mask = Mask3D;
-  using Domain = Domain3D;
-  using Decomp = Decomposition3D;
-  using BlockDecomp = BlockDecomposition3D;
-  using Box = Box3;
-  using LinkPlan = LinkPlan3D;
   using Field = PaddedField3D<double>;
-
-  static Decomp make_decomposition(const Mask& mask, const GridShape& grid) {
-    return Decomp(mask.extents(), grid.jx, grid.jy, grid.jz);
-  }
-
-  static BlockDecomp make_block_decomposition(const Mask& mask,
-                                              const GridShape& grid, int side,
-                                              int ghost) {
-    return BlockDecomp(mask, grid.jx, grid.jy, grid.jz,
-                       resolve_block_side(side), ghost);
-  }
-
-  static std::vector<LinkPlan> make_block_links(const BlockDecomp& bd,
-                                                int block, int ghost,
-                                                const FluidParams& p) {
-    return make_link_plans3d(bd.blocks(), block, ghost, p.periodic_x,
-                             p.periodic_y, p.periodic_z, bd.active());
-  }
 
   static std::vector<Phase> make_schedule(Method method) {
     return make_schedule3d(method);
-  }
-
-  static std::vector<LinkPlan> make_links(const Decomp& d, int rank,
-                                          int ghost, const FluidParams& p,
-                                          const std::vector<bool>& active) {
-    return make_link_plans3d(d, rank, ghost, p.periodic_x, p.periodic_y,
-                             p.periodic_z, active);
-  }
-
-  static std::vector<double> pack(const Domain& dom,
-                                  const std::vector<FieldId>& fields,
-                                  Box box) {
-    return pack3d(dom, fields, box);
-  }
-
-  static void unpack(Domain& dom, const std::vector<FieldId>& fields,
-                     Box box, const std::vector<double>& payload) {
-    unpack3d(dom, fields, box, payload);
-  }
-
-  static double* pack_into(const Domain& dom,
-                           const std::vector<FieldId>& fields, Box box,
-                           double* out) {
-    return pack3d_into(dom, fields, box, out);
-  }
-
-  static const double* unpack_from(Domain& dom,
-                                   const std::vector<FieldId>& fields,
-                                   Box box, const double* in) {
-    return unpack3d_from(dom, fields, box, in);
-  }
-
-  static void copy(const Domain& src, Box src_box, Domain& dst, Box dst_box,
-                   const std::vector<FieldId>& fields) {
-    copy3d(src, src_box, dst, dst_box, fields);
   }
 
   static void run_compute(Domain& d, ComputeKind kind,
@@ -271,10 +204,6 @@ struct DomainTraits<3> {
     if (is_population(id))
       return lbm3d::equilibrium(population_index(id), p.rho0, 0.0, 0.0, 0.0);
     return 0.0;
-  }
-
-  static bool thinner_than_ghost(const Box& b, int ghost) {
-    return b.width() < ghost || b.height() < ghost || b.depth() < ghost;
   }
 
   /// Wrap axis by axis; each later axis copies whole slabs including the

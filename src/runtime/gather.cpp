@@ -25,7 +25,7 @@ gather_impl(const typename DomainTraits<Dim>::Mask& mask,
   params.validate();
   const int ghost = required_ghost(method, params.filter_eps > 0.0);
   const typename Traits::BlockDecomp bd =
-      Traits::make_block_decomposition(mask, grid, block_side, ghost);
+      Traits::make_block_decomposition(mask, grid, block_side, ghost, params);
 
   if (epoch >= 0) {
     // Only a MANIFEST-committed epoch is guaranteed to have a durable,

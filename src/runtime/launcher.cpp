@@ -1,6 +1,5 @@
 #include "src/runtime/launcher.hpp"
 
-#include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,10 +17,6 @@ extern char** environ;
 #endif
 
 namespace subsonic::launcher {
-
-void Launcher::signal(const ChildHandle& h, int sig) {
-  if (h.pid > 0) ::kill(h.pid, sig);
-}
 
 pid_t Launcher::reap(const ChildHandle& h, int* status, bool block) {
   if (h.pid <= 0) return -1;
@@ -45,7 +40,7 @@ ChildHandle ForkLauncher::spawn(const ChildSpec& spec) {
     spec.entry(spec.cfg);  // never returns
     ::_exit(127);
   }
-  return ChildHandle{pid, spec.rank, spec.host};
+  return ChildHandle{pid};
 }
 
 std::string ExecLauncher::child_binary() {
@@ -122,7 +117,7 @@ ChildHandle ExecLauncher::spawn(const ChildSpec& spec) {
     throw SpawnError("posix_spawn of " + binary_ +
                          " failed: " + std::strerror(rc),
                      spec.rank, spec.host);
-  return ChildHandle{pid, spec.rank, spec.host};
+  return ChildHandle{pid};
 }
 
 std::string resolve_launcher_name(const std::string& requested) {

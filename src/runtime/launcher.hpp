@@ -2,7 +2,8 @@
 // job-submit program "begins a parallel subprocess on each workstation";
 // a Launcher is exactly that seam: the supervisor describes the child it
 // wants (ChildSpec) and the launcher decides *how* a process comes to
-// exist, returning a ChildHandle the liveness engine can signal and reap.
+// exist, returning a ChildHandle whose pid the liveness engine signals and
+// reaps with ::kill and ::waitpid.
 //
 //   * ForkLauncher — today's single-host mechanics, bitwise-preserving:
 //     fork(), redirect stderr into the tagging pipe, close the fds that
@@ -52,8 +53,6 @@ struct ChildSpec {
 
 struct ChildHandle {
   pid_t pid = -1;
-  int rank = -1;
-  std::string host;
 };
 
 /// A launch that failed before a child process existed (dead host,
@@ -77,10 +76,9 @@ class Launcher {
   /// Starts one child; throws SpawnError when no process came to exist.
   virtual ChildHandle spawn(const ChildSpec& spec) = 0;
 
-  /// Signal/reap by handle; base implementations use kill()/waitpid(),
-  /// which is correct for any launcher whose children are local processes.
-  virtual void signal(const ChildHandle& h, int sig);
-  virtual pid_t reap(const ChildHandle& h, int* status, bool block);
+  /// waitpid() on the handle's pid: every launcher's children are local
+  /// processes.
+  pid_t reap(const ChildHandle& h, int* status, bool block);
 };
 
 /// fork() + run the child body in-process: the child shares the parent's

@@ -62,7 +62,7 @@ template <int Dim>
   const int ghost =
       subsonic::required_ghost(spec.method, spec.params.filter_eps > 0.0);
   auto bd = Traits::make_block_decomposition(mask, spec.grid, spec.block_side,
-                                             ghost);
+                                             ghost, spec.params);
   if (!spec.owner.empty()) bd.set_owner_map(spec.owner);
   subsonic::cohort::child_main<Dim>(mask, spec.params, spec.method, bd, cfg,
                                     workdir, registry, faults);

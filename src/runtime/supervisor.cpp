@@ -158,7 +158,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                        "rebalancing needs blocks to move: set "
                        "options.block_side != 0");
   typename Traits::BlockDecomp bd =
-      Traits::make_block_decomposition(mask, grid, side, ghost);
+      Traits::make_block_decomposition(mask, grid, side, ghost, params);
 
   const FaultPlan faults = options.faults.empty()
                                ? FaultPlan::from_env()

@@ -183,7 +183,7 @@ struct ProcessRunResult {
   /// order (also logged into run_summary.json).
   std::vector<telemetry::RebalanceRecord> rebalances;
 
-  /// Final block -> rank owner map (-1 for an all-solid block).
+  /// Final block -> rank owner map (-1 for an inactive block).
   std::vector<int> block_owner;
 
   /// The watchdog's audit trail: every hang/exit detection, escalation

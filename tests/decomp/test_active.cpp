@@ -14,9 +14,11 @@ TEST(ActiveRanks, AllActiveOnOpenDomain) {
 }
 
 TEST(ActiveRanks, SolidColumnIsDropped) {
+  // The first column of subregions is solid, and so is the node column
+  // beside it: those subregions border no fluid.
   const Decomposition2D d(Extents2{60, 60}, 3, 3);
   Mask2D mask(Extents2{60, 60}, 1);
-  mask.fill_box({0, 0, 20, 60}, NodeType::kWall);  // first column solid
+  mask.fill_box({0, 0, 21, 60}, NodeType::kWall);
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 6u);
   for (int r : active) EXPECT_NE(d.coord_x(r), 0);
@@ -25,7 +27,7 @@ TEST(ActiveRanks, SolidColumnIsDropped) {
 TEST(ActiveRanks, InletCountsAsActive) {
   const Decomposition2D d(Extents2{60, 60}, 3, 3);
   Mask2D mask(Extents2{60, 60}, 1);
-  mask.fill_box({0, 0, 20, 60}, NodeType::kWall);
+  mask.fill_box({0, 0, 21, 60}, NodeType::kWall);
   mask.set(5, 30, NodeType::kInlet);  // one opening in the solid block
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 7u);
@@ -46,10 +48,50 @@ TEST(ActiveRanks, FluePipeChannelVariantDropsSubregions) {
 TEST(ActiveRanks3D, SolidSlabIsDropped) {
   const Decomposition3D d(Extents3{20, 20, 20}, 2, 2, 2);
   Mask3D mask(Extents3{20, 20, 20}, 1);
-  mask.fill_box({0, 0, 0, 20, 20, 10}, NodeType::kWall);
+  mask.fill_box({0, 0, 0, 20, 20, 11}, NodeType::kWall);
   const auto active = active_ranks(d, mask);
   EXPECT_EQ(active.size(), 4u);
   for (int r : active) EXPECT_EQ(d.coord_z(r), 1);
+}
+
+TEST(ActiveRanks, SolidSubregionFlushAgainstFluidStaysActive) {
+  // Solid exactly up to the subregion edge: the wall nodes of column 19
+  // border fluid at x = 20, so their subregions keep a process.
+  const Decomposition2D d(Extents2{60, 60}, 3, 3);
+  Mask2D mask(Extents2{60, 60}, 1);
+  mask.fill_box({0, 0, 20, 60}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 9u);
+  // A diagonal neighbour counts too: only the corner node (20, 20) of the
+  // upper-right region is fluid next to subregion 0.
+  mask.fill_box({0, 0, 60, 60}, NodeType::kWall);
+  mask.set(20, 20, NodeType::kFluid);
+  EXPECT_EQ(active_ranks(d, mask),
+            (std::vector<int>{0, 1, 3, d.rank_of(1, 1)}));
+}
+
+TEST(ActiveRanks, PeriodicAxisWrapsTheGrownBox) {
+  // 30 x 20 with x < 20 solid over 3 x 1: subregion 0 borders fluid only
+  // across the x wrap, subregion 1 directly.
+  const Decomposition2D d(Extents2{30, 20}, 3, 1);
+  Mask2D mask(Extents2{30, 20}, 1);
+  mask.fill_box({0, 0, 20, 20}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask), (std::vector<int>{1, 2}));
+  EXPECT_EQ(active_ranks(d, mask, Periodicity{true, false, false}),
+            (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(active_ranks(d, mask, Periodicity{false, true, false}),
+            (std::vector<int>{1, 2}));
+}
+
+TEST(ActiveRanks3D, SolidSlabFlushAgainstFluidStaysActive) {
+  const Decomposition3D d(Extents3{20, 20, 20}, 2, 2, 2);
+  Mask3D mask(Extents3{20, 20, 20}, 1);
+  mask.fill_box({0, 0, 0, 20, 20, 10}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 8u);
+  // Across a periodic z wrap as well: solid up to z = 15 leaves the lower
+  // subregions bordering fluid only through z = 19.
+  mask.fill_box({0, 0, 0, 20, 20, 15}, NodeType::kWall);
+  EXPECT_EQ(active_ranks(d, mask).size(), 4u);
+  EXPECT_EQ(active_ranks(d, mask, Periodicity{false, false, true}).size(), 8u);
 }
 
 }  // namespace

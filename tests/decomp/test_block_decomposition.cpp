@@ -46,11 +46,12 @@ TEST(ResolveBlockSide, ZeroIsOnePerRankNegativeReadsTheEnv) {
 }
 
 TEST(BlockDecomposition2D, SideZeroIsTheRankGrid) {
-  // 3 x 2 ranks over 50 x 31 (uneven splits); rank 0's subregion is solid.
+  // 3 x 2 ranks over 50 x 31 (uneven splits); rank 0's subregion is solid,
+  // and so is the one-node ring around it, so it borders no fluid.
   Mask2D mask(Extents2{50, 31}, 1);
   const Decomposition2D ranks(mask.extents(), 3, 2);
-  mask.fill_box(ranks.box(0), NodeType::kWall);
-  const BlockDecomposition2D bd(mask, 3, 2, 0, 1);
+  mask.fill_box(ranks.box(0).grown(1), NodeType::kWall);
+  const BlockDecomposition2D bd(mask, GridShape{3, 2}, 0, 1);
   ASSERT_EQ(bd.block_count(), ranks.rank_count());
   EXPECT_EQ(bd.rank_count(), ranks.rank_count());
   for (int b = 0; b < bd.block_count(); ++b) {
@@ -66,7 +67,7 @@ TEST(BlockDecomposition2D, SideZeroIsTheRankGrid) {
 
 TEST(BlockDecomposition2D, TilesTheDomainAndSeedsOwnersFromTheRankGrid) {
   Mask2D mask(Extents2{64, 64}, 1);
-  BlockDecomposition2D bd(mask, 2, 2, 16, 1);
+  BlockDecomposition2D bd(mask, GridShape{2, 2}, 16, 1);
   EXPECT_EQ(bd.block_count(), 16);  // 4 x 4 blocks
   EXPECT_EQ(bd.rank_count(), 4);
 
@@ -97,9 +98,11 @@ TEST(BlockDecomposition2D, TilesTheDomainAndSeedsOwnersFromTheRankGrid) {
 }
 
 TEST(BlockDecomposition2D, AllSolidBlocksAreInactive) {
+  // The left half is solid, one column deeper than its blocks, so no
+  // left-half block borders fluid.
   Mask2D mask(Extents2{64, 32}, 1);
-  mask.fill_box({0, 0, 32, 32}, NodeType::kWall);  // left half solid
-  BlockDecomposition2D bd(mask, 2, 1, 16, 1);
+  mask.fill_box({0, 0, 33, 32}, NodeType::kWall);
+  BlockDecomposition2D bd(mask, GridShape{2, 1}, 16, 1);
   int active = 0;
   for (int b = 0; b < bd.block_count(); ++b) {
     if (bd.block_active(b)) {
@@ -120,7 +123,7 @@ TEST(BlockDecomposition2D, AllSolidBlocksAreInactive) {
 
 TEST(BlockDecomposition2D, OwnerMapRewriteMovesBlocksBetweenRanks) {
   Mask2D mask(Extents2{64, 32}, 1);
-  BlockDecomposition2D bd(mask, 2, 1, 16, 1);
+  BlockDecomposition2D bd(mask, GridShape{2, 1}, 16, 1);
   std::vector<int> owner = bd.owner_map();
   // Move every block to rank 1.
   for (int& r : owner)
@@ -135,7 +138,7 @@ TEST(BlockDecomposition2D, OwnerMapRewriteMovesBlocksBetweenRanks) {
 
 TEST(BlockDecomposition2D, RejectsAnInvalidOwnerMap) {
   Mask2D mask(Extents2{32, 32}, 1);
-  BlockDecomposition2D bd(mask, 1, 1, 16, 1);
+  BlockDecomposition2D bd(mask, GridShape{1, 1}, 16, 1);
   std::vector<int> wrong_size(bd.block_count() + 1, 0);
   EXPECT_ANY_THROW(bd.set_owner_map(wrong_size));
   std::vector<int> out_of_range = bd.owner_map();
@@ -148,7 +151,7 @@ TEST(BlockDecomposition2D, RejectsAnInvalidOwnerMap) {
 
 TEST(BlockDecomposition3D, TilesAndSeedsInThreeDimensions) {
   Mask3D mask(Extents3{32, 32, 16}, 1);
-  BlockDecomposition3D bd(mask, 2, 1, 1, 16, 1);
+  BlockDecomposition3D bd(mask, GridShape{2, 1, 1}, 16, 1);
   EXPECT_EQ(bd.block_count(), 4);  // 2 x 2 x 1
   EXPECT_EQ(bd.rank_count(), 2);
   std::int64_t cells = 0;
@@ -162,11 +165,12 @@ TEST(BlockDecomposition3D, TilesAndSeedsInThreeDimensions) {
 }
 
 TEST(BlockDecomposition3D, SideZeroIsTheRankGrid) {
-  // 2 x 3 x 2 ranks over 17 x 20 x 9; rank 7's subregion is solid.
+  // 2 x 3 x 2 ranks over 17 x 20 x 9; rank 7's subregion and the one-node
+  // ring around it are solid.
   Mask3D mask(Extents3{17, 20, 9}, 1);
   const Decomposition3D ranks(mask.extents(), 2, 3, 2);
-  mask.fill_box(ranks.box(7), NodeType::kWall);
-  const BlockDecomposition3D bd(mask, 2, 3, 2, 0, 1);
+  mask.fill_box(ranks.box(7).grown(1), NodeType::kWall);
+  const BlockDecomposition3D bd(mask, GridShape{2, 3, 2}, 0, 1);
   ASSERT_EQ(bd.block_count(), ranks.rank_count());
   for (int b = 0; b < bd.block_count(); ++b) {
     const Box3 got = bd.box(b), want = ranks.box(b);
@@ -179,6 +183,32 @@ TEST(BlockDecomposition3D, SideZeroIsTheRankGrid) {
     EXPECT_EQ(bd.owner(b), b == 7 ? -1 : b) << "block " << b;
   }
   EXPECT_EQ(bd.active_ranks(), active_ranks(ranks, mask));
+}
+
+TEST(BlockDecomposition2D, SolidBlocksBesideFluidStayActive) {
+  // The left half is solid up to the block edge at x = 32: the blocks at
+  // x0 = 16 border fluid and keep an owner, the ones at x0 = 0 do not.
+  Mask2D mask(Extents2{64, 32}, 1);
+  mask.fill_box({0, 0, 32, 32}, NodeType::kWall);
+  const BlockDecomposition2D bd(mask, GridShape{2, 1}, 16, 1);
+  for (int b = 0; b < bd.block_count(); ++b)
+    EXPECT_EQ(bd.block_active(b), bd.box(b).x0 >= 16) << "block " << b;
+  EXPECT_EQ(bd.active_ranks(), (std::vector<int>{0, 1}));
+}
+
+TEST(BlockDecomposition2D, PeriodicWrapKeepsTheEdgeBlockActive) {
+  // Solid up to x = 24 on a 32-wide grid at side 8: block column 0 borders
+  // fluid only across the x wrap, block column 1 borders none.
+  Mask2D mask(Extents2{32, 16}, 1);
+  mask.fill_box({0, 0, 24, 16}, NodeType::kWall);
+  const BlockDecomposition2D closed(mask, GridShape{2, 1}, 8, 1);
+  const BlockDecomposition2D wrapped(mask, GridShape{2, 1}, 8, 1,
+                                     Periodicity{true, false, false});
+  for (int b = 0; b < closed.block_count(); ++b) {
+    const int x0 = closed.box(b).x0;
+    EXPECT_EQ(closed.block_active(b), x0 >= 16) << "block " << b;
+    EXPECT_EQ(wrapped.block_active(b), x0 != 8) << "block " << b;
+  }
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(BlockedDriver, OwnerMapRewriteMidRunIsBitwise) {
   BlockedDriver<2> straight(mask, p, m, GridShape{2, 1, 1}, 8);
   straight.run(12);
 
-  BlockDecomposition2D bd(mask, 2, 1, 8, ghost);
+  BlockDecomposition2D bd(mask, GridShape{2, 1}, 8, ghost);
   BlockedDriver<2> first(mask, p, m, bd);
   first.run(6);
   const std::string dir = make_workdir("move");
@@ -342,7 +342,8 @@ TEST(BlockedDriver, EachRankSendsOneFramePerPeerRankPerPhase) {
   // its one-cell wall ring lies in the active blocks around it.
   Mask2D mask = closed_box(40, 32, 3);
   mask.fill_box({15, 15, 25, 25}, NodeType::kWall);
-  ASSERT_FALSE(BlockDecomposition2D(mask, 2, 1, 8, 3).block_active(2 + 2 * 5));
+  ASSERT_FALSE(BlockDecomposition2D(mask, GridShape{2, 1}, 8, 3)
+                   .block_active(2 + 2 * 5));
   FluidParams lb;
   lb.dt = 1.0;
   FluidParams fd;

@@ -108,14 +108,16 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
 }
 
 TEST(GatherFields, InactiveSubregionsGatherAsQuiescentState) {
+  // The left third and the column beside it are solid: rank 0 borders no
+  // fluid.
   Mask2D mask = walled_box2d(30, 20, 1);
-  mask.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
+  mask.fill_box({0, 0, 11, 20}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = make_workdir("solid2d");
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 5, workdir, {});
-  EXPECT_EQ(r.processes, 2);  // rank 0 is entirely wall and never spawned
+  EXPECT_EQ(r.processes, 2);  // rank 0 is never spawned
 
   // No dump exists for the inactive rank; gather must fill its subregion
   // with the quiescent state instead of failing.

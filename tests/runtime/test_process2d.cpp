@@ -109,8 +109,10 @@ TEST(ProcessRuntime, DropsAllSolidSubregions) {
   FluidParams p;
   p.dt = 1.0;
   {
+    // The left third and the column beside it are solid: rank 0 borders
+    // no fluid.
     Mask2D solid = mask;
-    solid.fill_box({0, 0, 10, 20}, NodeType::kWall);  // left third solid
+    solid.fill_box({0, 0, 11, 20}, NodeType::kWall);
     const std::string workdir = make_workdir("solid");
     const ProcessRunResult r =
         run_supervised<2>(solid, p, Method::kLatticeBoltzmann,
@@ -121,12 +123,10 @@ TEST(ProcessRuntime, DropsAllSolidSubregions) {
 
 TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   // block_side 0 (the default) runs one block per rank: block r is rank
-  // r's subregion, an all-solid subregion has no block, and the final
-  // state is exactly one block_<r>.dump per active rank.  The solid
-  // reaches one column into rank 1: fluid directly on the face of an
-  // all-solid subregion bounces off wall ghosts nobody updates, and
-  // differs from serial by a few ulp in every parallel driver (an open
-  // ROADMAP item, not a property of the block layout).
+  // r's subregion, an all-solid subregion that borders no fluid has no
+  // block, and the final state is exactly one block_<r>.dump per active
+  // rank.  The solid reaches one column into rank 1, so rank 0 borders
+  // no fluid.
   ::unsetenv("SUBSONIC_FAULTS");
   Mask2D mask = closed_box(30, 20, 1);
   mask.fill_box({0, 0, 11, 20}, NodeType::kWall);  // rank 0 all solid

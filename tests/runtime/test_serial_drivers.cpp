@@ -105,8 +105,10 @@ TEST(WorkerStats, AccumulateAcrossRuns) {
 }
 
 TEST(WorkerStats, InactiveRankHasNoStats) {
+  // Rank 0's subregion and the column beside it are solid: it borders no
+  // fluid and runs no process.
   Mask2D mask(Extents2{30, 10}, 1);
-  mask.fill_box({0, 0, 10, 10}, NodeType::kWall);
+  mask.fill_box({0, 0, 11, 10}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
   BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
