@@ -1,20 +1,18 @@
 // The cohort rendezvous service: a tiny supervisor-hosted TCP registry
-// that replaces the run-critical rank-to-rank coordination the supervised
-// runtime used to do through the shared filesystem (a SyncFile handshake
-// and the per-round ports.g<round> registry files).  In-process runs keep
-// the paper's file-based forms: TcpTransport's endpoints publish to a
-// registry file, and BlockedDriver::run_until_sync announces through the
-// appendix-B SyncFile.
+// that carries all the run-critical rank-to-rank coordination of the
+// supervised runtime, which therefore writes no port file.  In-process
+// runs keep the paper's file-based forms: TcpTransport's endpoints
+// publish to a registry file, and BlockedDriver::run_until_sync announces
+// through the appendix-B SyncFile.
 //
 // The supervisor runs one Server per job.  Each child, after binding its
 // ephemeral data port, registers (round, rank, host, port) and then polls
-// for its peers; the per-round generation logic that used to be "remove
-// the old registry file" becomes a round field in the protocol, retired
-// server-side by the supervisor at each surgical restart.  The same
-// service hands out the heartbeat/control channels for launchers whose
-// children share no file descriptors with the supervisor: a child dials
-// in, says CHAN HB <rank> (or CHAN CTL <rank>), and the connection itself
-// is adopted as that rank's channel.
+// for its peers; every registration carries its recovery round, and the
+// supervisor retires older rounds server-side at each surgical restart.
+// The same service hands out the heartbeat/control channels for
+// launchers whose children share no file descriptors with the
+// supervisor: a child dials in, says CHAN HB <rank> (or CHAN CTL <rank>),
+// and the connection itself is adopted as that rank's channel.
 //
 // Line protocol (one request per line, '\n'-terminated ASCII):
 //
@@ -80,8 +78,8 @@ class Server {
   /// registry_for(endpoint(), round) appends ".g<round>" unchanged.
   std::string endpoint() const;
 
-  /// Drops every registration with round < `round` — the protocol
-  /// equivalent of removing the previous generation's registry file.
+  /// Drops every registration with round < `round`, so a rank of a new
+  /// round never finds a listener of an older one.
   void retire_rounds_below(int round);
 
   /// Blocks until a child has dialed in a channel of `kind` ("HB" or

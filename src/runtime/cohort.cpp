@@ -193,20 +193,19 @@ void publish_metrics(telemetry::Session& tel, int rank,
   tel.flush_metrics_delta(path);
 }
 
-/// An exec-launched child cannot inherit pipe fds across hosts; instead
-/// the supervisor hands it a rendezvous endpoint and the child dials its
-/// heartbeat and control channels back.  The dialed sockets drop into the
-/// same ChildConfig slots the pipe fds would occupy, so everything
-/// downstream (Emitter, rollback polling) is transport-blind.  A no-op
-/// when the endpoint is empty or the fds were inherited (fork launcher).
-ChildConfig connect_socket_channels(const ChildConfig& in) {
+/// A child that inherited no heartbeat or control fd (-1: socket
+/// channels, the transport for children that share no fds with the
+/// supervisor) dials both at its registry, the supervisor's rendezvous
+/// service.  The dialed sockets drop into the same ChildConfig slots the
+/// pipe fds would occupy, so everything downstream (Emitter, rollback
+/// polling) is transport-blind.  A no-op when the pipes were inherited.
+ChildConfig connect_socket_channels(const ChildConfig& in,
+                                    const std::string& registry) {
   ChildConfig cfg = in;
-  if (cfg.channel_endpoint.empty() ||
-      (cfg.heartbeat_fd >= 0 && cfg.control_fd >= 0))
-    return cfg;
+  if (cfg.heartbeat_fd >= 0 && cfg.control_fd >= 0) return cfg;
   rendezvous::Endpoint ep;
-  if (!rendezvous::parse_registry(cfg.channel_endpoint, &ep))
-    throw std::runtime_error("bad channel endpoint: " + cfg.channel_endpoint);
+  if (!rendezvous::parse_registry(registry, &ep))
+    throw std::runtime_error("bad channel endpoint: " + registry);
   if (cfg.heartbeat_fd < 0) {
     const int fd =
         rendezvous::Client::connect_channel(ep.host, ep.port, "HB", cfg.rank);
@@ -245,7 +244,7 @@ template <int Dim>
                              const std::string& workdir,
                              const std::string& registry,
                              const FaultPlan& faults) {
-  const ChildConfig cfg = connect_socket_channels(cfg_in);
+  const ChildConfig cfg = connect_socket_channels(cfg_in, registry);
   try {
     telemetry::SessionConfig tel_cfg;
     tel_cfg.trace = cfg.trace;

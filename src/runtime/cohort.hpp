@@ -61,16 +61,12 @@ struct ChildConfig {
   long long origin_ns = -1;  ///< supervisor's trace origin, so per-rank
                              ///< traces merge onto one timeline
   /// Liveness plumbing (liveness.hpp): write end of the heartbeat pipe
-  /// and read end of the supervisor control pipe; -1 = not supervised
-  /// (no beacons, no in-process rollback).
+  /// and read end of the supervisor control pipe.  -1 (socket channels):
+  /// the child dials both at its rendezvous registry instead — the
+  /// transport for launchers whose children share no file descriptors
+  /// with the supervisor.
   int heartbeat_fd = -1;
   int control_fd = -1;
-  /// Socket-channel mode: the supervisor's rendezvous endpoint
-  /// ("rdv:<host>:<port>").  When set and the fds above are -1, the child
-  /// dials its heartbeat and control channels back through the rendezvous
-  /// service instead of inheriting pipes — the transport for launchers
-  /// whose children share no file descriptors with the supervisor.
-  std::string channel_endpoint;
   int beacon_interval_ms = 50;  ///< min spacing of kWait beacons
   /// Steps between periodic publications of the rank's metrics
   /// snapshot.  0 = off (published at exit only).
@@ -105,14 +101,15 @@ void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
 /// per-block compute timers, making the rank look like a genuinely slow
 /// host to the rebalancer.
 ///
-/// `registry` is the *base* port-registry path: each recovery round uses
-/// liveness::registry_for(registry, round).  The child runs rounds in a
-/// loop — on a SIGUSR1 rollback order from the supervisor it abandons
-/// the current round (endpoint_aborted out of any blocking wait), reads
-/// the new round + restore epoch from control_fd, rebuilds its blocks
-/// from scratch and rejoins, which is bitwise identical to being
-/// re-forked.  SIGTERM publishes the metrics snapshot and exits with
-/// liveness::kTermAckExit.
+/// `registry` is the supervisor's rendezvous endpoint, the *base* each
+/// recovery round extends with liveness::registry_for(registry, round);
+/// a child with no inherited channel fds dials them there.  The child
+/// runs rounds in a loop — on a SIGUSR1 rollback order from the
+/// supervisor it abandons the current round (endpoint_aborted out of any
+/// blocking wait), reads the new round + restore epoch from control_fd,
+/// rebuilds its blocks from scratch and rejoins, which is bitwise
+/// identical to being re-forked.  SIGTERM publishes the metrics snapshot
+/// and exits with liveness::kTermAckExit.
 template <int Dim>
 [[noreturn]] void child_main(const typename DomainTraits<Dim>::Mask& mask,
                              const FluidParams& params, Method method,

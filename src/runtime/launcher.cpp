@@ -86,7 +86,6 @@ ChildHandle ExecLauncher::spawn(const ChildSpec& spec) {
   add("control_fd", cfg.control_fd);
   add("beacon_interval_ms", cfg.beacon_interval_ms);
   add("metrics_flush_interval", cfg.metrics_flush_interval);
-  add_str("channel_endpoint", cfg.channel_endpoint);
   add("dim", spec.dim);
   add_str("workdir", spec.workdir);
   add_str("registry", spec.registry);

@@ -2,7 +2,7 @@
 // job-submit program "begins a parallel subprocess on each workstation";
 // a Launcher is exactly that seam: the supervisor describes the child it
 // wants (ChildSpec) and the launcher decides *how* a process comes to
-// exist, returning a ChildHandle whose pid the liveness engine signals and
+// exist, returning a ChildHandle whose pid the supervisor signals and
 // reaps with ::kill and ::waitpid.
 //
 //   * ForkLauncher — today's single-host mechanics, bitwise-preserving:
@@ -11,8 +11,9 @@
 //   * ExecLauncher — posix_spawn of the subsonic_child binary, which
 //     reconstructs its ChildConfig from argv and its world from the
 //     cohort spec file.  The child inherits *no* supervisor state beyond
-//     the explicitly-numbered channel fds, which is the proof obligation
-//     for the next launcher in line (SSH/agent onto a remote host, where
+//     the explicitly-numbered channel fds (none with socket channels,
+//     which it dials at its registry), which is the proof obligation for
+//     the next launcher in line (SSH/agent onto a remote host, where
 //     inheritance is impossible by construction).
 //
 // Selection: ProcessRunOptions::launcher, else SUBSONIC_LAUNCHER
@@ -37,7 +38,7 @@ struct ChildSpec {
   std::string host;  ///< placement tag, threaded into liveness records
   cohort::ChildConfig cfg;
   std::string workdir;
-  std::string registry;   ///< rendezvous endpoint (or registry file base)
+  std::string registry;   ///< the supervisor's rendezvous endpoint
   std::string spec_path;  ///< cohort spec file (exec children rebuild from it)
   std::string faults;     ///< fault spec string ("" = child reads env)
   int dim = 2;

@@ -1,20 +1,13 @@
 #include "src/runtime/liveness.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
-#include <thread>
 #include <utility>
-
-#include "src/telemetry/telemetry.hpp"
 
 namespace subsonic {
 namespace liveness {
@@ -58,18 +51,6 @@ bool resolve_socket_channels(const LivenessOptions& options) {
 
 std::string registry_for(const std::string& base, int round) {
   return base + ".g" + std::to_string(round);
-}
-
-void remove_port_registries(const std::string& workdir) {
-  DIR* dir = ::opendir(workdir.c_str());
-  if (!dir) return;
-  std::vector<std::string> doomed;
-  while (const dirent* entry = ::readdir(dir)) {
-    const std::string name = entry->d_name;
-    if (name.rfind("ports", 0) == 0) doomed.push_back(workdir + "/" + name);
-  }
-  ::closedir(dir);
-  for (const std::string& path : doomed) std::remove(path.c_str());
 }
 
 void encode_beacon(const Beacon& b, unsigned char out[kBeaconBytes]) {
@@ -327,392 +308,6 @@ Escalation::Action Escalation::next(double now_s, double grace_s) {
     return Action::kSigkill;
   }
   return Action::kNone;
-}
-
-CohortEngine::CohortEngine(std::vector<int> ranks,
-                           const LivenessOptions& options, int max_restarts,
-                           EngineHooks hooks, telemetry::Session* supervisor,
-                           std::vector<telemetry::LivenessRecord>* records,
-                           int* restarts, int* forks)
-    : options_(options),
-      floor_s_(resolve_floor_ms(options) * 1e-3),
-      grace_s_((options.grace_ms > 0 ? options.grace_ms : 1) * 1e-3),
-      max_restarts_(max_restarts),
-      hooks_(std::move(hooks)),
-      supervisor_(supervisor),
-      records_(records),
-      restarts_(restarts),
-      forks_(forks),
-      monitor_(floor_s_, options.deadline_multiplier),
-      origin_(std::chrono::steady_clock::now()) {
-  children_.reserve(ranks.size());
-  for (int rank : ranks) {
-    Child c;
-    c.rank = rank;
-    children_.push_back(c);
-  }
-  // Writing a rollback order to a child that just died must surface as
-  // EPIPE, not kill the supervisor.
-  old_sigpipe_ = ::signal(SIGPIPE, SIG_IGN);
-}
-
-CohortEngine::~CohortEngine() { ::signal(SIGPIPE, old_sigpipe_); }
-
-double CohortEngine::now_s() const {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - origin_)
-      .count();
-}
-
-void CohortEngine::record(const char* event, int rank, int generation,
-                          long step, double silence_s, double deadline_s,
-                          long epoch) {
-  telemetry::LivenessRecord lr;
-  lr.event = event;
-  lr.rank = rank;
-  lr.generation = generation;
-  lr.step = step;
-  lr.silence_s = silence_s;
-  lr.deadline_s = deadline_s;
-  lr.epoch = epoch;
-  if (hooks_.host_of && rank >= 0) lr.host = hooks_.host_of(rank);
-  if (hooks_.on_liveness) hooks_.on_liveness(lr);
-  if (records_) records_->push_back(std::move(lr));
-  if (supervisor_)
-    supervisor_->metrics()
-        .counter(-1, std::string("liveness.") + event)
-        .add();
-}
-
-void CohortEngine::close_child_fds(Child& c) {
-  if (c.hb_read >= 0) ::close(c.hb_read);
-  if (c.ctl_write >= 0) ::close(c.ctl_write);
-  c.hb_read = -1;
-  c.ctl_write = -1;
-}
-
-void CohortEngine::spawn_one(Child& c, int generation, long restore_epoch) {
-  const bool sockets = static_cast<bool>(hooks_.adopt_channels);
-  int hb[2] = {-1, -1};
-  int ctl[2] = {-1, -1};
-  // Survivors outlive many spawns: every parent-side fd of every other
-  // child must be closed in this one, or a dead rank's pipes would stay
-  // half-open (no EOF, stray readers) for as long as any sibling lives.
-  // (Socket channels are per-connection, but tidying them out of a forked
-  // sibling is still correct — and free.)
-  std::vector<int> close_in_child;
-  for (const Child& other : children_) {
-    if (other.hb_read >= 0) close_in_child.push_back(other.hb_read);
-    if (other.ctl_write >= 0) close_in_child.push_back(other.ctl_write);
-  }
-  if (!sockets) {
-    if (::pipe(hb) != 0) throw std::runtime_error("heartbeat pipe() failed");
-    if (::pipe(ctl) != 0) {
-      ::close(hb[0]);
-      ::close(hb[1]);
-      throw std::runtime_error("control pipe() failed");
-    }
-    // Child's write end never blocks (full pipe drops beacons); parent's
-    // read end never blocks (the monitor drains opportunistically).
-    ::fcntl(hb[1], F_SETFL, O_NONBLOCK);
-    ::fcntl(hb[0], F_SETFL, O_NONBLOCK);
-    close_in_child.push_back(hb[0]);
-    close_in_child.push_back(ctl[1]);
-  }
-
-  pid_t pid = -1;
-  try {
-    pid = hooks_.spawn(c.rank, generation, restore_epoch, hb[1], ctl[0],
-                       close_in_child);
-  } catch (...) {
-    // No child came to exist: both pipe ends are still ours to clean up.
-    for (int fd : {hb[0], hb[1], ctl[0], ctl[1]})
-      if (fd >= 0) ::close(fd);
-    throw;
-  }
-  if (!sockets) {
-    ::close(hb[1]);
-    ::close(ctl[0]);
-  }
-
-  c.pid = pid;
-  if (sockets) {
-    // The child dials its channels back through the rendezvous service;
-    // a timeout leaves -1 fds — the rank simply looks silent and the
-    // watchdog escalates it like any other hang.
-    const std::pair<int, int> chans = hooks_.adopt_channels(c.rank);
-    c.hb_read = chans.first;
-    c.ctl_write = chans.second;
-    if (c.hb_read >= 0) ::fcntl(c.hb_read, F_SETFL, O_NONBLOCK);
-  } else {
-    c.hb_read = hb[0];
-    c.ctl_write = ctl[1];
-  }
-  c.reaped = false;
-  c.done = false;
-  c.casualty = false;
-  c.escalating = false;
-  c.put_down = false;
-  c.status = 0;
-  c.spawn_round = generation;
-  c.esc = Escalation{};
-  monitor_.attach(c.rank, c.hb_read, generation, now_s());
-  if (forks_) ++*forks_;
-}
-
-void CohortEngine::emergency_stop() {
-  // A spawn failed mid-round: the cohort is unrecoverable (the missing
-  // rank would starve every peer), so tear it down hard and let the
-  // SpawnError propagate.  SIGKILL, not SIGTERM — there is nothing to
-  // flush gracefully that is worth keeping orphans alive for.
-  for (Child& c : children_) {
-    if (c.reaped || c.pid <= 0) continue;
-    ::kill(c.pid, SIGKILL);
-  }
-  for (Child& c : children_) {
-    if (c.reaped || c.pid <= 0) continue;
-    int status = 0;
-    while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    c.reaped = true;
-    c.status = status;
-    monitor_.detach(c.rank);
-    close_child_fds(c);
-  }
-}
-
-void CohortEngine::fail_all(int generation) {
-  // Budget exhausted.  Put every survivor down gracefully (their SIGTERM
-  // handlers publish telemetry), reap everything, then hand the casualty
-  // list to the caller's fail hook — which must throw.
-  for (Child& c : children_) {
-    if (c.reaped) continue;
-    c.put_down = true;
-    record("sigterm", c.rank, generation, monitor_.last_step(c.rank), 0, 0,
-           -1);
-    ::kill(c.pid, SIGTERM);
-  }
-  const double deadline = now_s() + grace_s_;
-  auto reap_pass = [&](bool block) {
-    for (Child& c : children_) {
-      if (c.reaped) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(c.pid, &status, block ? 0 : WNOHANG);
-      if (r == c.pid) {
-        c.reaped = true;
-        c.status = status;
-        monitor_.detach(c.rank);
-        close_child_fds(c);
-        if (!c.done && hooks_.on_rank_down)
-          hooks_.on_rank_down(c.rank, WIFEXITED(status));
-      }
-    }
-  };
-  while (now_s() < deadline) {
-    reap_pass(false);
-    bool live = false;
-    for (const Child& c : children_)
-      if (!c.reaped) live = true;
-    if (!live) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  for (Child& c : children_) {
-    if (c.reaped) continue;
-    record("sigkill", c.rank, generation, monitor_.last_step(c.rank), 0, 0,
-           -1);
-    ::kill(c.pid, SIGKILL);
-  }
-  reap_pass(true);
-  if (hooks_.poll_epochs) hooks_.poll_epochs();
-
-  std::vector<EngineFailure> failures;
-  for (const Child& c : children_) {
-    if (!c.casualty) continue;
-    EngineFailure f;
-    f.rank = c.rank;
-    f.status = c.status;
-    f.hung = c.escalating;
-    failures.push_back(f);
-  }
-  if (hooks_.fail) hooks_.fail(failures);
-  throw std::runtime_error("cohort failed and no fail hook was installed");
-}
-
-void CohortEngine::run(int* generation, long initial_restore_epoch) {
-  int g = *generation;
-  long epoch = initial_restore_epoch;
-  if (hooks_.begin_generation) hooks_.begin_generation(g, epoch);
-  try {
-    for (Child& c : children_) spawn_one(c, g, epoch);
-  } catch (...) {
-    emergency_stop();
-    throw;
-  }
-  bool recovering = false;
-  // Proof-of-life anchor: the time of the newest down/hang event.  A
-  // recovery commits only once every surviving rank has beaconed at or
-  // after this point, so a rank that went silent just before a sibling's
-  // detection joins the same recovery round instead of wasting a second
-  // one (and a second slice of the restart budget) moments later.  A
-  // genuinely silent rank cannot hold the commit hostage: its own
-  // deadline crosses, it is escalated, and it stops being a survivor.
-  double quiesce_after = -1;
-
-  for (;;) {
-    const double now = now_s();
-    monitor_.poll(now);
-    bool progressed = false;
-
-    // Reap and classify.
-    for (Child& c : children_) {
-      if (c.reaped) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(c.pid, &status, WNOHANG);
-      if (r != c.pid) continue;
-      progressed = true;
-      monitor_.poll(now);  // drain the child's final beacons before judging
-      const int obs_round = monitor_.observed_round(c.rank);
-      const long obs_step = monitor_.last_step(c.rank);
-      c.reaped = true;
-      c.status = status;
-      monitor_.detach(c.rank);
-      close_child_fds(c);
-
-      const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      if (clean && obs_round == g && !recovering) {
-        c.done = true;
-        continue;
-      }
-      // Every other exit needs a recovery round to respawn this rank:
-      //  - a clean exit on a stale round (the rank missed a rollback and
-      //    finished old work — harmless, but the new round needs it back),
-      //  - a clean exit while a recovery is already pending (its round is
-      //    about to be rolled back from under it),
-      //  - a put-down ack (kTermAckExit or our escalation SIGKILL),
-      //  - and a genuine casualty (fault, crash, peer-lost).
-      recovering = true;
-      quiesce_after = now;
-      if (!clean && !c.put_down) {
-        c.casualty = true;
-        record("exit_detected", c.rank, g, obs_step, 0, 0, -1);
-      }
-      // A child that ran its exit path (any exit code) published its
-      // metrics on the way out; one torn down by a signal left only its
-      // last periodic snapshot behind — the fold must be tagged partial.
-      if (hooks_.on_rank_down) hooks_.on_rank_down(c.rank, WIFEXITED(status));
-    }
-
-    if (hooks_.poll_epochs) hooks_.poll_epochs();
-
-    // Watchdog: silence past the adaptive deadline.
-    if (options_.watchdog) {
-      for (int rank : monitor_.newly_hung(now)) {
-        for (Child& c : children_) {
-          if (c.rank != rank || c.reaped || c.escalating) continue;
-          c.casualty = true;
-          c.escalating = true;
-          recovering = true;
-          quiesce_after = now;
-          record("hang_detected", rank, g, monitor_.last_step(rank),
-                 monitor_.silence_s(rank, now), monitor_.deadline_s(rank),
-                 -1);
-          progressed = true;
-        }
-      }
-    }
-
-    // Escalation ladder for flagged ranks.
-    for (Child& c : children_) {
-      if (!c.escalating || c.reaped) continue;
-      switch (c.esc.next(now, grace_s_)) {
-        case Escalation::Action::kSigterm:
-          c.put_down = true;
-          record("sigterm", c.rank, g, monitor_.last_step(c.rank), 0, 0, -1);
-          ::kill(c.pid, SIGTERM);
-          progressed = true;
-          break;
-        case Escalation::Action::kSigkill:
-          record("sigkill", c.rank, g, monitor_.last_step(c.rank), 0, 0, -1);
-          ::kill(c.pid, SIGKILL);
-          progressed = true;
-          break;
-        case Escalation::Action::kNone:
-          break;
-      }
-    }
-
-    // Commit a recovery round once every rank that needs respawning is
-    // dead and reaped (escalations still in flight hold it open) and
-    // every survivor has proved it is alive since the last casualty.
-    bool respawn_needed = false;
-    bool escalation_pending = false;
-    bool survivors_fresh = true;
-    for (const Child& c : children_) {
-      if (c.reaped && !c.done) respawn_needed = true;
-      if (c.escalating && !c.reaped) escalation_pending = true;
-      if (!c.reaped && !c.escalating &&
-          !monitor_.beaconed_since(c.rank, quiesce_after))
-        survivors_fresh = false;
-    }
-    if (recovering && respawn_needed && !escalation_pending &&
-        survivors_fresh) {
-      bool charged = false;
-      for (const Child& c : children_)
-        if (c.casualty) charged = true;
-      if (charged) {
-        // Only genuine casualties consume restart budget; a benign
-        // re-sync (stale-round finisher) does not.
-        if (restarts_ && *restarts_ >= max_restarts_) fail_all(g);
-        if (restarts_) ++*restarts_;
-        if (supervisor_)
-          supervisor_->metrics().counter(-1, "restart.count").add();
-      }
-      if (hooks_.poll_epochs) hooks_.poll_epochs();
-      ++g;
-      epoch = hooks_.committed_epoch ? hooks_.committed_epoch() : -1;
-      if (hooks_.begin_generation) hooks_.begin_generation(g, epoch);
-      // Roll survivors back first so they re-register in the new round's
-      // port registry before the respawned ranks start looking it up.
-      for (Child& c : children_) {
-        if (c.reaped) continue;
-        RollbackMsg msg;
-        msg.round = g;
-        msg.epoch = epoch;
-        unsigned char frame[kRollbackBytes];
-        encode_rollback(msg, frame);
-        const ssize_t n = ::write(c.ctl_write, frame, kRollbackBytes);
-        // EPIPE: the child died between reap passes; the next WNOHANG
-        // pass will classify it and trigger another recovery round.
-        (void)n;
-        ::kill(c.pid, SIGUSR1);
-        monitor_.on_recovery_signal(c.rank, g, now_s());
-        record("rollback", c.rank, g, monitor_.last_step(c.rank), 0, 0,
-               epoch);
-      }
-      try {
-        for (Child& c : children_) {
-          if (!c.reaped) continue;
-          record("restart", c.rank, g, -1, 0, 0, epoch);
-          spawn_one(c, g, epoch);
-        }
-      } catch (...) {
-        emergency_stop();
-        throw;
-      }
-      recovering = false;
-      progressed = true;
-    }
-
-    bool all_done = true;
-    for (const Child& c : children_)
-      if (!c.reaped || !c.done) all_done = false;
-    if (all_done) break;
-
-    if (!progressed)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  *generation = g + 1;
 }
 
 }  // namespace liveness

@@ -1,7 +1,11 @@
 // Liveness layer for the supervised process runtime: heartbeats, a
 // hung-rank watchdog, graceful escalation, and surgical per-rank restart.
+// These are the pieces the child and the supervisor share; the
+// supervision loop that drives them lives in supervisor.cpp.
 //
-// Every child inherits two pipes from the supervisor:
+// Every child inherits two pipes from the supervisor (or, with socket
+// channels, dials both at its rendezvous registry; the frames are the
+// same):
 //
 //   heartbeat pipe (child writes, supervisor reads) — the child emits a
 //   fixed 32-byte beacon at every step boundary and, rate-limited, inside
@@ -36,25 +40,14 @@
 // child rebuilds its Domain from scratch every round.
 #pragma once
 
-#include <sys/types.h>
-
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/telemetry/summary.hpp"
-
 namespace subsonic {
-
-namespace telemetry {
-class Session;
-}
 
 /// Watchdog / escalation policy, part of ProcessRunOptions.
 struct LivenessOptions {
@@ -95,14 +88,10 @@ int resolve_floor_ms(const LivenessOptions& options);
 /// Resolves LivenessOptions::socket_channels (see there).
 bool resolve_socket_channels(const LivenessOptions& options);
 
-/// "<base>.g<round>" — the per-round port registry.  Every recovery round
-/// gets a fresh registry so a respawned rank can never connect to a dead
-/// listener from the previous round.
+/// "<base>.g<round>" — the per-round registry name.  Every recovery round
+/// registers afresh (a rendezvous round on an "rdv:" base) so a respawned
+/// rank can never connect to a dead listener from the previous round.
 std::string registry_for(const std::string& base, int round);
-
-/// Removes every "ports*" file in `workdir` (start-of-run hygiene and
-/// end-of-run cleanup for the per-round registries).
-void remove_port_registries(const std::string& workdir);
 
 enum class Phase : std::int32_t {
   kStart = 0,  ///< top of a round (spawn or rollback)
@@ -249,113 +238,6 @@ struct Escalation {
 
   /// Next rung to execute, at most one SIGTERM and one SIGKILL ever.
   Action next(double now_s, double grace_s);
-};
-
-/// One rank the engine gave up on, handed to EngineHooks::fail.
-struct EngineFailure {
-  int rank = -1;
-  int status = 0;  ///< waitpid status
-  bool hung = false;
-};
-
-/// Runtime-specific callbacks the CohortEngine drives.  `spawn` forks the
-/// child (closing `close_in_child` in the child branch before entering
-/// child_main); the rest may be null.
-struct EngineHooks {
-  std::function<pid_t(int rank, int generation, long restore_epoch,
-                      int heartbeat_fd, int control_fd,
-                      const std::vector<int>& close_in_child)>
-      spawn;
-  /// Socket-channel mode: set when the heartbeat/control channels are
-  /// dialed back by the child instead of inherited.  The engine then
-  /// passes -1 fds to `spawn` and calls this right after, blocking until
-  /// the child's channels arrive; returns {hb_read, ctl_write}, or
-  /// {-1, -1} on timeout — the watchdog then treats the rank as silent
-  /// and escalates normally.  Unset = pipe mode, bitwise the old path.
-  std::function<std::pair<int, int>(int rank)> adopt_channels;
-  /// Placement tag for liveness records and /status ("" when unset).
-  std::function<std::string(int rank)> host_of;
-  std::function<void()> poll_epochs;
-  std::function<long()> committed_epoch;
-  /// Called before each round's spawns/rollbacks with the round number
-  /// and restore epoch: registry hygiene, divergence cleanup.
-  std::function<void(int generation, long restore_epoch)> begin_generation;
-  /// A child of this rank died mid-run (casualty or put-down): fold its
-  /// last metrics snapshot before a respawn replaces it.  `flushed` is
-  /// true when the child ran its exit path (exited kTermAckExit or
-  /// cleanly), so its snapshot is complete; false for a SIGKILL / crash,
-  /// where only the last periodic snapshot survives and the fold is
-  /// tagged partial.
-  std::function<void(int rank, bool flushed)> on_rank_down;
-  /// Every liveness record as it is appended to the audit trail (live
-  /// view; the record also lands in the records vector as before).
-  std::function<void(const telemetry::LivenessRecord&)> on_liveness;
-  /// Restart budget exhausted: every child has been reaped; must throw.
-  std::function<void(const std::vector<EngineFailure>& failures)> fail;
-};
-
-/// The supervision loop, run once per segment: spawn a cohort, pump
-/// heartbeats, reap, watchdog, escalate, and recover surgically until
-/// every rank finished the current round cleanly.
-class CohortEngine {
- public:
-  CohortEngine(std::vector<int> ranks, const LivenessOptions& options,
-               int max_restarts, EngineHooks hooks,
-               telemetry::Session* supervisor,
-               std::vector<telemetry::LivenessRecord>* records, int* restarts,
-               int* forks);
-  ~CohortEngine();
-
-  CohortEngine(const CohortEngine&) = delete;
-  CohortEngine& operator=(const CohortEngine&) = delete;
-
-  /// Runs one cohort job to clean completion of every rank, starting at
-  /// *generation and restoring `initial_restore_epoch` (-1 = legacy /
-  /// fresh).  Recovery rounds advance *generation; on return it holds the
-  /// next unused generation.  Throws whatever hooks.fail throws once a
-  /// casualty lands with no restart budget left.
-  void run(int* generation, long initial_restore_epoch);
-
- private:
-  struct Child {
-    int rank = -1;
-    pid_t pid = -1;
-    int hb_read = -1;
-    int ctl_write = -1;
-    bool reaped = true;
-    bool done = false;
-    bool casualty = false;
-    bool escalating = false;
-    bool put_down = false;
-    int status = 0;
-    int spawn_round = -1;
-    Escalation esc;
-  };
-
-  double now_s() const;
-  void record(const char* event, int rank, int generation, long step,
-              double silence_s, double deadline_s, long epoch);
-  void spawn_one(Child& c, int generation, long restore_epoch);
-  void close_child_fds(Child& c);
-  /// Tears the cohort down after a spawn failure mid-round: SIGKILL +
-  /// blocking reap of every live child, so the SpawnError can propagate
-  /// with no orphans left behind.
-  void emergency_stop();
-  [[noreturn]] void fail_all(int generation);
-
-  std::vector<Child> children_;
-  LivenessOptions options_;
-  double floor_s_;
-  double grace_s_;
-  int max_restarts_;
-  EngineHooks hooks_;
-  telemetry::Session* supervisor_;
-  std::vector<telemetry::LivenessRecord>* records_;
-  int* restarts_;
-  int* forks_;
-  Monitor monitor_;
-  std::chrono::steady_clock::time_point origin_;
-  void (*old_sigpipe_)(int) = nullptr;
 };
 
 }  // namespace liveness

@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
     cfg.beacon_interval_ms = static_cast<int>(args.num("beacon_interval_ms"));
     cfg.metrics_flush_interval =
         static_cast<int>(args.num("metrics_flush_interval"));
-    cfg.channel_endpoint = args.str("channel_endpoint");
     const int dim = static_cast<int>(args.num("dim"));
     const std::string workdir = args.str("workdir");
     const std::string registry = args.str("registry");

@@ -10,21 +10,34 @@
 // (possibly rewritten) owner map.  Epoch ordering stays sound across
 // segments because children number epochs from the run's global start
 // step, and a mid-segment crash restores the newest committed epoch.
+//
+// Supervisor<Dim> below is the paper's monitoring program: the one place
+// that starts, watches, stops and restarts the rank processes.
 #include "src/runtime/supervisor.hpp"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "src/comm/http_status.hpp"
+#include "src/comm/rendezvous.hpp"
 #include "src/io/checkpoint.hpp"
 #include "src/runtime/cohort.hpp"
-#include "src/runtime/cohort_lifecycle.hpp"
+#include "src/runtime/cohort_spec.hpp"
 #include "src/runtime/epoch_store.hpp"
 #include "src/runtime/launcher.hpp"
 #include "src/runtime/rebalancer.hpp"
@@ -135,6 +148,582 @@ void clean_stale_artifacts(const std::string& workdir,
   }
 }
 
+/// The cohort spec file exec children rebuild their world from.
+std::string spec_path(const std::string& workdir) {
+  return workdir + "/cohort.spec";
+}
+
+/// The supervisor's run-control files: removed at start of run (a
+/// crashed prior run's status.port points at a dead listener) and when a
+/// run fails.
+void remove_control_files(const std::string& workdir) {
+  std::remove((workdir + "/status.port").c_str());
+  std::remove(spec_path(workdir).c_str());
+}
+
+std::string describe_status(int status) {
+  if (WIFEXITED(status))
+    return "exited " + std::to_string(WEXITSTATUS(status));
+  if (WIFSIGNALED(status))
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  return "status " + std::to_string(status);
+}
+
+/// The rank processes of one run and everything that watches them: the
+/// launcher, the rendezvous service the ranks coordinate through, the
+/// stderr taggers, the heartbeat Monitor, the child table and the epoch
+/// commit.  Built once per run; run_cohort() supervises one segment's
+/// cohort to clean completion — spawn, pump heartbeats, reap, watchdog,
+/// escalate, and recover surgically: survivors roll back in-process from
+/// the newest committed epoch and only casualties are respawned, charged
+/// to the restart budget.
+template <int Dim>
+class Supervisor {
+ public:
+  using Traits = DomainTraits<Dim>;
+
+  /// Resolves the launcher (std::invalid_argument on an unknown name,
+  /// std::runtime_error when exec has no child binary) and starts the
+  /// rendezvous service.  The references must outlive the object; the
+  /// loop writes `result`'s liveness trail, restarts and forks directly.
+  Supervisor(const typename Traits::Mask& mask, const FluidParams& params,
+             Method method, const typename Traits::BlockDecomp& bd,
+             const std::vector<int>& active_blocks, const std::string& workdir,
+             const ProcessRunOptions& options, const FaultPlan& faults,
+             telemetry::Session& session, liveness::StatusBoard& board,
+             ProcessRunResult& result)
+      : mask_(mask),
+        params_(params),
+        method_(method),
+        bd_(bd),
+        active_blocks_(active_blocks),
+        workdir_(workdir),
+        options_(options),
+        faults_(faults),
+        session_(session),
+        board_(board),
+        result_(result),
+        launcher_(launcher::make_launcher(options.launcher)) {
+    // Writing a rollback order to a child that just died must surface as
+    // EPIPE, not kill the supervisor.
+    old_sigpipe_ = ::signal(SIGPIPE, SIG_IGN);
+  }
+
+  ~Supervisor() {
+    for (std::thread& t : taggers_) t.join();
+    ::signal(SIGPIPE, old_sigpipe_);
+  }
+
+  Supervisor(const Supervisor&) = delete;
+  Supervisor& operator=(const Supervisor&) = delete;
+
+  const char* launcher_name() const { return launcher_->name(); }
+  const std::string& host() const { return host_; }
+  long committed_epoch() const { return committed_epoch_; }
+  /// Traces of put-down ranks, moved aside before a respawn rewrote them.
+  const std::vector<std::string>& harvested_traces() const {
+    return harvested_traces_;
+  }
+
+  /// Runs `ranks` to cfg.target_step, every child built from `cfg` (the
+  /// run-wide fields; rank, round, restore epoch, stagger and channels
+  /// are set per spawn).  The first round resumes from the final block
+  /// dumps the previous segment left (or fresh); a recovery round
+  /// restores the newest committed epoch, because final dumps are only
+  /// consistent across blocks after a fully clean cohort exit.
+  /// `first_step` is the step this segment starts at.  Throws
+  /// ProcessRunError when a casualty lands with no budget left or a spawn
+  /// fails, with every child reaped.
+  void run_cohort(const std::vector<int>& ranks, const cohort::ChildConfig& cfg,
+                  long first_step) {
+    cfg_ = cfg;
+    children_.assign(ranks.size(), Child{});
+    for (size_t i = 0; i < ranks.size(); ++i) children_[i].rank = ranks[i];
+    const int first_round = generation_;
+    auto begin_round = [&](int g, long epoch) {
+      // Fresh per-round registrations; the previous round's entries point
+      // at listeners that are dead or about to be torn down.
+      server_.retire_rounds_below(g);
+      if (epoch >= 0 || g == first_round || first_step != 0) return;
+      // Epoch-less recovery of a fresh run replays from scratch: a block
+      // whose owner already finished the segment carries a diverged step
+      // counter and must be re-simulated, not restored.  Fresh runs only
+      // — a continuation's final dumps ARE the starting state.
+      for (int b : active_blocks_) {
+        const std::string dump = cohort::legacy_block_dump_path(workdir_, b);
+        try {
+          if (inspect_checkpoint(dump).step != 0) std::remove(dump.c_str());
+        } catch (const std::exception&) {
+          // Absent or torn: the restore path handles it.
+        }
+      }
+    };
+
+    int g = first_round;
+    long epoch = -1;
+    begin_round(g, epoch);
+    for (Child& c : children_) spawn(c, g, epoch);
+    bool recovering = false;
+    // Proof-of-life anchor: the time of the newest down/hang event.  A
+    // recovery commits only once every surviving rank has beaconed at or
+    // after this point, so a rank that went silent just before a sibling's
+    // detection joins the same recovery round instead of wasting a second
+    // one (and a second slice of the restart budget) moments later.  A
+    // genuinely silent rank cannot hold the commit hostage: its own
+    // deadline crosses, it is escalated, and it stops being a survivor.
+    double quiesce_after = -1;
+
+    for (;;) {
+      const double now = now_s();
+      monitor_.poll(now);
+      bool progressed = false;
+
+      // Reap and classify.
+      for (Child& c : children_) {
+        if (c.reaped) continue;
+        int status = 0;
+        if (::waitpid(c.pid, &status, WNOHANG) != c.pid) continue;
+        progressed = true;
+        monitor_.poll(now);  // drain the child's final beacons before judging
+        const int obs_round = monitor_.observed_round(c.rank);
+        const long obs_step = monitor_.last_step(c.rank);
+        mark_reaped(c, status);
+
+        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        if (clean && obs_round == g && !recovering) {
+          c.done = true;
+          continue;
+        }
+        // Every other exit needs a recovery round to respawn this rank:
+        //  - a clean exit on a stale round (the rank missed a rollback and
+        //    finished old work — harmless, but the new round needs it back),
+        //  - a clean exit while a recovery is already pending (its round is
+        //    about to be rolled back from under it),
+        //  - a put-down ack (kTermAckExit or our escalation SIGKILL),
+        //  - and a genuine casualty (fault, crash, peer-lost).
+        recovering = true;
+        quiesce_after = now;
+        if (!clean && !c.put_down) {
+          c.casualty = true;
+          record("exit_detected", c.rank, g, obs_step);
+        }
+        // A child that ran its exit path (any exit code) published its
+        // metrics on the way out; one torn down by a signal left only its
+        // last periodic snapshot behind — the fold must be tagged partial.
+        rank_down(c.rank, WIFEXITED(status));
+      }
+
+      commit_epochs();
+
+      // Watchdog: silence past the adaptive deadline.
+      if (options_.liveness.watchdog) {
+        for (int rank : monitor_.newly_hung(now)) {
+          for (Child& c : children_) {
+            if (c.rank != rank || c.reaped || c.escalating) continue;
+            c.casualty = true;
+            c.escalating = true;
+            recovering = true;
+            quiesce_after = now;
+            record("hang_detected", rank, g, monitor_.last_step(rank), -1,
+                   monitor_.silence_s(rank, now), monitor_.deadline_s(rank));
+            progressed = true;
+          }
+        }
+      }
+
+      // Escalation ladder for flagged ranks.
+      for (Child& c : children_) {
+        if (!c.escalating || c.reaped) continue;
+        switch (c.esc.next(now, grace_s_)) {
+          case liveness::Escalation::Action::kSigterm:
+            c.put_down = true;
+            record("sigterm", c.rank, g, monitor_.last_step(c.rank));
+            ::kill(c.pid, SIGTERM);
+            progressed = true;
+            break;
+          case liveness::Escalation::Action::kSigkill:
+            record("sigkill", c.rank, g, monitor_.last_step(c.rank));
+            ::kill(c.pid, SIGKILL);
+            progressed = true;
+            break;
+          case liveness::Escalation::Action::kNone:
+            break;
+        }
+      }
+
+      // Commit a recovery round once every rank that needs respawning is
+      // dead and reaped (escalations still in flight hold it open) and
+      // every survivor has proved it is alive since the last casualty.
+      bool respawn_needed = false;
+      bool escalation_pending = false;
+      bool survivors_fresh = true;
+      bool charged = false;
+      for (const Child& c : children_) {
+        if (c.reaped && !c.done) respawn_needed = true;
+        if (c.escalating && !c.reaped) escalation_pending = true;
+        if (!c.reaped && !c.escalating &&
+            !monitor_.beaconed_since(c.rank, quiesce_after))
+          survivors_fresh = false;
+        if (c.casualty) charged = true;
+      }
+      if (recovering && respawn_needed && !escalation_pending &&
+          survivors_fresh) {
+        if (charged) {
+          // Only genuine casualties consume restart budget; a benign
+          // re-sync (stale-round finisher) does not.
+          if (result_.restarts >= options_.max_restarts) fail_all(g);
+          ++result_.restarts;
+          session_.metrics().counter(-1, "restart.count").add();
+        }
+        commit_epochs();
+        ++g;
+        epoch = committed_epoch_;
+        begin_round(g, epoch);
+        // Roll survivors back first so they register in the new
+        // rendezvous round before the respawned ranks look them up.
+        for (Child& c : children_) {
+          if (c.reaped) continue;
+          liveness::RollbackMsg msg;
+          msg.round = g;
+          msg.epoch = epoch;
+          unsigned char frame[liveness::kRollbackBytes];
+          liveness::encode_rollback(msg, frame);
+          const ssize_t n =
+              ::write(c.ctl_write, frame, liveness::kRollbackBytes);
+          // EPIPE: the child died between reap passes; the next WNOHANG
+          // pass will classify it and trigger another recovery round.
+          (void)n;
+          ::kill(c.pid, SIGUSR1);
+          monitor_.on_recovery_signal(c.rank, g, now_s());
+          record("rollback", c.rank, g, monitor_.last_step(c.rank), epoch);
+        }
+        for (Child& c : children_) {
+          if (!c.reaped) continue;
+          record("restart", c.rank, g, -1, epoch);
+          spawn(c, g, epoch);
+        }
+        recovering = false;
+        progressed = true;
+      }
+
+      bool all_done = true;
+      for (const Child& c : children_)
+        if (!c.reaped || !c.done) all_done = false;
+      if (all_done) break;
+
+      if (!progressed)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    generation_ = g + 1;
+    commit_epochs();
+  }
+
+ private:
+  struct Child {
+    int rank = -1;
+    pid_t pid = -1;
+    int hb_read = -1;    ///< heartbeat channel, the supervisor's end
+    int ctl_write = -1;  ///< control channel, the supervisor's end
+    bool reaped = true;  ///< no live process: never spawned, or waited for
+    bool done = false;   ///< exited cleanly on the newest round
+    bool casualty = false;    ///< died or hung: charged to the budget
+    bool escalating = false;  ///< hung: on the SIGTERM -> SIGKILL ladder
+    bool put_down = false;    ///< the supervisor signalled it to die
+    int status = 0;           ///< waitpid status once reaped
+    liveness::Escalation esc;
+  };
+
+  double now_s() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         origin_)
+        .count();
+  }
+
+  /// Appends one audit record: the board's live view, the result's
+  /// trail and the supervisor's liveness.<event> counter.
+  void record(const char* event, int rank, int g, long step, long epoch = -1,
+              double silence_s = 0, double deadline_s = 0) {
+    const telemetry::LivenessRecord lr{event,      rank,       g,     step,
+                                       silence_s,  deadline_s, epoch, host_};
+    board_.on_liveness(lr);
+    result_.liveness.push_back(lr);
+    session_.metrics().counter(-1, std::string("liveness.") + event).add();
+  }
+
+  /// Starts rank c's process for round `g`, restoring `epoch` (-1: the
+  /// final block dumps, or fresh).  A launch that fails tears the cohort
+  /// down first — the missing rank would starve every peer — and a
+  /// SpawnError then fails the run naming the rank and its host.
+  void spawn(Child& c, int g, long epoch) {
+    int hb[2] = {-1, -1};
+    int ctl[2] = {-1, -1};
+    int err[2] = {-1, -1};
+    const auto close_all = [&] {
+      for (int fd : {hb[0], hb[1], ctl[0], ctl[1], err[0], err[1]})
+        if (fd >= 0) ::close(fd);
+    };
+    pid_t pid = -1;
+    try {
+      if (faults_.spawn_fail(c.rank, g))
+        throw launcher::SpawnError("injected spawn failure (fault plan)",
+                                   c.rank, host_);
+      launcher::ChildSpec spec;
+      // Survivors outlive many spawns: every parent-side fd of every
+      // other child must be closed in this one, or a dead rank's pipes
+      // would stay half-open (no EOF, stray readers) for as long as any
+      // sibling lives.
+      for (const Child& other : children_)
+        for (int fd : {other.hb_read, other.ctl_write})
+          if (fd >= 0) spec.close_in_child.push_back(fd);
+      if (!sockets_) {
+        if (::pipe(hb) != 0)
+          throw std::runtime_error("heartbeat pipe() failed");
+        if (::pipe(ctl) != 0) throw std::runtime_error("control pipe() failed");
+        // Child's write end never blocks (full pipe drops beacons);
+        // parent's read end never blocks (the monitor drains
+        // opportunistically).
+        ::fcntl(hb[1], F_SETFL, O_NONBLOCK);
+        ::fcntl(hb[0], F_SETFL, O_NONBLOCK);
+        spec.close_in_child.push_back(hb[0]);
+        spec.close_in_child.push_back(ctl[1]);
+      }
+      SUBSONIC_REQUIRE_MSG(::pipe(err) == 0, "pipe failed");
+      spec.close_in_child.push_back(err[0]);
+      spec.rank = c.rank;
+      spec.host = host_;
+      spec.cfg = cfg_;
+      spec.cfg.rank = c.rank;
+      spec.cfg.generation = g;
+      spec.cfg.restore_epoch = epoch;
+      // The rank's index in the segment's active list staggers its
+      // epoch flushes.
+      spec.cfg.stagger_index = static_cast<int>(&c - children_.data());
+      // -1 in socket mode: the child dials both channels at its registry.
+      spec.cfg.heartbeat_fd = hb[1];
+      spec.cfg.control_fd = ctl[0];
+      spec.workdir = workdir_;
+      spec.registry = registry_;
+      spec.spec_path = spec_path(workdir_);
+      spec.faults = options_.faults;
+      spec.dim = Dim;
+      spec.stderr_fd = err[1];
+      spec.entry = [this](const cohort::ChildConfig& child_cfg) {
+        cohort::child_main<Dim>(mask_, params_, method_, bd_, child_cfg,
+                                workdir_, registry_, faults_);  // never returns
+      };
+      pid = launcher_->spawn(spec).pid;
+    } catch (const launcher::SpawnError& e) {
+      close_all();
+      emergency_stop();
+      fail({RankFailure{e.rank, 0, std::string("spawn failed: ") + e.what()}},
+           " on host " + e.host);
+    } catch (...) {
+      close_all();
+      emergency_stop();
+      throw;
+    }
+    for (int fd : {hb[1], ctl[0], err[1]})  // the child's ends
+      if (fd >= 0) ::close(fd);
+    taggers_.emplace_back(cohort::tag_child_stderr, err[0], c.rank);
+
+    int hb_read = hb[0];
+    int ctl_write = ctl[1];
+    if (sockets_) {
+      // A timeout leaves -1 fds — the rank simply looks silent and the
+      // watchdog escalates it like any other hang.  Both channels share
+      // ONE floor-sized budget: ranks are adopted one after another, so
+      // per-channel budgets would let a dead cohort stall the supervisor
+      // for 2 x floor x N ranks before escalation.
+      const double t0 = now_s();
+      hb_read = server_.take_channel("HB", c.rank, floor_ms_);
+      const int spent_ms = static_cast<int>((now_s() - t0) * 1e3);
+      ctl_write = server_.take_channel("CTL", c.rank,
+                                       std::max(0, floor_ms_ - spent_ms));
+      if (hb_read >= 0) ::fcntl(hb_read, F_SETFL, O_NONBLOCK);
+    }
+    const int rank = c.rank;
+    c = Child{};  // a new process: not done, no casualty, no escalation
+    c.rank = rank;
+    c.pid = pid;
+    c.hb_read = hb_read;
+    c.ctl_write = ctl_write;
+    c.reaped = false;
+    monitor_.attach(rank, hb_read, g, now_s());
+    ++result_.forks;
+  }
+
+  void mark_reaped(Child& c, int status) {
+    c.reaped = true;
+    c.status = status;
+    monitor_.detach(c.rank);
+    if (c.hb_read >= 0) ::close(c.hb_read);
+    if (c.ctl_write >= 0) ::close(c.ctl_write);
+    c.hb_read = -1;
+    c.ctl_write = -1;
+  }
+
+  /// A child of `rank` died mid-run (casualty or put-down): fold its last
+  /// metrics snapshot before a respawn replaces it — partial unless the
+  /// child ran its exit path (`flushed`) — and, tracing on, move its
+  /// trace aside.
+  void rank_down(int rank, bool flushed) {
+    board_.fold(rank, !flushed);
+    if (!cfg_.trace) return;
+    const std::string tp = cohort::rank_trace_path(workdir_, rank);
+    if (!std::ifstream(tp).good()) return;
+    const std::string moved = workdir_ + "/rank_" + std::to_string(rank) +
+                              ".g" + std::to_string(harvested_traces_.size()) +
+                              ".trace.json";
+    std::rename(tp.c_str(), moved.c_str());
+    harvested_traces_.push_back(moved);
+  }
+
+  /// Verify-and-commit: an epoch becomes restorable only once every
+  /// active block's dump for it exists, passes its CRC, and agrees on the
+  /// step counter.  Cheap when the next epoch is not complete yet.
+  void commit_epochs() {
+    if (options_.checkpoint_interval <= 0) return;
+    for (;;) {
+      const long e = committed_epoch_ + 1;
+      long step = -1;
+      bool complete = true;
+      for (int b : active_blocks_) {
+        try {
+          const CheckpointInfo info =
+              inspect_checkpoint(epoch::block_dump_path(workdir_, b, e));
+          if (step < 0) step = info.step;
+          complete = complete && info.step == step;
+        } catch (const std::exception&) {
+          complete = false;  // missing, torn, or corrupt: not this epoch
+        }
+        if (!complete) break;
+      }
+      if (!complete) return;
+      epoch::Manifest m;
+      m.epoch = e;
+      m.step = step;
+      m.ranks = active_blocks_;  // block ids: the unit of every dump
+      {
+        telemetry::ScopedSpan span(&session_, -1, "ckpt.commit", "ckpt", step);
+        epoch::commit_manifest(workdir_, m);
+      }
+      committed_epoch_ = e;
+      {
+        telemetry::ScopedSpan span(&session_, -1, "ckpt.gc", "ckpt", step);
+        epoch::gc_block_epochs(workdir_, active_blocks_, e);
+      }
+    }
+  }
+
+  /// SIGKILL and reap every live child; nothing is worth keeping orphans
+  /// alive for a graceful flush once the cohort cannot continue.
+  void emergency_stop() {
+    for (Child& c : children_)
+      if (!c.reaped && c.pid > 0) ::kill(c.pid, SIGKILL);
+    for (Child& c : children_) {
+      if (c.reaped || c.pid <= 0) continue;
+      int status = 0;
+      while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      mark_reaped(c, status);
+    }
+  }
+
+  /// Budget exhausted.  Puts every survivor down gracefully (their
+  /// SIGTERM handlers publish telemetry), SIGKILLs what outlives the
+  /// grace window, reaps everything, then fails the run naming the
+  /// casualties.
+  [[noreturn]] void fail_all(int g) {
+    for (Child& c : children_) {
+      if (c.reaped) continue;
+      c.put_down = true;
+      record("sigterm", c.rank, g, monitor_.last_step(c.rank));
+      ::kill(c.pid, SIGTERM);
+    }
+    const double deadline = now_s() + grace_s_;
+    auto reap_pass = [&](bool block) {
+      for (Child& c : children_) {
+        if (c.reaped) continue;
+        int status = 0;
+        if (::waitpid(c.pid, &status, block ? 0 : WNOHANG) != c.pid) continue;
+        mark_reaped(c, status);
+        rank_down(c.rank, WIFEXITED(status));
+      }
+    };
+    while (now_s() < deadline) {
+      reap_pass(false);
+      bool live = false;
+      for (const Child& c : children_)
+        if (!c.reaped) live = true;
+      if (!live) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    for (Child& c : children_) {
+      if (c.reaped) continue;
+      record("sigkill", c.rank, g, monitor_.last_step(c.rank));
+      ::kill(c.pid, SIGKILL);
+    }
+    reap_pass(true);
+    commit_epochs();
+
+    std::vector<RankFailure> failures;
+    for (const Child& c : children_)
+      if (c.casualty)
+        failures.push_back(
+            {c.rank, c.status,
+             (c.escalating ? "hung (heartbeat silence); " : "") +
+                 describe_status(c.status)});
+    fail(std::move(failures), "");
+  }
+
+  /// Removes the run-control files and throws the per-rank report;
+  /// `where` follows each rank number (" on host <h>" when the launch
+  /// itself failed).
+  [[noreturn]] void fail(std::vector<RankFailure> failures,
+                         const std::string& where) {
+    remove_control_files(workdir_);
+    std::ostringstream msg;
+    msg << "parallel run failed after " << result_.restarts << " restart(s);";
+    for (const RankFailure& f : failures)
+      msg << " rank " << f.rank << where << ": " << f.detail << ';';
+    throw ProcessRunError(msg.str(), std::move(failures));
+  }
+
+  const typename Traits::Mask& mask_;
+  const FluidParams& params_;
+  const Method method_;
+  const typename Traits::BlockDecomp& bd_;
+  const std::vector<int>& active_blocks_;
+  const std::string& workdir_;
+  const ProcessRunOptions& options_;
+  const FaultPlan& faults_;
+  telemetry::Session& session_;
+  liveness::StatusBoard& board_;
+  ProcessRunResult& result_;
+
+  std::unique_ptr<launcher::Launcher> launcher_;
+  rendezvous::Server server_;
+  /// "rdv:127.0.0.1:<port>": the registry base every child coordinates
+  /// through, a service endpoint rather than a file.
+  const std::string registry_ = server_.endpoint();
+  const std::string host_ = launcher::local_host_tag();
+  const bool sockets_ = liveness::resolve_socket_channels(options_.liveness);
+  const int floor_ms_ = liveness::resolve_floor_ms(options_.liveness);
+  const double grace_s_ = std::max(options_.liveness.grace_ms, 1) * 1e-3;
+  liveness::Monitor monitor_{floor_ms_ * 1e-3,
+                             options_.liveness.deadline_multiplier};
+  const std::chrono::steady_clock::time_point origin_ =
+      std::chrono::steady_clock::now();
+  void (*old_sigpipe_)(int) = nullptr;
+
+  cohort::ChildConfig cfg_;  ///< the current segment's run-wide fields
+  std::vector<Child> children_;
+  std::vector<std::thread> taggers_;
+  std::vector<std::string> harvested_traces_;
+  int generation_ = 0;         ///< next unused round; counts every cohort
+  long committed_epoch_ = -1;  ///< newest MANIFEST-committed epoch
+};
+
 }  // namespace
 
 template <int Dim>
@@ -164,12 +753,12 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                ? FaultPlan::from_env()
                                : FaultPlan::parse(options.faults);
 
-  // Fresh run-control state per run: stale ports.g<N> registries or a
-  // stale status.port from a crashed prior run point at dead listeners;
-  // stale epoch dumps or a stale MANIFEST belong to some previous run's
-  // step numbering.  Port registration itself goes through the in-memory
-  // rendezvous service, never the filesystem.
-  cohort::Lifecycle::clean_run_control_files(workdir);
+  // Fresh run-control state per run: a stale status.port from a crashed
+  // prior run points at a dead listener; stale epoch dumps or a stale
+  // MANIFEST belong to some previous run's step numbering.  Port
+  // registration goes through the in-memory rendezvous service, never
+  // the filesystem.
+  remove_control_files(workdir);
   epoch::clear_run_state(workdir);
   clean_stale_artifacts<Dim>(workdir, bd, method, ghost);
   std::remove((workdir + "/trace.json").c_str());
@@ -183,7 +772,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       (options.trace < 0 && telemetry::trace_enabled_from_env());
   telemetry::SessionConfig sup_cfg;
   sup_cfg.trace = trace_on;
-  telemetry::Session supervisor(sup_cfg);
+  telemetry::Session session(sup_cfg);
 
   std::vector<int> active_blocks;
   for (int b = 0; b < bd.block_count(); ++b)
@@ -209,31 +798,14 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   result.block_owner = bd.owner_map();
   if (active_blocks.empty()) return result;
 
-  int generation = 0;        // counts every spawned cohort
-  long committed_epoch = -1;  // newest MANIFEST-committed epoch
-
-  const int flush_interval =
-      resolve_metrics_flush_interval(options.metrics_flush_interval);
-
-  // Cohort lifecycle: launcher selection, the rendezvous service the
-  // ranks coordinate through, stderr tagging, failure reports — shared
-  // across segments.
-  cohort::Lifecycle::Setup lcs;
-  lcs.workdir = workdir;
-  lcs.trace_on = trace_on;
-  lcs.dim = Dim;
-  lcs.launcher = options.launcher;
-  lcs.faults_spec = options.faults;
-  lcs.faults = &faults;
-  lcs.liveness = &options.liveness;
-  cohort::Lifecycle lc(std::move(lcs));
-
   // The board is the run's one view of rank telemetry: it folds each
   // rank's metrics snapshot when a child dies or a segment ends, and its
   // view (folded totals plus the current snapshot) feeds the final
   // aggregation below.  The endpoint serves the same board, and only when
   // a status port was requested; neither can touch simulation state.
   liveness::StatusBoard board;
+  Supervisor<Dim> sup(mask, params, method, bd, active_blocks, workdir,
+                      options, faults, session, board, result);
   {
     liveness::StatusBoard::Config bc;
     bc.workdir = workdir;
@@ -249,9 +821,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
     bc.target_step = target_step;
     bc.dims = Dim;
     bc.blocks = bd.block_count();
-    bc.supervisor = &supervisor;
-    bc.hosts.assign(bc.ranks.size(), lc.host_tag());
-    bc.launcher = lc.launcher_name();
+    bc.supervisor = &session;
+    bc.hosts.assign(bc.ranks.size(), sup.host());
+    bc.launcher = sup.launcher_name();
     board.configure(std::move(bc));
     board.set_owner_map(bd.owner_map());
   }
@@ -267,44 +839,19 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
     pf << http->port() << "\n";
   }
 
-  // Verify-and-commit: an epoch becomes restorable only once every
-  // active block's dump for it exists, passes its CRC, and agrees on the
-  // step counter.  Called from the supervision loop (cheap when the next
-  // epoch is not complete yet) and once after any cohort ends.
-  auto poll_epochs = [&]() {
-    if (options.checkpoint_interval <= 0) return;
-    for (;;) {
-      const long e = committed_epoch + 1;
-      long step = -1;
-      bool complete = true;
-      for (int b : active_blocks) {
-        try {
-          const CheckpointInfo info =
-              inspect_checkpoint(epoch::block_dump_path(workdir, b, e));
-          if (step < 0) step = info.step;
-          complete = complete && info.step == step;
-        } catch (const std::exception&) {
-          complete = false;  // missing, torn, or corrupt: not this epoch
-        }
-        if (!complete) break;
-      }
-      if (!complete) return;
-      epoch::Manifest m;
-      m.epoch = e;
-      m.step = step;
-      m.ranks = active_blocks;  // block ids: the unit of every dump
-      {
-        telemetry::ScopedSpan span(&supervisor, -1, "ckpt.commit", "ckpt",
-                                   step);
-        epoch::commit_manifest(workdir, m);
-      }
-      committed_epoch = e;
-      {
-        telemetry::ScopedSpan span(&supervisor, -1, "ckpt.gc", "ckpt", step);
-        epoch::gc_block_epochs(workdir, active_blocks, e);
-      }
-    }
-  };
+  // What every child shares; run_cohort sets the per-spawn fields.
+  cohort::ChildConfig cfg;
+  cfg.start_step = start_step;
+  cfg.final_target = target_step;
+  cfg.checkpoint_interval = options.checkpoint_interval;
+  cfg.recv_deadline_ms = options.recv_deadline_ms;
+  cfg.sched = options.sched;
+  cfg.threads = options.threads;
+  cfg.trace = trace_on;
+  cfg.origin_ns = session.origin_ns();
+  cfg.beacon_interval_ms = options.liveness.beacon_interval_ms;
+  cfg.metrics_flush_interval =
+      resolve_metrics_flush_interval(options.metrics_flush_interval);
 
   // The ranks of the *last* segment, for the final aggregation below.
   std::vector<int> active_list = bd.active_ranks();
@@ -312,7 +859,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
 
   long cur_step = start_step;
   while (cur_step < target_step) {
-    const long seg_target =
+    cfg.target_step =
         options.rebalance_interval > 0
             ? std::min(target_step, cur_step + options.rebalance_interval)
             : target_step;
@@ -322,7 +869,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
     // Exec children rebuild the segment's world from the spec file, so it
     // must carry the owner map in force *this* segment (rebalances rewrite
     // it between segments).
-    if (lc.wants_spec()) {
+    if (std::string(sup.launcher_name()) != "fork") {
       cohort::CohortSpec cs;
       cs.set_mask(mask);
       cs.method = method;
@@ -330,102 +877,11 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       cs.grid = grid;
       cs.params = params;
       cs.owner = bd.owner_map();
-      lc.write_spec(cs);
+      cohort::write_cohort_spec(spec_path(workdir), cs);
     }
 
-    auto spawn_child = [&](int rank, int gen, long restore_epoch, int hb_fd,
-                           int ctl_fd,
-                           const std::vector<int>& close_in_child) -> pid_t {
-      size_t stagger = 0;
-      for (size_t i = 0; i < active_list.size(); ++i)
-        if (active_list[i] == rank) stagger = i;
-      cohort::ChildConfig cfg;
-      cfg.rank = rank;
-      cfg.generation = gen;
-      cfg.target_step = seg_target;
-      cfg.start_step = start_step;
-      cfg.final_target = target_step;
-      cfg.restore_epoch = restore_epoch;
-      cfg.checkpoint_interval = options.checkpoint_interval;
-      cfg.stagger_index = static_cast<int>(stagger);
-      cfg.recv_deadline_ms = options.recv_deadline_ms;
-      cfg.sched = options.sched;
-      cfg.threads = options.threads;
-      cfg.trace = trace_on;
-      cfg.origin_ns = supervisor.origin_ns();
-      cfg.heartbeat_fd = hb_fd;
-      cfg.control_fd = ctl_fd;
-      cfg.beacon_interval_ms = options.liveness.beacon_interval_ms;
-      cfg.metrics_flush_interval = flush_interval;
-      return lc.spawn(rank, std::move(cfg), close_in_child,
-                      [&](const cohort::ChildConfig& final_cfg) {
-                        cohort::child_main<Dim>(mask, params, method, bd,
-                                                final_cfg, workdir,
-                                                lc.registry(),
-                                                faults);  // never returns
-                      });
-    };
-
-    // A segment's first cohort resumes from the final block dumps the
-    // previous segment left (or fresh); a mid-segment recovery resumes
-    // from the newest committed epoch, because final dumps are only
-    // consistent across blocks after a fully clean cohort exit.
-    const int seg_start_gen = generation;
-    liveness::EngineHooks hooks;
-    hooks.spawn = spawn_child;
-    hooks.poll_epochs = poll_epochs;
-    hooks.committed_epoch = [&]() { return committed_epoch; };
-    hooks.begin_generation = [&, seg_start_gen](int gen, long epoch) {
-      // Fresh per-round registrations; the previous round's entries point
-      // at listeners that are dead or about to be torn down.
-      lc.begin_generation(gen);
-      if (epoch < 0 && gen > seg_start_gen && cur_step == 0) {
-        // Epoch-less recovery of a fresh run replays from scratch: a
-        // block whose owner already finished the segment carries a
-        // diverged step counter and must be re-simulated, not restored.
-        // Fresh runs only — a continuation's final dumps ARE the
-        // starting state.
-        for (int b : active_blocks) {
-          const std::string dump = cohort::legacy_block_dump_path(workdir, b);
-          try {
-            if (inspect_checkpoint(dump).step != 0) std::remove(dump.c_str());
-          } catch (const std::exception&) {
-            // Absent or torn: the restore path handles it.
-          }
-        }
-      }
-    };
-    hooks.on_rank_down = [&](int rank, bool flushed) {
-      board.fold(rank, !flushed);
-      lc.harvest_trace(rank);
-    };
-    hooks.host_of = [&](int) { return lc.host_tag(); };
-    if (lc.socket_channels())
-      hooks.adopt_channels = [&](int rank) { return lc.adopt_channels(rank); };
-    hooks.on_liveness = [&board](const telemetry::LivenessRecord& lr) {
-      board.on_liveness(lr);
-    };
-    hooks.fail = [&](const std::vector<liveness::EngineFailure>& fails) {
-      lc.fail(fails, result.restarts);
-    };
-
-    {
-      liveness::CohortEngine engine(active_list, options.liveness,
-                                    options.max_restarts, std::move(hooks),
-                                    &supervisor, &result.liveness,
-                                    &result.restarts, &result.forks);
-      try {
-        engine.run(&generation, -1);
-      } catch (const launcher::SpawnError& e) {
-        lc.join_taggers();
-        lc.fail_spawn(e, result.restarts);
-      } catch (...) {
-        lc.join_taggers();
-        throw;
-      }
-    }
-    poll_epochs();
-    cur_step = seg_target;
+    sup.run_cohort(active_list, cfg, cur_step);
+    cur_step = cfg.target_step;
 
     // Between segments, fold each rank's snapshot into the board's totals
     // (the next cohort's children publish fresh ones), and feed the
@@ -459,8 +915,8 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
         result.rebalances.push_back(rec);
         board.on_rebalance(rec);
         board.set_owner_map(bd.owner_map());
-        supervisor.metrics().counter(-1, "rebalance.count").add();
-        supervisor.metrics()
+        session.metrics().counter(-1, "rebalance.count").add();
+        session.metrics()
             .counter(-1, "rebalance.moved_blocks")
             .add(rec.moved_blocks);
         std::fprintf(stderr,
@@ -471,10 +927,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       }
     }
   }
-  lc.join_taggers();
-  std::remove((workdir + "/cohort.spec").c_str());
+  std::remove(spec_path(workdir).c_str());
   board.set_done(true);
-  result.committed_epoch = committed_epoch;
+  result.committed_epoch = sup.committed_epoch();
   result.block_owner = bd.owner_map();
 
   // Read the common step counter back from any block dump.  A torn final
@@ -522,9 +977,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   summary.liveness = result.liveness;
   result.summary_path = workdir + "/run_summary.json";
   telemetry::write_run_summary(summary, result.summary_path);
-  supervisor.flush_metrics_delta(workdir + "/supervisor.metrics.jsonl");
+  session.flush_metrics_delta(workdir + "/supervisor.metrics.jsonl");
   if (trace_on) {
-    std::vector<std::string> traces = lc.harvested_traces();
+    std::vector<std::string> traces = sup.harvested_traces();
     traces.reserve(traces.size() + active_list.size());
     for (int rank : active_list)
       traces.push_back(cohort::rank_trace_path(workdir, rank));

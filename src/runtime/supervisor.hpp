@@ -1,14 +1,14 @@
 // The supervised process runtime, dimension-generic: each active
 // subregion runs in a real UNIX process, exactly as in the paper — "the
 // job-submit program ... begins a parallel subprocess on each workstation"
-// — with TCP/IP sockets between the processes and the shared port-registry
-// handshake.  A process steps the blocks an owner map gives it; by
-// default there is one block per rank, the paper's layout, and an
-// over-decomposed run cuts each subregion into several blocks that can
-// move between ranks.  On exit, every block leaves its state as a dump
-// file in the working directory, where it can be inspected or resumed
-// (the dump files double as the result-gathering mechanism for the
-// parent; see gather.hpp).
+// — with TCP/IP sockets between the processes and a port-registry
+// handshake the supervisor serves (rendezvous.hpp).  A process steps the
+// blocks an owner map gives it; by default there is one block per rank,
+// the paper's layout, and an over-decomposed run cuts each subregion into
+// several blocks that can move between ranks.  On exit, every block
+// leaves its state as a dump file in the working directory, where it can
+// be inspected or resumed (the dump files double as the result-gathering
+// mechanism for the parent; see gather.hpp).
 //
 // The parent is a *supervisor*: it reaps children out of order with
 // waitpid(WNOHANG), commits staggered checkpoint epochs (an epoch MANIFEST
@@ -207,8 +207,9 @@ struct ProcessRunResult {
 /// removed at start-of-run, so e.g. a 2D run's leftovers can never poison
 /// a 3D run sharing the directory.  Children are supervised per the
 /// options above; throws ProcessRunError when the restart budget is
-/// exhausted, with every child reaped and the port registry removed, and
-/// checkpoint_error when a final dump is torn.
+/// exhausted or a rank cannot be launched, with every child reaped and
+/// the run-control files removed, and checkpoint_error when a final dump
+/// is torn.
 template <int Dim>
 ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                 const FluidParams& params, Method method,

@@ -75,8 +75,8 @@ TEST_P(ThreadEquivalence, NestedUnderSubregionParallelism) {
 INSTANTIATE_TEST_SUITE_P(Methods, ThreadEquivalence,
                          ::testing::Values(Method::kLatticeBoltzmann,
                                            Method::kFiniteDifference),
-                         [](const auto& info) {
-                           return info.param == Method::kLatticeBoltzmann
+                         [](const auto& param_info) {
+                           return param_info.param == Method::kLatticeBoltzmann
                                       ? "lb"
                                       : "fd";
                          });

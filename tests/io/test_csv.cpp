@@ -45,10 +45,10 @@ TEST(Csv, RejectsUnwritablePath) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
   const double t1 = sw.seconds();
   EXPECT_GT(t1, 0.0);
-  for (int i = 0; i < 2000000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
   EXPECT_GT(sw.seconds(), t1);
   sw.reset();
   EXPECT_LT(sw.seconds(), t1 + 1.0);

@@ -3,9 +3,6 @@
 // monolithic runs, under any owner map.
 #include "src/runtime/blocked_driver.hpp"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,16 +16,10 @@
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/util/check.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/blocked_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D closed_box(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -149,7 +140,7 @@ TEST(BlockedDriver, OwnerMapRewriteMidRunIsBitwise) {
   BlockDecomposition2D bd(mask, GridShape{2, 1}, 8, ghost);
   BlockedDriver<2> first(mask, p, m, bd);
   first.run(6);
-  const std::string dir = make_workdir("move");
+  const std::string dir = test::fresh_workdir("blocked_move");
   first.save_blocks(dir);
 
   // Rebalance: push every block but one of rank 0 over to rank 1.

@@ -4,9 +4,6 @@
 // checkpoint epoch, in both dimensions.
 #include "src/runtime/gather.hpp"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,16 +12,10 @@
 #include "src/runtime/serial_driver.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/gather_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D walled_box2d(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -58,7 +49,7 @@ TEST(GatherFields, RoundTrips2DRunToExactSerialFields) {
   mask.fill_box({0, 10, 1, 14}, NodeType::kInlet);
   mask.fill_box({nx - 1, 10, nx, 14}, NodeType::kOutlet);
 
-  const std::string workdir = make_workdir("round2d");
+  const std::string workdir = test::fresh_workdir("gather_round2d");
   run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 10,
                     workdir, {});
   const GatheredFields2D g =
@@ -82,7 +73,7 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
   const Mask2D mask = walled_box2d(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("epoch2d");
+  const std::string workdir = test::fresh_workdir("gather_epoch2d");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   const ProcessRunResult r = run_supervised<2>(
@@ -114,7 +105,7 @@ TEST(GatherFields, InactiveSubregionsGatherAsQuiescentState) {
   mask.fill_box({0, 0, 11, 20}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("solid2d");
+  const std::string workdir = test::fresh_workdir("gather_solid2d");
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 5, workdir, {});
   EXPECT_EQ(r.processes, 2);  // rank 0 is never spawned
@@ -136,7 +127,7 @@ TEST(GatherFields, RoundTrips3DRunToExactSerialFields) {
   p.nu = 0.02;
   const Mask3D mask = walled_box3d(nx, ny, nz, 1);
 
-  const std::string workdir = make_workdir("round3d");
+  const std::string workdir = test::fresh_workdir("gather_round3d");
   run_supervised<3>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
                     workdir, {});
   const GatheredFields3D g = gather_fields3d(
@@ -161,7 +152,7 @@ TEST(GatherFields, RefusesAnEmptyDirectoryForEpochReads) {
   const Mask2D mask = walled_box2d(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("empty");
+  const std::string workdir = test::fresh_workdir("gather_empty");
   // No MANIFEST at all: every epoch >= 0 is uncommitted by definition.
   EXPECT_THROW(
       gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1, workdir, 0),

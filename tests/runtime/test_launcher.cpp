@@ -8,7 +8,6 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -21,16 +20,10 @@
 #include "src/geometry/flue_pipe.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/fp_env.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/launcher_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D closed_box(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -102,13 +95,13 @@ TEST(ProcessLauncher, ExecMatchesForkBitwise) {
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
 
-  const std::string fork_dir = make_workdir("fork");
+  const std::string fork_dir = test::fresh_workdir("launcher_fork");
   options.launcher = "fork";
   const ProcessRunResult rf = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, fork_dir,
       options);
 
-  const std::string exec_dir = make_workdir("exec");
+  const std::string exec_dir = test::fresh_workdir("launcher_exec");
   options.launcher = "exec";
   const ProcessRunResult re = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, exec_dir,
@@ -131,13 +124,13 @@ TEST(ProcessLauncher, ExecBlockedMatchesForkBitwise) {
   ProcessRunOptions options;
   options.block_side = 8;
 
-  const std::string fork_dir = make_workdir("bfork");
+  const std::string fork_dir = test::fresh_workdir("launcher_bfork");
   options.launcher = "fork";
   const ProcessRunResult rf = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, fork_dir,
       options);
 
-  const std::string exec_dir = make_workdir("bexec");
+  const std::string exec_dir = test::fresh_workdir("launcher_bexec");
   options.launcher = "exec";
   const ProcessRunResult re = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 12, exec_dir,
@@ -157,12 +150,12 @@ TEST(ProcessLauncher, ExecRestartsKilledRankBitwise) {
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
 
-  const std::string clean_dir = make_workdir("clean");
+  const std::string clean_dir = test::fresh_workdir("launcher_clean");
   options.launcher = "fork";
   run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12,
                     clean_dir, options);
 
-  const std::string kill_dir = make_workdir("kill");
+  const std::string kill_dir = test::fresh_workdir("launcher_kill");
   options.launcher = "exec";
   options.faults = "kill:rank=1,step=7";
   const ProcessRunResult r = run_supervised<2>(
@@ -189,13 +182,13 @@ TEST(ProcessLauncher, ExecMatchesForkOnFdFluePipePastSubnormalOnset) {
   ProcessRunOptions options;
   const FlushSubnormals supervisor_mode;
 
-  const std::string fork_dir = make_workdir("fdfork");
+  const std::string fork_dir = test::fresh_workdir("launcher_fdfork");
   options.launcher = "fork";
   const ProcessRunResult rf = run_supervised<2>(
       g.mask, p, Method::kFiniteDifference, GridShape{2, 1, 1}, 100, fork_dir,
       options);
 
-  const std::string exec_dir = make_workdir("fdexec");
+  const std::string exec_dir = test::fresh_workdir("launcher_fdexec");
   options.launcher = "exec";
   const ProcessRunResult re = run_supervised<2>(
       g.mask, p, Method::kFiniteDifference, GridShape{2, 1, 1}, 100, exec_dir,
@@ -216,7 +209,7 @@ TEST(ProcessLauncher, SpawnFailureSurfacesRankAndHost) {
   ProcessRunOptions options;
   options.max_restarts = 0;
   options.faults = "spawn_fail:rank=1";
-  const std::string workdir = make_workdir("spawnfail");
+  const std::string workdir = test::fresh_workdir("launcher_spawnfail");
   try {
     run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
                       workdir, options);
@@ -233,14 +226,13 @@ TEST(ProcessLauncher, SpawnFailureSurfacesRankAndHost) {
 }
 
 TEST(ProcessLauncher, StaleControlFilesRemovedAtStartOfRun) {
-  // A crashed prior run can leave ports.g<N>, status.port and
-  // cohort.spec behind; start-of-run hygiene must clear them so the new
-  // run can never rendezvous against a corpse's registry.
+  // A crashed prior run can leave status.port and cohort.spec behind;
+  // start-of-run hygiene must clear them so no reader of the new run
+  // finds a corpse's listener or world.
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hygiene");
-  { std::ofstream(workdir + "/ports.g7") << "0 59999\n1 59998\n"; }
+  const std::string workdir = test::fresh_workdir("launcher_hygiene");
   { std::ofstream(workdir + "/status.port") << "59997\n"; }
   { std::ofstream(workdir + "/cohort.spec") << "stale junk"; }
 
@@ -249,7 +241,6 @@ TEST(ProcessLauncher, StaleControlFilesRemovedAtStartOfRun) {
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 5, workdir,
       options);
   EXPECT_EQ(r.final_step, 5);
-  EXPECT_FALSE(file_exists(workdir + "/ports.g7"));
   EXPECT_FALSE(file_exists(workdir + "/status.port"));
   EXPECT_FALSE(file_exists(workdir + "/cohort.spec"));
 }
@@ -263,12 +254,12 @@ TEST(ProcessLauncher, SocketChannelsMatchPipesBitwise) {
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
 
-  const std::string pipe_dir = make_workdir("pipes");
+  const std::string pipe_dir = test::fresh_workdir("launcher_pipes");
   options.liveness.socket_channels = -1;
   run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8,
                     pipe_dir, options);
 
-  const std::string sock_dir = make_workdir("socks");
+  const std::string sock_dir = test::fresh_workdir("launcher_socks");
   options.liveness.socket_channels = 1;
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8, sock_dir,

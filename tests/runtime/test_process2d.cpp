@@ -4,9 +4,7 @@
 
 #include <cerrno>
 #include <dirent.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -26,16 +24,10 @@
 #include "src/runtime/gather.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/telemetry/summary.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/proc2d_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D closed_box(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -60,7 +52,7 @@ TEST(ProcessRuntime, ForkedProcessesMatchSerialBitwise) {
   SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(15);
 
-  const std::string workdir = make_workdir("equiv");
+  const std::string workdir = test::fresh_workdir("proc2d_equiv");
   const ProcessRunResult r =
       run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1},
                         15, workdir, {});
@@ -81,7 +73,7 @@ TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {
   p.dt = 1.0;
   const Mask2D mask = closed_box(nx, ny, 1);
 
-  const std::string workdir = make_workdir("resume");
+  const std::string workdir = test::fresh_workdir("proc2d_resume");
   run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6,
                     workdir, {});
   const ProcessRunResult r =
@@ -113,7 +105,7 @@ TEST(ProcessRuntime, DropsAllSolidSubregions) {
     // no fluid.
     Mask2D solid = mask;
     solid.fill_box({0, 0, 11, 20}, NodeType::kWall);
-    const std::string workdir = make_workdir("solid");
+    const std::string workdir = test::fresh_workdir("proc2d_solid");
     const ProcessRunResult r =
         run_supervised<2>(solid, p, Method::kLatticeBoltzmann,
                           GridShape{3, 1, 1}, 5, workdir, {});
@@ -132,7 +124,7 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   mask.fill_box({0, 0, 11, 20}, NodeType::kWall);  // rank 0 all solid
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("oneperrank");
+  const std::string workdir = test::fresh_workdir("proc2d_oneperrank");
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{3, 1, 1}, 7, workdir, {});
   EXPECT_EQ(r.processes, 2);
@@ -198,7 +190,7 @@ TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("killlb");
+  const std::string workdir = test::fresh_workdir("proc2d_killlb");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
@@ -216,7 +208,7 @@ TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseFD) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 0.5;
-  const std::string workdir = make_workdir("killfd");
+  const std::string workdir = test::fresh_workdir("proc2d_killfd");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "kill:rank=0,step=8";
@@ -236,7 +228,7 @@ TEST(ProcessSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("budget0");
+  const std::string workdir = test::fresh_workdir("proc2d_budget0");
   ProcessRunOptions options;
   options.max_restarts = 0;
   options.recv_deadline_ms = 5000;
@@ -276,7 +268,7 @@ TEST(ProcessSupervisor, TornDumpIsNeverCommittedAndRecoveryIsBitwise) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("torn");
+  const std::string workdir = test::fresh_workdir("proc2d_torn");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "torn_dump:rank=0,epoch=1";
@@ -295,7 +287,7 @@ TEST(ProcessSupervisor, SlowConnectingRankIsToleratedWithoutRestart) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("slow");
+  const std::string workdir = test::fresh_workdir("proc2d_slow");
   ProcessRunOptions options;
   options.faults = "delay_connect:rank=1,ms=300";
   const ProcessRunResult r = run_supervised<2>(
@@ -335,7 +327,7 @@ TEST(ProcessLiveness, HungRankIsDetectedAndSurgicallyRestartedBitwise) {
   const Mask2D mask = closed_box(36, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hang");
+  const std::string workdir = test::fresh_workdir("proc2d_hang");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=1,step=7";
@@ -388,7 +380,7 @@ TEST(ProcessLiveness, MutedRankIsFlaggedAndRecoveryIsBitwise) {
   const Mask2D mask = closed_box(36, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("mute");
+  const std::string workdir = test::fresh_workdir("proc2d_mute");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=0,step=6;mute:rank=2,step=2";
@@ -418,7 +410,7 @@ TEST(ProcessLiveness, HardHangEscalatesToSigkillAndStillRecovers) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hardhang");
+  const std::string workdir = test::fresh_workdir("proc2d_hardhang");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "hang:rank=1,step=5,hard=1";
@@ -445,7 +437,7 @@ TEST(ProcessLiveness, HangWithZeroBudgetFailsNamingTheHungRank) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hangbudget0");
+  const std::string workdir = test::fresh_workdir("proc2d_hangbudget0");
   ProcessRunOptions options;
   options.max_restarts = 0;
   options.faults = "hang:rank=1,step=3";
@@ -468,9 +460,85 @@ TEST(ProcessLiveness, HangWithZeroBudgetFailsNamingTheHungRank) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             10000);
-  // Every per-round port registry was cleaned up and every child reaped.
-  std::ifstream registry(workdir + "/ports.g0");
-  EXPECT_FALSE(registry.good());
+  // Every child was reaped.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+/// A rank killed at step 7 of the 2x1 LB closed box, epochs every 4
+/// steps: the audit trail is exactly the casualty, the survivor's
+/// rollback and the casualty's respawn, in that order, and only the dead
+/// rank is forked again.
+void expect_kill_recovery_trail(const std::string& launcher, int sockets,
+                                const std::string& workdir) {
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  ProcessRunOptions options;
+  options.checkpoint_interval = 4;
+  options.faults = "kill:rank=1,step=7";
+  options.launcher = launcher;
+  options.liveness.socket_channels = sockets;
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
+  EXPECT_EQ(r.restarts, 1) << events_string(r);
+  EXPECT_EQ(r.forks, r.processes + 1);
+  ASSERT_EQ(r.liveness.size(), 3u) << events_string(r);
+  const struct {
+    const char* event;
+    int rank;
+    int generation;
+  } want[] = {{"exit_detected", 1, 0}, {"rollback", 0, 1}, {"restart", 1, 1}};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.liveness[i].event, want[i].event) << events_string(r);
+    EXPECT_EQ(r.liveness[i].rank, want[i].rank) << events_string(r);
+    EXPECT_EQ(r.liveness[i].generation, want[i].generation)
+        << events_string(r);
+  }
+  expect_matches_serial(mask, p, Method::kLatticeBoltzmann, 2, 1, 12,
+                        workdir);
+}
+
+TEST(ProcessSupervisor, KillRecoveryAuditTrailForkPipes) {
+  expect_kill_recovery_trail("fork", -1,
+                             test::fresh_workdir("proc2d_trailfork"));
+}
+
+TEST(ProcessSupervisor, KillRecoveryAuditTrailExecSockets) {
+  expect_kill_recovery_trail("exec", 1,
+                             test::fresh_workdir("proc2d_trailexec"));
+}
+
+TEST(ProcessSupervisor, SpawnFailureInRecoveryRoundStopsTheSurvivors) {
+  // Rank 1 dies at step 5 and its respawn in round 1 fails before a
+  // process exists.  The survivor has already been rolled back into
+  // round 1, where it would wait for a peer that never comes: the
+  // supervisor must kill and reap it, then report the spawn failure.
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  ProcessRunOptions options;
+  options.checkpoint_interval = 4;
+  options.faults = "kill:rank=1,step=5;spawn_fail:rank=1,gen=1";
+  const std::string workdir = test::fresh_workdir("proc2d_spawnfail_recovery");
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                      12, workdir, options);
+    FAIL() << "run succeeded despite a failed respawn";
+  } catch (const ProcessRunError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("spawn failed"), std::string::npos) << what;
+    ASSERT_EQ(e.failures.size(), 1u) << what;
+    EXPECT_EQ(e.failures[0].rank, 1);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            10000);
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
@@ -486,7 +554,7 @@ TEST(ProcessLiveness, PutDownRankKeepsItsPreHangTelemetry) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("harvest");
+  const std::string workdir = test::fresh_workdir("proc2d_harvest");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "hang:rank=1,step=7";
@@ -517,7 +585,7 @@ TEST(ProcessRuntime, TelemetrySummaryStatsAndTrace) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("telemetry");
+  const std::string workdir = test::fresh_workdir("proc2d_telemetry");
   ProcessRunOptions options;
   options.trace = 1;  // force tracing, regardless of SUBSONIC_TRACE
   options.checkpoint_interval = 4;
@@ -583,7 +651,7 @@ TEST(ProcessSupervisor, CommitsEpochsAndCollectsOldOnes) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("epochs");
+  const std::string workdir = test::fresh_workdir("proc2d_epochs");
   ProcessRunOptions options;
   options.checkpoint_interval = 2;
   const ProcessRunResult r = run_supervised<2>(

@@ -6,9 +6,7 @@
 #include "src/runtime/supervisor.hpp"
 
 #include <cerrno>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -21,16 +19,10 @@
 #include "src/decomp/decomposition.hpp"
 #include "src/io/checkpoint.hpp"
 #include "src/runtime/serial_driver.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/proc3d_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask3D closed_box3d(int nx, int ny, int nz, int ghost) {
   Mask3D mask(Extents3{nx, ny, nz}, ghost);
@@ -79,7 +71,7 @@ TEST(Process3DRuntime, ForkedProcessesMatchSerialBitwise) {
   p.nu = 0.02;
   const Mask3D mask = closed_box3d(nx, ny, nz, 1);
 
-  const std::string workdir = make_workdir("equiv");
+  const std::string workdir = test::fresh_workdir("proc3d_equiv");
   const ProcessRunResult r = run_supervised<3>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 10, workdir, {});
   EXPECT_EQ(r.processes, 4);
@@ -92,7 +84,7 @@ TEST(Process3DRuntime, RepeatedCallsResumeFromTheDumps) {
   FluidParams p;
   p.dt = 1.0;
   const Mask3D mask = closed_box3d(14, 10, 8, 1);
-  const std::string workdir = make_workdir("resume");
+  const std::string workdir = test::fresh_workdir("proc3d_resume");
   run_supervised<3>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 5,
                     workdir, {});
   const ProcessRunResult r = run_supervised<3>(
@@ -106,7 +98,7 @@ TEST(Process3DSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
   const Mask3D mask = closed_box3d(16, 12, 10, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("killlb");
+  const std::string workdir = test::fresh_workdir("proc3d_killlb");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
@@ -125,7 +117,7 @@ TEST(Process3DSupervisor, KilledRankRestartsFromNewestEpochBitwiseFD) {
   FluidParams p;
   p.dt = 0.3;
   p.nu = 0.05;
-  const std::string workdir = make_workdir("killfd");
+  const std::string workdir = test::fresh_workdir("proc3d_killfd");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "kill:rank=0,step=8";
@@ -142,7 +134,7 @@ TEST(Process3DSupervisor, TornDumpIsNeverCommittedAndRecoveryIsBitwise) {
   const Mask3D mask = closed_box3d(16, 12, 10, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("torn");
+  const std::string workdir = test::fresh_workdir("proc3d_torn");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "torn_dump:rank=0,epoch=1";
@@ -158,7 +150,7 @@ TEST(Process3DSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   const Mask3D mask = closed_box3d(14, 10, 8, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("budget0");
+  const std::string workdir = test::fresh_workdir("proc3d_budget0");
   ProcessRunOptions options;
   options.max_restarts = 0;
   options.recv_deadline_ms = 5000;
@@ -197,7 +189,7 @@ TEST(Process3DSupervisor, HungRankIsSurgicallyRestartedBitwise) {
   const Mask3D mask = closed_box3d(16, 12, 10, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hang");
+  const std::string workdir = test::fresh_workdir("proc3d_hang");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "hang:rank=1,step=5";
@@ -225,7 +217,7 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   // remove the other dimension's dumps instead of trying to resume from
   // them, so the 3D run starts from step 0 and finishes bit-identical to
   // a 3D run in a fresh directory.
-  const std::string workdir = make_workdir("stale2d");
+  const std::string workdir = test::fresh_workdir("proc3d_stale2d");
 
   FluidParams p2;
   p2.dt = 1.0;

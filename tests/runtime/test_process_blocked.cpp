@@ -1,8 +1,6 @@
 // The over-decomposed process runtime: per-block checkpoints, segmented
 // supervision, telemetry-driven dynamic load balancing — all bitwise
 // against serial.
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -16,16 +14,10 @@
 #include "src/runtime/serial_driver.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/procblk_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D closed_box(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -60,7 +52,7 @@ TEST(BlockedProcessRuntime, ForkedBlockedRunMatchesSerialBitwise) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("equiv");
+  const std::string workdir = test::fresh_workdir("procblk_equiv");
   ProcessRunOptions options;
   options.block_side = 8;
   const ProcessRunResult r = run_supervised<2>(
@@ -79,7 +71,7 @@ TEST(BlockedProcessRuntime, RepeatedCallsResumeFromTheBlockDumps) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("resume");
+  const std::string workdir = test::fresh_workdir("procblk_resume");
   ProcessRunOptions options;
   options.block_side = 8;
   run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 6,
@@ -98,7 +90,7 @@ TEST(BlockedProcessRuntime, ThreeDimensionalBlockedRunMatchesSerialBitwise) {
   mask.fill_box({6, 4, 3, 10, 8, 7}, NodeType::kWall);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("equiv3d");
+  const std::string workdir = test::fresh_workdir("procblk_equiv3d");
   ProcessRunOptions options;
   options.block_side = 6;
   const ProcessRunResult r = run_supervised<3>(
@@ -127,7 +119,7 @@ TEST(BlockedProcessRuntime, OverlapExchangeWaitsFeedTheCommHistogram) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("commhist");
+  const std::string workdir = test::fresh_workdir("procblk_commhist");
   ProcessRunOptions options;
   options.block_side = 8;
   const int steps = 9;  // LB: one exchange per step
@@ -146,7 +138,7 @@ TEST(BlockedProcessRuntime, RebalancingRequiresTheBlockedRuntime) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("guard");
+  const std::string workdir = test::fresh_workdir("procblk_guard");
   ProcessRunOptions options;
   options.rebalance_interval = 4;  // but block_side = 0: monolithic
   EXPECT_THROW(run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
@@ -162,7 +154,7 @@ TEST(BlockedProcessRuntime, SlowRankTriggersRebalanceAndStaysBitwise) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("rebalance");
+  const std::string workdir = test::fresh_workdir("procblk_rebalance");
   ProcessRunOptions options;
   options.block_side = 8;
   options.rebalance_interval = 8;
@@ -203,7 +195,7 @@ TEST(BlockedProcessRuntime, HungRankRecoversSurgicallyAndStaysBitwise) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("hang");
+  const std::string workdir = test::fresh_workdir("procblk_hang");
   ProcessRunOptions options;
   options.block_side = 8;
   options.checkpoint_interval = 4;
@@ -237,7 +229,7 @@ TEST(BlockedProcessRuntime, KillAfterRebalanceRestoresFromCommittedEpoch) {
   const Mask2D mask = closed_box(32, 24, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("killreb");
+  const std::string workdir = test::fresh_workdir("procblk_killreb");
   ProcessRunOptions options;
   options.block_side = 8;
   options.checkpoint_interval = 2;

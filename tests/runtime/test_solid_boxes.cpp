@@ -9,9 +9,6 @@
 // only across a periodic wrap whenever a seed picks a periodic axis.
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -25,6 +22,7 @@
 #include "src/runtime/serial_driver.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
@@ -134,11 +132,8 @@ void expect_drivers_match_serial(const World<Dim>& w, int side,
     blocked.reinitialize();
   }
   // The supervised run continues from these step-0 dumps.
-  const std::string dir = std::string(::testing::TempDir()) + "/solid_" +
-                          name + "_" + std::to_string(side) + "_" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir =
+      test::fresh_workdir("solid_" + name + "_" + std::to_string(side));
   blocked.save_blocks(dir);
   blocked.run(w.steps);
 

@@ -9,7 +9,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -29,16 +28,10 @@
 #include "src/runtime/supervisor.hpp"
 #include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
+#include "tests/support/workdir.hpp"
 
 namespace subsonic {
 namespace {
-
-std::string make_workdir(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/status_" +
-                          name + "_" + std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 Mask2D closed_box(int nx, int ny, int ghost) {
   Mask2D mask(Extents2{nx, ny}, ghost);
@@ -173,7 +166,7 @@ double scraped(const std::string& metrics, const std::string& series) {
 TEST(StatusBoard, RendersTheLiveViewFromSnapshotsAndEvents) {
   liveness::StatusBoard board;
   liveness::StatusBoard::Config cfg;
-  cfg.workdir = make_workdir("board");
+  cfg.workdir = test::fresh_workdir("status_board");
   cfg.ranks = {0, 1};
   cfg.fluid_cells = {400, 400};
   cfg.target_step = 20;
@@ -229,7 +222,7 @@ TEST(StatusBoard, RendersTheLiveViewFromSnapshotsAndEvents) {
 TEST(StatusBoard, MetricsTextFoldsHarvestsAndDeltaStreams) {
   liveness::StatusBoard board;
   liveness::StatusBoard::Config cfg;
-  cfg.workdir = make_workdir("board_metrics");
+  cfg.workdir = test::fresh_workdir("status_board_metrics");
   cfg.ranks = {0, 1};
   board.configure(cfg);
 
@@ -273,7 +266,7 @@ TEST(ProcessStatusEndpoint, ServesLiveDocumentsThroughAHardHang) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("live");
+  const std::string workdir = test::fresh_workdir("status_live");
   ProcessRunOptions options;
   options.checkpoint_interval = 3;
   options.faults = "hang:rank=1,step=5,hard=1";
@@ -375,7 +368,7 @@ TEST(ProcessStatusEndpoint, KilledRankContributesItsFlushedPrefixAsPartial) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("partial");
+  const std::string workdir = test::fresh_workdir("status_partial");
   ProcessRunOptions options;
   options.checkpoint_interval = 4;
   options.faults = "kill:rank=1,step=7";
@@ -421,7 +414,7 @@ TEST(ProcessStatusEndpoint, MetricsCountersNeverDecreaseAcrossSegments) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("segments");
+  const std::string workdir = test::fresh_workdir("status_segments");
   ProcessRunOptions options;
   options.block_side = 8;
   options.rebalance_interval = 5;
@@ -502,7 +495,7 @@ TEST(ProcessStatusEndpoint, DisabledByDefaultLeavesNoPortFile) {
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
-  const std::string workdir = make_workdir("off");
+  const std::string workdir = test::fresh_workdir("status_off");
   ProcessRunOptions options;
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6, workdir,
