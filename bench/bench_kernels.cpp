@@ -9,10 +9,11 @@
 // phase (its "compute.*" timer without the prefix) are the ones
 // KernelSpeedTable::node_rate composes into the cluster model's U_calc.
 //
-// The LB kernel is additionally measured with the SIMD dispatch pinned
-// (lb_collide_stream_scalar / lb_collide_stream_avx2, via set_simd) so
-// the committed numbers separate the layout/fusion win from the vector
-// win; the unsuffixed row is the auto-dispatched production path.
+// The dispatched kernels — LB collide-stream and the filter — are
+// additionally measured with the SIMD dispatch pinned (<kernel>_scalar /
+// <kernel>_avx2, via set_simd) so the committed numbers separate the
+// layout/fusion win from the vector win; the unsuffixed row is the
+// auto-dispatched production path.
 //
 // Each case reports min-of-5 trial timing: five back-to-back trials of
 // `reps` calls each, keeping the fastest trial.  The minimum is the
@@ -38,8 +39,9 @@
 // exceeds the case's thread count.
 //
 // Usage: bench_kernels [out.json] [--kernel=NAME] [--side=N]
-//   --kernel substring-matches case names (e.g. --kernel=lb matches the
-//   LB row and both pinned variants); --side keeps one grid size.
+//   --kernel substring-matches case names (e.g. --kernel=filter matches
+//   the filter rows, both pinned variants and filter_bc); --side keeps
+//   one grid size.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -171,8 +173,14 @@ int main(int argc, char** argv) {
                        1, 21 * 8, static_cast<int>(SimdLevel::kAvx2), lb});
   kernels.push_back({"lb_moments", Method::kLatticeBoltzmann, 1, 12 * 8, -1,
                      [](Domain2D& d) { lbm2d::moments(d); }});
-  kernels.push_back({"filter", Method::kFiniteDifference, 3, 2 * 8, -1,
-                     [](Domain2D& d) { filter2d(d); }});
+  const auto filter = [](Domain2D& d) { filter2d(d); };
+  kernels.push_back(
+      {"filter", Method::kFiniteDifference, 3, 2 * 8, -1, filter});
+  kernels.push_back({"filter_scalar", Method::kFiniteDifference, 3, 2 * 8,
+                     static_cast<int>(SimdLevel::kScalar), filter});
+  if (simd_avx2_built() && simd_avx2_supported())
+    kernels.push_back({"filter_avx2", Method::kFiniteDifference, 3, 2 * 8,
+                       static_cast<int>(SimdLevel::kAvx2), filter});
   kernels.push_back({"filter_bc", Method::kFiniteDifference, 1, 6 * 8, -1,
                      [](Domain2D& d) {
                        run_compute2d(d, ComputeKind::kFilterAndBc);

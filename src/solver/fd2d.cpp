@@ -12,7 +12,11 @@ namespace {
 //
 // Each row hoists raw __restrict row pointers (three rows of every input,
 // one of every output) so the span loop is a branch-free streaming kernel
-// over contiguous memory the compiler can autovectorize.  Rows are
+// over contiguous memory the compiler can autovectorize.  The span lambda
+// captures those pointers by reference, and gcc drops __restrict with the
+// capture: the velocity loop would need more run-time alias checks than
+// gcc allows, so it carries `#pragma GCC ivdep` (inputs and outputs are
+// distinct buffers) and vectorises.  Rows are
 // sharded across the domain's worker pool: every row writes only its own
 // output cells and reads only input buffers this pass never writes, so
 // any static partition gives bitwise identical results.
@@ -44,6 +48,7 @@ void velocity_box(Domain2D& d, const PaddedField2D<double>& ox,
     double* __restrict outx = nvx.row_ptr(y);
     double* __restrict outy = nvy.row_ptr(y);
     d.computed_spans().for_row(y, r.x0, r.x1, [&](int a, int b) {
+      #pragma GCC ivdep
       for (int x = a; x < b; ++x) {
         const double ux = uxc[x];
         const double uy = uyc[x];

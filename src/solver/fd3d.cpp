@@ -8,7 +8,8 @@ namespace {
 // the advanced values into the paired outputs, iterating the precomputed
 // spans of computed (fluid | outlet) nodes.  Each (y, z) pencil hoists
 // raw __restrict pointers (the pencil itself plus its four stencil
-// neighbours per input) and the pencils are sharded across the domain's
+// neighbours per input); both span loops carry `#pragma GCC ivdep`, for
+// the reason fd2d.cpp gives.  The pencils are sharded across the domain's
 // worker pool — pencils write disjoint outputs, so the partition is
 // bitwise neutral.
 
@@ -47,6 +48,7 @@ void velocity_box(Domain3D& d, const PaddedField3D<double>& ox,
     double* __restrict outy = nvy.row_ptr(y, z);
     double* __restrict outz = nvz.row_ptr(y, z);
     d.computed_spans().for_row(y, z, r.x0, r.x1, [&](int a, int b) {
+      #pragma GCC ivdep
       for (int x = a; x < b; ++x) {
         const double vux = ux.c[x];
         const double vuy = uy.c[x];
@@ -112,6 +114,7 @@ void density_box(Domain3D& d, const PaddedField3D<double>& orho,
     const double* __restrict vzzp = vz.row_ptr(y, z + 1);
     double* __restrict out = nrho.row_ptr(y, z);
     d.computed_spans().for_row(y, z, r.x0, r.x1, [&](int a, int b) {
+      #pragma GCC ivdep
       for (int x = a; x < b; ++x) {
         const double dmx =
             (rh.c[x + 1] * vxc[x + 1] - rh.c[x - 1] * vxc[x - 1]) * inv2dx;

@@ -1,8 +1,60 @@
 #include "src/solver/filter.hpp"
 
 #include <cstring>
+#include <span>
+
+#include "src/solver/filter_kernels.hpp"
 
 namespace subsonic {
+
+namespace filter_kernels {
+
+namespace {
+
+// The reference arithmetic: each direction's fourth difference is added
+// only where its bit is set.  The branches keep gcc from vectorising this
+// loop; the AVX2 kernel replaces them with blends.
+template <int T>
+void span(const Row& r, int a, int b, double k) {
+  const double* __restrict uc = r.c;
+  const std::uint8_t* __restrict dr = r.dirs;
+  double* __restrict out = r.out;
+  for (int x = a; x < b; ++x) {
+    const std::uint8_t dirs = dr[x];
+    double corr = 0.0;
+    if (dirs & 1) {
+      corr += uc[x - 2] - 4.0 * uc[x - 1] + 6.0 * uc[x] - 4.0 * uc[x + 1] +
+              uc[x + 2];
+    }
+    for (int j = 0; j < T; ++j) {
+      const double* const* t = r.t[j];
+      if (dirs & (2 << j)) {
+        corr += t[0][x] - 4.0 * t[1][x] + 6.0 * uc[x] - 4.0 * t[2][x] +
+                t[3][x];
+      }
+    }
+    out[x] = uc[x] - k * corr;
+  }
+}
+
+}  // namespace
+
+void span_scalar(const Row& r, int a, int b, double k) {
+  if (r.transverse == 1)
+    span<1>(r, a, b, k);
+  else
+    span<2>(r, a, b, k);
+}
+
+Fn select(SimdLevel level) {
+#if defined(SUBSONIC_HAVE_AVX2)
+  if (level == SimdLevel::kAvx2) return &span_avx2;
+#endif
+  (void)level;
+  return &span_scalar;
+}
+
+}  // namespace filter_kernels
 
 namespace {
 
@@ -16,108 +68,71 @@ namespace {
 // Rows are sharded over the domain's worker pool: each row writes only
 // its own output row (copy runs + corrected spans) and reads only the
 // never-written input buffer, so any static partition is bitwise neutral.
-// The corrected span hoists __restrict row pointers (five rows of the
-// input, the filter-direction mask row, the output row).
+
+/// Filters row `r` over [xlo, xhi): the span kernel on `spans`, a copy
+/// of the input everywhere else.
+void filter_row(const filter_kernels::Row& r, std::span<const MaskSpan> spans,
+                int xlo, int xhi, double k, filter_kernels::Fn span_fn) {
+  const auto copy_run = [&](int a, int b) {
+    if (a < b)
+      std::memcpy(r.out + a, r.c + a,
+                  static_cast<size_t>(b - a) * sizeof(double));
+  };
+  int cursor = xlo;
+  for (const MaskSpan& s : spans) {
+    copy_run(cursor, s.x0);
+    span_fn(r, s.x0, s.x1, k);
+    cursor = s.x1;
+  }
+  copy_run(cursor, xhi);
+}
 
 void filter_field2d(Domain2D& d, const PaddedField2D<double>& u,
                     PaddedField2D<double>& out) {
+  const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
   const double k = d.params().filter_eps / 16.0;
   const int g = d.ghost();
   const int xlo = -g, xhi = d.nx() + g;
-  const size_t full_row_bytes =
-      static_cast<size_t>(xhi - xlo) * sizeof(double);
 
   d.for_rows(-g, d.ny() + g, [&](int y) {
-    double* __restrict orow = out.row_ptr(y);
-    const double* __restrict uc = u.row_ptr(y);
+    filter_kernels::Row row{u.row_ptr(y), {}, 1, nullptr, out.row_ptr(y)};
     if (y < -1 || y >= d.ny() + 1) {
-      std::memcpy(orow + xlo, uc + xlo, full_row_bytes);
+      filter_row(row, {}, xlo, xhi, k, span_fn);
       return;
     }
-    const double* __restrict um2 = u.row_ptr(y - 2);
-    const double* __restrict um1 = u.row_ptr(y - 1);
-    const double* __restrict up1 = u.row_ptr(y + 1);
-    const double* __restrict up2 = u.row_ptr(y + 2);
-    const std::uint8_t* __restrict dr = d.filter_dirs_row(y);
-    const auto copy_run = [&](int a, int b) {
-      if (a < b)
-        std::memcpy(orow + a, uc + a,
-                    static_cast<size_t>(b - a) * sizeof(double));
-    };
-    int cursor = xlo;
-    for (const MaskSpan& s : d.filter_spans().row(y)) {
-      copy_run(cursor, s.x0);
-      for (int x = s.x0; x < s.x1; ++x) {
-        const std::uint8_t dirs = dr[x];
-        double corr = 0.0;
-        if (dirs & 1) {
-          corr += uc[x - 2] - 4.0 * uc[x - 1] + 6.0 * uc[x] -
-                  4.0 * uc[x + 1] + uc[x + 2];
-        }
-        if (dirs & 2) {
-          corr += um2[x] - 4.0 * um1[x] + 6.0 * uc[x] - 4.0 * up1[x] +
-                  up2[x];
-        }
-        orow[x] = uc[x] - k * corr;
-      }
-      cursor = s.x1;
-    }
-    copy_run(cursor, xhi);
+    row.t[0][0] = u.row_ptr(y - 2);
+    row.t[0][1] = u.row_ptr(y - 1);
+    row.t[0][2] = u.row_ptr(y + 1);
+    row.t[0][3] = u.row_ptr(y + 2);
+    row.dirs = d.filter_dirs_row(y);
+    filter_row(row, d.filter_spans().row(y), xlo, xhi, k, span_fn);
   });
 }
 
 void filter_field3d(Domain3D& d, const PaddedField3D<double>& u,
                     PaddedField3D<double>& out) {
+  const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
   const double k = d.params().filter_eps / 16.0;
   const int g = d.ghost();
   const int xlo = -g, xhi = d.nx() + g;
-  const size_t full_row_bytes =
-      static_cast<size_t>(xhi - xlo) * sizeof(double);
 
   d.for_rows(-g, d.ny() + g, -g, d.nz() + g, [&](int y, int z) {
-    double* __restrict orow = out.row_ptr(y, z);
-    const double* __restrict uc = u.row_ptr(y, z);
+    filter_kernels::Row row{u.row_ptr(y, z), {}, 2, nullptr,
+                            out.row_ptr(y, z)};
     if (z < -1 || z >= d.nz() + 1 || y < -1 || y >= d.ny() + 1) {
-      std::memcpy(orow + xlo, uc + xlo, full_row_bytes);
+      filter_row(row, {}, xlo, xhi, k, span_fn);
       return;
     }
-    const double* __restrict uym2 = u.row_ptr(y - 2, z);
-    const double* __restrict uym1 = u.row_ptr(y - 1, z);
-    const double* __restrict uyp1 = u.row_ptr(y + 1, z);
-    const double* __restrict uyp2 = u.row_ptr(y + 2, z);
-    const double* __restrict uzm2 = u.row_ptr(y, z - 2);
-    const double* __restrict uzm1 = u.row_ptr(y, z - 1);
-    const double* __restrict uzp1 = u.row_ptr(y, z + 1);
-    const double* __restrict uzp2 = u.row_ptr(y, z + 2);
-    const std::uint8_t* __restrict dr = d.filter_dirs_row(y, z);
-    const auto copy_run = [&](int a, int b) {
-      if (a < b)
-        std::memcpy(orow + a, uc + a,
-                    static_cast<size_t>(b - a) * sizeof(double));
-    };
-    int cursor = xlo;
-    for (const MaskSpan& s : d.filter_spans().row(y, z)) {
-      copy_run(cursor, s.x0);
-      for (int x = s.x0; x < s.x1; ++x) {
-        const std::uint8_t dirs = dr[x];
-        double corr = 0.0;
-        if (dirs & 1) {
-          corr += uc[x - 2] - 4.0 * uc[x - 1] + 6.0 * uc[x] -
-                  4.0 * uc[x + 1] + uc[x + 2];
-        }
-        if (dirs & 2) {
-          corr += uym2[x] - 4.0 * uym1[x] + 6.0 * uc[x] - 4.0 * uyp1[x] +
-                  uyp2[x];
-        }
-        if (dirs & 4) {
-          corr += uzm2[x] - 4.0 * uzm1[x] + 6.0 * uc[x] - 4.0 * uzp1[x] +
-                  uzp2[x];
-        }
-        orow[x] = uc[x] - k * corr;
-      }
-      cursor = s.x1;
-    }
-    copy_run(cursor, xhi);
+    row.t[0][0] = u.row_ptr(y - 2, z);
+    row.t[0][1] = u.row_ptr(y - 1, z);
+    row.t[0][2] = u.row_ptr(y + 1, z);
+    row.t[0][3] = u.row_ptr(y + 2, z);
+    row.t[1][0] = u.row_ptr(y, z - 2);
+    row.t[1][1] = u.row_ptr(y, z - 1);
+    row.t[1][2] = u.row_ptr(y, z + 1);
+    row.t[1][3] = u.row_ptr(y, z + 2);
+    row.dirs = d.filter_dirs_row(y, z);
+    filter_row(row, d.filter_spans().row(y, z), xlo, xhi, k, span_fn);
   });
 }
 

@@ -248,7 +248,13 @@ void moments(Domain2D& d, ComputePass pass) {
       double* __restrict rr = d.rho().row_ptr(y);
       double* __restrict uxr = d.vx().row_ptr(y);
       double* __restrict uyr = d.vy().row_ptr(y);
+      // The span lambda captures the row pointers by reference, and gcc
+      // drops __restrict with the capture; ivdep gives the no-alias fact
+      // back (the planes and the moment fields never overlap), so the
+      // loop vectorises.  The zero-weight terms stay: dropping one is
+      // not exact when a population is non-finite.
       d.notwall_spans().for_row(y, r.x0, r.x1, [&](int a, int b) {
+        #pragma GCC ivdep
         for (int x = a; x < b; ++x) {
           double rho = 0.0, mx = 0.0, my = 0.0;
           for (int i = 0; i < kQ; ++i) {

@@ -158,7 +158,9 @@ void moments(Domain3D& d, ComputePass pass) {
       double* __restrict uxr = d.vx().row_ptr(y, z);
       double* __restrict uyr = d.vy().row_ptr(y, z);
       double* __restrict uzr = d.vz().row_ptr(y, z);
+      // ivdep: see lbm2d::moments.
       d.notwall_spans().for_row(y, z, r.x0, r.x1, [&](int a, int b) {
+        #pragma GCC ivdep
         for (int x = a; x < b; ++x) {
           double rho = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
           for (int i = 0; i < kQ; ++i) {

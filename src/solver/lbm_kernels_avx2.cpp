@@ -1,7 +1,8 @@
-// AVX2 span kernels of the fused collide-stream sweep: the scalar kernels
-// of lbm_kernels.cpp transcribed 4 lanes wide.  Compiled with -mavx2 in
-// its own translation unit (see CMakeLists.txt) and reached only through
-// select2d/select3d after the runtime CPU probe.
+// AVX2 span kernels, the build's one -mavx2 translation unit (see
+// CMakeLists.txt): the scalar collide-stream kernels of lbm_kernels.cpp
+// and the scalar filter kernel of filter.cpp transcribed 4 lanes wide.
+// They are reached only through lbm_kernels::select2d/select3d and
+// filter_kernels::select after the runtime CPU probe.
 //
 // One pass per row computes all directions per iteration — the same shape
 // as the scalar loop, so the source row and every destination row stream
@@ -15,16 +16,22 @@
 //
 // Bitwise contract: every intrinsic below maps to exactly one IEEE-754
 // operation of the scalar operation tree, in the same association.  The
-// translation unit enables AVX2 but not FMA, so the compiler cannot
-// contract mul+add chains; elementwise vector mul/add/sub round exactly
-// like their scalar counterparts.  The loop tail (span length not a
-// multiple of 4) runs the scalar span kernel over the remainder.
+// translation unit enables AVX2 but not FMA, and subsonic_solver builds
+// with -ffp-contract=off, so no mul+add chain is contracted; elementwise
+// vector mul/add/sub round exactly like their scalar counterparts.  The
+// filter's blends are exact too (filter_kernels.hpp).  The loop tail
+// (span length not a multiple of 4) runs the scalar span kernel over the
+// remainder.
 #include "src/solver/lbm_kernels.hpp"
 
 #if defined(SUBSONIC_HAVE_AVX2)
 
 #include <immintrin.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "src/solver/filter_kernels.hpp"
 #include "src/solver/lbm2d.hpp"
 #include "src/solver/lbm3d.hpp"
 
@@ -203,5 +210,68 @@ void collide_scatter3d_avx2(const Row3D& r, int a, int b,
 }
 
 }  // namespace subsonic::lbm_kernels
+
+namespace subsonic::filter_kernels {
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Fourth-order filter
+
+template <int T>
+void span(const Row& r, int a, int b, double k) {
+  const __m256d vk = _mm256_set1_pd(k);
+  const __m256d v4 = _mm256_set1_pd(4.0);
+  const __m256d v6 = _mm256_set1_pd(6.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const double* uc = r.c;
+  int x = a;
+  for (; x + 4 <= b; x += 4) {
+    std::uint32_t packed;
+    std::memcpy(&packed, r.dirs + x, sizeof packed);
+    const __m256i dirs =
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(packed)));
+    const __m256d u = _mm256_loadu_pd(uc + x);
+    const __m256d u6 = _mm256_mul_pd(v6, u);
+    // m2 - 4.0 * m1 + 6.0 * u - 4.0 * p1 + p2, left to right.
+    const auto fourth = [&](const double* m2, const double* m1,
+                            const double* p1, const double* p2) {
+      const __m256d s1 = _mm256_sub_pd(
+          _mm256_loadu_pd(m2), _mm256_mul_pd(v4, _mm256_loadu_pd(m1)));
+      const __m256d s2 = _mm256_sub_pd(
+          _mm256_add_pd(s1, u6), _mm256_mul_pd(v4, _mm256_loadu_pd(p1)));
+      return _mm256_add_pd(s2, _mm256_loadu_pd(p2));
+    };
+    // The term where the direction's bit is set, +0.0 elsewhere: the bit
+    // shifted into each lane's sign bit is blendv's selector.
+    const auto masked = [&](int bit, __m256d term) {
+      const __m256d sel =
+          _mm256_castsi256_pd(_mm256_slli_epi64(dirs, 63 - bit));
+      return _mm256_blendv_pd(zero, term, sel);
+    };
+    __m256d corr = _mm256_add_pd(
+        zero,
+        masked(0, fourth(uc + x - 2, uc + x - 1, uc + x + 1, uc + x + 2)));
+    for (int j = 0; j < T; ++j) {
+      const double* const* t = r.t[j];
+      corr = _mm256_add_pd(
+          corr,
+          masked(1 + j, fourth(t[0] + x, t[1] + x, t[2] + x, t[3] + x)));
+    }
+    _mm256_storeu_pd(r.out + x, _mm256_sub_pd(u, _mm256_mul_pd(vk, corr)));
+  }
+  if (x < b) span_scalar(r, x, b, k);
+}
+
+}  // namespace
+
+void span_avx2(const Row& r, int a, int b, double k) {
+  if (r.transverse == 1)
+    span<1>(r, a, b, k);
+  else
+    span<2>(r, a, b, k);
+}
+
+}  // namespace subsonic::filter_kernels
 
 #endif  // SUBSONIC_HAVE_AVX2

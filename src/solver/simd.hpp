@@ -1,9 +1,11 @@
-// Runtime SIMD dispatch for the LB collide-stream kernels.  The repo is
-// built for generic x86-64 by default, so the AVX2 kernels live in their
-// own translation unit compiled with -mavx2 (gated by CMake) and are
-// selected at runtime: once per process the dispatcher probes the CPU and
-// the SUBSONIC_SIMD environment variable and every collide_stream call
-// picks the matching span kernel.
+// Runtime SIMD dispatch for the span kernels that have an AVX2
+// transcription: the LB collide-stream sweep (lbm_kernels.hpp) and the
+// fourth-order filter (filter_kernels.hpp).  The repo is built for
+// generic x86-64 by default, so the AVX2 kernels live in their own
+// translation unit compiled with -mavx2 (gated by CMake) and are selected
+// at runtime: once per process the dispatcher probes the CPU and the
+// SUBSONIC_SIMD environment variable, and every collide_stream and filter
+// call picks the matching span kernel.
 //
 // SUBSONIC_SIMD values: "auto" (default — fastest level both built and
 // supported by the CPU), "scalar", "avx2".  Asking for avx2 on a machine
@@ -13,7 +15,8 @@
 //
 // Every level computes bit-for-bit identical results: the AVX2 kernels
 // are element-wise transcriptions of the scalar arithmetic (same operation
-// order, no FMA, no reassociation), so the dispatch level — like the
+// order, no FMA, no reassociation; the filter's blends add an exact +0.0
+// where the scalar loop adds nothing), so the dispatch level — like the
 // thread count — stays out of the physics.
 #pragma once
 

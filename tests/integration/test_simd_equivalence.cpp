@@ -1,30 +1,28 @@
 // The SIMD dispatch level must stay out of the physics: the AVX2 kernels
-// are element-wise transcriptions of the scalar collide-stream arithmetic
-// (same operation order, no FMA contraction), so a run under either level
-// must produce bit-for-bit identical fields across drivers, passes, and
-// forcing.  These tests pin the level with set_simd and compare whole
-// runs; they skip (rather than silently pass scalar-vs-scalar) on
-// machines or builds without AVX2.
+// are element-wise transcriptions of the scalar collide-stream and filter
+// arithmetic (same operation order, no FMA contraction), so a run under
+// either level must produce bit-for-bit identical fields across drivers,
+// passes, methods and forcing.  These tests pin the level with set_simd
+// and compare whole runs; they skip (rather than silently pass
+// scalar-vs-scalar) on machines or builds without AVX2.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "src/geometry/flue_pipe.hpp"
+#include "src/grid/field_ops.hpp"
 #include "src/runtime/blocked_driver.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/simd.hpp"
+#include "tests/support/bitwise.hpp"
 
 namespace subsonic {
 namespace {
 
-/// Pins the dispatch level for one scope, restoring auto dispatch after.
-class ScopedSimd {
- public:
-  explicit ScopedSimd(SimdLevel level) { set_simd(level); }
-  ~ScopedSimd() { reset_simd(); }
-};
-
-bool avx2_available() { return simd_avx2_built() && simd_avx2_supported(); }
+using test::avx2_available;
+using test::expect_same_bits;
+using test::ScopedSimd;
 
 FluidParams lb_params(bool forced) {
   FluidParams p;
@@ -149,6 +147,77 @@ TEST(SimdEquivalence, SerialRun3DIsBitwise) {
       EXPECT_TRUE(vec.domain().f(i) == scalar.domain().f(i))
           << "f" << i << " forced=" << forced;
   }
+}
+
+FluidParams fd_params() {
+  FluidParams p;
+  p.dt = 0.3;
+  p.nu = 0.05;
+  p.filter_eps = 0.1;
+  return p;
+}
+
+// Serial 2D FD on the flue pipe with the filter on: FD runs no
+// collide-stream, so the filter is the only dispatched kernel here.
+TEST(SimdEquivalence, SerialFdRun2DWithFilterIsBitwise) {
+  if (!avx2_available()) GTEST_SKIP() << "no AVX2 in this build/CPU";
+  const Geometry2D g =
+      build_flue_pipe(Extents2{120, 80}, FluePipeVariant::kChannel, 3);
+  FluidParams p = fd_params();
+  p.inlet_vx = g.inlet_speed;
+
+  SerialDriver<2> scalar(g.mask, p, Method::kFiniteDifference);
+  {
+    ScopedSimd pin(SimdLevel::kScalar);
+    scalar.run(40);
+  }
+  SerialDriver<2> vec(g.mask, p, Method::kFiniteDifference);
+  {
+    ScopedSimd pin(SimdLevel::kAvx2);
+    vec.run(40);
+  }
+  expect_same_bits(vec.domain().rho(), scalar.domain().rho(), "rho");
+  expect_same_bits(vec.domain().vx(), scalar.domain().vx(), "vx");
+  expect_same_bits(vec.domain().vy(), scalar.domain().vy(), "vy");
+  // The jet must be flowing, or the comparison proves little.
+  EXPECT_GT(max_abs(scalar.domain().vx()), 0.01);
+}
+
+// Serial 3D FD with the filter on, around an obstacle that blocks some
+// filter directions.
+TEST(SimdEquivalence, SerialFdRun3DWithFilterIsBitwise) {
+  if (!avx2_available()) GTEST_SKIP() << "no AVX2 in this build/CPU";
+  Mask3D mask(Extents3{24, 16, 12}, 3);
+  mask.fill_box({8, 6, 4, 12, 10, 8}, NodeType::kWall);
+  FluidParams p = fd_params();
+  p.periodic_x = p.periodic_y = p.periodic_z = true;
+  p.force_x = 1e-4;
+
+  const auto perturbed = [&] {
+    auto drv = std::make_unique<SerialDriver<3>>(mask, p,
+                                                 Method::kFiniteDifference);
+    for (int z = 0; z < 12; ++z)
+      for (int y = 0; y < 16; ++y)
+        for (int x = 0; x < 24; ++x)
+          drv->domain().rho()(x, y, z) =
+              1.0 + 0.02 * std::sin(0.4 * x - 0.3 * y + 0.5 * z);
+    drv->reinitialize();
+    return drv;
+  };
+  auto scalar = perturbed();
+  auto vec = perturbed();
+  {
+    ScopedSimd pin(SimdLevel::kScalar);
+    scalar->run(15);
+  }
+  {
+    ScopedSimd pin(SimdLevel::kAvx2);
+    vec->run(15);
+  }
+  expect_same_bits(vec->domain().rho(), scalar->domain().rho(), "rho");
+  expect_same_bits(vec->domain().vx(), scalar->domain().vx(), "vx");
+  expect_same_bits(vec->domain().vy(), scalar->domain().vy(), "vy");
+  expect_same_bits(vec->domain().vz(), scalar->domain().vz(), "vz");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -224,7 +225,7 @@ TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseFD) {
 TEST(ProcessSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   // max_restarts = 0: the first casualty must fail the whole run within
   // the deadline bound — dead ranks never hang the supervisor — with a
-  // per-rank report and the port registry cleaned up.
+  // per-rank report and the run-control files cleaned up.
   const Mask2D mask = closed_box(24, 18, 1);
   FluidParams p;
   p.dt = 1.0;
@@ -252,8 +253,9 @@ TEST(ProcessSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2 * 5000);
-  std::ifstream registry(workdir + "/ports");
-  EXPECT_FALSE(registry.good());  // no stale listeners advertised
+  // The cohort spec exec children read is removed on failure too (under
+  // the fork launcher no spec is written).
+  EXPECT_FALSE(std::filesystem::exists(workdir + "/cohort.spec"));
   // Every child was reaped: no zombies left for this process to collect.
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);

@@ -13,7 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <string>
 
 #include "src/decomp/decomposition.hpp"
@@ -173,8 +173,7 @@ TEST(Process3DSupervisor, ExhaustedBudgetFailsFastWithReapedChildren) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2 * 5000);
-  std::ifstream registry(workdir + "/ports");
-  EXPECT_FALSE(registry.good());  // no stale listeners advertised
+  EXPECT_FALSE(std::filesystem::exists(workdir + "/cohort.spec"));
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <set>
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
+#include "src/solver/simd.hpp"
+#include "src/util/rng.hpp"
+#include "tests/support/bitwise.hpp"
 
 namespace subsonic {
 namespace {
@@ -230,6 +235,106 @@ TEST(Filter, SpanStitchingMatchesPerCellReference) {
       }
       EXPECT_EQ(d.rho()(x, y), expected) << "x=" << x << " y=" << y;
     }
+}
+
+// The AVX2 filter kernel adds every direction's term under a blend where
+// the scalar loop branches, and reads every stencil row whatever the
+// cell's bits say.  Both kernels must give the same bits for every input
+// and every filter-direction value, but for a NaN's sign: which operand
+// of a commutative add propagates is the compiler's choice, and a build
+// for x86-64-v3 compiles the scalar loop with other choices.  The domain
+// is a sub-box of a mask with scattered walls, so the ghost frame the
+// kernel reads holds real geometry, and about one padded value in ten is
+// a corner case.
+
+TEST(Filter, Avx2KernelMatchesScalarBitwise2D) {
+  if (!test::avx2_available()) GTEST_SKIP() << "no AVX2 in this build/CPU";
+  Mask2D mask(Extents2{48, 40}, 3);
+  Rng walls(21);
+  for (int y = 0; y < 40; ++y)
+    for (int x = 0; x < 48; ++x)
+      if (walls.below(16) == 0) mask.set(x, y, NodeType::kWall);
+  FluidParams p;
+  p.filter_eps = 0.3;
+  const auto filtered = [&](SimdLevel level) {
+    auto d = std::make_unique<Domain2D>(mask, Box2{5, 4, 43, 36}, p,
+                                        Method::kFiniteDifference, 3);
+    Rng values(5);
+    const int g = d->ghost();
+    for (PaddedField2D<double>* u : {&d->rho(), &d->vx(), &d->vy()})
+      for (int y = -g; y < d->ny() + g; ++y)
+        for (int x = -g; x < d->nx() + g; ++x)
+          (*u)(x, y) = test::value_or_special(values, -2.0, 2.0);
+    test::ScopedSimd pin(level);
+    filter2d(*d);
+    return d;
+  };
+  const auto scalar = filtered(SimdLevel::kScalar);
+  const auto vec = filtered(SimdLevel::kAvx2);
+
+  // Every direction value occurs, in spans of every length mod 4.
+  const Domain2D& d = *scalar;
+  std::set<int> dirs;
+  std::set<int> remainders;
+  for (int y = -1; y <= d.ny(); ++y) {
+    for (int x = -1; x <= d.nx(); ++x)
+      if (d.node(x, y) == NodeType::kFluid) dirs.insert(d.filter_dirs(x, y));
+    for (const MaskSpan& s : d.filter_spans().row(y))
+      if (s.x1 - s.x0 >= 4) remainders.insert((s.x1 - s.x0) % 4);
+  }
+  EXPECT_EQ(dirs, (std::set<int>{0, 1, 2, 3}));
+  EXPECT_EQ(remainders, (std::set<int>{0, 1, 2, 3}));
+
+  test::expect_same_bits_any_nan(vec->rho(), scalar->rho(), "rho");
+  test::expect_same_bits_any_nan(vec->vx(), scalar->vx(), "vx");
+  test::expect_same_bits_any_nan(vec->vy(), scalar->vy(), "vy");
+}
+
+TEST(Filter, Avx2KernelMatchesScalarBitwise3D) {
+  if (!test::avx2_available()) GTEST_SKIP() << "no AVX2 in this build/CPU";
+  Mask3D mask(Extents3{28, 24, 20}, 3);
+  Rng walls(22);
+  for (int z = 0; z < 20; ++z)
+    for (int y = 0; y < 24; ++y)
+      for (int x = 0; x < 28; ++x)
+        if (walls.below(16) == 0) mask.set(x, y, z, NodeType::kWall);
+  FluidParams p;
+  p.filter_eps = 0.3;
+  const auto filtered = [&](SimdLevel level) {
+    auto d = std::make_unique<Domain3D>(mask, Box3{4, 4, 4, 24, 20, 16}, p,
+                                        Method::kFiniteDifference, 3);
+    Rng values(6);
+    const int g = d->ghost();
+    for (PaddedField3D<double>* u : {&d->rho(), &d->vx(), &d->vy(), &d->vz()})
+      for (int z = -g; z < d->nz() + g; ++z)
+        for (int y = -g; y < d->ny() + g; ++y)
+          for (int x = -g; x < d->nx() + g; ++x)
+            (*u)(x, y, z) = test::value_or_special(values, -2.0, 2.0);
+    test::ScopedSimd pin(level);
+    filter3d(*d);
+    return d;
+  };
+  const auto scalar = filtered(SimdLevel::kScalar);
+  const auto vec = filtered(SimdLevel::kAvx2);
+
+  const Domain3D& d = *scalar;
+  std::set<int> dirs;
+  std::set<int> remainders;
+  for (int z = -1; z <= d.nz(); ++z)
+    for (int y = -1; y <= d.ny(); ++y) {
+      for (int x = -1; x <= d.nx(); ++x)
+        if (d.node(x, y, z) == NodeType::kFluid)
+          dirs.insert(d.filter_dirs(x, y, z));
+      for (const MaskSpan& s : d.filter_spans().row(y, z))
+        if (s.x1 - s.x0 >= 4) remainders.insert((s.x1 - s.x0) % 4);
+    }
+  EXPECT_EQ(dirs, (std::set<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(remainders, (std::set<int>{0, 1, 2, 3}));
+
+  test::expect_same_bits_any_nan(vec->rho(), scalar->rho(), "rho");
+  test::expect_same_bits_any_nan(vec->vx(), scalar->vx(), "vx");
+  test::expect_same_bits_any_nan(vec->vy(), scalar->vy(), "vy");
+  test::expect_same_bits_any_nan(vec->vz(), scalar->vz(), "vz");
 }
 
 }  // namespace

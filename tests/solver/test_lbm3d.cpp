@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -12,7 +11,9 @@
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/solver/schedule.hpp"
+#include "src/util/fp_env.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/bitwise.hpp"
 
 namespace subsonic {
 namespace {
@@ -23,6 +24,7 @@ using lbm3d::kCz;
 using lbm3d::kOpposite;
 using lbm3d::kQ;
 using lbm3d::kW;
+using test::expect_same_bits;
 
 TEST(LbmD3Q15, WeightsSumToOne) {
   double s = 0;
@@ -226,20 +228,6 @@ std::unique_ptr<Domain3D> poisoned_domain(const Mask3D& mask, int threads) {
   return d;
 }
 
-/// Every padded-window value of `a` and `b` has the same bits, NaN
-/// included (max_abs_diff reads only the interior).
-void expect_same_bits(const PaddedField3D<double>& a,
-                      const PaddedField3D<double>& b, const char* what) {
-  const int g = a.ghost();
-  ASSERT_EQ(g, b.ghost());
-  for (int z = -g; z < a.nz() + g; ++z)
-    for (int y = -g; y < a.ny() + g; ++y)
-      EXPECT_EQ(std::memcmp(a.row_begin(y, z), b.row_begin(y, z),
-                            sizeof(double) * (a.nx() + 2 * g)),
-                0)
-          << what << ", pencil (" << y << ", " << z << ")";
-}
-
 /// rho, vx, vy and vz are written (not NaN) exactly where
 /// `expect(x, y, z)` holds, over the whole padded window.
 template <typename Pred>
@@ -291,6 +279,48 @@ TEST(Lbm3D, MomentsPassesSplitInteriorFromGhostRing) {
     expect_same_bits(split->vx(), whole->vx(), "vx");
     expect_same_bits(split->vy(), whole->vy(), "vy");
     expect_same_bits(split->vz(), whole->vz(), "vz");
+  }
+}
+
+TEST(Lbm3D, MomentsMatchTheScalarLoopBitwise) {
+  // As in 2D: the ivdep-vectorised moments loop against its scalar form,
+  // zero-weight terms included, with corner-case populations seeded.
+  const Mask3D mask = ring_mask();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto d = poisoned_domain(mask, threads);
+    Rng values(14);
+    const int g = d->ghost();
+    for (int i = 0; i < kQ; ++i)
+      for (int z = -g; z < d->nz() + g; ++z)
+        for (int y = -g; y < d->ny() + g; ++y)
+          for (int x = -g; x < d->nx() + g; ++x)
+            d->f(i)(x, y, z) = test::value_or_special(values, 0.02, 0.1);
+    PaddedField3D<double> rho = d->rho(), vx = d->vx(), vy = d->vy(),
+                          vz = d->vz();
+    const FlushSubnormals flush;  // the FP mode the kernels run in
+    for (int z = -g; z < d->nz() + g; ++z)
+      for (int y = -g; y < d->ny() + g; ++y)
+        for (int x = -g; x < d->nx() + g; ++x) {
+          if (d->node(x, y, z) == NodeType::kWall) continue;
+          double r = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
+          for (int i = 0; i < kQ; ++i) {
+            const double fi = d->f(i)(x, y, z);
+            r += fi;
+            mx += kCx[i] * fi;
+            my += kCy[i] * fi;
+            mz += kCz[i] * fi;
+          }
+          rho(x, y, z) = r;
+          vx(x, y, z) = mx / r;
+          vy(x, y, z) = my / r;
+          vz(x, y, z) = mz / r;
+        }
+    lbm3d::moments(*d);
+    test::expect_same_bits_any_nan(d->rho(), rho, "rho");
+    test::expect_same_bits_any_nan(d->vx(), vx, "vx");
+    test::expect_same_bits_any_nan(d->vy(), vy, "vy");
+    test::expect_same_bits_any_nan(d->vz(), vz, "vz");
   }
 }
 
