@@ -112,7 +112,7 @@ std::optional<double> KernelSpeedTable::node_rate(
   const std::string suffix = variant.empty() ? "" : "_" + variant;
   const std::string_view timer_prefix = "compute.";
   double seconds_per_meganode = 0;  // sum of 1 / MLUPS over the passes
-  for (const Phase& phase : make_schedule2d(method)) {
+  for (const Phase& phase : make_schedule<2>(method)) {
     if (phase.kind != Phase::Kind::kCompute) continue;
     // Bench rows are named like the phase timers, without the prefix.
     const std::string kernel =

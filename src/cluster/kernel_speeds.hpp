@@ -42,7 +42,7 @@ class KernelSpeedTable {
   std::optional<double> mlups(const std::string& kernel) const;
 
   /// Composed fluid-node updates per second for one step of `method`:
-  /// 1e6 / sum over the compute phases of make_schedule2d of 1 / MLUPS,
+  /// 1e6 / sum over the compute phases of make_schedule<2> of 1 / MLUPS,
   /// each phase priced by the bench row of its timer name without the
   /// "compute." prefix.  FD composes fd_velocity + fd_density +
   /// filter_bc, LB lb_collide_stream + lb_moments + filter_bc.  A

@@ -31,6 +31,10 @@ void write_all(int fd, const char* data, std::size_t len) {
 
 HttpStatusServer::HttpStatusServer(int port, Handler handler)
     : handler_(std::move(handler)) {
+  if (port < 0 || port > 65535)
+    throw std::invalid_argument("status server: port " +
+                                std::to_string(port) +
+                                " is outside [0, 65535]");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error("status server: socket() failed");

@@ -22,7 +22,9 @@ class HttpStatusServer {
                                      std::string* content_type)>;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral; port() reports the result)
-  /// and starts serving.  Throws std::runtime_error when the bind fails.
+  /// and starts serving.  Throws std::invalid_argument for a port outside
+  /// [0, 65535], before any socket opens, and std::runtime_error when the
+  /// bind fails.
   HttpStatusServer(int port, Handler handler);
   ~HttpStatusServer();
 

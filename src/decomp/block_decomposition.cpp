@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <stdexcept>
+#include <climits>
 #include <tuple>
 
 #include "src/util/check.hpp"
+#include "src/util/env_int.hpp"
 
 namespace subsonic {
 
 int block_side_from_env(int fallback) {
-  const char* s = std::getenv("SUBSONIC_BLOCKS");
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v <= 0)
-    throw std::invalid_argument(
-        std::string("SUBSONIC_BLOCKS must be a positive block side, got \"") +
-        s + '"');
-  return static_cast<int>(v);
+  return env_int("SUBSONIC_BLOCKS", fallback, 1, INT_MAX);
 }
 
 int resolve_block_side(int requested) {

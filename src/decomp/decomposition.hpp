@@ -5,10 +5,10 @@
 #pragma once
 
 #include <array>
-#include <type_traits>
 #include <vector>
 
 #include "src/decomp/stencil.hpp"
+#include "src/geometry/grid_types.hpp"
 #include "src/geometry/mask.hpp"
 #include "src/grid/extents.hpp"
 
@@ -150,16 +150,6 @@ class Decomposition3D {
 /// Splits `n` nodes over `parts` parts as evenly as possible; part `i`
 /// gets [start(i), start(i+1)).  Larger parts come first.
 int even_split_start(int n, int parts, int i);
-
-/// The grid types of one dimension, for code written once over both: the
-/// block layer, the link planner and DomainTraits.
-template <int Dim>
-struct GridTypes {
-  static_assert(Dim == 2 || Dim == 3);
-  using Box = std::conditional_t<Dim == 2, Box2, Box3>;
-  using Mask = std::conditional_t<Dim == 2, Mask2D, Mask3D>;
-  using Decomp = std::conditional_t<Dim == 2, Decomposition2D, Decomposition3D>;
-};
 
 /// Ranks whose subregion needs a process, ascending: those whose box grown
 /// by one node holds a non-wall node.  The grown box is clipped to the

@@ -140,7 +140,7 @@ class PaddedField2D {
 
   /// Moves a view's base pointer by `elems` elements.  The in-place
   /// collide-stream sweep re-homes the population views by whole
-  /// interleaved-slab row blocks after each step (domain2d.hpp); the
+  /// interleaved-slab row blocks after each step (domain.hpp); the
   /// caller guarantees every row the view can address stays inside the
   /// backing storage.  Owning fields cannot be shifted.
   void shift_view(std::ptrdiff_t elems) {

@@ -57,43 +57,29 @@ void check_params(const Header& h, const FluidParams& p) {
                        "checkpoint was taken with different parameters");
 }
 
-/// Doubles in the logical window (interior + ghost ring) of one field —
-/// what each field contributes to the payload.
-std::size_t window_doubles(const PaddedField2D<double>& f) {
-  const int g = f.ghost();
-  return static_cast<std::size_t>(f.nx() + 2 * g) *
-         static_cast<std::size_t>(f.ny() + 2 * g);
+/// Doubles in the logical window (interior + ghost ring) of one of the
+/// domain's fields — what each field contributes to the payload.
+template <int Dim>
+std::size_t window_doubles(const Domain<Dim>& d) {
+  std::size_t n = 1;
+  for (int e : extents_of(d.box()).sizes())
+    n *= static_cast<std::size_t>(e + 2 * d.ghost());
+  return n;
 }
 
-std::size_t window_doubles(const PaddedField3D<double>& f) {
-  const int g = f.ghost();
-  return static_cast<std::size_t>(f.nx() + 2 * g) *
-         static_cast<std::size_t>(f.ny() + 2 * g) *
-         static_cast<std::size_t>(f.nz() + 2 * g);
-}
-
-/// Appends the logical window of `f` row by row — pitch and alignment
-/// padding never reach the file.  serialize_domain reserves the whole
-/// dump up front, so no append reallocates.
-void append_field(std::vector<char>& buf, const PaddedField2D<double>& f) {
-  const int g = f.ghost();
+/// Appends the logical window of the domain's field `f` pencil by pencil
+/// — pitch and alignment padding never reach the file.  serialize_domain
+/// reserves the whole dump up front, so no append reallocates.
+template <int Dim>
+void append_field(std::vector<char>& buf, const Domain<Dim>& d,
+                  const typename Domain<Dim>::Field& f) {
+  const int g = d.ghost();
   const std::size_t row_bytes =
-      static_cast<std::size_t>(f.nx() + 2 * g) * sizeof(double);
-  for (int y = -g; y < f.ny() + g; ++y) {
-    const char* row = reinterpret_cast<const char*>(f.row_begin(y));
+      static_cast<std::size_t>(d.nx() + 2 * g) * sizeof(double);
+  d.for_each_pencil(g, [&](int y, int z) {
+    const char* row = reinterpret_cast<const char*>(pencil(f, y, z) - g);
     buf.insert(buf.end(), row, row + row_bytes);
-  }
-}
-
-void append_field(std::vector<char>& buf, const PaddedField3D<double>& f) {
-  const int g = f.ghost();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(f.nx() + 2 * g) * sizeof(double);
-  for (int z = -g; z < f.nz() + g; ++z)
-    for (int y = -g; y < f.ny() + g; ++y) {
-      const char* row = reinterpret_cast<const char*>(f.row_begin(y, z));
-      buf.insert(buf.end(), row, row + row_bytes);
-    }
+  });
 }
 
 /// An empty dump buffer with room for the header and `nfields` windows
@@ -107,26 +93,18 @@ std::vector<char> start_dump(const Header& h, std::size_t window) {
   return buf;
 }
 
-const char* scatter_field(const char* src, PaddedField2D<double>& f) {
-  const int g = f.ghost();
+/// The inverse of append_field: fills `f`'s logical window from `src`
+/// and returns the end of what it read.
+template <int Dim>
+const char* scatter_field(const char* src, const Domain<Dim>& d,
+                          typename Domain<Dim>::Field& f) {
+  const int g = d.ghost();
   const std::size_t row_bytes =
-      static_cast<std::size_t>(f.nx() + 2 * g) * sizeof(double);
-  for (int y = -g; y < f.ny() + g; ++y) {
-    std::memcpy(f.row_begin(y), src, row_bytes);
+      static_cast<std::size_t>(d.nx() + 2 * g) * sizeof(double);
+  d.for_each_pencil(g, [&](int y, int z) {
+    std::memcpy(pencil(f, y, z) - g, src, row_bytes);
     src += row_bytes;
-  }
-  return src;
-}
-
-const char* scatter_field(const char* src, PaddedField3D<double>& f) {
-  const int g = f.ghost();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(f.nx() + 2 * g) * sizeof(double);
-  for (int z = -g; z < f.nz() + g; ++z)
-    for (int y = -g; y < f.ny() + g; ++y) {
-      std::memcpy(f.row_begin(y, z), src, row_bytes);
-      src += row_bytes;
-    }
+  });
   return src;
 }
 
@@ -202,109 +180,59 @@ void check_payload(const std::string& path, const Header& h,
 
 }  // namespace
 
-std::vector<char> serialize_domain(const Domain2D& d) {
+template <int Dim>
+std::vector<char> serialize_domain(const Domain<Dim>& d) {
   Header h;
-  h.magic = kMagic2Dv3;
+  h.magic = Dim == 2 ? kMagic2Dv3 : kMagic3Dv3;
   h.layout = kLayoutSoaSlab;
   h.step = d.step();
-  h.box[0] = d.box().x0;
-  h.box[1] = d.box().y0;
-  h.box[3] = d.box().x1;
-  h.box[4] = d.box().y1;
+  for (int a = 0; a < Dim; ++a) {
+    h.box[a] = d.box().lo()[a];
+    h.box[3 + a] = d.box().hi()[a];
+  }
   h.ghost = d.ghost();
   h.method = static_cast<std::int32_t>(d.method());
   h.q = d.q();
-  h.nfields = 3 + d.q();
+  const std::vector<FieldId> ids = d.state_fields();
+  h.nfields = static_cast<std::int32_t>(ids.size());
   fill_params(h, d.params());
-  std::vector<char> buf = start_dump(h, window_doubles(d.rho()));
-  append_field(buf, d.rho());
-  append_field(buf, d.vx());
-  append_field(buf, d.vy());
-  for (int i = 0; i < d.q(); ++i) append_field(buf, d.f(i));
+  std::vector<char> buf = start_dump(h, window_doubles(d));
+  for (FieldId id : ids) append_field(buf, d, d.field(id));
   seal(buf);
   return buf;
 }
 
-std::vector<char> serialize_domain(const Domain3D& d) {
-  Header h;
-  h.magic = kMagic3Dv3;
-  h.layout = kLayoutSoaSlab;
-  h.step = d.step();
-  h.box[0] = d.box().x0;
-  h.box[1] = d.box().y0;
-  h.box[2] = d.box().z0;
-  h.box[3] = d.box().x1;
-  h.box[4] = d.box().y1;
-  h.box[5] = d.box().z1;
-  h.ghost = d.ghost();
-  h.method = static_cast<std::int32_t>(d.method());
-  h.q = d.q();
-  h.nfields = 4 + d.q();
-  fill_params(h, d.params());
-  std::vector<char> buf = start_dump(h, window_doubles(d.rho()));
-  append_field(buf, d.rho());
-  append_field(buf, d.vx());
-  append_field(buf, d.vy());
-  append_field(buf, d.vz());
-  for (int i = 0; i < d.q(); ++i) append_field(buf, d.f(i));
-  seal(buf);
-  return buf;
-}
-
-void save_domain(const Domain2D& d, const std::string& path) {
+template <int Dim>
+void save_domain(const Domain<Dim>& d, const std::string& path) {
   const std::vector<char> buf = serialize_domain(d);
   atomic_write_file(path, buf.data(), buf.size());
 }
 
-void save_domain(const Domain3D& d, const std::string& path) {
-  const std::vector<char> buf = serialize_domain(d);
-  atomic_write_file(path, buf.data(), buf.size());
-}
-
-void restore_domain(Domain2D& d, const std::string& path) {
-  const std::vector<char> bytes = load_and_validate(path, 2);
+template <int Dim>
+void restore_domain(Domain<Dim>& d, const std::string& path) {
+  const std::vector<char> bytes = load_and_validate(path, Dim);
   const Header& h = *reinterpret_cast<const Header*>(bytes.data());
-  SUBSONIC_REQUIRE_MSG(h.box[0] == d.box().x0 && h.box[1] == d.box().y0 &&
-                           h.box[3] == d.box().x1 && h.box[4] == d.box().y1,
+  SUBSONIC_REQUIRE_MSG(box_matches(h.box, d.box()),
                        "checkpoint belongs to a different subregion");
   SUBSONIC_REQUIRE(h.ghost == d.ghost());
   SUBSONIC_REQUIRE(h.method == static_cast<std::int32_t>(d.method()));
   SUBSONIC_REQUIRE(h.q == d.q());
-  SUBSONIC_REQUIRE(h.nfields == 3 + d.q());
+  const std::vector<FieldId> ids = d.state_fields();
+  SUBSONIC_REQUIRE(h.nfields == static_cast<std::int32_t>(ids.size()));
   check_params(h, d.params());
-  check_payload(path, h, window_doubles(d.rho()));
+  check_payload(path, h, window_doubles(d));
   const char* src = bytes.data() + sizeof(Header);
-  src = scatter_field(src, d.rho());
-  src = scatter_field(src, d.vx());
-  src = scatter_field(src, d.vy());
-  for (int i = 0; i < d.q(); ++i) src = scatter_field(src, d.f(i));
+  for (FieldId id : ids) src = scatter_field(src, d, d.field(id));
   SUBSONIC_CHECK(src == bytes.data() + bytes.size());
   d.set_step(h.step);
 }
 
-void restore_domain(Domain3D& d, const std::string& path) {
-  const std::vector<char> bytes = load_and_validate(path, 3);
-  const Header& h = *reinterpret_cast<const Header*>(bytes.data());
-  SUBSONIC_REQUIRE_MSG(
-      h.box[0] == d.box().x0 && h.box[1] == d.box().y0 &&
-          h.box[2] == d.box().z0 && h.box[3] == d.box().x1 &&
-          h.box[4] == d.box().y1 && h.box[5] == d.box().z1,
-      "checkpoint belongs to a different subregion");
-  SUBSONIC_REQUIRE(h.ghost == d.ghost());
-  SUBSONIC_REQUIRE(h.method == static_cast<std::int32_t>(d.method()));
-  SUBSONIC_REQUIRE(h.q == d.q());
-  SUBSONIC_REQUIRE(h.nfields == 4 + d.q());
-  check_params(h, d.params());
-  check_payload(path, h, window_doubles(d.rho()));
-  const char* src = bytes.data() + sizeof(Header);
-  src = scatter_field(src, d.rho());
-  src = scatter_field(src, d.vx());
-  src = scatter_field(src, d.vy());
-  src = scatter_field(src, d.vz());
-  for (int i = 0; i < d.q(); ++i) src = scatter_field(src, d.f(i));
-  SUBSONIC_CHECK(src == bytes.data() + bytes.size());
-  d.set_step(h.step);
-}
+template std::vector<char> serialize_domain(const Domain<2>&);
+template std::vector<char> serialize_domain(const Domain<3>&);
+template void save_domain(const Domain<2>&, const std::string&);
+template void save_domain(const Domain<3>&, const std::string&);
+template void restore_domain(Domain<2>&, const std::string&);
+template void restore_domain(Domain<3>&, const std::string&);
 
 CheckpointInfo inspect_checkpoint(const std::string& path) {
   std::vector<char> bytes;

@@ -27,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -61,16 +60,17 @@ struct CheckpointInfo {
   int layout = 0;   ///< producing layout tag (kLayout*; 0 for v2 dumps)
 };
 
-/// Serializes the full state (header + logical-layout fields) into a
-/// buffer — the exact bytes save_domain writes.  Exposed so the process
-/// runtime can snapshot cheaply at a checkpoint step and defer (stagger)
-/// the disk write, and so the fault harness can tear a write.
-std::vector<char> serialize_domain(const Domain2D& d);
-std::vector<char> serialize_domain(const Domain3D& d);
+/// Serializes the full state (header + logical-layout fields, in
+/// Domain::state_fields() order) into a buffer — the exact bytes
+/// save_domain writes.  Exposed so the process runtime can snapshot
+/// cheaply at a checkpoint step and defer (stagger) the disk write, and so
+/// the fault harness can tear a write.
+template <int Dim>
+std::vector<char> serialize_domain(const Domain<Dim>& d);
 
 /// Writes the full state of a subregion atomically (tmp + fsync + rename).
-void save_domain(const Domain2D& d, const std::string& path);
-void save_domain(const Domain3D& d, const std::string& path);
+template <int Dim>
+void save_domain(const Domain<Dim>& d, const std::string& path);
 
 /// Restores state saved by save_domain into a domain constructed with the
 /// same geometry, method, ghost width and parameters.  Throws
@@ -78,8 +78,27 @@ void save_domain(const Domain3D& d, const std::string& path);
 /// mismatch / wrong format / a payload that does not fill the header's
 /// box) and contract_error on any configuration mismatch (wrong
 /// subregion, wrong method, changed parameters).
-void restore_domain(Domain2D& d, const std::string& path);
-void restore_domain(Domain3D& d, const std::string& path);
+template <int Dim>
+void restore_domain(Domain<Dim>& d, const std::string& path);
+
+/// True when a dump header's box (x0 y0 z0 x1 y1 z1) is `b`: its first
+/// Dim lower and upper corners match; a 2D header's z entries stay zero.
+template <typename Box>
+bool box_matches(const std::int32_t (&box)[6], const Box& b) {
+  const auto lo = b.lo();
+  const auto hi = b.hi();
+  for (std::size_t a = 0; a < lo.size(); ++a)
+    if (box[a] != lo[a] || box[3 + a] != hi[a]) return false;
+  return true;
+}
+
+/// True when a dump describes the subregion `b` of a run of b's
+/// dimension.
+template <typename Box>
+bool box_matches(const CheckpointInfo& info, const Box& b) {
+  return info.dim == static_cast<int>(b.lo().size()) &&
+         box_matches(info.box, b);
+}
 
 /// Fully reads and verifies a dump (size and CRC32) and returns its
 /// header facts.  Throws checkpoint_error when the file is missing or

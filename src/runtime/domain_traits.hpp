@@ -1,43 +1,41 @@
-// The dimension axis of the runtime, factored into one traits class.  The
-// paper's runtime design — subregion processes, ghost exchange, near-
+// The dimension axis of the runtime, factored into one traits template.
+// The paper's runtime design — subregion processes, ghost exchange, near-
 // synchronization, staggered saving (sections 3-4) — is dimension-
 // independent; only the concrete grid types are not.  DomainTraits<Dim>
-// collects exactly those concrete pieces, so the serial, threaded-parallel
-// and supervised-process drivers can each be written once as a template
-// and instantiated for 2D and 3D.  Its base, DomainTraitsBase<Dim>, holds
-// the types and the block and link factories once, over the generic block
-// layer (BlockDecomposition, make_link_plans, pack_into/unpack_from); each
-// specialisation adds only what differs: schedule, compute dispatch, macro
-// fields, equilibrium, quiescent values, periodic wraps, interior copy and
-// the checkpoint-box match.
+// names those types and the calls the serial, threaded-parallel and
+// supervised-process drivers make, so each driver is written once as a
+// template and instantiated for 2D and 3D.  Every member is written once
+// over Domain<Dim>, the generic block layer (BlockDecomposition,
+// make_link_plans, pack_into/unpack_from) and the schedule.
 #pragma once
 
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include "src/decomp/block_decomposition.hpp"
 #include "src/decomp/decomposition.hpp"
-#include "src/geometry/mask.hpp"
+#include "src/geometry/grid_types.hpp"
 #include "src/runtime/exchange.hpp"
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/domain.hpp"
+#include "src/solver/lattice.hpp"
 #include "src/solver/schedule.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
 
-/// What DomainTraits<2> and <3> share: the grid types, the decomposition,
-/// block and link factories, and the per-link pack/unpack, each written
-/// once over the dimension-generic block layer.
 template <int Dim>
-struct DomainTraitsBase : GridTypes<Dim> {
+struct DomainTraits : GridTypes<Dim> {
   static constexpr int kDims = Dim;
+  /// Base of the reinitialize sync-epoch counter; the 2D and 3D bases are
+  /// disjoint so sync tags can never collide on a shared transport.
+  static constexpr long kSyncEpochBase = Dim == 2 ? 0 : 1L << 20;
 
   using typename GridTypes<Dim>::Mask;
   using typename GridTypes<Dim>::Decomp;
   using typename GridTypes<Dim>::Box;
-  using Domain = std::conditional_t<Dim == 2, Domain2D, Domain3D>;
+  using Domain = subsonic::Domain<Dim>;
+  using Field = typename Domain::Field;
   using BlockDecomp = BlockDecomposition<Dim>;
   using LinkPlan = subsonic::LinkPlan<Dim>;
 
@@ -97,63 +95,74 @@ struct DomainTraitsBase : GridTypes<Dim> {
       if (b.hi()[a] - b.lo()[a] < ghost) return true;
     return false;
   }
-};
-
-template <int Dim>
-struct DomainTraits;
-
-template <>
-struct DomainTraits<2> : DomainTraitsBase<2> {
-  /// Base of the reinitialize sync-epoch counter; the 2D and 3D bases are
-  /// disjoint so sync tags can never collide on a shared transport.
-  static constexpr long kSyncEpochBase = 0;
-
-  using Field = PaddedField2D<double>;
 
   static std::vector<Phase> make_schedule(Method method) {
-    return make_schedule2d(method);
+    return subsonic::make_schedule<Dim>(method);
   }
 
   static void run_compute(Domain& d, ComputeKind kind,
                           ComputePass pass = ComputePass::kFull) {
-    run_compute2d(d, kind, pass);
+    subsonic::run_compute(d, kind, pass);
   }
 
-  static std::vector<FieldId> macro_fields() {
-    return {FieldId::kRho, FieldId::kVx, FieldId::kVy};
-  }
+  static std::vector<FieldId> macro_fields() { return Domain::macro_fields(); }
 
-  static void set_equilibrium(Domain& d) { lbm2d::set_equilibrium_both(d); }
+  static void set_equilibrium(Domain& d) {
+    using lbm2d::set_equilibrium_both;
+    using lbm3d::set_equilibrium_both;
+    set_equilibrium_both(d);
+  }
 
   /// Value an inactive (all-solid) subregion contributes to a gather —
   /// what the serial boundary pass holds at wall nodes.
   static double quiescent(FieldId id, const FluidParams& p) {
     if (id == FieldId::kRho) return p.rho0;
     if (is_population(id))
-      return lbm2d::equilibrium(population_index(id), p.rho0, 0.0, 0.0);
+      return lattice_equilibrium(population_index(id), p.rho0,
+                                 std::array<double, Dim>{});
     return 0.0;
   }
 
   /// Periodic wrap of one field's ghost layers (serial runs; no-op without
-  /// periodicity).  Columns wrap first over interior rows only; the y wrap
-  /// copies whole rows including the x padding, completing the corners.
+  /// periodicity), axis by axis.  Axis a copies over the padded range of
+  /// the axes before it and the interior range of the axes after it, so
+  /// each later axis completes the edges and corners the earlier ones
+  /// filled.  Each pencil of a face wraps all its layers, low and high,
+  /// in one visit, layer by layer.
   static void fill_periodic(const Domain& d, Field& u) {
-    const FluidParams& p = d.params();
+    const Periodicity periodic = periodic_axes(d.params());
     const int g = d.ghost();
-    const int nx = d.nx();
-    const int ny = d.ny();
-    if (p.periodic_x) {
-      for (int y = 0; y < ny; ++y)
-        for (int k = 1; k <= g; ++k) {
-          u(-k, y) = u(nx - k, y);
-          u(nx - 1 + k, y) = u(k - 1, y);
-        }
-    }
-    if (p.periodic_y) {
-      for (int k = 1; k <= g; ++k)
-        for (int x = -g; x < nx + g; ++x) {
-          u(x, -k) = u(x, ny - k);
-          u(x, ny - 1 + k) = u(x, k - 1);
+    std::array<int, 3> n{1, 1, 1};
+    for (int a = 0; a < Dim; ++a) n[a] = extents_of(d.box()).sizes()[a];
+    const std::size_t row_bytes = sizeof(double) * (n[0] + 2 * g);
+    for (int a = 0; a < Dim; ++a) {
+      if (!periodic[a]) continue;
+      // The face's pencils (y, z): padded on the pencil axes before a,
+      // interior on those after it, and at 0 on a itself.
+      std::array<int, 3> lo{0, 0, 0}, hi = n;
+      for (int b = 1; b < a; ++b) {
+        lo[b] = -g;
+        hi[b] = n[b] + g;
+      }
+      hi[a] = 1;
+      for (int z = lo[2]; z < hi[2]; ++z)
+        for (int y = lo[1]; y < hi[1]; ++y) {
+          if (a == 0) {  // x: the layers lie inside the pencil
+            double* r = pencil(u, y, z);
+            for (int k = 1; k <= g; ++k) {
+              r[-k] = r[n[0] - k];
+              r[n[0] - 1 + k] = r[k - 1];
+            }
+            continue;
+          }
+          // y or z: each layer is a whole pencil over the padded x range.
+          const auto at = [&, y, z](int c) {
+            return pencil(u, y + (a == 1 ? c : 0), z + (a == 2 ? c : 0)) - g;
+          };
+          for (int k = 1; k <= g; ++k) {
+            std::memcpy(at(-k), at(n[a] - k), row_bytes);
+            std::memcpy(at(n[a] - 1 + k), at(k - 1), row_bytes);
+          }
         }
     }
   }
@@ -162,101 +171,11 @@ struct DomainTraits<2> : DomainTraitsBase<2> {
   /// window `b` of `out` (the per-rank half of a gather).
   static void copy_interior(Field& out, const Domain& dom, FieldId id,
                             const Box& b) {
-    const Field& u = dom.field(id);
-    for (int y = 0; y < b.height(); ++y)
-      for (int x = 0; x < b.width(); ++x) out(b.x0 + x, b.y0 + y) = u(x, y);
+    copy_field_box(dom.field(id), full_box(extents_of(b)), out, b);
   }
 
-  static Field make_global_field(const Decomp& d) { return Field(d.global(), 0); }
-
-  /// True when a dump header describes this rank's subregion of `d`
-  /// (dimension, window); the z components stay zero in 2D headers.
-  template <typename CheckpointInfoT>
-  static bool box_matches(const CheckpointInfoT& info, const Box& b) {
-    return info.dim == 2 && info.box[0] == b.x0 && info.box[1] == b.y0 &&
-           info.box[3] == b.x1 && info.box[4] == b.y1;
-  }
-};
-
-template <>
-struct DomainTraits<3> : DomainTraitsBase<3> {
-  static constexpr long kSyncEpochBase = 1L << 20;  // disjoint from 2D
-
-  using Field = PaddedField3D<double>;
-
-  static std::vector<Phase> make_schedule(Method method) {
-    return make_schedule3d(method);
-  }
-
-  static void run_compute(Domain& d, ComputeKind kind,
-                          ComputePass pass = ComputePass::kFull) {
-    run_compute3d(d, kind, pass);
-  }
-
-  static std::vector<FieldId> macro_fields() {
-    return {FieldId::kRho, FieldId::kVx, FieldId::kVy, FieldId::kVz};
-  }
-
-  static void set_equilibrium(Domain& d) { lbm3d::set_equilibrium_both(d); }
-
-  static double quiescent(FieldId id, const FluidParams& p) {
-    if (id == FieldId::kRho) return p.rho0;
-    if (is_population(id))
-      return lbm3d::equilibrium(population_index(id), p.rho0, 0.0, 0.0, 0.0);
-    return 0.0;
-  }
-
-  /// Wrap axis by axis; each later axis copies whole slabs including the
-  /// padding already filled by the earlier axes, which completes edges and
-  /// corners.
-  static void fill_periodic(const Domain& d, Field& u) {
-    const FluidParams& p = d.params();
-    const int g = d.ghost();
-    const int nx = d.nx();
-    const int ny = d.ny();
-    const int nz = d.nz();
-    if (p.periodic_x) {
-      for (int z = 0; z < nz; ++z)
-        for (int y = 0; y < ny; ++y)
-          for (int k = 1; k <= g; ++k) {
-            u(-k, y, z) = u(nx - k, y, z);
-            u(nx - 1 + k, y, z) = u(k - 1, y, z);
-          }
-    }
-    if (p.periodic_y) {
-      for (int z = 0; z < nz; ++z)
-        for (int k = 1; k <= g; ++k)
-          for (int x = -g; x < nx + g; ++x) {
-            u(x, -k, z) = u(x, ny - k, z);
-            u(x, ny - 1 + k, z) = u(x, k - 1, z);
-          }
-    }
-    if (p.periodic_z) {
-      for (int k = 1; k <= g; ++k)
-        for (int y = -g; y < ny + g; ++y)
-          for (int x = -g; x < nx + g; ++x) {
-            u(x, y, -k) = u(x, y, nz - k);
-            u(x, y, nz - 1 + k) = u(x, y, k - 1);
-          }
-    }
-  }
-
-  static void copy_interior(Field& out, const Domain& dom, FieldId id,
-                            const Box& b) {
-    const Field& u = dom.field(id);
-    for (int z = 0; z < b.depth(); ++z)
-      for (int y = 0; y < b.height(); ++y)
-        for (int x = 0; x < b.width(); ++x)
-          out(b.x0 + x, b.y0 + y, b.z0 + z) = u(x, y, z);
-  }
-
-  static Field make_global_field(const Decomp& d) { return Field(d.global(), 0); }
-
-  template <typename CheckpointInfoT>
-  static bool box_matches(const CheckpointInfoT& info, const Box& b) {
-    return info.dim == 3 && info.box[0] == b.x0 && info.box[1] == b.y0 &&
-           info.box[2] == b.z0 && info.box[3] == b.x1 &&
-           info.box[4] == b.y1 && info.box[5] == b.z1;
+  static Field make_global_field(const Decomp& d) {
+    return Field(d.global(), 0);
   }
 };
 

@@ -121,22 +121,24 @@ const double* unpack_from(Domain& dom, const std::vector<FieldId>& fields,
   return in;
 }
 
-template <typename Domain, typename Box>
-void copy_box(const Domain& src, Box src_box, Domain& dst, Box dst_box,
-              const std::vector<FieldId>& fields) {
+template <typename Field, typename Box>
+void copy_field_box(const Field& src, Box src_box, Field& dst, Box dst_box) {
   // Equal shapes: each box moved by the other's corner is the same box.
   SUBSONIC_REQUIRE(src_box.shifted(dst_box.lo()) ==
                    dst_box.shifted(src_box.lo()));
   if (src_box.empty()) return;
   const int w = src_box.width();
-  for (FieldId id : fields) {
-    const auto& s = src.field(id);
-    auto& t = dst.field(id);
-    for_each_row(src_box, [&](int dy, int dz) {
-      std::copy_n(row_start(s, src_box, dy, dz), w,
-                  row_start(t, dst_box, dy, dz));
-    });
-  }
+  for_each_row(src_box, [&](int dy, int dz) {
+    std::copy_n(row_start(src, src_box, dy, dz), w,
+                row_start(dst, dst_box, dy, dz));
+  });
+}
+
+template <typename Domain, typename Box>
+void copy_box(const Domain& src, Box src_box, Domain& dst, Box dst_box,
+              const std::vector<FieldId>& fields) {
+  for (FieldId id : fields)
+    copy_field_box(src.field(id), src_box, dst.field(id), dst_box);
 }
 
 template double* pack_into(const Domain2D&, const std::vector<FieldId>&,
@@ -151,5 +153,9 @@ template void copy_box(const Domain2D&, Box2, Domain2D&, Box2,
                        const std::vector<FieldId>&);
 template void copy_box(const Domain3D&, Box3, Domain3D&, Box3,
                        const std::vector<FieldId>&);
+template void copy_field_box(const PaddedField2D<double>&, Box2,
+                             PaddedField2D<double>&, Box2);
+template void copy_field_box(const PaddedField3D<double>&, Box3,
+                             PaddedField3D<double>&, Box3);
 
 }  // namespace subsonic

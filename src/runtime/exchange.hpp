@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "src/decomp/decomposition.hpp"
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 
 namespace subsonic {
 
@@ -46,7 +45,7 @@ std::vector<LinkPlan<Dim>> make_link_plans(
 /// Packs `fields` of `dom` over `box` (local coords) into caller storage,
 /// field-major, then rows (z outer, then y; x inner).  Writes
 /// box.count() * fields.size() doubles at `out` and returns the end of what
-/// it wrote.  Instantiated for (Domain2D, Box2) and (Domain3D, Box3).
+/// it wrote.  Instantiated for (Domain<2>, Box2) and (Domain<3>, Box3).
 template <typename Domain, typename Box>
 double* pack_into(const Domain& dom, const std::vector<FieldId>& fields,
                   Box box, double* out);
@@ -64,5 +63,11 @@ const double* unpack_from(Domain& dom, const std::vector<FieldId>& fields,
 template <typename Domain, typename Box>
 void copy_box(const Domain& src, Box src_box, Domain& dst, Box dst_box,
               const std::vector<FieldId>& fields);
+
+/// copy_box for one field: `src_box` of `src` into the equally shaped
+/// `dst_box` of `dst`, row by row.  `src` and `dst` may be one field if
+/// the boxes are disjoint (the serial periodic wrap, the gather).
+template <typename Field, typename Box>
+void copy_field_box(const Field& src, Box src_box, Field& dst, Box dst_box);
 
 }  // namespace subsonic

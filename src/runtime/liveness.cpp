@@ -5,9 +5,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "src/util/env_int.hpp"
 
 namespace subsonic {
 namespace liveness {
@@ -35,11 +38,7 @@ T get(const unsigned char*& p) {
 
 int resolve_floor_ms(const LivenessOptions& options) {
   if (options.heartbeat_floor_ms > 0) return options.heartbeat_floor_ms;
-  if (const char* env = std::getenv("SUBSONIC_HEARTBEAT_MS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 5000;
+  return env_int("SUBSONIC_HEARTBEAT_MS", 5000, 1, INT_MAX);
 }
 
 bool resolve_socket_channels(const LivenessOptions& options) {

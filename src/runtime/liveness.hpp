@@ -82,7 +82,8 @@ namespace liveness {
 constexpr int kTermAckExit = 4;
 
 /// Resolves the silence floor: explicit option > SUBSONIC_HEARTBEAT_MS
-/// env > 5000 ms default.
+/// env > 5000 ms default.  The variable must be a positive integer;
+/// anything else throws std::invalid_argument naming it.
 int resolve_floor_ms(const LivenessOptions& options);
 
 /// Resolves LivenessOptions::socket_channels (see there).

@@ -25,6 +25,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -45,7 +46,9 @@
 #include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/util/check.hpp"
+#include "src/util/env_int.hpp"
 #include "src/util/fault_plan.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace subsonic {
 
@@ -59,9 +62,7 @@ namespace {
 int resolve_metrics_flush_interval(int option) {
   if (option > 0) return option;
   if (option < 0) return 0;
-  const char* env = std::getenv("SUBSONIC_METRICS_FLUSH");
-  if (!env || !*env) return 16;
-  const int v = std::atoi(env);
+  const int v = env_int("SUBSONIC_METRICS_FLUSH", 16, INT_MIN, INT_MAX);
   return v > 0 ? v : 0;
 }
 
@@ -69,15 +70,14 @@ int resolve_metrics_flush_interval(int option) {
 /// that port, 0 means "bind an ephemeral port", and -1 means "endpoint
 /// off".  Option semantics: > 0 explicit, -1 force off, -2 force
 /// ephemeral, 0 = SUBSONIC_STATUS_PORT env ("auto" = ephemeral,
-/// unset/empty/non-positive = off).
+/// unset/empty/non-positive = off; above 65535 throws).
 int resolve_status_port(int option) {
   if (option > 0) return option;
   if (option == -1) return -1;
   if (option == kStatusPortEphemeral) return 0;
   const char* env = std::getenv("SUBSONIC_STATUS_PORT");
-  if (!env || !*env) return -1;
-  if (std::string(env) == "auto") return 0;
-  const int v = std::atoi(env);
+  if (env && std::string(env) == "auto") return 0;
+  const int v = env_int("SUBSONIC_STATUS_PORT", -1, INT_MIN, 65535);
   return v > 0 ? v : -1;
 }
 
@@ -114,7 +114,6 @@ template <int Dim>
 void clean_stale_artifacts(const std::string& workdir,
                            const typename DomainTraits<Dim>::BlockDecomp& bd,
                            Method method, int ghost) {
-  using Traits = DomainTraits<Dim>;
   std::vector<std::string> names;
   if (DIR* dir = ::opendir(workdir.c_str())) {
     while (const dirent* entry = ::readdir(dir)) names.push_back(entry->d_name);
@@ -139,7 +138,7 @@ void clean_stale_artifacts(const std::string& workdir,
     }
     try {
       const CheckpointInfo info = inspect_checkpoint(workdir + "/" + name);
-      if (!Traits::box_matches(info, bd.box(block)) ||
+      if (!box_matches(info, bd.box(block)) ||
           info.method != static_cast<int>(method) || info.ghost != ghost)
         std::remove((workdir + "/" + name).c_str());
     } catch (const std::exception&) {
@@ -846,7 +845,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   cfg.checkpoint_interval = options.checkpoint_interval;
   cfg.recv_deadline_ms = options.recv_deadline_ms;
   cfg.sched = options.sched;
-  cfg.threads = options.threads;
+  // Resolved here, before the first spawn: a malformed SUBSONIC_THREADS
+  // fails the run once instead of killing every rank in turn.
+  cfg.threads = resolve_threads(options.threads);
   cfg.trace = trace_on;
   cfg.origin_ns = session.origin_ns();
   cfg.beacon_interval_ms = options.liveness.beacon_interval_ms;

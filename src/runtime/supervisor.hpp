@@ -52,7 +52,7 @@ struct ProcessRunOptions {
   Scheduling sched = Scheduling::kOverlap;
 
   /// Intra-subregion worker count inside each child (0 = SUBSONIC_THREADS
-  /// env or 1); bitwise neutral.
+  /// env or 1, resolved before the first spawn); bitwise neutral.
   int threads = 0;
 
   /// Steps between staggered epoch checkpoints (0 = final dump only).
@@ -118,10 +118,13 @@ struct ProcessRunOptions {
   /// Live status endpoint on 127.0.0.1 serving GET /healthz, /status
   /// (JSON: per-rank live view, owner map, liveness + rebalance tails)
   /// and /metrics (Prometheus text exposition).  0 = SUBSONIC_STATUS_PORT
-  /// env (unset/empty/"0" = off, "auto" = ephemeral port, a number = that
-  /// port); -1 forces off; kStatusPortEphemeral (-2) forces an ephemeral
-  /// port; > 0 binds that port.  The bound port is written to
-  /// <workdir>/status.port while the run is in flight.
+  /// env (unset/empty/non-positive = off, "auto" = ephemeral port, a
+  /// number up to 65535 = that port); -1 forces off; kStatusPortEphemeral
+  /// (-2) forces an ephemeral port; > 0 binds that port, and one above
+  /// 65535 throws.  The bound port is written to <workdir>/status.port
+  /// while the run is in flight.  The integer SUBSONIC_* variables parse
+  /// strictly (src/util/env_int.hpp): malformed text throws before any
+  /// rank is spawned.
   int status_port = 0;
 
   /// Heartbeat watchdog + escalation policy (liveness.hpp): every child

@@ -8,10 +8,11 @@
 //   outlets: rho pinned to rho0 (pressure-release opening), V evolves
 #pragma once
 
-#include "src/solver/domain2d.hpp"
+#include "src/solver/domain.hpp"
 
 namespace subsonic {
 
-void apply_bc2d(Domain2D& d);
+template <int Dim>
+void apply_bc(Domain<Dim>& d);
 
 }  // namespace subsonic

@@ -11,7 +11,7 @@
 // so the drivers can post sends while the interior is still computing.
 #pragma once
 
-#include "src/solver/domain2d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/solver/pass.hpp"
 
 namespace subsonic::fd2d {

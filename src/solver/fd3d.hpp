@@ -4,7 +4,7 @@
 // buffered and band/interior splittable exactly like fd2d (see pass.hpp).
 #pragma once
 
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/solver/pass.hpp"
 
 namespace subsonic::fd3d {

@@ -87,8 +87,8 @@ void filter_row(const filter_kernels::Row& r, std::span<const MaskSpan> spans,
   copy_run(cursor, xhi);
 }
 
-void filter_field2d(Domain2D& d, const PaddedField2D<double>& u,
-                    PaddedField2D<double>& out) {
+void filter_field(Domain2D& d, const PaddedField2D<double>& u,
+                  PaddedField2D<double>& out) {
   const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
   const double k = d.params().filter_eps / 16.0;
   const int g = d.ghost();
@@ -109,8 +109,8 @@ void filter_field2d(Domain2D& d, const PaddedField2D<double>& u,
   });
 }
 
-void filter_field3d(Domain3D& d, const PaddedField3D<double>& u,
-                    PaddedField3D<double>& out) {
+void filter_field(Domain3D& d, const PaddedField3D<double>& u,
+                  PaddedField3D<double>& out) {
   const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
   const double k = d.params().filter_eps / 16.0;
   const int g = d.ghost();
@@ -138,23 +138,16 @@ void filter_field3d(Domain3D& d, const PaddedField3D<double>& u,
 
 }  // namespace
 
-void filter2d(Domain2D& d) {
+template <int Dim>
+void apply_filter(Domain<Dim>& d) {
   if (d.params().filter_eps == 0.0) return;
-  filter_field2d(d, d.rho(), d.rho_next());
-  filter_field2d(d, d.vx(), d.vx_next());
-  filter_field2d(d, d.vy(), d.vy_next());
+  filter_field(d, d.rho(), d.rho_next());
+  for (int a = 0; a < Dim; ++a) filter_field(d, d.v(a), d.v_next(a));
   d.swap_density();
   d.swap_velocity();
 }
 
-void filter3d(Domain3D& d) {
-  if (d.params().filter_eps == 0.0) return;
-  filter_field3d(d, d.rho(), d.rho_next());
-  filter_field3d(d, d.vx(), d.vx_next());
-  filter_field3d(d, d.vy(), d.vy_next());
-  filter_field3d(d, d.vz(), d.vz_next());
-  d.swap_density();
-  d.swap_velocity();
-}
+template void apply_filter(Domain<2>&);
+template void apply_filter(Domain<3>&);
 
 }  // namespace subsonic

@@ -10,18 +10,16 @@
 // keeps the operation purely local.
 #pragma once
 
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 
 namespace subsonic {
 
-/// Filters rho, vx, vy over the interior plus a one-node ghost ring (the
-/// ring keeps the first ghost layer bit-identical with the neighbour's
-/// filtered interior, so no extra message is needed).  No-op when
+/// Filters rho and the velocity components, dimension-split over the
+/// axes, on the interior plus a one-node ghost ring (the ring keeps the
+/// first ghost layer bit-identical with the neighbour's filtered
+/// interior, so no extra message is needed).  No-op when
 /// params().filter_eps == 0.
-void filter2d(Domain2D& d);
-
-/// 3D counterpart: filters rho, vx, vy, vz, dimension-split over x, y, z.
-void filter3d(Domain3D& d);
+template <int Dim>
+void apply_filter(Domain<Dim>& d);
 
 }  // namespace subsonic

@@ -8,7 +8,7 @@
 //   -> compute rho, V from F_i (inner) -> filter rho, V (inner)
 #pragma once
 
-#include "src/solver/domain2d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/solver/pass.hpp"
 
 namespace subsonic::lbm2d {

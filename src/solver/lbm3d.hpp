@@ -4,7 +4,7 @@
 // communication count the paper quotes for 3D LB (section 6).
 #pragma once
 
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/solver/pass.hpp"
 
 namespace subsonic::lbm3d {

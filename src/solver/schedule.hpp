@@ -15,8 +15,7 @@
 
 #include <vector>
 
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/solver/field_id.hpp"
 #include "src/solver/pass.hpp"
 
@@ -51,13 +50,12 @@ struct Phase {
   }
 };
 
-/// The 2D schedule for `method`.  Identical for serial and parallel runs;
-/// only the meaning of the exchange phases differs.
-std::vector<Phase> make_schedule2d(Method method);
-
-/// The 3D schedule (same structure; FD also exchanges vz, LB the 15
-/// D3Q15 populations).
-std::vector<Phase> make_schedule3d(Method method);
+/// The Dim-dimensional schedule for `method`.  Identical for serial and
+/// parallel runs; only the meaning of the exchange phases differs.  FD
+/// exchanges the domain's velocity fields, LB the lattice's populations
+/// (9 for D2Q9, 15 for D3Q15).
+template <int Dim>
+std::vector<Phase> make_schedule(Method method);
 
 /// Executes one compute phase on a subregion.  The FD updates split into
 /// the band the neighbours need and the rest; LB moments split into the
@@ -66,10 +64,9 @@ std::vector<Phase> make_schedule3d(Method method);
 /// empty); filter+BC ignores the pass and always runs whole.  The block
 /// runtime splits only the phase that hides an exchange
 /// (Phase::hidden_by).
-void run_compute2d(Domain2D& d, ComputeKind kind,
-                   ComputePass pass = ComputePass::kFull);
-void run_compute3d(Domain3D& d, ComputeKind kind,
-                   ComputePass pass = ComputePass::kFull);
+template <int Dim>
+void run_compute(Domain<Dim>& d, ComputeKind kind,
+                 ComputePass pass = ComputePass::kFull);
 
 /// Messages per neighbour per integration step (paper section 6: FD 2,
 /// LB 1).

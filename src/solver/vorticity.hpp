@@ -2,7 +2,7 @@
 // Figures 1-2 as equi-vorticity contours of the flue-pipe jet.
 #pragma once
 
-#include "src/solver/domain2d.hpp"
+#include "src/solver/domain.hpp"
 
 namespace subsonic {
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "src/util/check.hpp"
+#include "src/util/env_int.hpp"
 
 namespace subsonic {
 
@@ -134,11 +135,7 @@ void WorkerPool::for_weighted(int lo, int hi,
 
 int resolve_threads(int requested) {
   if (requested >= 1) return requested;
-  if (const char* env = std::getenv("SUBSONIC_THREADS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  return 1;
+  return env_int("SUBSONIC_THREADS", 1, 1, kMaxThreads);
 }
 
 }  // namespace subsonic

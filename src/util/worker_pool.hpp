@@ -117,11 +117,17 @@ inline void first_touch_zero(WorkerPool* pool, double* p, std::size_t n) {
   }
 }
 
+/// Upper bound of SUBSONIC_THREADS: each unit is an OS thread of every
+/// domain's pool.
+constexpr int kMaxThreads = 256;
+
 /// Resolves a driver/domain `threads` knob: values >= 1 are taken as-is;
 /// 0 (the default everywhere) means "use the SUBSONIC_THREADS environment
-/// variable, or 1 if unset/invalid".  Centralizing the env lookup lets CI
-/// run whole existing suites with the pool engaged (e.g. TSan with
-/// SUBSONIC_THREADS=2) without touching each call site.
+/// variable, or 1 if unset or empty".  The variable must be an integer in
+/// [1, kMaxThreads]; anything else throws std::invalid_argument naming it.
+/// Centralizing the env lookup lets CI run whole existing suites with the
+/// pool engaged (e.g. TSan with SUBSONIC_THREADS=2) without touching each
+/// call site.
 int resolve_threads(int requested);
 
 }  // namespace subsonic

@@ -64,7 +64,7 @@ TEST(KernelSpeedTable, NodeRateComposesTheMethodsPasses) {
   t.set("lb_moments", 150.0);
   t.set("filter_bc", 200.0);
   t.set("filter", 1000.0);  // the bare filter is not a schedule phase
-  // One step = every compute phase of make_schedule2d once; times add,
+  // One step = every compute phase of make_schedule<2> once; times add,
   // so rates compose harmonically.
   const double fd = 1e6 / (1.0 / 100.0 + 1.0 / 400.0 + 1.0 / 200.0);
   const double lb = 1e6 / (1.0 / 50.0 + 1.0 / 150.0 + 1.0 / 200.0);

@@ -389,7 +389,7 @@ TEST(BlockedDriver, MalformedFrameIsRejectedNeverReadPast) {
   FluidParams p;
   p.dt = 1.0;
   const Method method = Method::kLatticeBoltzmann;
-  const auto schedule = make_schedule2d(method);
+  const auto schedule = make_schedule<2>(method);
   int phase = 0;
   while (schedule[phase].kind != Phase::Kind::kExchange) ++phase;
   for (int delta : {-1, +1}) {

@@ -6,7 +6,8 @@
 // both started from the same state through save_blocks dumps.  The seeded
 // sweep then draws random walls, in 2D and 3D, for LB and FD, with an
 // all-solid box flush against fluid in every world and one bordering fluid
-// only across a periodic wrap whenever a seed picks a periodic axis.
+// only across a periodic wrap whenever a seed picks a periodic axis; a
+// third of the seeds also open an inlet and an outlet in the walls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -256,6 +257,15 @@ int draw(Rng& rng, int lo, int hi) {
   return lo + static_cast<int>(rng.below(span));
 }
 
+/// The box with corners `lo` and `hi`, read on the first Dim axes.
+template <int Dim>
+auto box_of(const std::array<int, 3>& lo, const std::array<int, 3>& hi) {
+  if constexpr (Dim == 2)
+    return Box2{lo[0], lo[1], hi[0], hi[1]};
+  else
+    return Box3{lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]};
+}
+
 /// Lower corner of `b` along axis `a`.
 int low(const Box2& b, int a) { return a == 0 ? b.x0 : b.y0; }
 int low(const Box3& b, int a) { return a == 0 ? b.x0 : a == 1 ? b.y0 : b.z0; }
@@ -283,12 +293,6 @@ World<Dim> draw_world(Rng& rng, Method method, int& side) {
                     &w.params.periodic_z};
   if (periodic >= 0) *flags[periodic] = true;
 
-  const auto make_box = [](std::array<int, 3> lo, std::array<int, 3> hi) {
-    if constexpr (Dim == 2)
-      return Box2{lo[0], lo[1], hi[0], hi[1]};
-    else
-      return Box3{lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]};
-  };
   if constexpr (Dim == 2)
     w.mask = Mask2D(Extents2{n[0], n[1]}, ghost);
   else
@@ -297,10 +301,10 @@ World<Dim> draw_world(Rng& rng, Method method, int& side) {
     if (a == periodic) continue;
     std::array<int, 3> lo{0, 0, 0}, hi = n;
     hi[a] = 1;
-    w.mask.fill_box(make_box(lo, hi), NodeType::kWall);
+    w.mask.fill_box(box_of<Dim>(lo, hi), NodeType::kWall);
     lo[a] = n[a] - 1;
     hi[a] = n[a];
-    w.mask.fill_box(make_box(lo, hi), NodeType::kWall);
+    w.mask.fill_box(box_of<Dim>(lo, hi), NodeType::kWall);
   }
   for (int k = draw(rng, 1, 3); k > 0; --k) {
     std::array<int, 3> lo{0, 0, 0}, hi{1, 1, 1};
@@ -308,7 +312,7 @@ World<Dim> draw_world(Rng& rng, Method method, int& side) {
       lo[a] = draw(rng, 0, n[a] - 2);
       hi[a] = std::min(n[a], lo[a] + draw(rng, 1, n[a] / 3));
     }
-    w.mask.fill_box(make_box(lo, hi), NodeType::kWall);
+    w.mask.fill_box(box_of<Dim>(lo, hi), NodeType::kWall);
   }
 
   const auto ranks = DomainTraits<Dim>::make_decomposition(w.mask, w.grid);
@@ -342,29 +346,70 @@ World<Dim> random_world(Rng& rng, Method method, int& side) {
   }
 }
 
+/// Opens one inlet patch and one outlet patch, each on its own wall of
+/// those closing the non-periodic axes, and blows a small inlet velocity
+/// into the domain.  Drawn after the world, so the walls match the seed's
+/// wall-only draw.
+template <int Dim>
+void add_openings(World<Dim>& w, Rng& rng) {
+  const bool periodic[3] = {w.params.periodic_x, w.params.periodic_y,
+                            w.params.periodic_z};
+  const std::array<int, Dim> n = w.mask.extents().sizes();
+  std::vector<std::array<int, 2>> walls;  // {axis, 0: low end / 1: high end}
+  for (int a = 0; a < Dim; ++a)
+    if (!periodic[a]) {
+      walls.push_back({a, 0});
+      walls.push_back({a, 1});
+    }
+  const std::size_t in = rng.below(walls.size());
+  std::size_t out = rng.below(walls.size() - 1);
+  if (out >= in) ++out;
+  const auto patch = [&](const std::array<int, 2>& wall) {
+    std::array<int, 3> lo{0, 0, 0}, hi{1, 1, 1};
+    for (int b = 0; b < Dim; ++b) {
+      if (b == wall[0]) {
+        lo[b] = wall[1] ? n[b] - 1 : 0;
+        hi[b] = lo[b] + 1;
+      } else {
+        lo[b] = draw(rng, 1, n[b] - 3);
+        hi[b] = std::min(n[b] - 1, lo[b] + draw(rng, 2, n[b] / 3));
+      }
+    }
+    return box_of<Dim>(lo, hi);
+  };
+  w.mask.fill_box(patch(walls[in]), NodeType::kInlet);
+  w.mask.fill_box(patch(walls[out]), NodeType::kOutlet);
+  double* inlet[3] = {&w.params.inlet_vx, &w.params.inlet_vy,
+                      &w.params.inlet_vz};
+  *inlet[walls[in][0]] = walls[in][1] ? -0.02 : 0.02;
+}
+
 class SeededGeometrySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SeededGeometrySweep, EveryDriverMatchesSerialBitwise) {
   const int seed = GetParam();
   Rng rng(0x5eed0000u + static_cast<std::uint64_t>(seed));
   // Seeds alternate the dimension and, in pairs, the method, so each of
-  // the four (dimension, method) pairs gets four seeds.
+  // the four (dimension, method) pairs gets six seeds.  Seeds 16 and up
+  // also open an inlet and an outlet in the walls.
   const Method method = (seed / 2) % 2 ? Method::kFiniteDifference
                                        : Method::kLatticeBoltzmann;
   const std::string name = "sweep" + std::to_string(seed);
   int side = 0;
   if (seed % 2 == 0) {
-    const World<2> w = random_world<2>(rng, method, side);
+    World<2> w = random_world<2>(rng, method, side);
+    if (seed >= 16) add_openings(w, rng);
     expect_drivers_match_serial(w, 0, name);
     expect_drivers_match_serial(w, side, name);
   } else {
-    const World<3> w = random_world<3>(rng, method, side);
+    World<3> w = random_world<3>(rng, method, side);
+    if (seed >= 16) add_openings(w, rng);
     expect_drivers_match_serial(w, 0, name);
     expect_drivers_match_serial(w, side, name);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SeededGeometrySweep, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Seeds, SeededGeometrySweep, ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace subsonic

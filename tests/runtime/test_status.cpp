@@ -18,10 +18,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/comm/http_status.hpp"
@@ -487,6 +490,48 @@ TEST(ProcessStatusEndpoint, MetricsCountersNeverDecreaseAcrossSegments) {
       << text.str();
   EXPECT_NE(text.str().find("{\"rank\":1,\"steps\":30,"), std::string::npos)
       << text.str();
+}
+
+TEST(HttpStatusServer, RejectsPortsOutsideTheTcpRange) {
+  // A port cast to 16 bits would bind another port: 70000 is 4464.
+  const auto none = [](const std::string&, std::string*, std::string*) {
+    return false;
+  };
+  EXPECT_THROW(HttpStatusServer(70000, none), std::invalid_argument);
+  EXPECT_THROW(HttpStatusServer(65536, none), std::invalid_argument);
+  EXPECT_THROW(HttpStatusServer(-5, none), std::invalid_argument);
+}
+
+TEST(SupervisorEnvironment, MalformedIntegersFailTheRunBeforeAnySpawn) {
+  // Each integer variable is resolved by the supervisor, so a bad value
+  // fails run_supervised once, naming the variable, and no rank runs.
+  ::unsetenv("SUBSONIC_FAULTS");
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::pair<const char*, const char*> cases[] = {
+      {"SUBSONIC_THREADS", "2x"},       {"SUBSONIC_HEARTBEAT_MS", "2x"},
+      {"SUBSONIC_METRICS_FLUSH", "2x"}, {"SUBSONIC_STATUS_PORT", "2x"},
+      {"SUBSONIC_STATUS_PORT", "70000"}, {"SUBSONIC_BLOCKS", "2x"},
+  };
+  for (const auto& [var, text] : cases) {
+    SCOPED_TRACE(std::string(var) + "=" + text);
+    const std::string workdir = test::fresh_workdir("status_env");
+    ProcessRunOptions options;
+    options.block_side = -1;  // read SUBSONIC_BLOCKS
+    ::setenv(var, text, 1);
+    try {
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
+                        GridShape{2, 1, 1}, 4, workdir, options);
+      ADD_FAILURE() << "the run started";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(var);
+    for (const auto& entry : std::filesystem::directory_iterator(workdir))
+      EXPECT_NE(entry.path().extension(), ".dump") << entry.path();
+  }
 }
 
 TEST(ProcessStatusEndpoint, DisabledByDefaultLeavesNoPortFile) {

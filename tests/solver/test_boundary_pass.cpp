@@ -2,8 +2,7 @@
 // every padded node.  These tests pin it, bit for bit, to a per-cell copy
 // of the loop it replaced, on masks that put every prescribed node type in
 // the interior and in the ghost ring.
-#include "src/solver/bc2d.hpp"
-#include "src/solver/bc3d.hpp"
+#include "src/solver/bc.hpp"
 
 #include <gtest/gtest.h>
 
@@ -177,7 +176,7 @@ void check_2d(const Mask2D& mask, Box2 box, Method method, bool periodic) {
 
   randomize(spans, 42);
   randomize(cells, 42);
-  apply_bc2d(spans);
+  apply_bc(spans);
   per_cell_bc2d(cells);
 
   expect_bitwise(spans.rho(), cells.rho(), "rho");
@@ -232,7 +231,7 @@ void check_3d(const Mask3D& mask, Box3 box, Method method, bool periodic) {
 
   randomize(spans, 43);
   randomize(cells, 43);
-  apply_bc3d(spans);
+  apply_bc(spans);
   per_cell_bc3d(cells);
 
   expect_bitwise(spans.rho(), cells.rho(), "rho");

@@ -44,7 +44,7 @@ TEST(Filter, ZeroEpsIsANoOp) {
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x) d.vx()(x, y) = std::sin(0.7 * x * y);
   PaddedField2D<double> before = d.vx();
-  filter2d(d);
+  apply_filter(d);
   EXPECT_DOUBLE_EQ(max_abs_diff(before, d.vx()), 0.0);
 }
 
@@ -52,7 +52,7 @@ TEST(Filter, ConstantFieldIsUnchanged) {
   Mask2D mask(Extents2{12, 12}, 3);
   Domain2D d = make_domain(mask, 0.5);
   d.vx().fill(3.25);
-  filter2d(d);
+  apply_filter(d);
   for (int y = 0; y < 12; ++y)
     for (int x = 0; x < 12; ++x) EXPECT_DOUBLE_EQ(d.vx()(x, y), 3.25);
 }
@@ -69,7 +69,7 @@ TEST(Filter, QuadraticFieldIsUnchanged) {
   // Make every stencil node fluid: use a mask whose padding is fluid too.
   // (The default padding is wall, which would just skip the filter; we
   // instead verify on the interior sub-block whose stencils stay inside.)
-  filter2d(d);
+  apply_filter(d);
   for (int y = 2; y < 14; ++y)
     for (int x = 2; x < 14; ++x)
       EXPECT_NEAR(d.vx()(x, y),
@@ -86,7 +86,7 @@ TEST(Filter, DampsTheNyquistMode) {
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x) d.vx()(x, y) = (x % 2 == 0) ? 1 : -1;
   wrap_ghosts(d, d.vx());
-  filter2d(d);
+  apply_filter(d);
   for (int y = 4; y < 12; ++y)
     for (int x = 4; x < 12; ++x) EXPECT_NEAR(d.vx()(x, y), 0.0, 1e-12);
 }
@@ -97,7 +97,7 @@ TEST(Filter, PartialEpsDampsProportionally) {
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x) d.vx()(x, y) = (x % 2 == 0) ? 1 : -1;
   wrap_ghosts(d, d.vx());
-  filter2d(d);
+  apply_filter(d);
   for (int y = 4; y < 12; ++y)
     for (int x = 4; x < 12; ++x) {
       const double expected = 0.75 * ((x % 2 == 0) ? 1 : -1);
@@ -113,7 +113,7 @@ TEST(Filter, SkipsDirectionsBlockedByWalls) {
   const int g = d.ghost();
   for (int y = -g; y < 16 + g; ++y)
     for (int x = -g; x < 16 + g; ++x) d.vx()(x, y) = (y % 2 == 0) ? 1 : -1;
-  filter2d(d);
+  apply_filter(d);
   // Nodes whose y-stencil crosses the wall are skipped and keep their
   // alternating values; far from the wall the mode is erased.
   EXPECT_DOUBLE_EQ(d.vx()(8, 9), -1.0);  // stencil crosses wall: unchanged
@@ -128,7 +128,7 @@ TEST(Filter, DoesNotTouchWallValues) {
   for (int y = 0; y < 12; ++y)
     for (int x = 0; x < 12; ++x) d.vx()(x, y) = ((x + y) % 2 == 0) ? 1 : -1;
   const double w55 = d.vx()(5, 5);
-  filter2d(d);
+  apply_filter(d);
   EXPECT_DOUBLE_EQ(d.vx()(5, 5), w55);
 }
 
@@ -146,7 +146,7 @@ TEST(Filter, ConservesPeriodicMean) {
     }
   wrap_ghosts(d, d.rho());
   const double sum0 = interior_sum(d.rho());
-  filter2d(d);
+  apply_filter(d);
   EXPECT_NEAR(interior_sum(d.rho()) / sum0, 1.0, 1e-12);
 }
 
@@ -163,7 +163,7 @@ TEST(Filter, RingRowsAbuttingGhostFrameAreCorrected) {
     for (int x = -g; x < n + g; ++x)
       d.vx()(x, y) = (((x % 2) + 2) % 2 == 0) ? 1.0 : -1.0;  // (-1)^x
   PaddedField2D<double> before = d.vx();
-  filter2d(d);
+  apply_filter(d);
   // Ring rows: eps = 1 erases the x-Nyquist mode wherever the stencil has
   // wrapped data, which is all of [-1, n].
   for (int x = -1; x <= n; ++x) {
@@ -188,7 +188,7 @@ TEST(Filter, FullWidthSpanRowLeavesOnlyOuterGhostsToCopy) {
     for (int x = -g; x < n + g; ++x)
       d.vx()(x, y) = (((x % 2) + 2) % 2 == 0) ? 1.0 : -1.0;
   PaddedField2D<double> before = d.vx();
-  filter2d(d);
+  apply_filter(d);
   const int mid = n / 2;
   for (int x = -1; x <= n; ++x)
     EXPECT_NEAR(d.vx()(x, mid), 0.0, 1e-12) << "x=" << x;
@@ -215,7 +215,7 @@ TEST(Filter, SpanStitchingMatchesPerCellReference) {
       d.rho()(x, y) = 1.0 + 1e-3 * double(s >> 20);
     }
   PaddedField2D<double> in = d.rho();
-  filter2d(d);
+  apply_filter(d);
   const double k = eps / 16.0;
   for (int y = -g; y < ny + g; ++y)
     for (int x = -g; x < nx + g; ++x) {
@@ -266,7 +266,7 @@ TEST(Filter, Avx2KernelMatchesScalarBitwise2D) {
         for (int x = -g; x < d->nx() + g; ++x)
           (*u)(x, y) = test::value_or_special(values, -2.0, 2.0);
     test::ScopedSimd pin(level);
-    filter2d(*d);
+    apply_filter(*d);
     return d;
   };
   const auto scalar = filtered(SimdLevel::kScalar);
@@ -311,7 +311,7 @@ TEST(Filter, Avx2KernelMatchesScalarBitwise3D) {
           for (int x = -g; x < d->nx() + g; ++x)
             (*u)(x, y, z) = test::value_or_special(values, -2.0, 2.0);
     test::ScopedSimd pin(level);
-    filter3d(*d);
+    apply_filter(*d);
     return d;
   };
   const auto scalar = filtered(SimdLevel::kScalar);

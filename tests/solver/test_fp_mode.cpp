@@ -8,8 +8,7 @@
 #include <atomic>
 #include <vector>
 
-#include "src/solver/domain2d.hpp"
-#include "src/solver/domain3d.hpp"
+#include "src/solver/domain.hpp"
 #include "src/util/fp_env.hpp"
 
 #if defined(__x86_64__)

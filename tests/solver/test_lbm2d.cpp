@@ -301,15 +301,15 @@ TEST(Lbm2D, MomentsPassesSplitInteriorFromGhostRing) {
       return x >= 0 && x < d.nx() && y >= 0 && y < d.ny();
     };
 
-    run_compute2d(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
+    run_compute(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
     expect_written_where(
         d, [&](int x, int y) { return interior(x, y) && !wall(x, y); },
         "after kInterior");
-    run_compute2d(*split, ComputeKind::kLbMoments, ComputePass::kBand);
+    run_compute(*split, ComputeKind::kLbMoments, ComputePass::kBand);
     expect_written_where(d, [&](int x, int y) { return !wall(x, y); },
                          "after kBand");
 
-    run_compute2d(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
+    run_compute(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
     expect_same_bits(split->rho(), whole->rho(), "rho");
     expect_same_bits(split->vx(), whole->vx(), "vx");
     expect_same_bits(split->vy(), whole->vy(), "vy");
@@ -368,11 +368,11 @@ TEST(Lbm2D, CollideStreamBandThenInteriorIsTheWholeSweep) {
     for (int step = 0; step < 2; ++step) {
       lbm2d::moments(*split);
       lbm2d::moments(*whole);
-      run_compute2d(*split, ComputeKind::kLbCollideStream,
+      run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kBand);
-      run_compute2d(*split, ComputeKind::kLbCollideStream,
+      run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kInterior);
-      run_compute2d(*whole, ComputeKind::kLbCollideStream,
+      run_compute(*whole, ComputeKind::kLbCollideStream,
                     ComputePass::kFull);
       for (int i = 0; i < kQ; ++i)
         expect_same_bits(split->f(i), whole->f(i), "population");

@@ -262,19 +262,19 @@ TEST(Lbm3D, MomentsPassesSplitInteriorFromGhostRing) {
              z < d.nz();
     };
 
-    run_compute3d(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
+    run_compute(*split, ComputeKind::kLbMoments, ComputePass::kInterior);
     expect_written_where(
         d,
         [&](int x, int y, int z) {
           return interior(x, y, z) && !wall(x, y, z);
         },
         "after kInterior");
-    run_compute3d(*split, ComputeKind::kLbMoments, ComputePass::kBand);
+    run_compute(*split, ComputeKind::kLbMoments, ComputePass::kBand);
     expect_written_where(
         d, [&](int x, int y, int z) { return !wall(x, y, z); },
         "after kBand");
 
-    run_compute3d(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
+    run_compute(*whole, ComputeKind::kLbMoments, ComputePass::kFull);
     expect_same_bits(split->rho(), whole->rho(), "rho");
     expect_same_bits(split->vx(), whole->vx(), "vx");
     expect_same_bits(split->vy(), whole->vy(), "vy");
@@ -335,11 +335,11 @@ TEST(Lbm3D, CollideStreamBandThenInteriorIsTheWholeSweep) {
     for (int step = 0; step < 2; ++step) {
       lbm3d::moments(*split);
       lbm3d::moments(*whole);
-      run_compute3d(*split, ComputeKind::kLbCollideStream,
+      run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kBand);
-      run_compute3d(*split, ComputeKind::kLbCollideStream,
+      run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kInterior);
-      run_compute3d(*whole, ComputeKind::kLbCollideStream,
+      run_compute(*whole, ComputeKind::kLbCollideStream,
                     ComputePass::kFull);
       for (int i = 0; i < kQ; ++i)
         expect_same_bits(split->f(i), whole->f(i), "population");

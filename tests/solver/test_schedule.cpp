@@ -16,19 +16,19 @@ int exchange_count(const std::vector<Phase>& s) {
 
 TEST(Schedule, FdSendsTwoMessagesPerStep) {
   // Paper section 6: FD communicates V and rho separately.
-  const auto s = make_schedule2d(Method::kFiniteDifference);
+  const auto s = make_schedule<2>(Method::kFiniteDifference);
   EXPECT_EQ(exchange_count(s), 2);
   EXPECT_EQ(messages_per_step(Method::kFiniteDifference), 2);
 }
 
 TEST(Schedule, LbSendsOneMessagePerStep) {
-  const auto s = make_schedule2d(Method::kLatticeBoltzmann);
+  const auto s = make_schedule<2>(Method::kLatticeBoltzmann);
   EXPECT_EQ(exchange_count(s), 1);
   EXPECT_EQ(messages_per_step(Method::kLatticeBoltzmann), 1);
 }
 
 TEST(Schedule, FdExchangesVelocityThenDensity) {
-  const auto s = make_schedule2d(Method::kFiniteDifference);
+  const auto s = make_schedule<2>(Method::kFiniteDifference);
   std::vector<std::vector<FieldId>> exchanges;
   for (const Phase& p : s)
     if (p.kind == Phase::Kind::kExchange) exchanges.push_back(p.fields);
@@ -38,7 +38,7 @@ TEST(Schedule, FdExchangesVelocityThenDensity) {
 }
 
 TEST(Schedule, LbExchangesAllPopulations) {
-  const auto s = make_schedule2d(Method::kLatticeBoltzmann);
+  const auto s = make_schedule<2>(Method::kLatticeBoltzmann);
   for (const Phase& p : s)
     if (p.kind == Phase::Kind::kExchange) {
       EXPECT_EQ(p.fields.size(), size_t(lbm2d::kQ));
@@ -49,7 +49,7 @@ TEST(Schedule, LbExchangesAllPopulations) {
 
 TEST(Schedule, FirstPhaseIsComputeLastIsFilterBc) {
   for (Method m : {Method::kFiniteDifference, Method::kLatticeBoltzmann}) {
-    const auto s = make_schedule2d(m);
+    const auto s = make_schedule<2>(m);
     ASSERT_FALSE(s.empty());
     EXPECT_EQ(s.front().kind, Phase::Kind::kCompute);
     EXPECT_EQ(s.back().kind, Phase::Kind::kCompute);

@@ -179,7 +179,7 @@ TEST(ResolveThreads, ExplicitWinsOverEnvironment) {
   EXPECT_EQ(resolve_threads(3), 3);
   EXPECT_EQ(resolve_threads(0), 7);
   ::setenv("SUBSONIC_THREADS", "garbage", 1);
-  EXPECT_EQ(resolve_threads(0), 1);
+  EXPECT_THROW(resolve_threads(0), std::invalid_argument);
   ::unsetenv("SUBSONIC_THREADS");
   EXPECT_EQ(resolve_threads(0), 1);
 }
