@@ -2,15 +2,16 @@
 // second) for each hot kernel — FD velocity, FD density, LB
 // collide+stream, LB moments, the fourth-order filter, and the filter
 // plus boundary pass as the schedule's filter_bc phase runs them — across
-// grid sizes and intra-subregion thread counts.  The 3D LB kernels
-// (lb3d_collide_stream, lb3d_moments) run at one thread on the duct3d_lb
-// rank box — 32 x 48 x 48 of the 96 x 48 x 48 channel, periodic in x, as
-// the paper's 3 x 1 x 1 pipeline cuts it — and on a periodic 48^3 cube
-// with the 2D rows' obstacle.  Their names match no schedule phase, so
-// they do not change the 2D pricing below.  This measures the
-// paper's U_calc directly: the overlap schedule (bench_overlap) hides
-// T_com, so raising per-subregion compute throughput is the remaining
-// lever on f = (1 + T_com/T_calc)^-1.  The rows named after a schedule
+// grid sizes and intra-subregion thread counts.  The kernels are written
+// once over the dimension, and the 3D rows time their other instance:
+// lb3d_collide_stream, lb3d_moments, fd3d_velocity and fd3d_density run at
+// one thread on the duct3d_lb rank box — 32 x 48 x 48 of the 96 x 48 x 48
+// channel, periodic in x, as the paper's 3 x 1 x 1 pipeline cuts it — and
+// on a periodic 48^3 cube with the 2D rows' obstacle.  Their names match
+// no schedule phase, so they do not change the 2D pricing below.  This
+// measures the paper's U_calc directly: the overlap schedule
+// (bench_overlap) hides T_com, so raising per-subregion compute
+// throughput is the remaining lever on f = (1 + T_com/T_calc)^-1.  The rows named after a schedule
 // phase (its "compute.*" timer without the prefix) are the ones
 // KernelSpeedTable::node_rate composes into the cluster model's U_calc.
 //
@@ -58,10 +59,9 @@
 #include "src/geometry/flue_pipe.hpp"
 #include "src/geometry/mask.hpp"
 #include "src/solver/domain.hpp"
-#include "src/solver/fd2d.hpp"
+#include "src/solver/fd.hpp"
 #include "src/solver/filter.hpp"
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lbm.hpp"
 #include "src/solver/schedule.hpp"
 #include "src/solver/simd.hpp"
 #include "src/telemetry/metrics.hpp"
@@ -131,10 +131,11 @@ Grid<2> square(int side, Method method) {
   return g;
 }
 
-/// The 3D LB parameters of the duct3d_lb workload, without the filter.
-FluidParams lb3d_params() {
+/// The 3D parameters of the duct3d_lb workload, without the filter (and
+/// the 2D rows' FD time step for FD).
+FluidParams params3d(Method method) {
   FluidParams p;
-  p.dt = 1.0;
+  p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.3;
   p.nu = 0.1;
   p.force_x = 1e-4;
   p.periodic_x = true;
@@ -143,15 +144,15 @@ FluidParams lb3d_params() {
 
 /// Rank 0's box of the duct3d_lb workload: the 96 x 48 x 48 channel
 /// (walls on the y and z planes, periodic in x) cut 3 x 1 x 1.
-Grid<3> duct_rank_box() {
+Grid<3> duct_rank_box(Method method) {
   return Grid<3>{build_channel3d(Extents3{96, 48, 48}, 1),
-                 Box3{0, 0, 0, 32, 48, 48}, lb3d_params(), 1, 0};
+                 Box3{0, 0, 0, 32, 48, 48}, params3d(method), 1, 0};
 }
 
 /// A side^3 cube, periodic on every axis, with the 2D rows' obstacle.
-Grid<3> cube(int side) {
+Grid<3> cube(int side, Method method) {
   Grid<3> g{Mask3D(Extents3{side, side, side}, 1),
-            Box3{0, 0, 0, side, side, side}, lb3d_params(), 1, side};
+            Box3{0, 0, 0, side, side, side}, params3d(method), 1, side};
   const int o = side / 4;
   g.mask.fill_box({o, o, o, o + 8, o + 8, o + 8}, NodeType::kWall);
   g.params.periodic_y = g.params.periodic_z = true;
@@ -221,13 +222,14 @@ int main(int argc, char** argv) {
   // counts one update per node, all three fields (6), the boundary pass
   // touching only the few non-fluid nodes.  3D LB: 15 populations and 4
   // moments read, 15 populations written (34); 3D moments: 15 read, 4
-  // written (19).
+  // written (19).  3D FD velocity: rho and three velocities read, three
+  // written (7); 3D FD density: the same four read, rho_next written (5).
   std::vector<KernelCase<2>> kernels;
   kernels.push_back({"fd_velocity", Method::kFiniteDifference, 1, 5 * 8, -1,
-                     [](Domain2D& d) { fd2d::advance_velocity(d); }});
+                     [](Domain2D& d) { fd::advance_velocity(d); }});
   kernels.push_back({"fd_density", Method::kFiniteDifference, 1, 4 * 8, -1,
-                     [](Domain2D& d) { fd2d::advance_density(d); }});
-  const auto lb = [](Domain2D& d) { lbm2d::collide_stream(d); };
+                     [](Domain2D& d) { fd::advance_density(d); }});
+  const auto lb = [](Domain2D& d) { lbm::collide_stream(d); };
   kernels.push_back(
       {"lb_collide_stream", Method::kLatticeBoltzmann, 1, 21 * 8, -1, lb});
   kernels.push_back({"lb_collide_stream_scalar", Method::kLatticeBoltzmann,
@@ -236,7 +238,7 @@ int main(int argc, char** argv) {
     kernels.push_back({"lb_collide_stream_avx2", Method::kLatticeBoltzmann,
                        1, 21 * 8, static_cast<int>(SimdLevel::kAvx2), lb});
   kernels.push_back({"lb_moments", Method::kLatticeBoltzmann, 1, 12 * 8, -1,
-                     [](Domain2D& d) { lbm2d::moments(d); }});
+                     [](Domain2D& d) { lbm::moments(d); }});
   const auto filter = [](Domain2D& d) { apply_filter(d); };
   kernels.push_back(
       {"filter", Method::kFiniteDifference, 3, 2 * 8, -1, filter});
@@ -251,9 +253,13 @@ int main(int argc, char** argv) {
                      }});
   const std::vector<KernelCase<3>> kernels3d = {
       {"lb3d_collide_stream", Method::kLatticeBoltzmann, 1, 34 * 8, -1,
-       [](Domain3D& d) { lbm3d::collide_stream(d); }},
+       [](Domain3D& d) { lbm::collide_stream(d); }},
       {"lb3d_moments", Method::kLatticeBoltzmann, 1, 19 * 8, -1,
-       [](Domain3D& d) { lbm3d::moments(d); }},
+       [](Domain3D& d) { lbm::moments(d); }},
+      {"fd3d_velocity", Method::kFiniteDifference, 1, 7 * 8, -1,
+       [](Domain3D& d) { fd::advance_velocity(d); }},
+      {"fd3d_density", Method::kFiniteDifference, 1, 5 * 8, -1,
+       [](Domain3D& d) { fd::advance_density(d); }},
   };
 
   std::vector<int> sides = {96, 192};
@@ -296,10 +302,10 @@ int main(int argc, char** argv) {
       for (int threads : thread_counts)
         record(run_case(k, square(side, k.method), threads));
   }
-  const Grid<3> grids3d[] = {duct_rank_box(), cube(48)};
   for (const KernelCase<3>& k : kernels3d) {
     if (!selected(k.name)) continue;
-    for (const Grid<3>& g : grids3d) record(run_case(k, g, 1));
+    for (const Grid<3>& g : {duct_rank_box(k.method), cube(48, k.method)})
+      record(run_case(k, g, 1));
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");

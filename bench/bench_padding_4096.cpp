@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/subsonic.hpp"
-#include "src/solver/lbm2d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace {
 

@@ -5,6 +5,7 @@
 // uses, and the accessors below read a 2D and a 3D object the same way.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <type_traits>
 
@@ -55,6 +56,17 @@ inline std::span<const MaskSpan> pencil(const MaskSpans2D& s, int y, int) {
 }
 inline std::span<const MaskSpan> pencil(const MaskSpans3D& s, int y, int z) {
   return s.row(y, z);
+}
+
+/// Calls fn(a, b) for every span of pencil (y, z) of `s` clipped to
+/// [x0, x1).
+template <typename Spans, typename Fn>
+void for_spans(const Spans& s, int y, int z, int x0, int x1, Fn&& fn) {
+  for (const MaskSpan& m : pencil(s, y, z)) {
+    const int a = std::max(m.x0, x0);
+    const int b = std::min(m.x1, x1);
+    if (a < b) fn(a, b);
+  }
 }
 
 }  // namespace subsonic

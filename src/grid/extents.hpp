@@ -129,6 +129,16 @@ struct Box3 {
   }
 };
 
+/// The box with corners `lo` (inclusive) and `hi` (exclusive).
+constexpr Box2 box_from(const std::array<int, 2>& lo,
+                        const std::array<int, 2>& hi) {
+  return Box2{lo[0], lo[1], hi[0], hi[1]};
+}
+constexpr Box3 box_from(const std::array<int, 3>& lo,
+                        const std::array<int, 3>& hi) {
+  return Box3{lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]};
+}
+
 constexpr Box2 full_box(Extents2 e) { return Box2{0, 0, e.nx, e.ny}; }
 constexpr Box3 full_box(Extents3 e) {
   return Box3{0, 0, 0, e.nx, e.ny, e.nz};

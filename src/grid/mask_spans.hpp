@@ -69,16 +69,6 @@ class MaskSpans2D {
             spans_.data() + row_begin_[i + 1]};
   }
 
-  /// Calls `fn(a, b)` for every span of row `y` clipped to [cx0, cx1).
-  template <typename Fn>
-  void for_row(int y, int cx0, int cx1, Fn&& fn) const {
-    for (const MaskSpan& s : row(y)) {
-      const int a = std::max(s.x0, cx0);
-      const int b = std::min(s.x1, cx1);
-      if (a < b) fn(a, b);
-    }
-  }
-
   /// Total matching nodes over the whole window.
   std::int64_t total() const {
     std::int64_t n = 0;
@@ -133,15 +123,6 @@ class MaskSpans3D {
                      static_cast<size_t>(y - y_lo_);
     return {spans_.data() + row_begin_[i],
             spans_.data() + row_begin_[i + 1]};
-  }
-
-  template <typename Fn>
-  void for_row(int y, int z, int cx0, int cx1, Fn&& fn) const {
-    for (const MaskSpan& s : row(y, z)) {
-      const int a = std::max(s.x0, cx0);
-      const int b = std::min(s.x1, cx1);
-      if (a < b) fn(a, b);
-    }
   }
 
   std::int64_t total() const {

@@ -19,6 +19,7 @@
 #include "src/runtime/exchange.hpp"
 #include "src/solver/domain.hpp"
 #include "src/solver/lattice.hpp"
+#include "src/solver/lbm.hpp"
 #include "src/solver/schedule.hpp"
 #include "src/util/check.hpp"
 
@@ -107,19 +108,15 @@ struct DomainTraits : GridTypes<Dim> {
 
   static std::vector<FieldId> macro_fields() { return Domain::macro_fields(); }
 
-  static void set_equilibrium(Domain& d) {
-    using lbm2d::set_equilibrium_both;
-    using lbm3d::set_equilibrium_both;
-    set_equilibrium_both(d);
-  }
+  static void set_equilibrium(Domain& d) { lbm::set_equilibrium_both(d); }
 
   /// Value an inactive (all-solid) subregion contributes to a gather —
   /// what the serial boundary pass holds at wall nodes.
   static double quiescent(FieldId id, const FluidParams& p) {
     if (id == FieldId::kRho) return p.rho0;
     if (is_population(id))
-      return lattice_equilibrium(population_index(id), p.rho0,
-                                 std::array<double, Dim>{});
+      return Lattice<Dim>::equilibrium(population_index(id), p.rho0,
+                                       std::array<double, Dim>{});
     return 0.0;
   }
 

@@ -8,6 +8,8 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/util/env_int.hpp"
@@ -45,7 +47,11 @@ bool resolve_socket_channels(const LivenessOptions& options) {
   if (options.socket_channels > 0) return true;
   if (options.socket_channels < 0) return false;
   const char* env = std::getenv("SUBSONIC_LIVENESS_CHANNEL");
-  return env && std::string(env) == "socket";
+  const std::string name = env ? env : "";
+  if (name.empty() || name == "pipe") return false;
+  if (name == "socket") return true;
+  throw std::invalid_argument("SUBSONIC_LIVENESS_CHANNEL=\"" + name +
+                              "\" (expected \"pipe\" or \"socket\")");
 }
 
 std::string registry_for(const std::string& base, int round) {

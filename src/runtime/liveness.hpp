@@ -66,8 +66,9 @@ struct LivenessOptions {
   /// SIGTERM -> SIGKILL grace window in ms.
   int grace_ms = 2000;
   /// Heartbeat/control transport: 0 resolves SUBSONIC_LIVENESS_CHANNEL
-  /// ("socket" switches, anything else keeps pipes), 1 forces sockets,
-  /// -1 forces pipes.  Pipes are the single-host fast path; sockets are
+  /// ("socket" switches; unset, empty or "pipe" keeps pipes; any other
+  /// text throws std::invalid_argument), 1 forces sockets, -1 forces
+  /// pipes.  Pipes are the single-host fast path; sockets are
   /// dialed back through the supervisor's rendezvous service, so they
   /// work for children that inherit no fds (and later, other hosts).
   /// Bitwise neutral to the physics either way.

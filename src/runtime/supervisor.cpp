@@ -43,6 +43,7 @@
 #include "src/runtime/launcher.hpp"
 #include "src/runtime/rebalancer.hpp"
 #include "src/runtime/status_board.hpp"
+#include "src/solver/simd.hpp"
 #include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/util/check.hpp"
@@ -846,8 +847,10 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   cfg.recv_deadline_ms = options.recv_deadline_ms;
   cfg.sched = options.sched;
   // Resolved here, before the first spawn: a malformed SUBSONIC_THREADS
-  // fails the run once instead of killing every rank in turn.
+  // or SUBSONIC_SIMD fails the run once instead of killing every rank in
+  // turn.  (The ranks read SUBSONIC_SIMD again for their own kernels.)
   cfg.threads = resolve_threads(options.threads);
+  simd_from_env();
   cfg.trace = trace_on;
   cfg.origin_ns = session.origin_ns();
   cfg.beacon_interval_ms = options.liveness.beacon_interval_ms;

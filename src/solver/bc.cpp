@@ -8,7 +8,8 @@ namespace subsonic {
 
 template <int Dim>
 void apply_bc(Domain<Dim>& d) {
-  constexpr int kQ = kLatticeQ<Dim>;
+  using L = Lattice<Dim>;
+  constexpr int kQ = L::kQ;
   const FluidParams& p = d.params();
   const int q = d.q();  // 0 for FD: no populations to pin
   const double jet[3] = {p.inlet_vx, p.inlet_vy, p.inlet_vz};
@@ -16,7 +17,7 @@ void apply_bc(Domain<Dim>& d) {
   for (int a = 0; a < Dim; ++a) inlet[a] = jet[a];
   double eq_in[kQ];  // the inlet's populations are cell-independent
   for (int i = 0; i < q; ++i)
-    eq_in[i] = lattice_equilibrium(i, p.rho0, inlet);
+    eq_in[i] = L::equilibrium(i, p.rho0, inlet);
 
   d.for_each_pencil(d.ghost(), [&](int y, int z) {
     const auto spans = pencil(d.nonfluid_spans(), y, z);
@@ -50,7 +51,7 @@ void apply_bc(Domain<Dim>& d) {
             std::array<double, Dim> u;
             for (int a = 0; a < Dim; ++a) u[a] = v[a][x];
             for (int i = 0; i < q; ++i)
-              f[i][x] = lattice_equilibrium(i, p.rho0, u);
+              f[i][x] = L::equilibrium(i, p.rho0, u);
             break;
           }
         }

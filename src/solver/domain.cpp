@@ -1,6 +1,7 @@
 #include "src/solver/domain.hpp"
 
 #include "src/solver/lattice.hpp"
+#include "src/solver/lbm.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -140,7 +141,7 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
     // pages get homed next to the threads that will sweep them.  Only the
     // two-slab sweep gets the second slab (f_next): a multi-thread domain,
     // or 3D, which has no in-place sweep.
-    constexpr int kQ = kLatticeQ<Dim>;
+    constexpr int kQ = Lattice<Dim>::kQ;
     const int fpitch = round_pitch<double>(nx() + 2 * ghost) +
                        round_pitch<double>(extra_pitch);
     // Two spare row blocks beyond the padded pencils: the one-thread 2D
@@ -165,9 +166,7 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
     // Every population buffer starts at the equilibrium of the initial
     // macro state so that never-written padding (outside the global
     // domain) always holds a quiescent reservoir in whichever is current.
-    using lbm2d::set_equilibrium_both;
-    using lbm3d::set_equilibrium_both;
-    set_equilibrium_both(*this);
+    lbm::set_equilibrium_both(*this);
   }
 }
 

@@ -73,6 +73,8 @@ class Domain {
   }
 
   Box box() const { return box_; }
+  /// The interior in local coordinates: [0, n) on every axis.
+  Box interior() const { return full_box(extents_of(box_)); }
   int nx() const { return box_.width(); }
   int ny() const { return box_.height(); }
   int nz() const requires(Dim == 3) { return nz_; }
@@ -103,10 +105,10 @@ class Domain {
     return filter_mask_(c...);
   }
 
-  /// Row pointer form of filter_dirs: p[x] == filter_dirs(x, y[, z]).
-  template <typename... I>
-  const std::uint8_t* filter_dirs_row(I... c) const {
-    return filter_mask_.row_ptr(c...);
+  /// Pencil pointer form of filter_dirs: p[x] == filter_dirs(x, y, z); a
+  /// 2D domain ignores z.
+  const std::uint8_t* filter_dirs_row(int y, int z) const {
+    return pencil(filter_mask_, y, z);
   }
 
   Field& rho() { return rho_; }
@@ -256,10 +258,14 @@ class Domain {
     }
   }
 
-  /// The 2D form: fn(y) for every row in [y0, y1) of the one plane.
+  /// for_rows over the pencils (y, z) of box `b`; a 2D box is the one
+  /// plane z = 0.
   template <typename Fn>
-  void for_rows(int y0, int y1, Fn&& fn) const requires(Dim == 2) {
-    for_rows(y0, y1, 0, 1, [&fn](int y, int) { fn(y); });
+  void for_pencils(const Box& b, Fn&& fn) const {
+    if constexpr (Dim == 2)
+      for_rows(b.y0, b.y1, 0, 1, fn);
+    else
+      for_rows(b.y0, b.y1, b.z0, b.z1, fn);
   }
 
   /// Calls fn(y, z) on this thread, z outer, for every pencil of the

@@ -87,52 +87,36 @@ void filter_row(const filter_kernels::Row& r, std::span<const MaskSpan> spans,
   copy_run(cursor, xhi);
 }
 
-void filter_field(Domain2D& d, const PaddedField2D<double>& u,
-                  PaddedField2D<double>& out) {
+/// Filters field `u` into `out` over the padded window: the filter's
+/// region (the interior plus a one-node ring) through filter_row, every
+/// other pencil copied whole.  Transverse direction j of a row is axis
+/// j + 1 (y, then z).
+template <int Dim>
+void filter_field(Domain<Dim>& d, const typename Domain<Dim>::Field& u,
+                  typename Domain<Dim>::Field& out) {
+  constexpr int kOff[4] = {-2, -1, 1, 2};
   const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
   const double k = d.params().filter_eps / 16.0;
   const int g = d.ghost();
   const int xlo = -g, xhi = d.nx() + g;
+  const auto ring = d.interior().grown(1);
+  const auto rlo = ring.lo(), rhi = ring.hi();
 
-  d.for_rows(-g, d.ny() + g, [&](int y) {
-    filter_kernels::Row row{u.row_ptr(y), {}, 1, nullptr, out.row_ptr(y)};
-    if (y < -1 || y >= d.ny() + 1) {
-      filter_row(row, {}, xlo, xhi, k, span_fn);
-      return;
-    }
-    row.t[0][0] = u.row_ptr(y - 2);
-    row.t[0][1] = u.row_ptr(y - 1);
-    row.t[0][2] = u.row_ptr(y + 1);
-    row.t[0][3] = u.row_ptr(y + 2);
-    row.dirs = d.filter_dirs_row(y);
-    filter_row(row, d.filter_spans().row(y), xlo, xhi, k, span_fn);
-  });
-}
-
-void filter_field(Domain3D& d, const PaddedField3D<double>& u,
-                  PaddedField3D<double>& out) {
-  const filter_kernels::Fn span_fn = filter_kernels::select(active_simd());
-  const double k = d.params().filter_eps / 16.0;
-  const int g = d.ghost();
-  const int xlo = -g, xhi = d.nx() + g;
-
-  d.for_rows(-g, d.ny() + g, -g, d.nz() + g, [&](int y, int z) {
-    filter_kernels::Row row{u.row_ptr(y, z), {}, 2, nullptr,
-                            out.row_ptr(y, z)};
-    if (z < -1 || z >= d.nz() + 1 || y < -1 || y >= d.ny() + 1) {
-      filter_row(row, {}, xlo, xhi, k, span_fn);
-      return;
-    }
-    row.t[0][0] = u.row_ptr(y - 2, z);
-    row.t[0][1] = u.row_ptr(y - 1, z);
-    row.t[0][2] = u.row_ptr(y + 1, z);
-    row.t[0][3] = u.row_ptr(y + 2, z);
-    row.t[1][0] = u.row_ptr(y, z - 2);
-    row.t[1][1] = u.row_ptr(y, z - 1);
-    row.t[1][2] = u.row_ptr(y, z + 1);
-    row.t[1][3] = u.row_ptr(y, z + 2);
+  d.for_pencils(d.interior().grown(g), [&](int y, int z) {
+    filter_kernels::Row row{pencil(u, y, z), {}, Dim - 1, nullptr,
+                            pencil(out, y, z)};
+    const int at[3] = {0, y, z};
+    for (int a = 1; a < Dim; ++a)
+      if (at[a] < rlo[a] || at[a] >= rhi[a]) {
+        filter_row(row, {}, xlo, xhi, k, span_fn);
+        return;
+      }
+    for (int j = 0; j < Dim - 1; ++j)
+      for (int i = 0; i < 4; ++i)
+        row.t[j][i] = pencil(u, y + (j == 0 ? kOff[i] : 0),
+                             z + (j == 1 ? kOff[i] : 0));
     row.dirs = d.filter_dirs_row(y, z);
-    filter_row(row, d.filter_spans().row(y, z), xlo, xhi, k, span_fn);
+    filter_row(row, pencil(d.filter_spans(), y, z), xlo, xhi, k, span_fn);
   });
 }
 

@@ -5,8 +5,7 @@
 // path produces bit-identical populations.
 #include "src/solver/lbm_kernels.hpp"
 
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace subsonic::lbm_kernels {
 
@@ -17,7 +16,7 @@ namespace {
 
 // The pointer arguments MUST stay function parameters: GCC only tracks
 // __restrict on parameters, not on locals initialized from memory (the
-// Row2D arrays), and without it the 21-stream loop never vectorizes.  The
+// Row<2> arrays), and without it the 21-stream loop never vectorizes.  The
 // noinline keeps the unpacking wrapper from folding the parameters back
 // into struct loads.
 template <bool Forced>
@@ -31,13 +30,13 @@ template <bool Forced>
     double* __restrict d0, double* __restrict d1, double* __restrict d2,
     double* __restrict d3, double* __restrict d4, double* __restrict d5,
     double* __restrict d6, double* __restrict d7, double* __restrict d8,
-    int a, int b, const Collide2D& c) {
+    int a, int b, const Collide<2>& c) {
   const double omega = c.omega;
   // Per-direction force projections c_i . g are loop constants.
   double cg[9];
   if (Forced)
     for (int i = 1; i < 9; ++i)
-      cg[i] = lbm2d::kCx[i] * c.gx + lbm2d::kCy[i] * c.gy;
+      cg[i] = lbm2d::kCx[i] * c.g[0] + lbm2d::kCy[i] * c.g[1];
   using lbm2d::kW;
   for (int x = a; x < b; ++x) {
     const double rho = rr[x];
@@ -124,13 +123,13 @@ template <bool Forced>
     double* __restrict d7, double* __restrict d8, double* __restrict d9,
     double* __restrict d10, double* __restrict d11, double* __restrict d12,
     double* __restrict d13, double* __restrict d14, int a, int b,
-    const Collide3D& c) {
+    const Collide<3>& c) {
   const double omega = c.omega;
   double cg[15];
   if (Forced)
     for (int i = 1; i < 15; ++i)
-      cg[i] = lbm3d::kCx[i] * c.gx + lbm3d::kCy[i] * c.gy +
-              lbm3d::kCz[i] * c.gz;
+      cg[i] = lbm3d::kCx[i] * c.g[0] + lbm3d::kCy[i] * c.g[1] +
+              lbm3d::kCz[i] * c.g[2];
   using lbm3d::kW;
   for (int x = a; x < b; ++x) {
     const double rho = rr[x];
@@ -228,25 +227,25 @@ template <bool Forced>
 
 }  // namespace
 
-void collide_scatter2d_scalar(const Row2D& r, int a, int b,
-                              const Collide2D& c) {
+void collide_scatter2d_scalar(const Row<2>& r, int a, int b,
+                              const Collide<2>& c) {
   if (c.forced)
-    scatter2d<true>(r.rho, r.ux, r.uy, r.s[0], r.s[1], r.s[2], r.s[3],
+    scatter2d<true>(r.rho, r.u[0], r.u[1], r.s[0], r.s[1], r.s[2], r.s[3],
                     r.s[4], r.s[5], r.s[6], r.s[7], r.s[8], r.d[0], r.d[1],
                     r.d[2], r.d[3], r.d[4], r.d[5], r.d[6], r.d[7], r.d[8],
                     a, b, c);
   else
-    scatter2d<false>(r.rho, r.ux, r.uy, r.s[0], r.s[1], r.s[2], r.s[3],
+    scatter2d<false>(r.rho, r.u[0], r.u[1], r.s[0], r.s[1], r.s[2], r.s[3],
                      r.s[4], r.s[5], r.s[6], r.s[7], r.s[8], r.d[0], r.d[1],
                      r.d[2], r.d[3], r.d[4], r.d[5], r.d[6], r.d[7], r.d[8],
                      a, b, c);
 }
 
-void collide_scatter2d_cell(const Row2D& r, int x, int x0, int x1,
-                            const Collide2D& c) {
+void collide_scatter2d_cell(const Row<2>& r, int x, int x0, int x1,
+                            const Collide<2>& c) {
   const double rho = r.rho[x];
-  const double ux = r.ux[x];
-  const double uy = r.uy[x];
+  const double ux = r.u[0][x];
+  const double uy = r.u[1][x];
   const double base = 1.0 - 1.5 * (ux * ux + uy * uy);
   const double ax = 3.0 * ux;
   const double ay = 3.0 * uy;
@@ -271,22 +270,22 @@ void collide_scatter2d_cell(const Row2D& r, int x, int x0, int x1,
     double vi = fi + c.omega * (eq[i] - fi);
     if (c.forced && i > 0)
       vi = vi + lbm2d::kW[i] * rho * 3.0 *
-                    (lbm2d::kCx[i] * c.gx + lbm2d::kCy[i] * c.gy);
+                    (lbm2d::kCx[i] * c.g[0] + lbm2d::kCy[i] * c.g[1]);
     r.d[i][x] = vi;
   }
 }
 
-void collide_scatter3d_scalar(const Row3D& r, int a, int b,
-                              const Collide3D& c) {
+void collide_scatter3d_scalar(const Row<3>& r, int a, int b,
+                              const Collide<3>& c) {
   if (c.forced)
-    scatter3d<true>(r.rho, r.ux, r.uy, r.uz, r.s[0], r.s[1], r.s[2], r.s[3],
-                    r.s[4], r.s[5], r.s[6], r.s[7], r.s[8], r.s[9], r.s[10],
-                    r.s[11], r.s[12], r.s[13], r.s[14], r.d[0], r.d[1],
-                    r.d[2], r.d[3], r.d[4], r.d[5], r.d[6], r.d[7], r.d[8],
-                    r.d[9], r.d[10], r.d[11], r.d[12], r.d[13], r.d[14], a,
-                    b, c);
+    scatter3d<true>(r.rho, r.u[0], r.u[1], r.u[2], r.s[0], r.s[1], r.s[2],
+                    r.s[3], r.s[4], r.s[5], r.s[6], r.s[7], r.s[8], r.s[9],
+                    r.s[10], r.s[11], r.s[12], r.s[13], r.s[14], r.d[0],
+                    r.d[1], r.d[2], r.d[3], r.d[4], r.d[5], r.d[6], r.d[7],
+                    r.d[8], r.d[9], r.d[10], r.d[11], r.d[12], r.d[13],
+                    r.d[14], a, b, c);
   else
-    scatter3d<false>(r.rho, r.ux, r.uy, r.uz, r.s[0], r.s[1], r.s[2],
+    scatter3d<false>(r.rho, r.u[0], r.u[1], r.u[2], r.s[0], r.s[1], r.s[2],
                      r.s[3], r.s[4], r.s[5], r.s[6], r.s[7], r.s[8], r.s[9],
                      r.s[10], r.s[11], r.s[12], r.s[13], r.s[14], r.d[0],
                      r.d[1], r.d[2], r.d[3], r.d[4], r.d[5], r.d[6], r.d[7],
@@ -294,12 +293,12 @@ void collide_scatter3d_scalar(const Row3D& r, int a, int b,
                      r.d[14], a, b, c);
 }
 
-void collide_scatter3d_cell(const Row3D& r, int x, int x0, int x1,
-                            const Collide3D& c) {
+void collide_scatter3d_cell(const Row<3>& r, int x, int x0, int x1,
+                            const Collide<3>& c) {
   const double rho = r.rho[x];
-  const double ux = r.ux[x];
-  const double uy = r.uy[x];
-  const double uz = r.uz[x];
+  const double ux = r.u[0][x];
+  const double uy = r.u[1][x];
+  const double uz = r.u[2][x];
   const double base = 1.0 - 1.5 * (ux * ux + uy * uy + uz * uz);
   const double ax = 3.0 * ux;
   const double ay = 3.0 * uy;
@@ -333,13 +332,13 @@ void collide_scatter3d_cell(const Row3D& r, int x, int x0, int x1,
     double vi = fi + c.omega * (eq[i] - fi);
     if (c.forced && i > 0)
       vi = vi + lbm3d::kW[i] * rho * 3.0 *
-                    (lbm3d::kCx[i] * c.gx + lbm3d::kCy[i] * c.gy +
-                     lbm3d::kCz[i] * c.gz);
+                    (lbm3d::kCx[i] * c.g[0] + lbm3d::kCy[i] * c.g[1] +
+                     lbm3d::kCz[i] * c.g[2]);
     r.d[i][x] = vi;
   }
 }
 
-Fn2D select2d(SimdLevel level) {
+Fn<2> select2d(SimdLevel level) {
 #if defined(SUBSONIC_HAVE_AVX2)
   if (level == SimdLevel::kAvx2) return &collide_scatter2d_avx2;
 #endif
@@ -347,7 +346,7 @@ Fn2D select2d(SimdLevel level) {
   return &collide_scatter2d_scalar;
 }
 
-Fn3D select3d(SimdLevel level) {
+Fn<3> select3d(SimdLevel level) {
 #if defined(SUBSONIC_HAVE_AVX2)
   if (level == SimdLevel::kAvx2) return &collide_scatter3d_avx2;
 #endif

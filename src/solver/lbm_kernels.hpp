@@ -1,5 +1,5 @@
-// Inner span kernels of the fused LB collide-stream sweep (lbm2d.cpp /
-// lbm3d.cpp set up the rows, these do the per-cell arithmetic).  The sweep
+// Inner span kernels of the fused LB collide-stream sweep (lbm.cpp sets
+// up the rows, these do the per-cell arithmetic).  The sweep
 // is a *push*: for one source row it computes the post-collision
 // populations once per cell and scatters each direction i into its
 // destination plane at (x + cx_i, y + cy_i).  Because every direction
@@ -22,68 +22,55 @@
 
 namespace subsonic::lbm_kernels {
 
-/// One source row of the 2D sweep (D2Q9).
-struct Row2D {
+/// One source pencil of the sweep: D2Q9 in 2D, D3Q15 in 3D.
+template <int Dim>
+struct Row {
+  static constexpr int kQ = Dim == 2 ? 9 : 15;
   const double* rho;
-  const double* ux;
-  const double* uy;
-  const double* s[9];  ///< source populations at (x, y)
-  double* d[9];        ///< pre-shifted dests; null = dest row outside box
+  const double* u[Dim];  ///< velocity components by axis
+  const double* s[kQ];   ///< source populations at (x, y[, z])
+  double* d[kQ];         ///< pre-shifted dests; null = dest pencil outside box
 };
 
 /// Collision constants of the step.
-struct Collide2D {
+template <int Dim>
+struct Collide {
   double omega = 0;
-  double gx = 0, gy = 0;  ///< force * dt
+  double g[Dim] = {};  ///< force * dt by axis
   bool forced = false;
 };
 
 /// Fast path over source cells [a, b): requires every d[i] non-null and
 /// every store in range.
-using Fn2D = void (*)(const Row2D&, int a, int b, const Collide2D&);
+template <int Dim>
+using Fn = void (*)(const Row<Dim>&, int a, int b, const Collide<Dim>&);
 
-void collide_scatter2d_scalar(const Row2D& r, int a, int b,
-                              const Collide2D& c);
+void collide_scatter2d_scalar(const Row<2>& r, int a, int b,
+                              const Collide<2>& c);
 #if defined(SUBSONIC_HAVE_AVX2)
-void collide_scatter2d_avx2(const Row2D& r, int a, int b, const Collide2D& c);
+void collide_scatter2d_avx2(const Row<2>& r, int a, int b,
+                            const Collide<2>& c);
 #endif
 
 /// Guarded single source cell: stores only directions whose destination
 /// lands in columns [x0, x1) of a non-null row.
-void collide_scatter2d_cell(const Row2D& r, int x, int x0, int x1,
-                            const Collide2D& c);
+void collide_scatter2d_cell(const Row<2>& r, int x, int x0, int x1,
+                            const Collide<2>& c);
 
 /// The span kernel for `level` (kAvx2 assumes the CPU supports it —
 /// resolve via active_simd()/set_simd, which clamp).
-Fn2D select2d(SimdLevel level);
+Fn<2> select2d(SimdLevel level);
 
-/// One source pencil of the 3D sweep (D3Q15).
-struct Row3D {
-  const double* rho;
-  const double* ux;
-  const double* uy;
-  const double* uz;
-  const double* s[15];
-  double* d[15];  ///< pre-shifted; null = dest pencil outside box
-};
-
-struct Collide3D {
-  double omega = 0;
-  double gx = 0, gy = 0, gz = 0;
-  bool forced = false;
-};
-
-using Fn3D = void (*)(const Row3D&, int a, int b, const Collide3D&);
-
-void collide_scatter3d_scalar(const Row3D& r, int a, int b,
-                              const Collide3D& c);
+void collide_scatter3d_scalar(const Row<3>& r, int a, int b,
+                              const Collide<3>& c);
 #if defined(SUBSONIC_HAVE_AVX2)
-void collide_scatter3d_avx2(const Row3D& r, int a, int b, const Collide3D& c);
+void collide_scatter3d_avx2(const Row<3>& r, int a, int b,
+                            const Collide<3>& c);
 #endif
 
-void collide_scatter3d_cell(const Row3D& r, int x, int x0, int x1,
-                            const Collide3D& c);
+void collide_scatter3d_cell(const Row<3>& r, int x, int x0, int x1,
+                            const Collide<3>& c);
 
-Fn3D select3d(SimdLevel level);
+Fn<3> select3d(SimdLevel level);
 
 }  // namespace subsonic::lbm_kernels

@@ -32,8 +32,7 @@
 #include <cstring>
 
 #include "src/solver/filter_kernels.hpp"
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace subsonic::lbm_kernels {
 
@@ -57,12 +56,12 @@ inline __m256d force(__m256d v, double w, __m256d rho, double cg) {
 // D2Q9
 
 template <bool Forced>
-void span2d(const Row2D& r, int a, int b, const Collide2D& c) {
+void span2d(const Row<2>& r, int a, int b, const Collide<2>& c) {
   using lbm2d::kW;
   double cg[9];
   if (Forced)
     for (int i = 1; i < 9; ++i)
-      cg[i] = lbm2d::kCx[i] * c.gx + lbm2d::kCy[i] * c.gy;
+      cg[i] = lbm2d::kCx[i] * c.g[0] + lbm2d::kCy[i] * c.g[1];
   const __m256d vom = _mm256_set1_pd(c.omega);
   const __m256d v1 = _mm256_set1_pd(1.0);
   const __m256d v15 = _mm256_set1_pd(1.5);
@@ -74,8 +73,8 @@ void span2d(const Row2D& r, int a, int b, const Collide2D& c) {
   int x = a;
   for (; x + 4 <= b; x += 4) {
     const __m256d rho = _mm256_loadu_pd(r.rho + x);
-    const __m256d ux = _mm256_loadu_pd(r.ux + x);
-    const __m256d uy = _mm256_loadu_pd(r.uy + x);
+    const __m256d ux = _mm256_loadu_pd(r.u[0] + x);
+    const __m256d uy = _mm256_loadu_pd(r.u[1] + x);
     // base = 1 - 1.5 * (ux*ux + uy*uy); a_k = 3 u_k
     const __m256d base = _mm256_sub_pd(
         v1, _mm256_mul_pd(v15, _mm256_add_pd(_mm256_mul_pd(ux, ux),
@@ -114,13 +113,13 @@ void span2d(const Row2D& r, int a, int b, const Collide2D& c) {
 // D3Q15
 
 template <bool Forced>
-void span3d(const Row3D& r, int a, int b, const Collide3D& c) {
+void span3d(const Row<3>& r, int a, int b, const Collide<3>& c) {
   using lbm3d::kW;
   double cg[15];
   if (Forced)
     for (int i = 1; i < 15; ++i)
-      cg[i] = lbm3d::kCx[i] * c.gx + lbm3d::kCy[i] * c.gy +
-              lbm3d::kCz[i] * c.gz;
+      cg[i] = lbm3d::kCx[i] * c.g[0] + lbm3d::kCy[i] * c.g[1] +
+              lbm3d::kCz[i] * c.g[2];
   const __m256d vom = _mm256_set1_pd(c.omega);
   const __m256d v1 = _mm256_set1_pd(1.0);
   const __m256d v15 = _mm256_set1_pd(1.5);
@@ -132,9 +131,9 @@ void span3d(const Row3D& r, int a, int b, const Collide3D& c) {
   int x = a;
   for (; x + 4 <= b; x += 4) {
     const __m256d rho = _mm256_loadu_pd(r.rho + x);
-    const __m256d ux = _mm256_loadu_pd(r.ux + x);
-    const __m256d uy = _mm256_loadu_pd(r.uy + x);
-    const __m256d uz = _mm256_loadu_pd(r.uz + x);
+    const __m256d ux = _mm256_loadu_pd(r.u[0] + x);
+    const __m256d uy = _mm256_loadu_pd(r.u[1] + x);
+    const __m256d uz = _mm256_loadu_pd(r.u[2] + x);
     // base = 1 - 1.5 * ((ux*ux + uy*uy) + uz*uz) — the scalar sum's
     // left-to-right association.
     const __m256d base = _mm256_sub_pd(
@@ -193,16 +192,16 @@ void span3d(const Row3D& r, int a, int b, const Collide3D& c) {
 
 }  // namespace
 
-void collide_scatter2d_avx2(const Row2D& r, int a, int b,
-                            const Collide2D& c) {
+void collide_scatter2d_avx2(const Row<2>& r, int a, int b,
+                            const Collide<2>& c) {
   if (c.forced)
     span2d<true>(r, a, b, c);
   else
     span2d<false>(r, a, b, c);
 }
 
-void collide_scatter3d_avx2(const Row3D& r, int a, int b,
-                            const Collide3D& c) {
+void collide_scatter3d_avx2(const Row<3>& r, int a, int b,
+                            const Collide<3>& c) {
   if (c.forced)
     span3d<true>(r, a, b, c);
   else

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "src/grid/extents.hpp"
 
@@ -36,85 +37,53 @@ enum class Scheduling {
 
 enum class ComputePass { kFull, kBand, kInterior };
 
+/// Axes of a Box2 or Box3.
+template <typename Box>
+inline constexpr int kBoxAxes = static_cast<int>(Box{}.lo().size());
+
 /// Fixed-capacity list of the non-empty frame boxes (range-for friendly).
-struct BandBoxes2 {
-  Box2 boxes[4];
+template <typename Box>
+struct BandBoxes {
+  Box boxes[2 * kBoxAxes<Box>];
   int count = 0;
-  const Box2* begin() const { return boxes; }
-  const Box2* end() const { return boxes + count; }
+  const Box* begin() const { return boxes; }
+  const Box* end() const { return boxes + count; }
 };
 
-struct BandBoxes3 {
-  Box3 boxes[6];
-  int count = 0;
-  const Box3* begin() const { return boxes; }
-  const Box3* end() const { return boxes + count; }
-};
-
-/// The outer frame of `region` of width `w`, as up to four non-overlapping
-/// boxes (bottom and top rows full-width, left and right columns clipped
-/// to the middle rows).  Degenerates gracefully: when the region is
-/// thinner than 2w the frame is the whole region and interior_box2 is
-/// empty.
-inline BandBoxes2 band_boxes2(const Box2& region, int w) {
-  BandBoxes2 out;
-  const int ym0 = std::min(region.y0 + w, region.y1);
-  const int ym1 = std::max(ym0, region.y1 - w);
-  const int xm0 = std::min(region.x0 + w, region.x1);
-  const int xm1 = std::max(xm0, region.x1 - w);
-  const Box2 candidates[4] = {
-      {region.x0, region.y0, region.x1, ym0},  // bottom rows
-      {region.x0, ym1, region.x1, region.y1},  // top rows
-      {region.x0, ym0, xm0, ym1},              // left columns
-      {xm1, ym0, region.x1, ym1},              // right columns
-  };
-  for (const Box2& b : candidates)
-    if (!b.empty()) out.boxes[out.count++] = b;
+/// The outer frame of `region` of width `w`, as up to two boxes per axis
+/// that do not overlap: the two full slabs of the outermost axis first,
+/// then the two slabs of the next axis clipped to the middle of the axes
+/// already cut, down to x (in 2D: bottom rows, top rows, left columns,
+/// right columns).  When the region is thinner than 2w along an axis, the
+/// frame takes the whole of it and interior_box is empty.
+template <typename Box>
+BandBoxes<Box> band_boxes(const Box& region, int w) {
+  BandBoxes<Box> out;
+  auto lo = region.lo(), hi = region.hi();  // the middle not yet framed
+  for (int a = kBoxAxes<Box> - 1; a >= 0; --a) {
+    const int m0 = std::min(lo[a] + w, hi[a]);
+    const int m1 = std::max(m0, hi[a] - w);
+    auto low_hi = hi, high_lo = lo;
+    low_hi[a] = m0;
+    high_lo[a] = m1;
+    for (const Box& b : {box_from(lo, low_hi), box_from(high_lo, hi)})
+      if (!b.empty()) out.boxes[out.count++] = b;
+    lo[a] = m0;
+    hi[a] = m1;
+  }
   return out;
 }
 
-/// The part of `region` not covered by band_boxes2(region, w).
-inline Box2 interior_box2(const Box2& region, int w) {
-  const int ym0 = std::min(region.y0 + w, region.y1);
-  const int ym1 = std::max(ym0, region.y1 - w);
-  const int xm0 = std::min(region.x0 + w, region.x1);
-  const int xm1 = std::max(xm0, region.x1 - w);
-  const Box2 inner{xm0, ym0, xm1, ym1};
-  return inner.empty() ? Box2{} : inner;
-}
-
-/// 3D frame of width `w`: two full z-slabs, then y-slabs and x-slabs of
-/// the middle block — up to six non-overlapping boxes.
-inline BandBoxes3 band_boxes3(const Box3& region, int w) {
-  BandBoxes3 out;
-  const int zm0 = std::min(region.z0 + w, region.z1);
-  const int zm1 = std::max(zm0, region.z1 - w);
-  const int ym0 = std::min(region.y0 + w, region.y1);
-  const int ym1 = std::max(ym0, region.y1 - w);
-  const int xm0 = std::min(region.x0 + w, region.x1);
-  const int xm1 = std::max(xm0, region.x1 - w);
-  const Box3 candidates[6] = {
-      {region.x0, region.y0, region.z0, region.x1, region.y1, zm0},
-      {region.x0, region.y0, zm1, region.x1, region.y1, region.z1},
-      {region.x0, region.y0, zm0, region.x1, ym0, zm1},
-      {region.x0, ym1, zm0, region.x1, region.y1, zm1},
-      {region.x0, ym0, zm0, xm0, ym1, zm1},
-      {xm1, ym0, zm0, region.x1, ym1, zm1},
-  };
-  for (const Box3& b : candidates)
-    if (!b.empty()) out.boxes[out.count++] = b;
-  return out;
-}
-
-inline Box3 interior_box3(const Box3& region, int w) {
-  const int zm0 = std::min(region.z0 + w, region.z1);
-  const int zm1 = std::max(zm0, region.z1 - w);
-  const int ym0 = std::min(region.y0 + w, region.y1);
-  const int ym1 = std::max(ym0, region.y1 - w);
-  const int xm0 = std::min(region.x0 + w, region.x1);
-  const int xm1 = std::max(xm0, region.x1 - w);
-  const Box3 inner{xm0, ym0, zm0, xm1, ym1, zm1};
-  return inner.empty() ? Box3{} : inner;
+/// The part of `region` not covered by band_boxes(region, w).
+template <typename Box>
+Box interior_box(const Box& region, int w) {
+  auto lo = region.lo(), hi = region.hi();
+  for (int a = 0; a < kBoxAxes<Box>; ++a) {
+    lo[a] = std::min(lo[a] + w, hi[a]);
+    hi[a] = std::max(lo[a], hi[a] - w);
+  }
+  const Box inner = box_from(lo, hi);
+  return inner.empty() ? Box{} : inner;
 }
 
 }  // namespace subsonic

@@ -1,10 +1,10 @@
 #include "src/solver/schedule.hpp"
 
 #include "src/solver/bc.hpp"
-#include "src/solver/fd2d.hpp"
-#include "src/solver/fd3d.hpp"
+#include "src/solver/fd.hpp"
 #include "src/solver/filter.hpp"
 #include "src/solver/lattice.hpp"
+#include "src/solver/lbm.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -23,7 +23,7 @@ std::vector<Phase> make_schedule(Method method) {
   // pass over thin pencils costs about as much as the whole sweep: the
   // moments hide the exchange at no extra sweep (DESIGN.md 5b).
   return {P::make_compute(ComputeKind::kLbCollideStream),
-          P::make_exchange(population_fields(kLatticeQ<Dim>),
+          P::make_exchange(population_fields(Lattice<Dim>::kQ),
                            P::HiddenBy::kConsumer),
           P::make_compute(ComputeKind::kLbMoments),
           P::make_compute(ComputeKind::kFilterAndBc)};
@@ -31,23 +31,18 @@ std::vector<Phase> make_schedule(Method method) {
 
 template <int Dim>
 void run_compute(Domain<Dim>& d, ComputeKind kind, ComputePass pass) {
-  // Each kernel has a 2D and a 3D overload; the domain's type picks one.
-  using fd2d::advance_density, fd3d::advance_density;
-  using fd2d::advance_velocity, fd3d::advance_velocity;
-  using lbm2d::collide_stream, lbm3d::collide_stream;
-  using lbm2d::moments, lbm3d::moments;
   switch (kind) {
     case ComputeKind::kFdVelocity:
-      advance_velocity(d, pass);
+      fd::advance_velocity(d, pass);
       return;
     case ComputeKind::kFdDensity:
-      advance_density(d, pass);
+      fd::advance_density(d, pass);
       return;
     case ComputeKind::kLbCollideStream:
-      collide_stream(d, pass);
+      lbm::collide_stream(d, pass);
       return;
     case ComputeKind::kLbMoments:
-      moments(d, pass);
+      lbm::moments(d, pass);
       return;
     case ComputeKind::kFilterAndBc:
       apply_filter(d);

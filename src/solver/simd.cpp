@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace subsonic {
 
@@ -15,26 +16,26 @@ SimdLevel clamp_to_available(SimdLevel want) {
   return want;
 }
 
-SimdLevel resolve_from_env() {
-  const char* env = std::getenv("SUBSONIC_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-    if (std::strcmp(env, "avx2") == 0)
-      return clamp_to_available(SimdLevel::kAvx2);
-    // "auto" and anything unrecognized fall through to the probe.
-  }
-  return clamp_to_available(SimdLevel::kAvx2);
-}
-
 // kScalar = 0, kAvx2 = 1; -1 = not yet resolved.
 std::atomic<int> g_level{-1};
 
 }  // namespace
 
+SimdLevel simd_from_env() {
+  const char* env = std::getenv("SUBSONIC_SIMD");
+  const std::string name = env ? env : "";
+  if (name == "scalar") return SimdLevel::kScalar;
+  if (name.empty() || name == "auto" || name == "avx2")
+    return clamp_to_available(SimdLevel::kAvx2);
+  throw std::invalid_argument("SUBSONIC_SIMD=\"" + name +
+                              "\" (expected \"auto\", \"scalar\" or "
+                              "\"avx2\")");
+}
+
 SimdLevel active_simd() {
   int v = g_level.load(std::memory_order_relaxed);
   if (v < 0) {
-    v = static_cast<int>(resolve_from_env());
+    v = static_cast<int>(simd_from_env());
     g_level.store(v, std::memory_order_relaxed);
   }
   return static_cast<SimdLevel>(v);

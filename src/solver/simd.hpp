@@ -7,11 +7,12 @@
 // SUBSONIC_SIMD environment variable, and every collide_stream and filter
 // call picks the matching span kernel.
 //
-// SUBSONIC_SIMD values: "auto" (default — fastest level both built and
-// supported by the CPU), "scalar", "avx2".  Asking for avx2 on a machine
-// or build without it falls back to scalar; the override exists so CI can
-// pin the scalar path on AVX2-capable runners and so the equivalence
-// tests/bench can exercise both paths in one process (set_simd).
+// SUBSONIC_SIMD values: "auto" (default, as is unset or empty — fastest
+// level both built and supported by the CPU), "scalar", "avx2"; any other
+// text is an error.  Asking for avx2 on a machine or build without it
+// falls back to scalar; the override exists so CI can pin the scalar path
+// on AVX2-capable runners and so the equivalence tests/bench can exercise
+// both paths in one process (set_simd).
 //
 // Every level computes bit-for-bit identical results: the AVX2 kernels
 // are element-wise transcriptions of the scalar arithmetic (same operation
@@ -24,9 +25,13 @@ namespace subsonic {
 
 enum class SimdLevel { kScalar, kAvx2 };
 
-/// Kernel level active for this process: the SUBSONIC_SIMD override if
-/// valid, otherwise the best level the build and CPU both provide.
-/// Cached after the first call; set_simd replaces it.
+/// The level SUBSONIC_SIMD asks for, read now: unset, empty or "auto"
+/// is the best level the build and CPU both provide.  Unknown text throws
+/// std::invalid_argument naming the variable and the accepted values.
+SimdLevel simd_from_env();
+
+/// Kernel level active for this process: simd_from_env(), cached after
+/// the first call; set_simd replaces it.
 SimdLevel active_simd();
 
 /// Forces the dispatch level (tests and bench variants).  kAvx2 is

@@ -1,6 +1,8 @@
 #include "src/util/worker_pool.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/check.hpp"
 #include "src/util/env_int.hpp"
@@ -134,6 +136,10 @@ void WorkerPool::for_weighted(int lo, int hi,
 }
 
 int resolve_threads(int requested) {
+  if (requested > kMaxThreads)
+    throw std::invalid_argument("threads = " + std::to_string(requested) +
+                                " is above the limit of " +
+                                std::to_string(kMaxThreads));
   if (requested >= 1) return requested;
   return env_int("SUBSONIC_THREADS", 1, 1, kMaxThreads);
 }

@@ -117,12 +117,13 @@ inline void first_touch_zero(WorkerPool* pool, double* p, std::size_t n) {
   }
 }
 
-/// Upper bound of SUBSONIC_THREADS: each unit is an OS thread of every
-/// domain's pool.
+/// Upper bound of a thread count, explicit or from SUBSONIC_THREADS: each
+/// unit is an OS thread of every domain's pool.
 constexpr int kMaxThreads = 256;
 
-/// Resolves a driver/domain `threads` knob: values >= 1 are taken as-is;
-/// 0 (the default everywhere) means "use the SUBSONIC_THREADS environment
+/// Resolves a driver/domain `threads` knob: values in [1, kMaxThreads]
+/// are taken as-is, larger ones throw std::invalid_argument; 0 (the
+/// default everywhere) means "use the SUBSONIC_THREADS environment
 /// variable, or 1 if unset or empty".  The variable must be an integer in
 /// [1, kMaxThreads]; anything else throws std::invalid_argument naming it.
 /// Centralizing the env lookup lets CI run whole existing suites with the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/geometry/grid_types.hpp"
+
 #include <vector>
 
 namespace subsonic {
@@ -41,14 +43,14 @@ TEST(MaskSpans2D, ForRowClipsToSubBox) {
   MaskSpans2D spans(0, 10, 0, 1,
                     [](int x, int) { return x < 3 || x >= 7; });
   std::vector<MaskSpan> seen;
-  spans.for_row(0, 2, 8, [&](int a, int b) { seen.push_back({a, b}); });
+  for_spans(spans, 0, 0, 2, 8, [&](int a, int b) { seen.push_back({a, b}); });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (MaskSpan{2, 3}));
   EXPECT_EQ(seen[1], (MaskSpan{7, 8}));
 
   // A clip window that misses every span produces no calls.
   seen.clear();
-  spans.for_row(0, 3, 7, [&](int a, int b) { seen.push_back({a, b}); });
+  for_spans(spans, 0, 0, 3, 7, [&](int a, int b) { seen.push_back({a, b}); });
   EXPECT_TRUE(seen.empty());
 }
 
@@ -78,7 +80,7 @@ TEST(MaskSpans3D, ForRowClips) {
   MaskSpans3D spans(-1, 5, 0, 1, 0, 1,
                     [](int, int, int) { return true; });
   std::vector<MaskSpan> seen;
-  spans.for_row(0, 0, 1, 4, [&](int a, int b) { seen.push_back({a, b}); });
+  for_spans(spans, 0, 0, 1, 4, [&](int a, int b) { seen.push_back({a, b}); });
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], (MaskSpan{1, 4}));
 }

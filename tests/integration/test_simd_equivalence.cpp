@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
@@ -44,6 +48,37 @@ TEST(SimdDispatch, OverrideIsHonoredAndClamped) {
     EXPECT_EQ(active_simd(), SimdLevel::kAvx2);
   else
     EXPECT_EQ(active_simd(), SimdLevel::kScalar);  // clamped to the build
+}
+
+TEST(SimdDispatch, EnvironmentParsesStrictly) {
+  const SimdLevel best =
+      avx2_available() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  const char* saved = std::getenv("SUBSONIC_SIMD");
+  const std::string restore = saved ? saved : "";
+  ::unsetenv("SUBSONIC_SIMD");
+  EXPECT_EQ(simd_from_env(), best);
+  const std::pair<const char*, SimdLevel> known[] = {
+      {"", best}, {"auto", best}, {"scalar", SimdLevel::kScalar},
+      {"avx2", best}};
+  for (const auto& [text, level] : known) {
+    ::setenv("SUBSONIC_SIMD", text, 1);
+    EXPECT_EQ(simd_from_env(), level) << '"' << text << '"';
+  }
+  for (const char* text : {"sclar", "AVX2", " scalar", "avx512", "1"}) {
+    ::setenv("SUBSONIC_SIMD", text, 1);
+    try {
+      simd_from_env();
+      ADD_FAILURE() << '"' << text << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      for (const char* word : {"SUBSONIC_SIMD", "auto", "scalar", "avx2"})
+        EXPECT_NE(what.find(word), std::string::npos) << what;
+    }
+  }
+  if (saved)
+    ::setenv("SUBSONIC_SIMD", restore.c_str(), 1);
+  else
+    ::unsetenv("SUBSONIC_SIMD");
 }
 
 // Serial 2D, kFull pass (threads == 1 takes the in-place sweep), with and

@@ -8,7 +8,7 @@
 
 #include "src/runtime/domain_traits.hpp"
 #include "src/runtime/exchange.hpp"
-#include "src/solver/lbm2d.hpp"
+#include "src/solver/lbm.hpp"
 
 namespace subsonic {
 namespace {
@@ -142,10 +142,10 @@ TEST(PackUnpack2D, PopulationGhostStripIsBitwiseAcrossLayouts) {
     for (int y = 0; y < d.ny(); ++y)
       for (int x = 0; x < d.nx(); ++x)
         d.rho()(x, y) = 1.0 + 0.05 * ((x * 7 + y * 3) % 11) / 11.0;
-    lbm2d::set_equilibrium_both(d);
+    lbm::set_equilibrium_both(d);
     for (int s = 0; s < 3; ++s) {  // odd: leaves the view origin shifted
-      lbm2d::collide_stream(d);
-      lbm2d::moments(d);
+      lbm::collide_stream(d);
+      lbm::moments(d);
     }
   };
   Domain2D a(mask, box, p, Method::kLatticeBoltzmann, 3);

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 namespace subsonic {
@@ -126,6 +127,41 @@ TEST(LivenessFloor, OptionBeatsEnvBeatsDefault) {
   o.heartbeat_floor_ms = 1234;
   EXPECT_EQ(resolve_floor_ms(o), 1234);
   ::unsetenv("SUBSONIC_HEARTBEAT_MS");
+}
+
+TEST(LivenessChannel, OptionBeatsEnvAndUnknownNamesThrow) {
+  const char* saved = std::getenv("SUBSONIC_LIVENESS_CHANNEL");
+  const std::string restore = saved ? saved : "";
+  LivenessOptions o;
+  ::unsetenv("SUBSONIC_LIVENESS_CHANNEL");
+  EXPECT_FALSE(resolve_socket_channels(o));
+  ::setenv("SUBSONIC_LIVENESS_CHANNEL", "", 1);  // CI exports it empty
+  EXPECT_FALSE(resolve_socket_channels(o));
+  ::setenv("SUBSONIC_LIVENESS_CHANNEL", "pipe", 1);
+  EXPECT_FALSE(resolve_socket_channels(o));
+  ::setenv("SUBSONIC_LIVENESS_CHANNEL", "socket", 1);
+  EXPECT_TRUE(resolve_socket_channels(o));
+  o.socket_channels = -1;
+  EXPECT_FALSE(resolve_socket_channels(o));
+  o.socket_channels = 0;
+  for (const char* text : {"sockets", "Socket", "pipes", "tcp", " socket"}) {
+    ::setenv("SUBSONIC_LIVENESS_CHANNEL", text, 1);
+    try {
+      resolve_socket_channels(o);
+      ADD_FAILURE() << '"' << text << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      for (const char* word : {"SUBSONIC_LIVENESS_CHANNEL", "pipe", "socket"})
+        EXPECT_NE(what.find(word), std::string::npos) << what;
+    }
+    o.socket_channels = 1;  // an explicit option never reads the variable
+    EXPECT_TRUE(resolve_socket_channels(o));
+    o.socket_channels = 0;
+  }
+  if (saved)
+    ::setenv("SUBSONIC_LIVENESS_CHANNEL", restore.c_str(), 1);
+  else
+    ::unsetenv("SUBSONIC_LIVENESS_CHANNEL");
 }
 
 TEST(LivenessRegistry, PerRoundNames) {

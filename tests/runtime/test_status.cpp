@@ -534,6 +534,39 @@ TEST(SupervisorEnvironment, MalformedIntegersFailTheRunBeforeAnySpawn) {
   }
 }
 
+TEST(SupervisorEnvironment, UnknownNamesFailTheRunBeforeAnySpawn) {
+  // SUBSONIC_SIMD and SUBSONIC_LIVENESS_CHANNEL are checked by the
+  // supervisor too, so a typo fails run_supervised once, naming the
+  // variable, instead of as rank crashes the supervisor would restart.
+  ::unsetenv("SUBSONIC_FAULTS");
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::pair<const char*, const char*> cases[] = {
+      {"SUBSONIC_SIMD", "sclar"}, {"SUBSONIC_LIVENESS_CHANNEL", "sockets"}};
+  for (const auto& [var, text] : cases) {
+    SCOPED_TRACE(std::string(var) + "=" + text);
+    const char* saved = std::getenv(var);
+    const std::string restore = saved ? saved : "";
+    const std::string workdir = test::fresh_workdir("status_names");
+    ::setenv(var, text, 1);
+    try {
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann,
+                        GridShape{2, 1, 1}, 4, workdir, ProcessRunOptions{});
+      ADD_FAILURE() << "the run started";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+          << e.what();
+    }
+    if (saved)
+      ::setenv(var, restore.c_str(), 1);
+    else
+      ::unsetenv(var);
+    for (const auto& entry : std::filesystem::directory_iterator(workdir))
+      EXPECT_NE(entry.path().extension(), ".dump") << entry.path();
+  }
+}
+
 TEST(ProcessStatusEndpoint, DisabledByDefaultLeavesNoPortFile) {
   ::unsetenv("SUBSONIC_FAULTS");
   ::unsetenv("SUBSONIC_STATUS_PORT");

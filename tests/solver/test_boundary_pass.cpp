@@ -10,8 +10,7 @@
 #include <cstdint>
 #include <string>
 
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lattice.hpp"
 #include "src/util/rng.hpp"
 
 namespace subsonic {

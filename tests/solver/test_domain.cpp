@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/geometry/flue_pipe.hpp"
-#include "src/solver/lbm2d.hpp"
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace subsonic {
 namespace {

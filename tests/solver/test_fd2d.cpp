@@ -1,4 +1,4 @@
-#include "src/solver/fd2d.hpp"
+#include "src/solver/fd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
+#include "src/solver/schedule.hpp"
 #include "src/util/fp_env.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/bitwise.hpp"
@@ -230,10 +231,53 @@ TEST(Fd2D, VelocityMatchesTheScalarLoopBitwise) {
                                   cs2_over_rho * drho_dy + p.nu * lap_uy +
                                   p.force_y);
       }
-    fd2d::advance_velocity(d);
+    fd::advance_velocity(d);
     test::expect_same_bits_any_nan(d.vx(), outx, "vx");
     test::expect_same_bits_any_nan(d.vy(), outy, "vy");
   }
+}
+
+TEST(Fd2D, BandThenInteriorIsTheFullPassBitwise) {
+  // Both kernels split into a band pass and an interior pass (pass.hpp):
+  // kBand then kInterior must leave every padded node of both buffers as
+  // kFull does, in a box thick enough for an interior and in one thinner
+  // than the band on y (no interior), at 1 and 3 threads.
+  Mask2D mask(Extents2{40, 30}, 3);
+  Rng types(33);
+  for (int y = 0; y < 30; ++y)
+    for (int x = 0; x < 40; ++x) {
+      const auto t = types.below(16);
+      if (t == 0) mask.set(x, y, NodeType::kWall);
+      if (t == 1) mask.set(x, y, NodeType::kOutlet);
+    }
+  FluidParams p = fd_params();
+  p.force_x = 1e-4;
+  for (const Box2& box : {Box2{4, 3, 36, 27}, Box2{4, 3, 36, 8}})
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message() << box << ", threads " << threads);
+      Domain2D split(mask, box, p, Method::kFiniteDifference, 3, threads);
+      Domain2D whole(mask, box, p, Method::kFiniteDifference, 3, threads);
+      Rng values(18);
+      const int g = split.ghost();
+      for (FieldId id : {FieldId::kRho, FieldId::kVx, FieldId::kVy})
+        for (int y = -g; y < split.ny() + g; ++y)
+          for (int x = -g; x < split.nx() + g; ++x)
+            split.field(id)(x, y) = whole.field(id)(x, y) =
+                test::value_or_special(values, -1.0, 1.0);
+      for (ComputeKind kind :
+           {ComputeKind::kFdVelocity, ComputeKind::kFdDensity}) {
+        run_compute(split, kind, ComputePass::kBand);
+        run_compute(split, kind, ComputePass::kInterior);
+        run_compute(whole, kind, ComputePass::kFull);
+        test::expect_same_bits(split.rho(), whole.rho(), "rho");
+        test::expect_same_bits(split.vx(), whole.vx(), "vx");
+        test::expect_same_bits(split.vy(), whole.vy(), "vy");
+        test::expect_same_bits(split.rho_next(), whole.rho_next(),
+                               "rho_next");
+        test::expect_same_bits(split.vx_next(), whole.vx_next(), "vx_next");
+        test::expect_same_bits(split.vy_next(), whole.vy_next(), "vy_next");
+      }
+    }
 }
 
 }  // namespace

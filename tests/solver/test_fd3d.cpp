@@ -1,4 +1,4 @@
-#include "src/solver/fd3d.hpp"
+#include "src/solver/fd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include "src/geometry/flue_pipe.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
+#include "src/solver/schedule.hpp"
 #include "src/util/fp_env.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/bitwise.hpp"
@@ -219,13 +220,57 @@ TEST(Fd3D, VelocityAndDensityMatchTheScalarLoopsBitwise) {
                              inv2dx;
           outr(x, y, z) = rh(x, y, z) - p.dt * (dmx + dmy + dmz);
         }
-    fd3d::advance_velocity(d);
+    fd::advance_velocity(d);
     test::expect_same_bits_any_nan(d.vx(), outx, "vx");
     test::expect_same_bits_any_nan(d.vy(), outy, "vy");
     test::expect_same_bits_any_nan(d.vz(), outz, "vz");
-    fd3d::advance_density(d);
+    fd::advance_density(d);
     test::expect_same_bits_any_nan(d.rho(), outr, "rho");
   }
+}
+
+TEST(Fd3D, BandThenInteriorIsTheFullPassBitwise) {
+  // As Fd2D's: kBand then kInterior leaves every padded node of both
+  // buffers as kFull does, in a box thick enough for an interior and in
+  // one thinner than the band on z, at 1 and 3 threads.
+  Mask3D mask(Extents3{20, 16, 14}, 3);
+  Rng types(34);
+  for (int z = 0; z < 14; ++z)
+    for (int y = 0; y < 16; ++y)
+      for (int x = 0; x < 20; ++x) {
+        const auto t = types.below(16);
+        if (t == 0) mask.set(x, y, z, NodeType::kWall);
+        if (t == 1) mask.set(x, y, z, NodeType::kOutlet);
+      }
+  FluidParams p = fd_params();
+  p.force_z = 1e-4;
+  for (const Box3& box : {Box3{2, 3, 2, 18, 14, 12}, Box3{2, 3, 2, 18, 14, 6}})
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message() << box << ", threads " << threads);
+      Domain3D split(mask, box, p, Method::kFiniteDifference, 3, threads);
+      Domain3D whole(mask, box, p, Method::kFiniteDifference, 3, threads);
+      Rng values(19);
+      const int g = split.ghost();
+      for (FieldId id : Domain3D::macro_fields())
+        for (int z = -g; z < split.nz() + g; ++z)
+          for (int y = -g; y < split.ny() + g; ++y)
+            for (int x = -g; x < split.nx() + g; ++x)
+              split.field(id)(x, y, z) = whole.field(id)(x, y, z) =
+                  test::value_or_special(values, -1.0, 1.0);
+      for (ComputeKind kind :
+           {ComputeKind::kFdVelocity, ComputeKind::kFdDensity}) {
+        run_compute(split, kind, ComputePass::kBand);
+        run_compute(split, kind, ComputePass::kInterior);
+        run_compute(whole, kind, ComputePass::kFull);
+        test::expect_same_bits(split.rho(), whole.rho(), "rho");
+        test::expect_same_bits(split.rho_next(), whole.rho_next(),
+                               "rho_next");
+        for (int a = 0; a < 3; ++a) {
+          test::expect_same_bits(split.v(a), whole.v(a), "v");
+          test::expect_same_bits(split.v_next(a), whole.v_next(a), "v_next");
+        }
+      }
+    }
 }
 
 }  // namespace

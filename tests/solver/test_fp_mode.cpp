@@ -33,7 +33,7 @@ TEST(ForRowsFpMode, EveryRowOnEveryWorkerRunsFlushed2D) {
   ASSERT_EQ(d.threads(), 3);
   const unsigned before = _mm_getcsr();
   std::vector<unsigned> seen(40, 0);
-  d.for_rows(0, 40, [&](int y) { seen[y] = _mm_getcsr(); });
+  d.for_rows(0, 40, 0, 1, [&](int y, int) { seen[y] = _mm_getcsr(); });
   for (int y = 0; y < 40; ++y)
     EXPECT_EQ(seen[y] & kFlushSubnormalBits, kFlushSubnormalBits)
         << "row " << y;
@@ -63,7 +63,7 @@ TEST(ForRowsFpMode, SingleThreadedDomainRunsFlushedToo) {
                    Method::kFiniteDifference, 1, /*threads=*/1);
   const unsigned before = _mm_getcsr();
   unsigned seen = 0;
-  d.for_rows(0, 8, [&](int) { seen |= _mm_getcsr(); });
+  d.for_rows(0, 8, 0, 1, [&](int, int) { seen |= _mm_getcsr(); });
   EXPECT_EQ(seen & kFlushSubnormalBits, kFlushSubnormalBits);
   EXPECT_EQ(_mm_getcsr(), before);
 }

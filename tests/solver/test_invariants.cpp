@@ -8,7 +8,7 @@
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
 #include "src/runtime/serial_driver.hpp"
-#include "src/solver/lbm2d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace subsonic {
 namespace {

@@ -1,4 +1,4 @@
-#include "src/solver/lbm2d.hpp"
+#include "src/solver/lbm.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
+#include "src/solver/lattice.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/solver/schedule.hpp"
@@ -348,7 +349,7 @@ TEST(Lbm2D, MomentsMatchTheScalarLoopBitwise) {
         vx(x, y) = mx / r;
         vy(x, y) = my / r;
       }
-    lbm2d::moments(*d);
+    lbm::moments(*d);
     test::expect_same_bits_any_nan(d->rho(), rho, "rho");
     test::expect_same_bits_any_nan(d->vx(), vx, "vx");
     test::expect_same_bits_any_nan(d->vy(), vy, "vy");
@@ -366,8 +367,8 @@ TEST(Lbm2D, CollideStreamBandThenInteriorIsTheWholeSweep) {
     auto split = poisoned_domain(mask, threads);
     auto whole = poisoned_domain(mask, threads);
     for (int step = 0; step < 2; ++step) {
-      lbm2d::moments(*split);
-      lbm2d::moments(*whole);
+      lbm::moments(*split);
+      lbm::moments(*whole);
       run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kBand);
       run_compute(*split, ComputeKind::kLbCollideStream,

@@ -1,4 +1,4 @@
-#include "src/solver/lbm3d.hpp"
+#include "src/solver/lbm.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
+#include "src/solver/lattice.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/solver/poiseuille.hpp"
 #include "src/solver/schedule.hpp"
@@ -316,7 +317,7 @@ TEST(Lbm3D, MomentsMatchTheScalarLoopBitwise) {
           vy(x, y, z) = my / r;
           vz(x, y, z) = mz / r;
         }
-    lbm3d::moments(*d);
+    lbm::moments(*d);
     test::expect_same_bits_any_nan(d->rho(), rho, "rho");
     test::expect_same_bits_any_nan(d->vx(), vx, "vx");
     test::expect_same_bits_any_nan(d->vy(), vy, "vy");
@@ -333,8 +334,8 @@ TEST(Lbm3D, CollideStreamBandThenInteriorIsTheWholeSweep) {
     auto split = poisoned_domain(mask, threads);
     auto whole = poisoned_domain(mask, threads);
     for (int step = 0; step < 2; ++step) {
-      lbm3d::moments(*split);
-      lbm3d::moments(*whole);
+      lbm::moments(*split);
+      lbm::moments(*whole);
       run_compute(*split, ComputeKind::kLbCollideStream,
                     ComputePass::kBand);
       run_compute(*split, ComputeKind::kLbCollideStream,

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/solver/lbm2d.hpp"
+#include "src/solver/lattice.hpp"
 
 namespace subsonic {
 namespace {

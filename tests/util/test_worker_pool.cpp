@@ -174,6 +174,13 @@ TEST(WorkerPoolWeighted, InterleavesWithForRange) {
   }
 }
 
+TEST(ResolveThreads, ExplicitCountsStopAtKMaxThreads) {
+  // The resolver alone: no pool is built from these values.
+  EXPECT_EQ(resolve_threads(kMaxThreads), kMaxThreads);
+  EXPECT_THROW(resolve_threads(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(resolve_threads(100000), std::invalid_argument);
+}
+
 TEST(ResolveThreads, ExplicitWinsOverEnvironment) {
   ::setenv("SUBSONIC_THREADS", "7", 1);
   EXPECT_EQ(resolve_threads(3), 3);
