@@ -1,8 +1,9 @@
 // Telemetry end to end on the process runtime: a supervised lattice
 // Boltzmann run with tracing forced on, leaving in the working directory
 //
-//   block_<b>.dump           final state of each block (one per rank
-//                            unless blocks > 0)
+//   block_<b>.epoch_<e>.dump final state of each block (one per rank
+//                            unless blocks > 0): the run's last epoch
+//   MANIFEST                 the commit record naming that epoch e
 //   rank_<r>.metrics.jsonl   per-rank snapshot of counters / gauges /
 //                            phase timers / histograms
 //   rank_<r>.trace.json      per-rank Chrome trace

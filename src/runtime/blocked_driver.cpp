@@ -8,6 +8,7 @@
 
 #include "src/comm/in_memory_transport.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/runtime/epoch_store.hpp"
 #include "src/telemetry/summary.hpp"
 #include "src/util/check.hpp"
 #include "src/util/log.hpp"
@@ -218,22 +219,29 @@ void BlockedDriver<Dim>::reinitialize() {
 
 template <int Dim>
 void BlockedDriver<Dim>::save_blocks(const std::string& dir) const {
-  // One after the other in block order, as the paper's processes stagger
-  // their saves to avoid monopolizing the file server (section 5.2).
+  const auto last = epoch::read_manifest(dir);
+  epoch::Manifest m{last ? last->epoch + 1 : 0, step(), {}};
+  // One after the other, as the paper's processes stagger their saves to
+  // avoid monopolizing the file server (section 5.2).
   for (const auto& set : sets_)
-    for (int i = 0; i < set->local_count(); ++i)
-      save_domain(set->domain(i),
-                  dir + "/block_" + std::to_string(set->block_ids()[i]) +
-                      ".dump");
+    for (int i = 0; i < set->local_count(); ++i) {
+      const int b = set->block_ids()[i];
+      save_domain(set->domain(i), epoch::block_dump_path(dir, b, m.epoch));
+      m.blocks.push_back(b);
+    }
+  std::sort(m.blocks.begin(), m.blocks.end());
+  epoch::commit(dir, m);
 }
 
 template <int Dim>
 void BlockedDriver<Dim>::restore_blocks(const std::string& dir) {
+  const auto m = epoch::read_manifest(dir);
+  SUBSONIC_REQUIRE_MSG(m, "restore_blocks: no committed epoch in " + dir);
   for (auto& set : sets_)
     for (int i = 0; i < set->local_count(); ++i)
       restore_domain(set->domain(i),
-                     dir + "/block_" + std::to_string(set->block_ids()[i]) +
-                         ".dump");
+                     epoch::block_dump_path(dir, set->block_ids()[i],
+                                            m->epoch));
   // The restored interiors invalidate every neighbour's ghost copy;
   // refresh them (populations included) without re-seeding equilibria.
   sync_ghosts();

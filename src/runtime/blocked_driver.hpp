@@ -6,8 +6,9 @@
 // blocks only when it lacks the boundary data its next compute phase
 // needs, so neighbours drift apart by a bounded number of steps
 // (appendix A).  Equivalence tests pin every layout bitwise to the serial
-// driver, and the save_blocks/restore_blocks pair (per-*block* dump files)
-// is what makes a mid-run owner-map rewrite a pure re-assignment: save,
+// driver, and the save_blocks/restore_blocks pair (a committed epoch of
+// per-*block* dump files, the store a supervised run reads and leaves) is
+// what makes a mid-run owner-map rewrite a pure re-assignment: save,
 // rebuild the driver with the edited map, restore, continue.
 #pragma once
 
@@ -97,14 +98,16 @@ class BlockedDriver {
   /// every ghost region (all fields).
   void reinitialize();
 
-  /// Writes one dump per active block into `dir` ("block_<b>.dump"), in
-  /// block order.  Block dumps are owner-agnostic: any later driver whose
-  /// decomposition cuts the same block boxes can restore them, whatever
-  /// its owner map says.
+  /// Writes one dump per active block into `dir` as the epoch after the
+  /// one committed there (epoch_store.hpp; 0 when none is) and commits
+  /// it, so a supervised run in `dir` continues from this state.  Block
+  /// dumps are owner-agnostic: any later driver whose decomposition cuts
+  /// the same block boxes can restore them, whatever its owner map says.
   void save_blocks(const std::string& dir) const;
 
-  /// Restores dumps written by save_blocks for the same block geometry,
-  /// method and parameters.
+  /// Restores the epoch committed in `dir` (by save_blocks or a
+  /// supervised run) for the same block geometry, method and parameters;
+  /// contract_error when none is.
   void restore_blocks(const std::string& dir);
 
   telemetry::Session& telemetry() { return *telemetry_; }

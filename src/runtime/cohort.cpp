@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -35,10 +36,6 @@ std::string rank_trace_path(const std::string& workdir, int rank) {
   return workdir + "/rank_" + std::to_string(rank) + ".trace.json";
 }
 
-std::string legacy_block_dump_path(const std::string& workdir, int block) {
-  return workdir + "/block_" + std::to_string(block) + ".dump";
-}
-
 void tag_child_stderr(int fd, int rank) {
   std::string pending;
   char buf[512];
@@ -59,6 +56,23 @@ void tag_child_stderr(int fd, int rank) {
   ::close(fd);
 }
 
+namespace {
+
+/// A checkpoint of one block captured in memory at its epoch step but
+/// flushed to disk a few steps later — the paper's orderly *staggered*
+/// state saving.  Deferring only the write (never the capture) keeps every
+/// block's dump for an epoch at the same logical step.
+struct PendingBlockDump {
+  int block = -1;
+  long epoch = 0;
+  long flush_step = 0;  ///< write once the blocks' step reaches this
+  std::vector<char> bytes;
+};
+
+/// Writes one pending block dump.  A matching torn_dump fault writes only
+/// the front half of the bytes straight to the final path (no tmp+rename)
+/// and kills the process — simulating a rank dying mid-write without the
+/// atomic protocol.  The supervisor must then treat the file as garbage.
 void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
                       const std::string& workdir, const FaultPlan& faults) {
   const std::string path = epoch::block_dump_path(workdir, p.block, p.epoch);
@@ -71,8 +85,6 @@ void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
   }
   atomic_write_file(path, p.bytes.data(), p.bytes.size());
 }
-
-namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -107,46 +119,57 @@ void handle_sigusr1(int) {
   g_rollback_sig.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// SIGTERM rescue state: the handler publishes the metrics snapshot so
-/// the supervisor can fold the work this rank did before being put down.
-/// Deliberately not async-signal-safe — the process is about to die
-/// either way (SIGKILL follows after the grace window), so the flush is
-/// best-effort, never a correctness path.
-telemetry::Session* g_term_session = nullptr;
-std::string g_term_metrics_path;
-std::string g_term_trace_path;  // empty: tracing off
+/// The rank's snapshot and trace writers (main thread, term_rescue) take
+/// turns.
+std::mutex g_publish_mu;
+std::atomic<bool> g_exiting{false};  ///< the rank is on its way out
 
-void handle_sigterm(int) {
-  if (g_term_session) {
-    try {
-      if (!g_term_metrics_path.empty())
-        g_term_session->flush_metrics_delta(g_term_metrics_path);
-      if (!g_term_trace_path.empty())
-        g_term_session->write_trace_json(g_term_trace_path);
-    } catch (...) {
-    }
+/// The SIGTERM rescue.  child_main blocks SIGTERM before the rank starts
+/// any thread, so the signal waits for this thread's sigwait; it then
+/// publishes the snapshot (and the trace), so the supervisor can fold the
+/// work the rank did before being put down, and exits kTermAckExit.  Not
+/// a handler: it may allocate and do stdio without deadlocking on a lock
+/// the interrupted code held, and it runs while a hung main thread spins.
+/// Returns only once g_exiting is set.
+void term_rescue(telemetry::Session* tel, const std::string& metrics,
+                 const std::string& trace) {
+  sigset_t term;
+  sigemptyset(&term);
+  sigaddset(&term, SIGTERM);
+  for (;;) {
+    // A blocked SIGTERM is queued whatever its disposition, so the hard
+    // hang fault's SIG_IGN is honoured here: SIGKILL must follow.
+    int sig = 0;
+    struct sigaction now = {};
+    if (::sigwait(&term, &sig) != 0) continue;
+    if (g_exiting) return;
+    if (::sigaction(SIGTERM, nullptr, &now) == 0 && now.sa_handler != SIG_IGN)
+      break;
+  }
+  std::lock_guard<std::mutex> lock(g_publish_mu);
+  try {
+    tel->flush_metrics_delta(metrics);
+    if (!trace.empty()) tel->write_trace_json(trace);
+  } catch (...) {
   }
   ::_exit(liveness::kTermAckExit);
 }
 
-void install_child_signal_handlers() {
-  struct sigaction term = {};
-  term.sa_handler = handle_sigterm;
-  sigemptyset(&term.sa_mask);
-  ::sigaction(SIGTERM, &term, nullptr);
-  struct sigaction usr = {};
-  usr.sa_handler = handle_sigusr1;
-  sigemptyset(&usr.sa_mask);
-  usr.sa_flags = SA_RESTART;
-  ::sigaction(SIGUSR1, &usr, nullptr);
+/// Exits the rank with `code` once term_rescue has returned: no thread
+/// outlives the body (a sanitizer's exit path would wait for it).
+[[noreturn]] void exit_rank(std::thread& rescue, int code) {
+  g_exiting = true;
+  if (rescue.joinable()) {
+    ::pthread_kill(rescue.native_handle(), SIGTERM);
+    rescue.join();
+  }
+  ::_exit(code);
 }
 
 /// The hang fault: go completely silent and burn CPU forever — a
-/// livelock the watchdog must catch.  hard=1 first ignores SIGTERM so
-/// the supervisor's graceful rung falls through to SIGKILL.  Ignoring
-/// (process-wide disposition), not sigprocmask (per-thread): the
-/// endpoint's sender thread would otherwise take the process-directed
-/// SIGTERM and defeat the fault.
+/// livelock the watchdog must catch.  hard=1 first ignores SIGTERM
+/// process-wide (term_rescue honours the disposition) so the supervisor's
+/// graceful rung falls through to SIGKILL.
 [[noreturn]] void enter_hang(bool hard) {
   if (hard) ::signal(SIGTERM, SIG_IGN);
   for (;;) {
@@ -185,12 +208,15 @@ bool await_rollback_order(const ChildConfig& cfg, liveness::Emitter& hb,
 }
 
 /// Publishes the rank's metrics snapshot (Session::flush_metrics_delta),
-/// stamped with the last completed step for the supervisor's live view.
-/// Best-effort and observationally inert to the physics.
-void publish_metrics(telemetry::Session& tel, int rank,
-                     const std::string& path, long step) {
+/// stamped with the last completed step for the supervisor's live view,
+/// and its trace unless `trace` is empty.  Best-effort and
+/// observationally inert to the physics.
+void publish(telemetry::Session& tel, int rank, const std::string& metrics,
+             const std::string& trace, long step) {
+  std::lock_guard<std::mutex> lock(g_publish_mu);
   tel.metrics().gauge(rank, "step").set(static_cast<double>(step));
-  tel.flush_metrics_delta(path);
+  tel.flush_metrics_delta(metrics);
+  if (!trace.empty()) tel.write_trace_json(trace);
 }
 
 /// A child that inherited no heartbeat or control fd (-1: socket
@@ -244,19 +270,31 @@ template <int Dim>
                              const std::string& workdir,
                              const std::string& registry,
                              const FaultPlan& faults) {
-  const ChildConfig cfg = connect_socket_channels(cfg_in, registry);
+  // Every path out of child_main ends in _exit, so these outlive it.
+  telemetry::Session session({cfg_in.trace, cfg_in.origin_ns});
+  telemetry::Session* const tel = &session;
+  const std::string metrics = metrics_path(workdir, cfg_in.rank);
+  const std::string trace =
+      session.tracing() ? rank_trace_path(workdir, cfg_in.rank) : "";
+  std::thread rescue;
   try {
-    telemetry::SessionConfig tel_cfg;
-    tel_cfg.trace = cfg.trace;
-    tel_cfg.origin_ns = cfg.origin_ns;
-    telemetry::Session session(tel_cfg);
-    telemetry::Session* const tel = &session;
-    set_log_context(cfg.rank);
+    // SIGTERM stays blocked in every thread the rank starts from here on,
+    // at its default disposition whatever the launcher left (only the
+    // hard hang fault ignores it).
+    sigset_t term;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    ::pthread_sigmask(SIG_BLOCK, &term, nullptr);
+    ::signal(SIGTERM, SIG_DFL);
+    rescue = std::thread(term_rescue, tel, metrics, trace);
+    struct sigaction usr = {};
+    usr.sa_handler = handle_sigusr1;
+    sigemptyset(&usr.sa_mask);
+    usr.sa_flags = SA_RESTART;
+    ::sigaction(SIGUSR1, &usr, nullptr);
 
-    g_term_session = tel;
-    g_term_metrics_path = metrics_path(workdir, cfg.rank);
-    if (session.tracing()) g_term_trace_path = rank_trace_path(workdir, cfg.rank);
-    install_child_signal_handlers();
+    const ChildConfig cfg = connect_socket_channels(cfg_in, registry);
+    set_log_context(cfg.rank);
 
     liveness::Emitter hb(cfg.heartbeat_fd, cfg.rank, cfg.beacon_interval_ms);
 
@@ -271,19 +309,11 @@ template <int Dim>
 
       BlockSet<Dim> set(mask, params, method, bd, rcfg.rank, rcfg.threads,
                         tel);
-      {
+      if (rcfg.restore_epoch >= 0) {
         telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.restore", "ckpt");
-        for (int b : set.block_ids()) {
-          auto& dom = set.domain_of_block(b);
-          if (rcfg.restore_epoch >= 0) {
-            restore_domain(
-                dom, epoch::block_dump_path(workdir, b, rcfg.restore_epoch));
-          } else {
-            const std::string legacy = legacy_block_dump_path(workdir, b);
-            std::ifstream probe(legacy, std::ios::binary);
-            if (probe.good()) restore_domain(dom, legacy);
-          }
-        }
+        for (int b : set.block_ids())
+          restore_domain(set.domain_of_block(b),
+                         epoch::block_dump_path(workdir, b, rcfg.restore_epoch));
       }
 
       const int delay_ms = faults.delay_connect_ms(rcfg.rank, round);
@@ -320,6 +350,7 @@ template <int Dim>
       }
 
       std::vector<PendingBlockDump> pending;
+      long next_epoch = rcfg.restore_epoch + 1;
       while (set.step() < rcfg.target_step) {
         if (rollback_pending()) return false;
         set_log_context(rcfg.rank, set.step());
@@ -335,8 +366,7 @@ template <int Dim>
         // step still leaves this step's snapshot for the fold.
         if (rcfg.metrics_flush_interval > 0 &&
             (done - rcfg.start_step) % rcfg.metrics_flush_interval == 0)
-          publish_metrics(session, rcfg.rank, metrics_path(workdir, cfg.rank),
-                          done);
+          publish(session, rcfg.rank, metrics, "", done);
 
         // A kill fault fires before this step's checkpoint work, so the
         // crash always loses whatever the stagger had not yet flushed.
@@ -347,25 +377,24 @@ template <int Dim>
         if (auto ms = faults.mute_step(rcfg.rank, round))
           if (done - rcfg.start_step >= *ms) hb.mute();
 
-        // Capture up to the run's end, segment boundaries included (the
-        // boundary dump flushes in the exit path below) — a gap in the
-        // epoch numbering would stall the supervisor's sequential commits.
-        const long run_end = std::max(rcfg.final_target, rcfg.target_step);
-        if (rcfg.checkpoint_interval > 0 &&
-            (done - rcfg.start_step) % rcfg.checkpoint_interval == 0 &&
-            done < run_end) {
+        // Capture on the interval grid and at the target step, whose
+        // epoch is the cohort's final state (flushed in the exit path
+        // below).  Every rank of a round restored the same epoch and
+        // captures at the same steps, so they agree on each capture's id.
+        if ((rcfg.checkpoint_interval > 0 &&
+             (done - rcfg.start_step) % rcfg.checkpoint_interval == 0) ||
+            done == rcfg.target_step) {
           telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.capture", "ckpt",
                                      done);
-          const long epoch_id =
-              (done - rcfg.start_step) / rcfg.checkpoint_interval - 1;
           for (int i = 0; i < set.local_count(); ++i) {
             PendingBlockDump p;
             p.block = set.block_ids()[i];
-            p.epoch = epoch_id;
+            p.epoch = next_epoch;
             p.flush_step = done + rcfg.stagger_index;
             p.bytes = serialize_domain(set.domain(i));
             pending.push_back(std::move(p));
           }
+          ++next_epoch;
         }
         for (size_t i = 0; i < pending.size();) {
           if (done >= pending[i].flush_step) {
@@ -379,25 +408,17 @@ template <int Dim>
         }
       }
       set_log_context(rcfg.rank);
-      for (const PendingBlockDump& p : pending) {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.flush", "ckpt",
-                                   set.step());
-        flush_block_dump(p, rcfg, workdir, faults);
-      }
-
-      // Drain the async send queue before the final dumps: a peer may
+      // Drain the async send queue before the last dumps: a peer may
       // still be waiting on our final-step messages.
       {
         telemetry::ScopedSpan span(tel, rcfg.rank, "comm.flush", "comm",
                                    set.step());
         endpoint.flush();
       }
-      {
-        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.final_save", "ckpt",
+      for (const PendingBlockDump& p : pending) {
+        telemetry::ScopedSpan span(tel, rcfg.rank, "ckpt.flush", "ckpt",
                                    set.step());
-        for (int i = 0; i < set.local_count(); ++i)
-          save_domain(set.domain(i),
-                      legacy_block_dump_path(workdir, set.block_ids()[i]));
+        flush_block_dump(p, rcfg, workdir, faults);
       }
       return true;
     };
@@ -424,30 +445,28 @@ template <int Dim>
         completed = false;
       }
       if (completed) break;
-      if (!await_rollback_order(cfg, hb, &round, &restore_epoch)) ::_exit(1);
+      if (!await_rollback_order(cfg, hb, &round, &restore_epoch))
+        exit_rank(rescue, 1);
     }
 
     // The metrics snapshot is this rank's half of the supervisor's
     // run_summary.json; published last so it covers the whole cohort, and
     // only on a clean (or SIGTERM-rescued) exit — a SIGKILLed rank
     // contributes only its last periodic snapshot to the fold.
-    publish_metrics(session, cfg.rank, metrics_path(workdir, cfg.rank),
-                    cfg.target_step);
-    if (session.tracing())
-      session.write_trace_json(rank_trace_path(workdir, cfg.rank));
-    ::_exit(0);
+    publish(session, cfg.rank, metrics, trace, cfg.target_step);
+    exit_rank(rescue, 0);
   } catch (const peer_lost_error& e) {
     // Expected when a neighbour dies unsupervised: report and exit so the
     // supervisor can restart the cohort.  Never hang.
-    std::fprintf(stderr, "subprocess rank %d lost a peer: %s\n", cfg.rank,
+    std::fprintf(stderr, "subprocess rank %d lost a peer: %s\n", cfg_in.rank,
                  e.what());
-    ::_exit(3);
+    exit_rank(rescue, 3);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "subprocess rank %d failed: %s\n", cfg.rank,
+    std::fprintf(stderr, "subprocess rank %d failed: %s\n", cfg_in.rank,
                  e.what());
-    ::_exit(1);
+    exit_rank(rescue, 1);
   } catch (...) {
-    ::_exit(2);
+    exit_rank(rescue, 2);
   }
 }
 

@@ -1,11 +1,11 @@
 // The child half of the supervised process runtime, dimension-generic.
 // A "cohort" is one spawned generation of rank processes; this header
-// carries the per-child configuration, the staggered-checkpoint pending
-// queue, and child_main<Dim> — the body every rank process runs: build
-// the blocks the owner map gives it (restoring each block's epoch or
-// final dump), loop compute/exchange until target_step, save staggered
-// epoch checkpoints, dump every block, exit.  The supervisor
-// (supervisor.hpp) spawns, reaps and respawns cohorts.
+// carries the per-child configuration and child_main<Dim> — the body
+// every rank process runs: build the blocks the owner map gives it
+// (restoring each from the committed epoch, or fresh), loop
+// compute/exchange until target_step, save staggered epoch checkpoints
+// (the last at target_step: the cohort's final state), exit.  The
+// supervisor (supervisor.hpp) spawns, reaps and respawns cohorts.
 #pragma once
 
 #include <string>
@@ -24,12 +24,6 @@ std::string metrics_path(const std::string& workdir, int rank);
 /// "rank_<r>.trace.json" in `workdir`: one child's Chrome-trace capture.
 std::string rank_trace_path(const std::string& workdir, int rank);
 
-/// "block_<b>.dump" in `workdir`: the final-state dump of one block, left
-/// by a clean child (and restored from on a continuation run).  Keyed by
-/// block id — never by rank — so a continuation run restores correctly
-/// under a rewritten owner map.
-std::string legacy_block_dump_path(const std::string& workdir, int block);
-
 /// Parent-side half of the child-stderr tagging pipe: reads the child's
 /// stderr line by line and re-emits each line onto the supervisor's
 /// stderr prefixed "[rank r]", so interleaved output from a cohort stays
@@ -45,13 +39,11 @@ struct ChildConfig {
   int generation = 0;     ///< supervisor respawn counter (0 = first cohort)
   long target_step = 0;   ///< run until domain.step() reaches this
   long start_step = 0;    ///< step the run as a whole began at
-  /// Step the whole *run* ends at (>= target_step; a rebalancing run
-  /// proceeds in segments, so one cohort's target may sit mid-run).  Epoch
-  /// checkpoints are captured up to the run's end but not at it — the
-  /// final state is the legacy dump — which keeps the epoch numbering
-  /// gap-free across segment boundaries.
-  long final_target = 0;
-  long restore_epoch = -1;  ///< epoch dump to restore (-1: legacy/fresh)
+  /// Committed epoch to restore (-1: the fresh state).  Captures are
+  /// numbered on from it, so no capture overwrites a committed epoch.
+  long restore_epoch = -1;
+  /// Steps between epoch captures, counted from start_step (0: none but
+  /// the one at target_step, which every cohort captures).
   int checkpoint_interval = 0;
   int stagger_index = 0;  ///< this rank's index in the active list
   int recv_deadline_ms = 0;
@@ -73,33 +65,15 @@ struct ChildConfig {
   int metrics_flush_interval = 0;
 };
 
-/// A checkpoint of one block captured in memory at its epoch step but
-/// flushed to disk a few steps later — the paper's orderly *staggered*
-/// state saving.  Deferring only the write (never the capture) keeps every
-/// block's dump for an epoch at the same logical step.
-struct PendingBlockDump {
-  int block = -1;
-  long epoch = 0;
-  long flush_step = 0;  ///< write once the blocks' step reaches this
-  std::vector<char> bytes;
-};
-
-/// Writes one pending block dump.  A matching torn_dump fault writes only
-/// the front half of the bytes straight to the final path (no tmp+rename)
-/// and kills the process — simulating a rank dying mid-write without the
-/// atomic protocol.  Restart must then treat the file as garbage.
-void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
-                      const std::string& workdir, const FaultPlan& faults);
-
 /// The body of one rank process: steps every block the owner map assigns
 /// to it (a BlockSet) over a TcpEndpoint, with per-*block* epoch
-/// checkpoints and final dumps.  Never returns normally — the child must
-/// not unwind into the parent's runtime state.  Injected faults fire here:
-/// a kill fault SIGKILLs the process at its step *before* pending epoch
-/// dumps for that step are flushed, a delay_connect fault stalls the rank
-/// before it registers, and the slow fault busy-spins inside the
-/// per-block compute timers, making the rank look like a genuinely slow
-/// host to the rebalancer.
+/// checkpoints.  Never returns normally — the child must not unwind into
+/// the parent's runtime state.  Injected faults fire here: a kill fault
+/// SIGKILLs the process at its step *before* that step's capture, a
+/// torn_dump fault writes half of one epoch dump and SIGKILLs, a
+/// delay_connect fault stalls the rank before it registers, and the slow
+/// fault busy-spins inside the per-block compute timers, making the rank
+/// look like a genuinely slow host to the rebalancer.
 ///
 /// `registry` is the supervisor's rendezvous endpoint, the *base* each
 /// recovery round extends with liveness::registry_for(registry, round);
@@ -109,7 +83,8 @@ void flush_block_dump(const PendingBlockDump& p, const ChildConfig& cfg,
 /// blocking wait), reads the new round + restore epoch from control_fd,
 /// rebuilds its blocks from scratch and rejoins, which is bitwise
 /// identical to being re-forked.  SIGTERM publishes the metrics snapshot
-/// and exits with liveness::kTermAckExit.
+/// and exits with liveness::kTermAckExit; the rank takes it in a thread
+/// of its own, never in a signal handler.
 template <int Dim>
 [[noreturn]] void child_main(const typename DomainTraits<Dim>::Mask& mask,
                              const FluidParams& params, Method method,

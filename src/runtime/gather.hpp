@@ -2,9 +2,9 @@
 // fields from the per-block dump files a supervised run leaves behind —
 // "these files contain all the information that is needed" (paper section
 // 4.1), so the dumps double as the result-gathering mechanism and no
-// driver or tool needs per-dimension I/O code.  Works on the final
-// block_<b>.dump files (epoch == -1) or on any MANIFEST-committed epoch's
-// block_<b>.epoch_<e>.dump files, in both dimensions.
+// driver or tool needs per-dimension I/O code.  A gather reads the
+// MANIFEST-committed epoch (epoch_store.hpp), which after a supervised
+// run is its final state, in both dimensions.
 #pragma once
 
 #include <string>
@@ -34,24 +34,22 @@ struct GatheredFields3D {
   PaddedField3D<double> vz;
 };
 
-/// Reassembles rho/Vx/Vy from the dumps of a (jx x jy) supervised run
-/// with one block per rank (block_side 0) in `workdir`.  `epoch` == -1
-/// reads the final block_<b>.dump files; an `epoch` >= 0 must be
-/// committed (<= the MANIFEST's newest epoch) and reads that epoch's
-/// dumps.  The mask, params, method and decomposition must match the run
-/// that wrote the dumps; throws checkpoint_error / contract_error on
-/// corrupt files or any mismatch, including dumps that disagree on the
-/// step counter.
+/// Reassembles rho/Vx/Vy from the committed epoch of a (jx x jy)
+/// supervised run with one block per rank (block_side 0) in `workdir`.
+/// The mask, params, method and decomposition must match the run that
+/// wrote the dumps; throws contract_error when `workdir` holds no
+/// committed epoch, and checkpoint_error / contract_error on corrupt files
+/// or any mismatch, including dumps that disagree with the MANIFEST on the
+/// step counter.  Dumps of a newer, uncommitted epoch are never read.
 GatheredFields2D gather_fields2d(const Mask2D& mask,
                                  const FluidParams& params, Method method,
-                                 int jx, int jy, const std::string& workdir,
-                                 long epoch = -1);
+                                 int jx, int jy, const std::string& workdir);
 
 /// 3D counterpart: reassembles rho/Vx/Vy/Vz from a (jx x jy x jz) run.
 GatheredFields3D gather_fields3d(const Mask3D& mask,
                                  const FluidParams& params, Method method,
                                  int jx, int jy, int jz,
-                                 const std::string& workdir, long epoch = -1);
+                                 const std::string& workdir);
 
 /// The same gather for any block side.  `block_side` must match the run
 /// that wrote the dumps and resolves exactly as ProcessRunOptions::
@@ -62,15 +60,13 @@ GatheredFields2D gather_fields2d_blocked(const Mask2D& mask,
                                          const FluidParams& params,
                                          Method method, int jx, int jy,
                                          int block_side,
-                                         const std::string& workdir,
-                                         long epoch = -1);
+                                         const std::string& workdir);
 
 /// 3D counterpart of gather_fields2d_blocked.
 GatheredFields3D gather_fields3d_blocked(const Mask3D& mask,
                                          const FluidParams& params,
                                          Method method, int jx, int jy, int jz,
                                          int block_side,
-                                         const std::string& workdir,
-                                         long epoch = -1);
+                                         const std::string& workdir);
 
 }  // namespace subsonic

@@ -73,7 +73,6 @@ ChildHandle ExecLauncher::spawn(const ChildSpec& spec) {
   add("generation", cfg.generation);
   add("target_step", cfg.target_step);
   add("start_step", cfg.start_step);
-  add("final_target", cfg.final_target);
   add("restore_epoch", cfg.restore_epoch);
   add("checkpoint_interval", cfg.checkpoint_interval);
   add("stagger_index", cfg.stagger_index);

@@ -214,11 +214,10 @@ void Monitor::detach(int rank) { states_.erase(rank); }
 
 bool Monitor::attached(int rank) const { return states_.count(rank) != 0; }
 
-void Monitor::on_recovery_signal(int rank, int round, double now_s) {
+void Monitor::on_recovery_signal(int rank, double now_s) {
   const auto it = states_.find(rank);
   if (it == states_.end()) return;
   State& st = it->second;
-  if (round > st.round) st.round = round;
   st.last_beacon_s = now_s;
   st.hung = false;
   st.last_step_mono = -1;

@@ -115,7 +115,8 @@ void encode_beacon(const Beacon& b, unsigned char out[kBeaconBytes]);
 bool decode_beacon(const unsigned char in[kBeaconBytes], Beacon* out);
 
 /// A supervisor -> child rollback order: abort the current round, restore
-/// `epoch` (or the legacy final dump when -1), rejoin as round `round`.
+/// the committed `epoch` (or the fresh state when -1), rejoin as round
+/// `round`.
 struct RollbackMsg {
   std::int32_t round = 0;
   std::int64_t epoch = -1;
@@ -194,8 +195,10 @@ class Monitor {
 
   /// Restarts the silence clock after a rollback order was sent: the
   /// survivor is about to spend floor-bounded time restoring, and the
-  /// silence it accrued waiting on the dead rank must not count.
-  void on_recovery_signal(int rank, int round, double now_s);
+  /// silence it accrued waiting on the dead rank must not count.  The
+  /// observed round stays: only a beacon of the new round proves the rank
+  /// took the order, rather than finishing the old round.
+  void on_recovery_signal(int rank, double now_s);
 
   /// Drains every heartbeat pipe and updates per-rank state.
   void poll(double now_s);
@@ -206,7 +209,7 @@ class Monitor {
 
   /// Last step the rank reported (kStart resets it — rollbacks rewind).
   long last_step(int rank) const;
-  /// Newest round seen in a beacon (or the attach/signal seed).
+  /// Newest round seen in a beacon (or the attach seed).
   int observed_round(int rank) const;
   double silence_s(int rank, double now_s) const;
   double deadline_s(int rank) const;

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
     cfg.generation = static_cast<int>(args.num("generation"));
     cfg.target_step = args.num("target_step");
     cfg.start_step = args.num("start_step");
-    cfg.final_target = args.num("final_target");
     cfg.restore_epoch = args.num("restore_epoch");
     cfg.checkpoint_interval = static_cast<int>(args.num("checkpoint_interval"));
     cfg.stagger_index = static_cast<int>(args.num("stagger_index"));

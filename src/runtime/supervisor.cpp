@@ -1,28 +1,27 @@
 // run_supervised<Dim>: the supervisor half of the process runtime
-// (supervisor.hpp documents the contract).  Checkpoints and final dumps
-// are per-*block* (owner-agnostic, so a restart works under any owner
-// map); a plain run is the special case of one block per rank.  When
-// rebalancing is enabled the run proceeds in segments of
-// rebalance_interval steps — at each segment boundary every child has
-// exited cleanly at the same step with its blocks' state on disk, the
-// supervisor folds the segment's per-block compute timers into a
-// rebalance decision, and the next segment's cohort starts under the
-// (possibly rewritten) owner map.  Epoch ordering stays sound across
-// segments because children number epochs from the run's global start
-// step, and a mid-segment crash restores the newest committed epoch.
+// (supervisor.hpp documents the contract).  Its one state store is the
+// committed epochs (epoch_store.hpp): checkpoints are per-*block*
+// (owner-agnostic, so a restart works under any owner map), a plain run
+// is the special case of one block per rank, and every cohort ends in an
+// epoch captured at its target step.  When rebalancing is enabled the run
+// proceeds in segments of rebalance_interval steps — at each segment
+// boundary every child has exited cleanly at the same step, the boundary
+// epoch is committed, the supervisor folds the segment's per-block
+// compute timers into a rebalance decision, and the next segment's cohort
+// restores the boundary epoch under the (possibly rewritten) owner map.
+// Epoch ids stay consistent because every rank of a round restores the
+// same committed epoch and numbers its captures on from it.
 //
 // Supervisor<Dim> below is the paper's monitoring program: the one place
 // that starts, watches, stops and restarts the rank processes.
 #include "src/runtime/supervisor.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -30,6 +29,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -82,70 +82,34 @@ int resolve_status_port(int option) {
   return v > 0 ? v : -1;
 }
 
-/// Parses "<prefix><digits><suffix>" and returns the id, or -1 when
-/// `name` has a different shape.
-int parse_id_file(const std::string& name, const std::string& prefix,
-                  const std::string& suffix) {
-  if (name.size() <= prefix.size() + suffix.size()) return -1;
-  if (name.compare(0, prefix.size(), prefix) != 0) return -1;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
-    return -1;
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  if (digits.empty()) return -1;
-  for (char c : digits)
-    if (!std::isdigit(static_cast<unsigned char>(c))) return -1;
-  return std::atoi(digits.c_str());
-}
-
-/// Start-of-run hygiene beyond epoch::clear_run_state: every rank
-/// metrics snapshot goes, with any ".tmp" a killed writer left (a
-/// previous run in this directory may have used more ranks, or the other
-/// dimension — the aggregation below must only ever see this run's
-/// snapshots), every rank_<r>.dump goes (nothing here
-/// restores one), and every block_<b>.dump that cannot belong to this
-/// run's block geometry goes (other dimension, box, method or ghost
-/// width, or a block out of range).  Children restore block dumps
-/// blindly, so a stale one would abort the cohort — or resume this run
-/// from another run's state.  Matching block dumps are kept: they are
-/// what makes repeated calls continue a run.  Corrupt-but-matching-name
-/// dumps are also kept, so a torn final dump still fails loudly instead
-/// of silently restarting from scratch.
+/// The start-of-run rule: the committed epoch is kept when every active
+/// block's dump verifies and matches this run (dimension, box, method,
+/// ghost width, the MANIFEST's step), so repeated calls continue from it;
+/// anything else starts fresh.  epoch::clear_run_state then removes the
+/// rest, rank snapshots included.  A kept epoch's missing or torn dump
+/// throws its checkpoint_error before any rank is spawned.
 template <int Dim>
-void clean_stale_artifacts(const std::string& workdir,
-                           const typename DomainTraits<Dim>::BlockDecomp& bd,
-                           Method method, int ghost) {
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(workdir.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) names.push_back(entry->d_name);
-    ::closedir(dir);
-  }
-  for (const std::string& name : names) {
-    if (name.find(".epoch_") != std::string::npos) continue;  // cleared already
-    // ".trace.json" by substring: harvested partial traces of put-down
-    // ranks carry a ".g<round>" infix (rank_0.g1.trace.json).
-    if (parse_id_file(name, "rank_", ".metrics.jsonl") >= 0 ||
-        parse_id_file(name, "rank_", ".metrics.jsonl.tmp") >= 0 ||
-        name.find(".trace.json") != std::string::npos ||
-        parse_id_file(name, "rank_", ".dump") >= 0) {
-      std::remove((workdir + "/" + name).c_str());
-      continue;
-    }
-    const int block = parse_id_file(name, "block_", ".dump");
-    if (block < 0) continue;
-    if (block >= bd.block_count() || !bd.block_active(block)) {
-      std::remove((workdir + "/" + name).c_str());
-      continue;
-    }
-    try {
-      const CheckpointInfo info = inspect_checkpoint(workdir + "/" + name);
-      if (!box_matches(info, bd.box(block)) ||
-          info.method != static_cast<int>(method) || info.ghost != ghost)
-        std::remove((workdir + "/" + name).c_str());
-    } catch (const std::exception&) {
-      // Unreadable or torn: keep it and let the restore report it.
+std::optional<epoch::Manifest> start_of_run(
+    const std::string& workdir,
+    const typename DomainTraits<Dim>::BlockDecomp& bd,
+    const std::vector<int>& active_blocks, Method method, int ghost) {
+  std::optional<epoch::Manifest> m = epoch::read_manifest(workdir);
+  if (m && m->blocks != active_blocks) m.reset();
+  if (m) {
+    const std::vector<std::string> paths =
+        epoch::dump_paths(workdir, m->blocks, m->epoch);
+    const auto infos = epoch::verify(paths);
+    for (std::size_t i = 0; m && i < paths.size(); ++i) {
+      const CheckpointInfo info =
+          infos[i] ? *infos[i] : inspect_checkpoint(paths[i]);  // throws
+      if (!box_matches(info, bd.box(m->blocks[i])) ||
+          info.method != static_cast<int>(method) || info.ghost != ghost ||
+          info.step != m->step)
+        m.reset();
     }
   }
+  epoch::clear_run_state(workdir, m);
+  return m;
 }
 
 /// The cohort spec file exec children rebuild their world from.
@@ -184,14 +148,17 @@ class Supervisor {
 
   /// Resolves the launcher (std::invalid_argument on an unknown name,
   /// std::runtime_error when exec has no child binary) and starts the
-  /// rendezvous service.  The references must outlive the object; the
-  /// loop writes `result`'s liveness trail, restarts and forks directly.
+  /// rendezvous service.  `resume` is the committed epoch the run starts
+  /// from (start_of_run), if any.  The references must outlive the
+  /// object; the loop writes `result`'s liveness trail, restarts and
+  /// forks directly.
   Supervisor(const typename Traits::Mask& mask, const FluidParams& params,
              Method method, const typename Traits::BlockDecomp& bd,
              const std::vector<int>& active_blocks, const std::string& workdir,
              const ProcessRunOptions& options, const FaultPlan& faults,
              telemetry::Session& session, liveness::StatusBoard& board,
-             ProcessRunResult& result)
+             ProcessRunResult& result,
+             const std::optional<epoch::Manifest>& resume)
       : mask_(mask),
         params_(params),
         method_(method),
@@ -203,7 +170,9 @@ class Supervisor {
         session_(session),
         board_(board),
         result_(result),
-        launcher_(launcher::make_launcher(options.launcher)) {
+        launcher_(launcher::make_launcher(options.launcher)),
+        committed_(resume.value_or(epoch::Manifest{})),
+        verified_(active_blocks.size()) {
     // Writing a rollback order to a child that just died must surface as
     // EPIPE, not kill the supervisor.
     old_sigpipe_ = ::signal(SIGPIPE, SIG_IGN);
@@ -219,7 +188,8 @@ class Supervisor {
 
   const char* launcher_name() const { return launcher_->name(); }
   const std::string& host() const { return host_; }
-  long committed_epoch() const { return committed_epoch_; }
+  /// The newest committed epoch (epoch -1, step 0: none yet).
+  const epoch::Manifest& committed() const { return committed_; }
   /// Traces of put-down ranks, moved aside before a respawn rewrote them.
   const std::vector<std::string>& harvested_traces() const {
     return harvested_traces_;
@@ -227,41 +197,21 @@ class Supervisor {
 
   /// Runs `ranks` to cfg.target_step, every child built from `cfg` (the
   /// run-wide fields; rank, round, restore epoch, stagger and channels
-  /// are set per spawn).  The first round resumes from the final block
-  /// dumps the previous segment left (or fresh); a recovery round
-  /// restores the newest committed epoch, because final dumps are only
-  /// consistent across blocks after a fully clean cohort exit.
-  /// `first_step` is the step this segment starts at.  Throws
-  /// ProcessRunError when a casualty lands with no budget left or a spawn
-  /// fails, with every child reaped.
-  void run_cohort(const std::vector<int>& ranks, const cohort::ChildConfig& cfg,
-                  long first_step) {
+  /// are set per spawn).  Every round restores the newest committed epoch
+  /// (or the fresh state), and the cohort ends with its target-step epoch
+  /// committed.  Throws ProcessRunError when a casualty lands with no
+  /// budget left or a spawn fails, with every child reaped, and
+  /// checkpoint_error naming a dump of that last epoch that fails
+  /// verification after every rank exited cleanly.
+  void run_cohort(const std::vector<int>& ranks,
+                  const cohort::ChildConfig& cfg) {
     cfg_ = cfg;
     children_.assign(ranks.size(), Child{});
     for (size_t i = 0; i < ranks.size(); ++i) children_[i].rank = ranks[i];
-    const int first_round = generation_;
-    auto begin_round = [&](int g, long epoch) {
-      // Fresh per-round registrations; the previous round's entries point
-      // at listeners that are dead or about to be torn down.
-      server_.retire_rounds_below(g);
-      if (epoch >= 0 || g == first_round || first_step != 0) return;
-      // Epoch-less recovery of a fresh run replays from scratch: a block
-      // whose owner already finished the segment carries a diverged step
-      // counter and must be re-simulated, not restored.  Fresh runs only
-      // — a continuation's final dumps ARE the starting state.
-      for (int b : active_blocks_) {
-        const std::string dump = cohort::legacy_block_dump_path(workdir_, b);
-        try {
-          if (inspect_checkpoint(dump).step != 0) std::remove(dump.c_str());
-        } catch (const std::exception&) {
-          // Absent or torn: the restore path handles it.
-        }
-      }
-    };
 
-    int g = first_round;
-    long epoch = -1;
-    begin_round(g, epoch);
+    int g = generation_;
+    long epoch = committed_.epoch;
+    server_.retire_rounds_below(g);
     for (Child& c : children_) spawn(c, g, epoch);
     bool recovering = false;
     // Proof-of-life anchor: the time of the newest down/hang event.  A
@@ -377,8 +327,10 @@ class Supervisor {
         }
         commit_epochs();
         ++g;
-        epoch = committed_epoch_;
-        begin_round(g, epoch);
+        epoch = committed_.epoch;
+        // Fresh per-round registrations; the previous round's entries
+        // point at listeners that are dead or about to be torn down.
+        server_.retire_rounds_below(g);
         // Roll survivors back first so they register in the new
         // rendezvous round before the respawned ranks look them up.
         for (Child& c : children_) {
@@ -394,7 +346,7 @@ class Supervisor {
           // pass will classify it and trigger another recovery round.
           (void)n;
           ::kill(c.pid, SIGUSR1);
-          monitor_.on_recovery_signal(c.rank, g, now_s());
+          monitor_.on_recovery_signal(c.rank, now_s());
           record("rollback", c.rank, g, monitor_.last_step(c.rank), epoch);
         }
         for (Child& c : children_) {
@@ -416,6 +368,14 @@ class Supervisor {
     }
     generation_ = g + 1;
     commit_epochs();
+    if (committed_.step == cfg_.target_step) return;
+    remove_control_files(workdir_);
+    for (const std::string& path :
+         epoch::dump_paths(workdir_, active_blocks_, committed_.epoch + 1))
+      inspect_checkpoint(path);  // throws checkpoint_error naming the dump
+    throw checkpoint_error("epoch " + std::to_string(committed_.epoch + 1) +
+                           " in " + workdir_ +
+                           ": its dumps disagree on the step counter");
   }
 
  private:
@@ -450,8 +410,8 @@ class Supervisor {
     session_.metrics().counter(-1, std::string("liveness.") + event).add();
   }
 
-  /// Starts rank c's process for round `g`, restoring `epoch` (-1: the
-  /// final block dumps, or fresh).  A launch that fails tears the cohort
+  /// Starts rank c's process for round `g`, restoring the committed
+  /// `epoch` (-1: the fresh state).  A launch that fails tears the cohort
   /// down first — the missing rank would starve every peer — and a
   /// SpawnError then fails the run naming the rank and its host.
   void spawn(Child& c, int g, long epoch) {
@@ -580,38 +540,41 @@ class Supervisor {
 
   /// Verify-and-commit: an epoch becomes restorable only once every
   /// active block's dump for it exists, passes its CRC, and agrees on the
-  /// step counter.  Cheap when the next epoch is not complete yet.
+  /// step counter.  Once every dump of the next epoch has landed, those
+  /// not yet verified are verified concurrently and remembered, so a good
+  /// dump is read once.  Cheap until then.
   void commit_epochs() {
-    if (options_.checkpoint_interval <= 0) return;
     for (;;) {
-      const long e = committed_epoch_ + 1;
-      long step = -1;
-      bool complete = true;
-      for (int b : active_blocks_) {
-        try {
-          const CheckpointInfo info =
-              inspect_checkpoint(epoch::block_dump_path(workdir_, b, e));
-          if (step < 0) step = info.step;
-          complete = complete && info.step == step;
-        } catch (const std::exception&) {
-          complete = false;  // missing, torn, or corrupt: not this epoch
+      const long e = committed_.epoch + 1;
+      std::vector<std::string> landed;
+      std::vector<std::size_t> index;
+      for (std::size_t i = 0; i < active_blocks_.size(); ++i) {
+        if (verified_[i]) continue;
+        std::string path = epoch::block_dump_path(workdir_, active_blocks_[i], e);
+        if (::access(path.c_str(), F_OK) != 0) return;  // not all landed yet
+        landed.push_back(std::move(path));
+        index.push_back(i);
+      }
+      const auto infos = epoch::verify(landed);
+      for (std::size_t k = 0; k < index.size(); ++k)
+        verified_[index[k]] = infos[k];
+      if (!verified_[0]) return;  // torn or corrupt: not this epoch yet
+      // Block ids: the unit of every dump.
+      epoch::Manifest m{e, verified_[0]->step, active_blocks_};
+      for (const auto& info : verified_) {
+        if (!info) return;
+        if (info->step != m.step) {
+          verified_.assign(verified_.size(), std::nullopt);
+          return;
         }
-        if (!complete) break;
       }
-      if (!complete) return;
-      epoch::Manifest m;
-      m.epoch = e;
-      m.step = step;
-      m.ranks = active_blocks_;  // block ids: the unit of every dump
       {
-        telemetry::ScopedSpan span(&session_, -1, "ckpt.commit", "ckpt", step);
-        epoch::commit_manifest(workdir_, m);
+        telemetry::ScopedSpan span(&session_, -1, "ckpt.commit", "ckpt",
+                                   m.step);
+        epoch::commit(workdir_, m);
       }
-      committed_epoch_ = e;
-      {
-        telemetry::ScopedSpan span(&session_, -1, "ckpt.gc", "ckpt", step);
-        epoch::gc_block_epochs(workdir_, active_blocks_, e);
-      }
+      committed_ = std::move(m);
+      verified_.assign(verified_.size(), std::nullopt);
     }
   }
 
@@ -721,7 +684,9 @@ class Supervisor {
   std::vector<std::thread> taggers_;
   std::vector<std::string> harvested_traces_;
   int generation_ = 0;         ///< next unused round; counts every cohort
-  long committed_epoch_ = -1;  ///< newest MANIFEST-committed epoch
+  epoch::Manifest committed_;
+  /// The next epoch's dumps verified so far, in active_blocks_ order.
+  std::vector<std::optional<CheckpointInfo>> verified_;
 };
 
 }  // namespace
@@ -753,14 +718,17 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                ? FaultPlan::from_env()
                                : FaultPlan::parse(options.faults);
 
+  std::vector<int> active_blocks;
+  for (int b = 0; b < bd.block_count(); ++b)
+    if (bd.block_active(b)) active_blocks.push_back(b);
+
   // Fresh run-control state per run: a stale status.port from a crashed
-  // prior run points at a dead listener; stale epoch dumps or a stale
-  // MANIFEST belong to some previous run's step numbering.  Port
-  // registration goes through the in-memory rendezvous service, never
-  // the filesystem.
+  // prior run points at a dead listener, and only the committed epoch of
+  // a run of this geometry survives start_of_run.  Port registration goes
+  // through the in-memory rendezvous service, never the filesystem.
   remove_control_files(workdir);
-  epoch::clear_run_state(workdir);
-  clean_stale_artifacts<Dim>(workdir, bd, method, ghost);
+  const std::optional<epoch::Manifest> resume =
+      start_of_run<Dim>(workdir, bd, active_blocks, method, ghost);
   std::remove((workdir + "/trace.json").c_str());
   std::remove((workdir + "/run_summary.json").c_str());
   std::remove((workdir + "/supervisor.metrics.jsonl").c_str());
@@ -774,22 +742,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   sup_cfg.trace = trace_on;
   telemetry::Session session(sup_cfg);
 
-  std::vector<int> active_blocks;
-  for (int b = 0; b < bd.block_count(); ++b)
-    if (bd.block_active(b)) active_blocks.push_back(b);
-
-  // Continuation runs resume from the final block dumps; probe the step
-  // they carry so epochs and kill-step offsets count from there.
-  long start_step = 0;
-  if (!active_blocks.empty()) {
-    try {
-      start_step = inspect_checkpoint(cohort::legacy_block_dump_path(
-                                          workdir, active_blocks[0]))
-                       .step;
-    } catch (const std::exception&) {
-      start_step = 0;  // absent or unreadable: fresh run
-    }
-  }
+  // A continuation resumes from the kept epoch: checkpoints and
+  // kill-step offsets count from its step.
+  const long start_step = resume ? resume->step : 0;
   const long target_step = start_step + steps;
 
   ProcessRunResult result;
@@ -805,7 +760,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   // a status port was requested; neither can touch simulation state.
   liveness::StatusBoard board;
   Supervisor<Dim> sup(mask, params, method, bd, active_blocks, workdir,
-                      options, faults, session, board, result);
+                      options, faults, session, board, result, resume);
   {
     liveness::StatusBoard::Config bc;
     bc.workdir = workdir;
@@ -842,7 +797,6 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   // What every child shares; run_cohort sets the per-spawn fields.
   cohort::ChildConfig cfg;
   cfg.start_step = start_step;
-  cfg.final_target = target_step;
   cfg.checkpoint_interval = options.checkpoint_interval;
   cfg.recv_deadline_ms = options.recv_deadline_ms;
   cfg.sched = options.sched;
@@ -884,7 +838,7 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
       cohort::write_cohort_spec(spec_path(workdir), cs);
     }
 
-    sup.run_cohort(active_list, cfg, cur_step);
+    sup.run_cohort(active_list, cfg);
     cur_step = cfg.target_step;
 
     // Between segments, fold each rank's snapshot into the board's totals
@@ -933,15 +887,9 @@ ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
   }
   std::remove(spec_path(workdir).c_str());
   board.set_done(true);
-  result.committed_epoch = sup.committed_epoch();
+  result.committed_epoch = sup.committed().epoch;
+  result.final_step = sup.committed().step;
   result.block_owner = bd.owner_map();
-
-  // Read the common step counter back from any block dump.  A torn final
-  // dump fails the run here (checkpoint_error) rather than hiding.
-  result.final_step =
-      inspect_checkpoint(
-          cohort::legacy_block_dump_path(workdir, active_blocks[0]))
-          .step;
 
   // Aggregate the board's view of every rank into run_summary.json: the
   // measured T_calc / T_com next to the paper model's predicted f.

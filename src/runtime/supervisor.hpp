@@ -5,14 +5,15 @@
 // handshake the supervisor serves (rendezvous.hpp).  A process steps the
 // blocks an owner map gives it; by default there is one block per rank,
 // the paper's layout, and an over-decomposed run cuts each subregion into
-// several blocks that can move between ranks.  On exit, every block
-// leaves its state as a dump file in the working directory, where it can
-// be inspected or resumed (the dump files double as the result-gathering
-// mechanism for the parent; see gather.hpp).
+// several blocks that can move between ranks.  The run's one state store
+// is its committed checkpoint epochs (epoch_store.hpp): the staggered
+// saves, the restart state, and — as the epoch every cohort captures at
+// its target step — the final state, which a later call continues from
+// and gather.hpp reassembles into the result.
 //
 // The parent is a *supervisor*: it reaps children out of order with
 // waitpid(WNOHANG), commits staggered checkpoint epochs (an epoch MANIFEST
-// is written only once every active rank's dump is durable and CRC-clean),
+// is written only once every active block's dump is durable and CRC-clean),
 // pumps every child's heartbeat pipe through a hung-rank watchdog, and on
 // a casualty — an abnormal exit, or heartbeat silence past the adaptive
 // deadline (escalated SIGTERM -> grace -> SIGKILL) — restarts *only* the
@@ -55,11 +56,13 @@ struct ProcessRunOptions {
   /// env or 1, resolved before the first spawn); bitwise neutral.
   int threads = 0;
 
-  /// Steps between staggered epoch checkpoints (0 = final dump only).
+  /// Steps between staggered epoch checkpoints (0 = none mid-run: only
+  /// the epoch every cohort captures at its target step, the final state).
   /// Each rank snapshots its state at every interval boundary and flushes
   /// the bytes to disk a few steps later, staggered by rank — the paper's
   /// orderly staggered state saving, which keeps the ranks from hitting
-  /// the disk in lockstep.
+  /// the disk in lockstep.  A crash restores the newest committed epoch,
+  /// so without mid-run epochs it replays from the run's start.
   int checkpoint_interval = 0;
 
   /// How many times the supervisor may respawn the cohort after an
@@ -88,8 +91,8 @@ struct ProcessRunOptions {
   /// the SUBSONIC_BLOCKS environment variable with kDefaultBlockSide as
   /// the fallback; > 0 is an explicit target side that over-decomposes
   /// each subregion into several blocks.  Results are bitwise identical
-  /// at any side; dumps are always per block (block_<b>.dump), and
-  /// compute time is charged per block (compute.block_<b>).
+  /// at any side; dumps are always per block (block_<b>.epoch_<e>.dump),
+  /// and compute time is charged per block (compute.block_<b>).
   int block_side = 0;
 
   /// Steps between dynamic load-balance decision points (0 = never
@@ -98,8 +101,8 @@ struct ProcessRunOptions {
   /// supervisor folds the per-block compute timers, and — when the
   /// measured per-rank imbalance exceeds rebalance_threshold — restarts
   /// the cohort under a rewritten block->rank owner map (block state moves
-  /// through the per-block dumps, so this is the paper's stop + save +
-  /// restart migration at block granularity).
+  /// through the segment boundary's committed epoch, so this is the
+  /// paper's stop + save + restart migration at block granularity).
   int rebalance_interval = 0;
 
   /// Hysteresis: rebalance only while max/mean per-rank T_calc exceeds
@@ -162,7 +165,7 @@ struct ProcessRunResult {
   int processes = 0;        ///< child processes per cohort (active subregions)
   long final_step = 0;      ///< step counter all subregions reached
   int restarts = 0;         ///< cohort respawns the supervisor performed
-  long committed_epoch = -1;  ///< newest MANIFEST-committed epoch (-1: none)
+  long committed_epoch = -1;  ///< the final state's epoch (-1: no block)
 
   /// Per-active-rank telemetry of the last segment's ranks, ascending
   /// rank order: counters, timers and histograms folded across every
@@ -202,17 +205,19 @@ struct ProcessRunResult {
 
 /// Spawns one child per rank owning an active block of the `grid`
 /// decomposition of `mask`, runs `steps` integration steps with boundary
-/// exchange over real TCP sockets, and writes "block_<b>.dump" per active
-/// block into `workdir` (which must exist); a committed checkpoint epoch
-/// is "block_<b>.epoch_<e>.dump".  If matching dump files are already
-/// present they are restored first, so repeated calls continue the run;
-/// stale files from a different geometry, decomposition or dimension are
-/// removed at start-of-run, so e.g. a 2D run's leftovers can never poison
-/// a 3D run sharing the directory.  Children are supervised per the
-/// options above; throws ProcessRunError when the restart budget is
-/// exhausted or a rank cannot be launched, with every child reaped and
-/// the run-control files removed, and checkpoint_error when a final dump
-/// is torn.
+/// exchange over real TCP sockets, and leaves the final state in
+/// `workdir` (which must exist) as its last committed epoch: a
+/// "block_<b>.epoch_<e>.dump" per active block and the MANIFEST naming e.
+/// A committed epoch already there whose dumps match this run (dimension,
+/// box, method, ghost width) is restored first, so repeated calls
+/// continue the run; every other dump and MANIFEST is removed at
+/// start-of-run, so e.g. a 2D run's leftovers can never poison a 3D run
+/// sharing the directory.  Children are supervised per the options above;
+/// throws ProcessRunError when the restart budget is exhausted or a rank
+/// cannot be launched, with every child reaped and the run-control files
+/// removed, and checkpoint_error naming the dump when the kept epoch holds
+/// a torn one (before any spawn) or when a dump of a cohort's last epoch
+/// fails verification after every rank exited cleanly.
 template <int Dim>
 ProcessRunResult run_supervised(const typename DomainTraits<Dim>::Mask& mask,
                                 const FluidParams& params, Method method,

@@ -1,7 +1,7 @@
 // gather_fields: the supervised runtime's dump files double as the
-// result-gathering mechanism — reassembling them must reproduce the
-// serial fields bit for bit, at the final step and at any committed
-// checkpoint epoch, in both dimensions.
+// result-gathering mechanism — reassembling the committed epoch a run
+// ends in must reproduce the serial fields bit for bit, in both
+// dimensions.
 #include "src/runtime/gather.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/io/checkpoint.hpp"
+#include "src/runtime/epoch_store.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/runtime/supervisor.hpp"
 #include "src/util/check.hpp"
@@ -79,23 +81,24 @@ TEST(GatherFields, ReadsACommittedEpochNotJustTheFinalDumps) {
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
       options);
-  // Captures at steps 3, 6, 9 -> epochs 0..2 (step 12 is the final legacy
-  // dump, not an epoch); the GC keeps only the newest epoch's dumps.
-  ASSERT_EQ(r.committed_epoch, 2);
+  // Captures at steps 3, 6, 9 and the final state at 12 -> epochs 0..3;
+  // the GC keeps only the newest epoch's dumps.
+  ASSERT_EQ(r.committed_epoch, 3);
 
-  // The newest committed epoch is mid-run state: step 9, not 12.
-  const GatheredFields2D g = gather_fields2d(
-      mask, p, Method::kLatticeBoltzmann, 2, 1, workdir, r.committed_epoch);
+  // A newer epoch that never committed — a valid dump of block 0 at step
+  // 0, as a crash past the last commit could leave — must not be read.
+  const Box2 box0{0, 0, 12, 18};
+  Domain2D stale(mask, box0, p, Method::kLatticeBoltzmann, 1);
+  save_domain(stale, epoch::block_dump_path(workdir, 0, r.committed_epoch + 1));
+
+  const GatheredFields2D g =
+      gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1, workdir);
+  EXPECT_EQ(g.step, 12);
   SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
-  serial.run(static_cast<int>(g.step));
+  serial.run(12);
   for (int y = 0; y < 18; ++y)
     for (int x = 0; x < 24; ++x)
       ASSERT_EQ(g.rho(x, y), serial.domain().rho()(x, y)) << x << "," << y;
-
-  // An uncommitted epoch must be refused, not read torn.
-  EXPECT_THROW(gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1,
-                               workdir, r.committed_epoch + 1),
-               contract_error);
 }
 
 TEST(GatherFields, InactiveSubregionsGatherAsQuiescentState) {
@@ -153,9 +156,9 @@ TEST(GatherFields, RefusesAnEmptyDirectoryForEpochReads) {
   FluidParams p;
   p.dt = 1.0;
   const std::string workdir = test::fresh_workdir("gather_empty");
-  // No MANIFEST at all: every epoch >= 0 is uncommitted by definition.
+  // No MANIFEST at all: there is no committed epoch to read.
   EXPECT_THROW(
-      gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1, workdir, 0),
+      gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1, workdir),
       contract_error);
 }
 

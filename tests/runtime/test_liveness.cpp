@@ -229,10 +229,35 @@ TEST(LivenessMonitor, SilenceCrossesTheDeadlineExactlyOnce) {
   EXPECT_TRUE(monitor.newly_hung(99.0).empty());
 
   // A recovery signal re-arms the watchdog for the survivor.
-  monitor.on_recovery_signal(3, /*round=*/1, /*now_s=*/100.0);
-  EXPECT_EQ(monitor.observed_round(3), 1);
+  monitor.on_recovery_signal(3, /*now_s=*/100.0);
   EXPECT_TRUE(monitor.newly_hung(100.5).empty());
   ASSERT_EQ(monitor.newly_hung(102.0).size(), 1u);
+}
+
+TEST(LivenessMonitor, RecoverySignalLeavesTheRoundToTheBeacons) {
+  // A rollback order to round 1 is not proof the rank took it: one that
+  // had passed its last rollback check finishes round 0 and exits 0, and
+  // the supervisor must respawn it rather than count it done.  So the
+  // observed round moves only when a round-1 beacon is polled.
+  HeartbeatPipe hb;
+  Emitter emitter(hb.write_fd, 2, 50);
+  Monitor monitor(/*floor_s=*/1.0, /*multiplier=*/8.0);
+  monitor.attach(2, hb.read_fd, /*round=*/0, /*now_s=*/0.0);
+  emitter.emit(Phase::kStart, 0);
+  emitter.emit(Phase::kStep, 1);
+  monitor.poll(0.1);
+  ASSERT_EQ(monitor.observed_round(2), 0);
+
+  monitor.on_recovery_signal(2, /*now_s=*/0.2);  // the order for round 1
+  EXPECT_EQ(monitor.observed_round(2), 0);
+  emitter.emit(Phase::kStep, 2);  // still round 0
+  monitor.poll(0.3);
+  EXPECT_EQ(monitor.observed_round(2), 0);
+
+  emitter.set_round(1);
+  emitter.emit(Phase::kStart, 0);
+  monitor.poll(0.4);
+  EXPECT_EQ(monitor.observed_round(2), 1);
 }
 
 TEST(LivenessMonitor, StepBeaconsDriveTheAdaptiveDeadline) {

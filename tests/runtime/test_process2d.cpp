@@ -14,14 +14,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/decomp/decomposition.hpp"
 #include "src/geometry/flue_pipe.hpp"
 #include "src/grid/field_ops.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/runtime/epoch_store.hpp"
 #include "src/runtime/gather.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "src/telemetry/summary.hpp"
@@ -75,25 +76,26 @@ TEST(ProcessRuntime, RepeatedCallsResumeFromTheDumps) {
   const Mask2D mask = closed_box(nx, ny, 1);
 
   const std::string workdir = test::fresh_workdir("proc2d_resume");
-  run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6,
-                    workdir, {});
+  const ProcessRunResult first =
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                        6, workdir, {});
+  EXPECT_EQ(first.committed_epoch, 0);  // the final state is epoch 0
   const ProcessRunResult r =
       run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
                         6, workdir, {});
   EXPECT_EQ(r.final_step, 12);
+  // The second call restored epoch 0 and numbered its capture on from it.
+  EXPECT_EQ(r.committed_epoch, 1);
 
-  // ...and the two-burst run equals one uninterrupted serial run.  One
-  // block per rank: block 1 is rank 1's subregion.
+  // ...and the two-burst run equals one uninterrupted serial run.
   SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(12);
-  const Decomposition2D d(mask.extents(), 2, 1);
-  Domain2D sub(mask, d.box(1), p, Method::kLatticeBoltzmann, 1);
-  restore_domain(sub, workdir + "/block_1.dump");
-  const Box2 b = d.box(1);
-  for (int y = 0; y < b.height(); ++y)
-    for (int x = 0; x < b.width(); ++x)
-      ASSERT_EQ(sub.rho()(x, y),
-                serial.domain().rho()(b.x0 + x, b.y0 + y));
+  const GatheredFields2D g =
+      gather_fields2d(mask, p, Method::kLatticeBoltzmann, 2, 1, workdir);
+  EXPECT_EQ(g.step, 12);
+  for (int y = 0; y < ny; ++y)
+    for (int x = 0; x < nx; ++x)
+      ASSERT_EQ(g.rho(x, y), serial.domain().rho()(x, y)) << x << "," << y;
 }
 
 TEST(ProcessRuntime, DropsAllSolidSubregions) {
@@ -117,9 +119,9 @@ TEST(ProcessRuntime, DropsAllSolidSubregions) {
 TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   // block_side 0 (the default) runs one block per rank: block r is rank
   // r's subregion, an all-solid subregion that borders no fluid has no
-  // block, and the final state is exactly one block_<r>.dump per active
-  // rank.  The solid reaches one column into rank 1, so rank 0 borders
-  // no fluid.
+  // block, and the final state is exactly one dump per active rank, in
+  // the committed epoch 0.  The solid reaches one column into rank 1, so
+  // rank 0 borders no fluid.
   ::unsetenv("SUBSONIC_FAULTS");
   Mask2D mask = closed_box(30, 20, 1);
   mask.fill_box({0, 0, 11, 20}, NodeType::kWall);  // rank 0 all solid
@@ -131,6 +133,7 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   EXPECT_EQ(r.processes, 2);
   EXPECT_EQ(r.blocks, 3);
   EXPECT_EQ(r.block_owner, (std::vector<int>{-1, 1, 2}));
+  EXPECT_EQ(r.committed_epoch, 0);
 
   std::vector<std::string> dumps;
   DIR* dir = ::opendir(workdir.c_str());
@@ -142,7 +145,12 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
   }
   ::closedir(dir);
   std::sort(dumps.begin(), dumps.end());
-  EXPECT_EQ(dumps, (std::vector<std::string>{"block_1.dump", "block_2.dump"}));
+  EXPECT_EQ(dumps, (std::vector<std::string>{"block_1.epoch_0.dump",
+                                              "block_2.epoch_0.dump"}));
+  const auto m = epoch::read_manifest(workdir);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->blocks, (std::vector<int>{1, 2}));
+  EXPECT_EQ(m->step, 7);
 
   SerialDriver<2> serial(mask, p, Method::kLatticeBoltzmann);
   serial.run(7);
@@ -157,31 +165,20 @@ TEST(ProcessRuntime, OneBlockPerRankLeavesOneDumpPerActiveRank) {
     }
 }
 
-/// Bitwise comparison of every restored rank dump against a serial run
-/// (one block per rank, so block r's dump is rank r's subregion).
+/// Bitwise comparison of the committed epoch a (jx x jy) run ended in
+/// against a serial run.
 void expect_matches_serial(const Mask2D& mask, const FluidParams& p,
                            Method method, int jx, int jy, int steps,
                            const std::string& workdir) {
   SerialDriver<2> serial(mask, p, method);
   serial.run(steps);
-  const Decomposition2D d(mask.extents(), jx, jy);
-  const int ghost = required_ghost(method, p.filter_eps > 0.0);
-  for (int rank : active_ranks(d, mask)) {
-    Domain2D sub(mask, d.box(rank), p, method, ghost);
-    restore_domain(sub, workdir + "/block_" + std::to_string(rank) +
-                            ".dump");
-    EXPECT_EQ(sub.step(), steps);
-    const Box2 b = d.box(rank);
-    for (int y = 0; y < b.height(); ++y)
-      for (int x = 0; x < b.width(); ++x) {
-        ASSERT_EQ(sub.rho()(x, y),
-                  serial.domain().rho()(b.x0 + x, b.y0 + y))
-            << "rank " << rank << " at " << x << "," << y;
-        ASSERT_EQ(sub.vx()(x, y),
-                  serial.domain().vx()(b.x0 + x, b.y0 + y))
-            << "rank " << rank << " at " << x << "," << y;
-      }
-  }
+  const GatheredFields2D g = gather_fields2d(mask, p, method, jx, jy, workdir);
+  EXPECT_EQ(g.step, steps);
+  for (int y = 0; y < mask.extents().ny; ++y)
+    for (int x = 0; x < mask.extents().nx; ++x) {
+      ASSERT_EQ(g.rho(x, y), serial.domain().rho()(x, y)) << x << "," << y;
+      ASSERT_EQ(g.vx(x, y), serial.domain().vx()(x, y)) << x << "," << y;
+    }
 }
 
 TEST(ProcessSupervisor, KilledRankRestartsFromNewestEpochBitwiseLB) {
@@ -659,21 +656,113 @@ TEST(ProcessSupervisor, CommitsEpochsAndCollectsOldOnes) {
   const ProcessRunResult r = run_supervised<2>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 10, workdir,
       options);
-  // Checkpoints at steps 2,4,6,8 -> epochs 0..3 (step 10 is the final
-  // legacy dump, not an epoch).
-  EXPECT_EQ(r.committed_epoch, 3);
+  // Checkpoints at steps 2,4,6,8 and the final state at step 10 ->
+  // epochs 0..4.
+  EXPECT_EQ(r.committed_epoch, 4);
   EXPECT_EQ(r.restarts, 0);
   // The newest epoch's dumps exist and verify; older ones were collected.
   // One block per rank: block r is rank r's subregion.
   for (int rank = 0; rank < 2; ++rank) {
-    const CheckpointInfo info = inspect_checkpoint(
-        workdir + "/block_" + std::to_string(rank) + ".epoch_3.dump");
-    EXPECT_EQ(info.step, 8);
-    std::ifstream old(workdir + "/block_" + std::to_string(rank) +
-                      ".epoch_2.dump");
-    EXPECT_FALSE(old.good());
+    const CheckpointInfo info =
+        inspect_checkpoint(epoch::block_dump_path(workdir, rank, 4));
+    EXPECT_EQ(info.step, 10);
+    EXPECT_FALSE(
+        std::filesystem::exists(epoch::block_dump_path(workdir, rank, 3)));
   }
 }
+
+TEST(ProcessRuntime, ContinuationFromATornEpochFailsBeforeAnySpawn) {
+  // A continuation restores the committed epoch and nothing else, so a
+  // torn dump in it must fail the call up front, naming the file, rather
+  // than spawn ranks that cannot restore.  The second call's spawn_fail
+  // fault would turn any spawn into a ProcessRunError instead.
+  ::unsetenv("SUBSONIC_FAULTS");
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = test::fresh_workdir("proc2d_tornkept");
+  const ProcessRunResult first = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 4, workdir, {});
+  const std::string dump =
+      epoch::block_dump_path(workdir, 1, first.committed_epoch);
+  std::filesystem::resize_file(dump, std::filesystem::file_size(dump) / 2);
+  ProcessRunOptions options;
+  options.faults = "spawn_fail:rank=0";
+  try {
+    run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                      4, workdir, options);
+    FAIL() << "a continuation from a torn epoch started";
+  } catch (const checkpoint_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dump), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A rank killed at its call's last step, after the last exchange.
+struct LastStepCase {
+  bool continuation;  ///< the call continues a first, fault-free one
+  int rank;           ///< the rank killed
+  int interval;       ///< checkpoint_interval of both calls
+};
+
+void PrintTo(const LastStepCase& c, std::ostream* os) {
+  *os << (c.continuation ? "continuation" : "fresh") << " call, rank "
+      << c.rank << " killed, checkpoint_interval " << c.interval;
+}
+
+class ProcessSupervisorLastStep
+    : public ::testing::TestWithParam<LastStepCase> {};
+
+TEST_P(ProcessSupervisorLastStep, KilledRankRecoversBitwise) {
+  // The survivor may finish the call before its rollback order lands, and
+  // without mid-run epochs the recovery replays from the call's start.
+  // Neither may hang the run: the finisher is respawned with the
+  // casualty, and both restore the epoch the call started from.
+  // Deadlines of 2 s bound every legitimate wait, so a run still going
+  // when ctest's timeout strikes is wedged.
+  ::unsetenv("SUBSONIC_FAULTS");
+  const LastStepCase& c = GetParam();
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const int steps = 6;
+  ProcessRunOptions options;
+  options.checkpoint_interval = c.interval;
+  options.recv_deadline_ms = 2000;
+  options.liveness.heartbeat_floor_ms = 2000;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const std::string workdir = test::fresh_workdir("proc2d_laststep");
+    int start = 0;
+    if (c.continuation) {
+      options.faults = "";  // SUBSONIC_FAULTS is unset: no fault
+      run_supervised<2>(mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1},
+                        steps, workdir, options);
+      start = steps;
+    }
+    options.faults =
+        "kill:rank=" + std::to_string(c.rank) + ",step=" + std::to_string(steps);
+    const ProcessRunResult r = run_supervised<2>(
+        mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, steps, workdir,
+        options);
+    EXPECT_EQ(r.final_step, start + steps);
+    EXPECT_EQ(r.restarts, 1) << events_string(r);
+    expect_matches_serial(mask, p, Method::kLatticeBoltzmann, 2, 1,
+                          start + steps, workdir);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ProcessSupervisorLastStep,
+    ::testing::Values(LastStepCase{false, 0, 0}, LastStepCase{false, 1, 0},
+                      LastStepCase{false, 0, 2}, LastStepCase{false, 1, 2},
+                      LastStepCase{true, 0, 0}, LastStepCase{true, 1, 0},
+                      LastStepCase{true, 0, 2}, LastStepCase{true, 1, 2}),
+    [](const ::testing::TestParamInfo<LastStepCase>& p) {
+      return std::string(p.param.continuation ? "continuation" : "fresh") +
+             "_rank" + std::to_string(p.param.rank) + "_interval" +
+             std::to_string(p.param.interval);
+    });
 
 }  // namespace
 }  // namespace subsonic

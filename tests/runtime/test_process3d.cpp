@@ -15,9 +15,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
-#include "src/decomp/decomposition.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/runtime/epoch_store.hpp"
+#include "src/runtime/gather.hpp"
 #include "src/runtime/serial_driver.hpp"
 #include "tests/support/workdir.hpp"
 
@@ -36,32 +38,25 @@ Mask3D closed_box3d(int nx, int ny, int nz, int ghost) {
   return mask;
 }
 
-/// Bitwise comparison of every restored 3D rank dump against a serial run
-/// (one block per rank, so block r's dump is rank r's subregion).
+/// Bitwise comparison of the committed epoch a (jx x jy x jz) run ended
+/// in against a serial run.
 void expect_matches_serial3d(const Mask3D& mask, const FluidParams& p,
                              Method method, int jx, int jy, int jz,
                              int steps, const std::string& workdir) {
   SerialDriver<3> serial(mask, p, method);
   serial.run(steps);
-  const Decomposition3D d(mask.extents(), jx, jy, jz);
-  const int ghost = required_ghost(method, p.filter_eps > 0.0);
-  for (int rank : active_ranks(d, mask)) {
-    Domain3D sub(mask, d.box(rank), p, method, ghost);
-    restore_domain(sub, workdir + "/block_" + std::to_string(rank) +
-                            ".dump");
-    EXPECT_EQ(sub.step(), steps);
-    const Box3 b = d.box(rank);
-    for (int z = 0; z < b.depth(); ++z)
-      for (int y = 0; y < b.height(); ++y)
-        for (int x = 0; x < b.width(); ++x) {
-          ASSERT_EQ(sub.rho()(x, y, z),
-                    serial.domain().rho()(b.x0 + x, b.y0 + y, b.z0 + z))
-              << "rank " << rank << " at " << x << "," << y << "," << z;
-          ASSERT_EQ(sub.vz()(x, y, z),
-                    serial.domain().vz()(b.x0 + x, b.y0 + y, b.z0 + z))
-              << "rank " << rank << " at " << x << "," << y << "," << z;
-        }
-  }
+  const GatheredFields3D g =
+      gather_fields3d(mask, p, method, jx, jy, jz, workdir);
+  EXPECT_EQ(g.step, steps);
+  const Extents3 e = mask.extents();
+  for (int z = 0; z < e.nz; ++z)
+    for (int y = 0; y < e.ny; ++y)
+      for (int x = 0; x < e.nx; ++x) {
+        ASSERT_EQ(g.rho(x, y, z), serial.domain().rho()(x, y, z))
+            << x << "," << y << "," << z;
+        ASSERT_EQ(g.vz(x, y, z), serial.domain().vz()(x, y, z))
+            << x << "," << y << "," << z;
+      }
 }
 
 TEST(Process3DRuntime, ForkedProcessesMatchSerialBitwise) {
@@ -212,10 +207,10 @@ TEST(Process3DSupervisor, HungRankIsSurgicallyRestartedBitwise) {
 
 TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   // A 2D run and a 3D run sharing a workdir collide on every artifact
-  // name (block_0.dump is block 0 in both).  Start-of-run hygiene must
-  // remove the other dimension's dumps instead of trying to resume from
-  // them, so the 3D run starts from step 0 and finishes bit-identical to
-  // a 3D run in a fresh directory.
+  // name (the MANIFEST, and block 0 is block 0 in both).  The start-of-run
+  // rule must discard the other dimension's committed epoch instead of
+  // resuming from it, so the 3D run starts from step 0 and finishes
+  // bit-identical to a 3D run in a fresh directory.
   const std::string workdir = test::fresh_workdir("proc3d_stale2d");
 
   FluidParams p2;
@@ -225,11 +220,18 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   mask2.fill_box({0, 17, 24, 18}, NodeType::kWall);
   mask2.fill_box({0, 0, 1, 18}, NodeType::kWall);
   mask2.fill_box({23, 0, 24, 18}, NodeType::kWall);
-  run_supervised<2>(mask2, p2, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 6,
-                    workdir, {});
+  ProcessRunOptions options2;
+  options2.checkpoint_interval = 2;  // ends in epoch 2, not the 3D run's 0
+  const ProcessRunResult r2 =
+      run_supervised<2>(mask2, p2, Method::kLatticeBoltzmann,
+                        GridShape{2, 1, 1}, 6, workdir, options2);
+  const std::string dump2 =
+      epoch::block_dump_path(workdir, 0, r2.committed_epoch);
   {
-    const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");
-    ASSERT_EQ(info.dim, 2);  // the poison is in place
+    const auto m = epoch::read_manifest(workdir);
+    ASSERT_TRUE(m);
+    ASSERT_EQ(m->blocks, (std::vector<int>{0, 1}));  // the 3D run's blocks
+    ASSERT_EQ(inspect_checkpoint(dump2).dim, 2);  // the poison is in place
   }
 
   FluidParams p;
@@ -237,10 +239,16 @@ TEST(Process3DSupervisor, StaleTwoDArtifactsCannotPoisonAThreeDRun) {
   const Mask3D mask = closed_box3d(14, 10, 8, 1);
   const ProcessRunResult r = run_supervised<3>(
       mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 8, workdir, {});
-  // A resume from the 2D dumps would have reported final_step == 14.
+  // A resume from the 2D epoch would have reported final_step == 14.
   EXPECT_EQ(r.final_step, 8);
-  const CheckpointInfo info = inspect_checkpoint(workdir + "/block_0.dump");
-  EXPECT_EQ(info.dim, 3);
+  const auto m = epoch::read_manifest(workdir);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->epoch, 0);
+  EXPECT_EQ(m->step, 8);
+  EXPECT_EQ(
+      inspect_checkpoint(epoch::block_dump_path(workdir, 0, m->epoch)).dim,
+      3);
+  EXPECT_FALSE(std::filesystem::exists(dump2));  // discarded, not kept
   expect_matches_serial3d(mask, p, Method::kLatticeBoltzmann, 2, 1, 1, 8,
                           workdir);
 }

@@ -248,5 +248,40 @@ TEST(BlockedProcessRuntime, KillAfterRebalanceRestoresFromCommittedEpoch) {
                                 workdir);
 }
 
+TEST(BlockedProcessRuntime, KillOffTheCheckpointGridRestoresTheBoundaryEpoch) {
+  // Segments of 5 steps against checkpoints every 2: the boundaries at
+  // steps 5 and 15 are captured off the grid, so epoch ids follow the
+  // captures, not the step.  Segment 1 captures steps 2, 4, 5 (epochs
+  // 0-2), segment 2 steps 6, 8, 10 (3-5).  A rank killed at step 11, in
+  // the third segment and before its first capture, must come back from
+  // the boundary epoch 5 under the rebalanced owner map, bitwise.
+  const Mask2D mask = closed_box(32, 24, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = test::fresh_workdir("procblk_offgrid");
+  ProcessRunOptions options;
+  options.block_side = 8;
+  options.checkpoint_interval = 2;
+  options.rebalance_interval = 5;
+  options.rebalance_threshold = 1.3;
+  // Segment cohorts are generations 0,1,2,... — gen 2 is steps 10..15.
+  options.faults = "slow:rank=0,permille=3000;kill:rank=1,step=11,gen=2";
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 2, 1}, 20, workdir,
+      options);
+  EXPECT_EQ(r.final_step, 20);
+  EXPECT_EQ(r.restarts, 1);
+  EXPECT_GE(r.rebalances.size(), 1u);
+  int restarts_from_the_boundary = 0;
+  for (const telemetry::LivenessRecord& rec : r.liveness)
+    if (rec.event == "restart" && rec.rank == 1 && rec.epoch == 5)
+      ++restarts_from_the_boundary;
+  EXPECT_EQ(restarts_from_the_boundary, 1);
+  // Steps 12, 14, 15 (6-8), 16, 18, 20 (9-11).
+  EXPECT_EQ(r.committed_epoch, 11);
+  expect_blocked_matches_serial(mask, p, Method::kLatticeBoltzmann, 8, 20,
+                                workdir);
+}
+
 }  // namespace
 }  // namespace subsonic
