@@ -93,7 +93,7 @@ struct KernelCase {
 /// parameters.  `side` is the edge of a square or cube grid, 0 otherwise.
 template <int Dim>
 struct Grid {
-  typename GridTypes<Dim>::Mask mask;
+  Mask<Dim> mask;
   typename GridTypes<Dim>::Box box;
   FluidParams params;
   int ghost = 3;

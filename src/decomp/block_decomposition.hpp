@@ -2,7 +2,7 @@
 // parallelization; ROADMAP item 2).  The global grid is cut into many
 // small fixed-size blocks — far more blocks than ranks — and a mutable
 // block→rank owner map assigns each block to the rank that computes it.
-// The fine block grid is itself a Decomposition2D/3D, so every existing
+// The fine block grid is itself a Decomposition<Dim>, so every existing
 // piece of per-subregion machinery (boxes, neighbour links, active
 // filtering, ghost-exchange plans) applies verbatim with "rank" read as
 // "block id".  Load balancing then degenerates to rewriting the owner map
@@ -51,8 +51,8 @@ int block_count_for_axis(int n, int side, int min_side);
 template <int Dim>
 class BlockDecomposition {
  public:
-  using Decomp = typename GridTypes<Dim>::Decomp;
-  using Mask = typename GridTypes<Dim>::Mask;
+  using Decomp = Decomposition<Dim>;
+  using Mask = subsonic::Mask<Dim>;
   using Box = typename GridTypes<Dim>::Box;
 
   /// `side` is the target block side (0: one block per rank); `min_side`

@@ -15,181 +15,157 @@ int even_split_start(int n, int parts, int i) {
   return i * base + std::min(i, extra);
 }
 
-// ---------------------------------------------------------------- 2D ----
-
-Decomposition2D::Decomposition2D(Extents2 global, int jx, int jy)
-    : global_(global), jx_(jx), jy_(jy) {
-  SUBSONIC_REQUIRE(jx >= 1 && jy >= 1);
-  SUBSONIC_REQUIRE_MSG(global.nx >= jx && global.ny >= jy,
-                       "more subregions than grid nodes along an axis");
+template <int Dim>
+Decomposition<Dim>::Decomposition(Extents global, const GridShape& grid)
+    : global_(global) {
+  const int j[3] = {grid.jx, grid.jy, grid.jz};
+  SUBSONIC_REQUIRE_MSG(Dim == 3 || grid.jz == 1,
+                       "2D decomposition requires jz == 1");
+  const auto n = global.sizes();
+  for (int a = 0; a < Dim; ++a) {
+    j_[a] = j[a];
+    SUBSONIC_REQUIRE(j[a] >= 1);
+    SUBSONIC_REQUIRE_MSG(n[a] >= j[a],
+                         "more subregions than grid nodes along an axis");
+  }
 }
 
-Decomposition2D::Decomposition2D(Extents2 global, const GridShape& grid)
-    : Decomposition2D(global, grid.jx, grid.jy) {
-  SUBSONIC_REQUIRE_MSG(grid.jz == 1, "2D decomposition requires jz == 1");
+template <int Dim>
+typename Decomposition<Dim>::Coords Decomposition<Dim>::coords(
+    int rank) const {
+  Coords c{};
+  for (int a = 0; a < Dim - 1; ++a) {
+    c[a] = rank % j_[a];
+    rank /= j_[a];
+  }
+  c[Dim - 1] = rank;
+  return c;
 }
 
-Box2 Decomposition2D::box(int i, int j) const {
-  SUBSONIC_REQUIRE(i >= 0 && i < jx_ && j >= 0 && j < jy_);
-  return Box2{even_split_start(global_.nx, jx_, i),
-              even_split_start(global_.ny, jy_, j),
-              even_split_start(global_.nx, jx_, i + 1),
-              even_split_start(global_.ny, jy_, j + 1)};
+template <int Dim>
+int Decomposition<Dim>::rank_at(const Coords& c) const {
+  int rank = 0;
+  for (int a = Dim - 1; a >= 0; --a) rank = rank * j_[a] + c[a];
+  return rank;
 }
 
-int Decomposition2D::owner_of(int x, int y) const {
-  SUBSONIC_REQUIRE(global_.contains(x, y));
-  // Invert even_split_start by scanning; jx/jy are tiny (<= dozens).
-  int i = 0, j = 0;
-  while (even_split_start(global_.nx, jx_, i + 1) <= x) ++i;
-  while (even_split_start(global_.ny, jy_, j + 1) <= y) ++j;
-  return rank_of(i, j);
+template <int Dim>
+typename Decomposition<Dim>::Box Decomposition<Dim>::box_at(
+    const Coords& c) const {
+  const auto n = global_.sizes();
+  Coords lo{}, hi{};
+  for (int a = 0; a < Dim; ++a) {
+    SUBSONIC_REQUIRE(c[a] >= 0 && c[a] < j_[a]);
+    lo[a] = even_split_start(n[a], j_[a], c[a]);
+    hi[a] = even_split_start(n[a], j_[a], c[a] + 1);
+  }
+  return box_from(lo, hi);
 }
 
-std::vector<NeighborLink> Decomposition2D::neighbors(
+template <int Dim>
+int Decomposition<Dim>::owner_at(const Coords& node) const {
+  const auto n = global_.sizes();
+  Coords c{};
+  for (int a = 0; a < Dim; ++a) {
+    SUBSONIC_REQUIRE(node[a] >= 0 && node[a] < n[a]);
+    // Invert even_split_start by scanning; the counts are tiny (<= dozens).
+    while (even_split_start(n[a], j_[a], c[a] + 1) <= node[a]) ++c[a];
+  }
+  return rank_at(c);
+}
+
+template <int Dim>
+std::vector<NeighborLink> Decomposition<Dim>::neighbors(
     int rank, StencilShape shape) const {
   SUBSONIC_REQUIRE(rank >= 0 && rank < rank_count());
-  const int ci = coord_x(rank);
-  const int cj = coord_y(rank);
+  constexpr int kDirs = Dim == 2 ? 9 : 27;
+  const Coords c = coords(rank);
   std::vector<NeighborLink> out;
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      if (shape == StencilShape::kStar && dx != 0 && dy != 0) continue;
-      const int ni = ci + dx;
-      const int nj = cj + dy;
-      if (ni < 0 || ni >= jx_ || nj < 0 || nj >= jy_) continue;
-      out.push_back(NeighborLink{rank_of(ni, nj), dx, dy, 0});
+  // Digit a of dir in base 3 is offset a + 1, so ascending dir runs dz
+  // outer, then dy, then dx; the middle dir is the zero offset.
+  for (int dir = 0; dir < kDirs; ++dir) {
+    if (dir == kDirs / 2) continue;
+    int d[3] = {0, 0, 0};
+    Coords nc{};
+    int reach = 0;
+    bool on_grid = true;
+    for (int a = 0, digits = dir; a < Dim; ++a, digits /= 3) {
+      d[a] = digits % 3 - 1;
+      reach += std::abs(d[a]);
+      nc[a] = c[a] + d[a];
+      on_grid = on_grid && nc[a] >= 0 && nc[a] < j_[a];
     }
+    if (shape == StencilShape::kStar && reach != 1) continue;
+    if (on_grid) out.push_back(NeighborLink{rank_at(nc), d[0], d[1], d[2]});
   }
   return out;
 }
 
-std::int64_t Decomposition2D::comm_node_count(int rank, StencilShape shape,
-                                              int g) const {
+template <int Dim>
+std::int64_t Decomposition<Dim>::comm_node_count(int rank,
+                                                 StencilShape shape,
+                                                 int g) const {
   SUBSONIC_REQUIRE(g >= 1);
-  const Box2 b = box(rank);
+  const Box b = box(rank);
+  const auto lo = b.lo(), hi = b.hi();
   std::int64_t total = 0;
   for (const NeighborLink& n : neighbors(rank, shape)) {
     // The strip of our interior that the neighbour needs: g layers deep
     // along each offset axis, full width along unconstrained axes.
-    const std::int64_t lx = (n.dx == 0) ? b.width() : std::min(g, b.width());
-    const std::int64_t ly = (n.dy == 0) ? b.height() : std::min(g, b.height());
-    total += lx * ly;
+    const int d[3] = {n.dx, n.dy, n.dz};
+    std::int64_t nodes = 1;
+    for (int a = 0; a < Dim; ++a) {
+      const int w = hi[a] - lo[a];
+      nodes *= d[a] == 0 ? w : std::min(g, w);
+    }
+    total += nodes;
   }
   return total;
 }
 
-int Decomposition2D::paper_m() const {
-  // Fits the paper's table {Px1: 2, 2x2: 2, 3x3: 3, 4x4: 4, 5x4: 4}:
-  // m = max(2, min(jx, jy, 4)).
-  return std::max(2, std::min({jx_, jy_, 4}));
+template <int Dim>
+int Decomposition<Dim>::paper_m() const {
+  // Fits the paper's 2D table {Px1: 2, 2x2: 2, 3x3: 3, 4x4: 4, 5x4: 4}:
+  // m = max(2, min(jx, jy, 4)).  3D extends the rule with a cap of 6; the
+  // paper only exercises (Px1x1) pipelines, where m = 2 (each subregion
+  // talks to left and right only).
+  int m = Dim == 2 ? 4 : 6;
+  for (int c : j_) m = std::min(m, c);
+  return std::max(2, m);
 }
 
-int Decomposition2D::max_comm_edges() const {
-  const int ex = (jx_ >= 3) ? 2 : jx_ - 1;
-  const int ey = (jy_ >= 3) ? 2 : jy_ - 1;
+template <int Dim>
+int Decomposition<Dim>::max_comm_edges() const requires(Dim == 2) {
+  const int ex = (jx() >= 3) ? 2 : jx() - 1;
+  const int ey = (jy() >= 3) ? 2 : jy() - 1;
   return ex + ey;
 }
 
-double Decomposition2D::mean_comm_edges() const {
+template <int Dim>
+double Decomposition<Dim>::mean_comm_edges() const requires(Dim == 2) {
   // Each of the jx(jy-1) + jy(jx-1) interior faces contributes one
   // communicating edge to each of its two subregions.
-  const double faces = static_cast<double>(jx_) * (jy_ - 1) +
-                       static_cast<double>(jy_) * (jx_ - 1);
+  const double faces = static_cast<double>(jx()) * (jy() - 1) +
+                       static_cast<double>(jy()) * (jx() - 1);
   return 2.0 * faces / rank_count();
 }
 
-int Decomposition2D::max_unsync(StencilShape shape) const {
+template <int Dim>
+int Decomposition<Dim>::max_unsync(StencilShape shape) const {
   // Appendix A: with a full stencil neighbours couple diagonally and the
-  // worst-case step difference is max(J,K) - 1 (eq. 22); with a star
+  // worst-case step difference is max(J,K[,L]) - 1 (eq. 22); with a star
   // stencil information travels only axis-by-axis and the bound is
-  // (J-1) + (K-1) (eq. 23).
-  if (shape == StencilShape::kFull) return std::max(jx_, jy_) - 1;
-  return (jx_ - 1) + (jy_ - 1);
-}
-
-// ---------------------------------------------------------------- 3D ----
-
-Decomposition3D::Decomposition3D(Extents3 global, int jx, int jy, int jz)
-    : global_(global), jx_(jx), jy_(jy), jz_(jz) {
-  SUBSONIC_REQUIRE(jx >= 1 && jy >= 1 && jz >= 1);
-  SUBSONIC_REQUIRE_MSG(
-      global.nx >= jx && global.ny >= jy && global.nz >= jz,
-      "more subregions than grid nodes along an axis");
-}
-
-Box3 Decomposition3D::box(int i, int j, int k) const {
-  SUBSONIC_REQUIRE(i >= 0 && i < jx_ && j >= 0 && j < jy_ && k >= 0 &&
-                   k < jz_);
-  return Box3{even_split_start(global_.nx, jx_, i),
-              even_split_start(global_.ny, jy_, j),
-              even_split_start(global_.nz, jz_, k),
-              even_split_start(global_.nx, jx_, i + 1),
-              even_split_start(global_.ny, jy_, j + 1),
-              even_split_start(global_.nz, jz_, k + 1)};
-}
-
-int Decomposition3D::owner_of(int x, int y, int z) const {
-  SUBSONIC_REQUIRE(global_.contains(x, y, z));
-  int i = 0, j = 0, k = 0;
-  while (even_split_start(global_.nx, jx_, i + 1) <= x) ++i;
-  while (even_split_start(global_.ny, jy_, j + 1) <= y) ++j;
-  while (even_split_start(global_.nz, jz_, k + 1) <= z) ++k;
-  return rank_of(i, j, k);
-}
-
-std::vector<NeighborLink> Decomposition3D::neighbors(
-    int rank, StencilShape shape) const {
-  SUBSONIC_REQUIRE(rank >= 0 && rank < rank_count());
-  const int ci = coord_x(rank);
-  const int cj = coord_y(rank);
-  const int ck = coord_z(rank);
-  std::vector<NeighborLink> out;
-  for (int dz = -1; dz <= 1; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        if (shape == StencilShape::kStar &&
-            std::abs(dx) + std::abs(dy) + std::abs(dz) != 1)
-          continue;
-        const int ni = ci + dx;
-        const int nj = cj + dy;
-        const int nk = ck + dz;
-        if (ni < 0 || ni >= jx_ || nj < 0 || nj >= jy_ || nk < 0 ||
-            nk >= jz_)
-          continue;
-        out.push_back(NeighborLink{rank_of(ni, nj, nk), dx, dy, dz});
-      }
-    }
+  // (J-1) + (K-1) [+ (L-1)] (eq. 23).
+  int worst = 0, sum = 0;
+  for (int c : j_) {
+    worst = std::max(worst, c - 1);
+    sum += c - 1;
   }
-  return out;
+  return shape == StencilShape::kFull ? worst : sum;
 }
 
-std::int64_t Decomposition3D::comm_node_count(int rank, StencilShape shape,
-                                              int g) const {
-  SUBSONIC_REQUIRE(g >= 1);
-  const Box3 b = box(rank);
-  std::int64_t total = 0;
-  for (const NeighborLink& n : neighbors(rank, shape)) {
-    const std::int64_t lx = (n.dx == 0) ? b.width() : std::min(g, b.width());
-    const std::int64_t ly = (n.dy == 0) ? b.height() : std::min(g, b.height());
-    const std::int64_t lz = (n.dz == 0) ? b.depth() : std::min(g, b.depth());
-    total += lx * ly * lz;
-  }
-  return total;
-}
-
-int Decomposition3D::paper_m() const {
-  // Same fitting rule extended to 3D; the paper only exercises (Px1x1)
-  // pipelines where m = 2 (each subregion talks to left and right only).
-  return std::max(2, std::min({jx_, jy_, jz_, 6}));
-}
-
-int Decomposition3D::max_unsync(StencilShape shape) const {
-  if (shape == StencilShape::kFull) return std::max({jx_, jy_, jz_}) - 1;
-  return (jx_ - 1) + (jy_ - 1) + (jz_ - 1);
-}
+template class Decomposition<2>;
+template class Decomposition<3>;
 
 // ------------------------------------------------------------- active ----
 
@@ -206,27 +182,37 @@ std::vector<std::array<int, 2>> grown_ranges(int lo, int hi, int n,
   return r;
 }
 
-bool borders_non_wall(const Mask2D& m, const Box2& b, const Periodicity& p) {
-  const Extents2 e = m.extents();
-  for (const auto& [x0, x1] : grown_ranges(b.x0, b.x1, e.nx, p[0]))
-    for (const auto& [y0, y1] : grown_ranges(b.y0, b.y1, e.ny, p[1]))
-      if (!m.all_solid(Box2{x0, y0, x1, y1})) return true;
-  return false;
-}
-
-bool borders_non_wall(const Mask3D& m, const Box3& b, const Periodicity& p) {
-  const Extents3 e = m.extents();
-  for (const auto& [x0, x1] : grown_ranges(b.x0, b.x1, e.nx, p[0]))
-    for (const auto& [y0, y1] : grown_ranges(b.y0, b.y1, e.ny, p[1]))
-      for (const auto& [z0, z1] : grown_ranges(b.z0, b.z1, e.nz, p[2]))
-        if (!m.all_solid(Box3{x0, y0, z0, x1, y1, z1})) return true;
+/// True when `b` grown by one node (clipped, or wrapped on a periodic
+/// axis) holds a node of `m` that is not wall: each combination k of the
+/// axes' grown ranges is one box to test.
+template <int Dim>
+bool borders_non_wall(const Mask<Dim>& m, const typename Mask<Dim>::Box& b,
+                      const Periodicity& p) {
+  const auto lo = b.lo(), hi = b.hi(), n = m.extents().sizes();
+  std::array<std::vector<std::array<int, 2>>, Dim> ranges;
+  int combos = 1;
+  for (int a = 0; a < Dim; ++a) {
+    ranges[a] = grown_ranges(lo[a], hi[a], n[a], p[a]);
+    combos *= static_cast<int>(ranges[a].size());
+  }
+  for (int k = 0; k < combos; ++k) {
+    std::array<int, Dim> r0{}, r1{};
+    for (int a = 0, rest = k; a < Dim; ++a) {
+      const int count = static_cast<int>(ranges[a].size());
+      r0[a] = ranges[a][rest % count][0];
+      r1[a] = ranges[a][rest % count][1];
+      rest /= count;
+    }
+    if (!m.all_solid(box_from(r0, r1))) return true;
+  }
   return false;
 }
 
 }  // namespace
 
-template <typename Decomp, typename Mask>
-std::vector<int> active_ranks(const Decomp& d, const Mask& mask,
+template <int Dim>
+std::vector<int> active_ranks(const Decomposition<Dim>& d,
+                              const Mask<Dim>& mask,
                               const Periodicity& periodic) {
   SUBSONIC_REQUIRE(mask.extents() == d.global());
   std::vector<int> out;

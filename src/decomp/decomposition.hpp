@@ -1,7 +1,8 @@
 // Static uniform domain decomposition (paper section 3).  The global grid
-// is split into (J x K) rectangular subregions in 2D, (J x K x L) in 3D.
-// Ranks are assigned row-major (x fastest).  Each subregion knows its box
-// in global coordinates and its neighbours under a given stencil shape.
+// is split into (J x K) rectangular subregions in 2D, (J x K x L) in 3D,
+// by one class template over the dimension.  Ranks are assigned row-major
+// (x fastest).  Each subregion knows its box in global coordinates and its
+// neighbours under a given stencil shape.
 #pragma once
 
 #include <array>
@@ -37,41 +38,68 @@ struct NeighborLink {
                                    const NeighborLink&) = default;
 };
 
-/// 2D decomposition of a global grid into jx * jy subregions.  Subregion
-/// sizes differ by at most one node per axis when the grid does not divide
-/// evenly.
-class Decomposition2D {
+/// Decomposition of a global grid into jx * jy (* jz) subregions.
+/// Subregion sizes differ by at most one node per axis when the grid does
+/// not divide evenly.  Coordinates, counts and boxes are by axis; a 2D
+/// decomposition has no z axis (its links carry dz = 0).
+template <int Dim>
+class Decomposition {
  public:
-  Decomposition2D(Extents2 global, int jx, int jy);
-  /// The same over `grid`, which must have jz == 1.
-  Decomposition2D(Extents2 global, const GridShape& grid);
+  using Extents = typename GridTypes<Dim>::Extents;
+  using Box = typename GridTypes<Dim>::Box;
+  using Coords = std::array<int, Dim>;
 
-  Extents2 global() const { return global_; }
-  int jx() const { return jx_; }
-  int jy() const { return jy_; }
-  int rank_count() const { return jx_ * jy_; }
+  /// The decomposition over `grid`; a 2D one requires jz == 1.
+  Decomposition(Extents global, const GridShape& grid);
+  /// The same from the subregion counts jx, jy (, jz).
+  template <typename... J>
+    requires(sizeof...(J) == Dim)
+  Decomposition(Extents global, J... j)
+      : Decomposition(global, GridShape{static_cast<int>(j)...}) {}
+
+  Extents global() const { return global_; }
+  int jx() const { return j_[0]; }
+  int jy() const { return j_[1]; }
+  int jz() const requires(Dim == 3) { return j_[2]; }
+  int rank_count() const {
+    int n = 1;
+    for (int c : j_) n *= c;
+    return n;
+  }
 
   /// Subregions per axis, a rank's grid coordinates and the rank at given
-  /// coordinates, by axis: for code written once over both dimensions.
-  std::array<int, 2> counts() const { return {jx_, jy_}; }
-  std::array<int, 2> coords(int rank) const {
-    return {coord_x(rank), coord_y(rank)};
+  /// coordinates.  Ranks run x fastest, then y, then z.
+  const Coords& counts() const { return j_; }
+  Coords coords(int rank) const;
+  int rank_at(const Coords& c) const;
+
+  /// Grid-cell box of subregion (i, j[, k]) or of a rank, in global
+  /// coordinates.
+  template <typename... I>
+    requires(sizeof...(I) == Dim)
+  Box box(I... c) const {
+    return box_at(Coords{c...});
   }
-  int rank_at(const std::array<int, 2>& c) const { return rank_of(c[0], c[1]); }
+  Box box(int rank) const { return box_at(coords(rank)); }
 
-  /// Grid-cell box of subregion (i, j), in global coordinates.
-  Box2 box(int i, int j) const;
-  Box2 box(int rank) const { return box(coord_x(rank), coord_y(rank)); }
+  template <typename... I>
+    requires(sizeof...(I) == Dim)
+  int rank_of(I... c) const {
+    return rank_at(Coords{c...});
+  }
+  int coord_x(int rank) const { return coords(rank)[0]; }
+  int coord_y(int rank) const { return coords(rank)[1]; }
+  int coord_z(int rank) const requires(Dim == 3) { return coords(rank)[2]; }
 
-  int rank_of(int i, int j) const { return j * jx_ + i; }
-  int coord_x(int rank) const { return rank % jx_; }
-  int coord_y(int rank) const { return rank / jx_; }
+  /// Which subregion owns global node (x, y[, z]).
+  template <typename... I>
+    requires(sizeof...(I) == Dim)
+  int owner_of(I... c) const {
+    return owner_at(Coords{c...});
+  }
 
-  /// Which subregion owns global node (x, y).
-  int owner_of(int x, int y) const;
-
-  /// Neighbours of `rank` under `shape`, in deterministic order
-  /// (dy outer, dx inner, skipping self and off-grid offsets).
+  /// Neighbours of `rank` under `shape`, in deterministic order (dz
+  /// outer, then dy, dx inner, skipping self and off-grid offsets).
   std::vector<NeighborLink> neighbors(int rank, StencilShape shape) const;
 
   /// Number of boundary nodes of `rank` that must be sent to neighbours
@@ -79,73 +107,33 @@ class Decomposition2D {
   /// once per receiving neighbour, matching the bytes actually sent.
   std::int64_t comm_node_count(int rank, StencilShape shape, int g) const;
 
-  /// The paper's geometry factor m (section 8 table): N_c ~= m * N^(1/2).
-  /// Reproduces {Px1: 2, 2x2: 2, 3x3: 3, 4x4: 4, 5x4: 4}.
+  /// The paper's geometry factor m (section 8 table): N_c ~= m * N^(1/2)
+  /// in 2D, reproducing {Px1: 2, 2x2: 2, 3x3: 3, 4x4: 4, 5x4: 4};
+  /// N_c ~= m * N^(2/3) in 3D, where the paper uses m = 2 for (Px1x1).
   int paper_m() const;
 
   /// Largest number of communicating edges any subregion has (star shape).
-  int max_comm_edges() const;
+  int max_comm_edges() const requires(Dim == 2);
   /// Mean communicating edges per subregion (star shape).
-  double mean_comm_edges() const;
+  double mean_comm_edges() const requires(Dim == 2);
 
   /// Worst-case difference in integration step between any two processes
   /// when one process stops (Appendix A, eqs. 22-23).
   int max_unsync(StencilShape shape) const;
 
  private:
-  Extents2 global_;
-  int jx_ = 1;
-  int jy_ = 1;
+  Box box_at(const Coords& c) const;
+  int owner_at(const Coords& node) const;
+
+  Extents global_;
+  Coords j_{};
 };
 
-/// 3D decomposition into jx * jy * jz subregions.
-class Decomposition3D {
- public:
-  Decomposition3D(Extents3 global, int jx, int jy, int jz);
-  Decomposition3D(Extents3 global, const GridShape& grid)
-      : Decomposition3D(global, grid.jx, grid.jy, grid.jz) {}
+using Decomposition2D = Decomposition<2>;
+using Decomposition3D = Decomposition<3>;
 
-  Extents3 global() const { return global_; }
-  int jx() const { return jx_; }
-  int jy() const { return jy_; }
-  int jz() const { return jz_; }
-  int rank_count() const { return jx_ * jy_ * jz_; }
-
-  std::array<int, 3> counts() const { return {jx_, jy_, jz_}; }
-  std::array<int, 3> coords(int rank) const {
-    return {coord_x(rank), coord_y(rank), coord_z(rank)};
-  }
-  int rank_at(const std::array<int, 3>& c) const {
-    return rank_of(c[0], c[1], c[2]);
-  }
-
-  Box3 box(int i, int j, int k) const;
-  Box3 box(int rank) const {
-    return box(coord_x(rank), coord_y(rank), coord_z(rank));
-  }
-
-  int rank_of(int i, int j, int k) const { return (k * jy_ + j) * jx_ + i; }
-  int coord_x(int rank) const { return rank % jx_; }
-  int coord_y(int rank) const { return (rank / jx_) % jy_; }
-  int coord_z(int rank) const { return rank / (jx_ * jy_); }
-
-  int owner_of(int x, int y, int z) const;
-
-  std::vector<NeighborLink> neighbors(int rank, StencilShape shape) const;
-
-  std::int64_t comm_node_count(int rank, StencilShape shape, int g) const;
-
-  /// m such that N_c ~= m * N^(2/3); the paper uses m = 2 for (Px1x1).
-  int paper_m() const;
-
-  int max_unsync(StencilShape shape) const;
-
- private:
-  Extents3 global_;
-  int jx_ = 1;
-  int jy_ = 1;
-  int jz_ = 1;
-};
+extern template class Decomposition<2>;
+extern template class Decomposition<3>;
 
 /// Splits `n` nodes over `parts` parts as evenly as possible; part `i`
 /// gets [start(i), start(i+1)).  Larger parts come first.
@@ -158,8 +146,9 @@ int even_split_start(int n, int parts, int i);
 /// active).  One that does border fluid stays active: its wall nodes sit
 /// in the neighbour's ghost ring, and only their owner updates the
 /// populations that LB bounce-back reflects into the fluid.
-template <typename Decomp, typename Mask>
-std::vector<int> active_ranks(const Decomp& d, const Mask& mask,
+template <int Dim>
+std::vector<int> active_ranks(const Decomposition<Dim>& d,
+                              const Mask<Dim>& mask,
                               const Periodicity& periodic = {});
 
 }  // namespace subsonic

@@ -1,7 +1,10 @@
 // Obstacle masks: a NodeType per grid node, padded like the fluid fields so
 // that stencil code can interrogate neighbour types without bounds checks.
+// One class template serves both dimensions; a 2D mask is the one plane
+// z = 0.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/geometry/node_type.hpp"
@@ -10,116 +13,81 @@
 
 namespace subsonic {
 
-/// 2D node-type mask.  Ghost nodes default to kWall so that the domain is
+/// Node-type mask.  Ghost nodes default to kWall so that the domain is
 /// closed unless the geometry explicitly opens it (inlets / outlets).
-class Mask2D {
+/// Nodes are addressed as (x, y) in 2D and (x, y, z) in 3D.
+template <int Dim>
+class Mask {
  public:
-  Mask2D() = default;
-  Mask2D(Extents2 extents, int ghost)
-      : types_(extents, ghost) {
+  using Extents = typename GridTypes<Dim>::Extents;
+  using Box = typename GridTypes<Dim>::Box;
+
+  Mask() = default;
+  Mask(Extents extents, int ghost) : types_(extents, ghost) {
     types_.fill(static_cast<std::uint8_t>(NodeType::kWall));
-    for (int y = 0; y < extents.ny; ++y)
-      for (int x = 0; x < extents.nx; ++x)
-        set(x, y, NodeType::kFluid);
+    fill_box(full_box(extents), NodeType::kFluid);
   }
 
-  Extents2 extents() const { return types_.interior(); }
+  Extents extents() const { return types_.interior(); }
   int ghost() const { return types_.ghost(); }
 
-  NodeType operator()(int x, int y) const {
-    return static_cast<NodeType>(types_(x, y));
+  template <typename... I>
+    requires(sizeof...(I) == Dim)
+  NodeType operator()(I... c) const {
+    return static_cast<NodeType>(types_(c...));
   }
-  void set(int x, int y, NodeType t) {
+  void set(int x, int y, NodeType t) requires(Dim == 2) {
     types_(x, y) = static_cast<std::uint8_t>(t);
+  }
+  void set(int x, int y, int z, NodeType t) requires(Dim == 3) {
+    types_(x, y, z) = static_cast<std::uint8_t>(t);
+  }
+
+  /// Pencil (y, z) of the mask: p[x] is the NodeType byte of node
+  /// (x, y, z), padding included.  A 2D mask ignores z.
+  const std::uint8_t* pencil(int y, int z = 0) const {
+    return types_.pencil(y, z);
   }
 
   /// Marks every node in `box` (clipped to the interior) as `t`.
-  void fill_box(Box2 box, NodeType t) {
-    const Box2 clipped = box.intersect(full_box(extents()));
-    for (int y = clipped.y0; y < clipped.y1; ++y)
-      for (int x = clipped.x0; x < clipped.x1; ++x) set(x, y, t);
+  void fill_box(Box box, NodeType t) {
+    const Box clipped = box.intersect(full_box(extents()));
+    const int x0 = clipped.lo()[0], x1 = clipped.hi()[0];
+    for_each_pencil(clipped, [&](int y, int z) {
+      std::uint8_t* p = types_.pencil(y, z);
+      std::fill(p + x0, p + x1, static_cast<std::uint8_t>(t));
+    });
   }
 
   /// True when every node of `box` (which must lie inside the interior or
   /// its padding) is solid wall — the test active_ranks runs on a box
   /// grown by one node to drop inactive subregions (Fig. 2).
-  bool all_solid(Box2 box) const {
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x)
-        if ((*this)(x, y) != NodeType::kWall) return false;
-    return true;
+  bool all_solid(Box box) const {
+    return box.empty() || count_box(box, NodeType::kWall) == box.count();
   }
 
   std::int64_t count(NodeType t) const {
-    std::int64_t n = 0;
-    for (int y = 0; y < extents().ny; ++y)
-      for (int x = 0; x < extents().nx; ++x)
-        if ((*this)(x, y) == t) ++n;
-    return n;
+    return count_box(full_box(extents()), t);
   }
 
   /// Nodes of type `t` inside `box` (which must lie inside the interior
   /// or its padding) — e.g. a rank's fluid-cell work weight.
-  std::int64_t count_box(Box2 box, NodeType t) const {
+  std::int64_t count_box(Box box, NodeType t) const {
     std::int64_t n = 0;
-    for (int y = box.y0; y < box.y1; ++y)
-      for (int x = box.x0; x < box.x1; ++x)
-        if ((*this)(x, y) == t) ++n;
+    if (box.empty()) return n;
+    const int x0 = box.lo()[0], x1 = box.hi()[0];
+    for_each_pencil(box, [&](int y, int z) {
+      const std::uint8_t* p = pencil(y, z);
+      n += std::count(p + x0, p + x1, static_cast<std::uint8_t>(t));
+    });
     return n;
   }
 
  private:
-  PaddedField2D<std::uint8_t> types_;
+  PaddedField<std::uint8_t, Dim> types_;
 };
 
-/// 3D node-type mask with the same conventions.
-class Mask3D {
- public:
-  Mask3D() = default;
-  Mask3D(Extents3 extents, int ghost)
-      : types_(extents, ghost) {
-    types_.fill(static_cast<std::uint8_t>(NodeType::kWall));
-    for (int z = 0; z < extents.nz; ++z)
-      for (int y = 0; y < extents.ny; ++y)
-        for (int x = 0; x < extents.nx; ++x) set(x, y, z, NodeType::kFluid);
-  }
-
-  Extents3 extents() const { return types_.interior(); }
-  int ghost() const { return types_.ghost(); }
-
-  NodeType operator()(int x, int y, int z) const {
-    return static_cast<NodeType>(types_(x, y, z));
-  }
-  void set(int x, int y, int z, NodeType t) {
-    types_(x, y, z) = static_cast<std::uint8_t>(t);
-  }
-
-  void fill_box(Box3 box, NodeType t) {
-    const Box3 clipped = box.intersect(full_box(extents()));
-    for (int z = clipped.z0; z < clipped.z1; ++z)
-      for (int y = clipped.y0; y < clipped.y1; ++y)
-        for (int x = clipped.x0; x < clipped.x1; ++x) set(x, y, z, t);
-  }
-
-  bool all_solid(Box3 box) const {
-    for (int z = box.z0; z < box.z1; ++z)
-      for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x)
-          if ((*this)(x, y, z) != NodeType::kWall) return false;
-    return true;
-  }
-
-  std::int64_t count_box(Box3 box, NodeType t) const {
-    std::int64_t n = 0;
-    for (int z = box.z0; z < box.z1; ++z)
-      for (int y = box.y0; y < box.y1; ++y)
-        for (int x = box.x0; x < box.x1; ++x)
-          if ((*this)(x, y, z) == t) ++n;
-    return n;
-  }
-
- private:
-  PaddedField3D<std::uint8_t> types_;
-};
+using Mask2D = Mask<2>;
+using Mask3D = Mask<3>;
 
 }  // namespace subsonic

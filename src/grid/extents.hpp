@@ -1,12 +1,16 @@
 // Index-space primitives: grid extents and half-open index boxes in two and
 // three dimensions.  All coordinates are signed (int) so that ghost-cell
-// coordinates (negative) are representable without casts.
+// coordinates (negative) are representable without casts.  These two are
+// the only grid types that keep a struct per dimension (hundreds of call
+// sites build them as aggregates with named members); GridTypes<Dim> names
+// the pair a dimension uses, and everything above them is one template.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <ostream>
+#include <type_traits>
 
 #include "src/util/check.hpp"
 
@@ -142,6 +146,33 @@ constexpr Box3 box_from(const std::array<int, 3>& lo,
 constexpr Box2 full_box(Extents2 e) { return Box2{0, 0, e.nx, e.ny}; }
 constexpr Box3 full_box(Extents3 e) {
   return Box3{0, 0, 0, e.nx, e.ny, e.nz};
+}
+
+/// The interior extents of a box.
+constexpr Extents2 extents_of(const Box2& b) { return {b.width(), b.height()}; }
+constexpr Extents3 extents_of(const Box3& b) {
+  return {b.width(), b.height(), b.depth()};
+}
+
+/// The extents and box types of dimension Dim.
+template <int Dim>
+struct GridTypes {
+  static_assert(Dim == 2 || Dim == 3);
+  using Extents = std::conditional_t<Dim == 2, Extents2, Extents3>;
+  using Box = std::conditional_t<Dim == 2, Box2, Box3>;
+};
+
+/// Calls fn(y, z) for every pencil (row along x) of box `b`, z outer, then
+/// y: the order of every pencil walk (payloads, dumps, reductions, span
+/// tables).  A 2D box is the one plane z = 0.  The x extent is the
+/// caller's to read.
+template <typename Box, typename Fn>
+void for_each_pencil(const Box& b, Fn&& fn) {
+  const auto lo = b.lo(), hi = b.hi();
+  const bool flat = lo.size() == 2;
+  const int z0 = flat ? 0 : lo.back(), z1 = flat ? 1 : hi.back();
+  for (int z = z0; z < z1; ++z)
+    for (int y = lo[1]; y < hi[1]; ++y) fn(y, z);
 }
 
 }  // namespace subsonic

@@ -1,14 +1,15 @@
-// Precomputed per-row runs of nodes satisfying a predicate (e.g. "computed
-// by the solver", "wall", "filter applies here").  The geometry is static,
-// so the hot loops can iterate contiguous [x0, x1) spans instead of testing
-// node(x, y) at every cell — on geometries with many solid rows (the
-// flue pipe) whole rows vanish from the iteration, and on open regions the
-// per-cell branch disappears from the inner loop.
+// Precomputed per-pencil runs of nodes satisfying a predicate (e.g.
+// "computed by the solver", "wall", "filter applies here").  The geometry
+// is static, so the hot loops can iterate contiguous [x0, x1) spans
+// instead of testing node(x, y, z) at every cell — on geometries with many
+// solid pencils (the flue pipe) whole pencils vanish from the iteration,
+// and on open regions the per-cell branch disappears from the inner loop.
 //
 // Spans are built once at domain construction over a rectangular window
 // (typically the padded local window) and clipped to arbitrary sub-boxes at
 // iteration time, which is what lets the boundary-band and interior passes
-// of the overlapped schedule share one span table.
+// of the overlapped schedule share one span table.  One class template
+// serves both dimensions; a 2D table is the one plane z = 0.
 #pragma once
 
 #include <algorithm>
@@ -21,30 +22,34 @@
 
 namespace subsonic {
 
-/// One contiguous run [x0, x1) of matching nodes within a row.
+/// One contiguous run [x0, x1) of matching nodes within a pencil.
 struct MaskSpan {
   int x0 = 0;
   int x1 = 0;
   friend constexpr bool operator==(MaskSpan, MaskSpan) = default;
 };
 
-/// Per-row span table over a 2D window [x_lo, x_hi) x [y_lo, y_hi).
-class MaskSpans2D {
+/// Per-pencil span table over a window box; pencils are (y, z) rows
+/// along x.
+template <int Dim>
+class MaskSpans {
  public:
-  MaskSpans2D() = default;
+  using Box = typename GridTypes<Dim>::Box;
 
-  /// Builds the table from `pred(x, y)` over the window.
+  MaskSpans() = default;
+
+  /// Builds the table from `pred(x, y, z)` over `window`, pencil by
+  /// pencil, z outer (z = 0 in 2D).
   template <typename Pred>
-  MaskSpans2D(int x_lo, int x_hi, int y_lo, int y_hi, Pred&& pred)
-      : y_lo_(y_lo), y_hi_(y_hi) {
-    SUBSONIC_REQUIRE(x_hi >= x_lo && y_hi >= y_lo);
-    row_begin_.reserve(static_cast<size_t>(y_hi - y_lo) + 1);
-    for (int y = y_lo; y < y_hi; ++y) {
-      row_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
-      int run_start = x_lo;
+  MaskSpans(const Box& window, Pred&& pred) : window_(window) {
+    const auto lo = window.lo(), hi = window.hi();
+    for (int a = 0; a < Dim; ++a) SUBSONIC_REQUIRE(hi[a] >= lo[a]);
+    for_each_pencil(window, [&](int y, int z) {
+      pencil_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
+      int run_start = lo[0];
       bool in_run = false;
-      for (int x = x_lo; x < x_hi; ++x) {
-        const bool hit = pred(x, y);
+      for (int x = lo[0]; x < hi[0]; ++x) {
+        const bool hit = pred(x, y, z);
         if (hit && !in_run) {
           run_start = x;
           in_run = true;
@@ -53,20 +58,27 @@ class MaskSpans2D {
           in_run = false;
         }
       }
-      if (in_run) spans_.push_back(MaskSpan{run_start, x_hi});
-    }
-    row_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
+      if (in_run) spans_.push_back(MaskSpan{run_start, hi[0]});
+    });
+    pencil_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
   }
 
-  int y_lo() const { return y_lo_; }
-  int y_hi() const { return y_hi_; }
+  /// The box the table was built over.
+  const Box& window() const { return window_; }
 
-  /// The spans of row `y`; empty outside the built window.
-  std::span<const MaskSpan> row(int y) const {
-    if (y < y_lo_ || y >= y_hi_) return {};
-    const size_t i = static_cast<size_t>(y - y_lo_);
-    return {spans_.data() + row_begin_[i],
-            spans_.data() + row_begin_[i + 1]};
+  /// The spans of pencil (y, z); empty outside the built window.  A 2D
+  /// table ignores z.
+  std::span<const MaskSpan> pencil(int y, int z = 0) const {
+    const auto lo = window_.lo(), hi = window_.hi();
+    if (y < lo[1] || y >= hi[1]) return {};
+    std::size_t i = static_cast<std::size_t>(y - lo[1]);
+    if constexpr (Dim == 3) {
+      if (z < lo[2] || z >= hi[2]) return {};
+      i += static_cast<std::size_t>(z - lo[2]) *
+           static_cast<std::size_t>(hi[1] - lo[1]);
+    }
+    return {spans_.data() + pencil_begin_[i],
+            spans_.data() + pencil_begin_[i + 1]};
   }
 
   /// Total matching nodes over the whole window.
@@ -77,64 +89,24 @@ class MaskSpans2D {
   }
 
  private:
-  int y_lo_ = 0, y_hi_ = 0;
-  std::vector<std::uint32_t> row_begin_;  // spans_ index of each row, +end
+  Box window_{};
+  std::vector<std::uint32_t> pencil_begin_;  // spans_ index per pencil, +end
   std::vector<MaskSpan> spans_;
 };
 
-/// Per-row span table over a 3D window; rows are (y, z) pencils along x.
-class MaskSpans3D {
- public:
-  MaskSpans3D() = default;
+using MaskSpans2D = MaskSpans<2>;
+using MaskSpans3D = MaskSpans<3>;
 
-  template <typename Pred>
-  MaskSpans3D(int x_lo, int x_hi, int y_lo, int y_hi, int z_lo, int z_hi,
-              Pred&& pred)
-      : y_lo_(y_lo), y_hi_(y_hi), z_lo_(z_lo), z_hi_(z_hi) {
-    SUBSONIC_REQUIRE(x_hi >= x_lo && y_hi >= y_lo && z_hi >= z_lo);
-    const size_t rows =
-        static_cast<size_t>(y_hi - y_lo) * static_cast<size_t>(z_hi - z_lo);
-    row_begin_.reserve(rows + 1);
-    for (int z = z_lo; z < z_hi; ++z) {
-      for (int y = y_lo; y < y_hi; ++y) {
-        row_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
-        int run_start = x_lo;
-        bool in_run = false;
-        for (int x = x_lo; x < x_hi; ++x) {
-          const bool hit = pred(x, y, z);
-          if (hit && !in_run) {
-            run_start = x;
-            in_run = true;
-          } else if (!hit && in_run) {
-            spans_.push_back(MaskSpan{run_start, x});
-            in_run = false;
-          }
-        }
-        if (in_run) spans_.push_back(MaskSpan{run_start, x_hi});
-      }
-    }
-    row_begin_.push_back(static_cast<std::uint32_t>(spans_.size()));
+/// Calls fn(a, b) for every span of pencil (y, z) of `s` clipped to
+/// [x0, x1).
+template <int Dim, typename Fn>
+void for_spans(const MaskSpans<Dim>& s, int y, int z, int x0, int x1,
+               Fn&& fn) {
+  for (const MaskSpan& m : s.pencil(y, z)) {
+    const int a = std::max(m.x0, x0);
+    const int b = std::min(m.x1, x1);
+    if (a < b) fn(a, b);
   }
-
-  std::span<const MaskSpan> row(int y, int z) const {
-    if (y < y_lo_ || y >= y_hi_ || z < z_lo_ || z >= z_hi_) return {};
-    const size_t i = static_cast<size_t>(z - z_lo_) *
-                         static_cast<size_t>(y_hi_ - y_lo_) +
-                     static_cast<size_t>(y - y_lo_);
-    return {spans_.data() + row_begin_[i],
-            spans_.data() + row_begin_[i + 1]};
-  }
-
-  std::int64_t total() const {
-    std::int64_t n = 0;
-    for (const MaskSpan& s : spans_) n += s.x1 - s.x0;
-    return n;
-  }
-
- private:
-  int y_lo_ = 0, y_hi_ = 0, z_lo_ = 0, z_hi_ = 0;
-  std::vector<std::uint32_t> row_begin_;
-  std::vector<MaskSpan> spans_;
-};
+}
 
 }  // namespace subsonic

@@ -77,7 +77,7 @@ void append_field(std::vector<char>& buf, const Domain<Dim>& d,
   const std::size_t row_bytes =
       static_cast<std::size_t>(d.nx() + 2 * g) * sizeof(double);
   d.for_each_pencil(g, [&](int y, int z) {
-    const char* row = reinterpret_cast<const char*>(pencil(f, y, z) - g);
+    const char* row = reinterpret_cast<const char*>(f.pencil(y, z) - g);
     buf.insert(buf.end(), row, row + row_bytes);
   });
 }
@@ -102,7 +102,7 @@ const char* scatter_field(const char* src, const Domain<Dim>& d,
   const std::size_t row_bytes =
       static_cast<std::size_t>(d.nx() + 2 * g) * sizeof(double);
   d.for_each_pencil(g, [&](int y, int z) {
-    std::memcpy(pencil(f, y, z) - g, src, row_bytes);
+    std::memcpy(f.pencil(y, z) - g, src, row_bytes);
     src += row_bytes;
   });
   return src;

@@ -154,12 +154,10 @@ int BlockedDriver<Dim>::run_until_sync(int max_steps,
 }
 
 template <int Dim>
-WorkerStats BlockedDriver<Dim>::stats(int rank) const {
+telemetry::RankMetrics BlockedDriver<Dim>::stats(int rank) const {
   SUBSONIC_REQUIRE(rank >= 0 && rank < bd_.rank_count());
   SUBSONIC_REQUIRE_MSG(!bd_.blocks_of(rank).empty(), "rank owns no blocks");
-  const telemetry::RankMetrics m =
-      telemetry::collect_rank(telemetry_->metrics(), rank);
-  return WorkerStats{m.t_calc(), m.t_com()};
+  return telemetry::collect_rank(telemetry_->metrics(), rank);
 }
 
 template <int Dim>

@@ -21,7 +21,7 @@
 #include "src/runtime/block_set.hpp"
 #include "src/runtime/domain_traits.hpp"
 #include "src/runtime/sync_file.hpp"
-#include "src/runtime/worker_stats.hpp"
+#include "src/telemetry/summary.hpp"
 #include "src/telemetry/telemetry.hpp"
 
 namespace subsonic {
@@ -79,10 +79,11 @@ class BlockedDriver {
   const BlockDecomp& blocks() const { return bd_; }
   int active_count() const { return static_cast<int>(sets_.size()); }
 
-  /// Accumulated T_calc (every "compute." timer) and T_com (every "comm."
-  /// timer) of `rank`, read from the telemetry registry.  `rank` must own
-  /// at least one block.
-  WorkerStats stats(int rank) const;
+  /// The telemetry of `rank` read from the registry: its accumulated
+  /// T_calc (every "compute." timer), T_com (every "comm." timer) and
+  /// their utilization g (section 8, eq. 8).  `rank` must own at least
+  /// one block.
+  telemetry::RankMetrics stats(int rank) const;
 
   /// Common step counter of every block.
   long step() const;

@@ -32,8 +32,8 @@ struct DomainTraits : GridTypes<Dim> {
   /// disjoint so sync tags can never collide on a shared transport.
   static constexpr long kSyncEpochBase = Dim == 2 ? 0 : 1L << 20;
 
-  using typename GridTypes<Dim>::Mask;
-  using typename GridTypes<Dim>::Decomp;
+  using Mask = subsonic::Mask<Dim>;
+  using Decomp = Decomposition<Dim>;
   using typename GridTypes<Dim>::Box;
   using Domain = subsonic::Domain<Dim>;
   using Field = typename Domain::Field;
@@ -145,7 +145,7 @@ struct DomainTraits : GridTypes<Dim> {
       for (int z = lo[2]; z < hi[2]; ++z)
         for (int y = lo[1]; y < hi[1]; ++y) {
           if (a == 0) {  // x: the layers lie inside the pencil
-            double* r = pencil(u, y, z);
+            double* r = u.pencil(y, z);
             for (int k = 1; k <= g; ++k) {
               r[-k] = r[n[0] - k];
               r[n[0] - 1 + k] = r[k - 1];
@@ -154,7 +154,7 @@ struct DomainTraits : GridTypes<Dim> {
           }
           // y or z: each layer is a whole pencil over the padded x range.
           const auto at = [&, y, z](int c) {
-            return pencil(u, y + (a == 1 ? c : 0), z + (a == 2 ? c : 0)) - g;
+            return u.pencil(y + (a == 1 ? c : 0), z + (a == 2 ? c : 0)) - g;
           };
           for (int k = 1; k <= g; ++k) {
             std::memcpy(at(-k), at(n[a] - k), row_bytes);

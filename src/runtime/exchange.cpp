@@ -8,8 +8,8 @@ namespace subsonic {
 
 template <int Dim>
 std::vector<LinkPlan<Dim>> make_link_plans(
-    const typename GridTypes<Dim>::Decomp& d, int rank, int ghost,
-    const FluidParams& p, const std::vector<bool>& active) {
+    const Decomposition<Dim>& d, int rank, int ghost, const FluidParams& p,
+    const std::vector<bool>& active) {
   using Box = typename GridTypes<Dim>::Box;
   SUBSONIC_REQUIRE(ghost >= 1);
   constexpr int kDirs = Dim == 2 ? 9 : 27;
@@ -66,32 +66,6 @@ template std::vector<LinkPlan<3>> make_link_plans<3>(
     const Decomposition3D&, int, int, const FluidParams&,
     const std::vector<bool>&);
 
-namespace {
-
-/// Calls row(dy, dz) for every row of `b`, relative to its lower corner,
-/// in payload order: z outer, then y.  A 2D box is the one plane dz = 0.
-template <typename Fn>
-void for_each_row(const Box2& b, Fn&& row) {
-  for (int dy = 0; dy < b.height(); ++dy) row(dy, 0);
-}
-template <typename Fn>
-void for_each_row(const Box3& b, Fn&& row) {
-  for (int dz = 0; dz < b.depth(); ++dz)
-    for (int dy = 0; dy < b.height(); ++dy) row(dy, dz);
-}
-
-/// The first node of row (dy, dz) of `b` in `u`.
-template <typename Field>
-auto* row_start(Field& u, const Box2& b, int dy, int) {
-  return &u(b.x0, b.y0 + dy);
-}
-template <typename Field>
-auto* row_start(Field& u, const Box3& b, int dy, int dz) {
-  return &u(b.x0, b.y0 + dy, b.z0 + dz);
-}
-
-}  // namespace
-
 template <typename Domain, typename Box>
 double* pack_into(const Domain& dom, const std::vector<FieldId>& fields,
                   Box box, double* out) {
@@ -99,8 +73,8 @@ double* pack_into(const Domain& dom, const std::vector<FieldId>& fields,
   const int w = box.width();
   for (FieldId id : fields) {
     const auto& u = dom.field(id);
-    for_each_row(box, [&](int dy, int dz) {
-      out = std::copy_n(row_start(u, box, dy, dz), w, out);
+    for_each_pencil(box, [&](int y, int z) {
+      out = std::copy_n(u.pencil(y, z) + box.x0, w, out);
     });
   }
   return out;
@@ -113,8 +87,8 @@ const double* unpack_from(Domain& dom, const std::vector<FieldId>& fields,
   const int w = box.width();
   for (FieldId id : fields) {
     auto& u = dom.field(id);
-    for_each_row(box, [&](int dy, int dz) {
-      std::copy_n(in, w, row_start(u, box, dy, dz));
+    for_each_pencil(box, [&](int y, int z) {
+      std::copy_n(in, w, u.pencil(y, z) + box.x0);
       in += w;
     });
   }
@@ -128,9 +102,12 @@ void copy_field_box(const Field& src, Box src_box, Field& dst, Box dst_box) {
                    dst_box.shifted(src_box.lo()));
   if (src_box.empty()) return;
   const int w = src_box.width();
-  for_each_row(src_box, [&](int dy, int dz) {
-    std::copy_n(row_start(src, src_box, dy, dz), w,
-                row_start(dst, dst_box, dy, dz));
+  // The pencil of dst_box that pencil (y, z) of src_box lands on.
+  const auto s = src_box.lo(), t = dst_box.lo();
+  const int dy = t[1] - s[1], dz = t.size() == 3 ? t.back() - s.back() : 0;
+  for_each_pencil(src_box, [&](int y, int z) {
+    std::copy_n(src.pencil(y, z) + src_box.x0, w,
+                dst.pencil(y + dy, z + dz) + dst_box.x0);
   });
 }
 

@@ -39,8 +39,8 @@ inline Periodicity periodic_axes(const FluidParams& p) {
 /// the filter and by the diagonal LB populations).
 template <int Dim>
 std::vector<LinkPlan<Dim>> make_link_plans(
-    const typename GridTypes<Dim>::Decomp& d, int rank, int ghost,
-    const FluidParams& p, const std::vector<bool>& active);
+    const Decomposition<Dim>& d, int rank, int ghost, const FluidParams& p,
+    const std::vector<bool>& active);
 
 /// Packs `fields` of `dom` over `box` (local coords) into caller storage,
 /// field-major, then rows (z outer, then y; x inner).  Writes

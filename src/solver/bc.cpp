@@ -20,14 +20,14 @@ void apply_bc(Domain<Dim>& d) {
     eq_in[i] = L::equilibrium(i, p.rho0, inlet);
 
   d.for_each_pencil(d.ghost(), [&](int y, int z) {
-    const auto spans = pencil(d.nonfluid_spans(), y, z);
+    const auto spans = d.nonfluid_spans().pencil(y, z);
     if (spans.empty()) return;
     const std::uint8_t* type = d.node_row(y, z);
-    double* rho = pencil(d.rho(), y, z);
+    double* rho = d.rho().pencil(y, z);
     double* v[Dim];
-    for (int a = 0; a < Dim; ++a) v[a] = pencil(d.v(a), y, z);
+    for (int a = 0; a < Dim; ++a) v[a] = d.v(a).pencil(y, z);
     double* f[kQ];
-    for (int i = 0; i < q; ++i) f[i] = pencil(d.f(i), y, z);
+    for (int i = 0; i < q; ++i) f[i] = d.f(i).pencil(y, z);
     for (const MaskSpan& s : spans) {
       for (int x = s.x0; x < s.x1; ++x) {
         switch (static_cast<NodeType>(type[x])) {

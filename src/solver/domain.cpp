@@ -17,10 +17,6 @@ int wrap(int c, int n, bool periodic) {
   return r;
 }
 
-/// Node (x, y, z) of a mask; a 2D mask ignores z.
-NodeType node_at(const Mask2D& m, int x, int y, int) { return m(x, y); }
-NodeType node_at(const Mask3D& m, int x, int y, int z) { return m(x, y, z); }
-
 }  // namespace
 
 template <int Dim>
@@ -56,13 +52,12 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
   const bool periodic[3] = {params_.periodic_x, params_.periodic_y,
                             params_.periodic_z};
   for_each_pencil(ghost, [&](int y, int z) {
-    std::uint8_t* t = pencil(type_, y, z);
-    const int gy = wrap(lo[1] + y, n[1], periodic[1]);
-    const int gz = Dim == 3 ? wrap(lo[Dim - 1] + z, n[Dim - 1], periodic[2])
-                            : 0;
+    std::uint8_t* t = type_.pencil(y, z);
+    const std::uint8_t* from = global_mask.pencil(
+        wrap(lo[1] + y, n[1], periodic[1]),
+        Dim == 3 ? wrap(lo[Dim - 1] + z, n[Dim - 1], periodic[2]) : 0);
     for (int x = -ghost; x < nx() + ghost; ++x)
-      t[x] = static_cast<std::uint8_t>(node_at(
-          global_mask, wrap(lo[0] + x, n[0], periodic[0]), gy, gz));
+      t[x] = from[wrap(lo[0] + x, n[0], periodic[0])];
   });
 
   // Precompute where the fourth-order filter may act (geometry is static,
@@ -75,12 +70,12 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
       // stencil[a][k][x]: the node kOff[k] away from (x, y, z) along a.
       const std::uint8_t* stencil[Dim][4];
       for (int k = 0; k < 4; ++k) {
-        stencil[0][k] = pencil(type_, y, z) + kOff[k];
+        stencil[0][k] = type_.pencil(y, z) + kOff[k];
         for (int a = 1; a < Dim; ++a)
-          stencil[a][k] = pencil(type_, y + (a == 1 ? kOff[k] : 0),
-                                 z + (a == 2 ? kOff[k] : 0));
+          stencil[a][k] = type_.pencil(y + (a == 1 ? kOff[k] : 0),
+                                       z + (a == 2 ? kOff[k] : 0));
       }
-      std::uint8_t* bits = pencil(filter_mask_, y, z);
+      std::uint8_t* bits = filter_mask_.pencil(y, z);
       for (int x = -1; x < nx() + 1; ++x) {
         bits[x] = 0;
         if (type_at(x, y, z) != NodeType::kFluid) continue;
@@ -108,7 +103,7 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
     for (int x = -ghost; x < nx() + ghost; ++x)
       if (type_at(x, y, z) == NodeType::kInlet)
         for (int a = 0; a < Dim; ++a)
-          pencil(v_[a], y, z)[x] = pencil(v_next_[a], y, z)[x] = inlet[a];
+          v_[a].pencil(y, z)[x] = v_next_[a].pencil(y, z)[x] = inlet[a];
   });
 
   // Precompute the per-pencil span tables of the static geometry: the hot
@@ -129,7 +124,7 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
   }
   if (ghost >= 3)
     filter_spans_ = make_spans(1, [this](int x, int y, int z) {
-      return pencil(filter_mask_, y, z)[x] != 0;
+      return filter_mask_.pencil(y, z)[x] != 0;
     });
   nonfluid_spans_ = make_spans(ghost, [this](int x, int y, int z) {
     return type_at(x, y, z) != NodeType::kFluid;
@@ -173,11 +168,7 @@ Domain<Dim>::Domain(const Mask& global_mask, Box box,
 template <int Dim>
 template <typename Pred>
 typename Domain<Dim>::Spans Domain<Dim>::make_spans(int w, Pred pred) const {
-  if constexpr (Dim == 2)
-    return Spans(-w, nx() + w, -w, ny() + w,
-                 [&pred](int x, int y) { return pred(x, y, 0); });
-  else
-    return Spans(-w, nx() + w, -w, ny() + w, -w, nz_ + w, pred);
+  return Spans(interior().grown(w), pred);
 }
 
 template <int Dim>

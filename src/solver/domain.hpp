@@ -28,9 +28,9 @@ template <int Dim>
 class Domain {
  public:
   using Box = typename GridTypes<Dim>::Box;
-  using Mask = typename GridTypes<Dim>::Mask;
-  using Spans = typename GridTypes<Dim>::Spans;
-  using Field = typename GridTypes<Dim>::template Field<double>;
+  using Mask = subsonic::Mask<Dim>;
+  using Spans = MaskSpans<Dim>;
+  using Field = PaddedField<double, Dim>;
 
   /// Builds the local state for `box` of the global geometry.  The mask's
   /// ghost width must be at least `ghost` so the local window (including
@@ -93,7 +93,7 @@ class Domain {
   /// Pencil pointer form of node(): NodeType(p[x]) == node at (x, y, z);
   /// a 2D domain ignores z.
   const std::uint8_t* node_row(int y, int z) const {
-    return pencil(type_, y, z);
+    return type_.pencil(y, z);
   }
 
   /// Precomputed filter applicability bits for node (x, y[, z]): bit a is
@@ -108,7 +108,7 @@ class Domain {
   /// Pencil pointer form of filter_dirs: p[x] == filter_dirs(x, y, z); a
   /// 2D domain ignores z.
   const std::uint8_t* filter_dirs_row(int y, int z) const {
-    return pencil(filter_mask_, y, z);
+    return filter_mask_.pencil(y, z);
   }
 
   Field& rho() { return rho_; }
@@ -223,7 +223,7 @@ class Domain {
   /// cost (almost) nothing.
   long long row_weight(int y, int z) const {
     long long w = 0;
-    for (const MaskSpan& s : pencil(computed_spans_, y, z)) w += s.x1 - s.x0;
+    for (const MaskSpan& s : computed_spans_.pencil(y, z)) w += s.x1 - s.x0;
     return w;
   }
 
@@ -273,9 +273,7 @@ class Domain {
   /// window).  The dump codec's row order.
   template <typename Fn>
   void for_each_pencil(int w, Fn&& fn) const {
-    const int wz = Dim == 3 ? w : 0;
-    for (int z = -wz; z < nz_ + wz; ++z)
-      for (int y = -w; y < ny() + w; ++y) fn(y, z);
+    subsonic::for_each_pencil(interior().grown(w), fn);
   }
 
  private:
@@ -290,8 +288,8 @@ class Domain {
   Method method_;
   FluidParams params_;
   int nz_ = 1;  ///< interior nodes along z; the one plane in 2D
-  typename GridTypes<Dim>::template Field<std::uint8_t> type_;
-  typename GridTypes<Dim>::template Field<std::uint8_t> filter_mask_;
+  PaddedField<std::uint8_t, Dim> type_;
+  PaddedField<std::uint8_t, Dim> filter_mask_;
   Field rho_, rho_next_;
   std::array<Field, Dim> v_, v_next_;
   // Interleaved SoA storage behind the f_ / f_next_ views (LB only; the

@@ -21,10 +21,10 @@ struct Stencil {
 template <int Dim>
 Stencil<Dim> stencil(const Field<Dim>& u, int y, int z) {
   Stencil<Dim> s;
-  s.c = pencil(u, y, z);
+  s.c = u.pencil(y, z);
   for (int a = 1; a < Dim; ++a) {
-    s.m[a - 1] = pencil(u, y - (a == 1), z - (a == 2));
-    s.p[a - 1] = pencil(u, y + (a == 1), z + (a == 2));
+    s.m[a - 1] = u.pencil(y - (a == 1), z - (a == 2));
+    s.p[a - 1] = u.pencil(y + (a == 1), z + (a == 2));
   }
   return s;
 }
@@ -68,8 +68,12 @@ void velocity_box(Domain<Dim>& d, const std::array<Field<Dim>*, Dim>& o,
     for (int k = 0; k < Dim; ++k) u[k] = stencil<Dim>(*o[k], y, z);
     const Stencil<Dim> rh = stencil<Dim>(d.rho(), y, z);
     double* out[Dim];
-    for (int k = 0; k < Dim; ++k) out[k] = pencil(*n[k], y, z);
+    for (int k = 0; k < Dim; ++k) out[k] = n[k]->pencil(y, z);
     for_spans(d.computed_spans(), y, z, r.x0, r.x1, [&](int a, int b) {
+      // Local copies of the captured constants, as in density_box below.
+      const double h = inv2dx, h2 = invdx2, c2 = cs2, step = dt, visc = nu;
+      double fk[Dim];
+      for (int k = 0; k < Dim; ++k) fk[k] = force[k];
       #pragma GCC ivdep
       for (int x = a; x < b; ++x) {
         double uc[Dim];
@@ -78,35 +82,35 @@ void velocity_box(Domain<Dim>& d, const std::array<Field<Dim>*, Dim>& o,
         // du[k][j]: component k's derivative along axis j.
         double du[Dim][Dim];
         for (int k = 0; k < Dim; ++k) {
-          du[k][0] = (u[k].c[x + 1] - u[k].c[x - 1]) * inv2dx;
+          du[k][0] = (u[k].c[x + 1] - u[k].c[x - 1]) * h;
           for (int j = 1; j < Dim; ++j)
-            du[k][j] = (u[k].p[j - 1][x] - u[k].m[j - 1][x]) * inv2dx;
+            du[k][j] = (u[k].p[j - 1][x] - u[k].m[j - 1][x]) * h;
         }
 
         const double rho = rh.c[x];
         double drho[Dim];
-        drho[0] = (rh.c[x + 1] - rh.c[x - 1]) * inv2dx;
+        drho[0] = (rh.c[x + 1] - rh.c[x - 1]) * h;
         for (int j = 1; j < Dim; ++j)
-          drho[j] = (rh.p[j - 1][x] - rh.m[j - 1][x]) * inv2dx;
+          drho[j] = (rh.p[j - 1][x] - rh.m[j - 1][x]) * h;
 
         double lap[Dim];
         for (int k = 0; k < Dim; ++k) {
           double s = u[k].c[x + 1] + u[k].c[x - 1];
           for (int j = 1; j < Dim; ++j)
             s = s + u[k].p[j - 1][x] + u[k].m[j - 1][x];
-          lap[k] = (s - kCentre * uc[k]) * invdx2;
+          lap[k] = (s - kCentre * uc[k]) * h2;
         }
 
         // One divide per cell, not one per component: every
         // pressure-gradient term shares the same cs2/rho factor, and
         // (cs2 / rho) * d evaluates identically to the inlined form, so
         // this is a pure hoist.
-        const double cs2_over_rho = cs2 / rho;
+        const double cs2_over_rho = c2 / rho;
         for (int k = 0; k < Dim; ++k) {
           double adv = -uc[0] * du[k][0];
           for (int j = 1; j < Dim; ++j) adv = adv - uc[j] * du[k][j];
-          out[k][x] = uc[k] + dt * (adv - cs2_over_rho * drho[k] +
-                                    nu * lap[k] + force[k]);
+          out[k][x] = uc[k] + step * (adv - cs2_over_rho * drho[k] +
+                                      visc * lap[k] + fk[k]);
         }
       }
     });
@@ -122,14 +126,14 @@ void density_box(Domain<Dim>& d, const Field<Dim>& orho, Field<Dim>& nrho,
 
   d.for_pencils(r, [&](int y, int z) {
     const Stencil<Dim> rh = stencil<Dim>(orho, y, z);
-    const double* vc = pencil(d.v(0), y, z);
+    const double* vc = d.v(0).pencil(y, z);
     const double* vm[Dim - 1];
     const double* vp[Dim - 1];
     for (int j = 1; j < Dim; ++j) {
-      vm[j - 1] = pencil(d.v(j), y - (j == 1), z - (j == 2));
-      vp[j - 1] = pencil(d.v(j), y + (j == 1), z + (j == 2));
+      vm[j - 1] = d.v(j).pencil(y - (j == 1), z - (j == 2));
+      vp[j - 1] = d.v(j).pencil(y + (j == 1), z + (j == 2));
     }
-    double* out = pencil(nrho, y, z);
+    double* out = nrho.pencil(y, z);
     for_spans(d.computed_spans(), y, z, r.x0, r.x1, [&](int a, int b) {
       // Local copies of the captured constants: a store through `out`
       // could alias a double captured by reference, so under ivdep gcc

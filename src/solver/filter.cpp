@@ -103,8 +103,8 @@ void filter_field(Domain<Dim>& d, const typename Domain<Dim>::Field& u,
   const auto rlo = ring.lo(), rhi = ring.hi();
 
   d.for_pencils(d.interior().grown(g), [&](int y, int z) {
-    filter_kernels::Row row{pencil(u, y, z), {}, Dim - 1, nullptr,
-                            pencil(out, y, z)};
+    filter_kernels::Row row{u.pencil(y, z), {}, Dim - 1, nullptr,
+                            out.pencil(y, z)};
     const int at[3] = {0, y, z};
     for (int a = 1; a < Dim; ++a)
       if (at[a] < rlo[a] || at[a] >= rhi[a]) {
@@ -113,10 +113,10 @@ void filter_field(Domain<Dim>& d, const typename Domain<Dim>::Field& u,
       }
     for (int j = 0; j < Dim - 1; ++j)
       for (int i = 0; i < 4; ++i)
-        row.t[j][i] = pencil(u, y + (j == 0 ? kOff[i] : 0),
+        row.t[j][i] = u.pencil(y + (j == 0 ? kOff[i] : 0),
                              z + (j == 1 ? kOff[i] : 0));
     row.dirs = d.filter_dirs_row(y, z);
-    filter_row(row, pencil(d.filter_spans(), y, z), xlo, xhi, k, span_fn);
+    filter_row(row, d.filter_spans().pencil(y, z), xlo, xhi, k, span_fn);
   });
 }
 

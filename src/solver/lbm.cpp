@@ -61,7 +61,7 @@ void sweep_in_place(Domain<2>& d, const Sweep& sweep) {
   const auto carry_ring_row = [&](int y) {
     for (int i = 0; i < kQ; ++i) {
       PaddedField2D<double>& v = d.f(i);
-      double* before = v.row_begin(y);  // views not yet re-homed
+      double* before = v.pencil(y) - g;  // views not yet re-homed
       double* now =
           before + static_cast<std::ptrdiff_t>(shift) * v.row_stride();
       if (y < 0 || y >= ny) {
@@ -92,11 +92,11 @@ void set_equilibrium(Domain<Dim>& d) {
   using L = Lattice<Dim>;
   const int g = d.ghost();
   d.for_pencils(d.interior().grown(g), [&](int y, int z) {
-    const double* __restrict rr = pencil(d.rho(), y, z);
+    const double* __restrict rr = d.rho().pencil(y, z);
     const double* ur[Dim];
-    for (int a = 0; a < Dim; ++a) ur[a] = pencil(d.v(a), y, z);
+    for (int a = 0; a < Dim; ++a) ur[a] = d.v(a).pencil(y, z);
     double* fr[L::kQ];
-    for (int i = 0; i < L::kQ; ++i) fr[i] = pencil(d.f(i), y, z);
+    for (int i = 0; i < L::kQ; ++i) fr[i] = d.f(i).pencil(y, z);
     for (int x = -g; x < d.nx() + g; ++x) {
       std::array<double, Dim> u;
       for (int a = 0; a < Dim; ++a) u[a] = ur[a][x];
@@ -121,7 +121,7 @@ void set_equilibrium_both(Domain<Dim>& d) {
     const std::size_t bytes =
         static_cast<std::size_t>(from.pitch()) * sizeof(double);
     d.for_each_pencil(g, [&](int y, int z) {
-      std::memcpy(pencil(to, y, z) - g, pencil(from, y, z) - g, bytes);
+      std::memcpy(to.pencil(y, z) - g, from.pencil(y, z) - g, bytes);
     });
   }
 }
@@ -185,18 +185,18 @@ void collide_stream(Domain<Dim>& d, ComputePass pass) {
     if (static_cast<int>(scratch.size()) < kQ * stride)
       scratch.resize(static_cast<std::size_t>(kQ) * stride);
     lbm_kernels::Row<Dim> row;
-    row.rho = pencil(d.rho(), ys, zs);
-    for (int a = 0; a < Dim; ++a) row.u[a] = pencil(d.v(a), ys, zs);
+    row.rho = d.rho().pencil(ys, zs);
+    for (int a = 0; a < Dim; ++a) row.u[a] = d.v(a).pencil(ys, zs);
     bool real[kQ];  // direction's dest pencil is inside r (not scratch)
     for (int i = 0; i < kQ; ++i) {
-      row.s[i] = pencil(*S[i], ys, zs);
+      row.s[i] = S[i]->pencil(ys, zs);
       std::array<int, 3> t{0, ys, zs};  // the destination pencil
       real[i] = true;
       for (int a = 1; a < Dim; ++a) {
         t[a] += L::kC[a][i];
         real[i] = real[i] && t[a] >= rlo[a] && t[a] < rhi[a];
       }
-      row.d[i] = real[i] ? pencil(*D[i], t[1], t[2]) +
+      row.d[i] = real[i] ? D[i]->pencil(t[1], t[2]) +
                                static_cast<std::ptrdiff_t>(shift) *
                                    D[i]->row_stride() +
                                L::kC[0][i]
@@ -262,10 +262,10 @@ void moments(Domain<Dim>& d, ComputePass pass) {
   const auto over = [&](const typename Domain<Dim>::Box& r) {
     d.for_pencils(r, [&](int y, int z) {
       const double* fr[kQ];
-      for (int i = 0; i < kQ; ++i) fr[i] = pencil(d.f(i), y, z);
-      double* __restrict rr = pencil(d.rho(), y, z);
+      for (int i = 0; i < kQ; ++i) fr[i] = d.f(i).pencil(y, z);
+      double* __restrict rr = d.rho().pencil(y, z);
       double* ur[Dim];
-      for (int a = 0; a < Dim; ++a) ur[a] = pencil(d.v(a), y, z);
+      for (int a = 0; a < Dim; ++a) ur[a] = d.v(a).pencil(y, z);
       // The span lambda captures the pencil pointers by reference, and
       // gcc drops __restrict with the capture; ivdep gives the no-alias
       // fact back (the planes and the moment fields never overlap), so

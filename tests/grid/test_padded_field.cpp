@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace subsonic {
 namespace {
@@ -128,7 +130,7 @@ TEST(PaddedField2D, RowPtrMatchesOperatorParen) {
   for (int y = -2; y < 5; ++y)
     for (int x = -2; x < 6; ++x) f(x, y) = 100.0 * y + x;
   for (int y = -2; y < 5; ++y) {
-    const double* p = f.row_ptr(y);
+    const double* p = f.pencil(y);
     for (int x = -2; x < 6; ++x) EXPECT_DOUBLE_EQ(p[x], f(x, y));
   }
 }
@@ -142,7 +144,7 @@ TEST(PaddedField3D, StorageIsCacheLineAlignedAndRowPtrMatches) {
       for (int x = -1; x < 4; ++x) f(x, y, z) = x + 10.0 * y + 100.0 * z;
   for (int z = -1; z < 3; ++z)
     for (int y = -1; y < 5; ++y) {
-      const double* p = f.row_ptr(y, z);
+      const double* p = f.pencil(y, z);
       for (int x = -1; x < 4; ++x) EXPECT_DOUBLE_EQ(p[x], f(x, y, z));
     }
 }
@@ -159,6 +161,78 @@ TEST(RoundPitch, ByteTypesRoundToFullLines) {
 TEST(PaddedField2D, RequiresPositiveExtents) {
   EXPECT_THROW(PaddedField2D<double>(Extents2{0, 4}, 1), contract_error);
   EXPECT_THROW(PaddedField2D<double>(Extents2{4, -1}, 1), contract_error);
+}
+
+/// Offset of every pencil of `f` from its first, pencil (-g, -g), in the
+/// order of the padded window: z outer, then y.
+template <typename T, int Dim>
+std::vector<std::ptrdiff_t> pencil_offsets(const PaddedField<T, Dim>& f) {
+  const int g = f.ghost();
+  const int nz = Dim == 3 ? f.interior().sizes()[Dim - 1] : 1;
+  const int gz = Dim == 3 ? g : 0;
+  std::vector<std::ptrdiff_t> out;
+  for (int z = -gz; z < nz + gz; ++z)
+    for (int y = -g; y < f.ny() + g; ++y)
+      out.push_back(f.pencil(y, z) - f.pencil(-g, -gz));
+  return out;
+}
+
+/// Offsets 0, step, 2 * step, ... for `n` pencils.
+std::vector<std::ptrdiff_t> strided(int n, std::ptrdiff_t step) {
+  std::vector<std::ptrdiff_t> out;
+  for (int p = 0; p < n; ++p) out.push_back(p * step);
+  return out;
+}
+
+// The storage layout every dump, span loop and golden CRC reads: pinned to
+// the values the separate 2D and 3D field classes produced, for an owning
+// field and for a view into a direction-interleaved population slab (the
+// Domain's LB layout, q = 9 in 2D and 19 in 3D).
+TEST(PaddedFieldLayout, PinnedPitchStrideAndPencilOffsets) {
+  const Extents2 e2{10, 7};
+  const Extents3 e3{10, 7, 5};
+  const int g = 2;
+
+  PaddedField2D<double> own2(e2, g);
+  EXPECT_EQ(own2.pitch(), 16);
+  EXPECT_EQ(own2.row_stride(), 16);
+  EXPECT_EQ(own2.stored_count(), 176u);
+  EXPECT_EQ(pencil_offsets(own2),
+            (std::vector<std::ptrdiff_t>{0, 16, 32, 48, 64, 80, 96, 112, 128,
+                                         144, 160}));
+  PaddedField2D<double> wide2(e2, g, /*extra_pitch=*/5);
+  EXPECT_EQ(wide2.pitch(), 24);
+  EXPECT_EQ(wide2.stored_count(), 264u);
+
+  PaddedField2D<std::uint8_t> bytes2(e2, g);
+  EXPECT_EQ(bytes2.pitch(), 64);
+  EXPECT_EQ(bytes2.stored_count(), 704u);
+  EXPECT_EQ(pencil_offsets(bytes2), strided(11, 64));
+
+  PaddedField3D<double> own3(e3, g);
+  EXPECT_EQ(own3.pitch(), 16);
+  EXPECT_EQ(own3.row_stride(), 16);
+  EXPECT_EQ(own3.stored_count(), 1584u);
+  EXPECT_EQ(pencil_offsets(own3), strided(99, 16));
+  EXPECT_EQ(own3.pencil(8, 6) - own3.pencil(-2, -2), 1568);
+  EXPECT_EQ(own3.pencil(-2, -1) - own3.pencil(-2, -2), 176);
+
+  std::vector<double> slab2(9 * 16 * 11);
+  PaddedField2D<double> view2(slab2.data() + 3 * 16, e2, g, 16, 9 * 16);
+  EXPECT_EQ(view2.pitch(), 16);
+  EXPECT_EQ(view2.row_stride(), 144);
+  EXPECT_EQ(view2.stored_count(), 176u);
+  EXPECT_EQ(view2.pencil(-2) - slab2.data(), 48 + 2);
+  EXPECT_EQ(pencil_offsets(view2), strided(11, 144));
+
+  std::vector<double> slab3(19 * 16 * 99);
+  PaddedField3D<double> view3(slab3.data() + 18 * 16, e3, g, 16, 19 * 16);
+  EXPECT_EQ(view3.pitch(), 16);
+  EXPECT_EQ(view3.row_stride(), 304);
+  EXPECT_EQ(view3.stored_count(), 1584u);
+  EXPECT_EQ(view3.pencil(-2, -2) - slab3.data(), 288 + 2);
+  EXPECT_EQ(pencil_offsets(view3), strided(99, 304));
+  EXPECT_EQ(view3.pencil(8, 6) - view3.pencil(-2, -2), 98 * 304);
 }
 
 }  // namespace

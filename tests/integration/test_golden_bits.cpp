@@ -50,7 +50,7 @@ std::uint32_t interior_crc(const std::vector<const Field*>& fields) {
   for (const Field* f : fields)
     for (int z = 0; z < depth(*f); ++z)
       for (int y = 0; y < f->ny(); ++y)
-        crc = crc32(pencil(*f, y, z), sizeof(double) * f->nx(), crc);
+        crc = crc32(f->pencil(y, z), sizeof(double) * f->nx(), crc);
   return crc;
 }
 

@@ -223,7 +223,7 @@ TYPED_TEST_SUITE(PackUnpack, Dims, DimName);
 
 /// An uneven rank grid, no box thinner than 3 nodes.
 template <int Dim>
-typename GridTypes<Dim>::Decomp uneven_grid() {
+Decomposition<Dim> uneven_grid() {
   if constexpr (Dim == 2)
     return Decomposition2D(Extents2{23, 17}, 3, 2);
   else

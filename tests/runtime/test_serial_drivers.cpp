@@ -94,11 +94,11 @@ TEST(WorkerStats, AccumulateAcrossRuns) {
   BlockedDriver<2> drv(mask, p, Method::kLatticeBoltzmann,
                        GridShape{2, 2, 1}, 0);
   drv.run(10);
-  const double after10 = drv.stats(0).compute_s;
+  const double after10 = drv.stats(0).t_calc();
   EXPECT_GT(after10, 0.0);
-  EXPECT_GT(drv.stats(0).comm_s, 0.0);
+  EXPECT_GT(drv.stats(0).t_com(), 0.0);
   drv.run(10);
-  EXPECT_GT(drv.stats(0).compute_s, after10);
+  EXPECT_GT(drv.stats(0).t_calc(), after10);
   const double g = drv.stats(0).utilization();
   EXPECT_GT(g, 0.0);
   EXPECT_LE(g, 1.0);

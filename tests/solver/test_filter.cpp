@@ -279,7 +279,7 @@ TEST(Filter, Avx2KernelMatchesScalarBitwise2D) {
   for (int y = -1; y <= d.ny(); ++y) {
     for (int x = -1; x <= d.nx(); ++x)
       if (d.node(x, y) == NodeType::kFluid) dirs.insert(d.filter_dirs(x, y));
-    for (const MaskSpan& s : d.filter_spans().row(y))
+    for (const MaskSpan& s : d.filter_spans().pencil(y))
       if (s.x1 - s.x0 >= 4) remainders.insert((s.x1 - s.x0) % 4);
   }
   EXPECT_EQ(dirs, (std::set<int>{0, 1, 2, 3}));
@@ -325,7 +325,7 @@ TEST(Filter, Avx2KernelMatchesScalarBitwise3D) {
       for (int x = -1; x <= d.nx(); ++x)
         if (d.node(x, y, z) == NodeType::kFluid)
           dirs.insert(d.filter_dirs(x, y, z));
-      for (const MaskSpan& s : d.filter_spans().row(y, z))
+      for (const MaskSpan& s : d.filter_spans().pencil(y, z))
         if (s.x1 - s.x0 >= 4) remainders.insert((s.x1 - s.x0) % 4);
     }
   EXPECT_EQ(dirs, (std::set<int>{0, 1, 2, 3, 4, 5, 6, 7}));

@@ -62,7 +62,7 @@ inline void expect_rows_match(const PaddedField2D<double>& a,
   const int g = a.ghost();
   ASSERT_EQ(g, b.ghost());
   for (int y = -g; y < a.ny() + g; ++y) {
-    const int i = first_difference(a.row_begin(y), b.row_begin(y),
+    const int i = first_difference(a.pencil(y) - g, b.pencil(y) - g,
                                    a.nx() + 2 * g, any_nan);
     EXPECT_EQ(i, -1) << what << ": first difference at (" << i - g << ", "
                      << y << ")";
@@ -76,7 +76,7 @@ inline void expect_rows_match(const PaddedField3D<double>& a,
   ASSERT_EQ(g, b.ghost());
   for (int z = -g; z < a.nz() + g; ++z)
     for (int y = -g; y < a.ny() + g; ++y) {
-      const int i = first_difference(a.row_begin(y, z), b.row_begin(y, z),
+      const int i = first_difference(a.pencil(y, z) - g, b.pencil(y, z) - g,
                                      a.nx() + 2 * g, any_nan);
       EXPECT_EQ(i, -1) << what << ": first difference at (" << i - g
                        << ", " << y << ", " << z << ")";
