@@ -6,9 +6,25 @@
 // one-layer accounting because our filter needs depth-3 ghost strips
 // (documented in DESIGN.md).
 #include <cstdio>
-#include <memory>
+#include <utility>
 
 #include "src/core/subsonic.hpp"
+
+namespace {
+
+/// Messages and payload doubles delivered so far, summed over the ranks'
+/// "transport.*_recv" counters in the driver's registry.
+template <int Dim>
+std::pair<long, long long> delivered(const subsonic::BlockedDriver<Dim>& d) {
+  std::pair<long, long long> total{0, 0};
+  for (const auto& row : d.telemetry().metrics().counters()) {
+    if (row.name == "transport.msgs_recv") total.first += row.value;
+    if (row.name == "transport.doubles_recv") total.second += row.value;
+  }
+  return total;
+}
+
+}  // namespace
 
 int main() {
   using namespace subsonic;
@@ -26,14 +42,11 @@ int main() {
     p.filter_eps = 0.2;
     for (Method m : {Method::kFiniteDifference, Method::kLatticeBoltzmann}) {
       p.dt = m == Method::kLatticeBoltzmann ? 1.0 : 0.3;
-      auto transport = std::make_shared<InMemoryTransport>(4);
-      BlockedDriver<2> drv(mask, p, m, GridShape{2, 2, 1}, 0, transport);
-      const long base_msgs = transport->messages_delivered();
-      const long long base_dbl = transport->doubles_delivered();
+      BlockedDriver<2> drv(mask, p, m, GridShape{2, 2, 1}, 0);
+      const auto base = delivered(drv);
       drv.run(steps);
-      const long msgs = (transport->messages_delivered() - base_msgs) / steps;
-      const long long dbl =
-          (transport->doubles_delivered() - base_dbl) / steps;
+      const long msgs = (delivered(drv).first - base.first) / steps;
+      const long long dbl = (delivered(drv).second - base.second) / steps;
       // (2x2) with full stencil: 4 edge pairs + 2 diagonal pairs, both
       // directions -> 12 links.
       std::printf("%-8s %-8d %-10ld %-14.1f %-16lld %d\n", to_string(m), 2,
@@ -46,14 +59,11 @@ int main() {
     p.filter_eps = 0.2;
     for (Method m : {Method::kFiniteDifference, Method::kLatticeBoltzmann}) {
       p.dt = m == Method::kLatticeBoltzmann ? 1.0 : 0.3;
-      auto transport = std::make_shared<InMemoryTransport>(8);
-      BlockedDriver<3> drv(mask, p, m, GridShape{2, 2, 2}, 0, transport);
-      const long base_msgs = transport->messages_delivered();
-      const long long base_dbl = transport->doubles_delivered();
+      BlockedDriver<3> drv(mask, p, m, GridShape{2, 2, 2}, 0);
+      const auto base = delivered(drv);
       drv.run(steps);
-      const long msgs = (transport->messages_delivered() - base_msgs) / steps;
-      const long long dbl =
-          (transport->doubles_delivered() - base_dbl) / steps;
+      const long msgs = (delivered(drv).first - base.first) / steps;
+      const long long dbl = (delivered(drv).second - base.second) / steps;
       // (2x2x2) full stencil: 12 edge + 12 face... in subregion graph:
       // 12 face-pairs + 12 edge-pairs + 4 corner-pairs = 28 pairs, 56
       // directed links.

@@ -16,8 +16,7 @@ void InMemoryTransport::attach_metrics(
 InMemoryTransport::InMemoryTransport(int ranks, InMemoryOptions options)
     : ranks_(ranks), options_(options) {
   SUBSONIC_REQUIRE(ranks > 0);
-  SUBSONIC_REQUIRE(options.latency_s >= 0.0 &&
-                   options.seconds_per_double >= 0.0);
+  SUBSONIC_REQUIRE(options.latency_s >= 0.0);
   channels_.reserve(static_cast<size_t>(ranks) * ranks);
   for (int i = 0; i < ranks * ranks; ++i)
     channels_.push_back(std::make_unique<Channel>());
@@ -32,14 +31,10 @@ void InMemoryTransport::send(int src, int dst, MessageTag tag,
                              std::vector<double> payload) {
   Channel& ch = channel(src, dst);
   auto ready = std::chrono::steady_clock::time_point{};  // immediately
-  if (options_.latency_s > 0.0 || options_.seconds_per_double > 0.0) {
-    const double delay_s =
-        options_.latency_s +
-        options_.seconds_per_double * static_cast<double>(payload.size());
+  if (options_.latency_s > 0.0)
     ready = std::chrono::steady_clock::now() +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(delay_s));
-  }
+                std::chrono::duration<double>(options_.latency_s));
   const long long doubles = static_cast<long long>(payload.size());
   {
     std::lock_guard<std::mutex> lock(ch.mutex);
@@ -71,8 +66,6 @@ std::vector<double> InMemoryTransport::recv(int dst, int src,
       }
       std::vector<double> payload = std::move(it->payload);
       ch.queue.erase(it);
-      delivered_.fetch_add(1);
-      doubles_delivered_.fetch_add(static_cast<long long>(payload.size()));
       if (metrics_) {
         lock.unlock();
         metrics_->timer(dst, "transport.recv_wait").record(wait.seconds());

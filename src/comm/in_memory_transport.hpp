@@ -1,9 +1,9 @@
 // Thread-to-thread transport: one FIFO mailbox per (src, dst) pair,
 // guarded by a mutex + condition variable.  Models the guaranteed-delivery
-// FIFO behaviour of the paper's TCP/IP channels without the kernel.
+// FIFO behaviour of the paper's TCP/IP channels without the kernel; its
+// traffic counts live in the registry it is attached to.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -15,14 +15,13 @@
 
 namespace subsonic {
 
-/// Optional link timing model.  With nonzero values each message only
-/// becomes receivable latency_s + seconds_per_double * payload seconds
-/// after its send — the sender never blocks, so overlapped schedules can
-/// genuinely hide the delay, which is what the overlap benchmark measures
-/// (the paper's T_com = message latency + boundary size / bandwidth).
+/// Optional link timing model.  With a nonzero latency each message only
+/// becomes receivable latency_s seconds after its send — the sender never
+/// blocks, so overlapped schedules can genuinely hide the delay, which is
+/// what the overlap benchmark measures (the latency term of the paper's
+/// T_com).
 struct InMemoryOptions {
   double latency_s = 0.0;
-  double seconds_per_double = 0.0;
 };
 
 class InMemoryTransport final : public Transport {
@@ -34,11 +33,6 @@ class InMemoryTransport final : public Transport {
   void send(int src, int dst, MessageTag tag,
             std::vector<double> payload) override;
   std::vector<double> recv(int dst, int src, MessageTag tag) override;
-
-  long messages_delivered() const override { return delivered_.load(); }
-  long long doubles_delivered() const override {
-    return doubles_delivered_.load();
-  }
 
   /// Charges per-rank "transport.*" counters and the recv-wait timer into
   /// `registry`.  Attach before traffic starts.
@@ -62,8 +56,6 @@ class InMemoryTransport final : public Transport {
   int ranks_;
   InMemoryOptions options_;
   std::vector<std::unique_ptr<Channel>> channels_;  // dst-major
-  std::atomic<long> delivered_{0};
-  std::atomic<long long> doubles_delivered_{0};
   std::shared_ptr<telemetry::MetricsRegistry> metrics_;
 };
 

@@ -86,12 +86,8 @@ int connect_to(const std::string& host, int port) {
 
 }  // namespace
 
-bool is_rdv(const std::string& registry) {
-  return registry.rfind(kScheme, 0) == 0;
-}
-
 bool parse_registry(const std::string& registry, Endpoint* out) {
-  if (!is_rdv(registry)) return false;
+  if (registry.rfind(kScheme, 0) != 0) return false;
   std::string rest = registry.substr(std::strlen(kScheme));
   int round = 0;
   // A trailing ".g<digits>" is the round suffix registry_for() appends.

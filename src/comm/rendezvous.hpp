@@ -1,9 +1,9 @@
 // The cohort rendezvous service: a tiny supervisor-hosted TCP registry
 // that carries all the run-critical rank-to-rank coordination of the
-// supervised runtime, which therefore writes no port file.  In-process
-// runs keep the paper's file-based forms: TcpTransport's endpoints
-// publish to a registry file, and BlockedDriver::run_until_sync announces
-// through the appendix-B SyncFile.
+// supervised runtime — the paper's port handshake (section 4.2) without
+// a shared port file.  Every TcpEndpoint registers and resolves peers
+// here; BlockedDriver::run_until_sync still announces through the
+// appendix-B SyncFile.
 //
 // The supervisor runs one Server per job.  Each child, after binding its
 // ephemeral data port, registers (round, rank, host, port) and then polls
@@ -26,9 +26,8 @@
 // closes only that connection, and a client that disappears mid-line is
 // simply dropped — the registry state and every other connection survive.
 //
-// Registry strings of the form "rdv:<host>:<port>[.g<round>]" select this
-// service; anything else is a plain filesystem path (the threaded runtime
-// and the comm tests keep using files, bitwise untouched).
+// A registry string names this service as "rdv:<host>:<port>[.g<round>]";
+// TcpEndpoint refuses any other string.
 #pragma once
 
 #include <condition_variable>
@@ -49,11 +48,8 @@ struct Endpoint {
   int round = 0;
 };
 
-/// True when `registry` names a rendezvous service rather than a file.
-bool is_rdv(const std::string& registry);
-
-/// Parses "rdv:<host>:<port>[.g<round>]"; returns false when `registry`
-/// is not an rdv string or is malformed.
+/// Parses "rdv:<host>:<port>[.g<round>]"; returns false for any other
+/// string, a file path or a malformed rdv string alike.
 bool parse_registry(const std::string& registry, Endpoint* out);
 
 /// One peer's published address.
@@ -130,7 +126,7 @@ class Client {
 
   /// One GET probe; true with *out filled when the peer is registered,
   /// false on NONE or any transport error (callers poll under their own
-  /// deadline, exactly like the file-registry path).
+  /// deadline).
   bool lookup(int round, int rank, PeerAddr* out);
 
   /// Dials a heartbeat/control channel: connects, sends CHAN, waits for

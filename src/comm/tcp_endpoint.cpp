@@ -1,24 +1,19 @@
 #include "src/comm/tcp_endpoint.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/file.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
-#include "src/comm/rendezvous.hpp"
 #include "src/telemetry/metrics.hpp"
 #include "src/util/check.hpp"
 #include "src/util/stopwatch.hpp"
@@ -50,6 +45,13 @@ struct WireHeader {
   std::int32_t dst;
 };
 
+rendezvous::Endpoint parse_rendezvous(const std::string& registry) {
+  rendezvous::Endpoint rdv;
+  SUBSONIC_REQUIRE_MSG(rendezvous::parse_registry(registry, &rdv),
+                       "not a rendezvous registry: \"" + registry + "\"");
+  return rdv;
+}
+
 }  // namespace
 
 void TcpEndpoint::pump_wait_hooks() const {
@@ -60,26 +62,20 @@ void TcpEndpoint::pump_wait_hooks() const {
 
 /// Blocks until `fd` matches `events` (POLLIN/POLLOUT) or the deadline
 /// passes; throws peer_lost_error on expiry (charging `expired` when
-/// provided).  With liveness hooks configured the wait is sliced so the
-/// hooks are pumped every wait_slice_ms.
+/// provided).  The wait polls in wait_slice_ms slices and pumps the
+/// liveness hooks between them.
 void TcpEndpoint::wait_io(int fd, short events, bool has_deadline,
                           Clock::time_point deadline, const char* what,
                           telemetry::Counter* expired) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
+  const int slice = std::max(1, options_.wait_slice_ms);
   for (;;) {
-    if (sliced) pump_wait_hooks();
+    pump_wait_hooks();
     pollfd p{fd, events, 0};
-    int timeout = remaining_ms(has_deadline, deadline);
-    if (sliced) {
-      const int slice = std::max(1, options_.wait_slice_ms);
-      timeout = timeout < 0 ? slice : std::min(timeout, slice);
-    }
-    const int n = ::poll(&p, 1, timeout);
+    const int left = remaining_ms(has_deadline, deadline);
+    const int n = ::poll(&p, 1, left < 0 ? slice : std::min(left, slice));
     if (n > 0) return;  // ready, closed, or errored: read()/send() resolves it
     if (n == 0) {
-      if (sliced && (!has_deadline || Clock::now() < deadline)) continue;
+      if (!has_deadline || Clock::now() < deadline) continue;
       if (expired) expired->add();
       throw peer_lost_error(std::string(what) +
                             ": recv deadline expired — peer presumed lost");
@@ -89,21 +85,17 @@ void TcpEndpoint::wait_io(int fd, short events, bool has_deadline,
 }
 
 /// SIGPIPE-safe socket write: a dead peer yields peer_lost_error on this
-/// thread instead of a process-killing signal.  With liveness hooks the
-/// write is non-blocking + POLLOUT-waited, so kernel send-buffer pressure
-/// from a hung peer cannot wedge the sender past a rollback request.
+/// thread instead of a process-killing signal.  The write is non-blocking
+/// and POLLOUT-waited, so kernel send-buffer pressure from a hung peer
+/// cannot wedge the sender past a rollback request.
 void TcpEndpoint::send_bytes(int peer, int fd, const void* data,
                              std::size_t len) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
   const char* p = static_cast<const char*>(data);
   while (len > 0) {
-    const ssize_t n =
-        ::send(fd, p, len, MSG_NOSIGNAL | (sliced ? MSG_DONTWAIT : 0));
+    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (sliced && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
         wait_io(fd, POLLOUT, false, Clock::time_point{}, "send", nullptr);
         continue;
       }
@@ -120,18 +112,13 @@ void TcpEndpoint::send_bytes(int peer, int fd, const void* data,
 void TcpEndpoint::read_bytes(int fd, void* data, std::size_t len,
                              bool has_deadline, Clock::time_point deadline,
                              telemetry::Counter* expired) {
-  const bool sliced =
-      static_cast<bool>(options_.wait_beacon) ||
-      static_cast<bool>(options_.abort_requested);
   char* p = static_cast<char*>(data);
   while (len > 0) {
-    if (has_deadline || sliced)
-      wait_io(fd, POLLIN, has_deadline, deadline, "read", expired);
+    wait_io(fd, POLLIN, has_deadline, deadline, "read", expired);
     const ssize_t n = ::read(fd, p, len);
     if (n == 0) throw peer_lost_error("peer closed TCP channel");
     if (n < 0) {
-      if (errno == EINTR) continue;
-      if (sliced && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       if (errno == ECONNRESET)
         throw peer_lost_error("peer reset TCP channel");
       throw_errno("read");
@@ -141,12 +128,13 @@ void TcpEndpoint::read_bytes(int fd, void* data, std::size_t len,
   }
 }
 
-TcpEndpoint::TcpEndpoint(int rank, int ranks, std::string registry_path,
+TcpEndpoint::TcpEndpoint(int rank, int ranks, const std::string& registry,
                          TcpEndpointOptions options)
     : rank_(rank),
       ranks_(ranks),
-      registry_path_(std::move(registry_path)),
-      options_(options) {
+      options_(std::move(options)),
+      rdv_(parse_rendezvous(registry)),
+      rdv_client_(rdv_.host, rdv_.port) {
   SUBSONIC_REQUIRE(rank >= 0 && rank < ranks);
   SUBSONIC_REQUIRE(options_.recv_deadline_ms >= 0);
   SUBSONIC_REQUIRE(options_.connect_deadline_ms > 0);
@@ -164,38 +152,10 @@ TcpEndpoint::TcpEndpoint(int rank, int ranks, std::string registry_path,
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
       0)
     throw_errno("getsockname");
-  port_ = ntohs(addr.sin_port);
-
-  // Publish (rank, port).  Against a rendezvous service this is one REG
-  // request; otherwise it is the paper's shared-file protocol — append
-  // mode under an exclusive lock, because other processes register
-  // concurrently.
-  rendezvous::Endpoint rdv;
-  if (rendezvous::parse_registry(registry_path_, &rdv)) {
-    rdv_client_ = std::make_unique<rendezvous::Client>(rdv.host, rdv.port);
-    rdv_round_ = rdv.round;
-    if (!rdv_client_->publish(rdv_round_, rank_, "127.0.0.1", port_))
-      throw std::runtime_error("rendezvous registration failed for rank " +
-                               std::to_string(rank_) + " at " +
-                               registry_path_);
-    return;
-  }
-  const int fd =
-      ::open(registry_path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) throw_errno("registry open");
-  if (::flock(fd, LOCK_EX) != 0) {
-    ::close(fd);
-    throw std::runtime_error("registry lock failed");
-  }
-  char line[64];
-  const int n = std::snprintf(line, sizeof line, "%d %d\n", rank_, port_);
-  if (::write(fd, line, static_cast<size_t>(n)) != n) {
-    ::flock(fd, LOCK_UN);
-    ::close(fd);
-    throw_errno("registry write");
-  }
-  ::flock(fd, LOCK_UN);
-  ::close(fd);
+  if (!rdv_client_.publish(rdv_.round, rank_, "127.0.0.1",
+                           ntohs(addr.sin_port)))
+    throw std::runtime_error("rendezvous registration failed for rank " +
+                             std::to_string(rank_) + " at " + registry);
 }
 
 TcpEndpoint::~TcpEndpoint() {
@@ -213,24 +173,17 @@ TcpEndpoint::~TcpEndpoint() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-int TcpEndpoint::lookup_port(int rank, std::string* host) const {
-  // Peers may not have registered yet; poll the registry — rendezvous
-  // GET probes or shared-file reads — until the connect deadline.
+int TcpEndpoint::lookup_port(int rank, std::string* host) {
+  // Peers may not have registered yet; probe the rendezvous service until
+  // the connect deadline.
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(options_.connect_deadline_ms);
   for (;;) {
     pump_wait_hooks();
-    if (rdv_client_) {
-      rendezvous::PeerAddr addr;
-      if (rdv_client_->lookup(rdv_round_, rank, &addr)) {
-        if (host) *host = addr.host;
-        return addr.port;
-      }
-    } else {
-      std::ifstream in(registry_path_);
-      int r = 0, port = 0;
-      while (in >> r >> port)
-        if (r == rank) return port;
+    rendezvous::PeerAddr addr;
+    if (rdv_client_.lookup(rdv_.round, rank, &addr)) {
+      *host = addr.host;
+      return addr.port;
     }
     if (Clock::now() >= deadline)
       throw peer_lost_error("rank " + std::to_string(rank) +
@@ -245,16 +198,15 @@ int TcpEndpoint::connect_to(int rank) {
   std::string host;
   const int port = lookup_port(rank, &host);
   in_addr peer_addr{};
-  peer_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (!host.empty() && ::inet_aton(host.c_str(), &peer_addr) == 0)
+  if (::inet_aton(host.c_str(), &peer_addr) == 0)
     throw std::runtime_error("rendezvous returned unparseable host \"" +
                              host + "\" for rank " + std::to_string(rank));
   // The peer has published its port, but its accept queue may fill or the
   // listener may briefly not exist yet (or anymore): retry refused
-  // connections with exponential backoff until the deadline or the attempt
-  // cap, whichever comes first.  The backoff carries deterministic
-  // per-(self, peer) jitter (a seeded LCG, not entropy) so a cohort's
-  // retry storms decorrelate identically in a run and its replay.
+  // connections with exponential backoff until the deadline.  The backoff
+  // carries deterministic per-(self, peer) jitter (a seeded LCG, not
+  // entropy) so a cohort's retry storms decorrelate identically in a run
+  // and its replay.
   int backoff_ms = 1;
   int attempts = 0;
   std::uint32_t lcg = 0x9E3779B9u ^ (static_cast<std::uint32_t>(rank_) << 16) ^
@@ -280,14 +232,12 @@ int TcpEndpoint::connect_to(int rank) {
       errno = err;
       throw_errno("connect");
     }
-    const bool capped = options_.connect_attempt_cap > 0 &&
-                        attempts >= options_.connect_attempt_cap;
-    if (capped || Clock::now() >= deadline)
-      throw peer_lost_error(
-          "rank " + std::to_string(rank_) + " could not connect to rank " +
-          std::to_string(rank) + " after " + std::to_string(attempts) +
-          " attempts (" + (capped ? "retry cap" : "connect deadline") +
-          " reached)");
+    if (Clock::now() >= deadline)
+      throw peer_lost_error("rank " + std::to_string(rank_) +
+                            " could not connect to rank " +
+                            std::to_string(rank) + " after " +
+                            std::to_string(attempts) +
+                            " attempts (connect deadline reached)");
     if (options_.metrics)
       options_.metrics->counter(rank_, "transport.connect_retries").add();
     lcg = lcg * 1664525u + 1013904223u;
@@ -410,9 +360,7 @@ std::vector<double> TcpEndpoint::recv(int src, MessageTag tag) {
     // 2. Need the connection from src.
     auto cit = in_fds_.find(src);
     if (cit == in_fds_.end()) {
-      if (has_deadline || options_.wait_beacon || options_.abort_requested)
-        wait_io(listen_fd_, POLLIN, has_deadline, deadline, "accept",
-                expired);
+      wait_io(listen_fd_, POLLIN, has_deadline, deadline, "accept", expired);
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EINTR) continue;

@@ -1,9 +1,9 @@
 // One rank's end of the paper's TCP/IP fabric (section 4.2).  A
 // TcpEndpoint owns exactly one rank: it binds its own listening socket,
-// appends "rank port" to the shared registry file under a lock, resolves
-// peers by polling the same file, and opens channels with the hello
-// handshake.  It is the only TCP implementation: each supervised process
-// owns one, and TcpTransport hosts one per rank for the threaded runtime.
+// registers "rank port" with the supervisor's rendezvous service
+// (src/comm/rendezvous.hpp), resolves its peers through the same
+// service, and opens channels with the hello handshake.  Each supervised
+// rank process owns one.
 //
 // Failure semantics (the robustness layer): connects retry with backoff
 // while a slow peer is still coming up, sends are SIGPIPE-safe, and an
@@ -25,13 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/comm/rendezvous.hpp"
 #include "src/comm/transport.hpp"
 
 namespace subsonic {
-
-namespace rendezvous {
-class Client;
-}
 
 namespace telemetry {
 class Counter;
@@ -40,8 +37,7 @@ class Counter;
 struct TcpEndpointOptions {
   /// Upper bound on any single recv() call, covering both the accept of a
   /// not-yet-connected peer and the reads of its frames.  0 blocks
-  /// forever (the pre-supervisor behaviour).  On expiry recv throws
-  /// peer_lost_error.
+  /// forever.  On expiry recv throws peer_lost_error.
   int recv_deadline_ms = 0;
 
   /// Total budget for resolving a peer in the registry plus connecting to
@@ -49,30 +45,22 @@ struct TcpEndpointOptions {
   /// expiry the sender surfaces peer_lost_error.
   int connect_deadline_ms = 10000;
 
-  /// Hard cap on connect() attempts to one peer; reaching it surfaces a
-  /// peer_lost_error naming the peer and the attempt count even if the
-  /// connect deadline has budget left.  <= 0 leaves the deadline as the
-  /// only bound.
-  int connect_attempt_cap = 1000;
-
   /// Optional wire telemetry: when set, the endpoint charges per-rank
   /// "transport.*" counters (messages/doubles sent and received, connect
   /// retries, deadline expiries, peer losses), the send-queue-depth gauge
   /// and the recv-wait timer into this registry.
   std::shared_ptr<telemetry::MetricsRegistry> metrics;
 
-  /// Liveness hooks for the supervised runtime.  When either is set, every
-  /// blocking wait (recv poll, accept, connect backoff, registry poll, and
-  /// kernel send-buffer pressure) is sliced into wait_slice_ms chunks and
-  /// the hooks are pumped between slices:
+  /// Every blocking wait (recv poll, accept, connect backoff, registry
+  /// poll, and kernel send-buffer pressure) polls in wait_slice_ms
+  /// slices, and the liveness hooks that are set are pumped between
+  /// slices:
   ///   * wait_beacon() lets a child keep heartbeating while it is parked
   ///     in a long exchange wait, so the watchdog can tell "waiting on a
   ///     dead peer" from "hung";
   ///   * abort_requested() returning true makes the wait throw
   ///     endpoint_aborted, unwinding the step loop so the child can roll
   ///     back in-process on the supervisor's signal.
-  /// Unset (the threaded runtime, plain tools), waits are single
-  /// full-deadline polls — bit-for-bit the old behaviour.
   std::function<void()> wait_beacon;
   std::function<bool()> abort_requested;
   int wait_slice_ms = 50;
@@ -80,28 +68,16 @@ struct TcpEndpointOptions {
 
 class TcpEndpoint {
  public:
-  /// Binds a listener for `rank` and publishes its port.  A plain
-  /// `registry_path` is a shared file (append mode + lock, so concurrent
-  /// processes can register simultaneously); an
-  /// "rdv:<host>:<port>[.g<round>]" path instead registers with — and
-  /// resolves peers from — the supervisor's rendezvous service
-  /// (src/comm/rendezvous.hpp), keeping run-critical coordination off the
-  /// shared filesystem.
-  TcpEndpoint(int rank, int ranks, std::string registry_path,
+  /// Binds a listener for `rank` and registers its port with the
+  /// rendezvous service `registry` names ("rdv:<host>:<port>[.g<round>]",
+  /// see rendezvous::parse_registry); peers are resolved from the same
+  /// service and round.  Any other string is a contract_error.
+  TcpEndpoint(int rank, int ranks, const std::string& registry,
               TcpEndpointOptions options = {});
   ~TcpEndpoint();
 
   TcpEndpoint(const TcpEndpoint&) = delete;
   TcpEndpoint& operator=(const TcpEndpoint&) = delete;
-
-  int rank() const { return rank_; }
-  /// The port this rank's listener is bound to.
-  int port() const { return port_; }
-
-  /// Replaces TcpEndpointOptions::metrics.  Attach before traffic starts.
-  void attach_metrics(std::shared_ptr<telemetry::MetricsRegistry> registry) {
-    options_.metrics = std::move(registry);
-  }
 
   /// Queues a frame for `dst` and returns immediately; a background
   /// sender thread owns the outgoing connections (connecting on first
@@ -137,7 +113,7 @@ class TcpEndpoint {
   void read_bytes(int fd, void* data, std::size_t len, bool has_deadline,
                   std::chrono::steady_clock::time_point deadline,
                   telemetry::Counter* expired);
-  int lookup_port(int rank, std::string* host) const;
+  int lookup_port(int rank, std::string* host);
   int connect_to(int rank);
   void sender_loop();
   /// Nothing queued and nothing in flight (send_mutex_ held).
@@ -145,14 +121,12 @@ class TcpEndpoint {
 
   int rank_;
   int ranks_;
-  std::string registry_path_;
   TcpEndpointOptions options_;
-  // Set when registry_path_ is an "rdv:" endpoint; mutable because the
-  // sender thread resolves peers through it from const lookup_port.
-  mutable std::unique_ptr<rendezvous::Client> rdv_client_;
-  int rdv_round_ = 0;
+  rendezvous::Endpoint rdv_;
+  // The sender thread resolves peers through it; the constructor
+  // registers through it before that thread exists.
+  rendezvous::Client rdv_client_;
   int listen_fd_ = -1;
-  int port_ = 0;
   std::map<int, int> in_fds_;
   std::map<int, int> out_fds_;  // sender thread only
   std::map<int, std::deque<std::pair<MessageTag, std::vector<double>>>>

@@ -1,16 +1,18 @@
-// Message transport between parallel subprocesses (paper section 4.2).
-// The paper uses TCP/IP sockets: reliable, ordered, first-in-first-out
-// channels in each direction between each pair of processes.  The
-// implementations share one contract:
+// Message transport between the ranks of one in-process run (paper
+// section 4.2).  The paper uses TCP/IP sockets: reliable, ordered,
+// first-in-first-out channels in each direction between each pair of
+// processes.  BlockedDriver's ranks are threads of one process and trade
+// frames through this interface; its implementations share one contract:
 //   * InMemoryTransport — lock-and-condition queues between threads;
-//   * TcpTransport      — one TcpEndpoint per rank: real localhost sockets
-//                         with the paper's port-registry handshake (see
-//                         tcp_endpoint.hpp);
 //   * UdpTransport      — appendix D's datagrams with user-space
 //                         acknowledgement and retransmission.
-// Each message carries a tag encoding (step, phase, direction) so that a
-// receiver can demultiplex the several messages a neighbour pair may have
-// in flight (the paper's processes can be several steps apart — appendix A).
+// Supervised rank processes talk TCP instead, each through its own
+// TcpEndpoint (tcp_endpoint.hpp).  Each message carries a tag encoding
+// (step, phase, direction) so that a receiver can demultiplex the several
+// messages a neighbour pair may have in flight (the paper's processes can
+// be several steps apart — appendix A).  Traffic counts go to the
+// "transport.*" counters of the registry a transport is attached to; a
+// transport keeps none of its own.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +67,7 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Enqueues `payload` from `src` to `dst`.  Never blocks indefinitely on
-  /// the in-memory implementation; the TCP implementation may block until
-  /// the kernel accepts the bytes (as the paper's sockets did).
+  /// Enqueues `payload` from `src` to `dst`.  Never blocks indefinitely.
   virtual void send(int src, int dst, MessageTag tag,
                     std::vector<double> payload) = 0;
 
@@ -75,17 +75,12 @@ class Transport {
   /// its payload.  Messages with other tags stay queued.
   virtual std::vector<double> recv(int dst, int src, MessageTag tag) = 0;
 
-  /// Number of messages delivered so far (diagnostics).
-  virtual long messages_delivered() const = 0;
-  /// Total payload doubles delivered so far (diagnostics).
-  virtual long long doubles_delivered() const = 0;
-
   /// Opt-in wire telemetry: implementations that support it charge
   /// "transport.*" counters/timers (messages and doubles sent/received,
-  /// recv wait, queue depth) into `registry`, keyed by rank.  The base
-  /// implementation ignores the registry, so transports stay usable
-  /// without telemetry.  Attach before traffic starts; the transport
-  /// keeps the registry alive via the shared_ptr.
+  /// recv wait) into `registry`, keyed by rank.  The base implementation
+  /// ignores the registry, so transports stay usable without telemetry.
+  /// Attach before traffic starts; the transport keeps the registry alive
+  /// via the shared_ptr.
   virtual void attach_metrics(
       std::shared_ptr<telemetry::MetricsRegistry> registry) {
     (void)registry;

@@ -6,12 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/telemetry/metrics.hpp"
 #include "src/util/check.hpp"
@@ -31,6 +33,9 @@ double now_seconds() {
       .count();
 }
 
+/// Payload doubles per datagram fragment (32 KiB, well below 64 KiB).
+constexpr std::uint64_t kFragmentDoubles = 4096;
+
 enum : std::uint32_t { kData = 1, kAck = 2 };
 
 struct FragHeader {
@@ -43,6 +48,19 @@ struct FragHeader {
   std::uint64_t total_doubles = 0;
 };
 
+/// Fragments a payload of `total` doubles travels in (an empty payload
+/// still travels in one).
+std::uint64_t fragments_for(std::uint64_t total) {
+  return std::max<std::uint64_t>(1, total / kFragmentDoubles +
+                                        (total % kFragmentDoubles != 0));
+}
+
+/// Doubles fragment `index` of a `total`-double payload carries.
+std::uint64_t fragment_doubles(std::uint64_t total, std::uint64_t index) {
+  const std::uint64_t begin = index * kFragmentDoubles;
+  return std::min(total, begin + kFragmentDoubles) - begin;
+}
+
 using FragKey = std::tuple<int, MessageTag, std::uint32_t>;  // dst/src,tag,i
 using MsgKey = std::pair<int, MessageTag>;                   // peer, tag
 
@@ -51,10 +69,9 @@ using MsgKey = std::pair<int, MessageTag>;                   // peer, tag
 struct UdpTransport::RankState {
   int fd = -1;
   int port = 0;
-  // Guards unacked and peer_addr (shared between the owning worker and
-  // the background retransmission service).
+  // Guards unacked (shared between the owning worker and the background
+  // retransmission service).
   std::mutex mutex;
-  std::map<int, sockaddr_in> peer_addr;
   // Sender side: frames awaiting acknowledgement, with last send time.
   struct Unacked {
     std::vector<char> frame;
@@ -73,23 +90,15 @@ struct UdpTransport::RankState {
   // Tags fully delivered to the caller; duplicates of these are re-acked
   // and dropped.
   std::map<MsgKey, bool> consumed;
+  // pump's receive buffer: one header and one full fragment.
+  std::vector<char> rx =
+      std::vector<char>(sizeof(FragHeader) + kFragmentDoubles * sizeof(double));
 };
 
-UdpTransport::UdpTransport(int ranks, std::string registry_path,
-                           UdpOptions options)
-    : ranks_(ranks),
-      registry_path_(std::move(registry_path)),
-      options_(options) {
+UdpTransport::UdpTransport(int ranks, UdpOptions options)
+    : ranks_(ranks), options_(options) {
   SUBSONIC_REQUIRE(ranks > 0);
-  SUBSONIC_REQUIRE(options_.fragment_doubles > 0 &&
-                   options_.fragment_doubles <= 8000);
-  {
-    std::ifstream probe(registry_path_);
-    SUBSONIC_REQUIRE_MSG(!probe.good(),
-                         "port registry file already exists (stale run?)");
-  }
   states_.reserve(ranks);
-  std::ostringstream registry;
   for (int r = 0; r < ranks; ++r) {
     auto st = std::make_unique<RankState>();
     st->fd = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -104,20 +113,12 @@ UdpTransport::UdpTransport(int ranks, std::string registry_path,
     if (::getsockname(st->fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0)
       throw_errno("getsockname");
     st->port = ntohs(addr.sin_port);
-    registry << r << ' ' << st->port << '\n';
-    states_.push_back(std::move(st));
-  }
-  std::ofstream out(registry_path_);
-  SUBSONIC_REQUIRE_MSG(out.good(), "cannot write port registry");
-  out << registry.str();
-  out.close();
-
-  // Generous socket buffers: a whole boundary exchange can burst dozens
-  // of 32 KiB datagrams at a receiver before it drains them.
-  for (auto& st : states_) {
+    // Generous socket buffers: a whole boundary exchange can burst dozens
+    // of 32 KiB datagrams at a receiver before it drains them.
     int size = 4 << 20;
     ::setsockopt(st->fd, SOL_SOCKET, SO_RCVBUF, &size, sizeof size);
     ::setsockopt(st->fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof size);
+    states_.push_back(std::move(st));
   }
 
   // The sender-side half of guaranteed delivery: a service thread that
@@ -139,7 +140,6 @@ UdpTransport::~UdpTransport() {
   if (service_.joinable()) service_.join();
   for (auto& st : states_)
     if (st && st->fd >= 0) ::close(st->fd);
-  ::unlink(registry_path_.c_str());
 }
 
 void UdpTransport::attach_metrics(
@@ -147,74 +147,49 @@ void UdpTransport::attach_metrics(
   metrics_ = std::move(registry);
 }
 
+int UdpTransport::port(int rank) const {
+  SUBSONIC_REQUIRE(rank >= 0 && rank < ranks_);
+  return states_[rank]->port;
+}
+
+void UdpTransport::count(int rank, const char* name, long long n) {
+  if (metrics_) metrics_->counter(rank, name).add(n);
+}
+
 void UdpTransport::transmit_fragment(int rank,
                                      const std::vector<char>& frame,
                                      int dst_rank, bool first_time) {
-  RankState& st = *states_[rank];
-  std::unique_lock<std::mutex> addr_lock(st.mutex);
-  auto it = st.peer_addr.find(dst_rank);
-  if (it == st.peer_addr.end()) {
-    // Resolve through the shared registry (the paper's handshake file).
-    std::ifstream in(registry_path_);
-    int r = 0, port = 0;
-    sockaddr_in addr{};
-    bool found = false;
-    while (in >> r >> port)
-      if (r == dst_rank) {
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        found = true;
-      }
-    SUBSONIC_REQUIRE_MSG(found, "peer not in UDP port registry");
-    it = st.peer_addr.emplace(dst_rank, addr).first;
+  if (first_time && options_.drop_every_n > 0 &&
+      (drop_counter_.fetch_add(1) + 1) % options_.drop_every_n == 0) {
+    count(rank, "transport.datagrams_dropped");
+    return;  // simulate a lost datagram; retransmission recovers it
   }
-  const sockaddr_in dest = it->second;
-  addr_lock.unlock();
-
-  if (first_time && options_.drop_every_n > 0) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (++drop_counter_ % options_.drop_every_n == 0) {
-      ++drops_;
-      if (metrics_)
-        metrics_->counter(rank, "transport.datagrams_dropped").add();
-      return;  // simulate a lost datagram; retransmission recovers it
-    }
-  }
+  sockaddr_in dest{};
+  dest.sin_family = AF_INET;
+  dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dest.sin_port = htons(static_cast<std::uint16_t>(states_[dst_rank]->port));
   const ssize_t n =
       ::sendto(states_[rank]->fd, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&dest),
-               sizeof(sockaddr_in));
+               reinterpret_cast<const sockaddr*>(&dest), sizeof dest);
   if (n < 0) throw_errno("sendto");
-  if (metrics_) metrics_->counter(rank, "transport.datagrams_sent").add();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++datagrams_sent_;
+  count(rank, "transport.datagrams_sent");
 }
 
 void UdpTransport::send(int src, int dst, MessageTag tag,
                         std::vector<double> payload) {
   SUBSONIC_REQUIRE(src >= 0 && src < ranks_ && dst >= 0 && dst < ranks_);
   RankState& st = *states_[src];
-  const std::uint32_t frag_doubles =
-      static_cast<std::uint32_t>(options_.fragment_doubles);
-  const std::uint32_t count = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>((payload.size() + frag_doubles - 1) /
-                                    frag_doubles));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const size_t begin = size_t(i) * frag_doubles;
-    const size_t end = std::min(payload.size(), begin + frag_doubles);
-    FragHeader h{kData,
-                 src,
-                 dst,
-                 tag,
-                 i,
-                 count,
-                 static_cast<std::uint64_t>(payload.size())};
-    std::vector<char> frame(sizeof h + (end - begin) * sizeof(double));
+  const std::uint64_t total = payload.size();
+  const auto frags = static_cast<std::uint32_t>(fragments_for(total));
+  for (std::uint32_t i = 0; i < frags; ++i) {
+    const std::uint64_t doubles = fragment_doubles(total, i);
+    FragHeader h{kData, src, dst, tag, i, frags, total};
+    std::vector<char> frame(sizeof h + doubles * sizeof(double));
     std::memcpy(frame.data(), &h, sizeof h);
-    if (end > begin)
-      std::memcpy(frame.data() + sizeof h, payload.data() + begin,
-                  (end - begin) * sizeof(double));
+    if (doubles > 0)
+      std::memcpy(frame.data() + sizeof h,
+                  payload.data() + std::size_t(i) * kFragmentDoubles,
+                  doubles * sizeof(double));
     {
       std::lock_guard<std::mutex> lock(st.mutex);
       st.unacked[{dst, tag, i}] =
@@ -222,11 +197,8 @@ void UdpTransport::send(int src, int dst, MessageTag tag,
     }
     transmit_fragment(src, frame, dst, /*first_time=*/true);
   }
-  if (metrics_) {
-    metrics_->counter(src, "transport.msgs_sent").add();
-    metrics_->counter(src, "transport.doubles_sent")
-        .add(static_cast<long long>(payload.size()));
-  }
+  count(src, "transport.msgs_sent");
+  count(src, "transport.doubles_sent", static_cast<long long>(total));
   // Opportunistically drain any pending ACKs for earlier sends.
   pump(src, 0.0);
 }
@@ -247,17 +219,14 @@ void UdpTransport::retransmit_stale(int rank) {
   }
   for (const auto& [frame, dst] : stale)
     transmit_fragment(rank, frame, dst, /*first_time=*/false);
-  if (!stale.empty()) {
-    if (metrics_)
-      metrics_->counter(rank, "transport.retransmissions")
-          .add(static_cast<long long>(stale.size()));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    retransmissions_ += static_cast<long>(stale.size());
-  }
+  if (!stale.empty())
+    count(rank, "transport.retransmissions",
+          static_cast<long long>(stale.size()));
 }
 
 void UdpTransport::pump(int rank, double wait_s) {
   RankState& st = *states_[rank];
+  std::vector<char>& buffer = st.rx;
   for (;;) {
     pollfd pfd{st.fd, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, static_cast<int>(wait_s * 1000));
@@ -266,41 +235,60 @@ void UdpTransport::pump(int rank, double wait_s) {
       throw_errno("poll");
     }
     if (pr == 0) return;  // nothing pending
-
-    std::vector<char> buffer(sizeof(FragHeader) +
-                             size_t(options_.fragment_doubles) *
-                                 sizeof(double));
-    const ssize_t n = ::recvfrom(st.fd, buffer.data(), buffer.size(), 0,
-                                 nullptr, nullptr);
+    // MSG_TRUNC: n is the datagram's real length, even past the buffer.
+    const ssize_t n = ::recvfrom(st.fd, buffer.data(), buffer.size(),
+                                 MSG_TRUNC, nullptr, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("recvfrom");
     }
-    SUBSONIC_CHECK(static_cast<size_t>(n) >= sizeof(FragHeader));
+    wait_s = 0;  // keep draining without blocking again
+
+    // The bytes come from whoever can reach the port: check the header
+    // before it indexes anything, and drop (unacknowledged) what fails.
     FragHeader h{};
+    const auto reject = [&] { count(rank, "transport.datagrams_rejected"); };
+    if (static_cast<std::size_t>(n) < sizeof h) {
+      reject();
+      continue;
+    }
     std::memcpy(&h, buffer.data(), sizeof h);
+    if ((h.kind != kData && h.kind != kAck) || h.dst != rank || h.src < 0 ||
+        h.src >= ranks_) {
+      reject();
+      continue;
+    }
 
     if (h.kind == kAck) {
       // We are the original sender; the peer confirms one fragment.
       std::lock_guard<std::mutex> lock(st.mutex);
       st.unacked.erase({h.src, h.tag, h.frag_index});
-      wait_s = 0;  // keep draining without blocking again
       continue;
     }
 
-    SUBSONIC_CHECK(h.kind == kData && h.dst == rank);
+    const MsgKey key{h.src, h.tag};
+    auto pit = st.partial.find(key);
+    const std::uint64_t doubles =
+        (static_cast<std::uint64_t>(n) - sizeof h) / sizeof(double);
+    if (h.frag_index >= h.frag_count ||
+        h.frag_count != fragments_for(h.total_doubles) ||
+        static_cast<std::uint64_t>(n) - sizeof h != doubles * sizeof(double) ||
+        doubles != fragment_doubles(h.total_doubles, h.frag_index) ||
+        (pit != st.partial.end() &&
+         (pit->second.data.size() != h.total_doubles ||
+          pit->second.have.size() != h.frag_count))) {
+      reject();
+      continue;
+    }
+
     // Always acknowledge, even duplicates (the ACK may have been lost).
     FragHeader ack{kAck, h.dst, h.src, h.tag, h.frag_index, 0, 0};
     std::vector<char> ack_frame(sizeof ack);
     std::memcpy(ack_frame.data(), &ack, sizeof ack);
     transmit_fragment(rank, ack_frame, h.src, /*first_time=*/false);
 
-    const MsgKey key{h.src, h.tag};
-    if (st.consumed.count(key) || st.completed.count(key)) {
-      wait_s = 0;
+    if (st.consumed.count(key) || st.completed.count(key))
       continue;  // duplicate of an already-assembled message
-    }
-    auto pit = st.partial.find(key);
     if (pit == st.partial.end()) {
       RankState::Partial p;
       p.data.resize(h.total_doubles);
@@ -312,21 +300,14 @@ void UdpTransport::pump(int rank, double wait_s) {
     if (!p.have[h.frag_index]) {
       p.have[h.frag_index] = true;
       --p.remaining;
-      const size_t begin =
-          size_t(h.frag_index) * options_.fragment_doubles;
-      const size_t doubles =
-          (static_cast<size_t>(n) - sizeof(FragHeader)) / sizeof(double);
-      SUBSONIC_CHECK(begin + doubles <= p.data.size() ||
-                     (p.data.empty() && doubles == 0));
       if (doubles > 0)
-        std::memcpy(p.data.data() + begin, buffer.data() + sizeof h,
-                    doubles * sizeof(double));
+        std::memcpy(p.data.data() + h.frag_index * kFragmentDoubles,
+                    buffer.data() + sizeof h, doubles * sizeof(double));
       if (p.remaining == 0) {
         st.completed.emplace(key, std::move(p.data));
         st.partial.erase(pit);
       }
     }
-    wait_s = 0;
   }
 }
 
@@ -341,41 +322,16 @@ std::vector<double> UdpTransport::recv(int dst, int src, MessageTag tag) {
       std::vector<double> payload = std::move(it->second);
       st.completed.erase(it);
       st.consumed[key] = true;
-      if (metrics_) {
+      if (metrics_)
         metrics_->timer(dst, "transport.recv_wait").record(wait.seconds());
-        metrics_->counter(dst, "transport.msgs_recv").add();
-        metrics_->counter(dst, "transport.doubles_recv")
-            .add(static_cast<long long>(payload.size()));
-      }
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++delivered_;
-      doubles_delivered_ += static_cast<long long>(payload.size());
+      count(dst, "transport.msgs_recv");
+      count(dst, "transport.doubles_recv",
+            static_cast<long long>(payload.size()));
       return payload;
     }
     pump(dst, options_.retransmit_timeout_s / 2);
     retransmit_stale(dst);
   }
-}
-
-long UdpTransport::messages_delivered() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return delivered_;
-}
-long long UdpTransport::doubles_delivered() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return doubles_delivered_;
-}
-long UdpTransport::datagrams_sent() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return datagrams_sent_;
-}
-long UdpTransport::retransmissions() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return retransmissions_;
-}
-long UdpTransport::datagrams_dropped() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return drops_;
 }
 
 }  // namespace subsonic

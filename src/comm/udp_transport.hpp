@@ -9,15 +9,16 @@
 // fragmented into datagrams below the UDP size limit, every fragment is
 // acknowledged, and unacknowledged fragments are retransmitted after a
 // timeout.  A deterministic drop injector exercises the recovery path in
-// tests (loopback UDP rarely drops on its own).
+// tests (loopback UDP rarely drops on its own).  The transport owns every
+// rank's socket, so it takes a peer's address from its own rank table; a
+// datagram that is malformed or not addressed to the rank reading it is
+// dropped unacknowledged.  Datagram, retransmission, drop and rejection
+// counts go to the "transport.*" counters of the attached registry.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,8 +27,6 @@
 namespace subsonic {
 
 struct UdpOptions {
-  /// Payload doubles per datagram fragment (stays well below 64 KiB).
-  int fragment_doubles = 4096;
   /// Retransmit a fragment if unacknowledged for this long (seconds).
   double retransmit_timeout_s = 0.02;
   /// Testing hook: deterministically drop every Nth *first transmission*
@@ -37,9 +36,8 @@ struct UdpOptions {
 
 class UdpTransport final : public Transport {
  public:
-  /// Publishes every rank's port in the registry file at `registry_path`,
-  /// which must not exist yet, as TcpTransport does.
-  UdpTransport(int ranks, std::string registry_path, UdpOptions options = {});
+  /// Binds one loopback datagram socket per rank.
+  explicit UdpTransport(int ranks, UdpOptions options = {});
   ~UdpTransport() override;
 
   UdpTransport(const UdpTransport&) = delete;
@@ -49,19 +47,14 @@ class UdpTransport final : public Transport {
             std::vector<double> payload) override;
   std::vector<double> recv(int dst, int src, MessageTag tag) override;
 
-  long messages_delivered() const override;
-  long long doubles_delivered() const override;
-
-  /// Diagnostics for the reliability machinery.
-  long datagrams_sent() const;
-  long retransmissions() const;
-  long datagrams_dropped() const;
-
-  /// Charges per-rank "transport.*" counters (messages/doubles, datagrams,
-  /// retransmissions) and the recv-wait timer into `registry`.  Attach
-  /// before traffic starts.
+  /// Charges per-rank "transport.*" counters (messages/doubles,
+  /// datagrams sent, dropped and rejected, retransmissions) and the
+  /// recv-wait timer into `registry`.  Attach before traffic starts.
   void attach_metrics(
       std::shared_ptr<telemetry::MetricsRegistry> registry) override;
+
+  /// The loopback port `rank`'s socket is bound to.
+  int port(int rank) const;
 
  private:
   struct RankState;
@@ -70,19 +63,13 @@ class UdpTransport final : public Transport {
   void retransmit_stale(int rank);
   void transmit_fragment(int rank, const std::vector<char>& frame,
                          int dst_rank, bool first_time);
+  void count(int rank, const char* name, long long n = 1);
   void service_loop();
 
   int ranks_;
-  std::string registry_path_;
   UdpOptions options_;
   std::vector<std::unique_ptr<RankState>> states_;
-  mutable std::mutex stats_mutex_;
-  long delivered_ = 0;
-  long long doubles_delivered_ = 0;
-  long datagrams_sent_ = 0;
-  long retransmissions_ = 0;
-  long drops_ = 0;
-  long drop_counter_ = 0;
+  std::atomic<long> drop_counter_{0};
   std::atomic<bool> stop_{false};
   std::thread service_;
   std::shared_ptr<telemetry::MetricsRegistry> metrics_;

@@ -40,7 +40,6 @@
 #include "src/cluster/simulation.hpp"
 #include "src/cluster/workload.hpp"
 #include "src/comm/in_memory_transport.hpp"
-#include "src/comm/tcp_transport.hpp"
 #include "src/decomp/block_decomposition.hpp"
 #include "src/decomp/decomposition.hpp"
 #include "src/geometry/flue_pipe.hpp"

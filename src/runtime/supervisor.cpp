@@ -18,6 +18,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -80,6 +81,24 @@ int resolve_status_port(int option) {
   if (env && std::string(env) == "auto") return 0;
   const int v = env_int("SUBSONIC_STATUS_PORT", -1, INT_MIN, 65535);
   return v > 0 ? v : -1;
+}
+
+/// Which file a path names and what it holds: a writer still appending,
+/// a rewrite in place, and an atomic rename over it all change it.
+struct FileId {
+  dev_t dev = 0;
+  ino_t ino = 0;
+  off_t size = 0;
+  long long mtime_ns = 0;
+  friend bool operator==(const FileId&, const FileId&) = default;
+};
+
+/// The identity of the file at `path`, or nothing when there is none.
+std::optional<FileId> file_id(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return FileId{st.st_dev, st.st_ino, st.st_size,
+                st.st_mtim.tv_sec * 1000000000LL + st.st_mtim.tv_nsec};
 }
 
 /// The start-of-run rule: the committed epoch is kept when every active
@@ -172,7 +191,8 @@ class Supervisor {
         result_(result),
         launcher_(launcher::make_launcher(options.launcher)),
         committed_(resume.value_or(epoch::Manifest{})),
-        verified_(active_blocks.size()) {
+        verified_(active_blocks.size()),
+        rejected_(active_blocks.size()) {
     // Writing a rollback order to a child that just died must surface as
     // EPIPE, not kill the supervisor.
     old_sigpipe_ = ::signal(SIGPIPE, SIG_IGN);
@@ -542,22 +562,31 @@ class Supervisor {
   /// active block's dump for it exists, passes its CRC, and agrees on the
   /// step counter.  Once every dump of the next epoch has landed, those
   /// not yet verified are verified concurrently and remembered, so a good
-  /// dump is read once.  Cheap until then.
+  /// dump is read once, and a rejected one (a torn write under the final
+  /// name) only again once its file identity changes.  Cheap until then.
   void commit_epochs() {
     for (;;) {
       const long e = committed_.epoch + 1;
       std::vector<std::string> landed;
       std::vector<std::size_t> index;
+      std::vector<FileId> ids;
       for (std::size_t i = 0; i < active_blocks_.size(); ++i) {
         if (verified_[i]) continue;
         std::string path = epoch::block_dump_path(workdir_, active_blocks_[i], e);
-        if (::access(path.c_str(), F_OK) != 0) return;  // not all landed yet
+        const std::optional<FileId> id = file_id(path);
+        if (!id) return;                   // not all landed yet
+        if (id == rejected_[i]) return;    // still the dump it rejected
         landed.push_back(std::move(path));
         index.push_back(i);
+        ids.push_back(*id);
       }
       const auto infos = epoch::verify(landed);
-      for (std::size_t k = 0; k < index.size(); ++k)
+      for (std::size_t k = 0; k < index.size(); ++k) {
         verified_[index[k]] = infos[k];
+        if (infos[k]) continue;
+        rejected_[index[k]] = ids[k];
+        session_.metrics().counter(-1, "ckpt.verify_rejected").add();
+      }
       if (!verified_[0]) return;  // torn or corrupt: not this epoch yet
       // Block ids: the unit of every dump.
       epoch::Manifest m{e, verified_[0]->step, active_blocks_};
@@ -575,6 +604,7 @@ class Supervisor {
       }
       committed_ = std::move(m);
       verified_.assign(verified_.size(), std::nullopt);
+      rejected_.assign(rejected_.size(), std::nullopt);
     }
   }
 
@@ -687,6 +717,8 @@ class Supervisor {
   epoch::Manifest committed_;
   /// The next epoch's dumps verified so far, in active_blocks_ order.
   std::vector<std::optional<CheckpointInfo>> verified_;
+  /// The identity of each of its dumps that failed verification.
+  std::vector<std::optional<FileId>> rejected_;
 };
 
 }  // namespace

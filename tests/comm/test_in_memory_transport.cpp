@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/telemetry/metrics.hpp"
 #include "src/util/check.hpp"
 
 namespace subsonic {
@@ -12,11 +13,13 @@ namespace {
 
 TEST(InMemoryTransport, RoundTrip) {
   InMemoryTransport t(2);
+  auto metrics = std::make_shared<telemetry::MetricsRegistry>();
+  t.attach_metrics(metrics);
   t.send(0, 1, make_tag(0, 0, 5), {1.0, 2.0, 3.0});
   const auto payload = t.recv(1, 0, make_tag(0, 0, 5));
   EXPECT_EQ(payload, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(t.messages_delivered(), 1);
-  EXPECT_EQ(t.doubles_delivered(), 3);
+  EXPECT_EQ(metrics->counter(1, "transport.msgs_recv").value(), 1);
+  EXPECT_EQ(metrics->counter(1, "transport.doubles_recv").value(), 3);
 }
 
 TEST(InMemoryTransport, ChannelsAreIndependentPerDirection) {

@@ -67,8 +67,7 @@ TEST(Rendezvous, ParsesRegistryStringsAndRejectsFilePaths) {
   EXPECT_EQ(ep.port, 4100);
   EXPECT_EQ(ep.round, 7);
 
-  EXPECT_TRUE(is_rdv("rdv:h:1"));
-  EXPECT_FALSE(is_rdv("/tmp/ports"));
+  EXPECT_FALSE(parse_registry("/tmp/ports", &ep));
   EXPECT_FALSE(parse_registry("/tmp/ports.g3", &ep));
   EXPECT_FALSE(parse_registry("rdv:127.0.0.1", &ep));      // no port
   EXPECT_FALSE(parse_registry("rdv::9", &ep));             // no host
@@ -127,7 +126,7 @@ TEST(Rendezvous, RetiringRoundsDropsOldGenerations) {
 TEST(Rendezvous, PeerFetchDeadlineExpiryNamesTheMissingRank) {
   // Rank 0 sends to a rank 1 that never registers: the connect deadline
   // must convert the infinite poll into a peer_lost_error naming the
-  // missing rank, exactly like the file-registry path does.
+  // missing rank.
   Server server;
   TcpEndpointOptions opt;
   opt.connect_deadline_ms = 200;

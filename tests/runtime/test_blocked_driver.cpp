@@ -182,20 +182,27 @@ std::ostream& operator<<(std::ostream& os, const Traffic& t) {
 }
 
 /// Messages and payload doubles one step of a side-0 run pushes through
-/// its InMemoryTransport.
+/// its InMemoryTransport, read from the ranks' "transport.*_recv"
+/// counters in the driver's registry.
 template <int Dim>
 Traffic traffic_per_step(const typename DomainTraits<Dim>::Mask& mask,
                          FluidParams p, Method method, GridShape grid) {
   p.dt = method == Method::kLatticeBoltzmann ? 1.0 : 0.3;
-  auto transport =
-      std::make_shared<InMemoryTransport>(grid.jx * grid.jy * grid.jz);
-  BlockedDriver<Dim> driver(mask, p, method, grid, 0, transport);
-  const long msgs0 = transport->messages_delivered();
-  const long long doubles0 = transport->doubles_delivered();
+  BlockedDriver<Dim> driver(mask, p, method, grid, 0);
+  const auto delivered = [&] {
+    Traffic t;
+    for (const auto& row : driver.telemetry().metrics().counters()) {
+      if (row.name == "transport.msgs_recv") t.msgs += row.value;
+      if (row.name == "transport.doubles_recv") t.doubles += row.value;
+    }
+    return t;
+  };
+  const Traffic before = delivered();
   const int steps = 3;
   driver.run(steps);
-  return {(transport->messages_delivered() - msgs0) / steps,
-          (transport->doubles_delivered() - doubles0) / steps};
+  const Traffic after = delivered();
+  return {(after.msgs - before.msgs) / steps,
+          (after.doubles - before.doubles) / steps};
 }
 
 TEST(BlockedDriver, SideZeroTrafficIsThePapersMessageAccounting) {
@@ -371,12 +378,6 @@ class ResizingTransport final : public Transport {
   }
   std::vector<double> recv(int dst, int src, MessageTag tag) override {
     return inner_.recv(dst, src, tag);
-  }
-  long messages_delivered() const override {
-    return inner_.messages_delivered();
-  }
-  long long doubles_delivered() const override {
-    return inner_.doubles_delivered();
   }
 
  private:

@@ -279,6 +279,35 @@ TEST(ProcessSupervisor, TornDumpIsNeverCommittedAndRecoveryIsBitwise) {
                         workdir);
 }
 
+TEST(ProcessSupervisor, TornDumpOfTheLastRankToFlushIsNotReadAgain) {
+  // Rank 1 flushes its epoch-1 dump a step after rank 0, so its torn file
+  // completes the epoch's set of dumps the moment it lands.  It stays
+  // there until the respawned rank 1, slow to come up, writes the epoch
+  // again; meanwhile the supervisor polls every ~2 ms.  It must remember
+  // the rejection instead of reading and checking the same file again on
+  // each poll.  A read may catch the file mid-write, so the bound is a
+  // few rejections, not one.
+  const Mask2D mask = closed_box(24, 18, 1);
+  FluidParams p;
+  p.dt = 1.0;
+  const std::string workdir = test::fresh_workdir("proc2d_torn_last");
+  ProcessRunOptions options;
+  options.checkpoint_interval = 3;
+  options.faults = "torn_dump:rank=1,epoch=1;delay_connect:rank=1,ms=200,gen=1";
+  const ProcessRunResult r = run_supervised<2>(
+      mask, p, Method::kLatticeBoltzmann, GridShape{2, 1, 1}, 12, workdir,
+      options);
+  EXPECT_EQ(r.restarts, 1);
+  expect_matches_serial(mask, p, Method::kLatticeBoltzmann, 2, 1, 12,
+                        workdir);
+  const auto sup =
+      telemetry::read_metrics_jsonl(workdir + "/supervisor.metrics.jsonl");
+  ASSERT_EQ(sup.size(), 1u);
+  const long long rejected = sup[0].counter_or("ckpt.verify_rejected");
+  EXPECT_GE(rejected, 1);
+  EXPECT_LT(rejected, 5);
+}
+
 TEST(ProcessSupervisor, SlowConnectingRankIsToleratedWithoutRestart) {
   // delay_connect stalls one rank before it even registers its port; the
   // others retry with backoff instead of failing, so the run completes
